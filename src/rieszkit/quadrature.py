@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _special
 
 
@@ -145,9 +144,10 @@ class LogPowerProfile:
                 return scale * _special.gammaincc(a, dim * math.log(1.0 / r))
 
             return g(v) - g(u)
-        val, _ = _integrate.quad(
-            lambda r: math.log(1.0 / r) ** self.s * r ** (dim - 1), u, v, limit=200
-        )
+        from scipy.integrate import quad  # deferred: only this fallback needs it
+
+        val, _ = quad(lambda r: math.log(1.0 / r) ** self.s * r ** (dim - 1), u, v,
+                      limit=200)
         return val
 
     def primitive(self, u: float, v: float, dim: int) -> float:
@@ -205,9 +205,9 @@ class ProductProfile:
     def primitive(self, u: float, v: float, dim: int) -> float:
         if not self.integrable(dim) and u <= 0.0:
             return math.inf
-        val, _ = _integrate.quad(
-            lambda r: float(self.value(r)) * r ** (dim - 1), u, v, limit=200
-        )
+        from scipy.integrate import quad  # deferred: only this fallback needs it
+
+        val, _ = quad(lambda r: float(self.value(r)) * r ** (dim - 1), u, v, limit=200)
         return val
 
     def primitive_vec(self, u: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray:
@@ -337,15 +337,17 @@ def integrate_cells_1d(fn, edges, singularities=(), patch_cells=8, patch_shells=
         for uc, vc in zip(u[contains], v[contains]):
             if not prof.integrable(1):
                 return math.inf
-            cell_w = vc - uc
             for a, b, sign in ((uc, c, -1.0), (c, vc, +1.0)):
                 if b - a <= 0:
                     continue
                 wgt = prof.primitive(0.0, b - a, 1)
-                # sample the bounded factor at a radius safely away from the
-                # center: a sub-ulp sliver would otherwise round onto it
-                rs = max(0.5 * (b - a), 0.125 * cell_w)
-                pt = c + sign * rs
+                # sample the bounded factor at the sub-cell midpoint, which
+                # stays inside the support even for a sliver next to an
+                # endpoint; a sub-ulp sliver whose midpoint rounds onto the
+                # center takes its outer edge instead
+                pt = c + sign * 0.5 * (b - a)
+                if pt == c:
+                    pt = b if sign > 0 else a
                 g = float(fn(np.array([pt]))[0]) / float(prof.value(abs(pt - c)))
                 total += wgt * g
     return total

@@ -773,24 +773,15 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
                           tuple(spec.radii))
     atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, scheme)
 
-    def work(atom):
-        inner, outer, tail = _atom_norm_split(atom, profile, family, norm_weight,
-                                              weight_exponent, norm_exponent, spec,
-                                              scheme)
-        total = (inner + outer) ** (1.0 / norm_exponent)
-        return {"center": atom.ball.center.tolist(), "radius": atom.ball.radius,
-                "seed": atom.seed, "norm": total, "inner": inner, "outer": outer,
-                "tail_bound": tail}
-
+    tasks = [(atom, profile, family, norm_weight, weight_exponent, norm_exponent,
+              spec, scheme) for atom in atoms]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_campaign_worker,
-                               [(atom, profile, family, norm_weight, weight_exponent,
-                                 norm_exponent, spec, scheme) for atom in atoms]))
+            rows = list(ex.map(_campaign_worker, tasks))
     else:
-        rows = [work(atom) for atom in atoms]
+        rows = [_campaign_worker(task) for task in tasks]
 
     by_radius = {}
     for row in rows:
@@ -827,6 +818,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
 
 
 def _campaign_worker(args):
+    """One witness row: the atom's norm split (serial and process-pool runs)."""
     atom, profile, family, norm_weight, weight_exponent, norm_exponent, spec, scheme = args
     inner, outer, tail = _atom_norm_split(atom, profile, family, norm_weight,
                                           weight_exponent, norm_exponent, spec, scheme)

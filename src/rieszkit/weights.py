@@ -492,10 +492,26 @@ def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None 
     return _estimate_over_family("A_1", per_ball, family, scheme, refine_steps)
 
 
+def _memo_power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme, memo) -> float:
+    """power_mean(w, s, ball, scheme), looked up in ``memo`` (a dict for one
+    fixed weight, or None for no reuse).  Values are stored as computed, so
+    reuse is exact."""
+    if memo is None:
+        return power_mean(w, s, ball, scheme)
+    key = (float(s), tuple(ball.center.tolist()), ball.radius, scheme)
+    if key not in memo:
+        memo[key] = power_mean(w, s, ball, scheme)
+    return memo[key]
+
+
 def estimate_Ap_constant(w, p: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
                          refine_steps: int = 3) -> WeightClassReport:
     """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1."""
+    return _estimate_Ap(w, p, family, scheme, refine_steps, None)
+
+
+def _estimate_Ap(w, p, family, scheme, refine_steps, memo) -> WeightClassReport:
     p = float(p)
     if p <= 1.0:
         raise ValueError("estimate_Ap_constant needs p > 1 (use estimate_A1_constant)")
@@ -505,8 +521,8 @@ def estimate_Ap_constant(w, p: float, family: BallFamily,
 
     def per_ball(ball, s):
         try:
-            num = power_mean(w, 1.0, ball, s)
-            den = power_mean(w, dual, ball, s)
+            num = _memo_power_mean(w, 1.0, ball, s, memo)
+            den = _memo_power_mean(w, dual, ball, s, memo)
         except NotIntegrable:
             return math.inf
         if not (math.isfinite(num) and den > 0.0 and math.isfinite(den)):
@@ -553,6 +569,10 @@ def estimate_RH_constant(w, s_exp: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
                          refine_steps: int = 3) -> WeightClassReport:
     """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w)."""
+    return _estimate_RH(w, s_exp, family, scheme, refine_steps, None)
+
+
+def _estimate_RH(w, s_exp, family, scheme, refine_steps, memo) -> WeightClassReport:
     s_exp = float(s_exp)
     if s_exp <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
@@ -561,12 +581,12 @@ def estimate_RH_constant(w, s_exp: float, family: BallFamily,
 
     def per_ball(ball, s):
         try:
-            num = power_mean(w, s_exp, ball, s)
+            num = _memo_power_mean(w, s_exp, ball, s, memo)
         except NotIntegrable:
             return math.inf
         if not math.isfinite(num):
             return math.inf
-        return num / power_mean(w, 1.0, ball, s)
+        return num / _memo_power_mean(w, 1.0, ball, s, memo)
 
     return _estimate_over_family(f"RH_s(s={s_exp:g})", per_ball, family, scheme,
                                  refine_steps)
@@ -601,18 +621,21 @@ def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = No
     """Bisection on the finiteness verdicts of the A_p and RH estimators.
 
     Reports +inf for the reverse Holder index when no divergence shows up to
-    ``rh_cap`` (2^10 by default).
+    ``rh_cap`` (2^10 by default).  Each per-ball power mean is computed once
+    per call: the bisection steps share them (every A_p and RH step needs
+    the plain average of w on every ball).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if scheme is None:
         scheme = default_scheme(w.dimension)
+    memo = {}
 
     def ap_finite(p):
-        return estimate_Ap_constant(w, p, family, scheme, refine_steps).verdict == "finite"
+        return _estimate_Ap(w, p, family, scheme, refine_steps, memo).verdict == "finite"
 
     def rh_finite(s):
-        return estimate_RH_constant(w, s, family, scheme, refine_steps).verdict == "finite"
+        return _estimate_RH(w, s, family, scheme, refine_steps, memo).verdict == "finite"
 
     if ap_finite(1.0 + tol):
         q_val, q_br = 1.0, (1.0, 1.0 + tol)

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,3 +195,14 @@ def test_cli_seed_override_changes_campaign(tmp_path):
     a = open(os.path.join(out1, "atoms.jsonl")).read()
     b = open(os.path.join(out2, "atoms.jsonl")).read()
     assert a != b
+
+
+def test_cli_import_defers_scipy_integrate():
+    """Only the quad fallbacks of the radial profiles need scipy.integrate."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, rieszkit.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -2,20 +2,23 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszkit import (Ball, ExponentProfile, GridProfile, MaximalPolicy,
+from rieszkit import (AtomParams, Ball, ExponentProfile, GridProfile, MaximalPolicy,
                       PolynomialProfile, PowerWeight, QuadratureDiverged,
                       QuadratureScheme, SampledFunction, Singular, apply_T,
-                      domination_check, equal_split,
+                      construct_atom, domination_check, equal_split,
                       fractional_maximal, fractional_maximal_witness,
                       hl_maximal, hl_maximal_witness, identity_family,
                       indicator, kernel_eval, mphi_maximal_lower,
                       riesz_potential, scalar_family, weighted_norm)
-from rieszkit.operators import sampled_from_csv
+from rieszkit.geometry import expanded_balls
+from rieszkit.operators import apply_T_batch, sampled_from_csv
+from rieszkit.verify import CampaignSpec
 
 DOMINATION_SUP_ORACLE = 0.5  # direct two-sided quadrature, attained at x = 0
 
@@ -256,3 +259,65 @@ def test_maximal_2d_is_lower_bound():
     v = fractional_maximal(f, [0.0, 0.0], 1.0)
     assert v <= math.sqrt(math.pi) + 1e-9
     assert v > 0.9 * math.sqrt(math.pi)
+
+
+# ---------------------------------------------------------------------------
+# far-field multipole rule
+# ---------------------------------------------------------------------------
+
+FAR_FIELD_KERNELS = [equal_split(0.0, 2, 1), ExponentProfile(0.5, (0.25, 0.25), 1)]
+
+
+def _mpmath_T(coeffs, center, radius, x, profile, lams):
+    """40-digit quadrature of the polynomial atom against the product kernel."""
+    with mpmath.workdps(40):
+        X = mpmath.mpf(x)
+
+        def integrand(y):
+            poly = mpmath.fsum(c * ((y - center) / radius) ** k for k, c in coeffs)
+            return poly * mpmath.fprod(abs(X - lam * y) ** (-a)
+                                       for lam, a in zip(lams, profile.alphas))
+
+        return float(mpmath.quad(integrand, [center - radius, center, center + radius]))
+
+
+@pytest.mark.parametrize("profile", FAR_FIELD_KERNELS, ids=["zero-order", "alpha-half"])
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_far_field_matches_mpmath(profile, d):
+    """Atoms with vanishing moments, every point at least 3 radii out in each
+    preimage, out to the campaign truncation: relative error <= 1e-8."""
+    lams = (1.0, -1.0)
+    fam = scalar_family(list(lams), pairwise_invertible=True)
+    octaves = CampaignSpec().outer_octaves
+    for center, radius in ((0.0, 0.25), (-2.0, 1.0), (1.0, 4.0)):
+        ball = Ball([center], radius)
+        atom = construct_atom(ball, AtomParams(1.0, 2.0, d, PowerWeight(0.5), 1), seed=11)
+        coeffs = sorted((k[0], c) for k, c in atom.profile.coeffs.items())
+        stars = expanded_balls(ball, fam)
+        scale = max(abs(b.center[0] - b.radius) + abs(b.center[0] + b.radius) for b in stars)
+        truncation = (scale + 1.0) * 2.0**octaves
+        side = np.geomspace(abs(center) + 3.0 * radius, truncation, 4)
+        xs = np.concatenate([-side[::-1], side])
+        assert all(abs(x / lam - center) >= 3.0 * radius for x in xs for lam in lams)
+        vals = apply_T_batch(atom.function(), xs[:, None], profile, fam)
+        for x, v in zip(xs, vals):
+            ref = _mpmath_T(coeffs, center, radius, x, profile, lams)
+            assert abs(v - ref) <= 1e-8 * abs(ref), (center, radius, x, v, ref)
+
+
+def test_far_field_grid_profile_takes_cell_path(monkeypatch):
+    import rieszkit.operators as ops
+
+    calls = []
+    cells = ops.integrate_cells_1d
+    monkeypatch.setattr(ops, "integrate_cells_1d",
+                        lambda *a, **k: calls.append(1) or cells(*a, **k))
+    prof = equal_split(0.0, 2, 1)
+    fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
+    ball = Ball([0.0], 1.0)
+    x = np.array([[5.0]])
+    grid = apply_T_batch(SampledFunction(ball, GridProfile(np.ones(64))), x, prof, fam)
+    assert len(calls) == 1
+    poly = apply_T_batch(SampledFunction(ball, PolynomialProfile({(0,): 1.0})), x, prof, fam)
+    assert len(calls) == 1  # the polynomial profile took the multipole rule
+    assert grid[0] == pytest.approx(poly[0], rel=1e-6)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszkit import Ball, QuadratureScheme
+from rieszkit import Ball, QuadratureScheme, equal_split, indicator, scalar_family
+from rieszkit.operators import apply_T_batch
 from rieszkit.quadrature import (LogPowerProfile, PowerProfile, ProductProfile,
                                  RadialSingularity, combine_profiles,
                                  graded_edges, integrate_ball,
@@ -157,3 +158,28 @@ def test_power_singularity_any_center(c, r):
     sing = [RadialSingularity((c,), PowerProfile(-0.5))]
     v = integrate_interval(lambda x: np.abs(x - c) ** -0.5, c - r, c + r, 128, sing)
     assert v == pytest.approx(4.0 * math.sqrt(r), rel=1e-10)
+
+
+def _two_reflection_indicator(lo, hi, x):
+    """T chi_[lo, hi](x) for the kernel |x - y|^{-1/2} |x + y|^{-1/2},
+    0 < lo < x < hi, computed by the operator and in closed form."""
+    f = indicator([0.5 * (lo + hi)], 0.5 * (hi - lo))
+    fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
+    value = apply_T_batch(f, np.array([[x]]), equal_split(0.0, 2, 1), fam)[0]
+    exact = 0.5 * math.pi - math.asin(lo / x) + math.acosh(hi / x)
+    return value, exact
+
+
+def test_endpoint_sliver_keeps_its_mass():
+    """A singularity 4e-5 inside the support endpoint (well under cell/8)
+    leaves a sliver sub-cell whose bounded factor must be sampled inside it."""
+    value, exact = _two_reflection_indicator(0.5, 1.5, 0.5 + 4e-5)
+    assert abs(value - exact) <= 1e-5
+
+
+def test_singularity_one_ulp_from_cell_edge():
+    # 1.0 is the middle cell edge of the 1024-cell grid on [0.5, 1.5]
+    for x in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+        value, exact = _two_reflection_indicator(0.5, 1.5, float(x))
+        assert math.isfinite(value)
+        assert abs(value - exact) <= 1e-5

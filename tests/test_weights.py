@@ -1,6 +1,7 @@
 """Weight evaluation, class-constant estimates, critical indices, doubling."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -377,3 +378,29 @@ def test_rh_oracle_agrees(std_family):
 
         best = max(best, pmean(s) / pmean(1.0))
     assert best == pytest.approx(RH4_EIGHTH_ORACLE, rel=1e-9)
+
+
+@pytest.mark.parametrize("exponent", [0.5, -0.125])  # A_p and RH bisections
+def test_critical_indices_reuses_power_means(exponent, monkeypatch, small_family,
+                                             fast_scheme):
+    """One critical_indices call computes every (s, ball, scheme) power mean
+    once, and returns exactly what the estimators give without reuse."""
+    import rieszkit.weights as wmod
+
+    w = PowerWeight(exponent)
+    seen = Counter()
+    mean = wmod.power_mean
+
+    def counting(w_, s, ball, scheme=None):
+        seen[(float(s), tuple(ball.center.tolist()), ball.radius, scheme)] += 1
+        return mean(w_, s, ball, scheme)
+
+    monkeypatch.setattr(wmod, "power_mean", counting)
+    reused = critical_indices(w, small_family, fast_scheme)
+    assert seen and max(seen.values()) == 1
+
+    monkeypatch.setattr(wmod, "_memo_power_mean",
+                        lambda w_, s, ball, scheme, memo: mean(w_, s, ball, scheme))
+    plain = critical_indices(w, small_family, fast_scheme)
+    assert reused.to_dict() == plain.to_dict()
+    assert reused == plain
