@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rieszkit import PowerWeight, dyadic_ball_family, estimate_Ap_constant  # noqa: E402
+from rieszkit import PowerWeight, default_ball_family, estimate_Ap_constant  # noqa: E402
 
 EXPONENTS = (-0.8, -1.0 / 3.0, 0.0, 0.25, 0.5, 0.9)
 PS = (1.25, 1.5, 2.0, 3.0)
@@ -28,7 +28,7 @@ def main() -> int:
     ap.add_argument("--margin", type=float, default=0.2)
     args = ap.parse_args()
 
-    family = dyadic_ball_family([[0.0], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]])
+    family = default_ball_family(1)
     header = "a \\ p " + "".join(f"{p:>9.2f}" for p in PS)
     print(header)
     mismatches = 0

@@ -5,7 +5,8 @@ from .errors import (ConfigError, DegenerateProfile, HypothesisFailed,
                      MisclassifiedSample, NotIntegrable, OutOfGrid,
                      QuadratureDiverged, RieszkitError, Singular, SingularPoint)
 from .geometry import (Ball, BallFamily, MatrixFamily, RegionLabel, classify,
-                       classify_batch, dyadic_ball_family, expanded_balls,
+                       classify_batch, default_ball_family, dyadic_ball_family,
+                       expanded_balls,
                        identity_family, operator_norm, scalar_family)
 from .quadrature import QuadratureScheme, default_scheme
 from .weights import (CriticalIndices, LogExampleWeight, PowerWeight,

@@ -74,23 +74,16 @@ def cmd_weights_classify(cfg: RunConfig, out_dir: str) -> int:
     block = cfg.classify_block or {}
     family = cfg.family
     scheme = cfg.quadrature
-    reports = []
-    for i, cls in enumerate(block.get("classes", [{"kind": "A1"}])):
-        kind = cls.get("kind")
-        if kind == "A1":
-            rep = estimate_A1_constant(cfg.weight, family, scheme)
-        elif kind == "Ap":
-            rep = estimate_Ap_constant(cfg.weight, float(cls["p"]), family, scheme)
-        elif kind == "Apq":
-            rep = estimate_Apq_constant(cfg.weight, float(cls["p"]), float(cls["q"]),
-                                        family, scheme)
-        elif kind == "RH":
-            rep = estimate_RH_constant(cfg.weight, float(cls["s"]), family, scheme)
-        else:
-            raise ConfigError(f"classify.classes[{i}].kind",
-                              f"unknown class kind {kind!r}")
-        reports.append(rep.to_dict())
-    payload = {"classes": reports}
+    w = cfg.weight
+    # config.validate_classify has checked every kind and its parameters
+    estimate = {
+        "A1": lambda c: estimate_A1_constant(w, family, scheme),
+        "Ap": lambda c: estimate_Ap_constant(w, float(c["p"]), family, scheme),
+        "Apq": lambda c: estimate_Apq_constant(w, float(c["p"]), float(c["q"]), family, scheme),
+        "RH": lambda c: estimate_RH_constant(w, float(c["s"]), family, scheme),
+    }
+    payload = {"classes": [estimate[cls["kind"]](cls).to_dict()
+                           for cls in block.get("classes", [{"kind": "A1"}])]}
     if block.get("critical_indices", True):
         payload["critical_indices"] = critical_indices(
             cfg.weight, family, scheme, tol=float(block.get("tol", 1e-2))).to_dict()

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import Ball, BallFamily, MatrixFamily, dyadic_ball_family
+from .geometry import (Ball, BallFamily, MatrixFamily, default_ball_family,
+                       dyadic_ball_family)
 from .operators import ExponentProfile, SampledFunction, indicator, sampled_from_csv
 from .quadrature import QuadratureScheme
 from .verify import CampaignSpec
@@ -160,12 +161,50 @@ def build_quadrature(block: dict | None, dimension: int, path: str = "quadrature
         raise ConfigError(path, str(exc))
 
 
+CLASS_KINDS = ("A1", "Ap", "Apq", "RH")
+
+
+def validate_classify(block, path: str = "classify"):
+    """Check the class list and the critical-index tolerance of a classify block."""
+    _expect(isinstance(block, dict), path, "expected an object")
+    classes = _get(block, "classes", path, False, [])
+    _expect(isinstance(classes, list), f"{path}.classes", "expected a list of classes")
+    for i, cls in enumerate(classes):
+        path_i = f"{path}.classes[{i}]"
+        _expect(isinstance(cls, dict), path_i, "expected an object with a 'kind' field")
+        kind = _get(cls, "kind", path_i)
+        _expect(kind in CLASS_KINDS, f"{path_i}.kind",
+                f"unknown class kind {kind!r}; known: {', '.join(CLASS_KINDS)}")
+        if kind == "Ap":
+            _expect(_number(cls, "p", path_i) > 1.0, f"{path_i}.p",
+                    "A_p needs p > 1 (use kind A1 for p = 1)")
+        elif kind == "Apq":
+            p = _number(cls, "p", path_i)
+            _expect(p >= 1.0, f"{path_i}.p", "A_pq needs p >= 1")
+            _expect(_number(cls, "q", path_i) >= p, f"{path_i}.q", "A_pq needs q >= p")
+        elif kind == "RH":
+            _expect(_number(cls, "s", path_i) > 1.0, f"{path_i}.s",
+                    "the reverse Holder exponent must exceed 1")
+    _expect(_number(block, "tol", path, False, 1e-2) > 0.0, f"{path}.tol", "must be positive")
+
+
+def validate_check(item: dict, dimension: int, path: str):
+    """Domain checks of the parameters a check reads, before anything runs."""
+    name = item["check"]
+    if name == "maximal-inequality":
+        _expect(dimension == 1, f"{path}.check",
+                "maximal-inequality sweeps are implemented on the line")
+    elif name == "rh-ball-inequality":
+        alpha = _number(item, "alpha", path, False, 0.5)
+        _expect(0.0 < alpha < dimension, f"{path}.alpha", f"must lie in (0, {dimension})")
+        p = _number(item, "p", path, False, 1.0)
+        _expect(0.0 < p < dimension / alpha, f"{path}.p",
+                f"must lie in (0, n/alpha) = (0, {dimension / alpha:g})")
+
+
 def build_ball_family(block: dict | None, dimension: int, path: str = "family") -> BallFamily:
     if block is None:
-        centers = ([[0.0], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]]
-                   if dimension == 1 else
-                   [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
-        return dyadic_ball_family(centers, -8, 4)
+        return default_ball_family(dimension)
     _expect(isinstance(block, dict), path, "expected an object")
     centers = _get(block, "centers", path)
     _expect(isinstance(centers, list) and centers, f"{path}.centers",
@@ -297,6 +336,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         name = _get(item, "check", f"checks[{i}]")
         _expect(name in KNOWN_CHECKS, f"checks[{i}].check",
                 f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
+        validate_check(item, n, f"checks[{i}]")
         checks.append(item)
 
     sweeps = []
@@ -314,6 +354,10 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         sweeps.append({"name": name, "function": fn, "x_min": x_min,
                        "x_max": x_max, "points": points})
 
+    classify_block = raw.get("classify")
+    if classify_block is not None:
+        validate_classify(classify_block)
+
     out_block = raw.get("output", {})
     _expect(isinstance(out_block, dict), "output", "expected an object")
 
@@ -322,8 +366,8 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         seed=_integer(raw, "seed", "(root)", False, None),
         matrices=matrices, exponents=exponents, campaign=campaign,
         checks=checks, sweeps=sweeps,
-        classify_block=raw.get("classify"),
-        family=build_ball_family(raw.get("classify", {}).get("family")
-                                 if isinstance(raw.get("classify"), dict) else None, n),
+        classify_block=classify_block,
+        family=build_ball_family(None if classify_block is None
+                                 else classify_block.get("family"), n),
         atoms_block=raw.get("atoms"),
         output_dir=out_block.get("dir", "out"))

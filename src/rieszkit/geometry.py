@@ -79,6 +79,16 @@ def dyadic_ball_family(centers, k_min: int = -8, k_max: int = 4) -> BallFamily:
     return BallFamily(tuple(balls))
 
 
+def default_ball_family(dimension: int) -> BallFamily:
+    """Radii 2^-8..2^4 around the usual singular centres: seven on the line
+    (0, +-1/2, +-1, +-2), four in the plane."""
+    if dimension == 1:
+        centers = [[0.0], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]]
+    else:
+        centers = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+    return dyadic_ball_family(centers, -8, 4)
+
+
 def operator_norm(matrix) -> float:
     """Spectral norm (largest singular value)."""
     a = np.asarray(matrix, dtype=float)
@@ -118,18 +128,24 @@ class MatrixFamily:
                     f"matrix {j}: condition number {cond:.3e} exceeds cap {self.condition_cap:.1e}")
             inverses.append(np.linalg.inv(a))
             norms.append(operator_norm(a))
-        if self.pairwise_invertible:
-            for i in range(len(mats)):
-                for j in range(i + 1, len(mats)):
-                    d = mats[i] - mats[j]
-                    cond = np.linalg.cond(d)
-                    if not np.isfinite(cond) or cond > self.condition_cap:
-                        raise RieszkitError(
-                            f"matrices {i},{j}: difference not invertible "
-                            f"(condition number {cond:.3e})")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_inverses", tuple(inverses))
         object.__setattr__(self, "_norms", tuple(norms))
+        singular = self.singular_differences() if self.pairwise_invertible else []
+        if singular:
+            i, j, cond = singular[0]
+            raise RieszkitError(f"matrices {i},{j}: difference not invertible "
+                                f"(condition number {cond:.3e})")
+
+    def singular_differences(self) -> list:
+        """(i, j, condition number) of each A_i - A_j beyond the condition cap."""
+        out = []
+        for i in range(self.m):
+            for j in range(i + 1, self.m):
+                cond = np.linalg.cond(self.matrices[i] - self.matrices[j])
+                if not np.isfinite(cond) or cond > self.condition_cap:
+                    out.append((i, j, cond))
+        return out
 
     @property
     def m(self) -> int:

@@ -224,7 +224,6 @@ def sampled_from_csv(path, ball: Ball) -> SampledFunction:
         raise ValueError(f"expected {n + 1} columns (coordinates..., value)")
     count = data.shape[0]
     if n == 1:
-        cells = count
         order = np.argsort(data[:, 0])
         return SampledFunction(ball, GridProfile(data[order, 1]))
     side = int(round(math.sqrt(count)))
@@ -356,7 +355,7 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
                         * f.eval(pts))
 
             out[i] = integrate_cells_1d(fn, edges, sings, scheme.patch_cells,
-                                        scheme.patch_shells, add_patches=add)
+                                        add_patches=add)
         return out
 
     out = np.empty(xs.shape[0])

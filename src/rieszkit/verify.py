@@ -21,7 +21,8 @@ import numpy as np
 
 from .atoms import Atom, AtomParams, AtomSampler, sample_atom_campaign
 from .errors import HypothesisFailed, MisclassifiedSample
-from .geometry import Ball, BallFamily, MatrixFamily, as_point, classify, expanded_balls
+from .geometry import (Ball, BallFamily, MatrixFamily, as_point, classify,
+                       default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
                         apply_T_batch, fractional_maximal_witness, indicator,
                         weighted_norm)
@@ -30,7 +31,7 @@ from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
 from .weights import (critical_indices, check_matrix_compatibility,
                       estimate_A1_constant, estimate_Ap_constant,
                       estimate_Apq_constant, estimate_RH_constant,
-                      eval_weight_batch, power_mean, weight_power,
+                      eval_weight_batch, power_mean, series_verdict, weight_power,
                       weight_singularities, weight_to_dict, weighted_measure)
 
 STABILITY_FACTOR = 4.0
@@ -178,7 +179,7 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
 
     audits = [AuditItem("order in [0, n)", profile.alpha,
                         0.0 <= profile.alpha < n)]
-    idx = critical_indices(params.weight, _default_ball_family(params.weight))
+    idx = critical_indices(params.weight, default_ball_family(params.weight.dimension))
     audits.append(AuditItem("weight in A_infinity (finite Muckenhoupt index)",
                             idx.q_critical, math.isfinite(idx.q_critical)))
     for a in audits:
@@ -446,7 +447,7 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         raise ValueError("maximal-inequality sweeps are implemented on the line")
     if scheme is None:
         scheme = default_scheme(n)
-    fam = _default_ball_family(w)
+    fam = default_ball_family(w.dimension)
     audits = []
     if alpha is None:
         rep = (estimate_A1_constant(w, fam, scheme) if p == 1.0
@@ -485,7 +486,7 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
                 den = weighted_norm(f, p, w, p, scheme)
             ratio = max(ratio, num / den)
         series.append(ratio)
-    verdict_growth = _series_monotone_growth(series)
+    verdict_growth = series_verdict(series) == "diverging"
     verdict = "pass" if (not verdict_growth and _drift(series) < STABILITY_FACTOR) else "diverging"
     return VerificationReport(
         "maximal-inequality", "pass" if verdict == "pass" else "fail", series[-1],
@@ -497,24 +498,6 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         extras={"verdict": verdict},
         provenance={"config_hash": config_hash({"w": weight_to_dict(w), "p": p,
                                                 "alpha": alpha})})
-
-
-def _series_monotone_growth(series) -> bool:
-    if len(series) < 2:
-        return False
-    monotone = all(series[i + 1] >= series[i] * (1 - 1e-9) for i in range(len(series) - 1))
-    return monotone and series[-1] >= STABILITY_FACTOR * series[0]
-
-
-def _default_ball_family(w) -> BallFamily:
-    n = w.dimension
-    if n == 1:
-        centers = [[0.0], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]]
-    else:
-        centers = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
-    from .geometry import dyadic_ball_family
-
-    return dyadic_ball_family(centers, -8, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +604,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         # inner_resolution cells per expanded-ball diameter
         cells = max(64, int(spec.inner_resolution * (hi - lo) / star_diameter))
         edges = _split_edges_at(np.linspace(lo, hi, cells + 1), breakpoints)
-        inner += integrate_cells_1d(integrand, edges, wsings,
-                                    scheme.patch_cells, scheme.patch_shells)
+        inner += integrate_cells_1d(integrand, edges, wsings, scheme.patch_cells)
 
     scale = max(abs(lo) + abs(hi) for lo, hi in intervals)
     extent = (scale + 1.0) * 2.0**spec.outer_octaves
@@ -642,8 +624,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         if edges[-1] - edges[0] <= 0:
             continue
         edges = _split_edges_at(edges, breakpoints)
-        outer += integrate_cells_1d(integrand, edges, wsings,
-                                    scheme.patch_cells, scheme.patch_shells)
+        outer += integrate_cells_1d(integrand, edges, wsings, scheme.patch_cells)
 
     # decay-form tail estimate beyond the truncation
     d = atom.params.d
@@ -665,7 +646,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
 
 
 def _thm_zero_audits(w, profile, family, spec, scheme):
-    fam_balls = _default_ball_family(w)
+    fam_balls = default_ball_family(w.dimension)
     audits = []
     idx = critical_indices(w, fam_balls, scheme)
     audits.append(AuditItem("weight in A_infinity (finite Muckenhoupt index)",
@@ -675,17 +656,13 @@ def _thm_zero_audits(w, profile, family, spec, scheme):
                             comp < COMPATIBILITY_CAP))
     audits.append(AuditItem("at least two factors at order zero", profile.m,
                             profile.m >= 2))
-    pairwise_ok = True
+    singular = family.singular_differences()
     detail = ""
-    for i in range(family.m):
-        for j in range(i + 1, family.m):
-            diff = family.matrices[i] - family.matrices[j]
-            cond = np.linalg.cond(diff)
-            if not np.isfinite(cond) or cond > family.condition_cap:
-                pairwise_ok = False
-                detail = f"A_{i} - A_{j} has condition number {cond:.3e}"
-    audits.append(AuditItem("pairwise differences invertible", pairwise_ok,
-                            pairwise_ok, detail))
+    if singular:
+        i, j, cond = singular[-1]
+        detail = f"A_{i} - A_{j} has condition number {cond:.3e}"
+    audits.append(AuditItem("pairwise differences invertible", not singular,
+                            not singular, detail))
     audits.append(AuditItem("p in (0, 1]", spec.p, 0.0 < spec.p <= 1.0))
     ratio = 1.0 if math.isinf(idx.rh_critical) else idx.rh_critical / (idx.rh_critical - 1.0)
     thresh = max(1.0, spec.p * ratio)
@@ -697,7 +674,7 @@ def _thm_zero_audits(w, profile, family, spec, scheme):
 
 def _thm_positive_audits(w, profile, family, spec, scheme):
     n = w.dimension
-    fam_balls = _default_ball_family(w)
+    fam_balls = default_ball_family(w.dimension)
     audits = []
     if spec.s is None or not (0.0 < spec.s < 1.0):
         audits.append(AuditItem("s in (0, 1)", spec.s if spec.s is not None else "missing",

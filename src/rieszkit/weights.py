@@ -22,8 +22,7 @@ import numpy as np
 from .errors import HypothesisFailed, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point
 from .quadrature import (LogPowerProfile, PowerProfile, QuadratureScheme,
-                         RadialSingularity, default_scheme, integrate_ball,
-                         refinement_series)
+                         RadialSingularity, default_scheme, integrate_ball)
 
 _SING_TOL = 1e-14
 
@@ -155,10 +154,6 @@ def tabulated_from_csv(path, grid: RegularGrid) -> TabulatedWeight:
     if np.any(np.isnan(vals)):
         raise ValueError("CSV rows do not cover every grid cell")
     return TabulatedWeight(grid, vals)
-
-
-def weight_dimension(w) -> int:
-    return w.dimension
 
 
 def weight_to_dict(w) -> dict:
@@ -436,12 +431,13 @@ class WeightClassReport:
         }
 
 
-def _series_verdict(series) -> str:
-    vals = [v for v in series]
-    if any(not math.isfinite(v) for v in vals):
+def series_verdict(series) -> str:
+    """Refinement-series verdict: "diverging" on a non-finite level or on
+    monotone growth by DIVERGENCE_GROWTH, else "finite"."""
+    if any(not math.isfinite(v) for v in series):
         return "diverging"
-    monotone = all(vals[i + 1] >= vals[i] * (1.0 - 1e-9) for i in range(len(vals) - 1))
-    if monotone and len(vals) > 1 and vals[-1] >= DIVERGENCE_GROWTH * vals[0]:
+    monotone = all(series[i + 1] >= series[i] * (1.0 - 1e-9) for i in range(len(series) - 1))
+    if monotone and len(series) > 1 and series[-1] >= DIVERGENCE_GROWTH * series[0]:
         return "diverging"
     return "finite"
 
@@ -471,7 +467,7 @@ def _estimate_over_family(label, per_ball, family, scheme, refine_steps):
         if not math.isfinite(val):
             break
         current = current.refined(factor)
-    verdict = _series_verdict(series)
+    verdict = series_verdict(series)
     return WeightClassReport(label, series[-1] if math.isfinite(series[-1]) else math.inf,
                              verdict, worst, series, len(family))
 
@@ -766,16 +762,11 @@ def matrix_doubling_check(w, family: MatrixFamily, balls: BallFamily,
         scheme = default_scheme(w.dimension)
     big_m = family.norm_bound if m_factor is None else float(m_factor)
 
-    def value_at(s):
-        worst = 0.0
-        for ball in balls:
-            base = weighted_measure(w, 1.0, ball, s)
-            for j in range(family.m):
-                moved = Ball(family.apply(j, ball.center), 2.0 * big_m * ball.radius)
-                worst = max(worst, weighted_measure(w, 1.0, moved, s) / base)
-        return worst
+    def per_ball(ball, s):
+        base = weighted_measure(w, 1.0, ball, s)
+        return max(weighted_measure(w, 1.0, Ball(family.apply(j, ball.center),
+                                                 2.0 * big_m * ball.radius), s) / base
+                   for j in range(family.m))
 
-    series = refinement_series(value_at, scheme, steps=refine_steps,
-                               factor=4 if w.dimension == 1 else 2)
-    stable = _series_verdict(series) == "finite"
-    return MatrixDoublingReport(series[0], series, stable, big_m)
+    rep = _estimate_over_family("matrix doubling", per_ball, balls, scheme, refine_steps)
+    return MatrixDoublingReport(rep.series[0], rep.series, rep.verdict == "finite", big_m)

@@ -1,14 +1,12 @@
 import pytest
 
-from rieszkit import QuadratureScheme, dyadic_ball_family
-
-STD_CENTERS_1D = [[0.0], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]]
+from rieszkit import QuadratureScheme, default_ball_family, dyadic_ball_family
 
 
 @pytest.fixture(scope="session")
 def std_family():
     """Dyadic ball family around the usual singular centers on the line."""
-    return dyadic_ball_family(STD_CENTERS_1D, -8, 4)
+    return default_ball_family(1)
 
 
 @pytest.fixture(scope="session")

@@ -17,15 +17,13 @@ import pytest
 from rieszkit import (AtomParams, AtomSampler, ExponentProfile, MaximalPolicy,
                       PowerWeight, apply_T, check_critical_index_chains,
                       check_pointwise_atom_bound, check_rh_ball_inequality,
-                      critical_indices, dyadic_ball_family, equal_split,
+                      critical_indices, default_ball_family, equal_split,
                       estimate_Ap_constant, fractional_maximal, hl_maximal,
                       identity_family, indicator, riesz_potential,
                       sample_atom_campaign, scalar_family, validate_atom)
 from rieszkit.cli import main as cli_main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
-
-STD_CENTERS = [[0.0], [0.5], [-0.5], [1.0], [-1.0], [2.0], [-2.0]]
 
 
 def _report(num, name, detail):
@@ -62,7 +60,7 @@ def test_criterion_1_operator_anchors():
 
 def test_criterion_2_power_weight_classifier():
     t0 = time.monotonic()
-    family = dyadic_ball_family(STD_CENTERS, -8, 4)
+    family = default_ball_family(1)
     margin = 0.2
     checked = 0
     for a in (-0.8, -1.0 / 3.0, 0.0, 0.25, 0.5, 0.9):
@@ -81,7 +79,7 @@ def test_criterion_2_power_weight_classifier():
 
 
 def test_criterion_3_critical_indices_and_chains():
-    family = dyadic_ball_family(STD_CENTERS, -8, 4)
+    family = default_ball_family(1)
     idx = critical_indices(PowerWeight(0.5), family)
     assert idx.q_critical == pytest.approx(1.5, abs=0.02)
     idx8 = critical_indices(PowerWeight(-0.125), family)
@@ -151,7 +149,7 @@ def test_criterion_5_theorem_campaigns(tmp_path):
 
 
 def test_criterion_6_rh_ball_inequality():
-    family = dyadic_ball_family(STD_CENTERS, -8, 4)
+    family = default_ball_family(1)
     flat = check_rh_ball_inequality(PowerWeight(0.0), 1.0, 0.5, family)
     assert flat.passed()
     assert abs(flat.worst) < 1e-8 and abs(flat.extras["max_slack"]) < 1e-8

@@ -197,12 +197,57 @@ def test_cli_seed_override_changes_campaign(tmp_path):
     assert a != b
 
 
-def test_cli_import_defers_scipy_integrate():
-    """Only the quad fallbacks of the radial profiles need scipy.integrate."""
+def _python(*args, check=False):
+    """Run the interpreter on ``args`` with this checkout's src on the path."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, check=check,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_cli_import_defers_scipy_integrate():
+    """Nothing under src imports scipy.integrate (quad is a test oracle only)."""
     code = "import sys, rieszkit.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+    out = _python("-c", code, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("command, raw, field", [
+    (["weights", "classify"],
+     _base_config(classify={"classes": [{"kind": "Ap"}], "critical_indices": False}),
+     "classify.classes[0].p"),
+    (["weights", "classify"],
+     _base_config(classify={"classes": [{"kind": "A1"}, {"kind": "RH", "s": 1.0}],
+                            "critical_indices": False}),
+     "classify.classes[1].s"),
+    (["verify"],
+     _base_config(dimension=2, weight={"kind": "power", "exponent": 0.5},
+                  checks=[{"check": "maximal-inequality", "p": 2.0}]),
+     "checks[0].check"),
+    (["verify"],
+     _base_config(checks=[{"check": "quasi-norm-assembly", "lambdas": [1.0]},
+                          {"check": "rh-ball-inequality", "p": 2.0, "alpha": 0.5}]),
+     "checks[1].p"),
+], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha"])
+def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
+    """Malformed class and check parameters are config errors (exit 4) naming
+    the field, not tracebacks (exit 1)."""
+    cfg = _write(tmp_path, "bad.json", raw)
+    out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
+                  "--out", str(tmp_path / "out"))
+    assert out.returncode == 4, out.stderr
+    error = json.loads(out.stderr.strip().splitlines()[-1])
+    assert error["error"] == "config" and error["path"] == field
+
+
+def test_weights_log_classify_never_loads_scipy_integrate(tmp_path):
+    """The log weight's radial primitives are closed forms and Gauss-Legendre
+    sums, so a full classify run leaves scipy.integrate unloaded."""
+    code = ("import sys, rieszkit.cli\n"
+            "code = rieszkit.cli.main(sys.argv[1:])\n"
+            "print(code, 'scipy.integrate' in sys.modules)")
+    out = _python("-c", code, "weights", "classify", "--config",
+                  os.path.join(CONFIG_DIR, "weights-log.json"),
+                  "--out", str(tmp_path / "out"), check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 False"

@@ -50,12 +50,86 @@ def test_log_profile_negative_power_uses_quad():
     assert p.primitive(lo, hi, 1) == pytest.approx(ref, rel=1e-9)
 
 
+def _mp_primitive(e, s, n, u, v):
+    """40-digit integral of r^(e+n-1) L(r)^s over [u, v]: tanh-sinh quadrature
+    of exp(-g t) t^s in t = log(1/r) below the knee, the power rule above it."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        knee = mp.mpf(math.exp(-1.0))
+        u, v = mp.mpf(u), mp.mpf(v)
+        g = mp.mpf(e) + n
+        total = mp.mpf(0)
+        top = min(v, knee)
+        if u < top:
+            t_top = -mp.log(top)
+            t_u = mp.inf if u == 0 else -mp.log(u)
+            total += mp.quad(lambda t: mp.exp(-g * t) * t**s, [t_top, t_u])
+        if v > knee:
+            lo = max(u, knee)
+            total += mp.log(v / lo) if g == 0 else (v**g - lo**g) / g
+        return total
+
+
+_PROFILE_S = (-3.25, -2.0, -1.5, -1.0, -0.5, 1.0, 2.0)
+_PROFILE_E = (0.0, 0.5, -0.5, -1.0, -1.5)
+_KNEE = math.exp(-1.0)
+
+
+def test_radial_profile_cells_match_mpmath():
+    """Gauss-Legendre cells (u > 0): thin, wide and knee-straddling cells."""
+    cells = [(1e-3, 1e-3 * (1 + 1e-7)), (0.05, 0.1), (0.01, 0.011), (1e-6, 2e-6),
+             (1e-12, 1e-3), (0.2, _KNEE), (0.3, 0.5), (0.1, 2.0), (0.5, 0.75)]
+    u = np.array([c[0] for c in cells])
+    v = np.array([c[1] for c in cells])
+    worst = 0.0
+    for s in _PROFILE_S:
+        for e in _PROFILE_E:
+            for n in (1, 2):
+                got = ProductProfile(e, s).primitive_vec(u, v, n)
+                for a, b, val in zip(u, v, got):
+                    ref = _mp_primitive(e, s, n, a, b)
+                    worst = max(worst, float(abs(val - ref) / abs(ref)))
+    assert worst <= 1e-13
+
+
+def test_radial_profile_cells_from_zero_match_mpmath():
+    """Cells [0, v]: Gauss-Legendre near v, g^-(s+1) Gamma(s+1, g t) on the tail."""
+    worst = 0.0
+    for s in _PROFILE_S:
+        for e in _PROFILE_E:
+            for n in (1, 2):
+                if e + n <= 0:
+                    assert math.isinf(ProductProfile(e, s).primitive(0.0, 0.1, n))
+                    continue
+                for b in (1e-12, 1e-8, 1e-3, 0.1, _KNEE, 0.9):
+                    val = ProductProfile(e, s).primitive(0.0, b, n)
+                    ref = _mp_primitive(e, s, n, 0.0, b)
+                    worst = max(worst, float(abs(val - ref) / abs(ref)))
+    assert worst <= 1e-13
+
+
+def test_log_power_mean_against_mpmath():
+    """(avg over B(0, 1/8) of 1/log(1/|x|))^-1, the A_2 dual mean of the log weight."""
+    import mpmath as mp
+
+    from rieszkit import LogExampleWeight, power_mean
+
+    with mp.workdps(30):
+        ref = 1 / (8 * mp.quad(lambda r: 1 / mp.log(1 / r), [0, mp.mpf(1) / 8]))
+    got = power_mean(LogExampleWeight(), -1.0, Ball([0.0], 0.125))
+    assert got == pytest.approx(float(ref), rel=1e-9)
+
+
 def test_combine_profiles_power():
     c = combine_profiles(PowerProfile(-0.25), PowerProfile(-0.5))
     assert isinstance(c, PowerProfile)
     assert c.exponent == -0.75
     mixed = combine_profiles(PowerProfile(-0.25), LogPowerProfile(1.0))
     assert isinstance(mixed, ProductProfile)
+    assert (mixed.exponent, mixed.s) == (-0.25, 1.0)
+    logs = combine_profiles(mixed, combine_profiles(PowerProfile(0.25), LogPowerProfile(-2.0)))
+    assert isinstance(logs, LogPowerProfile) and logs.s == -1.0
 
 
 def test_interval_plain_midpoint():
