@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Compare two output trees file by file, ignoring report timestamps.
+
+Usage:
+    python scripts/compare_reports.py A_DIR B_DIR
+
+JSON reports are compared without their top-level ``timestamp``; JSON-lines
+and CSV files are compared value by value. For each file the script prints
+"identical" or the largest relative change of a float, and it exits 1 on any
+difference (a changed float, a changed non-numeric value, a file present on
+one side only).
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import os
+import sys
+
+
+def _files(root: str) -> set:
+    return {os.path.relpath(os.path.join(d, name), root)
+            for d, _, names in os.walk(root) for name in names}
+
+
+def _load(path: str):
+    """The comparable content of one file: parsed JSON, JSON lines, or CSV rows."""
+    with open(path) as fh:
+        if path.endswith(".json"):
+            data = json.load(fh)
+            if isinstance(data, dict):
+                data.pop("timestamp", None)
+            return data
+        if path.endswith(".jsonl"):
+            return [json.loads(line) for line in fh if line.strip()]
+        if path.endswith(".csv"):
+            return [[_number(cell) for cell in row] for row in csv.reader(fh)]
+        return fh.read()
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def largest_change(a, b) -> float:
+    """Largest relative change of a number between two parsed values; inf
+    when anything else (a string, a key, a length, a type) differs."""
+    numeric = (int, float)
+    if isinstance(a, numeric) and isinstance(b, numeric) \
+            and not isinstance(a, bool) and not isinstance(b, bool):
+        return _rel(float(a), float(b))
+    if type(a) is not type(b):
+        return math.inf
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return math.inf
+        return max((largest_change(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list):
+        if len(a) != len(b):
+            return math.inf
+        return max((largest_change(x, y) for x, y in zip(a, b)), default=0.0)
+    return 0.0 if a == b else math.inf
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    a_dir, b_dir = argv
+    a_files, b_files = _files(a_dir), _files(b_dir)
+    differ = 0
+    for rel in sorted(a_files | b_files):
+        if rel not in b_files or rel not in a_files:
+            status = f"only in {a_dir if rel in a_files else b_dir}"
+        else:
+            change = largest_change(_load(os.path.join(a_dir, rel)),
+                                    _load(os.path.join(b_dir, rel)))
+            status = ("identical" if change == 0.0 else
+                      "non-numeric or non-finite change" if math.isinf(change) else
+                      f"largest relative change {change:.3e}")
+        differ += status != "identical"
+        print(f"{status:34s} {rel}")
+    print(f"{len(a_files | b_files) - differ}/{len(a_files | b_files)} files identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

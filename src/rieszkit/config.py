@@ -188,18 +188,82 @@ def validate_classify(block, path: str = "classify"):
     _expect(_number(block, "tol", path, False, 1e-2) > 0.0, f"{path}.tol", "must be positive")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _point(value, dimension: int, path: str):
+    _expect(isinstance(value, list) and len(value) == dimension
+            and all(_is_number(v) for v in value), path, f"expected a point in R^{dimension}")
+    return value
+
+
+def _ball_fields(block, dimension: int, path: str):
+    """(center, radius) of a ball block: a point in R^n and a finite radius > 0."""
+    _expect(isinstance(block, dict), path, "expected an object with center and radius")
+    center = _point(_get(block, "center", path), dimension, f"{path}.center")
+    radius = _number(block, "radius", path)
+    _expect(math.isfinite(radius) and radius > 0.0, f"{path}.radius",
+            "must be finite and positive")
+    return center, radius
+
+
 def validate_check(item: dict, dimension: int, path: str):
     """Domain checks of the parameters a check reads, before anything runs."""
     name = item["check"]
     if name == "maximal-inequality":
         _expect(dimension == 1, f"{path}.check",
                 "maximal-inequality sweeps are implemented on the line")
+        p = _number(item, "p", path, False, 2.0)
+        _expect(1.0 <= p < math.inf, f"{path}.p", "must be finite and at least 1")
+        alpha = _number(item, "alpha", path, False, None)
+        if alpha is not None:
+            _expect(0.0 <= alpha < 1.0, f"{path}.alpha", "must lie in [0, 1)")
+            _expect(p * alpha < 1.0, f"{path}.p", f"must lie below 1/alpha = {1 / alpha:g}")
+        balls = _get(item, "test_balls", path, False, [{"center": [0.0], "radius": 1.0}])
+        _expect(isinstance(balls, list) and balls, f"{path}.test_balls",
+                "expected a nonempty list of balls")
+        for i, ball in enumerate(balls):
+            _ball_fields(ball, dimension, f"{path}.test_balls[{i}]")
     elif name == "rh-ball-inequality":
         alpha = _number(item, "alpha", path, False, 0.5)
         _expect(0.0 < alpha < dimension, f"{path}.alpha", f"must lie in (0, {dimension})")
         p = _number(item, "p", path, False, 1.0)
         _expect(0.0 < p < dimension / alpha, f"{path}.p",
                 f"must lie in (0, n/alpha) = (0, {dimension / alpha:g})")
+    elif name == "containment-step":
+        if "ball" in item:
+            _ball_fields(item["ball"], dimension, f"{path}.ball")
+        _expect(_integer(item, "count", path, False, 200) >= 1, f"{path}.count",
+                "must be at least 1")
+    elif name == "critical-index-chain":
+        p = _number(item, "p", path, False, 0.5)
+        q = _number(item, "q", path, False, None)
+        if q is None:
+            _expect(0.0 < p < 1.0, f"{path}.p", "the two-sided chain needs 0 < p < 1")
+        else:
+            _expect(0.0 < p < q, f"{path}.p", "the comparison chain needs 0 < p < q")
+        _expect(_number(item, "tol", path, False, 1e-2) > 0.0, f"{path}.tol",
+                "must be positive")
+    elif name == "quasi-norm-assembly":
+        lams = _get(item, "lambdas", path, False, [1.0])
+        _expect(isinstance(lams, list) and all(_is_number(v) for v in lams),
+                f"{path}.lambdas", "expected a list of finite numbers")
+        q = _number(item, "q", path, False, 1.0)
+        _expect(q > 0.0, f"{path}.q", "must be positive")
+        p = _number(item, "p", path, False, None)
+        if p is not None:
+            _expect(0.0 < p <= min(1.0, q), f"{path}.p", "must lie in (0, min(1, q)]")
+    elif name == "pointwise-atom-bound":
+        if "center" in item:
+            _point(item["center"], dimension, f"{path}.center")
+        radii = _get(item, "radii", path, False, [1.0])
+        _expect(isinstance(radii, list) and radii
+                and all(_is_number(r) and r > 0.0 for r in radii),
+                f"{path}.radii", "expected a nonempty list of positive radii")
+    if name in ("pointwise-atom-bound", "containment-step"):
+        _expect(_integer(item, "seed", path, False, 0) >= 0, f"{path}.seed",
+                "must be a nonnegative integer")
 
 
 def build_ball_family(block: dict | None, dimension: int, path: str = "family") -> BallFamily:
@@ -253,11 +317,7 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
 def build_function(block: dict, dimension: int, base_dir: str, path: str) -> SampledFunction:
     _expect(isinstance(block, dict), path, "expected an object")
     kind = _get(block, "kind", path, False, "indicator")
-    center = _get(block, "center", path)
-    _expect(isinstance(center, list) and len(center) == dimension, f"{path}.center",
-            f"expected a point in R^{dimension}")
-    radius = _number(block, "radius", path)
-    _expect(radius > 0, f"{path}.radius", "must be positive")
+    center, radius = _ball_fields(block, dimension, path)
     if kind == "indicator":
         return indicator(center, radius)
     if kind == "csv":

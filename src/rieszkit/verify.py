@@ -24,8 +24,8 @@ from .errors import HypothesisFailed, MisclassifiedSample
 from .geometry import (Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
-                        apply_T_batch, fractional_maximal_witness, indicator,
-                        weighted_norm)
+                        _sweep_maximal_1d, apply_T_batch, fractional_maximal_witness,
+                        indicator, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
 from .weights import (critical_indices, check_matrix_compatibility,
@@ -393,42 +393,6 @@ def _graded_domain(extent: float, per_unit: int, dense_halfwidth: float):
     return np.unique(np.concatenate([left, dense, right]))
 
 
-def _sweep_maximal_1d(f: SampledFunction, xs: np.ndarray, beta: float,
-                      per_unit: int) -> np.ndarray:
-    """(Fractional) maximal function of a compactly supported f at many points.
-
-    Interval masses depend only on endpoints clipped to the support, so one
-    prefix integral on a dense support lattice serves every candidate; each
-    point also contributes a geometric ladder of nearby endpoints so that the
-    pinned-at-x optimum is representable.
-    """
-    from .operators import _prefix_integral
-
-    lo = float(f.ball.center[0] - f.ball.radius)
-    hi = float(f.ball.center[0] + f.ball.radius)
-    lattice = np.linspace(lo, hi, max(64, int((hi - lo) * per_unit)) + 1)
-    G = _prefix_integral(f, lattice)
-
-    def gmass(pts):
-        return np.interp(np.clip(pts, lo, hi), lattice, G)
-
-    span = hi - lo
-    out = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        reach = max(abs(x - lo), abs(hi - x), span) + span
-        ladder = np.geomspace(span / max(per_unit, 8), reach, 32)
-        us = np.concatenate([lattice[lattice <= x], x - ladder, [x]])
-        vs = np.concatenate([lattice[lattice >= x], x + ladder, [x]])
-        us = np.unique(us[us <= x])
-        vs = np.unique(vs[vs >= x])
-        length = vs[None, :] - us[:, None]
-        mass = gmass(vs)[None, :] - gmass(us)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(length > 0, length ** (beta - 1.0) * mass, 0.0)
-        out[i] = float(np.max(vals))
-    return out
-
-
 def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = None,
                                scheme: QuadratureScheme | None = None,
                                base_extent: float = 32.0, per_unit: int = 16,
@@ -462,9 +426,11 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         rep = estimate_Apq_constant(w, p, q, fam, scheme)
         audits.append(AuditItem(f"w in A_pq(p={p:g},q={q:g})", rep.constant,
                                 rep.verdict == "finite"))
-        s_norm = None  # weights w^p / w^q handled below
+        s_norm = p  # ||f||_{L^p_{w^p}}; the numerator weight w^q is applied below
 
     fns = [indicator(b.center, b.radius) for b in test_balls]
+    beta = 0.0 if alpha is None else alpha
+    dens_norms = [weighted_norm(f, p, w, s_norm, scheme) for f in fns]
     series = []
     for level in range(levels):
         extent = base_extent * 2.0**level
@@ -472,18 +438,13 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         mesh = _graded_domain(extent, dens, dense_halfwidth=4.0)
         mids = 0.5 * (mesh[:-1] + mesh[1:])
         widths = np.diff(mesh)
+        wv = eval_weight_batch(w, mids[:, None], extended=True)
+        if alpha is not None:
+            wv = wv ** q
         ratio = 0.0
-        for f in fns:
-            beta = 0.0 if alpha is None else alpha
+        for f, den in zip(fns, dens_norms):
             mvals = _sweep_maximal_1d(f, mids, beta, dens)
-            if alpha is None:
-                wv = eval_weight_batch(w, mids[:, None], extended=True)
-                num = float(np.sum(mvals**p * wv * widths)) ** (1.0 / p)
-                den = weighted_norm(f, p, w, 1.0, scheme)
-            else:
-                wq = eval_weight_batch(w, mids[:, None], extended=True) ** q
-                num = float(np.sum(mvals**q * wq * widths)) ** (1.0 / q)
-                den = weighted_norm(f, p, w, p, scheme)
+            num = float(np.sum(mvals**q * wv * widths)) ** (1.0 / q)
             ratio = max(ratio, num / den)
         series.append(ratio)
     verdict_growth = series_verdict(series) == "diverging"

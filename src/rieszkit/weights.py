@@ -473,13 +473,16 @@ def _estimate_over_family(label, per_ball, family, scheme, refine_steps):
 
 
 def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
-    """sup_B (average of w over B) / (min of w over the quadrature nodes of B)."""
+                         refine_steps: int = 3, memo=None) -> WeightClassReport:
+    """sup_B (average of w over B) / (min of w over the quadrature nodes of B).
+
+    Like every class estimator, it reads its power means through ``memo``
+    (see _memo_power_mean) when one is given for the weight."""
     if scheme is None:
         scheme = default_scheme(w.dimension)
 
     def per_ball(ball, s):
-        avg = power_mean(w, 1.0, ball, s)
+        avg = _memo_power_mean(w, 1.0, ball, s, memo)
         lo = min_over_nodes(w, ball, s)
         if lo == 0.0:
             return math.inf
@@ -490,8 +493,8 @@ def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None 
 
 def _memo_power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme, memo) -> float:
     """power_mean(w, s, ball, scheme), looked up in ``memo`` (a dict for one
-    fixed weight, or None for no reuse).  Values are stored as computed, so
-    reuse is exact."""
+    fixed weight, shared by the estimators of one run, or None for no
+    reuse).  Values are stored as computed, so reuse is exact."""
     if memo is None:
         return power_mean(w, s, ball, scheme)
     key = (float(s), tuple(ball.center.tolist()), ball.radius, scheme)
@@ -502,12 +505,8 @@ def _memo_power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme, memo) ->
 
 def estimate_Ap_constant(w, p: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
+                         refine_steps: int = 3, memo=None) -> WeightClassReport:
     """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1."""
-    return _estimate_Ap(w, p, family, scheme, refine_steps, None)
-
-
-def _estimate_Ap(w, p, family, scheme, refine_steps, memo) -> WeightClassReport:
     p = float(p)
     if p <= 1.0:
         raise ValueError("estimate_Ap_constant needs p > 1 (use estimate_A1_constant)")
@@ -531,7 +530,7 @@ def _estimate_Ap(w, p, family, scheme, refine_steps, memo) -> WeightClassReport:
 
 def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
                           scheme: QuadratureScheme | None = None,
-                          refine_steps: int = 3) -> WeightClassReport:
+                          refine_steps: int = 3, memo=None) -> WeightClassReport:
     """Two-exponent constant for the fractional maximal inequality.
 
     For p > 1: sup_B (avg w^q)^{1/q} (avg w^{-p'})^{1/p'}; for p = 1 the dual
@@ -545,10 +544,10 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
 
     def per_ball(ball, s):
         try:
-            left = power_mean(w, q, ball, s)
+            left = _memo_power_mean(w, q, ball, s, memo)
             if p > 1.0:
                 # (avg w^{-p'})^{1/p'} equals power_mean(w, -p')^{-1}
-                den = power_mean(w, -p / (p - 1.0), ball, s)
+                den = _memo_power_mean(w, -p / (p - 1.0), ball, s, memo)
             else:
                 den = min_over_nodes(w, ball, s)
         except NotIntegrable:
@@ -563,12 +562,8 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
 
 def estimate_RH_constant(w, s_exp: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
+                         refine_steps: int = 3, memo=None) -> WeightClassReport:
     """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w)."""
-    return _estimate_RH(w, s_exp, family, scheme, refine_steps, None)
-
-
-def _estimate_RH(w, s_exp, family, scheme, refine_steps, memo) -> WeightClassReport:
     s_exp = float(s_exp)
     if s_exp <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
@@ -613,25 +608,27 @@ class CriticalIndices:
 
 def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = None,
                      tol: float = 1e-2, ap_cap: float = 256.0, rh_cap: float = 1024.0,
-                     refine_steps: int = 2) -> CriticalIndices:
+                     refine_steps: int = 2, memo=None) -> CriticalIndices:
     """Bisection on the finiteness verdicts of the A_p and RH estimators.
 
     Reports +inf for the reverse Holder index when no divergence shows up to
     ``rh_cap`` (2^10 by default).  Each per-ball power mean is computed once
-    per call: the bisection steps share them (every A_p and RH step needs
-    the plain average of w on every ball).
+    per call, or once per ``memo`` when the caller passes one: the bisection
+    steps share them (every A_p and RH step needs the plain average of w on
+    every ball).
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if scheme is None:
         scheme = default_scheme(w.dimension)
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def ap_finite(p):
-        return _estimate_Ap(w, p, family, scheme, refine_steps, memo).verdict == "finite"
+        return estimate_Ap_constant(w, p, family, scheme, refine_steps, memo).verdict == "finite"
 
     def rh_finite(s):
-        return _estimate_RH(w, s, family, scheme, refine_steps, memo).verdict == "finite"
+        return estimate_RH_constant(w, s, family, scheme, refine_steps, memo).verdict == "finite"
 
     if ap_finite(1.0 + tol):
         q_val, q_br = 1.0, (1.0, 1.0 + tol)

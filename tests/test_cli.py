@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -82,6 +83,27 @@ def test_unknown_check_rejected():
     assert "checks[0].check" in str(err.value)
 
 
+@pytest.mark.parametrize("check, field", [
+    ({"check": "pointwise-atom-bound", "radii": [1.0, -0.5]}, "checks[0].radii"),
+    ({"check": "pointwise-atom-bound", "center": ["0"]}, "checks[0].center"),
+    ({"check": "containment-step", "count": 0}, "checks[0].count"),
+    ({"check": "containment-step", "seed": -1}, "checks[0].seed"),
+    ({"check": "critical-index-chain", "p": 1.5}, "checks[0].p"),
+    ({"check": "critical-index-chain", "p": 0.5, "q": 0.25}, "checks[0].p"),
+    ({"check": "quasi-norm-assembly", "lambdas": [1.0, "2"]}, "checks[0].lambdas"),
+    ({"check": "quasi-norm-assembly", "q": 0.0}, "checks[0].q"),
+    ({"check": "quasi-norm-assembly", "q": 2.0, "p": 1.5}, "checks[0].p"),
+    ({"check": "maximal-inequality", "test_balls": []}, "checks[0].test_balls"),
+    ({"check": "maximal-inequality", "test_balls": [{"center": [0.0], "radius": 0.0}]},
+     "checks[0].test_balls[0].radius"),
+])
+def test_check_parameters_validated(check, field):
+    """Every parameter a check reads is validated when the config is parsed."""
+    with pytest.raises(ConfigError) as err:
+        parse_config(_base_config(checks=[check]))
+    assert err.value.path == field
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -103,6 +125,38 @@ def test_cli_weights_classify(tmp_path, capsys):
     assert payload["classes"][0]["verdict"] == "finite"
     assert abs(payload["critical_indices"]["q_critical"] - 1.5) < 0.04
     assert (tmp_path / "out" / "weights-classify.json").exists()
+
+
+def test_cli_weights_classify_shares_power_means(tmp_path, monkeypatch):
+    """One classify run computes each (s, ball, scheme) power mean once across
+    all class estimators and the critical indices, and reports exactly what
+    the estimators give without reuse."""
+    import rieszkit.weights as wmod
+
+    cfg = _write(tmp_path, "w.json", _base_config(classify={
+        "classes": [{"kind": "A1"}, {"kind": "Ap", "p": 2.0},
+                    {"kind": "Apq", "p": 2.0, "q": 4.0}, {"kind": "RH", "s": 4.0}],
+        "family": {"centers": [[0.0], [1.0]], "k_min": -4, "k_max": 0},
+        "tol": 0.05}))
+    seen = Counter()
+    mean = wmod.power_mean
+
+    def counting(w_, s, ball, scheme=None):
+        seen[(float(s), tuple(ball.center.tolist()), ball.radius, scheme)] += 1
+        return mean(w_, s, ball, scheme)
+
+    def report(out):
+        assert main(["weights", "classify", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "weights-classify.json") as fh:
+            return json.load(fh)["report"]
+
+    monkeypatch.setattr(wmod, "power_mean", counting)
+    shared = report(tmp_path / "shared")
+    assert seen and max(seen.values()) == 1
+
+    monkeypatch.setattr(wmod, "_memo_power_mean",
+                        lambda w_, s, ball, scheme, memo: mean(w_, s, ball, scheme))
+    assert shared == report(tmp_path / "plain")
 
 
 def test_cli_sweep_anchor_values(tmp_path):
@@ -229,7 +283,33 @@ def test_cli_import_defers_scipy_integrate():
      _base_config(checks=[{"check": "quasi-norm-assembly", "lambdas": [1.0]},
                           {"check": "rh-ball-inequality", "p": 2.0, "alpha": 0.5}]),
      "checks[1].p"),
-], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha"])
+    (["verify"],
+     _base_config(checks=[{"check": "maximal-inequality", "test_balls": [{"center": [0.0]}]}]),
+     "checks[0].test_balls[0].radius"),
+    (["verify"],
+     _base_config(checks=[{"check": "maximal-inequality",
+                           "test_balls": [{"center": [0.0, 1.0], "radius": 1.0}]}]),
+     "checks[0].test_balls[0].center"),
+    (["verify"],
+     _base_config(checks=[{"check": "maximal-inequality", "p": 0.5}]),
+     "checks[0].p"),
+    (["verify"],
+     _base_config(checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 1.0}]),
+     "checks[0].alpha"),
+    (["verify"],
+     _base_config(checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 0.75}]),
+     "checks[0].p"),
+    (["verify"],
+     _base_config(matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
+                  checks=[{"check": "containment-step", "ball": {"center": [1.0]}}]),
+     "checks[0].ball.radius"),
+    (["verify"],
+     _base_config(checks=[{"check": "critical-index-chain", "p": 0.5, "tol": "fine"}]),
+     "checks[0].tol"),
+], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
+        "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
+        "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
+        "chain-tol-not-a-number"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed class and check parameters are config errors (exit 4) naming
     the field, not tracebacks (exit 1)."""
@@ -251,3 +331,30 @@ def test_weights_log_classify_never_loads_scipy_integrate(tmp_path):
                   os.path.join(CONFIG_DIR, "weights-log.json"),
                   "--out", str(tmp_path / "out"), check=True)
     assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_compare_reports_script(tmp_path):
+    """compare_reports ignores report timestamps, names the largest relative
+    float change, and exits non-zero on any difference."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_reports.py")
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, stamp, value in ((a, "2020-01-01", 1.0), (b, "2021-02-02", 1.0)):
+        (root / "sub").mkdir(parents=True)
+        (root / "sub" / "r.json").write_text(json.dumps(
+            {"timestamp": stamp, "report": {"worst": value, "verdict": "pass"}}))
+        (root / "s.csv").write_text("x0,value\n0.5,2.0\n")
+    out = _python(script, str(a), str(b))
+    assert out.returncode == 0 and "2/2 files identical" in out.stdout
+
+    (b / "s.csv").write_text("x0,value\n0.5,2.002\n")
+    out = _python(script, str(a), str(b))
+    assert out.returncode == 1
+    assert "largest relative change 9.990e-04" in out.stdout
+
+    (b / "s.csv").write_text("x0,value\n0.5,2.0\n")
+    (b / "sub" / "r.json").write_text(json.dumps(
+        {"timestamp": "x", "report": {"worst": 1.0, "verdict": "fail"}}))
+    (b / "extra.json").write_text("{}")
+    out = _python(script, str(a), str(b))
+    assert out.returncode == 1
+    assert "non-numeric" in out.stdout and "only in" in out.stdout
