@@ -83,8 +83,7 @@ def build_weight(block: dict, dimension: int, base_dir: str, path: str = "weight
             _expect(isinstance(item, list) and len(item) == 2, f"{path}.factors[{i}]",
                     "expected [exponent, center]")
             a, c = item
-            _expect(isinstance(c, list) and len(c) == dimension, f"{path}.factors[{i}][1]",
-                    f"center must be a point in R^{dimension}")
+            _point(c, dimension, f"{path}.factors[{i}][1]")
             _expect(a > -dimension, f"{path}.factors[{i}][0]",
                     f"must exceed -{dimension}")
             factors.append((float(a), tuple(float(v) for v in c)))
@@ -274,8 +273,7 @@ def build_ball_family(block: dict | None, dimension: int, path: str = "family") 
     _expect(isinstance(centers, list) and centers, f"{path}.centers",
             "expected a nonempty list of points")
     for i, c in enumerate(centers):
-        _expect(isinstance(c, list) and len(c) == dimension, f"{path}.centers[{i}]",
-                f"expected a point in R^{dimension}")
+        _point(c, dimension, f"{path}.centers[{i}]")
     k_min = _integer(block, "k_min", path, False, -8)
     k_max = _integer(block, "k_max", path, False, 4)
     _expect(k_max - k_min >= 3, f"{path}.k_max",
@@ -296,8 +294,7 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
     d = _integer(atom_block, "d", "atom", False, None)
     centers = _get(block, "centers", path, False, [[0.0], [1.0], [-2.0]])
     for i, c in enumerate(centers):
-        _expect(isinstance(c, list) and len(c) == dimension, f"{path}.centers[{i}]",
-                f"expected a point in R^{dimension}")
+        _point(c, dimension, f"{path}.centers[{i}]")
     radii = _get(block, "radii", path, False, [0.25, 1.0, 4.0])
     _expect(isinstance(radii, list) and radii, f"{path}.radii",
             "expected a nonempty list of radii")
