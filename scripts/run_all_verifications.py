@@ -24,6 +24,8 @@ RUNS = [
     ("operator", "sweep", "sweep-riesz.json"),
     ("operator", "sweep", "sweep-t02.json"),
     ("atoms", "gen", "atoms-campaign.json"),
+    # validates the atoms.jsonl that the gen run above wrote into the same --out
+    ("atoms", "validate", "atoms-campaign.json"),
     ("verify", None, "thm1-smoke.json"),
     ("verify", None, "ta-worked.json"),
     ("verify", None, "corollary.json"),

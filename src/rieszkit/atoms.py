@@ -24,7 +24,7 @@ from itertools import product as _iterproduct
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateProfile
+from .errors import DegenerateProfile, HypothesisFailed
 from .geometry import Ball
 from .quadrature import QuadratureScheme, default_scheme, lebesgue_ball
 from .weights import (critical_indices, weight_from_dict, weight_to_dict,
@@ -165,24 +165,35 @@ class AdmissibleRange:
                 "q_critical": enc(self.q_critical), "rh_critical": enc(self.rh_critical)}
 
 
-def admissible_params(w, p: float, family, scheme: QuadratureScheme | None = None,
-                      tol: float = 1e-2) -> AdmissibleRange:
-    """Admissible (p0, d) from the weight's critical indices.
+def atom_thresholds(idx, p: float, n: int):
+    """(p0_lower, d_min) for atoms with exponent p from critical indices ``idx``.
 
     The p0 threshold is max(1, p * r / (r - 1)) with the convention
-    r / (r - 1) = 1 when the reverse Holder index is infinite; the minimal
-    degree is floor(n (q_critical / p - 1)).
+    r / (r - 1) = 1 when the reverse Holder index r is infinite; the minimal
+    degree is floor(n (q_critical / p - 1)), None when q_critical is
+    infinite (w is in no A_q, so no degree is admissible).
     """
-    idx = critical_indices(w, family, scheme, tol=tol)
     if math.isinf(idx.rh_critical):
         ratio = 1.0
     else:
         ratio = idx.rh_critical / (idx.rh_critical - 1.0)
     p0_lower = max(1.0, p * ratio)
-    n = w.dimension
     if math.isinf(idx.q_critical):
-        raise ValueError("weight has no finite Muckenhoupt index; no admissible atoms")
-    d_min = max(0, math.floor(n * (idx.q_critical / p - 1.0)))
+        return p0_lower, None
+    return p0_lower, max(0, math.floor(n * (idx.q_critical / p - 1.0)))
+
+
+def admissible_params(w, p: float, family, scheme: QuadratureScheme | None = None,
+                      tol: float = 1e-2) -> AdmissibleRange:
+    """Admissible (p0, d) from the weight's critical indices (``atom_thresholds``).
+
+    Raises HypothesisFailed when the weight has no finite Muckenhoupt index.
+    """
+    idx = critical_indices(w, family, scheme, tol=tol)
+    p0_lower, d_min = atom_thresholds(idx, p, w.dimension)
+    if d_min is None:
+        raise HypothesisFailed("weight in A_infinity (finite Muckenhoupt index)",
+                               f"q_critical = inf (no A_q up to {idx.q_bracket[0]:g})")
     return AdmissibleRange(p0_lower, d_min, idx.q_critical, idx.rh_critical)
 
 

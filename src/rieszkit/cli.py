@@ -23,7 +23,6 @@ from .atoms import (AtomParams, AtomSampler, read_atom_manifest,
                     sample_atom_campaign, validate_atom, write_atom_manifest)
 from .config import RunConfig, load_config
 from .errors import ConfigError, HypothesisFailed, RieszkitError
-from .geometry import Ball
 from .operators import apply_T_batch
 from .verify import (CampaignSpec, check_containment_step,
                      check_critical_index_chains, check_maximal_inequalities,
@@ -158,6 +157,7 @@ def cmd_atoms_validate(cfg: RunConfig, out_dir: str, manifest: str) -> int:
 
 
 def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
+    """Run one check on the parameters ``config.validate_check`` returned."""
     name = item["check"]
     scheme = cfg.quadrature
     if name in ("theorem-thm1", "theorem-ta"):
@@ -172,18 +172,13 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
             raise ConfigError("checks", f"{name} needs matrices, exponents and atom block")
         params = _atom_params_from(cfg)
         return check_pointwise_atom_bound(
-            params, cfg.exponents, cfg.matrices,
-            item.get("center", [0.0] * cfg.dimension),
-            radii=tuple(item.get("radii", (0.25, 1.0, 4.0))),
-            seed=seed if seed is not None else int(item.get("seed", 0)),
-            scheme=scheme)
+            params, cfg.exponents, cfg.matrices, item["center"], radii=item["radii"],
+            seed=seed if seed is not None else item["seed"], scheme=scheme)
     if name == "containment-step":
         if cfg.matrices is None:
             raise ConfigError("checks", f"{name} needs matrices")
-        bb = item.get("ball", {"center": [1.0] * cfg.dimension, "radius": 0.1})
-        ball = Ball(bb["center"], bb["radius"])
-        rng = np.random.default_rng(seed if seed is not None else int(item.get("seed", 0)))
-        count = int(item.get("count", 200))
+        ball, count = item["ball"], item["count"]
+        rng = np.random.default_rng(seed if seed is not None else item["seed"])
         xi = ball.center + ball.radius * (2.0 * rng.random((count, cfg.dimension)) - 1.0)
         xi = xi[np.linalg.norm(xi - ball.center, axis=1) <= ball.radius]
         big = 2.0 * cfg.matrices.norm_bound * ball.radius
@@ -197,26 +192,16 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
                     xs.append(x)
         return check_containment_step(ball, cfg.matrices, xi, xs)
     if name == "rh-ball-inequality":
-        return check_rh_ball_inequality(cfg.weight, float(item.get("p", 1.0)),
-                                        float(item.get("alpha", 0.5)), cfg.family,
+        return check_rh_ball_inequality(cfg.weight, item["p"], item["alpha"], cfg.family,
                                         scheme)
     if name == "critical-index-chain":
-        q = item.get("q")
-        return check_critical_index_chains(cfg.weight, float(item.get("p", 0.5)),
-                                           None if q is None else float(q),
-                                           cfg.family, scheme,
-                                           tol=float(item.get("tol", 1e-2)))
+        return check_critical_index_chains(cfg.weight, item["p"], item["q"], cfg.family,
+                                           scheme, tol=item["tol"])
     if name == "maximal-inequality":
-        balls = [Ball(b["center"], b["radius"]) for b in
-                 item.get("test_balls", [{"center": [0.0], "radius": 1.0},
-                                         {"center": [0.0], "radius": 0.5},
-                                         {"center": [1.0], "radius": 2.0}])]
-        a = item.get("alpha")
-        return check_maximal_inequalities(cfg.weight, float(item.get("p", 2.0)), balls,
-                                          None if a is None else float(a), scheme)
+        return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"],
+                                          item["alpha"], scheme)
     if name == "quasi-norm-assembly":
-        out = check_quasi_norm_assembly(item.get("lambdas", [1.0]),
-                                        float(item.get("q", 1.0)), item.get("p"))
+        out = check_quasi_norm_assembly(item["lambdas"], item["q"], item["p"])
         from .verify import VerificationReport
 
         ok = out.get("holds", True)

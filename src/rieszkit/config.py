@@ -147,15 +147,14 @@ def build_quadrature(block: dict | None, dimension: int, path: str = "quadrature
     if block is None:
         return default_scheme(dimension)
     _expect(isinstance(block, dict), path, "expected an object")
+    for key in block:
+        _expect(key in ("resolution", "tol"), f"{path}.{key}",
+                "unknown quadrature field; known: resolution, tol")
     base = default_scheme(dimension)
     try:
         return QuadratureScheme(
             resolution=_integer(block, "resolution", path, False, base.resolution),
-            policy=_get(block, "policy", path, False, base.policy),
-            tol=_number(block, "tol", path, False, base.tol),
-            patch_cells=_integer(block, "patch_cells", path, False, base.patch_cells),
-            patch_shells=_integer(block, "patch_shells", path, False, base.patch_shells),
-            patch_sectors=_integer(block, "patch_sectors", path, False, base.patch_sectors))
+            tol=_number(block, "tol", path, False, base.tol))
     except ValueError as exc:
         raise ConfigError(path, str(exc))
 
@@ -207,9 +206,14 @@ def _ball_fields(block, dimension: int, path: str):
     return center, radius
 
 
-def validate_check(item: dict, dimension: int, path: str):
-    """Domain checks of the parameters a check reads, before anything runs."""
+def validate_check(item: dict, dimension: int, path: str) -> dict:
+    """Domain checks of the parameters a check reads, before anything runs.
+
+    Returns the check's parameters with every default applied, ready for
+    the runner (``cli._run_check``) to read as they are.
+    """
     name = item["check"]
+    out = {"check": name}
     if name == "maximal-inequality":
         _expect(dimension == 1, f"{path}.check",
                 "maximal-inequality sweeps are implemented on the line")
@@ -219,22 +223,26 @@ def validate_check(item: dict, dimension: int, path: str):
         if alpha is not None:
             _expect(0.0 <= alpha < 1.0, f"{path}.alpha", "must lie in [0, 1)")
             _expect(p * alpha < 1.0, f"{path}.p", f"must lie below 1/alpha = {1 / alpha:g}")
-        balls = _get(item, "test_balls", path, False, [{"center": [0.0], "radius": 1.0}])
+        balls = _get(item, "test_balls", path, False,
+                     [{"center": [0.0], "radius": 1.0}, {"center": [0.0], "radius": 0.5},
+                      {"center": [1.0], "radius": 2.0}])
         _expect(isinstance(balls, list) and balls, f"{path}.test_balls",
                 "expected a nonempty list of balls")
-        for i, ball in enumerate(balls):
-            _ball_fields(ball, dimension, f"{path}.test_balls[{i}]")
+        out.update(p=p, alpha=alpha, test_balls=[
+            Ball(*_ball_fields(ball, dimension, f"{path}.test_balls[{i}]"))
+            for i, ball in enumerate(balls)])
     elif name == "rh-ball-inequality":
         alpha = _number(item, "alpha", path, False, 0.5)
         _expect(0.0 < alpha < dimension, f"{path}.alpha", f"must lie in (0, {dimension})")
         p = _number(item, "p", path, False, 1.0)
         _expect(0.0 < p < dimension / alpha, f"{path}.p",
                 f"must lie in (0, n/alpha) = (0, {dimension / alpha:g})")
+        out.update(p=p, alpha=alpha)
     elif name == "containment-step":
-        if "ball" in item:
-            _ball_fields(item["ball"], dimension, f"{path}.ball")
-        _expect(_integer(item, "count", path, False, 200) >= 1, f"{path}.count",
-                "must be at least 1")
+        ball = _get(item, "ball", path, False, {"center": [1.0] * dimension, "radius": 0.1})
+        count = _integer(item, "count", path, False, 200)
+        _expect(count >= 1, f"{path}.count", "must be at least 1")
+        out.update(ball=Ball(*_ball_fields(ball, dimension, f"{path}.ball")), count=count)
     elif name == "critical-index-chain":
         p = _number(item, "p", path, False, 0.5)
         q = _number(item, "q", path, False, None)
@@ -242,8 +250,9 @@ def validate_check(item: dict, dimension: int, path: str):
             _expect(0.0 < p < 1.0, f"{path}.p", "the two-sided chain needs 0 < p < 1")
         else:
             _expect(0.0 < p < q, f"{path}.p", "the comparison chain needs 0 < p < q")
-        _expect(_number(item, "tol", path, False, 1e-2) > 0.0, f"{path}.tol",
-                "must be positive")
+        tol = _number(item, "tol", path, False, 1e-2)
+        _expect(tol > 0.0, f"{path}.tol", "must be positive")
+        out.update(p=p, q=q, tol=tol)
     elif name == "quasi-norm-assembly":
         lams = _get(item, "lambdas", path, False, [1.0])
         _expect(isinstance(lams, list) and all(_is_number(v) for v in lams),
@@ -253,16 +262,20 @@ def validate_check(item: dict, dimension: int, path: str):
         p = _number(item, "p", path, False, None)
         if p is not None:
             _expect(0.0 < p <= min(1.0, q), f"{path}.p", "must lie in (0, min(1, q)]")
+        out.update(lambdas=lams, q=q, p=p)
     elif name == "pointwise-atom-bound":
-        if "center" in item:
-            _point(item["center"], dimension, f"{path}.center")
-        radii = _get(item, "radii", path, False, [1.0])
+        center = _get(item, "center", path, False, [0.0] * dimension)
+        _point(center, dimension, f"{path}.center")
+        radii = _get(item, "radii", path, False, [0.25, 1.0, 4.0])
         _expect(isinstance(radii, list) and radii
                 and all(_is_number(r) and r > 0.0 for r in radii),
                 f"{path}.radii", "expected a nonempty list of positive radii")
+        out.update(center=center, radii=tuple(radii))
     if name in ("pointwise-atom-bound", "containment-step"):
-        _expect(_integer(item, "seed", path, False, 0) >= 0, f"{path}.seed",
-                "must be a nonnegative integer")
+        seed = _integer(item, "seed", path, False, 0)
+        _expect(seed >= 0, f"{path}.seed", "must be a nonnegative integer")
+        out["seed"] = seed
+    return out
 
 
 def build_ball_family(block: dict | None, dimension: int, path: str = "family") -> BallFamily:
@@ -393,8 +406,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         name = _get(item, "check", f"checks[{i}]")
         _expect(name in KNOWN_CHECKS, f"checks[{i}].check",
                 f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-        validate_check(item, n, f"checks[{i}]")
-        checks.append(item)
+        checks.append(validate_check(item, n, f"checks[{i}]"))
 
     sweeps = []
     for i, item in enumerate(raw.get("sweeps", [])):

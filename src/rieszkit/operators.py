@@ -337,7 +337,6 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
         edges = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius,
                             cells + 1)
         out = np.empty(xs.shape[0])
-        add = scheme.policy == "analytic"
         near = np.arange(xs.shape[0])
         moments = _unit_moments_1d(f.profile)
         if moments is not None:
@@ -354,8 +353,7 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
                 return (_kernel_rows(xi[None, :], pts, profile, family)[0]
                         * f.eval(pts))
 
-            out[i] = integrate_cells_1d(fn, edges, sings, scheme.patch_cells,
-                                        add_patches=add)
+            out[i] = integrate_cells_1d(fn, edges, sings)
         return out
 
     out = np.empty(xs.shape[0])

@@ -26,29 +26,36 @@ from scipy import special as _special
 _SING_MERGE_TOL = 1e-12
 
 
+# Patch geometry around singular points.  On the line a point within
+# _PATCH_CELLS widest-cell widths of the interval is active and each cell
+# takes the profile of its nearest active point; on disks each point gets a
+# polar patch of radius _PATCH_CELLS cells in _PATCH_SHELLS shells by
+# _PATCH_SECTORS sectors, and cells that straddle the disk or a patch edge
+# are resolved on a _DISK_SUBSAMPLE x _DISK_SUBSAMPLE subgrid.
+_PATCH_CELLS = 8
+_PATCH_SHELLS = 16
+_PATCH_SECTORS = 64
+_DISK_SUBSAMPLE = 8
+
+
 @dataclass(frozen=True)
 class QuadratureScheme:
-    """Grid resolution, singularity policy and tolerances for ball integrals.
+    """Grid resolution and tolerance for ball integrals.
 
     ``resolution`` counts cells per ball radius (per axis in dimension 2).
-    ``policy`` is "analytic" (radial patches around singular points) or
-    "exclude_refine" (drop singular cells; the caller refines until stable).
+    ``tol`` bounds the change that a convergence check (``apply_T``) accepts
+    when the resolution doubles.  Singular points always take product
+    integration on the fixed patch geometry above.
     """
 
     resolution: int = 512
-    policy: str = "analytic"
     tol: float = 1e-6
-    patch_cells: int = 8
-    patch_shells: int = 16
-    patch_sectors: int = 64
 
     def __post_init__(self):
         if self.resolution < 16:
             raise ValueError("quadrature resolution must be at least 16")
         if self.tol <= 0:
             raise ValueError("quadrature tolerance must be positive")
-        if self.policy not in ("analytic", "exclude_refine"):
-            raise ValueError(f"unknown singularity policy {self.policy!r}")
 
     def refined(self, factor: int = 2) -> "QuadratureScheme":
         return replace(self, resolution=int(self.resolution * factor))
@@ -291,23 +298,22 @@ def _shrink_overlaps(active, floor):
 # ---------------------------------------------------------------------------
 
 
-def integrate_cells_1d(fn, edges, singularities=(), patch_cells=8, add_patches=True):
+def integrate_cells_1d(fn, edges, singularities=()):
     """Product-integration midpoint rule over the cells given by ``edges``.
 
-    ``fn`` maps a 1-d array of points to integrand values.  Each cell is
-    assigned to its nearest singular point; the radial profile of that point
-    is integrated exactly over the cell against the remaining (bounded)
-    factor frozen at the cell midpoint, so accuracy is O(h^2) up to the
-    singularity itself.  With ``add_patches=False`` the cells next to each
-    singular point are simply dropped (the exclude-and-refine policy).
+    ``fn`` maps a 1-d array of points to integrand values.  Singular points
+    within _PATCH_CELLS widest-cell widths of the edges are active; each
+    cell is assigned to its nearest active point, whose radial profile is
+    integrated exactly over the cell against the remaining (bounded) factor
+    frozen at the cell midpoint, so accuracy is O(h^2) up to the singularity
+    itself.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = float(edges[0]), float(edges[-1])
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
-    ncells = mids.size
 
-    reach = patch_cells * float(np.max(widths))
+    reach = _PATCH_CELLS * float(np.max(widths))
     active = []
     for s in singularities:
         c = float(s.center_array()[0])
@@ -317,12 +323,6 @@ def integrate_cells_1d(fn, edges, singularities=(), patch_cells=8, add_patches=T
         return float(np.sum(fn(mids) * widths))
     active = _merge_coincident(active)
     centers = np.array([float(t[0][0]) for t in active])
-
-    if not add_patches:
-        keep = np.ones(ncells, dtype=bool)
-        for c in centers:
-            keep &= np.abs(mids - c) > 2.0 * widths
-        return float(np.sum(fn(mids[keep]) * widths[keep]))
 
     owner = np.argmin(np.abs(mids[:, None] - centers[None, :]), axis=1)
     total = 0.0
@@ -365,12 +365,6 @@ def integrate_cells_1d(fn, edges, singularities=(), patch_cells=8, add_patches=T
     return total
 
 
-def integrate_interval(fn, lo, hi, cells, singularities=(), patch_cells=8,
-                       add_patches=True):
-    edges = np.linspace(float(lo), float(hi), int(cells) + 1)
-    return integrate_cells_1d(fn, edges, singularities, patch_cells, add_patches)
-
-
 def graded_edges(near, far, h0, block=64, growth=2.0, max_cells=200000):
     """Cell edges from ``near`` to ``far`` whose width starts at ``h0`` at the
     near end and grows by ``growth`` every ``block`` cells.  Returns an
@@ -399,13 +393,14 @@ def graded_edges(near, far, h0, block=64, growth=2.0, max_cells=200000):
 # ---------------------------------------------------------------------------
 
 
-def integrate_disk(fn, center, radius, resolution, singularities=(), patch_cells=8,
-                   patch_shells=16, patch_sectors=64, add_patches=True, subsample=8):
+def integrate_disk(fn, center, radius, resolution, singularities=()):
     """Integrate ``fn`` over the disk B(center, radius).
 
-    Cartesian midpoint cells cover the disk (boundary cells are resolved by
-    subsampling); disks of radius ``patch_cells * h`` around declared
-    singular points are integrated in polar form with exact radial weights.
+    Cartesian midpoint cells of width h = radius / resolution cover the disk
+    (boundary cells are resolved on a subgrid of _DISK_SUBSAMPLE^2 points);
+    disks of radius _PATCH_CELLS * h around declared singular points are
+    integrated in polar form (_PATCH_SHELLS shells, _PATCH_SECTORS sectors)
+    with exact radial weights.
     """
     center = np.asarray(center, dtype=float).reshape(2)
     radius = float(radius)
@@ -426,7 +421,7 @@ def integrate_disk(fn, center, radius, resolution, singularities=(), patch_cells
     active = []
     for s in singularities:
         c = s.center_array().reshape(2)
-        rho = patch_cells * h
+        rho = _PATCH_CELLS * h
         if float(np.linalg.norm(c - center)) < radius + rho:
             active.append((c, s.profile, rho))
     active = _merge_coincident(active)
@@ -446,7 +441,7 @@ def integrate_disk(fn, center, radius, resolution, singularities=(), patch_cells
 
     if np.any(straddle):
         # resolve boundary cells (ball edge or patch edge) on a subgrid
-        off = (np.arange(subsample) + 0.5) / subsample - 0.5
+        off = (np.arange(_DISK_SUBSAMPLE) + 0.5) / _DISK_SUBSAMPLE - 0.5
         OX, OY = np.meshgrid(off * h, off * h, indexing="ij")
         offsets = np.column_stack([OX.ravel(), OY.ravel()])
         sp = (pts[straddle][:, None, :] + offsets[None, :, :]).reshape(-1, 2)
@@ -454,30 +449,27 @@ def integrate_disk(fn, center, radius, resolution, singularities=(), patch_cells
         for c, _, rho in active:
             ok &= np.linalg.norm(sp - c, axis=1) > rho
         if np.any(ok):
-            total += (h / subsample) ** 2 * float(np.sum(fn(sp[ok])))
+            total += (h / _DISK_SUBSAMPLE) ** 2 * float(np.sum(fn(sp[ok])))
 
-    if not add_patches:
-        return total
-
-    theta = (np.arange(patch_sectors) + 0.5) * (2.0 * math.pi / patch_sectors)
+    theta = (np.arange(_PATCH_SECTORS) + 0.5) * (2.0 * math.pi / _PATCH_SECTORS)
     directions = np.column_stack([np.cos(theta), np.sin(theta)])
     for c, prof, rho in active:
         if not prof.integrable(2):
             if float(np.linalg.norm(c - center)) < radius:
                 return math.inf
             continue
-        shells = np.linspace(0.0, rho, patch_shells + 1)
+        shells = np.linspace(0.0, rho, _PATCH_SHELLS + 1)
         rmid = 0.5 * (shells[:-1] + shells[1:])
         ppts = (c[None, None, :] + rmid[:, None, None] * directions[None, :, :]).reshape(-1, 2)
         inside = np.linalg.norm(ppts - center, axis=1) <= radius
         vals = np.zeros(ppts.shape[0])
         if np.any(inside):
             vals[inside] = fn(ppts[inside])
-        vals = vals.reshape(patch_shells, patch_sectors)
+        vals = vals.reshape(_PATCH_SHELLS, _PATCH_SECTORS)
         pv = prof.value(rmid)
         gsum = vals.sum(axis=1) / pv
-        dtheta = 2.0 * math.pi / patch_sectors
-        for k in range(patch_shells):
+        dtheta = 2.0 * math.pi / _PATCH_SECTORS
+        for k in range(_PATCH_SHELLS):
             wgt = prof.primitive(float(shells[k]), float(shells[k + 1]), 2)
             if not math.isfinite(wgt):
                 return math.inf
@@ -490,18 +482,14 @@ def integrate_ball(fn, ball, scheme=None, singularities=()):
     n = ball.dimension
     if scheme is None:
         scheme = default_scheme(n)
-    add = scheme.policy == "analytic"
     if n == 1:
         lo = float(ball.center[0] - ball.radius)
         hi = float(ball.center[0] + ball.radius)
-        return integrate_interval(
-            lambda ys: fn(ys[:, None]), lo, hi, 2 * scheme.resolution,
-            singularities, scheme.patch_cells, add_patches=add)
+        edges = np.linspace(lo, hi, 2 * scheme.resolution + 1)
+        return integrate_cells_1d(lambda ys: fn(ys[:, None]), edges, singularities)
     if n == 2:
-        return integrate_disk(
-            fn, ball.center, ball.radius, scheme.resolution, singularities,
-            scheme.patch_cells, scheme.patch_shells, scheme.patch_sectors,
-            add_patches=add)
+        return integrate_disk(fn, ball.center, ball.radius, scheme.resolution,
+                              singularities)
     raise ValueError("only dimensions 1 and 2 are supported")
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atoms import Atom, AtomParams, AtomSampler, sample_atom_campaign
+from .atoms import (Atom, AtomParams, AtomSampler, atom_thresholds,
+                    sample_atom_campaign)
 from .errors import HypothesisFailed, MisclassifiedSample
 from .geometry import (Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, expanded_balls)
@@ -28,13 +29,12 @@ from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
                         indicator, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
-from .weights import (critical_indices, check_matrix_compatibility,
+from .weights import (STABILITY_FACTOR, critical_indices, check_matrix_compatibility,
                       estimate_A1_constant, estimate_Ap_constant,
                       estimate_Apq_constant, estimate_RH_constant,
                       eval_weight_batch, power_mean, series_verdict, weight_power,
                       weight_singularities, weight_to_dict, weighted_measure)
 
-STABILITY_FACTOR = 4.0
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
 
@@ -565,7 +565,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         # inner_resolution cells per expanded-ball diameter
         cells = max(64, int(spec.inner_resolution * (hi - lo) / star_diameter))
         edges = _split_edges_at(np.linspace(lo, hi, cells + 1), breakpoints)
-        inner += integrate_cells_1d(integrand, edges, wsings, scheme.patch_cells)
+        inner += integrate_cells_1d(integrand, edges, wsings)
 
     scale = max(abs(lo) + abs(hi) for lo, hi in intervals)
     extent = (scale + 1.0) * 2.0**spec.outer_octaves
@@ -585,7 +585,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         if edges[-1] - edges[0] <= 0:
             continue
         edges = _split_edges_at(edges, breakpoints)
-        outer += integrate_cells_1d(integrand, edges, wsings, scheme.patch_cells)
+        outer += integrate_cells_1d(integrand, edges, wsings)
 
     # decay-form tail estimate beyond the truncation
     d = atom.params.d
@@ -625,11 +625,9 @@ def _thm_zero_audits(w, profile, family, spec, scheme):
     audits.append(AuditItem("pairwise differences invertible", not singular,
                             not singular, detail))
     audits.append(AuditItem("p in (0, 1]", spec.p, 0.0 < spec.p <= 1.0))
-    ratio = 1.0 if math.isinf(idx.rh_critical) else idx.rh_critical / (idx.rh_critical - 1.0)
-    thresh = max(1.0, spec.p * ratio)
+    thresh, d_min = atom_thresholds(idx, spec.p, w.dimension)
     audits.append(AuditItem("p0 above the atomic threshold", spec.p0,
                             spec.p0 > thresh, f"threshold {thresh:.4g}"))
-    d_min = max(0, math.floor(w.dimension * (idx.q_critical / spec.p - 1.0)))
     return audits, idx, d_min
 
 

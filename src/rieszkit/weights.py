@@ -26,8 +26,10 @@ from .quadrature import (LogPowerProfile, PowerProfile, QuadratureScheme,
 
 _SING_TOL = 1e-14
 
-#: growth factor over the refinement series that flags a diverging constant
-DIVERGENCE_GROWTH = 4.0
+#: the single 4x rule: monotone growth by this factor over a refinement
+#: series flags a diverging constant, and a drift below it across scales
+#: or refinements counts as uniformly bounded
+STABILITY_FACTOR = 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +435,11 @@ class WeightClassReport:
 
 def series_verdict(series) -> str:
     """Refinement-series verdict: "diverging" on a non-finite level or on
-    monotone growth by DIVERGENCE_GROWTH, else "finite"."""
+    monotone growth by STABILITY_FACTOR, else "finite"."""
     if any(not math.isfinite(v) for v in series):
         return "diverging"
     monotone = all(series[i + 1] >= series[i] * (1.0 - 1e-9) for i in range(len(series) - 1))
-    if monotone and len(series) > 1 and series[-1] >= DIVERGENCE_GROWTH * series[0]:
+    if monotone and len(series) > 1 and series[-1] >= STABILITY_FACTOR * series[0]:
         return "diverging"
     return "finite"
 
@@ -577,7 +579,9 @@ def estimate_RH_constant(w, s_exp: float, family: BallFamily,
             return math.inf
         if not math.isfinite(num):
             return math.inf
-        return num / _memo_power_mean(w, 1.0, ball, s, memo)
+        den = _memo_power_mean(w, 1.0, ball, s, memo)
+        # the plain average underflows to 0 on small balls for huge exponents
+        return num / den if 0.0 < den < math.inf else math.inf
 
     return _estimate_over_family(f"RH_s(s={s_exp:g})", per_ball, family, scheme,
                                  refine_steps)

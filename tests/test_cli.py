@@ -13,6 +13,7 @@ import pytest
 from rieszkit.cli import main
 from rieszkit.config import load_config, parse_config
 from rieszkit.errors import ConfigError
+from rieszkit.quadrature import QuadratureScheme
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -102,6 +103,26 @@ def test_check_parameters_validated(check, field):
     with pytest.raises(ConfigError) as err:
         parse_config(_base_config(checks=[check]))
     assert err.value.path == field
+
+
+def test_check_defaults_applied_at_parse():
+    """The parsed check carries every parameter its runner reads, defaults
+    included, so the runner keeps no defaults of its own."""
+    cfg = parse_config(_base_config(checks=[{"check": "maximal-inequality"},
+                                            {"check": "pointwise-atom-bound"},
+                                            {"check": "critical-index-chain", "p": 0.25}]))
+    maximal, pointwise, chain = cfg.checks
+    assert [(b.center.tolist(), b.radius) for b in maximal["test_balls"]] == [
+        ([0.0], 1.0), ([0.0], 0.5), ([1.0], 2.0)]
+    assert (maximal["p"], maximal["alpha"]) == (2.0, None)
+    assert pointwise == {"check": "pointwise-atom-bound", "center": [0.0],
+                         "radii": (0.25, 1.0, 4.0), "seed": 0}
+    assert chain == {"check": "critical-index-chain", "p": 0.25, "q": None, "tol": 1e-2}
+
+
+def test_quadrature_block_reads_resolution_and_tol():
+    cfg = parse_config(_base_config(quadrature={"resolution": 256, "tol": 1e-5}))
+    assert cfg.quadrature == QuadratureScheme(resolution=256, tol=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +327,18 @@ def test_cli_import_defers_scipy_integrate():
     (["verify"],
      _base_config(checks=[{"check": "critical-index-chain", "p": 0.5, "tol": "fine"}]),
      "checks[0].tol"),
+    (["weights", "classify"],
+     _base_config(quadrature={"policy": "exclude_refine"},
+                  classify={"classes": [{"kind": "A1"}], "critical_indices": False}),
+     "quadrature.policy"),
+    (["weights", "classify"],
+     _base_config(quadrature={"resolution": 64, "patch_cells": 4},
+                  classify={"classes": [{"kind": "A1"}], "critical_indices": False}),
+     "quadrature.patch_cells"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
-        "chain-tol-not-a-number"])
+        "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed class and check parameters are config errors (exit 4) naming
     the field, not tracebacks (exit 1)."""
@@ -319,6 +348,38 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     assert out.returncode == 4, out.stderr
     error = json.loads(out.stderr.strip().splitlines()[-1])
     assert error["error"] == "config" and error["path"] == field
+
+
+_CAPPED = _base_config(weight={"kind": "power", "exponent": 260.0},
+                       matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
+                       atom={"p": 1.0, "p0": 2.0}, campaign={"count": 2})
+
+
+@pytest.mark.parametrize("command, extra, code", [
+    (["weights", "classify"], {"classify": {"classes": [{"kind": "A1"}],
+                                            "critical_indices": True}}, 0),
+    (["verify"], {"checks": [{"check": "theorem-thm1"}]}, 3),
+    (["verify"], {"checks": [{"check": "pointwise-atom-bound"}]}, 3),
+    (["atoms", "gen"], {}, 3),
+], ids=["classify", "thm1", "pointwise", "atoms-gen"])
+def test_cli_weight_above_ap_cap(tmp_path, command, extra, code):
+    """|x|^260 is in no A_q below the bisection cap 256: classify reports
+    q_critical = inf and every atom-based command fails the A_infinity
+    audit (exit 3) instead of dividing by an underflowed average."""
+    cfg = _write(tmp_path, "capped.json", {**_CAPPED, **extra})
+    out_dir = tmp_path / "out"
+    out = _python("-m", "rieszkit.cli", *command, "--config", cfg, "--out", str(out_dir))
+    assert out.returncode == code, out.stderr
+    a_infinity = "weight in A_infinity (finite Muckenhoupt index)"
+    if command[0] == "weights":
+        report = json.loads((out_dir / "weights-classify.json").read_text())["report"]
+        assert report["critical_indices"]["q_critical"] == "inf"
+    elif command[0] == "verify":
+        report = json.loads(next(out_dir.glob("00-*.json")).read_text())["report"]
+        assert report["failed_item"] == a_infinity
+    else:
+        error = json.loads(out.stderr.strip().splitlines()[-1])
+        assert (error["error"], error["item"]) == ("hypothesis", a_infinity)
 
 
 def test_weights_log_classify_never_loads_scipy_integrate(tmp_path):

@@ -127,16 +127,6 @@ def test_quadrature_diverged_raises():
         riesz_potential(f, [0.0, 0.0], 1.0, tight)
 
 
-def test_exclude_refine_policy_converges():
-    f = indicator([0.0], 1.0)
-    scheme = QuadratureScheme(resolution=512, policy="exclude_refine", tol=1e-2)
-    v = riesz_potential(f, [0.0], 0.5, scheme, check_convergence=False)
-    assert v == pytest.approx(4.0, rel=0.1)
-    assert v < 4.0  # omitted singular cells make it a lower bound
-    v2 = riesz_potential(f, [0.0], 0.5, scheme.refined(4), check_convergence=False)
-    assert 4.0 - v2 < 4.0 - v  # refinement shrinks the omitted tail
-
-
 def test_domination_identity_case():
     f = indicator([0.0], 1.0)
     prof = ExponentProfile(0.5, (0.5,), 1)

@@ -12,7 +12,7 @@ from rieszkit.operators import apply_T_batch
 from rieszkit.quadrature import (LogPowerProfile, PowerProfile, ProductProfile,
                                  RadialSingularity, combine_profiles,
                                  graded_edges, integrate_ball,
-                                 integrate_interval, lebesgue_ball)
+                                 integrate_cells_1d, lebesgue_ball)
 
 
 def test_scheme_validation():
@@ -20,8 +20,6 @@ def test_scheme_validation():
         QuadratureScheme(resolution=8)
     with pytest.raises(ValueError):
         QuadratureScheme(tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureScheme(policy="magic")
 
 
 def test_power_profile_primitive_matches_quadrature():
@@ -133,13 +131,14 @@ def test_combine_profiles_power():
 
 
 def test_interval_plain_midpoint():
-    v = integrate_interval(lambda x: x**2, 0.0, 1.0, 512)
+    v = integrate_cells_1d(lambda x: x**2, np.linspace(0.0, 1.0, 512 + 1))
     assert v == pytest.approx(1.0 / 3.0, rel=1e-5)
 
 
 def test_interval_with_interior_singularity():
     sing = [RadialSingularity((0.0,), PowerProfile(-0.5))]
-    v = integrate_interval(lambda x: np.abs(x) ** -0.5, -1.0, 1.0, 256, sing)
+    v = integrate_cells_1d(lambda x: np.abs(x) ** -0.5, np.linspace(-1.0, 1.0, 256 + 1),
+                           sing)
     assert v == pytest.approx(4.0, rel=1e-12)
 
 
@@ -154,22 +153,15 @@ def test_interval_singularity_off_center():
 
     ref = (quad(lambda x: abs(x - 0.25) ** -0.5 * math.cos(x), -1, 0.25)[0]
            + quad(lambda x: abs(x - 0.25) ** -0.5 * math.cos(x), 0.25, 1)[0])
-    v = integrate_interval(fn, -1.0, 1.0, 512, sing)
+    v = integrate_cells_1d(fn, np.linspace(-1.0, 1.0, 512 + 1), sing)
     assert v == pytest.approx(ref, rel=1e-6)
 
 
 def test_interval_nonintegrable_returns_inf():
     sing = [RadialSingularity((0.0,), PowerProfile(-1.5))]
-    v = integrate_interval(lambda x: np.abs(x) ** -1.5, -1.0, 1.0, 128, sing)
+    v = integrate_cells_1d(lambda x: np.abs(x) ** -1.5, np.linspace(-1.0, 1.0, 128 + 1),
+                           sing)
     assert math.isinf(v)
-
-
-def test_exclude_policy_drops_singular_cells():
-    sing = [RadialSingularity((0.0,), PowerProfile(-0.5))]
-    v = integrate_interval(lambda x: np.abs(x) ** -0.5, -1.0, 1.0, 512, sing,
-                           add_patches=False)
-    # strictly below the true value 4 since the singular cells are omitted
-    assert 3.0 < v < 4.0
 
 
 def test_two_singularities_disjoint_regions():
@@ -184,14 +176,15 @@ def test_two_singularities_disjoint_regions():
     parts = [quad(lambda x: abs(x + 0.5) ** -0.5 * abs(x - 0.5) ** -0.25, a, b,
                   limit=400)[0]
              for a, b in ((-1, -0.5), (-0.5, 0.5), (0.5, 1))]
-    v = integrate_interval(fn, -1.0, 1.0, 512, sing)
+    v = integrate_cells_1d(fn, np.linspace(-1.0, 1.0, 512 + 1), sing)
     assert v == pytest.approx(sum(parts), rel=1e-5)
 
 
 def test_coincident_singularities_merge():
     sing = [RadialSingularity((0.0,), PowerProfile(-0.5)),
             RadialSingularity((0.0,), PowerProfile(-0.25))]
-    v = integrate_interval(lambda x: np.abs(x) ** -0.75, -1.0, 1.0, 256, sing)
+    v = integrate_cells_1d(lambda x: np.abs(x) ** -0.75, np.linspace(-1.0, 1.0, 256 + 1),
+                           sing)
     assert v == pytest.approx(2.0 / 0.25, rel=1e-12)  # 2 * r^{1/4}/(1/4) at r=1
 
 
@@ -230,7 +223,8 @@ def test_lebesgue_ball():
 def test_power_singularity_any_center(c, r):
     """Product integration reproduces the exact integral of |x-c|^{-1/2}."""
     sing = [RadialSingularity((c,), PowerProfile(-0.5))]
-    v = integrate_interval(lambda x: np.abs(x - c) ** -0.5, c - r, c + r, 128, sing)
+    v = integrate_cells_1d(lambda x: np.abs(x - c) ** -0.5,
+                           np.linspace(c - r, c + r, 128 + 1), sing)
     assert v == pytest.approx(4.0 * math.sqrt(r), rel=1e-10)
 
 
