@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegenerateProfile, HypothesisFailed
 from .geometry import Ball
@@ -56,8 +55,8 @@ def unit_ball_monomial_integral(gamma, dimension: int) -> float:
     """Exact integral of u^gamma over the unit ball (zero for odd indices)."""
     if any(g % 2 for g in gamma):
         return 0.0
-    log_num = sum(gammaln((g + 1) / 2.0) for g in gamma)
-    log_den = gammaln((sum(gamma) + dimension) / 2.0 + 1.0)
+    log_num = sum(math.lgamma((g + 1) / 2.0) for g in gamma)
+    log_den = math.lgamma((sum(gamma) + dimension) / 2.0 + 1.0)
     return math.exp(log_num - log_den)
 
 

@@ -74,20 +74,19 @@ def cmd_weights_classify(cfg: RunConfig, out_dir: str) -> int:
     family = cfg.family
     scheme = cfg.quadrature
     w = cfg.weight
-    memo = {}  # power means of w, shared by every estimator below
     # config.validate_classify has checked every kind and its parameters
     estimate = {
-        "A1": lambda c: estimate_A1_constant(w, family, scheme, memo=memo),
-        "Ap": lambda c: estimate_Ap_constant(w, float(c["p"]), family, scheme, memo=memo),
+        "A1": lambda c: estimate_A1_constant(w, family, scheme),
+        "Ap": lambda c: estimate_Ap_constant(w, float(c["p"]), family, scheme),
         "Apq": lambda c: estimate_Apq_constant(w, float(c["p"]), float(c["q"]), family,
-                                               scheme, memo=memo),
-        "RH": lambda c: estimate_RH_constant(w, float(c["s"]), family, scheme, memo=memo),
+                                               scheme),
+        "RH": lambda c: estimate_RH_constant(w, float(c["s"]), family, scheme),
     }
     payload = {"classes": [estimate[cls["kind"]](cls).to_dict()
                            for cls in block.get("classes", [{"kind": "A1"}])]}
     if block.get("critical_indices", True):
         payload["critical_indices"] = critical_indices(
-            w, family, scheme, tol=float(block.get("tol", 1e-2)), memo=memo).to_dict()
+            w, family, scheme, tol=float(block.get("tol", 1e-2))).to_dict()
     _write_report(out_dir, "weights-classify", payload)
     print(json.dumps(payload, indent=1, sort_keys=True))
     return EXIT_OK

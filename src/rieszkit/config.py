@@ -39,6 +39,7 @@ def _expect(cond: bool, path: str, message: str):
 
 
 def _get(block: dict, key: str, path: str, required: bool = True, default=None):
+    _expect(isinstance(block, dict), path, "expected an object")
     if key not in block:
         _expect(not required, f"{path}.{key}", "required field is missing")
         return default
@@ -46,21 +47,32 @@ def _get(block: dict, key: str, path: str, required: bool = True, default=None):
 
 
 def _number(block, key, path, required=True, default=None):
-    v = _get(block, key, path, required, default)
-    if v is None:
-        return None
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"{path}.{key}", f"expected a number, got {type(v).__name__}")
+    """A finite number; an absent optional field gives ``default``."""
+    _get(block, key, path, required)
+    if key not in block:
+        return None if default is None else float(default)
+    v = block[key]
+    _expect(_is_number(v), f"{path}.{key}", f"expected a finite number, got {v!r}")
     return float(v)
 
 
 def _integer(block, key, path, required=True, default=None):
-    v = _get(block, key, path, required, default)
-    if v is None:
-        return None
+    """An integer; an absent optional field gives ``default``."""
+    _get(block, key, path, required)
+    if key not in block:
+        return default
+    v = block[key]
     _expect(isinstance(v, int) and not isinstance(v, bool),
             f"{path}.{key}", f"expected an integer, got {type(v).__name__}")
     return int(v)
+
+
+def _list(block, key, path, default):
+    """An optional list field (``default`` when absent)."""
+    v = _get(block, key, path, False, default)
+    _expect(isinstance(v, list), f"{path}.{key}" if path != "(root)" else key,
+            "expected a list")
+    return v
 
 
 def build_weight(block: dict, dimension: int, base_dir: str, path: str = "weight"):
@@ -113,9 +125,11 @@ def build_matrices(block, dimension: int, alpha: float, path: str = "matrices") 
             "expected a nonempty list of row-major matrices")
     mats = []
     for j, rows in enumerate(block):
+        _expect(isinstance(rows, list) and len(rows) == dimension
+                and all(isinstance(row, list) and len(row) == dimension
+                        and all(_is_number(v) for v in row) for row in rows),
+                f"{path}[{j}]", f"expected a {dimension}x{dimension} matrix of finite numbers")
         arr = np.asarray(rows, dtype=float)
-        _expect(arr.shape == (dimension, dimension), f"{path}[{j}]",
-                f"expected a {dimension}x{dimension} matrix, got shape {arr.shape}")
         mats.append(arr)
     try:
         return MatrixFamily(tuple(mats))
@@ -134,8 +148,8 @@ def build_exponents(block: dict, dimension: int, m: int, path: str = "exponents"
             return equal_split(alpha, m, dimension)
         _expect(isinstance(raw, list), f"{path}.alphas",
                 "expected 'equal-split' or a list of exponents")
-        _expect(len(raw) == m, f"{path}.alphas",
-                f"expected {m} exponents to match the matrix family")
+        _expect(len(raw) == m and all(_is_number(v) for v in raw), f"{path}.alphas",
+                f"expected {m} finite exponents to match the matrix family")
         return ExponentProfile(alpha, tuple(float(v) for v in raw), dimension)
     except ValueError as exc:
         raise ConfigError(path, str(exc))
@@ -305,12 +319,13 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
     _expect(p0 > 1.0 and math.isfinite(p0), "atom.p0",
             "must be finite and exceed 1 (infinite p0 is out of scope)")
     d = _integer(atom_block, "d", "atom", False, None)
-    centers = _get(block, "centers", path, False, [[0.0], [1.0], [-2.0]])
+    centers = _list(block, "centers", path, [[0.0], [1.0], [-2.0]])
+    _expect(bool(centers), f"{path}.centers", "expected a nonempty list of points")
     for i, c in enumerate(centers):
         _point(c, dimension, f"{path}.centers[{i}]")
-    radii = _get(block, "radii", path, False, [0.25, 1.0, 4.0])
-    _expect(isinstance(radii, list) and radii, f"{path}.radii",
-            "expected a nonempty list of radii")
+    radii = _list(block, "radii", path, [0.25, 1.0, 4.0])
+    _expect(radii and all(_is_number(r) and r > 0.0 for r in radii), f"{path}.radii",
+            "expected a nonempty list of positive radii")
     count = _integer(block, "count", path, False, 50)
     _expect(count >= 1, f"{path}.count", "must be at least 1")
     return CampaignSpec(
@@ -400,7 +415,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         campaign = build_campaign(raw.get("campaign"), raw.get("atom"), n)
 
     checks = []
-    for i, item in enumerate(raw.get("checks", [])):
+    for i, item in enumerate(_list(raw, "checks", "(root)", [])):
         _expect(isinstance(item, dict), f"checks[{i}]",
                 "expected an object with a 'check' field")
         name = _get(item, "check", f"checks[{i}]")
@@ -409,7 +424,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         checks.append(validate_check(item, n, f"checks[{i}]"))
 
     sweeps = []
-    for i, item in enumerate(raw.get("sweeps", [])):
+    for i, item in enumerate(_list(raw, "sweeps", "(root)", [])):
         path_i = f"sweeps[{i}]"
         _expect(isinstance(item, dict), path_i, "expected an object")
         fn = build_function(_get(item, "function", path_i), n, base_dir,
@@ -429,6 +444,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
 
     out_block = raw.get("output", {})
     _expect(isinstance(out_block, dict), "output", "expected an object")
+    _expect(isinstance(out_block.get("dir", "out"), str), "output.dir", "expected a path")
 
     return RunConfig(
         dimension=n, weight=weight, quadrature=scheme, raw=raw, base_dir=base_dir,

@@ -11,6 +11,10 @@ of singular weights and product-kernel integrals converge at modest
 resolutions.  The primitives of P are closed forms or fixed Gauss-Legendre
 sums (``RadialProfile``); no adaptive quadrature runs.
 
+A ball integral of P alone needs no cells: ``log_ball_integral`` returns
+its logarithm exactly (primitives on the line, a full disk plus an
+annulus in the plane), which is what the radial weights' power means read.
+
 Supported dimensions: 1 (intervals) and 2 (disks).
 """
 
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special as _special
 
 
 _SING_MERGE_TOL = 1e-12
@@ -97,10 +100,12 @@ class RadialProfile:
 
     * s == 0, or the part above the knee: (v**g - u**g) / g (log(v/u) at g == 0);
     * a cell below the knee with u > 0: 8-point Gauss-Legendre in
-      t = log(1/r) (``_log_cells``), within 1e-15 of 40-digit values;
-    * a cell from 0: the same sum until exp(-g t) has fallen by e**-18, then
-      g**-(s+1) Gamma(s+1, g t) for the rest (``_upper_gamma``); within 2e-15
-      of 40-digit values down to v = 1e-12.
+      t = log(1/r) (``_log_cells``, batched over cells, v**g factored out and
+      the length taken by log1p, so thin cells subtract nothing); within
+      1e-15 of 40-digit values;
+    * a cell from 0: exp of ``log_primitive``, whose 16-point panels march
+      in t = log r out to where the integrand has fallen by e**-46
+      (``_log_quad``); within 1.3e-14 of 40-digit values down to v = 1e-12.
     """
 
     __slots__ = ("exponent", "s")
@@ -154,6 +159,26 @@ class RadialProfile:
             out = np.where(u <= 0.0, math.inf, out)
         return out
 
+    def log_primitive(self, u: float, width: float, dim: int) -> float:
+        """log of primitive(u, u + width, dim), free of cancellation and finite
+        where the primitive itself under- or overflows (+inf if it diverges).
+
+        Power parts are closed forms (``_log_power_integral``); a log part
+        below the knee is ``_log_quad`` in t = log r.
+        """
+        g = self.exponent + dim
+        if self.s == 0.0:
+            return _log_power_integral(u, width, g)
+        v = u + width
+        parts = []
+        if v > _KNEE:
+            lo = max(u, _KNEE)
+            parts.append(_log_power_integral(lo, width if lo == u else v - lo, g))
+        if u < _KNEE:
+            parts.append(_log_quad(g, self.s, math.log(u) if u > 0.0 else -math.inf,
+                                   -1.0 if v >= _KNEE else math.log(v)))
+        return _log_add(parts)
+
     def _log_primitive(self, u: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray:
         g = self.exponent + dim
         out = np.zeros(u.shape)
@@ -167,19 +192,9 @@ class RadialProfile:
         for k in range(0, cells.size, _CHUNK):
             part = cells[k:k + _CHUNK]
             out[part] += _log_cells(u[part], top[part], g, self.s)
-        origin = (u <= 0.0) & (top > 0.0)
-        if np.any(origin):
-            if g <= 0.0:
-                out[origin] = math.inf
-            else:
-                # the closed form alone loses up to 2.6e-9 to its downward
-                # recurrence (s = -3.25, x = 69); past the cut, where exp(-g t)
-                # has fallen by e**-18, that error no longer shows (t-length
-                # capped at 300 against underflow)
-                cut = top[origin] * math.exp(-min(18.0 / g, 300.0))
-                a = self.s + 1.0
-                out[origin] += (_log_cells(cut, top[origin], g, self.s)
-                                + g ** -a * _upper_gamma(a, -g * np.log(cut)))
+        # cells from 0: one or two per singular point and call
+        for k in np.flatnonzero((u <= 0.0) & (top > 0.0)):
+            out[k] += math.exp(self.log_primitive(0.0, float(top[k]), dim))
         return out
 
     def __repr__(self):
@@ -230,24 +245,6 @@ def _log_cells(u: np.ndarray, v: np.ndarray, g: float, s: float) -> np.ndarray:
     return v**g * sums
 
 
-def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
-    """Gamma(a, x) for x > 0 and any real a.
-
-    For a <= 0 it starts from Gamma(0, x) = E1(x) (integer a) or from the
-    order in (0, 1) and applies Gamma(a, x) = (Gamma(a+1, x) - x**a e**-x) / a
-    downward (DLMF 8.8.2).
-    """
-    if a > 0.0:
-        return _special.gamma(a) * _special.gammaincc(a, x)
-    steps = math.ceil(-a)
-    b = a + steps
-    val = _special.exp1(x) if b == 0.0 else _special.gamma(b) * _special.gammaincc(b, x)
-    for _ in range(steps):
-        b -= 1.0
-        val = (val - x**b * np.exp(-x)) / b
-    return val
-
-
 def combine_profiles(a, b):
     """Product of two profiles at one point: exponents and log powers add."""
     e, s = a.exponent + b.exponent, a.s + b.s
@@ -291,6 +288,201 @@ def _shrink_overlaps(active, floor):
             out[i][2] = min(out[i][2], cap)
             out[j][2] = min(out[j][2], cap)
     return [tuple(t) for t in out]
+
+
+# ---------------------------------------------------------------------------
+# Ball integrals of one radial profile, carried as logarithms
+# ---------------------------------------------------------------------------
+
+
+# 16-point Gauss-Legendre rule mapped to [0, 1], from the correctly rounded
+# positive nodes and weights on [-1, 1], and its cosine map
+# x -> (1 - cos(pi x)) / 2 for panels that end at a square-root endpoint
+_GL16_HALF_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                         0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                         0.9445750230732326, 0.9894009349916499])
+_GL16_HALF_W = np.array([0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
+                         0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
+                         0.062253523938647894, 0.027152459411754096])
+_GL16_X = 0.5 * (1.0 + np.concatenate([-_GL16_HALF_X[::-1], _GL16_HALF_X]))
+_GL16_W = 0.5 * np.concatenate([_GL16_HALF_W[::-1], _GL16_HALF_W])
+_COS_X = 0.5 * (1.0 - np.cos(np.pi * _GL16_X))
+_COS_W = 0.5 * np.pi * np.sin(np.pi * _GL16_X) * _GL16_W
+# a march stops where the integrand has fallen by e**-46 (~1e-20) from its
+# maximum; a panel touching a square-root endpoint is at most _END_PANEL long
+_LOG_DROP = 46.0
+_END_PANEL = 0.5
+_MAX_PANELS = 4096
+
+
+def _log_add(terms) -> float:
+    """log(sum(exp(terms))) for a list of floats (empty: -inf)."""
+    top = max(terms, default=-math.inf)
+    if not math.isfinite(top):
+        return top
+    return top + math.log(sum(math.exp(t - top) for t in terms))
+
+
+def _log_power_integral(u: float, width: float, g: float) -> float:
+    """log of the integral of r**(g-1) over [u, u + width], u >= 0.
+
+    (v**g - u**g) / g is rewritten through log1p and expm1 so that thin
+    intervals far from 0 and huge |g| lose nothing.
+    """
+    if u <= 0.0:
+        return g * math.log(width) - math.log(g) if g > 0.0 else math.inf
+    span = math.log1p(width / u)   # log(v / u)
+    if g == 0.0:
+        return math.log(span)
+    if g > 0.0:
+        return g * math.log(u + width) + math.log(-math.expm1(-g * span) / g)
+    return g * math.log(u) + math.log(math.expm1(g * span) / g)
+
+
+def _panel_length(g: float, s: float, t: float, reach: float) -> float:
+    """Longest panel at t: exp(phi) changes by at most e**8 across it, its
+    curvature scale and the pole of log(-t) (two panel lengths off) are
+    resolved, and it is at most ``reach`` long."""
+    if s == 0.0:
+        ell = 8.0 / abs(g) if g else math.inf
+    else:
+        slope = abs(g + s / t)
+        ell = min(8.0 / slope if slope else math.inf,
+                  3.0 * abs(t) / math.sqrt(abs(s)), abs(t) / 3.0)
+    return min(ell, reach)
+
+
+def _log_quad(g: float, s: float, ta: float, tb: float, factor=None) -> float:
+    """log of the integral over t in [ta, tb] of exp(phi(t)) * factor(t),
+    phi(t) = g t + s log(-t), where tb <= -1 whenever s != 0.
+
+    ``factor`` (vectorized, bounded, or None for 1) may have square-root
+    endpoints at the finite ends of the range.  Composite 16-point
+    Gauss-Legendre panels march out from the maximum of phi, which is
+    concave or convex, so unimodal on the range; each panel is at most
+    ``_panel_length`` long and no longer than its distance to a finite end,
+    and a panel touching a finite end takes the cosine map, which turns a
+    square-root endpoint analytic.  The march stops where phi has fallen by
+    _LOG_DROP, so ta may be -inf.
+    """
+    if ta == -math.inf and g <= 0.0:
+        return math.inf
+
+    def phi(t):
+        return g * t + (s * math.log(-t) if s else 0.0)
+
+    if s == 0.0:
+        tm = tb if g >= 0.0 else ta
+    elif s > 0.0:
+        tm = min(max(-s / g, ta), tb) if g > 0.0 else ta
+    else:
+        tm = ta if ta > -math.inf and phi(ta) > phi(tb) else tb
+    floor = phi(tm) - _LOG_DROP
+    ends = () if factor is None else tuple(e for e in (ta, tb) if math.isfinite(e))
+    edges = []
+    for end in (ta, tb):
+        t, way = tm, (1.0 if end > tm else -1.0)
+        while t != end and phi(t) > floor:
+            # the factor's complex branch points sit at its finite ends and
+            # pi above them: a panel is at most 2 long near an end and a third
+            # of its distance to the ends farther out, so a march toward -inf
+            # (a circle through the singular point) grows geometrically
+            reach = math.inf
+            if factor is not None:
+                reach = max(2.0, min((abs(t - e) for e in ends), default=math.inf) / 3.0)
+            ell = _panel_length(g, s, t, reach)
+            for e in ends:
+                if e != t and (e - t) * way < 0.0:
+                    ell = min(ell, abs(t - e))
+            # the cosine map stretches the middle of its panel and squeezes
+            # the factor's branch points toward the axis, so a panel touching
+            # an end is shorter
+            touch = min(0.25 * ell, _END_PANEL) if ends else ell
+            if t in ends:
+                ell = touch
+            dist = abs(end - t)
+            if touch >= dist:
+                nxt = end
+            else:
+                nxt = t + way * min(ell, 0.5 * dist if end in ends else ell)
+            edges.append((min(t, nxt), max(t, nxt)))
+            t = nxt
+            if len(edges) > _MAX_PANELS:
+                raise RuntimeError("radial log quadrature needs too many panels")
+    lo = np.array([a for a, _ in edges])
+    hi = np.array([b for _, b in edges])
+    mapped = np.array([a in ends or b in ends for a, b in edges])[:, None]
+    t = lo[:, None] + (hi - lo)[:, None] * np.where(mapped, _COS_X, _GL16_X)
+    with np.errstate(divide="ignore"):
+        logf = (g * t + (s * np.log(-t) if s else 0.0)
+                + np.log(np.where(mapped, _COS_W, _GL16_W) * (hi - lo)[:, None]))
+        if factor is not None:
+            logf = logf + np.log(factor(t))
+    top = float(np.max(logf))
+    return top + math.log(float(np.sum(np.exp(logf - top))))
+
+
+def log_ball_integral(profile: RadialProfile, offset, radius: float) -> float:
+    """log of the integral of P(|y|) over the ball B(offset, radius).
+
+    On the line it is one or two ``log_primitive`` calls.  In the plane, at
+    distance d from the singular point, the disk splits into the full disk
+    of radius rho - d around the point (2 pi times a primitive) and the
+    annulus |rho - d| < r < rho + d, where the circle of radius r keeps the
+    arc angle(r) = 2 arccos((r^2 + d^2 - rho^2) / (2 r d)) inside the disk;
+    the annulus is ``_log_quad`` in t = log r, split at the knee.  One rule
+    covers points inside, on and outside the circle.
+    """
+    offset = np.atleast_1d(np.asarray(offset, dtype=float))
+    rho = float(radius)
+    if offset.size == 1:
+        x = float(offset[0])
+        if x - rho >= 0.0:
+            return profile.log_primitive(x - rho, 2.0 * rho, 1)
+        if x + rho <= 0.0:
+            return profile.log_primitive(-x - rho, 2.0 * rho, 1)
+        return _log_add([profile.log_primitive(0.0, rho - x, 1),
+                         profile.log_primitive(0.0, rho + x, 1)])
+    if offset.size != 2:
+        raise ValueError("only dimensions 1 and 2 are supported")
+    d = math.hypot(float(offset[0]), float(offset[1]))
+    parts = []
+    if d < rho:
+        parts.append(math.log(2.0 * math.pi) + profile.log_primitive(0.0, rho - d, 2))
+    if d > 0.0:
+        parts.append(_log_annulus(profile, d, rho))
+    return _log_add(parts)
+
+
+def _log_annulus(profile: RadialProfile, d: float, rho: float) -> float:
+    """log of the integral of P(r) r angle(r) over |rho - d| < r < rho + d."""
+    gap = d - rho
+
+    def angle(t):
+        r = np.exp(t)
+        # 2 arccos(z) = 4 atan2(sqrt(1 - z), sqrt(1 + z)), with 1 -+ z factored
+        # and r kept apart from d - rho, which can be tiny or 0
+        if gap == 0.0:
+            # a circle through the singular point: the common factor r cancels,
+            # which keeps the arc right where r = e**t underflows to 0
+            inner, outer = np.maximum(rho + d - r, 0.0), r + d + rho
+        else:
+            inner = np.maximum((rho + d - r) * (r - gap), 0.0)
+            outer = np.maximum((r + gap) * (r + d + rho), 0.0)
+        return 4.0 * np.arctan2(np.sqrt(inner), np.sqrt(outer))
+
+    lo = abs(gap)
+    ta = math.log(lo) if lo > 0.0 else -math.inf
+    tb = math.log(rho + d)
+    g = profile.exponent + 2.0
+    if profile.s == 0.0:
+        return _log_quad(g, 0.0, ta, tb, angle)
+    parts = []
+    if tb > -1.0:
+        parts.append(_log_quad(g, 0.0, max(ta, -1.0), tb, angle))
+    if ta < -1.0:
+        parts.append(_log_quad(g, profile.s, ta, min(tb, -1.0), angle))
+    return _log_add(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
                         indicator, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
-from .weights import (STABILITY_FACTOR, critical_indices, check_matrix_compatibility,
-                      estimate_A1_constant, estimate_Ap_constant,
-                      estimate_Apq_constant, estimate_RH_constant,
-                      eval_weight_batch, power_mean, series_verdict, weight_power,
-                      weight_singularities, weight_to_dict, weighted_measure)
+from .weights import (STABILITY_FACTOR, ball_measure, check_matrix_compatibility,
+                      critical_indices, estimate_A1_constant, estimate_Ap_constant,
+                      estimate_Apq_constant, estimate_RH_constant, eval_weight_batch,
+                      power_mean, series_verdict, weight_power, weight_singularities,
+                      weight_to_dict, weighted_measure)
 
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
@@ -295,9 +295,7 @@ def check_rh_ball_inequality(w, p: float, alpha: float, family: BallFamily,
     slacks = []
     witnesses = []
     for ball in family:
-        from .weights import ball_quad_volume
-
-        vol = ball_quad_volume(ball, scheme)
+        vol = ball_measure(wp, ball, scheme)
         avg_p = power_mean(wp, 1.0, ball, scheme)          # average of w^p
         pmq = power_mean(wp, q / p, ball, scheme)          # (avg w^q)^{p/q}
         lhs = (avg_p * vol) ** (-1.0 / p) * (pmq ** (q / p) * vol) ** (1.0 / q)
@@ -606,15 +604,20 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
     return inner, outer, tail
 
 
+def _compatibility_audit(w, family) -> AuditItem:
+    comp, point = check_matrix_compatibility(w, family)
+    passed = comp < COMPATIBILITY_CAP
+    detail = "" if passed else f"worst sample point x = {point.tolist()}"
+    return AuditItem("w(A_j x) <= C w(x) on the sample", comp, passed, detail)
+
+
 def _thm_zero_audits(w, profile, family, spec, scheme):
     fam_balls = default_ball_family(w.dimension)
     audits = []
     idx = critical_indices(w, fam_balls, scheme)
     audits.append(AuditItem("weight in A_infinity (finite Muckenhoupt index)",
                             idx.q_critical, math.isfinite(idx.q_critical)))
-    comp = check_matrix_compatibility(w, family)
-    audits.append(AuditItem("w(A_j x) <= C w(x) on the sample", comp,
-                            comp < COMPATIBILITY_CAP))
+    audits.append(_compatibility_audit(w, family))
     audits.append(AuditItem("at least two factors at order zero", profile.m,
                             profile.m >= 2))
     singular = family.singular_differences()
@@ -655,9 +658,7 @@ def _thm_positive_audits(w, profile, family, spec, scheme):
     audits.append(AuditItem("r_w/(r_w - 1) < n/alpha", ratio,
                             ratio < n / profile.alpha,
                             f"estimated reverse Holder index {idx.rh_critical:.4g}"))
-    comp = check_matrix_compatibility(w, family)
-    audits.append(AuditItem("w(A_j x) <= C w(x) on the sample", comp,
-                            comp < COMPATIBILITY_CAP))
+    audits.append(_compatibility_audit(w, family))
     audits.append(AuditItem("p0 inside (r_w/(r_w-1), n/alpha)", spec.p0,
                             ratio < spec.p0 < n / profile.alpha))
     d_min = max(0, math.floor(n * (1.0 / spec.p - 1.0)))

@@ -22,7 +22,8 @@ import numpy as np
 from .errors import HypothesisFailed, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point
 from .quadrature import (LogPowerProfile, PowerProfile, QuadratureScheme,
-                         RadialSingularity, default_scheme, integrate_ball)
+                         RadialSingularity, default_scheme, integrate_ball,
+                         lebesgue_ball, log_ball_integral)
 
 _SING_TOL = 1e-14
 
@@ -315,46 +316,48 @@ def _check_power_integrable(w, s: float):
                     f"|x - c|^{a * s:g} is not locally integrable in dimension {w.dimension}")
 
 
-def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
-    """Quadrature value of integral of w(x)**s over the ball.
+def _radial_form(w, s: float):
+    """(center, P, log(scale**s)) when w**s = scale**s * P(|x - center|) for
+    one radial profile P: power and log weights and product weights with one
+    factor.  None for tabulated and multi-factor product weights."""
+    if isinstance(w, PowerWeight):
+        return np.zeros(w.dimension), PowerProfile(w.exponent * s), s * math.log(w.scale)
+    if isinstance(w, LogExampleWeight):
+        return np.zeros(w.dimension), LogPowerProfile(w.power * s), s * math.log(w.scale)
+    if isinstance(w, ProductPowerWeight):
+        live = [(a, c) for a, c in w.factors if a != 0.0] or [(0.0, w.factors[0][1])]
+        if len(live) == 1:
+            a, c = live[0]
+            return np.asarray(c), PowerProfile(a * s), s * math.log(w.scale)
+    return None
 
-    Cells containing a singular center of the analytic form are integrated
-    with the exact radial antiderivative of the singular factor.
+
+def _is_radial(w) -> bool:
+    return _radial_form(w, 1.0) is not None
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_integral(w, s: float, ball: Ball, scheme: QuadratureScheme | None) -> float:
+    """log of the integral of w**s over the ball.
+
+    A radial w**s is integrated exactly (``log_ball_integral``).  Otherwise
+    the cell rule integrates (w / c)**s, c the maximum of w on a probe
+    lattice, which keeps extreme exponents in float range.
     """
-    s = float(s)
-    _check_power_integrable(w, s)
+    radial = _radial_form(w, s)
+    if radial is not None:
+        center, profile, log_scale = radial
+        return log_scale + log_ball_integral(profile, ball.center - center, ball.radius)
     if scheme is None:
         scheme = default_scheme(ball.dimension)
-
-    def fn(pts):
-        return eval_weight_batch(w, pts, extended=True) ** s
-
-    return integrate_ball(fn, ball, scheme, weight_singularities(w, s))
-
-
-def ball_quad_volume(ball: Ball, scheme: QuadratureScheme) -> float:
-    """Lebesgue measure of the ball through the same quadrature (exact in 1-d)."""
-    if ball.dimension == 1:
-        return 2.0 * ball.radius
-    return integrate_ball(lambda pts: np.ones(pts.shape[0]), ball, scheme)
-
-
-def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
-    """(average of w**s over the ball)**(1/s), normalized per ball.
-
-    Dividing by a probe maximum before raising to the power keeps extreme
-    exponents (reverse Holder probes up to 2^10) inside float range; the
-    normalization cancels exactly on recombination.
-    """
-    s = float(s)
-    if s == 0.0:
-        raise ValueError("power mean needs a nonzero exponent")
-    _check_power_integrable(w, s)
-    if scheme is None:
-        scheme = default_scheme(ball.dimension)
-    probe = _probe_nodes(ball)
     with np.errstate(divide="ignore", over="ignore"):
-        pv = eval_weight_batch(w, probe, extended=True)
+        pv = eval_weight_batch(w, _probe_nodes(ball), extended=True)
     finite = pv[np.isfinite(pv) & (pv > 0)]
     c = float(np.max(finite)) if finite.size else 1.0
 
@@ -363,12 +366,51 @@ def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None) 
             return (eval_weight_batch(w, pts, extended=True) / c) ** s
 
     m = integrate_ball(fn, ball, scheme, weight_singularities(w, s))
-    if not math.isfinite(m):
-        # an infinite integral of w^s means the power mean is +inf for s > 0
-        # and 0 for s < 0
-        return math.inf if s > 0 else 0.0
-    vol = ball_quad_volume(ball, scheme)
-    return c * (m / vol) ** (1.0 / s)
+    # a non-finite integral of w^s counts as +inf
+    log_m = math.log(m) if m > 0.0 else (-math.inf if m == 0.0 else math.inf)
+    return s * math.log(c) + log_m
+
+
+def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
+    """Integral of w(x)**s over the ball.
+
+    Exact when w**s is one radial profile (power, log and one-factor product
+    weights); otherwise the cell rule of ``scheme``, with the singular
+    factors integrated exactly on the cells around their centers.  It reads
+    the same integral as ``power_mean``.
+    """
+    s = float(s)
+    _check_power_integrable(w, s)
+    return _exp(_log_integral(w, s, ball, scheme))
+
+
+def ball_measure(w, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
+    """|B| by the rule the averages of w divide by: the Lebesgue measure when
+    w is radial (its integrals are exact) or on the line, otherwise the
+    cell measure of ``scheme``."""
+    if ball.dimension == 1 or _is_radial(w):
+        return lebesgue_ball(ball.dimension, ball.radius)
+    if scheme is None:
+        scheme = default_scheme(ball.dimension)
+    return integrate_ball(lambda pts: np.ones(pts.shape[0]), ball, scheme)
+
+
+def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
+               log: bool = False) -> float:
+    """(average of w**s over the ball)**(1/s), or its logarithm with ``log``.
+
+    The average is ``weighted_measure``'s integral over ``ball_measure``:
+    exact for radial weights, cells otherwise.  The integral is carried as
+    a logarithm, so the mean neither under- nor overflows on small balls at
+    extreme exponents (reverse Holder probes up to 2^10); the class
+    estimators form their ratios from the logarithms.
+    """
+    s = float(s)
+    if s == 0.0:
+        raise ValueError("power mean needs a nonzero exponent")
+    _check_power_integrable(w, s)
+    mean = (_log_integral(w, s, ball, scheme) - math.log(ball_measure(w, ball, scheme))) / s
+    return mean if log else _exp(mean)
 
 
 def _probe_nodes(ball: Ball) -> np.ndarray:
@@ -398,11 +440,19 @@ def min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
         cells = 2 * scheme.resolution
         ax0 = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, cells + 1)
         ax1 = np.linspace(ball.center[1] - ball.radius, ball.center[1] + ball.radius, cells + 1)
-        X, Y = np.meshgrid(0.5 * (ax0[:-1] + ax0[1:]), 0.5 * (ax1[:-1] + ax1[1:]), indexing="ij")
-        pts = np.column_stack([X.ravel(), Y.ravel()])
-        pts = pts[np.linalg.norm(pts - ball.center, axis=1) <= ball.radius]
+        m0, m1 = 0.5 * (ax0[:-1] + ax0[1:]), 0.5 * (ax1[:-1] + ax1[1:])
+        # |node - center| <= radius on the grid, row-major as a meshgrid
+        i, j = np.nonzero(np.sqrt((m0 - ball.center[0])[:, None] ** 2
+                                  + (m1 - ball.center[1])[None, :] ** 2) <= ball.radius)
+        pts = np.column_stack([m0[i], m1[j]])
         if pts.size == 0:
             pts = ball.center[None, :]
+    radial = _radial_form(w, 1.0)
+    if radial is not None:
+        # a radial weight is monotone in r = |x - center|, so its minimum over
+        # the nodes sits at the nearest or the farthest one
+        r = np.linalg.norm(pts - radial[0], axis=1)
+        pts = pts[[int(np.argmin(r)), int(np.argmax(r))]]
     return float(np.min(eval_weight_batch(w, pts, extended=True)))
 
 
@@ -444,8 +494,12 @@ def series_verdict(series) -> str:
     return "finite"
 
 
-def _estimate_over_family(label, per_ball, family, scheme, refine_steps):
-    """Max of a per-ball functional over the family, with a refinement series."""
+def _estimate_over_family(label, per_ball, family, scheme, refine_steps, lattice_free=False):
+    """Max of a per-ball functional over the family, with a refinement series.
+
+    A ``lattice_free`` functional (exact power means only) gives the same
+    value on every lattice, so its series repeats the first level.
+    """
     def sup_at(s):
         best, best_ball = -math.inf, None
         for ball in family:
@@ -458,56 +512,49 @@ def _estimate_over_family(label, per_ball, family, scheme, refine_steps):
 
     n = family.balls[0].dimension
     factor = 4 if n == 1 else 2
-    series = []
-    worst = None
+    val, worst = sup_at(scheme)
+    series = [val]
     current = scheme
-    for step in range(refine_steps + 1):
-        val, ball = sup_at(current)
+    while math.isfinite(val) and len(series) <= refine_steps:
+        if not lattice_free:
+            current = current.refined(factor)
+            val, _ = sup_at(current)
         series.append(val)
-        if step == 0:
-            worst = ball
-        if not math.isfinite(val):
-            break
-        current = current.refined(factor)
     verdict = series_verdict(series)
     return WeightClassReport(label, series[-1] if math.isfinite(series[-1]) else math.inf,
                              verdict, worst, series, len(family))
 
 
+def _ratio(log_num: float, log_den: float) -> float:
+    """num / den from their logarithms: +inf unless num < inf and 0 < den < inf."""
+    if log_num == math.inf or not math.isfinite(log_den):
+        return math.inf
+    return _exp(log_num - log_den)
+
+
+def _log_min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
+    lo = min_over_nodes(w, ball, scheme)
+    return math.log(lo) if lo > 0.0 else -math.inf
+
+
 def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3, memo=None) -> WeightClassReport:
+                         refine_steps: int = 3) -> WeightClassReport:
     """sup_B (average of w over B) / (min of w over the quadrature nodes of B).
 
-    Like every class estimator, it reads its power means through ``memo``
-    (see _memo_power_mean) when one is given for the weight."""
+    Like every class estimator, it forms its per-ball ratio from the
+    logarithms of ``power_mean``."""
     if scheme is None:
         scheme = default_scheme(w.dimension)
 
     def per_ball(ball, s):
-        avg = _memo_power_mean(w, 1.0, ball, s, memo)
-        lo = min_over_nodes(w, ball, s)
-        if lo == 0.0:
-            return math.inf
-        return avg / lo
+        return _ratio(power_mean(w, 1.0, ball, s, log=True), _log_min_over_nodes(w, ball, s))
 
     return _estimate_over_family("A_1", per_ball, family, scheme, refine_steps)
 
 
-def _memo_power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme, memo) -> float:
-    """power_mean(w, s, ball, scheme), looked up in ``memo`` (a dict for one
-    fixed weight, shared by the estimators of one run, or None for no
-    reuse).  Values are stored as computed, so reuse is exact."""
-    if memo is None:
-        return power_mean(w, s, ball, scheme)
-    key = (float(s), tuple(ball.center.tolist()), ball.radius, scheme)
-    if key not in memo:
-        memo[key] = power_mean(w, s, ball, scheme)
-    return memo[key]
-
-
 def estimate_Ap_constant(w, p: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3, memo=None) -> WeightClassReport:
+                         refine_steps: int = 3) -> WeightClassReport:
     """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1."""
     p = float(p)
     if p <= 1.0:
@@ -518,21 +565,19 @@ def estimate_Ap_constant(w, p: float, family: BallFamily,
 
     def per_ball(ball, s):
         try:
-            num = _memo_power_mean(w, 1.0, ball, s, memo)
-            den = _memo_power_mean(w, dual, ball, s, memo)
+            # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1)
+            return _ratio(power_mean(w, 1.0, ball, s, log=True),
+                          power_mean(w, dual, ball, s, log=True))
         except NotIntegrable:
             return math.inf
-        if not (math.isfinite(num) and den > 0.0 and math.isfinite(den)):
-            return math.inf
-        # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1)
-        return num / den
 
-    return _estimate_over_family(f"A_p(p={p:g})", per_ball, family, scheme, refine_steps)
+    return _estimate_over_family(f"A_p(p={p:g})", per_ball, family, scheme, refine_steps,
+                                 _is_radial(w))
 
 
 def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
                           scheme: QuadratureScheme | None = None,
-                          refine_steps: int = 3, memo=None) -> WeightClassReport:
+                          refine_steps: int = 3) -> WeightClassReport:
     """Two-exponent constant for the fractional maximal inequality.
 
     For p > 1: sup_B (avg w^q)^{1/q} (avg w^{-p'})^{1/p'}; for p = 1 the dual
@@ -546,25 +591,21 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
 
     def per_ball(ball, s):
         try:
-            left = _memo_power_mean(w, q, ball, s, memo)
+            left = power_mean(w, q, ball, s, log=True)
             if p > 1.0:
                 # (avg w^{-p'})^{1/p'} equals power_mean(w, -p')^{-1}
-                den = _memo_power_mean(w, -p / (p - 1.0), ball, s, memo)
-            else:
-                den = min_over_nodes(w, ball, s)
+                return _ratio(left, power_mean(w, -p / (p - 1.0), ball, s, log=True))
         except NotIntegrable:
             return math.inf
-        if not math.isfinite(left) or den <= 0.0 or not math.isfinite(den):
-            return math.inf
-        return left / den
+        return _ratio(left, _log_min_over_nodes(w, ball, s))
 
     return _estimate_over_family(f"A_pq(p={p:g},q={q:g})", per_ball, family, scheme,
-                                 refine_steps)
+                                 refine_steps, p > 1.0 and _is_radial(w))
 
 
 def estimate_RH_constant(w, s_exp: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3, memo=None) -> WeightClassReport:
+                         refine_steps: int = 3) -> WeightClassReport:
     """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w)."""
     s_exp = float(s_exp)
     if s_exp <= 1.0:
@@ -574,17 +615,13 @@ def estimate_RH_constant(w, s_exp: float, family: BallFamily,
 
     def per_ball(ball, s):
         try:
-            num = _memo_power_mean(w, s_exp, ball, s, memo)
+            num = power_mean(w, s_exp, ball, s, log=True)
         except NotIntegrable:
             return math.inf
-        if not math.isfinite(num):
-            return math.inf
-        den = _memo_power_mean(w, 1.0, ball, s, memo)
-        # the plain average underflows to 0 on small balls for huge exponents
-        return num / den if 0.0 < den < math.inf else math.inf
+        return _ratio(num, power_mean(w, 1.0, ball, s, log=True))
 
     return _estimate_over_family(f"RH_s(s={s_exp:g})", per_ball, family, scheme,
-                                 refine_steps)
+                                 refine_steps, _is_radial(w))
 
 
 # ---------------------------------------------------------------------------
@@ -611,28 +648,27 @@ class CriticalIndices:
 
 
 def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = None,
-                     tol: float = 1e-2, ap_cap: float = 256.0, rh_cap: float = 1024.0,
-                     refine_steps: int = 2, memo=None) -> CriticalIndices:
+                     tol: float = 1e-2, ap_cap: float = 256.0,
+                     rh_cap: float = 1024.0, refine_steps: int = 2) -> CriticalIndices:
     """Bisection on the finiteness verdicts of the A_p and RH estimators.
 
     Reports +inf for the reverse Holder index when no divergence shows up to
-    ``rh_cap`` (2^10 by default).  Each per-ball power mean is computed once
-    per call, or once per ``memo`` when the caller passes one: the bisection
-    steps share them (every A_p and RH step needs the plain average of w on
-    every ball).
+    ``rh_cap`` (2^10 by default).  For a radial weight every step reads
+    exact power means, carried as logarithms, so a probe at 2^10 neither
+    under- nor overflows on the smallest balls and each step evaluates one
+    lattice level (``_estimate_over_family``); other weights take the cell
+    rule at every level.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if scheme is None:
         scheme = default_scheme(w.dimension)
-    if memo is None:
-        memo = {}
 
     def ap_finite(p):
-        return estimate_Ap_constant(w, p, family, scheme, refine_steps, memo).verdict == "finite"
+        return estimate_Ap_constant(w, p, family, scheme, refine_steps).verdict == "finite"
 
     def rh_finite(s):
-        return estimate_RH_constant(w, s, family, scheme, refine_steps, memo).verdict == "finite"
+        return estimate_RH_constant(w, s, family, scheme, refine_steps).verdict == "finite"
 
     if ap_finite(1.0 + tol):
         q_val, q_br = 1.0, (1.0, 1.0 + tol)
@@ -686,18 +722,28 @@ def compatibility_sample(w, count: int = 256, extent: float = 8.0) -> np.ndarray
     return xs[keep]
 
 
-def check_matrix_compatibility(w, family: MatrixFamily, sample: np.ndarray | None = None) -> float:
-    """max over matrices and sample points of w(A_j x) / w(x)."""
+def check_matrix_compatibility(w, family: MatrixFamily, sample: np.ndarray | None = None):
+    """(max over matrices and sample points of w(A_j x) / w(x), its point x).
+
+    A ratio that is not a finite number (0/0 or t/0 where w under- or
+    overflows, as |x|^260 does near 0) makes the maximum +inf at the first
+    such point: the sample cannot confirm the bound there.
+    """
     if sample is None:
         sample = compatibility_sample(w)
     sample = np.atleast_2d(np.asarray(sample, dtype=float))
     base = eval_weight_batch(w, sample)
-    worst = 0.0
+    worst, point = 0.0, None
     for j in range(family.m):
-        mapped = sample @ family.matrices[j].T
-        vals = eval_weight_batch(w, mapped)
-        worst = max(worst, float(np.max(vals / base)))
-    return worst
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratios = eval_weight_batch(w, sample @ family.matrices[j].T) / base
+        bad = ~np.isfinite(ratios)
+        if np.any(bad):
+            return math.inf, sample[int(np.argmax(bad))]
+        k = int(np.argmax(ratios))
+        if ratios[k] > worst:
+            worst, point = float(ratios[k]), sample[k]
+    return worst, point
 
 
 @dataclass
@@ -769,5 +815,6 @@ def matrix_doubling_check(w, family: MatrixFamily, balls: BallFamily,
                                                  2.0 * big_m * ball.radius), s) / base
                    for j in range(family.m))
 
-    rep = _estimate_over_family("matrix doubling", per_ball, balls, scheme, refine_steps)
+    rep = _estimate_over_family("matrix doubling", per_ball, balls, scheme, refine_steps,
+                                _is_radial(w))
     return MatrixDoublingReport(rep.series[0], rep.series, rep.verdict == "finite", big_m)

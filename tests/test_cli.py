@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-from collections import Counter
 
 import pytest
 
@@ -148,38 +147,6 @@ def test_cli_weights_classify(tmp_path, capsys):
     assert (tmp_path / "out" / "weights-classify.json").exists()
 
 
-def test_cli_weights_classify_shares_power_means(tmp_path, monkeypatch):
-    """One classify run computes each (s, ball, scheme) power mean once across
-    all class estimators and the critical indices, and reports exactly what
-    the estimators give without reuse."""
-    import rieszkit.weights as wmod
-
-    cfg = _write(tmp_path, "w.json", _base_config(classify={
-        "classes": [{"kind": "A1"}, {"kind": "Ap", "p": 2.0},
-                    {"kind": "Apq", "p": 2.0, "q": 4.0}, {"kind": "RH", "s": 4.0}],
-        "family": {"centers": [[0.0], [1.0]], "k_min": -4, "k_max": 0},
-        "tol": 0.05}))
-    seen = Counter()
-    mean = wmod.power_mean
-
-    def counting(w_, s, ball, scheme=None):
-        seen[(float(s), tuple(ball.center.tolist()), ball.radius, scheme)] += 1
-        return mean(w_, s, ball, scheme)
-
-    def report(out):
-        assert main(["weights", "classify", "--config", cfg, "--out", str(out)]) == 0
-        with open(out / "weights-classify.json") as fh:
-            return json.load(fh)["report"]
-
-    monkeypatch.setattr(wmod, "power_mean", counting)
-    shared = report(tmp_path / "shared")
-    assert seen and max(seen.values()) == 1
-
-    monkeypatch.setattr(wmod, "_memo_power_mean",
-                        lambda w_, s, ball, scheme, memo: mean(w_, s, ball, scheme))
-    assert shared == report(tmp_path / "plain")
-
-
 def test_cli_sweep_anchor_values(tmp_path):
     out = tmp_path / "out"
     code = main(["operator", "sweep", "--config",
@@ -288,6 +255,14 @@ def test_cli_import_defers_scipy_integrate():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_defers_scipy_special():
+    """Nothing under src imports scipy.special (radial primitives need no
+    special function)."""
+    code = "import sys, rieszkit.cli; print('scipy.special' in sys.modules)"
+    out = _python("-c", code, check=True)
+    assert out.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("command, raw, field", [
     (["weights", "classify"],
      _base_config(classify={"classes": [{"kind": "Ap"}], "critical_indices": False}),
@@ -380,6 +355,20 @@ def test_cli_weight_above_ap_cap(tmp_path, command, extra, code):
     else:
         error = json.loads(out.stderr.strip().splitlines()[-1])
         assert (error["error"], error["item"]) == ("hypothesis", a_infinity)
+
+
+def test_cli_rh_index_above_cap_is_inf(tmp_path):
+    """|x|^260 is in RH_s for every s: its power means on the 2^-8 balls
+    (about 2^-2080) are carried as logarithms instead of underflowing to 0,
+    so the RH bisection reports "inf", not an index near 1."""
+    cfg = _write(tmp_path, "capped.json", {**_CAPPED, "classify": {
+        "classes": [{"kind": "RH", "s": 1024.0}], "critical_indices": True}})
+    assert main(["weights", "classify", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "weights-classify.json").read_text())["report"]
+    assert report["classes"][0]["verdict"] == "finite"
+    assert report["classes"][0]["constant"] >= 1.0
+    assert report["critical_indices"]["rh_critical"] == "inf"
+    assert report["critical_indices"]["rh_bracket"] == [1024.0, "inf"]
 
 
 def test_weights_log_classify_never_loads_scipy_integrate(tmp_path):

@@ -1,0 +1,82 @@
+"""Contract test of the parse stage: every mutation of a bundled config either
+loads or raises ConfigError (the CLI's exit 4), never any other exception."""
+
+import copy
+import json
+import math
+import os
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rieszkit.config import load_config
+from rieszkit.errors import ConfigError
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+BUNDLED = {}
+for _name in sorted(os.listdir(CONFIG_DIR)):
+    if _name.endswith(".json"):
+        with open(os.path.join(CONFIG_DIR, _name)) as _fh:
+            BUNDLED[_name] = json.load(_fh)
+
+# wrong types, out-of-range and non-finite numbers, points of the wrong
+# dimension, and a second dimension for the whole config
+VALUES = [None, True, "x", [], {}, 0, 1, 2, 3, -1, 10 ** 30, 0.5, -0.5, 1e300, -1e300,
+          math.nan, math.inf, -math.inf, [0.0, 0.0], [0.0, 0.0, 0.0], [[0.0]],
+          [[[1.0, 0.0], [0.0, 1.0]]], {"kind": "power"}, {"center": [0.0], "radius": 1.0}]
+
+
+def _paths(node, prefix=()):
+    """Every key or index path in a JSON tree, containers included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, prefix + (i,))
+
+
+def _mutate(cfg, pick: int, op: str, value):
+    paths = list(_paths(cfg))
+    path = paths[pick % len(paths)]
+    if not path:
+        return value if op == "replace" else cfg
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    node = parent[key]
+    if op == "drop":
+        del parent[key]
+    elif op == "replace":
+        parent[key] = copy.deepcopy(value)
+    elif op == "grow" and isinstance(node, list):
+        node.append(copy.deepcopy(node[-1]) if node else 0.0)
+    elif op == "shrink" and isinstance(node, list) and node:
+        node.pop()
+    return cfg
+
+
+MUTATION = st.tuples(st.integers(0, 10 ** 6), st.sampled_from(["drop", "replace", "grow", "shrink"]),
+                     st.sampled_from(VALUES))
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=300, deadline=2000, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(BUNDLED)), mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_bundled_configs_load_or_raise_config_error(config_dir, name, mutations):
+    cfg = copy.deepcopy(BUNDLED[name])
+    for pick, op, value in mutations:
+        cfg = _mutate(cfg, pick, op, value)
+    path = config_dir / name
+    path.write_text(json.dumps(cfg))
+    try:
+        load_config(str(path))
+    except ConfigError:
+        pass

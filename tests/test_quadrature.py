@@ -92,7 +92,7 @@ def test_radial_profile_cells_match_mpmath():
 
 
 def test_radial_profile_cells_from_zero_match_mpmath():
-    """Cells [0, v]: Gauss-Legendre near v, g^-(s+1) Gamma(s+1, g t) on the tail."""
+    """Cells [0, v]: log-space Gauss-Legendre panels out to the e**-46 tail."""
     worst = 0.0
     for s in _PROFILE_S:
         for e in _PROFILE_E:

@@ -1,7 +1,6 @@
 """Weight evaluation, class-constant estimates, critical indices, doubling."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +10,12 @@ from hypothesis import strategies as st
 from rieszkit import (Ball, LogExampleWeight, NotIntegrable, OutOfGrid,
                       PowerWeight, ProductPowerWeight, RegularGrid,
                       SingularPoint, TabulatedWeight, check_matrix_compatibility,
-                      critical_indices, doubling_check, dyadic_ball_family,
+                      critical_indices, default_ball_family, doubling_check,
+                      dyadic_ball_family,
                       estimate_A1_constant, estimate_Ap_constant,
                       estimate_Apq_constant, estimate_RH_constant, eval_weight,
-                      matrix_doubling_check, scalar_family, weight_power,
-                      weighted_measure)
+                      matrix_doubling_check, power_mean, scalar_family,
+                      weight_power, weighted_measure)
 from rieszkit.weights import (eval_weight_batch, weight_from_dict,
                               weight_to_dict)
 
@@ -147,7 +147,7 @@ def test_a1_log_example_weight(std_family):
     assert rep.constant >= 1.0
     # the log weight is radial, so reflections leave it invariant
     assert check_matrix_compatibility(LogExampleWeight(),
-                                      scalar_family([1.0, -1.0])) == pytest.approx(1.0)
+                                      scalar_family([1.0, -1.0]))[0] == pytest.approx(1.0)
 
 
 def test_a1_positive_power_diverges(std_family):
@@ -274,6 +274,33 @@ def test_critical_index_formula(a, std_family):
     assert idx.q_critical == pytest.approx(expected, abs=0.02)
 
 
+def test_critical_indices_rh_above_cap_is_inf(std_family):
+    """|x|^260: the plain averages on the 2^-8 balls (~2^-2080) stay finite
+    as logarithms, so no RH probe divides by an underflowed 0."""
+    idx = critical_indices(PowerWeight(260.0), std_family)
+    assert math.isinf(idx.q_critical)
+    assert math.isinf(idx.rh_critical) and idx.rh_bracket == (1024.0, math.inf)
+
+
+def test_critical_indices_in_dimension_two_rh_near_cap_of_circle():
+    """|x|^{-1/2} in the plane is in RH_s exactly for s < 4; the default
+    family has disks whose circle passes through the singular point, where
+    the last probes below 4 integrate r^(g-1) with g = 2 - s/2 close to 0."""
+    idx = critical_indices(PowerWeight(-0.5, dimension=2), default_ball_family(2))
+    lo, hi = idx.rh_bracket
+    assert lo <= 4.0 <= hi and hi - lo <= idx.tol
+    assert idx.q_bracket == (1.0, 1.0 + idx.tol)
+
+
+def test_critical_indices_in_dimension_two():
+    """|x|^{1/2} in the plane is in A_q exactly for q > 1 + a/n = 1.25."""
+    fam = dyadic_ball_family([[0.0, 0.0], [1.0, 0.0]], -4, 0)
+    idx = critical_indices(PowerWeight(0.5, dimension=2), fam)
+    lo, hi = idx.q_bracket
+    assert lo <= 1.25 <= hi and hi - lo <= idx.tol
+    assert math.isinf(idx.rh_critical)
+
+
 # ---------------------------------------------------------------------------
 # matrix compatibility and doubling
 # ---------------------------------------------------------------------------
@@ -281,11 +308,23 @@ def test_critical_index_formula(a, std_family):
 
 def test_matrix_compatibility_examples():
     fam = scalar_family([1.0, -1.0])
-    assert check_matrix_compatibility(PowerWeight(0.0), fam) == pytest.approx(1.0)
-    assert check_matrix_compatibility(PowerWeight(0.5), fam) == pytest.approx(1.0)
+    assert check_matrix_compatibility(PowerWeight(0.0), fam)[0] == pytest.approx(1.0)
+    assert check_matrix_compatibility(PowerWeight(0.5), fam)[0] == pytest.approx(1.0)
     # orthogonal matrices leave |x| invariant
     rot = MatrixFamilyRotation()
-    assert check_matrix_compatibility(PowerWeight(0.25, dimension=2), rot) == pytest.approx(1.0)
+    assert check_matrix_compatibility(PowerWeight(0.25, dimension=2), rot)[0] == pytest.approx(1.0)
+
+
+def test_matrix_compatibility_flags_non_finite_ratios():
+    """|x|^260 underflows to 0 near the origin, where w(-x) / w(x) is 0/0:
+    the sample cannot confirm the bound there, so the maximum is +inf at
+    that point instead of the NaN being skipped."""
+    w, fam = PowerWeight(260.0), scalar_family([1.0, -1.0])
+    worst, point = check_matrix_compatibility(w, fam)
+    assert worst == math.inf and eval_weight(w, point) == 0.0
+    # away from the underflow the same weight is compatible
+    sample = np.linspace(0.5, 2.0, 7)[:, None]
+    assert check_matrix_compatibility(w, fam, sample)[0] == pytest.approx(1.0)
 
 
 def MatrixFamilyRotation():
@@ -380,27 +419,137 @@ def test_rh_oracle_agrees(std_family):
     assert best == pytest.approx(RH4_EIGHTH_ORACLE, rel=1e-9)
 
 
-@pytest.mark.parametrize("exponent", [0.5, -0.125])  # A_p and RH bisections
-def test_critical_indices_reuses_power_means(exponent, monkeypatch, small_family,
-                                             fast_scheme):
-    """One critical_indices call computes every (s, ball, scheme) power mean
-    once, and returns exactly what the estimators give without reuse."""
-    import rieszkit.weights as wmod
+# ---------------------------------------------------------------------------
+# exact power means against mpmath
+# ---------------------------------------------------------------------------
 
-    w = PowerWeight(exponent)
-    seen = Counter()
-    mean = wmod.power_mean
 
-    def counting(w_, s, ball, scheme=None):
-        seen[(float(s), tuple(ball.center.tolist()), ball.radius, scheme)] += 1
-        return mean(w_, s, ball, scheme)
+def _mp_radial_primitive(e, sig, n, R):
+    """Integral of r^e L(r)^sig r^(n-1) over [0, R] (L = log 1/r below 1/e, 1 above)."""
+    import mpmath as mp
 
-    monkeypatch.setattr(wmod, "power_mean", counting)
-    reused = critical_indices(w, small_family, fast_scheme)
-    assert seen and max(seen.values()) == 1
+    R, g, knee = mp.mpf(R), mp.mpf(e) + n, mp.e ** -1
+    if sig == 0:
+        return R ** g / g
+    if R <= knee:
+        # t = log(1/r): integral of e^{-g t} t^sig over t > log(1/R)
+        return g ** (-sig - 1) * mp.gammainc(sig + 1, g * mp.log(1 / R))
+    return _mp_radial_primitive(e, sig, n, knee) + (R ** g - knee ** g) / g
 
-    monkeypatch.setattr(wmod, "_memo_power_mean",
-                        lambda w_, s, ball, scheme, memo: mean(w_, s, ball, scheme))
-    plain = critical_indices(w, small_family, fast_scheme)
-    assert reused.to_dict() == plain.to_dict()
-    assert reused == plain
+
+def _mp_ball_integral(e, sig, offset, rho):
+    """Integral over B(offset, rho) of P(|y|) = |y|^e L(|y|)^sig: on the line
+    by primitives, in the plane by the polar integral around the singular
+    point of F(R) = primitive(0, R), split where the circle of radius 1/e
+    crosses the ball boundary."""
+    import mpmath as mp
+
+    F = lambda R: _mp_radial_primitive(e, sig, len(offset), R)  # noqa: E731
+    rho = mp.mpf(rho)
+    if len(offset) == 1:
+        a, b = mp.mpf(offset[0]) - rho, mp.mpf(offset[0]) + rho
+        if a >= 0:
+            return F(b) - F(a)
+        if b <= 0:
+            return F(-a) - F(-b)
+        return F(-a) + F(b)
+    d = mp.sqrt(mp.mpf(offset[0]) ** 2 + mp.mpf(offset[1]) ** 2)
+    if d == 0:
+        return 2 * mp.pi * F(rho)
+    cut = (mp.e ** -2 + d * d - rho * rho) / (2 * mp.e ** -1 * d)
+    knee = [mp.acos(cut)] if -1 < cut < 1 else []
+
+    def chord(th, sign):
+        return d * mp.cos(th) + sign * mp.sqrt(max(rho ** 2 - (d * mp.sin(th)) ** 2, 0))
+
+    if d < rho:
+        near_pi = [mp.pi - mp.mpf(10) ** -k for k in range(1, 5)]
+        pts = sorted([mp.mpf(0)] + knee + near_pi + [mp.pi])
+        return 2 * mp.quad(lambda th: F(chord(th, 1)), pts)
+    if d == rho:
+        # the near chord end is the singular point itself; rounding noise
+        # there would weigh in as F(1e-31) ~ 1e-31^g / g for small g
+        pts = sorted([mp.mpf(0)] + knee + [mp.pi / 2])
+        return 2 * mp.quad(lambda th: F(chord(th, 1)), pts)
+    top = mp.asin(rho / d)
+    pts = sorted([mp.mpf(0)] + [k for k in knee if k < top] + [top])
+    return 2 * mp.quad(lambda th: F(chord(th, 1)) - F(max(chord(th, -1), 0)), pts)
+
+
+_MP_CASES = [
+    # (weight, s, center, radius): singular point at the center, on the
+    # boundary, just inside it (rho/d = 1.001, 1.1) and outside it
+    (PowerWeight(0.5), 1.0, [0.0], 1.0),
+    (PowerWeight(0.5), 1.0, [1.0], 1.001),
+    (PowerWeight(0.5), -1.9, [1.0], 1.0),
+    (PowerWeight(-0.125), 7.9, [1.0], 1.0 / 1.1),
+    (PowerWeight(260.0), 1.0, [0.0], 2.0 ** -8),
+    (PowerWeight(0.5), 1024.0, [0.5], 2.0 ** -8),
+    (LogExampleWeight(power=1.0), 1.0, [0.0], 0.25),
+    (LogExampleWeight(power=1.0, scale=3.0), -1.0, [0.5], 1.1 * 0.5),
+    (LogExampleWeight(power=1.0), 1024.0, [0.0], 2.0 ** -8),
+    (ProductPowerWeight(((0.5, (1.0,)),), scale=2.0), 2.0, [0.0], 1.1),
+    (PowerWeight(0.5, dimension=2), 1.0, [1.0, 0.0], 1.0),
+    (PowerWeight(0.5, dimension=2), 1.0, [1.0, 0.0], 1.001),
+    (PowerWeight(0.5, dimension=2), 1.0, [0.0, 1.0], 1.0 / 1.001),
+    (PowerWeight(0.5, dimension=2), -3.0, [1.0, 0.0], 1.1),
+    (PowerWeight(0.5, dimension=2), 1024.0, [1.0, 0.0], 1.0 / 1.1),
+    (PowerWeight(-1.5, dimension=2), 1.0, [0.0, -1.0], 1.0),
+    # a circle through the singular point just below the RH index 4 of
+    # |x|^{-1/2}: r^(g-1) with g = 0.005 decays only far below e**-700
+    (PowerWeight(-0.5, dimension=2), 3.99, [0.0, 1.0], 1.0),
+    (PowerWeight(-0.5, dimension=2), 3.99, [2.0 ** -8, 0.0], 2.0 ** -8),
+    (LogExampleWeight(dimension=2, power=1.0), 1.0, [0.3, 0.0], 0.3 * 1.001),
+    (LogExampleWeight(dimension=2, power=2.0), -1.0, [0.3, 0.0], 0.3 * 1.1),
+    (LogExampleWeight(dimension=2, power=1.0), 1.0, [1.0, 0.0], 1.0 / 1.1),
+    (LogExampleWeight(dimension=2, power=1.0), 1024.0, [0.0, 0.0], 0.2),
+    (LogExampleWeight(dimension=2, power=1.0), 16.0, [0.1, 0.0], 0.2),
+    (ProductPowerWeight(((-1.0, (0.5, 0.5)),), dimension=2, scale=0.5), 1.5,
+     [0.5, -0.5], 1.0),
+]
+
+
+@pytest.mark.parametrize("w, s, center, radius", _MP_CASES)
+def test_power_mean_matches_mpmath(w, s, center, radius):
+    """Radial power means are exact: within 1e-12 of 30-digit values, also
+    where the mean itself under- or overflows (compared as logarithms)."""
+    import mpmath as mp
+
+    from rieszkit.weights import _radial_form
+
+    mp.mp.dps = 30
+    c, profile, log_scale = _radial_form(w, s)
+    offset = (np.asarray(center) - c).tolist()
+    vol = 2 * mp.mpf(radius) if w.dimension == 1 else mp.pi * mp.mpf(radius) ** 2
+    integral = _mp_ball_integral(profile.exponent, profile.s, offset, radius)
+    exact = (log_scale + mp.log(integral / vol)) / s
+    ball = Ball(center, radius)
+    got = power_mean(w, s, ball, log=True)
+    assert abs(got - exact) <= 1e-12 * max(1.0, abs(float(exact)))
+    if abs(exact) < 700:
+        assert power_mean(w, s, ball) == pytest.approx(float(mp.e ** exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [PowerWeight(0.5, dimension=2), PowerWeight(-1.2, dimension=2),
+                               LogExampleWeight(dimension=2),
+                               LogExampleWeight(dimension=2, power=-2.0),
+                               ProductPowerWeight(((0.75, (0.5, 0.0)),), dimension=2),
+                               PowerWeight(0.5), LogExampleWeight(power=-1.0)])
+def test_min_over_nodes_matches_full_lattice(w):
+    """The lattice minimum of a radial weight, read at the nearest and the
+    farthest node only, equals the minimum over every node bit for bit."""
+    from rieszkit import QuadratureScheme, default_ball_family
+    from rieszkit.weights import min_over_nodes
+
+    def every_node(ball, scheme):
+        cells = 2 * scheme.resolution
+        axes = [np.linspace(c - ball.radius, c + ball.radius, cells + 1) for c in ball.center]
+        mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
+        pts = np.stack([g.ravel() for g in np.meshgrid(*mids, indexing="ij")], axis=1)
+        pts = pts[np.linalg.norm(pts - ball.center, axis=1) <= ball.radius]
+        return float(np.min(eval_weight_batch(w, pts, extended=True)))
+
+    for ball in default_ball_family(w.dimension):
+        for resolution in (16, 50):
+            scheme = QuadratureScheme(resolution=resolution)
+            assert min_over_nodes(w, ball, scheme) == every_node(ball, scheme)
