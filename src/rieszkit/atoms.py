@@ -23,13 +23,11 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from .errors import DegenerateProfile, HypothesisFailed
+from .errors import ConfigError, DegenerateProfile, HypothesisFailed
 from .geometry import Ball
 from .quadrature import QuadratureScheme, default_scheme, lebesgue_ball
-from .weights import (critical_indices, weight_from_dict, weight_to_dict,
-                      weighted_measure)
 from .operators import PolynomialProfile, SampledFunction, weighted_norm
-from .weights import PowerWeight
+from .weights import PowerWeight, critical_indices, weight_to_dict, weighted_measure
 
 A2_REL_TOL = 1e-8
 MOMENT_REL_TOL = 1e-10
@@ -218,13 +216,25 @@ class Atom:
                 "params": self.params.to_dict(), "seed": self.seed}
 
 
-def atom_from_record(rec: dict) -> Atom:
-    ball = Ball(rec["ball"]["center"], rec["ball"]["radius"])
-    prof = PolynomialProfile({tuple(k): v for k, v in rec["profile"]["coeffs"]})
-    pp = rec["params"]
-    params = AtomParams(pp["p"], pp["p0"], pp["d"], weight_from_dict(pp["weight"]),
-                        pp["dimension"])
-    return Atom(ball, prof, params, rec.get("seed"))
+def atom_from_record(rec: dict, path: str = "record") -> Atom:
+    """The atom of a manifest record; a malformed field raises ConfigError
+    naming its path under ``path``."""
+    # config imports verify, which imports this module
+    from .config import _ball_fields, _expect, _get, _integer, _number, build_weight
+
+    ppath = f"{path}.params"
+    pp = _get(rec, "params", path)
+    n = _integer(pp, "dimension", ppath)
+    _expect(n in (1, 2), f"{ppath}.dimension", "only dimensions 1 and 2 are supported")
+    ball = Ball(*_ball_fields(_get(rec, "ball", path), n, f"{path}.ball"))
+    coeffs = _get(_get(rec, "profile", path), "coeffs", f"{path}.profile")
+    weight = build_weight(_get(pp, "weight", ppath), n, path=f"{ppath}.weight")
+    p, p0, d = _number(pp, "p", ppath), _number(pp, "p0", ppath), _integer(pp, "d", ppath)
+    try:
+        return Atom(ball, PolynomialProfile({tuple(k): v for k, v in coeffs}),
+                    AtomParams(p, p0, d, weight, n), rec.get("seed"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(path, str(exc))
 
 
 def write_atom_manifest(atoms, path):
@@ -234,12 +244,21 @@ def write_atom_manifest(atoms, path):
 
 
 def read_atom_manifest(path):
+    """The atoms of a JSON-lines manifest; a missing file or a malformed line
+    raises ConfigError naming the line and field."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError("(manifest)", f"manifest file not found: {path}")
     out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(atom_from_record(json.loads(line)))
+    for i, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"manifest line {i}", f"invalid JSON: {exc}")
+            out.append(atom_from_record(rec, f"manifest line {i}"))
     return out
 
 

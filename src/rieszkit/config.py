@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, OutOfGrid
 from .geometry import (Ball, BallFamily, MatrixFamily, default_ball_family,
                        dyadic_ball_family)
 from .operators import ExponentProfile, SampledFunction, indicator, sampled_from_csv
@@ -75,17 +75,22 @@ def _list(block, key, path, default):
     return v
 
 
-def build_weight(block: dict, dimension: int, base_dir: str, path: str = "weight"):
+def build_weight(block: dict, dimension: int, base_dir: str = ".", path: str = "weight"):
+    """The weight of a config's weight block or of an atom manifest record
+    (as ``weights.weight_to_dict`` writes it): the one weight-block parser."""
     _expect(isinstance(block, dict), path, "expected an object")
+    _expect(block.get("dimension", dimension) == dimension, f"{path}.dimension",
+            f"must match the dimension {dimension}")
     kind = _get(block, "kind", path)
+    scale = _number(block, "scale", path, False, 1.0)
+    _expect(scale > 0.0, f"{path}.scale", "must be positive")
     if kind == "power":
         a = _number(block, "exponent", path)
         _expect(a > -dimension, f"{path}.exponent",
                 f"must exceed -{dimension} for local integrability")
-        return PowerWeight(a, dimension, _number(block, "scale", path, False, 1.0))
+        return PowerWeight(a, dimension, scale)
     if kind == "log_example":
-        return LogExampleWeight(dimension, _number(block, "power", path, False, 1.0),
-                                _number(block, "scale", path, False, 1.0))
+        return LogExampleWeight(dimension, _number(block, "power", path, False, 1.0), scale)
     if kind == "product_power":
         raw = _get(block, "factors", path)
         _expect(isinstance(raw, list) and raw, f"{path}.factors",
@@ -96,25 +101,40 @@ def build_weight(block: dict, dimension: int, base_dir: str, path: str = "weight
                     "expected [exponent, center]")
             a, c = item
             _point(c, dimension, f"{path}.factors[{i}][1]")
-            _expect(a > -dimension, f"{path}.factors[{i}][0]",
-                    f"must exceed -{dimension}")
+            _expect(_is_number(a) and a > -dimension, f"{path}.factors[{i}][0]",
+                    f"must be a number above -{dimension}")
             factors.append((float(a), tuple(float(v) for v in c)))
-        return ProductPowerWeight(tuple(factors), dimension,
-                                  _number(block, "scale", path, False, 1.0))
+        return ProductPowerWeight(tuple(factors), dimension, scale)
     if kind == "tabulated":
+        gpath = f"{path}.grid"
         gb = _get(block, "grid", path)
-        _expect(isinstance(gb, dict), f"{path}.grid", "expected an object")
-        grid = RegularGrid(tuple(gb.get("lo", ())), tuple(gb.get("hi", ())),
-                           tuple(gb.get("shape", ())))
-        _expect(grid.dimension == dimension, f"{path}.grid",
-                f"grid dimension {grid.dimension} != config dimension {dimension}")
+        _expect(isinstance(gb, dict), gpath, "expected an object")
+        lo = _point(_get(gb, "lo", gpath), dimension, f"{gpath}.lo")
+        hi = _point(_get(gb, "hi", gpath), dimension, f"{gpath}.hi")
+        _expect(all(h > l for l, h in zip(lo, hi)), f"{gpath}.hi",
+                "must exceed grid.lo in every coordinate")
+        shape = _get(gb, "shape", gpath)
+        _expect(isinstance(shape, list) and len(shape) == dimension
+                and all(isinstance(k, int) and not isinstance(k, bool) and k >= 1
+                        for k in shape),
+                f"{gpath}.shape", f"expected {dimension} positive integers")
+        grid = RegularGrid(tuple(lo), tuple(hi), tuple(shape))
         csv = _get(block, "csv", path, required=False)
         if csv is not None:
+            _expect(isinstance(csv, str), f"{path}.csv", "expected a path")
             full = csv if os.path.isabs(csv) else os.path.join(base_dir, csv)
             _expect(os.path.exists(full), f"{path}.csv", f"file not found: {full}")
-            return tabulated_from_csv(full, grid)
-        values = _get(block, "values", path)
-        return TabulatedWeight(grid, np.asarray(values, dtype=float))
+            try:
+                values = tabulated_from_csv(full, grid).values
+            except (ValueError, OutOfGrid) as exc:
+                raise ConfigError(f"{path}.csv", str(exc))
+        else:
+            values = _get(block, "values", path)
+            count = math.prod(shape)
+            _expect(isinstance(values, list) and len(values) == count
+                    and all(_is_number(v) and v > 0.0 for v in values),
+                    f"{path}.values", f"expected {count} finite positive numbers, row-major")
+        return TabulatedWeight(grid, np.asarray(values, dtype=float), scale)
     raise ConfigError(f"{path}.kind", f"unknown weight kind {kind!r}")
 
 

@@ -41,7 +41,6 @@ from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
 from .weights import eval_weight_batch, weight_singularities
 
 _SINGULAR_DIST = 1e-14
-_COINCIDE_TOL = 1e-12
 #: a point is far field when every preimage is this many radii from the centre
 FAR_FIELD_RATIO = 3.0
 #: degree at which the far-field series is truncated
@@ -271,24 +270,14 @@ def _kernel_rows(xs: np.ndarray, ys: np.ndarray, profile: ExponentProfile,
 
 def _kernel_singularities(x: np.ndarray, profile: ExponentProfile,
                           family: MatrixFamily, ball: Ball):
-    """Radial singularities in y of the kernel at fixed x, merged when the
-    preimages A_j^{-1} x coincide."""
-    groups = []
-    for j, a in enumerate(profile.alphas):
-        c = family.apply_inverse(j, x)
-        merged = False
-        for g in groups:
-            if np.linalg.norm(g[0] - c) <= _COINCIDE_TOL * max(1.0, float(np.linalg.norm(c))):
-                g[1] += a
-                merged = True
-                break
-        if not merged:
-            groups.append([c, a])
+    """Radial singularities in y of the kernel at fixed x: one per preimage
+    A_j^{-1} x near the ball (the quadrature merges coincident ones)."""
     sings = []
     margin = ball.radius * 0.5 + 1.0
-    for c, atot in groups:
+    for j, a in enumerate(profile.alphas):
+        c = family.apply_inverse(j, x)
         if np.linalg.norm(c - ball.center) <= ball.radius + margin:
-            sings.append(RadialSingularity(tuple(c), PowerProfile(-atot)))
+            sings.append(RadialSingularity(tuple(c), PowerProfile(-a)))
     return sings
 
 

@@ -80,14 +80,16 @@ def default_scheme(dimension: int) -> QuadratureScheme:
 
 _KNEE = math.exp(-1.0)
 
-# 8-point Gauss-Legendre rule mapped to [0, 1], from the correctly rounded
+# 16-point Gauss-Legendre rule mapped to [0, 1], from the correctly rounded
 # positive nodes and weights on [-1, 1] (no eigensolver call at import)
-_GL_HALF_X = np.array([0.1834346424956498, 0.525532409916329, 0.7966664774136267,
-                       0.9602898564975363])
-_GL_HALF_W = np.array([0.362683783378362, 0.31370664587788727, 0.22238103445337448,
-                       0.10122853629037626])
-_GL_X = 0.5 * (1.0 + np.concatenate([-_GL_HALF_X[::-1], _GL_HALF_X]))
-_GL_W = 0.5 * np.concatenate([_GL_HALF_W[::-1], _GL_HALF_W])
+_GL16_HALF_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                         0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                         0.9445750230732326, 0.9894009349916499])
+_GL16_HALF_W = np.array([0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
+                         0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
+                         0.062253523938647894, 0.027152459411754096])
+_GL16_X = 0.5 * (1.0 + np.concatenate([-_GL16_HALF_X[::-1], _GL16_HALF_X]))
+_GL16_W = 0.5 * np.concatenate([_GL16_HALF_W[::-1], _GL16_HALF_W])
 # cells per Gauss-Legendre batch: bounds the (cells x nodes) temporaries
 _CHUNK = 4096
 
@@ -99,7 +101,7 @@ class RadialProfile:
     With g = exponent + n it splits at the knee 1/e:
 
     * s == 0, or the part above the knee: (v**g - u**g) / g (log(v/u) at g == 0);
-    * a cell below the knee with u > 0: 8-point Gauss-Legendre in
+    * a cell below the knee with u > 0: 16-point Gauss-Legendre in
       t = log(1/r) (``_log_cells``, batched over cells, v**g factored out and
       the length taken by log1p, so thin cells subtract nothing); within
       1e-15 of 40-digit values;
@@ -230,27 +232,32 @@ def _log_cells(u: np.ndarray, v: np.ndarray, g: float, s: float) -> np.ndarray:
 
     In t = log(1/r) it is v**g times the integral of exp(-g tau) (t_v + tau)**s
     over tau in [0, log1p((v-u)/u)], t_v = log(1/v) >= 1, so thin cells
-    subtract nothing.  Panels of t-length 1/4 keep 8 nodes exact to ~1e-16 at
-    t = 1, where t**s bends most (length 1 loses 2.7e-9 there at s = -3.25).
+    subtract nothing.  Panels of t-length 1/2 keep 16 nodes exact to ~1e-16 at
+    t = 1, where t**s bends most.
     """
     t_v = -np.log(v)
     length = np.log1p((v - u) / u)
-    panels = np.maximum(np.ceil(4.0 * length), 1.0).astype(np.intp)
+    panels = np.maximum(np.ceil(2.0 * length), 1.0).astype(np.intp)
     cell = np.repeat(np.arange(u.size), panels)
     first = np.cumsum(panels) - panels
     h = (length / panels)[cell]
-    tau = ((np.arange(cell.size) - first[cell]) * h)[:, None] + h[:, None] * _GL_X
+    tau = ((np.arange(cell.size) - first[cell]) * h)[:, None] + h[:, None] * _GL16_X
     f = np.exp(-g * tau) * (t_v[cell][:, None] + tau) ** s
-    sums = np.bincount(cell, weights=h * (f @ _GL_W), minlength=u.size)
+    sums = np.bincount(cell, weights=h * (f @ _GL16_W), minlength=u.size)
     return v**g * sums
+
+
+def radial_profile(e: float, s: float) -> RadialProfile:
+    """The profile r**e L(r)**s as its most specific class (the benchmark
+    tracer wraps LogPowerProfile and ProductProfile by name)."""
+    if s == 0.0:
+        return PowerProfile(e)
+    return LogPowerProfile(s) if e == 0.0 else ProductProfile(e, s)
 
 
 def combine_profiles(a, b):
     """Product of two profiles at one point: exponents and log powers add."""
-    e, s = a.exponent + b.exponent, a.s + b.s
-    if s == 0.0:
-        return PowerProfile(e)
-    return LogPowerProfile(s) if e == 0.0 else ProductProfile(e, s)
+    return radial_profile(a.exponent + b.exponent, a.s + b.s)
 
 
 @dataclass(frozen=True)
@@ -265,7 +272,8 @@ class RadialSingularity:
 
 
 def _merge_coincident(active):
-    """Combine singularities at (numerically) the same point."""
+    """Combine singularities at (numerically) the same point, such as kernel
+    preimages that coincide: their exponents and log powers add."""
     merged = []
     for c, prof, rho in active:
         for k, (c2, prof2, rho2) in enumerate(merged):
@@ -295,17 +303,8 @@ def _shrink_overlaps(active, floor):
 # ---------------------------------------------------------------------------
 
 
-# 16-point Gauss-Legendre rule mapped to [0, 1], from the correctly rounded
-# positive nodes and weights on [-1, 1], and its cosine map
-# x -> (1 - cos(pi x)) / 2 for panels that end at a square-root endpoint
-_GL16_HALF_X = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-                         0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-                         0.9445750230732326, 0.9894009349916499])
-_GL16_HALF_W = np.array([0.1894506104550685, 0.18260341504492358, 0.16915651939500254,
-                         0.14959598881657674, 0.12462897125553388, 0.09515851168249279,
-                         0.062253523938647894, 0.027152459411754096])
-_GL16_X = 0.5 * (1.0 + np.concatenate([-_GL16_HALF_X[::-1], _GL16_HALF_X]))
-_GL16_W = 0.5 * np.concatenate([_GL16_HALF_W[::-1], _GL16_HALF_W])
+# the cosine map x -> (1 - cos(pi x)) / 2 of the 16-point rule, for panels
+# that end at a square-root endpoint
 _COS_X = 0.5 * (1.0 - np.cos(np.pi * _GL16_X))
 _COS_W = 0.5 * np.pi * np.sin(np.pi * _GL16_X) * _GL16_W
 # a march stops where the integrand has fallen by e**-46 (~1e-20) from its

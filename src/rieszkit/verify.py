@@ -29,11 +29,11 @@ from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
                         indicator, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
-from .weights import (STABILITY_FACTOR, ball_measure, check_matrix_compatibility,
-                      critical_indices, estimate_A1_constant, estimate_Ap_constant,
-                      estimate_Apq_constant, estimate_RH_constant, eval_weight_batch,
-                      power_mean, series_verdict, weight_power, weight_singularities,
-                      weight_to_dict, weighted_measure)
+from .weights import (STABILITY_FACTOR, PowerWeight, ball_measure,
+                      check_matrix_compatibility, critical_indices, estimate_A1_constant,
+                      estimate_Ap_constant, estimate_Apq_constant, estimate_RH_constant,
+                      eval_weight_batch, power_mean, radial_factors, series_verdict,
+                      weight_power, weight_singularities, weight_to_dict, weighted_measure)
 
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
@@ -585,16 +585,12 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         edges = _split_edges_at(edges, breakpoints)
         outer += integrate_cells_1d(integrand, edges, wsings)
 
-    # decay-form tail estimate beyond the truncation
+    # decay-form tail estimate beyond the truncation: w^s grows like |x|^wexp,
+    # the sum of the factors' power exponents (log factors are 1 out there)
     d = atom.params.d
     decay = e * (n + d + 1 - profile.alpha)
-    wexp = 0.0
-    from .weights import PowerWeight, ProductPowerWeight
-
-    if isinstance(norm_weight, PowerWeight):
-        wexp = norm_weight.exponent * sw
-    elif isinstance(norm_weight, ProductPowerWeight):
-        wexp = sum(a for a, _ in norm_weight.factors) * sw
+    radial = radial_factors(norm_weight)
+    wexp = sum(p.exponent for _, p in radial[1]) * sw if radial else 0.0
     tail_exp = -decay + wexp
     if tail_exp < -1.0:
         at_edge = float(np.abs(integrand(np.array([extent]))[0]))
@@ -734,8 +730,6 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
               / max(sum(r["inner"] + r["outer"] for r in rows), RATIO_FLOOR)}
     if kind == "thm-zero" and rows:
         # spot check: the zero-order operator maps the first atom into L^{p0}
-        from .weights import PowerWeight
-
         flat = PowerWeight(0.0, n)
         i0, o0, _ = _atom_norm_split(atoms[0], profile, family, flat, 1.0, spec.p0,
                                      spec, scheme)

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import HypothesisFailed, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point
-from .quadrature import (LogPowerProfile, PowerProfile, QuadratureScheme,
-                         RadialSingularity, default_scheme, integrate_ball,
-                         lebesgue_ball, log_ball_integral)
+from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
+                         integrate_ball, lebesgue_ball, log_ball_integral,
+                         radial_profile)
 
 _SING_TOL = 1e-14
 
@@ -178,87 +178,60 @@ def weight_to_dict(w) -> dict:
     raise TypeError(f"unsupported weight {type(w).__name__}")
 
 
-def weight_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "power":
-        return PowerWeight(d["exponent"], d.get("dimension", 1), d.get("scale", 1.0))
-    if kind == "log_example":
-        return LogExampleWeight(d.get("dimension", 1), d.get("power", 1.0),
-                                d.get("scale", 1.0))
-    if kind == "product_power":
-        return ProductPowerWeight(tuple((a, tuple(c)) for a, c in d["factors"]),
-                                  d.get("dimension", 1), d.get("scale", 1.0))
-    if kind == "tabulated":
-        grid = RegularGrid(tuple(d["grid"]["lo"]), tuple(d["grid"]["hi"]),
-                           tuple(d["grid"]["shape"]))
-        return TabulatedWeight(grid, np.asarray(d["values"]), d.get("scale", 1.0))
-    raise ValueError(f"unknown weight kind {kind!r}")
+def radial_factors(w):
+    """w as (scale, [(center, profile)]) with w(x) = scale * prod P(|x - center|)
+    over the factors whose profile P is not constant; None for a tabulated w.
 
-
-def _singular_centers(w):
-    """Centers where the analytic form has a pole or zero, with exponents."""
+    This is the one place that tells the analytic weight kinds apart: a
+    power is r**a, the log example log(1/r)**power below the knee, and a
+    product weight one power per center.
+    """
+    n = w.dimension
     if isinstance(w, PowerWeight):
-        if w.exponent == 0.0:
-            return []
-        return [(np.zeros(w.dimension), w.exponent)]
-    if isinstance(w, LogExampleWeight):
-        return [(np.zeros(w.dimension), None)]
-    if isinstance(w, ProductPowerWeight):
-        return [(np.asarray(c), a) for a, c in w.factors if a != 0.0]
-    return []
+        raw = [(np.zeros(n), w.exponent, 0.0)]
+    elif isinstance(w, LogExampleWeight):
+        raw = [(np.zeros(n), 0.0, w.power)]
+    elif isinstance(w, ProductPowerWeight):
+        raw = [(np.asarray(c), a, 0.0) for a, c in w.factors]
+    else:
+        return None
+    return w.scale, [(c, radial_profile(e, s)) for c, e, s in raw if e != 0.0 or s != 0.0]
+
+
+def _profile_power(profile, t: float):
+    """P**t as a profile."""
+    return radial_profile(profile.exponent * t, profile.s * t)
 
 
 def eval_weight_batch(w, pts, extended: bool = False) -> np.ndarray:
     """Vectorized weight evaluation on points of shape (N, n).
 
     With ``extended=False`` an exact hit on a pole/zero raises SingularPoint;
-    with ``extended=True`` the limit value (0 or +inf) is returned instead,
-    which is what essential-infimum surrogates want.
+    with ``extended=True`` the limit value (0 at a zero, +inf at a pole) is
+    returned instead, which is what essential-infimum surrogates want.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != w.dimension:
         raise ValueError(f"points must have shape (N, {w.dimension})")
-    if isinstance(w, PowerWeight):
-        r = np.linalg.norm(pts, axis=1)
+    radial = radial_factors(w)
+    if radial is None:
+        return w.scale * w.values[w.grid.cell_index(pts)]
+    scale, factors = radial
+    out = np.full(pts.shape[0], float(scale))
+    for c, prof in factors:
+        r = np.linalg.norm(pts - c, axis=1)
         hit = r < _SING_TOL
-        if np.any(hit) and w.exponent != 0.0:
-            if not extended:
-                raise SingularPoint("power weight evaluated at its singular center")
-            safe = np.where(hit, 1.0, r)
-            out = w.scale * safe**w.exponent
-            out[hit] = 0.0 if w.exponent > 0 else math.inf
-            return out
-        return w.scale * r**w.exponent if w.exponent != 0.0 else np.full(r.shape, w.scale)
-    if isinstance(w, LogExampleWeight):
-        r = np.linalg.norm(pts, axis=1)
-        hit = r < _SING_TOL
-        if np.any(hit):
-            if not extended:
-                raise SingularPoint("log-example weight evaluated at the origin")
-        safe = np.where(hit, 1.0, r)
-        base = np.where(safe < math.exp(-1.0), np.log(1.0 / safe), 1.0)
-        out = w.scale * base**w.power
-        out[hit] = math.inf if w.power > 0 else 0.0
-        return out
-    if isinstance(w, ProductPowerWeight):
-        out = np.full(pts.shape[0], w.scale)
-        for a, c in w.factors:
-            r = np.linalg.norm(pts - np.asarray(c), axis=1)
-            hit = r < _SING_TOL
-            if np.any(hit) and a != 0.0:
-                if not extended:
-                    raise SingularPoint("product weight evaluated at a factor center")
-                safe = np.where(hit, 1.0, r)
-                fac = safe**a
-                fac[hit] = 0.0 if a > 0 else math.inf
-                out = out * fac
-            else:
-                out = out * r**a if a != 0.0 else out
-        return out
-    if isinstance(w, TabulatedWeight):
-        idx = w.grid.cell_index(pts)
-        return w.scale * w.values[idx]
-    raise TypeError(f"unsupported weight {type(w).__name__}")
+        if not np.any(hit):
+            out = out * prof.value(r)
+            continue
+        if not extended:
+            raise SingularPoint(f"weight evaluated at its singular point {c.tolist()}")
+        vals = prof.value(np.where(hit, 1.0, r))
+        # r**e L(r)**s tends to 0 (a zero) or +inf (a pole) at the center
+        pole = prof.exponent < 0.0 or (prof.exponent == 0.0 and prof.s > 0.0)
+        vals[hit] = math.inf if pole else 0.0
+        out = out * vals
+    return out
 
 
 def eval_weight(w, x) -> float:
@@ -287,49 +260,33 @@ def weight_singularities(w, s: float = 1.0):
     Powers with exponent >= 1 are C^1 at their center and need no patch;
     only poles and nonsmooth zeros (exponent below 1) are registered.
     """
+    radial = radial_factors(w)
     sings = []
-    if isinstance(w, PowerWeight):
-        e = w.exponent * s
-        if e != 0.0 and e < 1.0:
-            sings.append(RadialSingularity(tuple(np.zeros(w.dimension)), PowerProfile(e)))
-    elif isinstance(w, LogExampleWeight):
-        e = w.power * s
-        if e != 0.0:
-            sings.append(RadialSingularity(tuple(np.zeros(w.dimension)), LogPowerProfile(e)))
-    elif isinstance(w, ProductPowerWeight):
-        for a, c in w.factors:
-            e = a * s
-            if e != 0.0 and e < 1.0:
-                sings.append(RadialSingularity(tuple(c), PowerProfile(e)))
+    for c, prof in radial[1] if radial else ():
+        p = _profile_power(prof, s)
+        if p.s != 0.0 or (p.exponent != 0.0 and p.exponent < 1.0):
+            sings.append(RadialSingularity(tuple(c), p))
     return sings
-
-
-def _check_power_integrable(w, s: float):
-    if isinstance(w, PowerWeight):
-        if w.exponent * s <= -w.dimension:
-            raise NotIntegrable(
-                f"|x|^{w.exponent * s:g} is not locally integrable in dimension {w.dimension}")
-    if isinstance(w, ProductPowerWeight):
-        for a, _ in w.factors:
-            if a * s <= -w.dimension:
-                raise NotIntegrable(
-                    f"|x - c|^{a * s:g} is not locally integrable in dimension {w.dimension}")
 
 
 def _radial_form(w, s: float):
     """(center, P, log(scale**s)) when w**s = scale**s * P(|x - center|) for
-    one radial profile P: power and log weights and product weights with one
-    factor.  None for tabulated and multi-factor product weights."""
-    if isinstance(w, PowerWeight):
-        return np.zeros(w.dimension), PowerProfile(w.exponent * s), s * math.log(w.scale)
-    if isinstance(w, LogExampleWeight):
-        return np.zeros(w.dimension), LogPowerProfile(w.power * s), s * math.log(w.scale)
-    if isinstance(w, ProductPowerWeight):
-        live = [(a, c) for a, c in w.factors if a != 0.0] or [(0.0, w.factors[0][1])]
-        if len(live) == 1:
-            a, c = live[0]
-            return np.asarray(c), PowerProfile(a * s), s * math.log(w.scale)
-    return None
+    one radial profile P (at most one non-constant factor).  None for
+    tabulated and multi-factor product weights.  Raises NotIntegrable when a
+    factor of w**s is not locally integrable."""
+    radial = radial_factors(w)
+    if radial is None:
+        return None
+    scale, factors = radial
+    powered = [(c, _profile_power(prof, s)) for c, prof in factors]
+    for c, p in powered:
+        if not p.integrable(w.dimension):
+            raise NotIntegrable(f"w^{s:g} has the factor {p!r} at {c.tolist()}, which is not "
+                                f"locally integrable in dimension {w.dimension}")
+    if len(powered) > 1:
+        return None
+    center, p = powered[0] if powered else (np.zeros(w.dimension), radial_profile(0.0, 0.0))
+    return center, p, s * math.log(scale)
 
 
 def _is_radial(w) -> bool:
@@ -344,7 +301,8 @@ def _exp(x: float) -> float:
 
 
 def _log_integral(w, s: float, ball: Ball, scheme: QuadratureScheme | None) -> float:
-    """log of the integral of w**s over the ball.
+    """log of the integral of w**s over the ball (NotIntegrable when w**s is
+    not locally integrable).
 
     A radial w**s is integrated exactly (``log_ball_integral``).  Otherwise
     the cell rule integrates (w / c)**s, c the maximum of w on a probe
@@ -379,9 +337,7 @@ def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = 
     factors integrated exactly on the cells around their centers.  It reads
     the same integral as ``power_mean``.
     """
-    s = float(s)
-    _check_power_integrable(w, s)
-    return _exp(_log_integral(w, s, ball, scheme))
+    return _exp(_log_integral(w, float(s), ball, scheme))
 
 
 def ball_measure(w, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
@@ -408,7 +364,6 @@ def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
     s = float(s)
     if s == 0.0:
         raise ValueError("power mean needs a nonzero exponent")
-    _check_power_integrable(w, s)
     mean = (_log_integral(w, s, ball, scheme) - math.log(ball_measure(w, ball, scheme))) / s
     return mean if log else _exp(mean)
 
@@ -717,7 +672,8 @@ def compatibility_sample(w, count: int = 256, extent: float = 8.0) -> np.ndarray
         X, Y = np.meshgrid(g, g, indexing="ij")
         xs = np.column_stack([X.ravel(), Y.ravel()])
     keep = np.ones(xs.shape[0], dtype=bool)
-    for c, _ in _singular_centers(w):
+    radial = radial_factors(w)
+    for c, _ in radial[1] if radial else ():
         keep &= np.linalg.norm(xs - c, axis=1) > 1e-6
     return xs[keep]
 

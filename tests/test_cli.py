@@ -263,6 +263,9 @@ def test_cli_import_defers_scipy_special():
     assert out.stdout.strip() == "False"
 
 
+_GRID = {"lo": [-1.0], "hi": [1.0], "shape": [2]}
+
+
 @pytest.mark.parametrize("command, raw, field", [
     (["weights", "classify"],
      _base_config(classify={"classes": [{"kind": "Ap"}], "critical_indices": False}),
@@ -310,19 +313,58 @@ def test_cli_import_defers_scipy_special():
      _base_config(quadrature={"resolution": 64, "patch_cells": 4},
                   classify={"classes": [{"kind": "A1"}], "critical_indices": False}),
      "quadrature.patch_cells"),
+    (["verify"], _base_config(weight={"kind": "power", "exponent": 0.5, "scale": 0.0}),
+     "weight.scale"),
+    (["verify"], _base_config(weight={"kind": "log_example", "scale": -1.0}), "weight.scale"),
+    (["verify"], _base_config(weight={"kind": "tabulated", "grid": _GRID,
+                                      "values": [1.0, -2.0]}), "weight.values"),
+    (["verify"], _base_config(weight={"kind": "tabulated", "grid": _GRID,
+                                      "values": [1.0, 0.0]}), "weight.values"),
+    (["verify"], _base_config(weight={"kind": "tabulated", "grid": {**_GRID, "hi": [-1.0]},
+                                      "values": [1.0, 2.0]}), "weight.grid.hi"),
+    (["verify"], _base_config(weight={"kind": "product_power", "factors": [["a", [0.0]]]}),
+     "weight.factors[0][0]"),
+    (["verify"], _base_config(weight={"kind": "power", "exponent": 0.5, "dimension": 2}),
+     "weight.dimension"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
-        "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells"])
+        "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells",
+        "weight-power-scale-0", "weight-log-scale-negative", "weight-tabulated-negative-value",
+        "weight-tabulated-zero-value", "weight-tabulated-hi-below-lo",
+        "weight-product-exponent-string", "weight-dimension-mismatch"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
-    """Malformed class and check parameters are config errors (exit 4) naming
-    the field, not tracebacks (exit 1)."""
+    """Malformed weight blocks, class and check parameters are config errors
+    (exit 4) naming the field, not tracebacks (exit 1)."""
     cfg = _write(tmp_path, "bad.json", raw)
     out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
                   "--out", str(tmp_path / "out"))
     assert out.returncode == 4, out.stderr
     error = json.loads(out.stderr.strip().splitlines()[-1])
     assert error["error"] == "config" and error["path"] == field
+
+
+def test_cli_atoms_validate_bad_manifest_exit_4(tmp_path):
+    """A manifest record without ball.radius, and a manifest that does not
+    exist, are config errors (exit 4) naming the line and field."""
+    from rieszkit import AtomParams, Ball, PowerWeight, construct_atom, write_atom_manifest
+
+    params = AtomParams(1.0, 2.0, 0, PowerWeight(0.5), 1)
+    manifest = tmp_path / "atoms.jsonl"
+    write_atom_manifest([construct_atom(Ball([0.0], r), params, 1) for r in (0.5, 1.0)],
+                        manifest)
+    lines = manifest.read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["ball"]["radius"]
+    manifest.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+    cfg = _write(tmp_path, "atoms.json", _base_config(atom={"p": 1.0, "p0": 2.0, "d": 0}))
+    for path, field in ((manifest, "manifest line 2.ball.radius"),
+                        (tmp_path / "missing.jsonl", "(manifest)")):
+        out = _python("-m", "rieszkit.cli", "atoms", "validate", "--config", cfg,
+                      "--out", str(tmp_path / "out"), "--manifest", str(path))
+        assert out.returncode == 4, out.stderr
+        error = json.loads(out.stderr.strip().splitlines()[-1])
+        assert error["error"] == "config" and error["path"] == field
 
 
 _CAPPED = _base_config(weight={"kind": "power", "exponent": 260.0},

@@ -16,8 +16,8 @@ from rieszkit import (Ball, LogExampleWeight, NotIntegrable, OutOfGrid,
                       estimate_Apq_constant, estimate_RH_constant, eval_weight,
                       matrix_doubling_check, power_mean, scalar_family,
                       weight_power, weighted_measure)
-from rieszkit.weights import (eval_weight_batch, weight_from_dict,
-                              weight_to_dict)
+from rieszkit.config import build_weight
+from rieszkit.weights import eval_weight_batch, weight_to_dict
 
 # frozen oracle values (see the oracle implementations further down)
 LOG_MEASURE_ORACLE = 1.471517480466384       # 1e6-node midpoint + analytic center cell
@@ -45,6 +45,37 @@ def test_eval_rejects_singular_points():
         eval_weight(LogExampleWeight(), [0.0])
     # the constant weight has no singular point
     assert eval_weight(PowerWeight(0.0), [0.0]) == 1.0
+
+
+@pytest.mark.parametrize("w, center, limit", [
+    (PowerWeight(0.5, scale=2.0), [0.0], 0.0),
+    (PowerWeight(-0.5), [0.0], math.inf),
+    (LogExampleWeight(power=1.0), [0.0], math.inf),
+    (LogExampleWeight(power=-2.0, scale=3.0), [0.0], 0.0),
+    (ProductPowerWeight(((0.5, (1.0,)), (-0.25, (-1.0,))), scale=2.0), [1.0], 0.0),
+    (ProductPowerWeight(((0.5, (1.0,)), (-0.25, (-1.0,)))), [-1.0], math.inf),
+    (PowerWeight(-0.5, dimension=2), [0.0, 0.0], math.inf),
+    (ProductPowerWeight(((0.75, (0.5, 0.0)),), dimension=2), [0.5, 0.0], 0.0),
+], ids=["power-zero", "power-pole", "log-pole", "log-zero", "product-zero",
+        "product-pole", "power-2d-pole", "product-2d-zero"])
+def test_eval_limit_at_each_center(w, center, limit):
+    """At a center the extended value is the limit (0 at a zero, +inf at a
+    pole); next to it the weight is finite and positive, on its way there."""
+    pts = np.array([center, np.add(center, 1e-9), np.add(center, 1e-3)])
+    vals = eval_weight_batch(w, pts, extended=True)
+    assert vals[0] == limit
+    assert np.all((0.0 < vals[1:]) & (vals[1:] < math.inf))
+    assert (vals[1] > vals[2]) == (limit == math.inf)
+    with pytest.raises(SingularPoint):
+        eval_weight(w, center)
+
+
+def test_log_example_power_zero_is_constant():
+    """log(1/|x|)^0 is the constant weight: no singular point anywhere."""
+    w = LogExampleWeight(power=0.0, scale=3.0)
+    assert eval_weight(w, [0.0]) == 3.0
+    pts = np.array([[0.0], [0.1], [5.0]])
+    assert eval_weight_batch(w, pts, extended=True).tolist() == [3.0, 3.0, 3.0]
 
 
 def test_power_weight_integrability_guard():
@@ -86,13 +117,16 @@ def test_apq_ess_inf_branch(std_family, fast_scheme):
 
 
 def test_weight_serialization_roundtrip():
-    for w in (PowerWeight(0.5), LogExampleWeight(power=2.0),
-              ProductPowerWeight(((0.5, (1.0,)), (-0.25, (-1.0,)))),
-              TabulatedWeight(RegularGrid((-1.0,), (1.0,), (4,)),
-                              np.array([1.0, 2.0, 3.0, 4.0]))):
-        back = weight_from_dict(weight_to_dict(w))
+    """weight_to_dict is read back by the config parser, scale included."""
+    grid = RegularGrid((-1.0,), (1.0,), (4,))
+    for w in (PowerWeight(0.5), PowerWeight(-0.25, scale=2.5), LogExampleWeight(power=2.0),
+              ProductPowerWeight(((0.5, (1.0,)), (-0.25, (-1.0,))), scale=0.5),
+              TabulatedWeight(grid, np.array([1.0, 2.0, 3.0, 4.0])),
+              TabulatedWeight(grid, np.array([1.0, 2.0, 3.0, 4.0]), scale=3.0)):
+        back = build_weight(weight_to_dict(w), w.dimension)
+        assert weight_to_dict(back) == weight_to_dict(w)
         xs = np.array([[0.3], [-0.7]])
-        assert np.allclose(eval_weight_batch(w, xs), eval_weight_batch(back, xs))
+        assert np.array_equal(eval_weight_batch(w, xs), eval_weight_batch(back, xs))
 
 
 # ---------------------------------------------------------------------------
