@@ -162,6 +162,11 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
     if name in ("theorem-thm1", "theorem-ta"):
         if cfg.exponents is None or cfg.matrices is None or cfg.campaign is None:
             raise ConfigError("checks", f"{name} needs matrices, exponents and a campaign")
+        if cfg.dimension != 1:
+            raise ConfigError("dimension", f"{name} is implemented on the line")
+        if (cfg.exponents.alpha == 0.0) != (name == "theorem-thm1"):
+            raise ConfigError("exponents.alpha", "theorem-thm1 needs alpha = 0 and "
+                              "theorem-ta needs alpha > 0")
         kind = "thm-zero" if name == "theorem-thm1" else "thm-positive"
         spec = _with_seed(cfg.campaign, seed)
         return run_theorem_campaign(kind, cfg.weight, cfg.exponents, cfg.matrices,
@@ -273,6 +278,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         out_dir = args.out or os.path.join(cfg.base_dir, cfg.output_dir)
         seed = args.seed if args.seed is not None else cfg.seed
+        if seed is not None and seed < 0:
+            raise ConfigError("--seed", "must be a nonnegative integer")
         if args.command == "weights":
             return cmd_weights_classify(cfg, out_dir)
         if args.command == "operator":

@@ -25,6 +25,14 @@ from .weights import (LogExampleWeight, PowerWeight, ProductPowerWeight,
                       RegularGrid, TabulatedWeight, tabulated_from_csv)
 
 SCHEMA_VERSION = 1
+# work budget: a config asking for more atoms or samples, sweep points, cells
+# or octaves than this is refused (exit 4) instead of running for days or
+# failing to allocate
+MAX_COUNT = 10**6
+MAX_SWEEP_POINTS = 10**5
+MAX_RESOLUTION = {1: 2**20, 2: 2**10}
+MAX_CAMPAIGN_RESOLUTION = 2**16
+MAX_OUTER_OCTAVES = 64
 
 KNOWN_CHECKS = (
     "theorem-thm1", "theorem-ta", "pointwise-atom-bound", "containment-step",
@@ -65,6 +73,13 @@ def _integer(block, key, path, required=True, default=None):
     _expect(isinstance(v, int) and not isinstance(v, bool),
             f"{path}.{key}", f"expected an integer, got {type(v).__name__}")
     return int(v)
+
+
+def _bounded(block, key, path, default, lo, hi):
+    """An optional integer in [lo, hi]."""
+    v = _integer(block, key, path, False, default)
+    _expect(lo <= v <= hi, f"{path}.{key}", f"must lie in [{lo}, {hi}]")
+    return v
 
 
 def _list(block, key, path, default):
@@ -187,7 +202,8 @@ def build_quadrature(block: dict | None, dimension: int, path: str = "quadrature
     base = default_scheme(dimension)
     try:
         return QuadratureScheme(
-            resolution=_integer(block, "resolution", path, False, base.resolution),
+            resolution=_bounded(block, "resolution", path, base.resolution, 16,
+                                MAX_RESOLUTION[dimension]),
             tol=_number(block, "tol", path, False, base.tol))
     except ValueError as exc:
         raise ConfigError(path, str(exc))
@@ -274,9 +290,8 @@ def validate_check(item: dict, dimension: int, path: str) -> dict:
         out.update(p=p, alpha=alpha)
     elif name == "containment-step":
         ball = _get(item, "ball", path, False, {"center": [1.0] * dimension, "radius": 0.1})
-        count = _integer(item, "count", path, False, 200)
-        _expect(count >= 1, f"{path}.count", "must be at least 1")
-        out.update(ball=Ball(*_ball_fields(ball, dimension, f"{path}.ball")), count=count)
+        out.update(ball=Ball(*_ball_fields(ball, dimension, f"{path}.ball")),
+                   count=_bounded(item, "count", path, 200, 1, MAX_COUNT))
     elif name == "critical-index-chain":
         p = _number(item, "p", path, False, 0.5)
         q = _number(item, "q", path, False, None)
@@ -346,17 +361,19 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
     radii = _list(block, "radii", path, [0.25, 1.0, 4.0])
     _expect(radii and all(_is_number(r) and r > 0.0 for r in radii), f"{path}.radii",
             "expected a nonempty list of positive radii")
-    count = _integer(block, "count", path, False, 50)
-    _expect(count >= 1, f"{path}.count", "must be at least 1")
+    seed = _integer(block, "seed", path, False, 0)
+    _expect(seed >= 0, f"{path}.seed", "must be a nonnegative integer")
     return CampaignSpec(
-        count=count,
-        seed=_integer(block, "seed", path, False, 0),
+        count=_bounded(block, "count", path, 50, 1, MAX_COUNT),
+        seed=seed,
         centers=tuple(tuple(float(v) for v in c) for c in centers),
         radii=tuple(float(r) for r in radii),
         p=p, p0=p0, s=_number(block, "s", path, False, None), d=d,
-        outer_octaves=_integer(block, "outer_octaves", path, False, 8),
-        inner_resolution=_integer(block, "inner_resolution", path, False, 256),
-        outer_resolution=_integer(block, "outer_resolution", path, False, 64))
+        outer_octaves=_bounded(block, "outer_octaves", path, 8, 0, MAX_OUTER_OCTAVES),
+        inner_resolution=_bounded(block, "inner_resolution", path, 256, 1,
+                                  MAX_CAMPAIGN_RESOLUTION),
+        outer_resolution=_bounded(block, "outer_resolution", path, 64, 1,
+                                  MAX_CAMPAIGN_RESOLUTION))
 
 
 def build_function(block: dict, dimension: int, base_dir: str, path: str) -> SampledFunction:
@@ -453,8 +470,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         x_min = _number(item, "x_min", path_i)
         x_max = _number(item, "x_max", path_i)
         _expect(x_max > x_min, f"{path_i}.x_max", "must exceed x_min")
-        points = _integer(item, "points", path_i, False, 101)
-        _expect(points >= 2, f"{path_i}.points", "need at least 2 points")
+        points = _bounded(item, "points", path_i, 101, 2, MAX_SWEEP_POINTS)
         sweeps.append({"name": name, "function": fn, "x_min": x_min,
                        "x_max": x_max, "points": points})
 
@@ -466,9 +482,11 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     _expect(isinstance(out_block, dict), "output", "expected an object")
     _expect(isinstance(out_block.get("dir", "out"), str), "output.dir", "expected a path")
 
+    seed = _integer(raw, "seed", "(root)", False, None)
+    _expect(seed is None or seed >= 0, "seed", "must be a nonnegative integer")
     return RunConfig(
         dimension=n, weight=weight, quadrature=scheme, raw=raw, base_dir=base_dir,
-        seed=_integer(raw, "seed", "(root)", False, None),
+        seed=seed,
         matrices=matrices, exponents=exponents, campaign=campaign,
         checks=checks, sweeps=sweeps,
         classify_block=classify_block,

@@ -23,7 +23,7 @@ from .errors import HypothesisFailed, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point
 from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
-                         radial_profile)
+                         merge_coincident, radial_profile)
 
 _SING_TOL = 1e-14
 
@@ -68,7 +68,7 @@ class LogExampleWeight:
 
 @dataclass(frozen=True)
 class ProductPowerWeight:
-    """w(x) = scale * prod_i |x - c_i|^{a_i} with distinct centers c_i."""
+    """w(x) = scale * prod_i |x - c_i|^{a_i}; factors at one center multiply."""
 
     factors: tuple  # of (exponent, center) pairs
     dimension: int = 1
@@ -184,7 +184,8 @@ def radial_factors(w):
 
     This is the one place that tells the analytic weight kinds apart: a
     power is r**a, the log example log(1/r)**power below the knee, and a
-    product weight one power per center.
+    product weight one power per center.  Factors at coincident centers are
+    merged by the quadrature's rule, so their exponents add.
     """
     n = w.dimension
     if isinstance(w, PowerWeight):
@@ -195,7 +196,8 @@ def radial_factors(w):
         raw = [(np.asarray(c), a, 0.0) for a, c in w.factors]
     else:
         return None
-    return w.scale, [(c, radial_profile(e, s)) for c, e, s in raw if e != 0.0 or s != 0.0]
+    factors = merge_coincident([(c, radial_profile(e, s), 0.0) for c, e, s in raw])
+    return w.scale, [(c, p) for c, p, _ in factors if p.exponent != 0.0 or p.s != 0.0]
 
 
 def _profile_power(profile, t: float):

@@ -266,6 +266,12 @@ def test_cli_import_defers_scipy_special():
 _GRID = {"lo": [-1.0], "hi": [1.0], "shape": [2]}
 
 
+def _theorem_config(check, alpha, **campaign):
+    return _base_config(matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": alpha},
+                        atom={"p": 1.0, "p0": 2.0}, campaign=campaign,
+                        checks=[{"check": check}])
+
+
 @pytest.mark.parametrize("command, raw, field", [
     (["weights", "classify"],
      _base_config(classify={"classes": [{"kind": "Ap"}], "critical_indices": False}),
@@ -326,16 +332,40 @@ _GRID = {"lo": [-1.0], "hi": [1.0], "shape": [2]}
      "weight.factors[0][0]"),
     (["verify"], _base_config(weight={"kind": "power", "exponent": 0.5, "dimension": 2}),
      "weight.dimension"),
+    (["verify"], _theorem_config("theorem-thm1", 0.0, count=2, seed=-1), "campaign.seed"),
+    (["verify"], _theorem_config("theorem-thm1", 0.0, count=10**30), "campaign.count"),
+    (["verify", "--seed", "-1"], _theorem_config("theorem-thm1", 0.0, count=2), "--seed"),
+    (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2), "seed": -1}, "seed"),
+    (["verify"], _theorem_config("theorem-thm1", 0.5, count=2), "exponents.alpha"),
+    (["verify"], _theorem_config("theorem-ta", 0.0, count=2), "exponents.alpha"),
+    (["operator", "sweep"],
+     _base_config(sweeps=[{"function": {"kind": "indicator", "center": [0.0], "radius": 1.0},
+                           "x_min": -1.0, "x_max": 1.0, "points": 10**30}]),
+     "sweeps[0].points"),
+    (["verify"], _theorem_config("theorem-thm1", 0.0, count=2, outer_octaves=10**30),
+     "campaign.outer_octaves"),
+    (["verify"], _theorem_config("theorem-thm1", 0.0, count=2, inner_resolution=10**30),
+     "campaign.inner_resolution"),
+    (["verify"], _theorem_config("theorem-thm1", 0.0, count=2, outer_resolution=0),
+     "campaign.outer_resolution"),
+    (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2),
+                  "quadrature": {"resolution": 10**30}}, "quadrature.resolution"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
         "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells",
         "weight-power-scale-0", "weight-log-scale-negative", "weight-tabulated-negative-value",
         "weight-tabulated-zero-value", "weight-tabulated-hi-below-lo",
-        "weight-product-exponent-string", "weight-dimension-mismatch"])
+        "weight-product-exponent-string", "weight-dimension-mismatch",
+        "campaign-seed-negative", "campaign-count-over-budget", "cli-seed-negative",
+        "root-seed-negative", "thm1-positive-alpha", "ta-zero-alpha",
+        "sweep-points-over-budget", "outer-octaves-over-budget",
+        "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
-    """Malformed weight blocks, class and check parameters are config errors
-    (exit 4) naming the field, not tracebacks (exit 1)."""
+    """Malformed weight blocks, class and check parameters, negative seeds,
+    work beyond the budget and a theorem check whose order does not match
+    the exponents are config errors (exit 4) naming the field, not
+    tracebacks (exit 1) or runs without end."""
     cfg = _write(tmp_path, "bad.json", raw)
     out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
                   "--out", str(tmp_path / "out"))
@@ -423,6 +453,22 @@ def test_weights_log_classify_never_loads_scipy_integrate(tmp_path):
                   os.path.join(CONFIG_DIR, "weights-log.json"),
                   "--out", str(tmp_path / "out"), check=True)
     assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_theorem_campaign_and_sweep_never_load_scipy(tmp_path):
+    """A 1-D theorem campaign and a 1-D operator sweep run end to end (near
+    and far field, audits, norms) without importing any scipy module."""
+    with open(os.path.join(CONFIG_DIR, "thm1-smoke.json")) as fh:
+        raw = json.load(fh)
+    raw["campaign"]["count"] = 2
+    cfg = _write(tmp_path, "thm1.json", raw)
+    code = ("import sys, rieszkit.cli\n"
+            "codes = [rieszkit.cli.main(sys.argv[1:6]), rieszkit.cli.main(sys.argv[6:])]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = _python("-c", code, "verify", "--config", cfg, "--out", str(tmp_path / "thm1"),
+                  "operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json"),
+                  "--out", str(tmp_path / "sweep"), check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
 def test_compare_reports_script(tmp_path):

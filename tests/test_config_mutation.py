@@ -1,15 +1,21 @@
-"""Contract test of the parse stage: every mutation of a bundled config either
-loads or raises ConfigError (the CLI's exit 4), never any other exception."""
+"""Contract tests of mutated bundled configs.  Parse stage: every mutation
+either loads or raises ConfigError (the CLI's exit 4), never any other
+exception.  Whole runs: through ``cli.main`` every mutation exits 0, 2, 3 or
+4, never with an uncaught exception."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
+import signal
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from rieszkit.cli import main
 from rieszkit.config import load_config
 from rieszkit.errors import ConfigError
 
@@ -80,3 +86,46 @@ def test_mutated_bundled_configs_load_or_raise_config_error(config_dir, name, mu
         load_config(str(path))
     except ConfigError:
         pass
+
+
+# the command that runs each bundled config (atoms validate needs a manifest);
+# the theorem campaigns' count is cut to 2 atoms before mutating, so that every
+# example fits EXAMPLE_SECONDS
+RUNS = {"atoms-campaign.json": ["atoms", "gen"], "corollary.json": ["verify"],
+        "sweep-riesz.json": ["operator", "sweep"], "sweep-t02.json": ["operator", "sweep"],
+        "ta-worked.json": ["verify"], "thm1-smoke.json": ["verify"],
+        "weights-log.json": ["weights", "classify"],
+        "weights-power-half.json": ["weights", "classify"]}
+CAMPAIGN_COUNT = 2
+EXAMPLE_SECONDS = 10.0
+
+
+class _OverTime(Exception):
+    pass
+
+
+def _over_time(signum, frame):
+    raise _OverTime(f"a whole run took more than {EXAMPLE_SECONDS} s")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(RUNS)), mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_mutated_bundled_configs_exit_by_contract(config_dir, name, mutations):
+    cfg = copy.deepcopy(BUNDLED[name])
+    if cfg.get("checks") and "count" in cfg.get("campaign", {}):
+        cfg["campaign"]["count"] = CAMPAIGN_COUNT
+    for pick, op, value in mutations:
+        cfg = _mutate(cfg, pick, op, value)
+    path = config_dir / name
+    path.write_text(json.dumps(cfg))
+    argv = RUNS[name] + ["--config", str(path), "--out", str(config_dir / "out")]
+    previous = signal.signal(signal.SIGALRM, _over_time)
+    signal.setitimer(signal.ITIMER_REAL, EXAMPLE_SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 2, 3, 4)

@@ -1,6 +1,7 @@
 """Kernel evaluation, operator quadrature, maximal functions, weighted norms."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszkit import (AtomParams, Ball, ExponentProfile, GridProfile, MaximalPolicy,
-                      PolynomialProfile, PowerWeight, QuadratureDiverged,
+from rieszkit import (AtomParams, Ball, ExponentProfile, GridProfile, IndicatorProfile,
+                      MaximalPolicy, PolynomialProfile, PowerWeight, QuadratureDiverged,
                       QuadratureScheme, SampledFunction, Singular, apply_T,
                       construct_atom, domination_check, equal_split,
                       fractional_maximal, fractional_maximal_witness,
@@ -295,6 +296,98 @@ def test_far_field_matches_mpmath(profile, d):
             assert abs(v - ref) <= 1e-8 * abs(ref), (center, radius, x, v, ref)
 
 
+# ---------------------------------------------------------------------------
+# near-field Gauss-Jacobi rule
+# ---------------------------------------------------------------------------
+
+NEAR_FIELD_KERNELS = {"thm1": (equal_split(0.0, 2, 1), (1.0, -1.0)),
+                      "ta": (ExponentProfile(0.5, (0.25, 0.25), 1), (1.0, -1.0)),
+                      "identity": (ExponentProfile(0.5, (0.5,), 1), (1.0,))}
+
+
+def _mpmath_near(polys, lo, hi, center, radius, x, alphas, lams):
+    """30-digit T p(x) on [lo, hi] for each coefficient list p in ``polys``
+    (polynomials in (y - center) / radius).
+
+    The support is cut at the preimages x / lam inside it and each piece at
+    its midpoint.  Each half is integrated in the offset tau from its outer
+    end E, so that no node rounds onto a preimage: in z with
+    tau = delta (e^z - 1) where the nearest preimage beyond E is delta < the
+    half's length away, and with w**q = tau (or z) where a preimage at E
+    makes tau^(-a) dtau smooth in w.  The kernel values are shared by the
+    polynomials."""
+    with mpmath.workdps(30):
+        X, c, r = mpmath.mpf(x), mpmath.mpf(center), mpmath.mpf(radius)
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+        pre = [X / lam for lam in lams]
+        marks = sorted({lo, hi} | {p for p in pre if lo < p < hi})
+        totals = [mpmath.mpf(0)] * len(polys)
+        for a, b in zip(marks[:-1], marks[1:]):
+            half = (b - a) / 2
+            for end, sign in ((a, 1), (b, -1)):
+                gaps = [X - lam * end for lam in lams]
+                at_end = sum(al for p, al in zip(pre, alphas) if p == end)
+                q = Fraction(1 - at_end).limit_denominator(64).denominator
+                delta = min((sign * (end - p) for p in pre if sign * (end - p) > 0),
+                            default=mpmath.inf)
+                if delta < half:
+                    top = mpmath.log1p(half / delta)
+                    tau = lambda z: delta * mpmath.expm1(z)          # noqa: E731
+                    jac = lambda z: delta * mpmath.exp(z)            # noqa: E731
+                else:
+                    top = half
+                    tau, jac = (lambda t: t), (lambda t: 1)
+                first = min(top, 1)
+                cache = {}
+
+                def kern(s, end=end, sign=sign, gaps=gaps, tau=tau, jac=jac):
+                    if s not in cache:
+                        t = tau(s)
+                        cache[s] = (end + sign * t, jac(s) * mpmath.fprod(
+                            abs(g - lam * sign * t) ** -mpmath.mpf(al)
+                            for g, lam, al in zip(gaps, lams, alphas)))
+                    return cache[s]
+
+                for i, coeffs in enumerate(polys):
+                    def f(s, coeffs=coeffs):
+                        y, k = kern(s)
+                        return k * mpmath.polyval(coeffs[::-1], (y - c) / r)
+
+                    part = mpmath.quad(lambda w: f(w**q) * q * w**(q - 1),
+                                       [0, first ** (mpmath.mpf(1) / q)],
+                                       method="gauss-legendre")
+                    if top > first:
+                        part += mpmath.quad(f, mpmath.linspace(first, top, int(top / 6) + 2),
+                                            method="gauss-legendre")
+                    totals[i] += part
+        return [float(t) for t in totals]
+
+
+@pytest.mark.parametrize("kernel", sorted(NEAR_FIELD_KERNELS))
+def test_near_field_matches_mpmath(kernel):
+    """Atoms of degree d = 0, 1, 2 at points one ulp and 1e-9 inside and
+    outside each support endpoint, and at +-1e-9, where the preimages +-x
+    nearly coincide: relative error <= 1e-12 against 30 digits."""
+    profile, lams = NEAR_FIELD_KERNELS[kernel]
+    fam = scalar_family(list(lams), pairwise_invertible=len(lams) > 1)
+    center, radius = 0.25, 0.5
+    lo, hi = center - radius, center + radius
+    xs = [1e-9, -1e-9]
+    for end in (lo, hi):
+        xs += [np.nextafter(end, -1.0), np.nextafter(end, 1.0), end - 1e-9, end + 1e-9]
+    xs = np.array(xs)
+    atoms = [construct_atom(Ball([center], radius), AtomParams(1.0, 2.0, d, PowerWeight(0.5), 1),
+                            seed=7).function() for d in (0, 1, 2)]
+    polys = [[a.profile.coeffs.get((k,), 0.0) for k in range(1 + a.profile.degree())]
+             for a in atoms]
+    assert all(min(abs(x / lam - center) for lam in lams) < 3.0 * radius for x in xs)
+    values = np.array([apply_T_batch(atom, xs[:, None], profile, fam) for atom in atoms])
+    for i, x in enumerate(xs):
+        refs = _mpmath_near(polys, lo, hi, center, radius, x, profile.alphas, lams)
+        for d, ref in enumerate(refs):
+            assert abs(values[d, i] - ref) <= 1e-12 * abs(ref), (kernel, d, x, values[d, i], ref)
+
+
 def test_far_field_grid_profile_takes_cell_path(monkeypatch):
     import rieszkit.operators as ops
 
@@ -311,3 +404,32 @@ def test_far_field_grid_profile_takes_cell_path(monkeypatch):
     poly = apply_T_batch(SampledFunction(ball, PolynomialProfile({(0,): 1.0})), x, prof, fam)
     assert len(calls) == 1  # the polynomial profile took the multipole rule
     assert grid[0] == pytest.approx(poly[0], rel=1e-6)
+
+
+class _CellsCalled(Exception):
+    pass
+
+
+def test_near_field_routing(monkeypatch):
+    """On the line, near points of polynomial and indicator profiles take the
+    Gauss-Jacobi rule and never run cells; a GridProfile near point and a 2-D
+    disk still do."""
+    import rieszkit.operators as ops
+
+    def refuse(*args, **kwargs):
+        raise _CellsCalled
+
+    monkeypatch.setattr(ops, "integrate_cells_1d", refuse)
+    monkeypatch.setattr(ops, "integrate_ball", refuse)
+    prof = equal_split(0.0, 2, 1)
+    fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
+    ball = Ball([0.0], 1.0)
+    xs = np.array([[0.3], [-0.99], [1.5], [np.nextafter(1.0, 2.0)]])
+    for profile in (PolynomialProfile({(0,): 1.0, (2,): -3.0}), IndicatorProfile()):
+        vals = apply_T_batch(SampledFunction(ball, profile), xs, prof, fam)
+        assert np.all(np.isfinite(vals))
+    with pytest.raises(_CellsCalled):
+        apply_T_batch(SampledFunction(ball, GridProfile(np.ones(64))), xs[:1], prof, fam)
+    with pytest.raises(_CellsCalled):
+        apply_T_batch(indicator([0.0, 0.0], 1.0), np.array([[0.5, 0.0]]),
+                      ExponentProfile(1.0, (1.0,), 2), identity_family(2))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from rieszkit import Ball, QuadratureScheme, equal_split, indicator, scalar_fami
 from rieszkit.operators import apply_T_batch
 from rieszkit.quadrature import (LogPowerProfile, PowerProfile, ProductProfile,
                                  RadialSingularity, combine_profiles,
-                                 graded_edges, integrate_ball,
+                                 gauss_jacobi, graded_edges, integrate_ball,
                                  integrate_cells_1d, lebesgue_ball)
 
 
@@ -239,15 +240,35 @@ def _two_reflection_indicator(lo, hi, x):
 
 
 def test_endpoint_sliver_keeps_its_mass():
-    """A singularity 4e-5 inside the support endpoint (well under cell/8)
-    leaves a sliver sub-cell whose bounded factor must be sampled inside it."""
+    """A singularity 4e-5 inside the support endpoint leaves a sliver piece
+    next to it that keeps its mass."""
     value, exact = _two_reflection_indicator(0.5, 1.5, 0.5 + 4e-5)
-    assert abs(value - exact) <= 1e-5
+    assert abs(value - exact) <= 1e-12 * abs(exact)
 
 
 def test_singularity_one_ulp_from_cell_edge():
-    # 1.0 is the middle cell edge of the 1024-cell grid on [0.5, 1.5]
+    # 1.0 splits [0.5, 1.5] in two equal halves
     for x in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
         value, exact = _two_reflection_indicator(0.5, 1.5, float(x))
         assert math.isfinite(value)
-        assert abs(value - exact) <= 1e-5
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("alpha, beta", [(-0.5, 0.0), (-0.5, -0.5), (-0.25, -0.75),
+                                         (-0.999, 0.0)])
+def test_gauss_jacobi_matches_mpmath(alpha, beta):
+    """The 16-point rule against mpmath's 30-digit Golub-Welsch rule; (-1/2, -1/2)
+    is the zero-order kernel's, where the recurrence's first term is 0/0."""
+    t, t_lo, t_hi, w = gauss_jacobi(16, alpha, beta)
+    with mpmath.workdps(30):
+        nodes, weights = mpmath.gauss_quadrature(16, "jacobi", mpmath.mpf(alpha),
+                                                 mpmath.mpf(beta))
+        ref = sorted(zip(nodes, weights))
+    assert np.all(np.diff(t) > 0)
+    for k, (x, wx) in enumerate(ref):
+        assert abs(t[k] - float(x)) <= 2.5e-16
+        assert abs(t_lo[k] - float(1 + x)) <= 2.5e-16
+        assert abs(t_hi[k] - float(1 - x)) <= 2.5e-16
+        assert abs(w[k] - float(wx)) <= 2e-14 * float(wx)
+    with pytest.raises(ValueError):
+        gauss_jacobi(16, -1.0, 0.0)

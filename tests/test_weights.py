@@ -1,6 +1,7 @@
 """Weight evaluation, class-constant estimates, critical indices, doubling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ def test_eval_limit_at_each_center(w, center, limit):
     assert (vals[1] > vals[2]) == (limit == math.inf)
     with pytest.raises(SingularPoint):
         eval_weight(w, center)
+
+
+def test_product_factors_at_one_center_merge():
+    """|x|^(1/2) |x|^(-1/4) is |x|^(1/4): the value at the center is the zero's
+    limit 0 (no 0 * inf), and its power means are PowerWeight(0.25)'s."""
+    w = ProductPowerWeight(((0.5, (0.0,)), (-0.25, (0.0,))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_weight_batch(w, np.array([[0.0]]), extended=True).tolist() == [0.0]
+    ref = PowerWeight(0.25)
+    for ball in (Ball([0.0], 1.0), Ball([0.05], 0.1), Ball([-3.0], 0.5)):
+        for s in (1.0, -2.0):
+            assert power_mean(w, s, ball) == pytest.approx(power_mean(ref, s, ball), rel=1e-14)
 
 
 def test_log_example_power_zero_is_constant():
