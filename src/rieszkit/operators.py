@@ -455,21 +455,22 @@ def _near_field_1d(xs: np.ndarray, f: SampledFunction, profile: ExponentProfile,
     ball = f.ball
     lo = float(ball.center[0] - ball.radius)
     hi = float(ball.center[0] + ball.radius)
-    lams = np.array([float(mat[0, 0]) for mat in family.matrices])
+    # order the factors by 1 / lambda_j: the preimages x / lambda_j of a row
+    # then increase for x > 0, decrease for x < 0 and coincide for x = 0
+    pairs = sorted(((float(mat[0, 0]), a) for mat, a in zip(family.matrices, profile.alphas)),
+                   key=lambda pair: 1.0 / pair[0])
+    lams, alphas = (np.array(col) for col in zip(*pairs))
+    neg = xs[:, None] < 0
     pre = xs[:, None] / lams
-    alphas = np.broadcast_to(np.asarray(profile.alphas), pre.shape).copy()
-    # sort each row by compare-and-swap over its few columns (a first
-    # np.argsort call raised a campaign's peak RSS by about 1.8 MB)
-    for i in range(1, lams.size):
-        for k in range(i, 0, -1):
-            swap = pre[:, k - 1] > pre[:, k]
-            for arr in (pre, alphas):
-                arr[swap, k - 1], arr[swap, k] = arr[swap, k], arr[swap, k - 1]
+    pre = np.where(neg, pre[:, ::-1], pre)
+    alphas = np.where(neg, alphas[::-1], alphas)
     # merge coincident preimages: every member of a run sits at the run's first
-    # preimage and carries the run's summed exponent
+    # preimage and carries the run's summed exponent.  The panels below form
+    # their distances exactly, so the merge is purely relative: +-x stay apart
+    # for every x != 0
     summed = -alphas
     for k in range(1, lams.size):
-        same = coincident(pre[:, k, None], pre[:, k - 1, None])
+        same = coincident(pre[:, k, None], pre[:, k - 1, None], floor=0.0)
         pre[same, k] = pre[same, k - 1]
         summed[same, k] += summed[same, k - 1]
     for k in range(lams.size - 2, -1, -1):
@@ -526,7 +527,8 @@ def _near_field_1d(xs: np.ndarray, f: SampledFunction, profile: ExponentProfile,
             d = dist[sl, j, None] + np.where(below[sl, j, None], t_lo[r], t_hi[r])
             vals *= d ** power[sl, j, None]
         sums[sl] = np.einsum("ij,ij->i", vals, wts[r]) * h[:, 0] ** lift[sl]
-    scale = math.prod(abs(lam) ** -a for lam, a in zip(lams, profile.alphas))
+    scale = math.prod(abs(float(mat[0, 0])) ** -a
+                      for mat, a in zip(family.matrices, profile.alphas))
     return out + scale * np.bincount(point, weights=sums, minlength=xs.size)
 
 

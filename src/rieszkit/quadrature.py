@@ -273,14 +273,17 @@ class RadialSingularity:
         return np.atleast_1d(np.asarray(self.center, dtype=float))
 
 
-def coincident(a, b):
+def coincident(a, b, floor=1.0):
     """The one merge rule for singular points: a and b (arrays whose last axis
     holds the coordinates) coincide when their max-norm distance is at most
-    _SING_MERGE_TOL times the larger max-norm, or times 1 near the origin."""
+    _SING_MERGE_TOL times the larger max-norm, or times ``floor`` near the
+    origin.  A rule that forms every distance exactly, down to one-ulp
+    panels, passes floor=0 so that distinct points near the origin stay
+    apart."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    scale = np.maximum(1.0, np.maximum(np.max(np.abs(a), axis=-1),
-                                       np.max(np.abs(b), axis=-1)))
+    scale = np.maximum(floor, np.maximum(np.max(np.abs(a), axis=-1),
+                                         np.max(np.abs(b), axis=-1)))
     return np.max(np.abs(a - b), axis=-1) <= _SING_MERGE_TOL * scale
 
 

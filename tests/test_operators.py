@@ -388,6 +388,21 @@ def test_near_field_matches_mpmath(kernel):
             assert abs(values[d, i] - ref) <= 1e-12 * abs(ref), (kernel, d, x, values[d, i], ref)
 
 
+def test_near_field_preimages_near_origin_stay_apart():
+    """The zero-order kernel's preimages +-x do not merge however small x is:
+    T chi_[0, 1](x) = pi/2 + acosh(1/x), and on [-1, 1] twice that, stay
+    finite; only x = 0 itself merges them into a non-integrable |y|^-1."""
+    prof = equal_split(0.0, 2, 1)
+    fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
+    for x in (1e-13, 1e-200):
+        exact = 0.5 * math.pi + math.acosh(1.0 / x)
+        half, whole = (apply_T_batch(f, np.array([[x], [-x]]), prof, fam)
+                       for f in (indicator([0.5], 0.5), indicator([0.0], 1.0)))
+        assert abs(half[0] - exact) <= 1e-12 * exact
+        assert np.all(np.abs(whole - 2.0 * exact) <= 2e-12 * exact)
+    assert apply_T_batch(indicator([0.0], 1.0), np.array([[0.0]]), prof, fam)[0] == math.inf
+
+
 def test_far_field_grid_profile_takes_cell_path(monkeypatch):
     import rieszkit.operators as ops
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszkit import Ball, QuadratureScheme, equal_split, indicator, scalar_family
+from rieszkit import (Ball, CallableProfile, QuadratureScheme, SampledFunction, equal_split,
+                      indicator, scalar_family)
 from rieszkit.operators import apply_T_batch
 from rieszkit.quadrature import (LogPowerProfile, PowerProfile, ProductProfile,
                                  RadialSingularity, combine_profiles,
@@ -229,10 +230,14 @@ def test_power_singularity_any_center(c, r):
     assert v == pytest.approx(4.0 * math.sqrt(r), rel=1e-10)
 
 
-def _two_reflection_indicator(lo, hi, x):
+def _two_reflection_indicator(lo, hi, x, cells=False):
     """T chi_[lo, hi](x) for the kernel |x - y|^{-1/2} |x + y|^{-1/2},
-    0 < lo < x < hi, computed by the operator and in closed form."""
+    0 < lo < x < hi, computed by the operator and in closed form.  With
+    ``cells`` the indicator is a callable profile of ones, which takes the
+    cell rule instead of the Gauss-Jacobi one."""
     f = indicator([0.5 * (lo + hi)], 0.5 * (hi - lo))
+    if cells:
+        f = SampledFunction(f.ball, CallableProfile(lambda p: np.ones(len(p))))
     fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
     value = apply_T_batch(f, np.array([[x]]), equal_split(0.0, 2, 1), fam)[0]
     exact = 0.5 * math.pi - math.asin(lo / x) + math.acosh(hi / x)
@@ -252,6 +257,37 @@ def test_singularity_one_ulp_from_cell_edge():
         value, exact = _two_reflection_indicator(0.5, 1.5, float(x))
         assert math.isfinite(value)
         assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+def test_cell_rule_endpoint_sliver_keeps_its_mass():
+    """On the cell rule the singularity 4e-5 inside the support endpoint (well
+    under cell/8) leaves a sliver sub-cell whose bounded factor must be
+    sampled inside it."""
+    value, exact = _two_reflection_indicator(0.5, 1.5, 0.5 + 4e-5, cells=True)
+    assert abs(value - exact) <= 1e-5
+
+
+def test_cell_rule_singularity_one_ulp_from_cell_edge():
+    # 1.0 is the middle cell edge of the 1024-cell grid on [0.5, 1.5]
+    for x in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+        value, exact = _two_reflection_indicator(0.5, 1.5, float(x), cells=True)
+        assert math.isfinite(value)
+        assert abs(value - exact) <= 1e-5
+
+
+def test_cell_rule_sub_ulp_sliver_takes_its_outer_edge():
+    """With the middle cell edge moved one ulp off the singularity at 1.0, the
+    one-ulp sub-cell's midpoint rounds (to even) onto the singularity; its
+    bounded factor is sampled at the sub-cell's outer edge instead."""
+    sings = [RadialSingularity((1.0,), PowerProfile(-0.5)),
+             RadialSingularity((-1.0,), PowerProfile(-0.5))]
+    exact = 0.5 * math.pi - math.asin(0.5) + math.acosh(1.5)
+    for edge in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)):
+        edges = np.linspace(0.5, 1.5, 1025)
+        edges[512] = edge
+        value = integrate_cells_1d(lambda y: np.abs(1.0 - y) ** -0.5 * np.abs(1.0 + y) ** -0.5,
+                                   edges, sings)
+        assert abs(value - exact) <= 1e-5
 
 
 @pytest.mark.parametrize("alpha, beta", [(-0.5, 0.0), (-0.5, -0.5), (-0.25, -0.75),
