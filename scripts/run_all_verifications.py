@@ -23,6 +23,7 @@ RUNS = [
     ("weights", "classify", "weights-log.json"),
     ("operator", "sweep", "sweep-riesz.json"),
     ("operator", "sweep", "sweep-t02.json"),
+    ("operator", "sweep", "sweep-disk.json"),
     ("atoms", "gen", "atoms-campaign.json"),
     # validates the atoms.jsonl that the gen run above wrote into the same --out
     ("atoms", "validate", "atoms-campaign.json"),

@@ -25,8 +25,15 @@ to the cancellation that vanishing moments cause in a quadrature: against
 a 40-digit mpmath quadrature these values agree to 3e-13 relative or
 better, from 3 radii out to a theorem campaign's truncation.
 
-Every other case (tabulated and callable profiles, disks) is computed by
-midpoint cells over the support with the kernel's radial singularities
+In the plane, the indicator of a disk under one kernel factor
+|x - A y|^{-a} whose matrix is a similarity (A^T A = lambda^2 I) gives
+|lambda|^{-a} times the integral of the radial profile r^{-a} over the disk
+about the preimage A^{-1} x, which ``quadrature.log_ball_integral`` computes
+exactly (2e-15 relative against 30-digit mpmath, at the centre, one ulp
+either side of the circle and out to 40 radii).
+
+Every other case (tabulated and callable profiles, other disks) is computed
+by midpoint cells over the support with the kernel's radial singularities
 integrated exactly by the product-integration machinery in `quadrature`.
 
 Maximal functions (Hardy-Littlewood, fractional, smooth-dilation) are
@@ -48,7 +55,7 @@ from .errors import QuadratureDiverged, Singular
 from .geometry import Ball, MatrixFamily, as_point, identity_family
 from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
                          coincident, default_scheme, gauss_jacobi, integrate_ball,
-                         integrate_cells_1d, lebesgue_ball)
+                         integrate_cells_1d, lebesgue_ball, log_ball_integral)
 from .weights import eval_weight_batch, weight_singularities
 
 _SINGULAR_DIST = 1e-14
@@ -334,9 +341,10 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
     """Vectorized apply_T over a batch of evaluation points (no refinement check).
 
     On the line, a polynomial or indicator profile takes the multipole rule
-    at far-field points and the Gauss-Jacobi rule at the others, neither of
-    which reads ``scheme``; every other profile, and every disk, takes the
-    cell quadrature.
+    at far-field points and the Gauss-Jacobi rule at the others; in the
+    plane, a disk's indicator under one similarity factor takes one exact
+    radial ball integral.  None of these reads ``scheme``; every other case
+    takes the cell quadrature.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if scheme is None:
@@ -368,6 +376,14 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
             out[i] = integrate_cells_1d(fn, edges, sings)
         return out
 
+    lam = _similarity_scale(family.matrices[0]) if profile.m == 1 else None
+    if lam is not None and isinstance(f.profile, IndicatorProfile):
+        # |x - A y| = |lambda| |A^{-1} x - y|: one radial integral over the ball
+        a = profile.alphas[0]
+        kernel = PowerProfile(-a)
+        offsets = ball.center - xs @ family.inverses[0].T
+        return np.array([lam ** -a * math.exp(log_ball_integral(kernel, o, ball.radius))
+                         for o in offsets])
     out = np.empty(xs.shape[0])
     for i in range(xs.shape[0]):
         xi = xs[i]
@@ -378,6 +394,16 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
 
         out[i] = integrate_ball(fn, ball, scheme, sings)
     return out
+
+
+def _similarity_scale(mat: np.ndarray):
+    """|lambda| when mat^T mat = lambda^2 I (lambda times a rotation or a
+    reflection), to 1e-12 relative; None otherwise."""
+    gram = mat.T @ mat
+    lam2 = float(gram[0, 0])
+    if np.allclose(gram, lam2 * np.eye(mat.shape[0]), rtol=0.0, atol=1e-12 * lam2):
+        return math.sqrt(lam2)
+    return None
 
 
 def _unit_moments_1d(profile):

@@ -13,7 +13,8 @@ sums (``RadialProfile``); no adaptive quadrature runs.
 
 A ball integral of P alone needs no cells: ``log_ball_integral`` returns
 its logarithm exactly (primitives on the line, a full disk plus an
-annulus in the plane), which is what the radial weights' power means read.
+annulus in the plane), which is what the radial weights' power means and
+the plane Riesz potentials of disks (``operators``) read.
 
 Supported dimensions: 1 (intervals) and 2 (disks).
 """
@@ -49,8 +50,9 @@ class QuadratureScheme:
     ``resolution`` counts cells per ball radius (per axis in dimension 2).
     ``tol`` bounds the change that a convergence check (``apply_T``) accepts
     when the resolution doubles.  Singular points always take product
-    integration on the fixed patch geometry above.  On the line, T a of a
-    polynomial or indicator profile reads neither field (``operators``).
+    integration on the fixed patch geometry above.  T a of a polynomial or
+    indicator profile on the line, and T of a disk's indicator under one
+    similarity kernel factor, read neither field (``operators``).
     """
 
     resolution: int = 512
@@ -67,7 +69,8 @@ class QuadratureScheme:
 
 
 def default_scheme(dimension: int) -> QuadratureScheme:
-    """Default grids: 2^9 cells per radius on the line, 2^6 per axis on disks."""
+    """Default grids: 2^9 cells per radius on the line, 2^6 per axis on disks
+    (for the integrals that take cells; see ``QuadratureScheme``)."""
     if dimension == 1:
         return QuadratureScheme(resolution=512, tol=1e-6)
     if dimension == 2:
@@ -367,9 +370,9 @@ def _panel_length(g: float, s: float, t: float, reach: float) -> float:
     return min(ell, reach)
 
 
-def _log_quad(g: float, s: float, ta: float, tb: float, factor=None) -> float:
-    """log of the integral over t in [ta, tb] of exp(phi(t)) * factor(t),
-    phi(t) = g t + s log(-t), where tb <= -1 whenever s != 0.
+def _log_quad(g: float, s: float, ta: float, tb: float, factor=None, shift=0.0) -> float:
+    """log of the integral over t in [ta, tb] of exp(phi(t + shift)) * factor(t),
+    phi(t) = g t + s log(-t), where tb + shift <= -1 whenever s != 0.
 
     ``factor`` (vectorized, bounded, or None for 1) may have square-root
     endpoints at the finite ends of the range.  Composite 16-point
@@ -378,18 +381,19 @@ def _log_quad(g: float, s: float, ta: float, tb: float, factor=None) -> float:
     ``_panel_length`` long and no longer than its distance to a finite end,
     and a panel touching a finite end takes the cosine map, which turns a
     square-root endpoint analytic.  The march stops where phi has fallen by
-    _LOG_DROP, so ta may be -inf.
+    _LOG_DROP, so ta may be -inf.  A ``shift`` keeps a narrow range far
+    from 0 resolved to the last bit: g * shift is added once, at the end.
     """
     if ta == -math.inf and g <= 0.0:
         return math.inf
 
     def phi(t):
-        return g * t + (s * math.log(-t) if s else 0.0)
+        return g * t + (s * math.log(-(t + shift)) if s else 0.0)
 
     if s == 0.0:
         tm = tb if g >= 0.0 else ta
     elif s > 0.0:
-        tm = min(max(-s / g, ta), tb) if g > 0.0 else ta
+        tm = min(max(-s / g - shift, ta), tb) if g > 0.0 else ta
     else:
         tm = ta if ta > -math.inf and phi(ta) > phi(tb) else tb
     floor = phi(tm) - _LOG_DROP
@@ -405,7 +409,7 @@ def _log_quad(g: float, s: float, ta: float, tb: float, factor=None) -> float:
             reach = math.inf
             if factor is not None:
                 reach = max(2.0, min((abs(t - e) for e in ends), default=math.inf) / 3.0)
-            ell = _panel_length(g, s, t, reach)
+            ell = _panel_length(g, s, t + shift, reach)
             for e in ends:
                 if e != t and (e - t) * way < 0.0:
                     ell = min(ell, abs(t - e))
@@ -429,12 +433,12 @@ def _log_quad(g: float, s: float, ta: float, tb: float, factor=None) -> float:
     mapped = np.array([a in ends or b in ends for a, b in edges])[:, None]
     t = lo[:, None] + (hi - lo)[:, None] * np.where(mapped, _COS_X, _GL16_X)
     with np.errstate(divide="ignore"):
-        logf = (g * t + (s * np.log(-t) if s else 0.0)
+        logf = (g * t + (s * np.log(-(t + shift)) if s else 0.0)
                 + np.log(np.where(mapped, _COS_W, _GL16_W) * (hi - lo)[:, None]))
         if factor is not None:
             logf = logf + np.log(factor(t))
     top = float(np.max(logf))
-    return top + math.log(float(np.sum(np.exp(logf - top))))
+    return top + math.log(float(np.sum(np.exp(logf - top)))) + g * shift
 
 
 def log_ball_integral(profile: RadialProfile, offset, radius: float) -> float:
@@ -445,8 +449,9 @@ def log_ball_integral(profile: RadialProfile, offset, radius: float) -> float:
     of radius rho - d around the point (2 pi times a primitive) and the
     annulus |rho - d| < r < rho + d, where the circle of radius r keeps the
     arc angle(r) = 2 arccos((r^2 + d^2 - rho^2) / (2 r d)) inside the disk;
-    the annulus is ``_log_quad`` in t = log r, split at the knee.  One rule
-    covers points inside, on and outside the circle.
+    the annulus is ``_log_quad`` in u = log(r / (rho + d)), split at the
+    knee.  One rule covers points inside, on and outside the circle, from
+    the center out to 1e300 radii.
     """
     offset = np.atleast_1d(np.asarray(offset, dtype=float))
     rho = float(radius)
@@ -470,33 +475,53 @@ def log_ball_integral(profile: RadialProfile, offset, radius: float) -> float:
 
 
 def _log_annulus(profile: RadialProfile, d: float, rho: float) -> float:
-    """log of the integral of P(r) r angle(r) over |rho - d| < r < rho + d."""
+    """log of the integral of P(r) r angle(r) over |rho - d| < r < rho + d.
+
+    The variable is u = log(r / (rho + d)) in [log(|rho - d| / (rho + d)), 0]:
+    a shift keeps an annulus that is thin next to its radius (a disk far
+    from the singular point, or a point near the disk's center) resolved.
+    """
+    big = rho + d
     gap = d - rho
+    lo, near = abs(gap), min(d, rho)
 
-    def angle(t):
-        r = np.exp(t)
+    def angle(u):
+        r, w = big * np.exp(u), -big * np.expm1(u)
         # 2 arccos(z) = 4 atan2(sqrt(1 - z), sqrt(1 + z)), with 1 -+ z factored
-        # and r kept apart from d - rho, which can be tiny or 0
-        if gap == 0.0:
-            # a circle through the singular point: the common factor r cancels,
-            # which keeps the arc right where r = e**t underflows to 0
-            inner, outer = np.maximum(rho + d - r, 0.0), r + d + rho
-        else:
-            inner = np.maximum((rho + d - r) * (r - gap), 0.0)
-            outer = np.maximum((r + gap) * (r + d + rho), 0.0)
-        return 4.0 * np.arctan2(np.sqrt(inner), np.sqrt(outer))
+        # into w (r - gap) and (r + gap)(r + rho + d), roots taken apart so
+        # that no product overflows.  w = rho + d - r, from expm1, is exact at
+        # the outer edge; the factor r - lo that vanishes at the inner edge
+        # is formed from r or from w, whichever leaves the smaller rounding
+        edge = np.sqrt(np.maximum(r - lo if lo < near else 2.0 * near - w, 0.0))
+        inner, outer = np.sqrt(w), np.sqrt(r + big)
+        if gap > 0.0:
+            inner, outer = inner * edge, outer * np.sqrt(r + lo)
+        elif gap < 0.0:
+            inner, outer = inner * np.sqrt(r + lo), outer * edge
+        # (on a circle through the singular point the common factor r
+        # cancels, which keeps the arc right where r underflows to 0)
+        return 4.0 * np.arctan2(inner, outer)
 
-    lo = abs(gap)
-    ta = math.log(lo) if lo > 0.0 else -math.inf
-    tb = math.log(rho + d)
+    if lo == 0.0:
+        ua = -math.inf
+    elif lo < 0.5 * big:
+        ua = math.log(lo / big)
+    else:
+        ua = math.log1p(-2.0 * near / big)
+    if ua == 0.0:
+        # min(d, rho) / (rho + d) underflows: a point within 1e-308 radii of
+        # the center, whose annulus is negligible next to the full disk
+        return -math.inf
+    shift = math.log(big)
     g = profile.exponent + 2.0
     if profile.s == 0.0:
-        return _log_quad(g, 0.0, ta, tb, angle)
+        return _log_quad(g, 0.0, ua, 0.0, angle, shift)
+    knee = -1.0 - shift
     parts = []
-    if tb > -1.0:
-        parts.append(_log_quad(g, 0.0, max(ta, -1.0), tb, angle))
-    if ta < -1.0:
-        parts.append(_log_quad(g, profile.s, ta, min(tb, -1.0), angle))
+    if knee < 0.0:
+        parts.append(_log_quad(g, 0.0, max(ua, knee), 0.0, angle, shift))
+    if ua < knee:
+        parts.append(_log_quad(g, profile.s, ua, min(0.0, knee), angle, shift))
     return _log_add(parts)
 
 

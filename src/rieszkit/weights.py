@@ -387,30 +387,90 @@ def _probe_nodes(ball: Ball) -> np.ndarray:
 
 def min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
     """Essential-infimum surrogate: minimum of w over the ball's midpoint lattice."""
-    n = ball.dimension
-    if n == 1:
-        cells = 2 * scheme.resolution
-        edges = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius,
-                            cells + 1)
-        pts = (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    else:
-        cells = 2 * scheme.resolution
-        ax0 = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, cells + 1)
-        ax1 = np.linspace(ball.center[1] - ball.radius, ball.center[1] + ball.radius, cells + 1)
-        m0, m1 = 0.5 * (ax0[:-1] + ax0[1:]), 0.5 * (ax1[:-1] + ax1[1:])
-        # |node - center| <= radius on the grid, row-major as a meshgrid
-        i, j = np.nonzero(np.sqrt((m0 - ball.center[0])[:, None] ** 2
-                                  + (m1 - ball.center[1])[None, :] ** 2) <= ball.radius)
-        pts = np.column_stack([m0[i], m1[j]])
-        if pts.size == 0:
-            pts = ball.center[None, :]
+    cells = 2 * scheme.resolution
     radial = _radial_form(w, 1.0)
-    if radial is not None:
-        # a radial weight is monotone in r = |x - center|, so its minimum over
-        # the nodes sits at the nearest or the farthest one
-        r = np.linalg.norm(pts - radial[0], axis=1)
-        pts = pts[[int(np.argmin(r)), int(np.argmax(r))]]
+    # a radial weight is monotone in r = |x - center|, so its minimum over the
+    # nodes sits at the nearest or the farthest one
+    pts = _node_lattice(ball, cells) if radial is None else _extreme_nodes(ball, cells, radial[0])
     return float(np.min(eval_weight_batch(w, pts, extended=True)))
+
+
+def _cell_mids(ball: Ball, cells: int) -> list:
+    """Per axis, the midpoints of the ball's bounding box cut into cells."""
+    axes = [np.linspace(c - ball.radius, c + ball.radius, cells + 1) for c in ball.center]
+    return [0.5 * (a[:-1] + a[1:]) for a in axes]
+
+
+def _node_lattice(ball: Ball, cells: int) -> np.ndarray:
+    """Every cell midpoint inside the ball, row-major in the plane (the
+    center when none is)."""
+    mids = _cell_mids(ball, cells)
+    if ball.dimension == 1:
+        return mids[0][:, None]
+    d0, d1 = ((m - c) ** 2 for m, c in zip(mids, ball.center))
+    i, j = np.nonzero(np.sqrt(d0[:, None] + d1[None, :]) <= ball.radius)
+    pts = np.column_stack([mids[0][i], mids[1][j]])
+    return pts if pts.size else ball.center[None, :]
+
+
+def _extreme_nodes(ball: Ball, cells: int, center: np.ndarray) -> np.ndarray:
+    """The nodes of ``_node_lattice`` nearest to and farthest from ``center``
+    (ties in the computed distance are interchangeable), found in O(cells)
+    on the lattice's own floats.
+
+    Along a lattice line the distance to a point falls, then rises, so on a
+    run of nodes the farthest is one of its ends and the nearest is the node
+    nearest the point, clipped into the run.  On the line the run is every
+    node; in the plane it is each row's in-disk columns, which surround the
+    column nearest the ball's center and are found by bisection.
+    """
+    if ball.dimension == 1:
+        lo, hi, c = (float(v) for v in (ball.center[0] - ball.radius,
+                                        ball.center[0] + ball.radius, center[0]))
+        t = min(max((c - lo) / (hi - lo) * cells, -2.0), cells + 2.0)
+        ks = {0, cells - 1} | {min(max(math.floor(t) + k, 0), cells - 1) for k in range(-2, 2)}
+        mids = [0.5 * (_linspace_at(lo, hi, cells + 1, k) + _linspace_at(lo, hi, cells + 1, k + 1))
+                for k in sorted(ks)]
+        return np.array([[min(mids, key=lambda m: abs(m - c))],
+                         [max(mids, key=lambda m: abs(m - c))]])
+    mids = _cell_mids(ball, cells)
+    d0, d1 = ((m - c) ** 2 for m, c in zip(mids, ball.center))
+    jc = int(np.argmin(d1))
+    # in-disk columns of row i: jc - left[i] < j < jc + right[i]
+    right = _leading_true(lambda t: np.sqrt(d0 + d1[jc + t]) <= ball.radius, cells, cells - jc)
+    left = _leading_true(lambda t: np.sqrt(d0 + d1[jc - t]) <= ball.radius, cells, jc + 1)
+    rows = np.flatnonzero(right)
+    if rows.size == 0:
+        return ball.center[None, :]
+    first, last = jc - left[rows] + 1, jc + right[rows] - 1
+    near = np.clip(int(np.argmin((mids[1] - center[1]) ** 2)), first, last)
+    pts = np.column_stack([np.tile(mids[0][rows], 3),
+                           mids[1][np.concatenate([first, last, near])]])
+    r = np.linalg.norm(pts - center, axis=1)
+    return pts[[int(np.argmin(r)), int(np.argmax(r))]]
+
+
+def _leading_true(ok, rows: int, size: int) -> np.ndarray:
+    """Per row, how many leading t = 0, 1, ..., size - 1 satisfy ok, where
+    ok maps one t per row to one bool per row and is true, then false, along
+    t (a vectorized bisection)."""
+    lo = np.zeros(rows, dtype=np.intp)
+    hi = np.full(rows, size, dtype=np.intp)
+    while np.any(lo < hi):
+        active = lo < hi
+        mid = (lo + hi) // 2
+        good = ok(np.minimum(mid, size - 1))
+        lo, hi = np.where(active & good, mid + 1, lo), np.where(active & ~good, mid, hi)
+    return lo
+
+
+def _linspace_at(start: float, stop: float, num: int, i: int) -> float:
+    """np.linspace(start, stop, num)[i] by the same float operations."""
+    div = num - 1
+    if i == div:
+        return stop
+    step = (stop - start) / div
+    return (i / div * (stop - start) if step == 0.0 else i * step) + start
 
 
 # ---------------------------------------------------------------------------

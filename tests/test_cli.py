@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 from rieszkit.cli import main
@@ -38,7 +39,7 @@ def _base_config(**extra):
 def test_bundled_configs_validate():
     for name in os.listdir(CONFIG_DIR):
         cfg = load_config(os.path.join(CONFIG_DIR, name))
-        assert cfg.dimension == 1
+        assert cfg.dimension == (2 if name == "sweep-disk.json" else 1)
 
 
 def test_missing_field_paths(tmp_path):
@@ -164,6 +165,28 @@ def test_cli_sweep_anchor_values(tmp_path):
         rows = list(csv.DictReader(fh))
     at_zero = [r for r in rows if abs(float(r["x0"])) < 1e-12][0]
     assert float(at_zero["value"]) == pytest.approx(math.log(2.0), rel=1e-3)
+
+
+def test_cli_sweep_disk_matches_elliptic_closed_form(tmp_path):
+    """The bundled 2-D sweep: the Riesz potential with alpha = 1 of the unit
+    disk is 4 E(rho^2) at distance rho <= 1 from its center and
+    4 rho (E(m) - (1 - m) K(m)), m = 1 / rho^2, outside (parameter m)."""
+    out = tmp_path / "out"
+    code = main(["operator", "sweep", "--config",
+                 os.path.join(CONFIG_DIR, "sweep-disk.json"), "--out", str(out)])
+    assert code == 0
+    with open(out / "riesz-one-disk.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 41
+    with mpmath.workdps(30):
+        for row in rows:
+            rho = abs(mpmath.mpf(row["x0"]))
+            if rho <= 1:
+                exact = 4 * mpmath.ellipe(rho ** 2)
+            else:
+                m = 1 / rho ** 2
+                exact = 4 * rho * (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m))
+            assert abs(float(row["value"]) - exact) <= 1e-12 * exact
 
 
 def test_cli_sweep_empty_selection(tmp_path):

@@ -17,7 +17,7 @@ from rieszkit import (AtomParams, Ball, ExponentProfile, GridProfile, IndicatorP
                       hl_maximal, hl_maximal_witness, identity_family,
                       indicator, kernel_eval, mphi_maximal_lower,
                       riesz_potential, scalar_family, weighted_norm)
-from rieszkit.geometry import expanded_balls
+from rieszkit.geometry import MatrixFamily, expanded_balls
 from rieszkit.operators import apply_T_batch, sampled_from_csv
 from rieszkit.verify import CampaignSpec
 
@@ -59,7 +59,7 @@ def test_apply_T_anchor_zero_order():
 
 def test_apply_T_anchor_riesz_2d():
     f = indicator([0.0, 0.0], 1.0)
-    assert riesz_potential(f, [0.0, 0.0], 1.0) == pytest.approx(2.0 * math.pi, rel=1e-3)
+    assert riesz_potential(f, [0.0, 0.0], 1.0) == pytest.approx(2.0 * math.pi, rel=1e-12)
 
 
 def test_riesz_outside_support():
@@ -122,7 +122,9 @@ def test_quadrature_convergence_on_anchors():
 
 
 def test_quadrature_diverged_raises():
-    f = indicator([0.0, 0.0], 1.0)
+    # a grid of ones, not the indicator: the disk's indicator is exact and
+    # does not move under refinement
+    f = SampledFunction(Ball([0.0, 0.0], 1.0), GridProfile(np.ones((8, 8))))
     tight = QuadratureScheme(resolution=32, tol=1e-9)
     with pytest.raises(QuadratureDiverged):
         riesz_potential(f, [0.0, 0.0], 1.0, tight)
@@ -445,6 +447,89 @@ def test_near_field_routing(monkeypatch):
         assert np.all(np.isfinite(vals))
     with pytest.raises(_CellsCalled):
         apply_T_batch(SampledFunction(ball, GridProfile(np.ones(64))), xs[:1], prof, fam)
+    disk = indicator([0.0, 0.0], 1.0)
+    riesz = ExponentProfile(1.0, (1.0,), 2)
+    assert np.isfinite(apply_T_batch(disk, np.array([[0.5, 0.0]]), riesz, identity_family(2))[0])
     with pytest.raises(_CellsCalled):
-        apply_T_batch(indicator([0.0, 0.0], 1.0), np.array([[0.5, 0.0]]),
-                      ExponentProfile(1.0, (1.0,), 2), identity_family(2))
+        apply_T_batch(disk, np.array([[0.5, 0.0]]), riesz,
+                      MatrixFamily((np.diag([1.0, 2.0]),)))
+
+
+def _rotation(degrees):
+    t = math.radians(degrees)
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def _mp_disk_integral(a, d, rho):
+    """Integral of |s - y|^-a over a disk of radius rho, s at distance d from
+    its center, to 30 digits: the elliptic closed form for a = 1, otherwise
+    a quadrature over the direction theta of the ray from s, which meets the
+    circle at d cos(theta) -+ sqrt(rho^2 - d^2 sin(theta)^2)."""
+    with mpmath.workdps(30):
+        d, rho = mpmath.mpf(d), mpmath.mpf(rho)
+        if a == 1.0:
+            if d <= rho:
+                return 4 * rho * mpmath.ellipe((d / rho) ** 2)
+            m = (rho / d) ** 2
+            return 4 * d * (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m))
+        g = 2 - mpmath.mpf(a)
+
+        def root(t):
+            return mpmath.sqrt(max(rho ** 2 - (d * mpmath.sin(t)) ** 2, 0))
+
+        def ray(t, sign):
+            return max(d * mpmath.cos(t) + sign * root(t), 0) ** g
+
+        # along each ray from s, r^(1-a) dr integrates to R^g / g
+        if d <= rho:
+            return 2 * mpmath.quad(lambda t: ray(t, 1), [0, mpmath.pi / 2, mpmath.pi]) / g
+        return 2 * mpmath.quad(lambda t: ray(t, 1) - ray(t, -1),
+                               [0, mpmath.asin(rho / d)]) / g
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("lam, mat", [(1.0, np.eye(2)), (2.0, 2.0 * _rotation(30.0)),
+                                      (0.5, np.diag([0.5, -0.5]))])
+def test_disk_indicator_matches_mpmath(a, lam, mat):
+    """T of a disk's indicator under one kernel factor |x - A y|^-a with
+    A = lambda times a rotation or reflection is |lambda|^-a times a radial
+    integral, exact to 1e-12 relative at the centre, inside, one ulp either
+    side of the circle, on it, and at 2.5 and 40 radii.  The preimages lie
+    on the axis through the centre, so their distance to it is formed
+    exactly, and the reference is taken at the preimage the program forms:
+    near the circle the value is too steep in d for A^-1's rounding."""
+    center, rho = np.array([2.0, 0.0]), 1.5
+    f = indicator(center, rho)
+    prof = ExponentProfile(2.0 - a, (a,), 2)
+    fam = MatrixFamily((mat,))
+    for t in (0.0, 0.4 * rho, np.nextafter(rho, 0.0), rho, np.nextafter(rho, 2.0),
+              2.5 * rho, 40.0 * rho):
+        x = (mat @ (center - np.array([t, 0.0])))[None, :]
+        offset = center - x @ fam.inverses[0].T
+        exact = lam ** -a * _mp_disk_integral(a, math.hypot(*offset[0]), rho)
+        got = apply_T_batch(f, x, prof, fam)[0]
+        assert abs(got - exact) <= 1e-12 * exact, (t, got, float(exact))
+
+
+def test_disk_route_leaves_other_cases_to_cells():
+    """Grid profiles, two-factor kernels and non-similarity matrices keep
+    the cell rule on the disk, bit for bit."""
+    import rieszkit.operators as ops
+    from rieszkit.quadrature import integrate_ball
+
+    ball = Ball([0.2, -0.1], 0.8)
+    disk = SampledFunction(ball, IndicatorProfile())
+    riesz = ExponentProfile(1.0, (1.0,), 2)
+    cases = [(SampledFunction(ball, GridProfile(np.ones((16, 16)))), riesz, identity_family(2)),
+             (disk, ExponentProfile(1.0, (0.5, 0.5), 2), MatrixFamily((np.eye(2), _rotation(30.0)))),
+             (disk, riesz, MatrixFamily((np.diag([1.0, 2.0]),)))]
+    scheme = QuadratureScheme(resolution=24)
+    xs = np.array([[0.5, 0.3], [2.0, -1.0]])
+    for f, prof, fam in cases:
+        got = apply_T_batch(f, xs, prof, fam, scheme)
+        for x, value in zip(xs, got):
+            def fn(pts, x=x, f=f, prof=prof, fam=fam):
+                return ops._kernel_rows(x[None, :], pts, prof, fam)[0] * f.eval(pts)
+
+            assert value == integrate_ball(fn, ball, scheme,
+                                           ops._kernel_singularities(x, prof, fam, ball))

@@ -14,7 +14,7 @@ from rieszkit.operators import apply_T_batch
 from rieszkit.quadrature import (LogPowerProfile, PowerProfile, ProductProfile,
                                  RadialSingularity, combine_profiles,
                                  gauss_jacobi, graded_edges, integrate_ball,
-                                 integrate_cells_1d, lebesgue_ball)
+                                 integrate_cells_1d, lebesgue_ball, log_ball_integral)
 
 
 def test_scheme_validation():
@@ -308,3 +308,24 @@ def test_gauss_jacobi_matches_mpmath(alpha, beta):
         assert abs(w[k] - float(wx)) <= 2e-14 * float(wx)
     with pytest.raises(ValueError):
         gauss_jacobi(16, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("d", [1e-300, 1e-12, 0.999999, 1.000001, 1e4, 1e10, 1e15, 1e100])
+def test_thin_annulus_keeps_its_digits(d):
+    """The plane ball integral of 1 / |y| over the unit disk at distance d
+    from the singular point.  A point near the center, or a disk far from
+    the point, leaves an annulus |1 - d| < r < 1 + d that is thin next to its
+    radius; it keeps its digits against the elliptic closed form (parameter
+    m), and far out the logarithm keeps them against pi / d."""
+    got = log_ball_integral(PowerProfile(-1.0), [d, 0.0], 1.0)
+    with mpmath.workdps(60):
+        dd = mpmath.mpf(d)
+        if d > 1e20:
+            assert abs(got - mpmath.log(mpmath.pi / dd)) <= 1e-13 * abs(got)
+            return
+        if dd <= 1:
+            exact = 4 * mpmath.ellipe(dd ** 2)
+        else:
+            m = 1 / dd ** 2
+            exact = 4 * dd * (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m))
+        assert abs(math.exp(got) - exact) <= 1e-13 * exact

@@ -598,6 +598,6 @@ def test_min_over_nodes_matches_full_lattice(w):
         return float(np.min(eval_weight_batch(w, pts, extended=True)))
 
     for ball in default_ball_family(w.dimension):
-        for resolution in (16, 50):
+        for resolution in (16, 50, 2048 if w.dimension == 1 else 256):
             scheme = QuadratureScheme(resolution=resolution)
             assert min_over_nodes(w, ball, scheme) == every_node(ball, scheme)
