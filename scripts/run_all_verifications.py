@@ -30,6 +30,7 @@ RUNS = [
     ("verify", None, "thm1-smoke.json"),
     ("verify", None, "ta-worked.json"),
     ("verify", None, "corollary.json"),
+    ("verify", None, "maximal-power-half.json"),
 ]
 
 

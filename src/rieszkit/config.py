@@ -119,7 +119,10 @@ def build_weight(block: dict, dimension: int, base_dir: str = ".", path: str = "
             _expect(_is_number(a) and a > -dimension, f"{path}.factors[{i}][0]",
                     f"must be a number above -{dimension}")
             factors.append((float(a), tuple(float(v) for v in c)))
-        return ProductPowerWeight(tuple(factors), dimension, scale)
+        try:
+            return ProductPowerWeight(tuple(factors), dimension, scale)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.factors", str(exc))
     if kind == "tabulated":
         gpath = f"{path}.grid"
         gb = _get(block, "grid", path)
@@ -153,7 +156,7 @@ def build_weight(block: dict, dimension: int, base_dir: str = ".", path: str = "
     raise ConfigError(f"{path}.kind", f"unknown weight kind {kind!r}")
 
 
-def build_matrices(block, dimension: int, alpha: float, path: str = "matrices") -> MatrixFamily:
+def build_matrices(block, dimension: int, path: str = "matrices") -> MatrixFamily:
     # pairwise invertibility for the zero-order case is audited by the checks
     # (a violation is a failed hypothesis, not a malformed config)
     _expect(isinstance(block, list) and block, path,
@@ -397,7 +400,6 @@ class RunConfig:
     dimension: int
     weight: object
     quadrature: QuadratureScheme
-    raw: dict
     base_dir: str
     seed: int | None = None
     matrices: MatrixFamily | None = None
@@ -407,7 +409,6 @@ class RunConfig:
     sweeps: list = field(default_factory=list)
     classify_block: dict | None = None
     family: BallFamily | None = None
-    atoms_block: dict | None = None
     output_dir: str = "out"
 
 
@@ -443,8 +444,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     if "matrices" in raw or "exponents" in raw:
         _expect("matrices" in raw and "exponents" in raw, "(root)",
                 "matrices and exponents must be given together")
-        alpha = _number(raw["exponents"], "alpha", "exponents")
-        matrices = build_matrices(raw["matrices"], n, alpha)
+        matrices = build_matrices(raw["matrices"], n)
         exponents = build_exponents(raw["exponents"], n, matrices.m)
 
     campaign = None
@@ -485,12 +485,11 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
     seed = _integer(raw, "seed", "(root)", False, None)
     _expect(seed is None or seed >= 0, "seed", "must be a nonnegative integer")
     return RunConfig(
-        dimension=n, weight=weight, quadrature=scheme, raw=raw, base_dir=base_dir,
+        dimension=n, weight=weight, quadrature=scheme, base_dir=base_dir,
         seed=seed,
         matrices=matrices, exponents=exponents, campaign=campaign,
         checks=checks, sweeps=sweeps,
         classify_block=classify_block,
         family=build_ball_family(None if classify_block is None
                                  else classify_block.get("family"), n),
-        atoms_block=raw.get("atoms"),
         output_dir=out_block.get("dir", "out"))

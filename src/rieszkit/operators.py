@@ -39,7 +39,8 @@ integrated exactly by the product-integration machinery in `quadrature`.
 Maximal functions (Hardy-Littlewood, fractional, smooth-dilation) are
 computed as maxima over finite, lattice-aligned candidate ball sets and are
 therefore certified lower bounds of the true suprema; candidate lattices
-refine under the policy's control.
+refine under the policy's control.  The maximal function of the indicator
+of an interval is also available in closed form (``indicator_maximal_1d``).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .errors import QuadratureDiverged, Singular
 from .geometry import Ball, MatrixFamily, as_point, identity_family
 from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
                          coincident, default_scheme, gauss_jacobi, integrate_ball,
-                         integrate_cells_1d, lebesgue_ball, log_ball_integral)
+                         lebesgue_ball, log_ball_integral)
 from .weights import eval_weight_batch, weight_singularities
 
 _SINGULAR_DIST = 1e-14
@@ -352,31 +353,17 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
     ball = f.ball
     n = ball.dimension
 
-    if n == 1:
+    moments = _unit_moments_1d(f.profile) if n == 1 else None
+    if moments is not None:
         out = np.empty(xs.shape[0])
-        moments = _unit_moments_1d(f.profile)
-        if moments is not None:
-            far = _far_mask_1d(xs[:, 0], family, ball)
-            if np.any(far):
-                out[far] = _far_field_1d(xs[far, 0], moments, profile, family, ball)
-            if not np.all(far):
-                out[~far] = _near_field_1d(xs[~far, 0], f, profile, family)
-            return out
-        edges = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius,
-                            2 * scheme.resolution + 1)
-        for i in range(xs.shape[0]):
-            xi = xs[i]
-            sings = _kernel_singularities(xi, profile, family, ball)
-
-            def fn(ys):
-                pts = ys[:, None]
-                return (_kernel_rows(xi[None, :], pts, profile, family)[0]
-                        * f.eval(pts))
-
-            out[i] = integrate_cells_1d(fn, edges, sings)
+        far = _far_mask_1d(xs[:, 0], family, ball)
+        if np.any(far):
+            out[far] = _far_field_1d(xs[far, 0], moments, profile, family, ball)
+        if not np.all(far):
+            out[~far] = _near_field_1d(xs[~far, 0], f, profile, family)
         return out
 
-    lam = _similarity_scale(family.matrices[0]) if profile.m == 1 else None
+    lam = _similarity_scale(family.matrices[0]) if n == 2 and profile.m == 1 else None
     if lam is not None and isinstance(f.profile, IndicatorProfile):
         # |x - A y| = |lambda| |A^{-1} x - y|: one radial integral over the ball
         a = profile.alphas[0]
@@ -700,138 +687,21 @@ def _maximal_1d(f: SampledFunction, x: float, policy: MaximalPolicy, beta: float
     return float(vals[i, j]), (float(lefts[i]), float(rights[j]))
 
 
-# Elements per temporary of the maximal sweep (256 KB): blocks that stay in
-# cache ran the interior points about twice as fast as 2^17-element blocks.
-_SWEEP_BLOCK = 1 << 15
+def indicator_maximal_1d(ball: Ball, xs, beta: float) -> np.ndarray:
+    """Exact (fractional) maximal function of the indicator of an interval B.
 
-
-def _pair_values(length, mass, beta, ok=None):
-    """length^(beta-1) * mass of candidate intervals; intervals of zero length,
-    and pairs masked off by ``ok``, count 0 (the interval [x, x])."""
-    keep = length > 0 if ok is None else (length > 0) & ok
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(keep, length ** (beta - 1.0) * mass, 0.0)
-
-
-def _sweep_maximal_1d(f: SampledFunction, xs: np.ndarray, beta: float,
-                      per_unit: int) -> np.ndarray:
-    """(Fractional) maximal function of a compactly supported f at many points.
-
-    M(x) is the largest (v - u)^(beta-1) * (G(v) - G(u)) over candidate
-    intervals u <= x <= v, where G is one prefix integral of |f| on a dense
-    support lattice, read at endpoints clipped to the support.  The
-    candidates for u are the lattice nodes <= x, x minus a 32-step geometric
-    ladder, and x itself; for v, the nodes >= x, x plus the ladder, and x.
-    The evaluation avoids most pairs without changing the maximum:
-
-    * Far-side dominance (needs beta < 1).  For x >= hi every v has the mass
-      G(hi) - G(u), and the factor length^(beta-1) decreases in the length,
-      so v = x is the best right end for every u; pairs of negative mass
-      are below the 0 of [x, x].  Points x <= lo mirror this with u = x.
-    * Prefix-max table.  Inside the support, the lattice x lattice pairs of
-      x are the nodes i <= a, j >= b around x, so their maximum is
-      P[a, b] = max_{i <= a, j >= b} V[i, j], tabulated once per call for
-      the two diagonals b = a and b = a + 1 that points can hit.  Only the
-      pairs with a ladder end are evaluated per point.
-
-    Every value is the same expression on the same floats as a per-point
-    search over all candidate pairs, so the result is bit-identical to it.
-    Points are processed in blocks whose temporaries hold at most
-    _SWEEP_BLOCK elements, or one point's pairs when those are more.
+    For 0 <= beta < 1, an interval I through x covering the mass t of B
+    gives t |I|^(beta-1), which grows with t at the least length
+    dist(x, B) + t; so the hull of x and B is the best candidate and
+    M_beta chi_B(x) = |B| (|B| + dist(x, B))^(beta-1).
     """
     if beta >= 1.0:
-        raise ValueError("the maximal sweep needs beta < 1")
-    lo = float(f.ball.center[0] - f.ball.radius)
-    hi = float(f.ball.center[0] + f.ball.radius)
-    lattice = np.linspace(lo, hi, max(64, int((hi - lo) * per_unit)) + 1)
-    G = _prefix_integral(f, lattice)
-
-    def gmass(pts):
-        return np.interp(np.clip(pts, lo, hi), lattice, G)
-
-    gl = gmass(lattice)
-    span = hi - lo
+        raise ValueError("the closed form needs beta < 1")
+    lo = float(ball.center[0] - ball.radius)
+    hi = float(ball.center[0] + ball.radius)
     xs = np.asarray(xs, dtype=float)
-    out = np.empty(xs.size)
-
-    def blocks(idx, width):
-        """Points idx in blocks of at most _SWEEP_BLOCK // width rows, with
-        their 32-step ladders (built for _SWEEP_BLOCK // 32 points at once)."""
-        rows = max(1, _SWEEP_BLOCK // width)
-        for k0 in range(0, idx.size, _SWEEP_BLOCK // 32):
-            chunk = idx[k0:k0 + _SWEEP_BLOCK // 32]
-            x = xs[chunk, None]
-            reach = np.maximum(np.maximum(np.abs(x - lo), np.abs(hi - x)), span) + span
-            steps = np.geomspace(span / max(per_unit, 8), reach[:, 0], 32, axis=1)
-            for k in range(0, chunk.size, rows):
-                yield chunk[k:k + rows], x[k:k + rows], steps[k:k + rows]
-
-    # x >= hi: v = x, u over the lattice and x minus the ladder
-    for i, x, steps in blocks(np.flatnonzero(xs >= hi), lattice.size):
-        gx = gmass(x)
-        us = x - steps
-        out[i] = np.maximum(_pair_values(x - lattice, gx - gl, beta).max(axis=1),
-                            _pair_values(x - us, gx - gmass(us), beta).max(axis=1))
-
-    # x <= lo: u = x, v over the lattice and x plus the ladder
-    for i, x, steps in blocks(np.flatnonzero(xs <= lo), lattice.size):
-        gx = gmass(x)
-        vs = x + steps
-        out[i] = np.maximum(_pair_values(lattice - x, gl - gx, beta).max(axis=1),
-                            _pair_values(vs - x, gmass(vs) - gx, beta).max(axis=1))
-
-    inside = np.flatnonzero((xs > lo) & (xs < hi))
-    if inside.size == 0:
-        return out
-    corner = _lattice_corner_max(lattice, gl, beta)
-    a = np.searchsorted(lattice, xs[inside], side="right") - 1
-    b = np.searchsorted(lattice, xs[inside], side="left")
-    out[inside] = corner[b - a, a]
-    for i, x, steps in blocks(inside, (lattice.size + 33) * 33):
-        # ladder ends: x itself (step 0) and x -/+ the ladder
-        steps = np.concatenate([steps, np.zeros_like(x)], axis=1)
-        us, vs = x - steps, x + steps
-        gu, gv = gmass(us), gmass(vs)
-        # pairs with a ladder end: (nodes <= x and us) x vs, then us x (nodes >= x);
-        # the node ranges cover the block's extreme x and the rest is masked
-        k = np.searchsorted(lattice, x.max(), side="right")
-        rows = (x.shape[0], k)
-        left = np.concatenate([np.broadcast_to(lattice[:k], rows), us], axis=1)
-        gleft = np.concatenate([np.broadcast_to(gl[:k], rows), gu], axis=1)
-        best = _pair_values(vs[:, :, None] - left[:, None, :],
-                            gv[:, :, None] - gleft[:, None, :],
-                            beta, (left <= x)[:, None, :]).max(axis=(1, 2))
-        k = np.searchsorted(lattice, x.min(), side="left")
-        right = lattice[None, None, k:]
-        best = np.maximum(best, _pair_values(
-            right - us[:, :, None], gl[None, None, k:] - gu[:, :, None],
-            beta, right >= x[:, :, None]).max(axis=(1, 2)))
-        out[i] = np.maximum(out[i], best)
-    return out
-
-
-def _lattice_corner_max(lattice, gl, beta):
-    """Diagonals of the prefix-max table P[a, b] = max_{i <= a, j >= b} V[i, j]
-    of the lattice pairs V[i, j] = (t_j - t_i)^(beta-1) * (gl_j - gl_i):
-    row k holds P[a, a + k] for k = 0, 1 (the last entry of row 1 is unused).
-    Built in row blocks carrying the column maxima of the rows above."""
-    m = lattice.size
-    corner = np.zeros((2, m))
-    above = np.zeros(m)
-    rows = max(1, _SWEEP_BLOCK // m)
-    for r0 in range(0, m, rows):
-        r1 = min(m, r0 + rows)
-        vals = _pair_values(lattice[None, :] - lattice[r0:r1, None],
-                            gl[None, :] - gl[r0:r1, None], beta)
-        # suffix max over j >= b, then prefix max over i <= a
-        vals = np.maximum.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
-        vals = np.maximum.accumulate(np.maximum(vals, above[None, :]), axis=0)
-        a = np.arange(r0, r1)
-        corner[0, a] = vals[a - r0, a]
-        a = a[a < m - 1]
-        corner[1, a] = vals[a - r0, a + 1]
-        above = vals[-1]
-    return corner
+    dist = np.maximum(np.maximum(lo - xs, xs - hi), 0.0)
+    return (hi - lo) * ((hi - lo) + dist) ** (beta - 1.0)
 
 
 def _maximal_2d(f: SampledFunction, x: np.ndarray, policy: MaximalPolicy, beta: float):

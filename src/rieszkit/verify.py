@@ -21,12 +21,12 @@ import numpy as np
 
 from .atoms import (Atom, AtomParams, AtomSampler, atom_thresholds,
                     sample_atom_campaign)
-from .errors import HypothesisFailed, MisclassifiedSample
+from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
 from .geometry import (Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
-                        _sweep_maximal_1d, apply_T_batch, fractional_maximal_witness,
-                        indicator, weighted_norm)
+                        apply_T_batch, fractional_maximal_witness, indicator,
+                        indicator_maximal_1d, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
 from .weights import (STABILITY_FACTOR, PowerWeight, ball_measure,
@@ -37,6 +37,9 @@ from .weights import (STABILITY_FACTOR, PowerWeight, ball_measure,
 
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
+#: a campaign's truncated line must stay below sqrt(float max), where the
+#: squared distances of the kernel overflow
+MAX_EXTENT = math.sqrt(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +404,10 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     alpha set:  sup_f ||M_alpha f||_{L^q_{w^q}} / ||f||_{L^p_{w^p}} with
     1/q = 1/p - alpha/n needs w in A_{p,q}.
 
-    Each refinement level doubles both the lattice density and the truncation
+    M_beta of the indicator of an interval B is exact on the line
+    (``indicator_maximal_1d``: |B| (|B| + dist(x, B))^(beta-1)); the left
+    side integrates it over a graded mesh of [-extent, extent].  Each
+    refinement level doubles both the mesh density and the truncation
     domain, so unbounded configurations reveal themselves as monotone growth.
     """
     n = w.dimension
@@ -441,7 +447,7 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
             wv = wv ** q
         ratio = 0.0
         for f, den in zip(fns, dens_norms):
-            mvals = _sweep_maximal_1d(f, mids, beta, dens)
+            mvals = indicator_maximal_1d(f.ball, mids, beta)
             num = float(np.sum(mvals**q * wv * widths)) ** (1.0 / q)
             ratio = max(ratio, num / den)
         series.append(ratio)
@@ -527,6 +533,19 @@ def _split_edges_at(edges: np.ndarray, points) -> np.ndarray:
     return np.unique(np.concatenate([edges, np.asarray(inside, dtype=float)]))
 
 
+def _expanded_intervals(ball: Ball, family: MatrixFamily) -> list:
+    """The expanded balls of ``ball`` on the line, merged into sorted intervals."""
+    return _merge_intervals([[float(b.center[0] - b.radius), float(b.center[0] + b.radius)]
+                             for b in expanded_balls(ball, family)])
+
+
+def _truncation_extent(intervals, outer_octaves: int) -> float:
+    """Half-width of the truncated line that the norm of T a is integrated
+    over: outer_octaves dyadic octaves beyond the expanded balls."""
+    scale = max(abs(lo) + abs(hi) for lo, hi in intervals)
+    return (scale + 1.0) * 2.0**outer_octaves
+
+
 def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
                      norm_weight, weight_exponent: float, norm_exponent: float,
                      spec: CampaignSpec, scheme: QuadratureScheme):
@@ -551,9 +570,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         wvals = eval_weight_batch(norm_weight, xs[:, None], extended=True) ** sw
         return np.abs(tvals) ** e * wvals
 
-    stars = expanded_balls(ball, family)
-    intervals = _merge_intervals(
-        [[float(b.center[0] - b.radius), float(b.center[0] + b.radius)] for b in stars])
+    intervals = _expanded_intervals(ball, family)
     breakpoints = [0.0] if profile.alpha == 0.0 else []
     breakpoints += [float(s.center_array()[0]) for s in wsings]
 
@@ -565,8 +582,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         edges = _split_edges_at(np.linspace(lo, hi, cells + 1), breakpoints)
         inner += integrate_cells_1d(integrand, edges, wsings)
 
-    scale = max(abs(lo) + abs(hi) for lo, hi in intervals)
-    extent = (scale + 1.0) * 2.0**spec.outer_octaves
+    extent = _truncation_extent(intervals, spec.outer_octaves)
     h0 = 2.0 * family.norm_bound * ball.radius / spec.outer_resolution
     segments = []
     left_end = intervals[0][0]
@@ -670,13 +686,24 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     kind "thm-positive": atoms for w^p, target norm L^q_{w^q} with
     1/q = 1/p - alpha/n (the Riesz-potential corollary is the m = 1 identity
     case of the same pipeline).
-    Raises HypothesisFailed when any audited hypothesis is violated.
+    Raises ConfigError at ``campaign`` when an atom's truncated line reaches
+    MAX_EXTENT, before any audit runs, and HypothesisFailed when any audited
+    hypothesis is violated.
     """
     n = w.dimension
     if scheme is None:
         scheme = default_scheme(n)
     if kind not in ("thm-zero", "thm-positive"):
         raise ValueError("kind must be 'thm-zero' or 'thm-positive'")
+
+    sampler = AtomSampler(tuple(np.asarray(c, dtype=float) for c in spec.centers),
+                          tuple(spec.radii))
+    for i in range(min(spec.count, len(spec.centers) * len(spec.radii))):
+        extent = _truncation_extent(_expanded_intervals(sampler.ball(i), family),
+                                    spec.outer_octaves)
+        if not extent < MAX_EXTENT:
+            raise ConfigError("campaign", f"the truncated line reaches {extent:.3g}, where "
+                              f"squared distances overflow (limit {MAX_EXTENT:.3g})")
 
     if kind == "thm-zero":
         if profile.alpha != 0.0:
@@ -702,8 +729,6 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
         raise HypothesisFailed("moment degree at least the minimal degree",
                                f"d = {d} < required {d_min}")
     params = AtomParams(spec.p, spec.p0, d, atom_weight, n)
-    sampler = AtomSampler(tuple(np.asarray(c, dtype=float) for c in spec.centers),
-                          tuple(spec.radii))
     atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, scheme)
 
     tasks = [(atom, profile, family, norm_weight, weight_exponent, norm_exponent,

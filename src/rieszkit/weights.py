@@ -79,12 +79,14 @@ class ProductPowerWeight:
                         for a, c in self.factors)
         if not factors:
             raise ValueError("product weight needs at least one factor")
-        for a, _ in factors:
-            if a <= -self.dimension:
-                raise ValueError("each factor exponent must exceed -dimension")
         if self.scale <= 0:
             raise ValueError("weight scale must be positive")
         object.__setattr__(self, "factors", factors)
+        # factors at one center multiply, so their exponents add before the test
+        for c, p in radial_factors(self)[1]:
+            if not p.integrable(self.dimension):
+                raise ValueError(f"the exponent at {c.tolist()} is {p.exponent:g}; it must "
+                                 f"exceed -{self.dimension} for local integrability")
 
 
 @dataclass(frozen=True)
@@ -549,9 +551,29 @@ def _ratio(log_num: float, log_den: float) -> float:
     return _exp(log_num - log_den)
 
 
-def _log_min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
-    lo = min_over_nodes(w, ball, scheme)
-    return math.log(lo) if lo > 0.0 else -math.inf
+def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps):
+    """sup_B M_a(B) / M_b(B) over the family, where M_s is the power mean of
+    order s (``power_mean``, as a logarithm) and M_{-inf} the minimum of w
+    over the quadrature nodes of B.  A ball where w^a or w^b is not locally
+    integrable gives +inf.  Exact power means of a radial weight (b finite)
+    do not depend on the lattice (``lattice_free``)."""
+    if scheme is None:
+        scheme = default_scheme(w.dimension)
+
+    def log_mean(s, ball, sch):
+        if s == -math.inf:
+            lo = min_over_nodes(w, ball, sch)
+            return math.log(lo) if lo > 0.0 else -math.inf
+        return power_mean(w, s, ball, sch, log=True)
+
+    def per_ball(ball, sch):
+        try:
+            return _ratio(log_mean(a, ball, sch), log_mean(b, ball, sch))
+        except NotIntegrable:
+            return math.inf
+
+    return _estimate_over_family(label, per_ball, family, scheme, refine_steps,
+                                 b != -math.inf and _is_radial(w))
 
 
 def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None = None,
@@ -559,14 +581,8 @@ def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None 
     """sup_B (average of w over B) / (min of w over the quadrature nodes of B).
 
     Like every class estimator, it forms its per-ball ratio from the
-    logarithms of ``power_mean``."""
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-
-    def per_ball(ball, s):
-        return _ratio(power_mean(w, 1.0, ball, s, log=True), _log_min_over_nodes(w, ball, s))
-
-    return _estimate_over_family("A_1", per_ball, family, scheme, refine_steps)
+    logarithms of ``power_mean`` (``_class_constant``)."""
+    return _class_constant("A_1", w, 1.0, -math.inf, family, scheme, refine_steps)
 
 
 def estimate_Ap_constant(w, p: float, family: BallFamily,
@@ -576,20 +592,9 @@ def estimate_Ap_constant(w, p: float, family: BallFamily,
     p = float(p)
     if p <= 1.0:
         raise ValueError("estimate_Ap_constant needs p > 1 (use estimate_A1_constant)")
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-    dual = -1.0 / (p - 1.0)
-
-    def per_ball(ball, s):
-        try:
-            # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1)
-            return _ratio(power_mean(w, 1.0, ball, s, log=True),
-                          power_mean(w, dual, ball, s, log=True))
-        except NotIntegrable:
-            return math.inf
-
-    return _estimate_over_family(f"A_p(p={p:g})", per_ball, family, scheme, refine_steps,
-                                 _is_radial(w))
+    # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1)
+    return _class_constant(f"A_p(p={p:g})", w, 1.0, -1.0 / (p - 1.0), family, scheme,
+                           refine_steps)
 
 
 def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
@@ -603,21 +608,10 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
     p, q = float(p), float(q)
     if q < p or p < 1.0:
         raise ValueError("estimate_Apq_constant needs 1 <= p <= q")
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-
-    def per_ball(ball, s):
-        try:
-            left = power_mean(w, q, ball, s, log=True)
-            if p > 1.0:
-                # (avg w^{-p'})^{1/p'} equals power_mean(w, -p')^{-1}
-                return _ratio(left, power_mean(w, -p / (p - 1.0), ball, s, log=True))
-        except NotIntegrable:
-            return math.inf
-        return _ratio(left, _log_min_over_nodes(w, ball, s))
-
-    return _estimate_over_family(f"A_pq(p={p:g},q={q:g})", per_ball, family, scheme,
-                                 refine_steps, p > 1.0 and _is_radial(w))
+    # (avg w^{-p'})^{1/p'} equals power_mean(w, -p')^{-1}
+    dual = -p / (p - 1.0) if p > 1.0 else -math.inf
+    return _class_constant(f"A_pq(p={p:g},q={q:g})", w, q, dual, family, scheme,
+                           refine_steps)
 
 
 def estimate_RH_constant(w, s_exp: float, family: BallFamily,
@@ -627,18 +621,8 @@ def estimate_RH_constant(w, s_exp: float, family: BallFamily,
     s_exp = float(s_exp)
     if s_exp <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-
-    def per_ball(ball, s):
-        try:
-            num = power_mean(w, s_exp, ball, s, log=True)
-        except NotIntegrable:
-            return math.inf
-        return _ratio(num, power_mean(w, 1.0, ball, s, log=True))
-
-    return _estimate_over_family(f"RH_s(s={s_exp:g})", per_ball, family, scheme,
-                                 refine_steps, _is_radial(w))
+    return _class_constant(f"RH_s(s={s_exp:g})", w, s_exp, 1.0, family, scheme,
+                           refine_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -353,6 +353,10 @@ def _theorem_config(check, alpha, **campaign):
                                       "values": [1.0, 2.0]}), "weight.grid.hi"),
     (["verify"], _base_config(weight={"kind": "product_power", "factors": [["a", [0.0]]]}),
      "weight.factors[0][0]"),
+    (["weights", "classify"],
+     _base_config(weight={"kind": "product_power", "factors": [[-0.6, [0]], [-0.6, [0]]]},
+                  classify={"classes": [{"kind": "A1"}], "critical_indices": False}),
+     "weight.factors"),
     (["verify"], _base_config(weight={"kind": "power", "exponent": 0.5, "dimension": 2}),
      "weight.dimension"),
     (["verify"], _theorem_config("theorem-thm1", 0.0, count=2, seed=-1), "campaign.seed"),
@@ -379,7 +383,8 @@ def _theorem_config(check, alpha, **campaign):
         "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells",
         "weight-power-scale-0", "weight-log-scale-negative", "weight-tabulated-negative-value",
         "weight-tabulated-zero-value", "weight-tabulated-hi-below-lo",
-        "weight-product-exponent-string", "weight-dimension-mismatch",
+        "weight-product-exponent-string", "weight-product-coincident-not-integrable",
+        "weight-dimension-mismatch",
         "campaign-seed-negative", "campaign-count-over-budget", "cli-seed-negative",
         "root-seed-negative", "thm1-positive-alpha", "ta-zero-alpha",
         "sweep-points-over-budget", "outer-octaves-over-budget",
@@ -397,9 +402,28 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     assert error["error"] == "config" and error["path"] == field
 
 
+@pytest.mark.parametrize("entry, code", [(1e300, 4), (1e150, 0)])
+def test_cli_huge_matrix_campaign(tmp_path, capsys, entry, code):
+    """A matrix of norm 1e300 stretches the campaign's truncated line past
+    sqrt(float max), where squared distances overflow: the run is refused at
+    ``campaign`` (exit 4) before any audit, not reported as a failed theorem.
+    At 1e150 the line reaches about 4e153 and the campaign still passes."""
+    with open(os.path.join(CONFIG_DIR, "corollary.json")) as fh:
+        raw = json.load(fh)
+    raw["matrices"][0][0][0] = entry
+    cfg = _write(tmp_path, "huge.json", raw)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    if code == 4:
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "config" and error["path"] == "campaign"
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_atoms_validate_bad_manifest_exit_4(tmp_path):
-    """A manifest record without ball.radius, and a manifest that does not
-    exist, are config errors (exit 4) naming the line and field."""
+    """A manifest record without ball.radius, a record whose product weight
+    has factors at one centre that are not integrable together, and a
+    manifest that does not exist, are config errors (exit 4) naming the line
+    and field."""
     from rieszkit import AtomParams, Ball, PowerWeight, construct_atom, write_atom_manifest
 
     params = AtomParams(1.0, 2.0, 0, PowerWeight(0.5), 1)
@@ -410,8 +434,14 @@ def test_cli_atoms_validate_bad_manifest_exit_4(tmp_path):
     record = json.loads(lines[1])
     del record["ball"]["radius"]
     manifest.write_text(lines[0] + "\n" + json.dumps(record) + "\n")
+    record = json.loads(lines[0])
+    record["params"]["weight"] = {"kind": "product_power",
+                                  "factors": [[-0.6, [0.0]], [-0.6, [0.0]]]}
+    coincident = tmp_path / "coincident.jsonl"
+    coincident.write_text(json.dumps(record) + "\n")
     cfg = _write(tmp_path, "atoms.json", _base_config(atom={"p": 1.0, "p0": 2.0, "d": 0}))
     for path, field in ((manifest, "manifest line 2.ball.radius"),
+                        (coincident, "manifest line 1.params.weight.factors"),
                         (tmp_path / "missing.jsonl", "(manifest)")):
         out = _python("-m", "rieszkit.cli", "atoms", "validate", "--config", cfg,
                       "--out", str(tmp_path / "out"), "--manifest", str(path))

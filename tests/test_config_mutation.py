@@ -92,6 +92,7 @@ def test_mutated_bundled_configs_load_or_raise_config_error(config_dir, name, mu
 # the theorem campaigns' count is cut to 2 atoms before mutating, so that every
 # example fits EXAMPLE_SECONDS
 RUNS = {"atoms-campaign.json": ["atoms", "gen"], "corollary.json": ["verify"],
+        "maximal-power-half.json": ["verify"],
         "sweep-disk.json": ["operator", "sweep"], "sweep-riesz.json": ["operator", "sweep"],
         "sweep-t02.json": ["operator", "sweep"],
         "ta-worked.json": ["verify"], "thm1-smoke.json": ["verify"],

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszkit import (AtomParams, Ball, ExponentProfile, GridProfile, IndicatorProfile,
-                      MaximalPolicy, PolynomialProfile, PowerWeight, QuadratureDiverged,
-                      QuadratureScheme, SampledFunction, Singular, apply_T,
+from rieszkit import (AtomParams, Ball, CallableProfile, ExponentProfile, GridProfile,
+                      IndicatorProfile, MaximalPolicy, PolynomialProfile, PowerWeight,
+                      QuadratureDiverged, QuadratureScheme, SampledFunction, Singular, apply_T,
                       construct_atom, domination_check, equal_split,
                       fractional_maximal, fractional_maximal_witness,
                       hl_maximal, hl_maximal_witness, identity_family,
@@ -409,8 +409,8 @@ def test_far_field_grid_profile_takes_cell_path(monkeypatch):
     import rieszkit.operators as ops
 
     calls = []
-    cells = ops.integrate_cells_1d
-    monkeypatch.setattr(ops, "integrate_cells_1d",
+    cells = ops.integrate_ball
+    monkeypatch.setattr(ops, "integrate_ball",
                         lambda *a, **k: calls.append(1) or cells(*a, **k))
     prof = equal_split(0.0, 2, 1)
     fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
@@ -421,6 +421,34 @@ def test_far_field_grid_profile_takes_cell_path(monkeypatch):
     poly = apply_T_batch(SampledFunction(ball, PolynomialProfile({(0,): 1.0})), x, prof, fam)
     assert len(calls) == 1  # the polynomial profile took the multipole rule
     assert grid[0] == pytest.approx(poly[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha, alphas, mats", [(0.0, (0.5, 0.5), [1.0, -1.0]),
+                                                  (0.5, (0.5,), [1.0])])
+def test_cell_profiles_on_the_line_match_cells_1d(alpha, alphas, mats):
+    """Grid and callable profiles on the line take the shared integrate_ball
+    loop; it gives the cell rule on the support's 2 * resolution cells bit
+    for bit."""
+    from rieszkit.operators import _kernel_rows, _kernel_singularities
+    from rieszkit.quadrature import integrate_cells_1d
+
+    prof = ExponentProfile(alpha, alphas, 1)
+    fam = scalar_family(mats, pairwise_invertible=len(mats) > 1)
+    ball = Ball([0.25], 1.5)
+    scheme = QuadratureScheme(resolution=96)
+    xs = np.array([[0.1], [-1.0], [1.75], [3.0], [np.nextafter(1.75, 2.0)]])
+    edges = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius,
+                        2 * scheme.resolution + 1)
+    for profile in (GridProfile(np.linspace(1.0, 2.0, 40)),
+                    CallableProfile(lambda q: np.cos(q[:, 0]))):
+        f = SampledFunction(ball, profile)
+        got = apply_T_batch(f, xs, prof, fam, scheme)
+        for x, v in zip(xs, got):
+            sings = _kernel_singularities(x, prof, fam, ball)
+            want = integrate_cells_1d(
+                lambda ys: _kernel_rows(x[None, :], ys[:, None], prof, fam)[0]
+                * f.eval(ys[:, None]), edges, sings)
+            assert v == want
 
 
 class _CellsCalled(Exception):
@@ -436,7 +464,6 @@ def test_near_field_routing(monkeypatch):
     def refuse(*args, **kwargs):
         raise _CellsCalled
 
-    monkeypatch.setattr(ops, "integrate_cells_1d", refuse)
     monkeypatch.setattr(ops, "integrate_ball", refuse)
     prof = equal_split(0.0, 2, 1)
     fam = scalar_family([1.0, -1.0], pairwise_invertible=True)

@@ -15,8 +15,8 @@ from rieszkit import (AtomParams, Ball, CampaignSpec, ExponentProfile,
                       check_quasi_norm_assembly, check_rh_ball_inequality,
                       equal_split, identity_family, run_theorem_campaign,
                       scalar_family)
-from rieszkit.operators import (CallableProfile, SampledFunction, _prefix_integral,
-                                _sweep_maximal_1d)
+from rieszkit.operators import (SampledFunction, fractional_maximal, hl_maximal,
+                                indicator_maximal_1d)
 
 UNIT = PowerWeight(0.0)
 
@@ -208,67 +208,27 @@ def test_maximal_inequality_pass_and_diverge():
     assert rep.stability["monotone_growth"]
 
 
-def _reference_sweep_maximal_1d(f, xs, beta, per_unit):
-    """Per-point search over every candidate pair: the loop that
-    operators._sweep_maximal_1d replaced, kept as its oracle."""
-    from rieszkit.operators import _prefix_integral
-
-    lo = float(f.ball.center[0] - f.ball.radius)
-    hi = float(f.ball.center[0] + f.ball.radius)
-    lattice = np.linspace(lo, hi, max(64, int((hi - lo) * per_unit)) + 1)
-    G = _prefix_integral(f, lattice)
-
-    def gmass(pts):
-        return np.interp(np.clip(pts, lo, hi), lattice, G)
-
-    span = hi - lo
-    out = np.empty(xs.size)
-    for i, x in enumerate(xs):
-        reach = max(abs(x - lo), abs(hi - x), span) + span
-        ladder = np.geomspace(span / max(per_unit, 8), reach, 32)
-        us = np.concatenate([lattice[lattice <= x], x - ladder, [x]])
-        vs = np.concatenate([lattice[lattice >= x], x + ladder, [x]])
-        us = np.unique(us[us <= x])
-        vs = np.unique(vs[vs >= x])
-        length = vs[None, :] - us[:, None]
-        mass = gmass(vs)[None, :] - gmass(us)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.where(length > 0, length ** (beta - 1.0) * mass, 0.0)
-        out[i] = float(np.max(vals))
-    return out
-
-
-@pytest.mark.parametrize("beta", [0.0, 0.25, 0.5])
-def test_sweep_maximal_matches_per_point_reference(beta):
-    """The vectorized sweep (far-side dominance, prefix-max table) equals the
-    per-point search bit for bit: at the support ends, on lattice nodes,
-    inside the support and far out on both sides, for an indicator and a
-    signed profile."""
-    rng = np.random.default_rng(20240)
-    for trial in range(3):
-        c, r = float(rng.uniform(-3.0, 3.0)), float(rng.uniform(0.2, 2.5))
-        per_unit = int(rng.choice([8, 16, 40]))
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9])
+def test_indicator_maximal_matches_lattice_search(beta):
+    """The closed form |B| (|B| + dist(x, B))^(beta-1) equals the general
+    lattice search, whose candidates include x and both support ends: inside
+    the support, at both ends, one ulp outside them and 200 radii out."""
+    for c, r in ((0.0, 1.0), (1.5, 0.25), (-2.0, 1e-3)):
         ball = Ball([c], r)
         lo, hi = c - r, c + r
-        lattice = np.linspace(lo, hi, max(64, int((hi - lo) * per_unit)) + 1)
-        nodes = rng.choice(lattice, 12, replace=False)
-        xs = np.concatenate([
-            [lo, hi], nodes, rng.uniform(lo, hi, 40),
-            hi + rng.exponential(2.0, 30), lo - rng.exponential(2.0, 30),
-            [lo - 200.0, hi + 200.0, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]])
-        rng.shuffle(xs)
-        for f in (SampledFunction(ball), SampledFunction(ball, CallableProfile(
-                lambda q, _c=c: np.cos(3.0 * (q[:, 0] - _c))))):
-            got = _sweep_maximal_1d(f, xs, beta, per_unit)
-            want = _reference_sweep_maximal_1d(f, xs, beta, per_unit)
-            assert np.array_equal(got, want), (trial, np.flatnonzero(got != want))
+        xs = [c, c + 0.3 * r, lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+              lo - 200.0 * r, hi + 200.0 * r]
+        got = indicator_maximal_1d(ball, np.array(xs), beta)
+        f = SampledFunction(ball)
+        for x, v in zip(xs, got):
+            want = hl_maximal(f, [x]) if beta == 0.0 else fractional_maximal(f, [x], beta)
+            assert v == pytest.approx(want, rel=1e-12), (c, r, x)
 
 
-def test_sweep_maximal_needs_beta_below_one():
-    f = SampledFunction(Ball([0.0], 1.0))
+def test_indicator_maximal_needs_beta_below_one():
     for beta in (1.0, 1.5):
         with pytest.raises(ValueError):
-            _sweep_maximal_1d(f, np.array([0.0, 2.0]), beta, 16)
+            indicator_maximal_1d(Ball([0.0], 1.0), np.array([0.0, 2.0]), beta)
 
 
 def test_maximal_inequality_fractional():
