@@ -25,6 +25,12 @@ to the cancellation that vanishing moments cause in a quadrature: against
 a 40-digit mpmath quadrature these values agree to 3e-13 relative or
 better, from 3 radii out to a theorem campaign's truncation.
 
+Neither rule's costly part depends on the function: the product series,
+the panels, the rule table and the kernel factors are those of the ball,
+the kernel and the points.  ``apply_T_ball_1d`` builds them once for every
+polynomial or indicator on one ball and applies them to each function, so
+the functions of a campaign that share a ball share one evaluation of T.
+
 In the plane, the indicator of a disk under one kernel factor
 |x - A y|^{-a} whose matrix is a similarity (A^T A = lambda^2 I) gives
 |lambda|^{-a} times the integral of the radial profile r^{-a} over the disk
@@ -47,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -341,11 +346,11 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
                   family: MatrixFamily, scheme: QuadratureScheme | None = None) -> np.ndarray:
     """Vectorized apply_T over a batch of evaluation points (no refinement check).
 
-    On the line, a polynomial or indicator profile takes the multipole rule
-    at far-field points and the Gauss-Jacobi rule at the others; in the
-    plane, a disk's indicator under one similarity factor takes one exact
-    radial ball integral.  None of these reads ``scheme``; every other case
-    takes the cell quadrature.
+    On the line, a polynomial or indicator profile takes ``apply_T_ball_1d``
+    (the multipole rule at far-field points, the Gauss-Jacobi rule at the
+    others); in the plane, a disk's indicator under one similarity factor
+    takes one exact radial ball integral.  None of these reads ``scheme``;
+    every other case takes the cell quadrature.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if scheme is None:
@@ -353,15 +358,8 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
     ball = f.ball
     n = ball.dimension
 
-    moments = _unit_moments_1d(f.profile) if n == 1 else None
-    if moments is not None:
-        out = np.empty(xs.shape[0])
-        far = _far_mask_1d(xs[:, 0], family, ball)
-        if np.any(far):
-            out[far] = _far_field_1d(xs[far, 0], moments, profile, family, ball)
-        if not np.all(far):
-            out[~far] = _near_field_1d(xs[~far, 0], f, profile, family)
-        return out
+    if n == 1 and isinstance(f.profile, (IndicatorProfile, PolynomialProfile)):
+        return apply_T_ball_1d([f], xs[:, 0], profile, family)[0]
 
     lam = _similarity_scale(family.matrices[0]) if n == 2 and profile.m == 1 else None
     if lam is not None and isinstance(f.profile, IndicatorProfile):
@@ -383,6 +381,32 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
     return out
 
 
+def apply_T_ball_1d(fs, xs, profile: ExponentProfile, family: MatrixFamily) -> np.ndarray:
+    """T f at the points xs of the line for every function f in ``fs``.
+
+    The functions are polynomials or indicators on one common ball.  Every
+    costly part of T depends on the ball, the kernel and the points only:
+    the far-field product series, the near-field panels, rule table and
+    kernel factors are built once and applied to each function, so row i
+    is T fs[i] with exactly the floating-point operations of
+    ``apply_T_batch(fs[i], ...)``.  Returns an (len(fs), len(xs)) array.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ball = fs[0].ball
+    for f in fs:
+        if f.ball.radius != ball.radius or not np.array_equal(f.ball.center, ball.center):
+            raise ValueError("the functions must share one ball")
+    out = np.empty((len(fs), xs.size))
+    far = _far_mask_1d(xs, family, ball)
+    if np.any(far):
+        out[:, far] = _far_field_1d(xs[far], [_unit_moments_1d(f.profile) for f in fs],
+                                    profile, family, ball)
+    if not np.all(far):
+        out[:, ~far] = _near_field_1d(xs[~far], [f.profile for f in fs], ball, profile,
+                                      family)
+    return out
+
+
 def _similarity_scale(mat: np.ndarray):
     """|lambda| when mat^T mat = lambda^2 I (lambda times a rotation or a
     reflection), to 1e-12 relative; None otherwise."""
@@ -395,25 +419,30 @@ def _similarity_scale(mat: np.ndarray):
 
 def _unit_moments_1d(profile):
     """m_k = integral over [-1, 1] of u^k p(u), k <= FAR_FIELD_ORDER, for a
-    polynomial or indicator profile p; None for any other profile."""
+    polynomial or indicator profile p."""
     if isinstance(profile, IndicatorProfile):
         return _polynomial_moments(((0, 1.0),))
-    if isinstance(profile, PolynomialProfile):
-        return _polynomial_moments(tuple(sorted((k[0], c) for k, c in profile.coeffs.items())))
-    return None
+    return _polynomial_moments(tuple(sorted((k[0], c) for k, c in profile.coeffs.items())))
 
 
 @lru_cache(maxsize=256)
 def _polynomial_moments(terms) -> np.ndarray:
     """Moments of sum c u^i from (i, c) pairs, summed exactly over the float
     coefficients and rounded once, so vanishing moments stay at their
-    ~1e-17 residuals instead of picking up rounding noise."""
-    exact = [(i, Fraction(c)) for i, c in terms]
+    ~1e-17 residuals instead of picking up rounding noise.
+
+    Each float c is num / 2^e exactly, so every moment is one integer
+    numerator over lcm(j + 1) 2^max(e); Python's int / int is correctly
+    rounded, as the float of the same Fraction is."""
+    ratios = [(i, *c.as_integer_ratio()) for i, c in terms]
+    den = max((d for _, _, d in ratios), default=1)      # a power of two
+    nums = [(i, num * (den // d)) for i, num, d in ratios]
     out = np.empty(FAR_FIELD_ORDER + 1)
     for k in range(FAR_FIELD_ORDER + 1):
         # integral of u^j over [-1, 1] is 2 / (j + 1) for even j, 0 for odd j
-        out[k] = float(sum((c * Fraction(2, k + i + 1) for i, c in exact
-                            if (k + i) % 2 == 0), Fraction(0)))
+        even = [(k + i + 1, num) for i, num in nums if (k + i) % 2 == 0]
+        lcm = math.lcm(*(j for j, _ in even))
+        out[k] = sum(2 * num * (lcm // j) for j, num in even) / (lcm * den)
     out.flags.writeable = False
     return out
 
@@ -427,13 +456,15 @@ def _far_mask_1d(xs: np.ndarray, family: MatrixFamily, ball: Ball) -> np.ndarray
     return far
 
 
-def _far_field_1d(xs: np.ndarray, moments: np.ndarray, profile: ExponentProfile,
+def _far_field_1d(xs: np.ndarray, moments: list, profile: ExponentProfile,
                   family: MatrixFamily, ball: Ball) -> np.ndarray:
-    """Multipole value of T f at far-field points (see the module docstring).
+    """Multipole values of T f at far-field points (see the module docstring),
+    one row per moment vector in ``moments``.
 
     k(x, c + r u) = prod_j |D_j|^{-a_j} (1 - z_j u)^{-a_j} with z_j = lambda_j r / D_j,
     and (1 - z u)^{-a} = sum_k (a)_k / k! z^k u^k; the product series is
-    contracted with the unit-ball moments of the profile.
+    built once and contracted with the unit-ball moments of each profile,
+    one matrix-vector product per profile.
     """
     c, r = float(ball.center[0]), float(ball.radius)
     k = np.arange(FAR_FIELD_ORDER + 1)
@@ -447,13 +478,13 @@ def _far_field_1d(xs: np.ndarray, moments: np.ndarray, profile: ExponentProfile,
         binom = np.cumprod(np.concatenate([[1.0], (a + k[:-1]) / k[1:]]))
         term = binom * (lam * r / dist)[:, None] ** k
         series = term if series is None else _cauchy_product(series, term)
-    return scale * (series @ moments)
+    return np.stack([scale * (series @ m) for m in moments])
 
 
-def _near_field_1d(xs: np.ndarray, f: SampledFunction, profile: ExponentProfile,
+def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: ExponentProfile,
                    family: MatrixFamily) -> np.ndarray:
-    """Product Gauss-Jacobi value of T f at near-field points (see the module
-    docstring) for a polynomial or indicator profile.
+    """Product Gauss-Jacobi values of T f at near-field points (see the module
+    docstring), one row per polynomial or indicator profile on ``ball``.
 
     With s_j = x / lambda_j the kernel is C prod_j |s_j - y|^{-a_j},
     C = prod_j |lambda_j|^{-a_j}.  The support splits at the preimages inside
@@ -462,10 +493,11 @@ def _near_field_1d(xs: np.ndarray, f: SampledFunction, profile: ExponentProfile,
     (``_graded_panels``).  Every panel takes the NEAR_FIELD_NODES-point rule
     for the exponents of the preimages at its ends, and the other factors and
     the profile are evaluated at its nodes, their distances to the preimages
-    formed from the panel ends so that none is lost to rounding.  A merged
-    exponent of -1 or below at a point of the support gives +inf.
+    formed from the panel ends so that none is lost to rounding.  The panels,
+    the rule table and the factors depend on the ball and the points only;
+    each profile's node values are multiplied by them in the same order.  A
+    merged exponent of -1 or below at a point of the support gives +inf.
     """
-    ball = f.ball
     lo = float(ball.center[0] - ball.radius)
     hi = float(ball.center[0] + ball.radius)
     # order the factors by 1 / lambda_j: the preimages x / lambda_j of a row
@@ -505,7 +537,7 @@ def _near_field_1d(xs: np.ndarray, f: SampledFunction, profile: ExponentProfile,
     point, pu, pv = _graded_panels(np.nonzero(keep)[0], u[keep], v[keep],
                                    gap_lo[keep], gap_hi[keep])
     if point.size == 0:
-        return out
+        return np.tile(out, (len(profiles), 1))
     # the exponents a panel end can carry
     levels = np.array(sorted(set(ends.ravel().tolist()) | {0.0}))
 
@@ -530,19 +562,23 @@ def _near_field_1d(xs: np.ndarray, f: SampledFunction, profile: ExponentProfile,
     table = [gauss_jacobi(NEAR_FIELD_NODES, float(levels[c // levels.size]),
                           float(levels[c % levels.size])) for c in np.flatnonzero(present)]
     t_lo, t_hi, wts = (np.stack([rule[i] for rule in table]) for i in (1, 2, 3))
-    sums = np.empty(point.size)
+    sums = np.empty((len(profiles), point.size))
     for k in range(0, point.size, _NEAR_BLOCK):
         sl = slice(k, k + _NEAR_BLOCK)
         r, h = row[sl], half[sl, None]
-        vals = f.profile.eval(ball, (pu[sl, None] + h * t_lo[r]).reshape(-1, 1))
-        vals = vals.reshape(h.size, NEAR_FIELD_NODES)
-        for j in range(lams.size):
-            d = dist[sl, j, None] + np.where(below[sl, j, None], t_lo[r], t_hi[r])
-            vals *= d ** power[sl, j, None]
-        sums[sl] = np.einsum("ij,ij->i", vals, wts[r]) * h[:, 0] ** lift[sl]
+        nodes = (pu[sl, None] + h * t_lo[r]).reshape(-1, 1)
+        factors = [(dist[sl, j, None] + np.where(below[sl, j, None], t_lo[r], t_hi[r]))
+                   ** power[sl, j, None] for j in range(lams.size)]
+        rule, lifted = wts[r], h[:, 0] ** lift[sl]
+        for i, prof in enumerate(profiles):
+            vals = prof.eval(ball, nodes).reshape(h.size, NEAR_FIELD_NODES)
+            for factor in factors:
+                vals *= factor
+            sums[i, sl] = np.einsum("ij,ij->i", vals, rule) * lifted
     scale = math.prod(abs(float(mat[0, 0])) ** -a
                       for mat, a in zip(family.matrices, profile.alphas))
-    return out + scale * np.bincount(point, weights=sums, minlength=xs.size)
+    return np.stack([out + scale * np.bincount(point, weights=row_sums, minlength=xs.size)
+                     for row_sums in sums])
 
 
 def _graded_panels(point, u, v, gap_lo, gap_hi):

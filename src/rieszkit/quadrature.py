@@ -598,12 +598,15 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
 def integrate_cells_1d(fn, edges, singularities=()):
     """Product-integration midpoint rule over the cells given by ``edges``.
 
-    ``fn`` maps a 1-d array of points to integrand values.  Singular points
+    ``fn`` maps a 1-d array of N points to N integrand values, or to an
+    (A, N) array of A integrands that share the points; the sums run along
+    the last axis, so the result is a float, or an (A,) array whose entry a
+    is bit for bit the float that integrand a alone gives.  Singular points
     within _PATCH_CELLS widest-cell widths of the edges are active; each
     cell is assigned to its nearest active point, whose radial profile is
     integrated exactly over the cell against the remaining (bounded) factor
     frozen at the cell midpoint, so accuracy is O(h^2) up to the singularity
-    itself.
+    itself.  A singularity that is not integrable gives math.inf.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = float(edges[0]), float(edges[-1])
@@ -617,7 +620,7 @@ def integrate_cells_1d(fn, edges, singularities=()):
         if lo - reach < c < hi + reach:
             active.append((np.array([c]), s.profile, 0.0))
     if not active:
-        return float(np.sum(fn(mids) * widths))
+        return _total(np.sum(fn(mids) * widths, axis=-1))
     active = merge_coincident(active)
     centers = np.array([float(t[0][0]) for t in active])
 
@@ -642,7 +645,7 @@ def integrate_cells_1d(fn, edges, singularities=()):
                 return math.inf
             pts = 0.5 * (up + vp)
             g = fn(pts) / prof.value(np.abs(pts - c))
-            total += float(np.sum(g * wgt))
+            total += _total(np.sum(g * wgt, axis=-1))
         for uc, vc in zip(u[contains], v[contains]):
             if not prof.integrable(1):
                 return math.inf
@@ -657,9 +660,14 @@ def integrate_cells_1d(fn, edges, singularities=()):
                 pt = c + sign * 0.5 * (b - a)
                 if pt == c:
                     pt = b if sign > 0 else a
-                g = float(fn(np.array([pt]))[0]) / float(prof.value(abs(pt - c)))
+                g = _total(fn(np.array([pt]))[..., 0]) / float(prof.value(abs(pt - c)))
                 total += wgt * g
     return total
+
+
+def _total(value):
+    """A 0-d integrand sum as a Python float; an (A,) array of sums as is."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def graded_edges(near, far, h0, block=64, growth=2.0, max_cells=200000):

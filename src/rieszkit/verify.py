@@ -25,8 +25,8 @@ from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
 from .geometry import (Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
-                        apply_T_batch, fractional_maximal_witness, indicator,
-                        indicator_maximal_1d, weighted_norm)
+                        apply_T_ball_1d, apply_T_batch, fractional_maximal_witness,
+                        indicator, indicator_maximal_1d, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
 from .weights import (STABILITY_FACTOR, PowerWeight, ball_measure,
@@ -57,8 +57,12 @@ class AuditItem:
     def to_dict(self) -> dict:
         v = self.value
         if isinstance(v, float) and not math.isfinite(v):
-            v = "inf" if v > 0 else "-inf"
+            v = _nonfinite_name(v)
         return {"name": self.name, "value": v, "passed": self.passed, "detail": self.detail}
+
+
+def _nonfinite_name(v: float) -> str:
+    return "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
 
 
 @dataclass
@@ -76,7 +80,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         def clean(v):
             if isinstance(v, float) and not math.isfinite(v):
-                return "inf" if v > 0 else "-inf"
+                return _nonfinite_name(v)
             if isinstance(v, dict):
                 return {k: clean(x) for k, x in v.items()}
             if isinstance(v, (list, tuple)):
@@ -436,6 +440,7 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     beta = 0.0 if alpha is None else alpha
     dens_norms = [weighted_norm(f, p, w, s_norm, scheme) for f in fns]
     series = []
+    witnesses = []
     for level in range(levels):
         extent = base_extent * 2.0**level
         dens = int(per_unit * 2.0**level)
@@ -445,12 +450,19 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         wv = eval_weight_batch(w, mids[:, None], extended=True)
         if alpha is not None:
             wv = wv ** q
-        ratio = 0.0
+        ratios = []
         for f, den in zip(fns, dens_norms):
             mvals = indicator_maximal_1d(f.ball, mids, beta)
             num = float(np.sum(mvals**q * wv * widths)) ** (1.0 / q)
-            ratio = max(ratio, num / den)
-        series.append(ratio)
+            # an overflowed norm (an inf that is really a finite number
+            # beyond float range) leaves the ratio undefined
+            ratios.append(num / den if math.isfinite(num) and math.isfinite(den) else math.nan)
+        # Python's max skips a NaN: a NaN ratio is the level's value instead
+        # (which series_verdict reads as diverging), and its ball the witness
+        undefined = [i for i, r in enumerate(ratios) if math.isnan(r)]
+        witnesses += [{"level": level, "center": fns[i].ball.center.tolist(),
+                       "radius": fns[i].ball.radius, "ratio": ratios[i]} for i in undefined]
+        series.append(math.nan if undefined else max([0.0, *ratios]))
     verdict_growth = series_verdict(series) == "diverging"
     verdict = "pass" if (not verdict_growth and _drift(series) < STABILITY_FACTOR) else "diverging"
     return VerificationReport(
@@ -460,7 +472,7 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
                    "monotone_growth": verdict_growth},
         sample={"p": p, "alpha": alpha, "test_count": len(fns),
                 "base_extent": base_extent},
-        extras={"verdict": verdict},
+        witnesses=witnesses, extras={"verdict": verdict},
         provenance={"config_hash": config_hash({"w": weight_to_dict(w), "p": p,
                                                 "alpha": alpha})})
 
@@ -530,7 +542,9 @@ def _split_edges_at(edges: np.ndarray, points) -> np.ndarray:
     inside = [p for p in points if edges[0] < p < edges[-1]]
     if not inside:
         return edges
-    return np.unique(np.concatenate([edges, np.asarray(inside, dtype=float)]))
+    # sorted without repeats, as np.unique gives it (which imports numpy.ma)
+    out = np.sort(np.concatenate([edges, np.asarray(inside, dtype=float)]))
+    return out[np.concatenate([[True], out[1:] != out[:-1]])]
 
 
 def _expanded_intervals(ball: Ball, family: MatrixFamily) -> list:
@@ -546,27 +560,30 @@ def _truncation_extent(intervals, outer_octaves: int) -> float:
     return (scale + 1.0) * 2.0**outer_octaves
 
 
-def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
+def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
                      norm_weight, weight_exponent: float, norm_exponent: float,
-                     spec: CampaignSpec, scheme: QuadratureScheme):
-    """Inner (expanded balls) and outer contributions to the target norm.
+                     spec: CampaignSpec):
+    """Inner (expanded balls) and outer contributions to the target norm of
+    each atom in ``atoms``, which all lie on one ball.
 
-    Returns (inner, outer, tail_bound) with inner + outer the quadrature value
-    of the integral of |T a|^e w^s over the truncated plane; the tail beyond
-    the truncation is estimated from the closed decay form and reported, not
-    added.
+    Returns (inner, outer, tail_bound), three arrays with one entry per atom:
+    inner + outer is the quadrature value of the integral of |T a|^e w^s over
+    the truncated plane; the tail beyond the truncation is estimated from the
+    closed decay form and reported, not added.  The cells, the weight values
+    and T itself (``operators.apply_T_ball_1d``) are evaluated once for the
+    ball, and each atom's entries are bit for bit those of a one-atom call.
     """
-    ball = atom.ball
+    ball = atoms[0].ball
     n = ball.dimension
     if n != 1:
         raise ValueError("theorem campaigns are implemented on the line")
-    fn = atom.function()
+    fns = [atom.function() for atom in atoms]
     e = norm_exponent
     sw = weight_exponent
     wsings = weight_singularities(norm_weight, sw)
 
     def integrand(xs):
-        tvals = apply_T_batch(fn, xs[:, None], profile, family, scheme)
+        tvals = apply_T_ball_1d(fns, xs, profile, family)
         wvals = eval_weight_batch(norm_weight, xs[:, None], extended=True) ** sw
         return np.abs(tvals) ** e * wvals
 
@@ -574,7 +591,8 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
     breakpoints = [0.0] if profile.alpha == 0.0 else []
     breakpoints += [float(s.center_array()[0]) for s in wsings]
 
-    inner = 0.0
+    # a divergent cell rule returns math.inf, which these broadcast
+    inner = np.zeros(len(atoms))
     star_diameter = 4.0 * family.norm_bound * ball.radius
     for lo, hi in intervals:
         # inner_resolution cells per expanded-ball diameter
@@ -594,7 +612,7 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
         segments.append(graded_edges(a_hi, midpt, h0, block=spec.outer_resolution))
         segments.append(graded_edges(midpt, b_lo, h0, block=spec.outer_resolution))
 
-    outer = 0.0
+    outer = np.zeros(len(atoms))
     for edges in segments:
         if edges[-1] - edges[0] <= 0:
             continue
@@ -603,16 +621,16 @@ def _atom_norm_split(atom: Atom, profile: ExponentProfile, family: MatrixFamily,
 
     # decay-form tail estimate beyond the truncation: w^s grows like |x|^wexp,
     # the sum of the factors' power exponents (log factors are 1 out there)
-    d = atom.params.d
+    d = atoms[0].params.d
     decay = e * (n + d + 1 - profile.alpha)
     radial = radial_factors(norm_weight)
     wexp = sum(p.exponent for _, p in radial[1]) * sw if radial else 0.0
     tail_exp = -decay + wexp
     if tail_exp < -1.0:
-        at_edge = float(np.abs(integrand(np.array([extent]))[0]))
+        at_edge = np.abs(integrand(np.array([extent]))[:, 0])
         tail = 2.0 * at_edge * extent / (-tail_exp - 1.0)
     else:
-        tail = math.inf
+        tail = np.full(len(atoms), math.inf)
     return inner, outer, tail
 
 
@@ -731,15 +749,24 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     params = AtomParams(spec.p, spec.p0, d, atom_weight, n)
     atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, scheme)
 
-    tasks = [(atom, profile, family, norm_weight, weight_exponent, norm_exponent,
-              spec, scheme) for atom in atoms]
+    # one task per ball, in order of first appearance; rows return in atom order
+    groups = {}
+    for i, atom in enumerate(atoms):
+        key = (atom.ball.center.tobytes(), atom.ball.radius)
+        groups.setdefault(key, []).append(i)
+    tasks = [([atoms[i] for i in members], profile, family, norm_weight, weight_exponent,
+              norm_exponent, spec) for members in groups.values()]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_campaign_worker, tasks))
+            ball_rows = list(ex.map(_campaign_worker, tasks))
     else:
-        rows = [_campaign_worker(task) for task in tasks]
+        ball_rows = [_campaign_worker(task) for task in tasks]
+    rows = [None] * len(atoms)
+    for members, group_rows in zip(groups.values(), ball_rows):
+        for i, row in zip(members, group_rows):
+            rows[i] = row
 
     by_radius = {}
     for row in rows:
@@ -756,9 +783,8 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     if kind == "thm-zero" and rows:
         # spot check: the zero-order operator maps the first atom into L^{p0}
         flat = PowerWeight(0.0, n)
-        i0, o0, _ = _atom_norm_split(atoms[0], profile, family, flat, 1.0, spec.p0,
-                                     spec, scheme)
-        extras["lp0_spot_check"] = (i0 + o0) ** (1.0 / spec.p0)
+        i0, o0, _ = _ball_norm_split([atoms[0]], profile, family, flat, 1.0, spec.p0, spec)
+        extras["lp0_spot_check"] = float(i0[0] + o0[0]) ** (1.0 / spec.p0)
 
     return VerificationReport(
         f"theorem-{'thm1' if kind == 'thm-zero' else 'ta'}", verdict, max_norm, audits,
@@ -774,11 +800,12 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
 
 
 def _campaign_worker(args):
-    """One witness row: the atom's norm split (serial and process-pool runs)."""
-    atom, profile, family, norm_weight, weight_exponent, norm_exponent, spec, scheme = args
-    inner, outer, tail = _atom_norm_split(atom, profile, family, norm_weight,
-                                          weight_exponent, norm_exponent, spec, scheme)
-    total = (inner + outer) ** (1.0 / norm_exponent)
-    return {"center": atom.ball.center.tolist(), "radius": atom.ball.radius,
-            "seed": atom.seed, "norm": total, "inner": inner, "outer": outer,
-            "tail_bound": tail}
+    """The witness rows of one ball's atoms, in their order (serial and
+    process-pool runs)."""
+    atoms, profile, family, norm_weight, weight_exponent, norm_exponent, spec = args
+    inner, outer, tail = _ball_norm_split(atoms, profile, family, norm_weight,
+                                          weight_exponent, norm_exponent, spec)
+    return [{"center": atom.ball.center.tolist(), "radius": atom.ball.radius,
+             "seed": atom.seed, "norm": float(i + o) ** (1.0 / norm_exponent),
+             "inner": float(i), "outer": float(o), "tail_bound": float(t)}
+            for atom, i, o, t in zip(atoms, inner, outer, tail)]

@@ -25,8 +25,6 @@ from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
                          merge_coincident, radial_profile)
 
-_SING_TOL = 1e-14
-
 #: the single 4x rule: monotone growth by this factor over a refinement
 #: series flags a diverging constant, and a drift below it across scales
 #: or refinements counts as uniformly bounded
@@ -223,8 +221,10 @@ def eval_weight_batch(w, pts, extended: bool = False) -> np.ndarray:
     scale, factors = radial
     out = np.full(pts.shape[0], float(scale))
     for c, prof in factors:
-        r = np.linalg.norm(pts - c, axis=1)
-        hit = r < _SING_TOL
+        # on the line |x - c| itself: the norm squares it, and 1e-300 would
+        # underflow onto the centre
+        r = np.abs(pts[:, 0] - c[0]) if w.dimension == 1 else np.linalg.norm(pts - c, axis=1)
+        hit = r == 0.0
         if not np.any(hit):
             out = out * prof.value(r)
             continue

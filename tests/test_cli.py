@@ -524,6 +524,49 @@ def test_theorem_campaign_and_sweep_never_load_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
+def test_theorem_campaign_leaves_numpy_ma_unloaded(tmp_path):
+    """A small theorem campaign never imports numpy.ma (np.unique would, at
+    ~25 ms per process)."""
+    with open(os.path.join(CONFIG_DIR, "thm1-smoke.json")) as fh:
+        raw = json.load(fh)
+    raw["campaign"]["count"] = 2
+    cfg = _write(tmp_path, "thm1.json", raw)
+    code = ("import sys, rieszkit.cli\n"
+            "code = rieszkit.cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = _python("-c", code, "verify", "--config", cfg, "--out", str(tmp_path / "out"),
+                  check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
+def test_cli_refined_lattice_keeps_the_campaign_passing(tmp_path):
+    """At 3x the bundled lattice the outer edges leave a sliver cell next to
+    the weight's centre; its midpoint ~1e-15 from the centre reads the weight
+    there, not its +inf limit, so the campaign still passes."""
+    with open(os.path.join(CONFIG_DIR, "ta-worked.json")) as fh:
+        raw = json.load(fh)
+    raw["campaign"].update(inner_resolution=768, outer_resolution=192, count=9)
+    cfg = _write(tmp_path, "ta.json", raw)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "00-theorem-ta.json").read_text())["report"]
+    assert report["verdict"] == "pass"
+    assert any(r["center"] == [-2.0] and r["radius"] == 0.25 for r in report["witnesses"])
+
+
+def test_cli_maximal_check_fails_on_an_overflowed_ball(tmp_path):
+    """A test ball whose weighted norm overflows has no ratio: the check
+    fails with that ball as the witness instead of dropping it."""
+    with open(os.path.join(CONFIG_DIR, "maximal-power-half.json")) as fh:
+        raw = json.load(fh)
+    raw["checks"][0]["test_balls"][2]["radius"] = 1e300
+    cfg = _write(tmp_path, "maximal.json", raw)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    with open(tmp_path / "out" / "00-maximal-inequality-witnesses.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["center"], float(r["radius"]), r["ratio"]) for r in rows] == [
+        ("[1.0]", 1e300, "nan")] * 4
+
+
 def test_compare_reports_script(tmp_path):
     """compare_reports ignores report timestamps, names the largest relative
     float change, and exits non-zero on any difference."""

@@ -18,7 +18,8 @@ from rieszkit import (AtomParams, Ball, CallableProfile, ExponentProfile, GridPr
                       indicator, kernel_eval, mphi_maximal_lower,
                       riesz_potential, scalar_family, weighted_norm)
 from rieszkit.geometry import MatrixFamily, expanded_balls
-from rieszkit.operators import apply_T_batch, sampled_from_csv
+from rieszkit.operators import (FAR_FIELD_ORDER, _polynomial_moments, apply_T_ball_1d,
+                                apply_T_batch, sampled_from_csv)
 from rieszkit.verify import CampaignSpec
 
 DOMINATION_SUP_ORACLE = 0.5  # direct two-sided quadrature, attained at x = 0
@@ -388,6 +389,56 @@ def test_near_field_matches_mpmath(kernel):
         refs = _mpmath_near(polys, lo, hi, center, radius, x, profile.alphas, lams)
         for d, ref in enumerate(refs):
             assert abs(values[d, i] - ref) <= 1e-12 * abs(ref), (kernel, d, x, values[d, i], ref)
+
+
+@pytest.mark.parametrize("kernel", ["thm1", "ta"])
+def test_shared_ball_rows_match_single_function_calls(kernel):
+    """apply_T_ball_1d evaluates T once per ball for every function on it; each
+    row is bit for bit apply_T_batch of that function alone, at near points
+    (inside the support, one ulp from its ends, at 0 and +-1e-9) and far ones,
+    for polynomial atoms of degree 0, 1, 2 and the indicator."""
+    profile, lams = NEAR_FIELD_KERNELS[kernel]
+    fam = scalar_family(list(lams), pairwise_invertible=True)
+    ball = Ball([0.25], 0.5)
+    fs = [construct_atom(ball, AtomParams(1.0, 2.0, d, PowerWeight(0.5), 1),
+                         seed=13).function() for d in (0, 1, 2)]
+    fs.insert(1, SampledFunction(ball, IndicatorProfile()))
+    xs = np.concatenate([np.linspace(-0.6, 1.1, 41), [0.0, 1e-9, -1e-9],
+                         [np.nextafter(e, s) for e in (-0.25, 0.75) for s in (-1.0, 1.0)],
+                         np.geomspace(2.0, 1e4, 9), -np.geomspace(2.0, 1e4, 9)])
+    far = np.array([all(abs(x / lam - 0.25) >= 1.5 for lam in lams) for x in xs])
+    assert far.any() and not far.all()
+    shared = apply_T_ball_1d(fs, xs, profile, fam)
+    assert shared.shape == (len(fs), xs.size)
+    for f, row in zip(fs, shared):
+        alone = apply_T_batch(f, xs[:, None], profile, fam)
+        assert row.tobytes() == alone.tobytes()
+
+
+def test_shared_ball_rule_needs_one_ball():
+    prof = equal_split(0.0, 2, 1)
+    fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
+    with pytest.raises(ValueError):
+        apply_T_ball_1d([indicator([0.0], 1.0), indicator([0.0], 2.0)], np.array([3.0]),
+                        prof, fam)
+
+
+def test_polynomial_moments_match_the_fraction_sum():
+    """The integer-arithmetic moments are bit for bit the Fraction sum rounded
+    once, on 3,000 random coefficient sets with scales 1e-200 to 1e200."""
+    def fraction_moments(terms):
+        exact = [(i, Fraction(c)) for i, c in terms]
+        return np.array([float(sum((c * Fraction(2, k + i + 1) for i, c in exact
+                                    if (k + i) % 2 == 0), Fraction(0)))
+                         for k in range(FAR_FIELD_ORDER + 1)])
+
+    rng = np.random.default_rng(2024)
+    for _ in range(3000):
+        deg = int(rng.integers(0, 6))
+        coeffs = rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-200, 200, deg + 1)
+        terms = tuple((i, float(c)) for i, c in enumerate(coeffs) if rng.random() < 0.8)
+        moments = _polynomial_moments.__wrapped__(terms)
+        assert moments.tobytes() == fraction_moments(terms).tobytes(), terms
 
 
 def test_near_field_preimages_near_origin_stay_apart():

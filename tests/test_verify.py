@@ -13,8 +13,8 @@ from rieszkit import (AtomParams, Ball, CampaignSpec, ExponentProfile,
                       check_containment_step, check_critical_index_chains,
                       check_maximal_inequalities, check_pointwise_atom_bound,
                       check_quasi_norm_assembly, check_rh_ball_inequality,
-                      equal_split, identity_family, run_theorem_campaign,
-                      scalar_family)
+                      construct_atom, equal_split, identity_family,
+                      run_theorem_campaign, scalar_family)
 from rieszkit.operators import (SampledFunction, fractional_maximal, hl_maximal,
                                 indicator_maximal_1d)
 
@@ -301,6 +301,32 @@ def test_campaign_parallel_matches_serial():
     parallel = run_theorem_campaign("thm-zero", PowerWeight(0.5), prof, fam, spec, jobs=2)
     assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
         parallel.to_dict(), sort_keys=True)
+
+
+def test_campaign_shares_balls_and_keeps_atom_order():
+    """Atoms interleaved over 2 centres x 2 radii are evaluated one ball at a
+    time: every witness row is bit for bit the one-atom norm split, rows stay
+    in atom order, and jobs=2 gives the serial report's bytes."""
+    from rieszkit.verify import _campaign_worker
+
+    prof = equal_split(0.0, 2, 1)
+    fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
+    spec = CampaignSpec(count=8, seed=3, centers=((0.0,), (1.0,)), radii=(0.5, 2.0),
+                        p=1.0, p0=2.0, outer_octaves=5, inner_resolution=64,
+                        outer_resolution=16)
+    w = PowerWeight(0.5)
+    serial = run_theorem_campaign("thm-zero", w, prof, fam, spec, jobs=1)
+    parallel = run_theorem_campaign("thm-zero", w, prof, fam, spec, jobs=2)
+    assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
+        parallel.to_dict(), sort_keys=True)
+    balls = [(r["center"][0], r["radius"]) for r in serial.witnesses]
+    assert balls == [(0.0, 0.5), (1.0, 0.5), (0.0, 2.0), (1.0, 2.0)] * 2
+
+    params = AtomParams(1.0, 2.0, serial.extras["d"], w, 1)
+    for row in serial.witnesses:
+        atom = construct_atom(Ball(row["center"], row["radius"]), params, row["seed"])
+        alone, = _campaign_worker(([atom], prof, fam, w, 1.0, 1.0, spec))
+        assert alone == row
 
 
 def test_campaign_reproducible_bitwise():

@@ -71,6 +71,16 @@ def test_eval_limit_at_each_center(w, center, limit):
         eval_weight(w, center)
 
 
+@pytest.mark.parametrize("x", [1e-15, -1e-15, 1e-300, -1e-300])
+def test_eval_next_to_the_center_is_not_the_center(x):
+    """Only the centre itself takes the limit: |x|^(-1/8) at 1e-15 is 75, not
+    +inf, and at 1e-300 the distance does not underflow onto the centre."""
+    w = PowerWeight(-0.125)
+    for extended in (False, True):
+        assert eval_weight_batch(w, [[x]], extended=extended)[0] == abs(x) ** -0.125
+    assert eval_weight_batch(w, [[0.0]], extended=True)[0] == math.inf
+
+
 def test_product_factors_at_one_center_merge():
     """|x|^(1/2) |x|^(-1/4) is |x|^(1/4): the value at the center is the zero's
     limit 0 (no 0 * inf), and its power means are PowerWeight(0.25)'s."""
