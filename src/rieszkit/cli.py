@@ -16,21 +16,16 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .atoms import (AtomParams, AtomSampler, read_atom_manifest,
-                    sample_atom_campaign, validate_atom, write_atom_manifest)
 from .config import RunConfig, load_config
 from .errors import ConfigError, HypothesisFailed, RieszkitError
-from .operators import apply_T_batch
-from .verify import (CampaignSpec, check_containment_step,
-                     check_critical_index_chains, check_maximal_inequalities,
-                     check_pointwise_atom_bound, check_quasi_norm_assembly,
-                     check_rh_ball_inequality, run_theorem_campaign)
-from .weights import (critical_indices, estimate_A1_constant,
-                      estimate_Ap_constant, estimate_Apq_constant,
-                      estimate_RH_constant)
+
+if TYPE_CHECKING:
+    from .atoms import AtomParams
+    from .verify import CampaignSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -70,6 +65,9 @@ def _write_witness_csv(out_dir: str, name: str, rows):
 
 def cmd_weights_classify(cfg: RunConfig, out_dir: str) -> int:
     """Estimate the configured class constants and critical indices."""
+    from .weights import (critical_indices, estimate_A1_constant, estimate_Ap_constant,
+                          estimate_Apq_constant, estimate_RH_constant)
+
     block = cfg.classify_block or {}
     family = cfg.family
     scheme = cfg.quadrature
@@ -94,6 +92,8 @@ def cmd_weights_classify(cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_operator_sweep(cfg: RunConfig, out_dir: str) -> int:
     """Evaluate the configured operator on an x-lattice and emit CSV."""
+    from .operators import apply_T_batch
+
     if not cfg.sweeps:
         return EXIT_OK
     if cfg.exponents is None or cfg.matrices is None:
@@ -118,18 +118,20 @@ def cmd_operator_sweep(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _atom_params_from(cfg: RunConfig) -> AtomParams:
+    from .atoms import AtomParams, admissible_params
+
     if cfg.campaign is None:
         raise ConfigError("atom", "atom generation needs an atom/campaign block")
     spec = cfg.campaign
     d = spec.d
     if d is None:
-        from .atoms import admissible_params
-
         d = admissible_params(cfg.weight, spec.p, cfg.family, cfg.quadrature).d_min
     return AtomParams(spec.p, spec.p0, d, cfg.weight, cfg.dimension)
 
 
 def cmd_atoms_gen(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
+    from .atoms import AtomSampler, sample_atom_campaign, write_atom_manifest
+
     params = _atom_params_from(cfg)
     spec = _with_seed(cfg.campaign, seed)
     sampler = AtomSampler(tuple(np.asarray(c) for c in spec.centers), spec.radii)
@@ -142,6 +144,8 @@ def cmd_atoms_gen(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
 
 
 def cmd_atoms_validate(cfg: RunConfig, out_dir: str, manifest: str) -> int:
+    from .atoms import read_atom_manifest, validate_atom
+
     atoms = read_atom_manifest(manifest)
     rows = []
     all_ok = True
@@ -157,6 +161,11 @@ def cmd_atoms_validate(cfg: RunConfig, out_dir: str, manifest: str) -> int:
 
 def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
     """Run one check on the parameters ``config.validate_check`` returned."""
+    from .verify import (VerificationReport, check_containment_step,
+                         check_critical_index_chains, check_maximal_inequalities,
+                         check_pointwise_atom_bound, check_quasi_norm_assembly,
+                         check_rh_ball_inequality, run_theorem_campaign)
+
     name = item["check"]
     scheme = cfg.quadrature
     if name in ("theorem-thm1", "theorem-ta"):
@@ -206,8 +215,6 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
                                           item["alpha"], scheme)
     if name == "quasi-norm-assembly":
         out = check_quasi_norm_assembly(item["lambdas"], item["q"], item["p"])
-        from .verify import VerificationReport
-
         ok = out.get("holds", True)
         return VerificationReport("quasi-norm-assembly", "pass" if ok else "fail",
                                   out["assembly"], extras=out)

@@ -12,17 +12,20 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, OutOfGrid
-from .geometry import (Ball, BallFamily, MatrixFamily, default_ball_family,
+from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, default_ball_family,
                        dyadic_ball_family)
-from .operators import ExponentProfile, SampledFunction, indicator, sampled_from_csv
 from .quadrature import QuadratureScheme
-from .verify import CampaignSpec
 from .weights import (LogExampleWeight, PowerWeight, ProductPowerWeight,
                       RegularGrid, TabulatedWeight, tabulated_from_csv)
+
+if TYPE_CHECKING:
+    from .operators import ExponentProfile, SampledFunction
+    from .verify import CampaignSpec
 
 SCHEMA_VERSION = 1
 # work budget: a config asking for more atoms or samples, sweep points, cells
@@ -176,13 +179,13 @@ def build_matrices(block, dimension: int, path: str = "matrices") -> MatrixFamil
 
 
 def build_exponents(block: dict, dimension: int, m: int, path: str = "exponents") -> ExponentProfile:
+    from .operators import ExponentProfile, equal_split
+
     _expect(isinstance(block, dict), path, "expected an object")
     alpha = _number(block, "alpha", path)
     raw = _get(block, "alphas", path, required=False, default="equal-split")
     try:
         if raw == "equal-split":
-            from .operators import equal_split
-
             return equal_split(alpha, m, dimension)
         _expect(isinstance(raw, list), f"{path}.alphas",
                 "expected 'equal-split' or a list of exponents")
@@ -348,6 +351,8 @@ def build_ball_family(block: dict | None, dimension: int, path: str = "family") 
 
 def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
                    path: str = "campaign") -> CampaignSpec:
+    from .verify import CampaignSpec
+
     block = block or {}
     atom_block = atom_block or {}
     _expect(isinstance(block, dict), path, "expected an object")
@@ -364,6 +369,14 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
     radii = _list(block, "radii", path, [0.25, 1.0, 4.0])
     _expect(radii and all(_is_number(r) and r > 0.0 for r in radii), f"{path}.radii",
             "expected a nonempty list of positive radii")
+    # a ball's extent |c| + r must stay below MAX_EXTENT, where the squared
+    # distances of its atoms overflow
+    too_far = f"the ball's extent |c| + r must stay below {MAX_EXTENT:.3g}"
+    reach = [math.hypot(*c) for c in centers]
+    for i, extent in enumerate(reach):
+        _expect(extent < MAX_EXTENT, f"{path}.centers[{i}]", too_far)
+    for i, r in enumerate(radii):
+        _expect(max(reach) + r < MAX_EXTENT, f"{path}.radii[{i}]", too_far)
     seed = _integer(block, "seed", path, False, 0)
     _expect(seed >= 0, f"{path}.seed", "must be a nonnegative integer")
     return CampaignSpec(
@@ -380,6 +393,8 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
 
 
 def build_function(block: dict, dimension: int, base_dir: str, path: str) -> SampledFunction:
+    from .operators import indicator, sampled_from_csv
+
     _expect(isinstance(block, dict), path, "expected an object")
     kind = _get(block, "kind", path, False, "indicator")
     center, radius = _ball_fields(block, dimension, path)

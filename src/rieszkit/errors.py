@@ -17,10 +17,6 @@ class NotIntegrable(RieszkitError):
     """The requested power of a weight is not locally integrable."""
 
 
-class Singular(RieszkitError):
-    """A kernel was evaluated on, or too close to, its singular set."""
-
-
 class QuadratureDiverged(RieszkitError):
     """Successive quadrature refinements failed to settle within tolerance."""
 

@@ -16,6 +16,10 @@ import numpy as np
 
 from .errors import RieszkitError
 
+#: points (and campaign lines) must stay below sqrt(float max), where the
+#: squared distances of the kernel overflow
+MAX_EXTENT = math.sqrt(np.finfo(float).max)
+
 
 def as_point(x, dimension: int | None = None) -> np.ndarray:
     p = np.atleast_1d(np.asarray(x, dtype=float))

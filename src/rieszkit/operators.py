@@ -42,7 +42,7 @@ Every other case (tabulated and callable profiles, other disks) is computed
 by midpoint cells over the support with the kernel's radial singularities
 integrated exactly by the product-integration machinery in `quadrature`.
 
-Maximal functions (Hardy-Littlewood, fractional, smooth-dilation) are
+Maximal functions (Hardy-Littlewood and fractional) are
 computed as maxima over finite, lattice-aligned candidate ball sets and are
 therefore certified lower bounds of the true suprema; candidate lattices
 refine under the policy's control.  The maximal function of the indicator
@@ -57,14 +57,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureDiverged, Singular
+from .errors import QuadratureDiverged
 from .geometry import Ball, MatrixFamily, as_point, identity_family
 from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
                          coincident, default_scheme, gauss_jacobi, integrate_ball,
                          lebesgue_ball, log_ball_integral)
 from .weights import eval_weight_batch, weight_singularities
 
-_SINGULAR_DIST = 1e-14
 #: a point is far field when every preimage is this many radii from the centre
 FAR_FIELD_RATIO = 3.0
 #: degree at which the far-field series is truncated
@@ -226,13 +225,6 @@ class SampledFunction:
             out[inside] = self.profile.eval(self.ball, pts[inside])
         return out
 
-    def abs(self) -> "SampledFunction":
-        if isinstance(self.profile, IndicatorProfile):
-            return self
-        return SampledFunction(self.ball,
-                               CallableProfile(lambda q, _b=self.ball, _p=self.profile:
-                                               np.abs(_p.eval(_b, q))))
-
     def scaled(self, factor: float) -> "SampledFunction":
         prof = self.profile
         if isinstance(prof, PolynomialProfile):
@@ -274,19 +266,6 @@ def sampled_from_csv(path, ball: Ball) -> SampledFunction:
 # ---------------------------------------------------------------------------
 # Kernel and operator evaluation
 # ---------------------------------------------------------------------------
-
-
-def kernel_eval(x, y, profile: ExponentProfile, family: MatrixFamily) -> float:
-    """prod_j |x - A_j y|^{-alpha_j}; raises Singular within 1e-14 of a pole."""
-    x = as_point(x, profile.dimension)
-    y = as_point(y, profile.dimension)
-    out = 1.0
-    for j, a in enumerate(profile.alphas):
-        d = float(np.linalg.norm(x - family.apply(j, y)))
-        if d < _SINGULAR_DIST:
-            raise Singular(f"kernel factor {j} evaluated at distance {d:.3e}")
-        out *= d ** (-a)
-    return out
 
 
 def _kernel_rows(xs: np.ndarray, ys: np.ndarray, profile: ExponentProfile,
@@ -639,24 +618,6 @@ def riesz_potential(f: SampledFunction, x, alpha: float,
     return apply_T(f, x, profile, identity_family(n), scheme, check_convergence)
 
 
-def domination_check(f: SampledFunction, x, profile: ExponentProfile,
-                     family: MatrixFamily, scheme: QuadratureScheme | None = None) -> float:
-    """|T f(x)| divided by the sum of Riesz potentials of |f| at the points
-    A_j^{-1} x; both sides zero gives ratio 0 by convention."""
-    if not (0.0 < profile.alpha < profile.dimension):
-        raise ValueError("domination requires order alpha in (0, dimension)")
-    x = as_point(x, profile.dimension)
-    num = abs(apply_T(f, x, profile, family, scheme, check_convergence=False))
-    fa = f.abs()
-    den = 0.0
-    for j in range(family.m):
-        den += riesz_potential(fa, family.apply_inverse(j, x), profile.alpha, scheme,
-                               check_convergence=False)
-    if num < 1e-14 and den < 1e-14:
-        return 0.0
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # Maximal functions over finite candidate ball sets
 # ---------------------------------------------------------------------------
@@ -816,7 +777,7 @@ def fractional_maximal_witness(f: SampledFunction, x, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# Weighted norms and the smooth maximal lower bound
+# Weighted norms
 # ---------------------------------------------------------------------------
 
 
@@ -834,41 +795,3 @@ def weighted_norm(f: SampledFunction, p: float, w, s: float = 1.0,
 
     val = integrate_ball(fn, f.ball, scheme, weight_singularities(w, s))
     return val ** (1.0 / p)
-
-
-def _gaussian(pts: np.ndarray) -> np.ndarray:
-    n = pts.shape[1]
-    return (2.0 * math.pi) ** (-n / 2.0) * np.exp(-0.5 * np.sum(pts * pts, axis=1))
-
-
-def default_dilation_grid() -> np.ndarray:
-    return 2.0 ** np.arange(-6, 7)
-
-
-def mphi_maximal_lower(terms, x, t_grid=None, scheme: QuadratureScheme | None = None) -> float:
-    """Lower bound for the smooth maximal function of a finite atomic sum.
-
-    ``terms`` is a SampledFunction or a list of (coefficient, SampledFunction);
-    the dilation parameter runs over a finite dyadic grid, so the result is a
-    certified lower bound of the true supremum over all dilations.
-    """
-    if isinstance(terms, SampledFunction):
-        terms = [(1.0, terms)]
-    if not terms:
-        return 0.0
-    n = terms[0][1].dimension
-    x = as_point(x, n)
-    if t_grid is None:
-        t_grid = default_dilation_grid()
-    if scheme is None:
-        scheme = default_scheme(n)
-    best = 0.0
-    for t in np.asarray(t_grid, dtype=float):
-        total = 0.0
-        for coef, f in terms:
-            def fn(pts, _t=t):
-                return _gaussian((x[None, :] - pts) / _t) * f.eval(pts) / _t**n
-
-            total += coef * integrate_ball(fn, f.ball, scheme)
-        best = max(best, abs(total))
-    return best

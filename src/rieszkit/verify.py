@@ -22,7 +22,7 @@ import numpy as np
 from .atoms import (Atom, AtomParams, AtomSampler, atom_thresholds,
                     sample_atom_campaign)
 from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
-from .geometry import (Ball, BallFamily, MatrixFamily, as_point, classify,
+from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
                         apply_T_ball_1d, apply_T_batch, fractional_maximal_witness,
@@ -37,9 +37,6 @@ from .weights import (STABILITY_FACTOR, PowerWeight, ball_measure,
 
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
-#: a campaign's truncated line must stay below sqrt(float max), where the
-#: squared distances of the kernel overflow
-MAX_EXTENT = math.sqrt(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +454,23 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
             # an overflowed norm (an inf that is really a finite number
             # beyond float range) leaves the ratio undefined
             ratios.append(num / den if math.isfinite(num) and math.isfinite(den) else math.nan)
-        # Python's max skips a NaN: a NaN ratio is the level's value instead
-        # (which series_verdict reads as diverging), and its ball the witness
+        # Python's max skips a NaN: a NaN ratio is the level's value instead,
+        # and its ball the witness
         undefined = [i for i, r in enumerate(ratios) if math.isnan(r)]
         witnesses += [{"level": level, "center": fns[i].ball.center.tolist(),
                        "radius": fns[i].ball.radius, "ratio": ratios[i]} for i in undefined]
         series.append(math.nan if undefined else max([0.0, *ratios]))
-    verdict_growth = series_verdict(series) == "diverging"
-    verdict = "pass" if (not verdict_growth and _drift(series) < STABILITY_FACTOR) else "diverging"
+    # growth is read from the levels that have a value; a level without one
+    # makes the verdict undefined (a failure), not growth
+    grew = series_verdict([v for v in series if not math.isnan(v)]) == "diverging"
+    if any(math.isnan(v) for v in series):
+        verdict = "undefined"
+    else:
+        verdict = "pass" if (not grew and _drift(series) < STABILITY_FACTOR) else "diverging"
     return VerificationReport(
         "maximal-inequality", "pass" if verdict == "pass" else "fail", series[-1],
         audits,
-        stability={"levels": series, "drift": _drift(series),
-                   "monotone_growth": verdict_growth},
+        stability={"levels": series, "drift": _drift(series), "monotone_growth": grew},
         sample={"p": p, "alpha": alpha, "test_count": len(fns),
                 "base_extent": base_extent},
         witnesses=witnesses, extras={"verdict": verdict},

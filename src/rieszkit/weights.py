@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisFailed, NotIntegrable, OutOfGrid, SingularPoint
+from .errors import NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point
 from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
@@ -221,9 +221,10 @@ def eval_weight_batch(w, pts, extended: bool = False) -> np.ndarray:
     scale, factors = radial
     out = np.full(pts.shape[0], float(scale))
     for c, prof in factors:
-        # on the line |x - c| itself: the norm squares it, and 1e-300 would
-        # underflow onto the centre
-        r = np.abs(pts[:, 0] - c[0]) if w.dimension == 1 else np.linalg.norm(pts - c, axis=1)
+        # |x - c| without squaring it: a square would underflow 1e-200 onto
+        # the centre and overflow 1e200 to inf
+        d = pts - c
+        r = np.abs(d[:, 0]) if w.dimension == 1 else np.hypot(d[:, 0], d[:, 1])
         hit = r == 0.0
         if not np.any(hit):
             out = out * prof.value(r)
@@ -703,7 +704,7 @@ def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = No
 
 
 # ---------------------------------------------------------------------------
-# Matrix compatibility and doubling diagnostics
+# Matrix compatibility
 # ---------------------------------------------------------------------------
 
 
@@ -746,77 +747,3 @@ def check_matrix_compatibility(w, family: MatrixFamily, sample: np.ndarray | Non
         if ratios[k] > worst:
             worst, point = float(ratios[k]), sample[k]
     return worst, point
-
-
-@dataclass
-class DoublingReport:
-    ok: bool
-    worst_ratio: float          # max over B of w(lambda B) / w(B)
-    worst_margin: float         # max over B of w(lambda B) / (lambda^{np} C w(B))
-    ap_constant: float
-    lam: float
-    p: float
-
-    def to_dict(self) -> dict:
-        return {"ok": self.ok, "worst_ratio": self.worst_ratio,
-                "worst_margin": self.worst_margin, "ap_constant": self.ap_constant,
-                "lambda": self.lam, "p": self.p}
-
-
-def doubling_check(w, p: float, lam: float, family: BallFamily,
-                   scheme: QuadratureScheme | None = None) -> DoublingReport:
-    """Verify w(lambda B) <= lambda^{np} [w]_{A_p} w(B) over the family."""
-    if lam <= 1.0:
-        raise ValueError("doubling factor must exceed 1")
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-    if p == 1.0:
-        rep = estimate_A1_constant(w, family, scheme)
-    else:
-        rep = estimate_Ap_constant(w, p, family, scheme)
-    if rep.verdict != "finite":
-        raise HypothesisFailed(f"A_p finiteness (p={p:g})",
-                               "doubling bound needs a finite A_p estimate")
-    n = w.dimension
-    bound_factor = lam ** (n * p) * rep.constant
-    worst_ratio = 0.0
-    worst_margin = 0.0
-    for ball in family:
-        wb = weighted_measure(w, 1.0, ball, scheme)
-        wlb = weighted_measure(w, 1.0, ball.scaled(lam), scheme)
-        worst_ratio = max(worst_ratio, wlb / wb)
-        worst_margin = max(worst_margin, wlb / (bound_factor * wb))
-    return DoublingReport(worst_margin <= 1.0 + 1e-9, worst_ratio, worst_margin,
-                          rep.constant, lam, p)
-
-
-@dataclass
-class MatrixDoublingReport:
-    max_ratio: float
-    series: list
-    stable: bool
-    m_factor: float
-
-    def to_dict(self) -> dict:
-        return {"max_ratio": self.max_ratio, "series": list(self.series),
-                "stable": self.stable, "m_factor": self.m_factor}
-
-
-def matrix_doubling_check(w, family: MatrixFamily, balls: BallFamily,
-                          scheme: QuadratureScheme | None = None,
-                          m_factor: float | None = None,
-                          refine_steps: int = 2) -> MatrixDoublingReport:
-    """max over balls and matrices of w(B(A_j x0, 2 M r)) / w(B(x0, r))."""
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-    big_m = family.norm_bound if m_factor is None else float(m_factor)
-
-    def per_ball(ball, s):
-        base = weighted_measure(w, 1.0, ball, s)
-        return max(weighted_measure(w, 1.0, Ball(family.apply(j, ball.center),
-                                                 2.0 * big_m * ball.radius), s) / base
-                   for j in range(family.m))
-
-    rep = _estimate_over_family("matrix doubling", per_ball, balls, scheme, refine_steps,
-                                _is_radial(w))
-    return MatrixDoublingReport(rep.series[0], rep.series, rep.verdict == "finite", big_m)

@@ -170,14 +170,3 @@ def test_construct_atom_seed_sweep(seed):
     params = AtomParams(1.0, 2.0, 0, PowerWeight(0.5), 1)
     atom = construct_atom(Ball([1.0], 0.5), params, seed)
     assert validate_atom(atom).passed
-
-
-def test_smooth_maximal_lower_bound_of_atom():
-    from rieszkit import mphi_maximal_lower
-
-    params = AtomParams(1.0, 2.0, 0, UNIT, 1)
-    atom = construct_atom(Ball([0.0], 1.0), params, seed=8)
-    near = mphi_maximal_lower(atom.function(), [0.5])
-    far = mphi_maximal_lower(atom.function(), [30.0])
-    assert math.isfinite(near) and near > 0.0
-    assert far < near

@@ -289,6 +289,14 @@ def test_cli_import_defers_scipy_special():
 _GRID = {"lo": [-1.0], "hi": [1.0], "shape": [2]}
 
 
+def _atoms_campaign(**campaign):
+    """The bundled atom campaign with ``campaign`` fields replaced."""
+    with open(os.path.join(CONFIG_DIR, "atoms-campaign.json")) as fh:
+        raw = json.load(fh)
+    raw["campaign"].update(campaign)
+    return raw
+
+
 def _theorem_config(check, alpha, **campaign):
     return _base_config(matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": alpha},
                         atom={"p": 1.0, "p0": 2.0}, campaign=campaign,
@@ -377,6 +385,9 @@ def _theorem_config(check, alpha, **campaign):
      "campaign.outer_resolution"),
     (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2),
                   "quadrature": {"resolution": 10**30}}, "quadrature.resolution"),
+    (["atoms", "gen"], _atoms_campaign(radii=[1e300, 1.0]), "campaign.radii[0]"),
+    (["atoms", "validate"], _atoms_campaign(radii=[1e300, 1.0]), "campaign.radii[0]"),
+    (["atoms", "gen"], _atoms_campaign(centers=[[0.0], [-1e300]]), "campaign.centers[1]"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
@@ -388,12 +399,15 @@ def _theorem_config(check, alpha, **campaign):
         "campaign-seed-negative", "campaign-count-over-budget", "cli-seed-negative",
         "root-seed-negative", "thm1-positive-alpha", "ta-zero-alpha",
         "sweep-points-over-budget", "outer-octaves-over-budget",
-        "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget"])
+        "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget",
+        "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
+        "atoms-gen-center-overflows"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
-    work beyond the budget and a theorem check whose order does not match
-    the exponents are config errors (exit 4) naming the field, not
-    tracebacks (exit 1) or runs without end."""
+    work beyond the budget, campaign balls whose squared distances overflow
+    and a theorem check whose order does not match the exponents are config
+    errors (exit 4) naming the field, not tracebacks (exit 1), failed checks
+    (exit 2) or runs without end."""
     cfg = _write(tmp_path, "bad.json", raw)
     out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
                   "--out", str(tmp_path / "out"))
@@ -539,6 +553,34 @@ def test_theorem_campaign_leaves_numpy_ma_unloaded(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "0 False"
 
 
+def test_each_command_loads_only_its_modules(tmp_path):
+    """A classify run loads no operator, atom or campaign module, and an
+    operator sweep no atom or campaign module: a process compiles only the
+    source its command runs."""
+    code = ("import sys, rieszkit.cli\n"
+            "for argv in (sys.argv[1:7], sys.argv[7:]):\n"
+            "    code = rieszkit.cli.main(argv)\n"
+            "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify')\n"
+            "                           if 'rieszkit.' + m in sys.modules])")
+    out = _python("-c", code, "weights", "classify", "--config",
+                  os.path.join(CONFIG_DIR, "weights-log.json"), "--out", str(tmp_path / "w"),
+                  "operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json"),
+                  "--out", str(tmp_path / "s"), check=True)
+    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded 0 []", "loaded 0 ['operators']"]
+
+
+def test_package_names_resolve_on_first_use():
+    """Every public name resolves from the package and is listed by dir()."""
+    import rieszkit
+
+    listed = dir(rieszkit)
+    for name in rieszkit.__all__:
+        assert getattr(rieszkit, name) is not None and name in listed
+    with pytest.raises(AttributeError):
+        rieszkit.no_such_name
+
+
 def test_cli_refined_lattice_keeps_the_campaign_passing(tmp_path):
     """At 3x the bundled lattice the outer edges leave a sliver cell next to
     the weight's centre; its midpoint ~1e-15 from the centre reads the weight
@@ -555,7 +597,8 @@ def test_cli_refined_lattice_keeps_the_campaign_passing(tmp_path):
 
 def test_cli_maximal_check_fails_on_an_overflowed_ball(tmp_path):
     """A test ball whose weighted norm overflows has no ratio: the check
-    fails with that ball as the witness instead of dropping it."""
+    fails with that ball as the witness instead of dropping it, and reads
+    "undefined", not growth."""
     with open(os.path.join(CONFIG_DIR, "maximal-power-half.json")) as fh:
         raw = json.load(fh)
     raw["checks"][0]["test_balls"][2]["radius"] = 1e300
@@ -565,6 +608,9 @@ def test_cli_maximal_check_fails_on_an_overflowed_ball(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [(r["center"], float(r["radius"]), r["ratio"]) for r in rows] == [
         ("[1.0]", 1e300, "nan")] * 4
+    report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
+    assert report["verdict"] == "fail" and report["extras"]["verdict"] == "undefined"
+    assert report["stability"]["monotone_growth"] is False
 
 
 def test_compare_reports_script(tmp_path):

@@ -11,18 +11,15 @@ from hypothesis import strategies as st
 
 from rieszkit import (AtomParams, Ball, CallableProfile, ExponentProfile, GridProfile,
                       IndicatorProfile, MaximalPolicy, PolynomialProfile, PowerWeight,
-                      QuadratureDiverged, QuadratureScheme, SampledFunction, Singular, apply_T,
-                      construct_atom, domination_check, equal_split,
-                      fractional_maximal, fractional_maximal_witness,
-                      hl_maximal, hl_maximal_witness, identity_family,
-                      indicator, kernel_eval, mphi_maximal_lower,
-                      riesz_potential, scalar_family, weighted_norm)
+                      QuadratureDiverged, QuadratureScheme, SampledFunction, apply_T,
+                      construct_atom, equal_split, fractional_maximal,
+                      fractional_maximal_witness, hl_maximal, hl_maximal_witness,
+                      identity_family, indicator, riesz_potential, scalar_family,
+                      weighted_norm)
 from rieszkit.geometry import MatrixFamily, expanded_balls
 from rieszkit.operators import (FAR_FIELD_ORDER, _polynomial_moments, apply_T_ball_1d,
                                 apply_T_batch, sampled_from_csv)
 from rieszkit.verify import CampaignSpec
-
-DOMINATION_SUP_ORACLE = 0.5  # direct two-sided quadrature, attained at x = 0
 
 
 def test_exponent_profile_validation():
@@ -34,16 +31,6 @@ def test_exponent_profile_validation():
         ExponentProfile(1.0, (0.5,), 1)        # order must stay below n
     prof = equal_split(0.0, 2, 1)
     assert prof.alphas == (0.5, 0.5)
-
-
-def test_kernel_eval_examples():
-    assert kernel_eval([0.0], [4.0], ExponentProfile(0.5, (0.5,), 1),
-                       identity_family(1)) == pytest.approx(0.5)
-    prof = ExponentProfile(0.0, (0.5, 0.5), 1)
-    fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
-    assert kernel_eval([0.0], [2.0], prof, fam) == pytest.approx(0.5)
-    with pytest.raises(Singular):
-        kernel_eval([2.0], [2.0], ExponentProfile(0.5, (0.5,), 1), identity_family(1))
 
 
 def test_apply_T_anchor_riesz_1d():
@@ -131,29 +118,6 @@ def test_quadrature_diverged_raises():
         riesz_potential(f, [0.0, 0.0], 1.0, tight)
 
 
-def test_domination_identity_case():
-    f = indicator([0.0], 1.0)
-    prof = ExponentProfile(0.5, (0.5,), 1)
-    assert domination_check(f, [2.5], prof, identity_family(1)) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_domination_zero_function():
-    z = SampledFunction(Ball([0.0], 1.0), PolynomialProfile({}))
-    prof = ExponentProfile(0.5, (0.5,), 1)
-    assert domination_check(z, [2.5], prof, identity_family(1)) == 0.0
-
-
-def test_domination_two_factor_sup():
-    prof = ExponentProfile(0.5, (0.25, 0.25), 1)
-    fam = scalar_family([1.0, -1.0])
-    f = indicator([1.5], 0.5)
-    xs = np.linspace(-5, 5, 201)
-    ratios = [domination_check(f, [x], prof, fam) for x in xs]
-    best = max(ratios)
-    assert best == pytest.approx(DOMINATION_SUP_ORACLE, rel=1e-3)
-    assert all(math.isfinite(r) for r in ratios)
-
-
 def test_hl_maximal_examples():
     f = indicator([0.0], 1.0)
     assert hl_maximal(f, [0.0]) == pytest.approx(1.0)
@@ -213,16 +177,6 @@ def test_weighted_norm_sampled_gaussian():
     g = SampledFunction(Ball([0.0], 4.0), prof)
     oracle = float(erf(4.0 / math.sqrt(2.0)))  # 1e6-node quadrature agrees to 1e-10
     assert weighted_norm(g, 1.0, PowerWeight(0.0)) == pytest.approx(oracle, rel=1e-5)
-
-
-def test_mphi_examples():
-    assert mphi_maximal_lower([], [0.0]) == 0.0
-    f = indicator([0.0], 1.0)
-    v = mphi_maximal_lower(f, [0.0])
-    assert 0.0 < v <= 1.0 + 1e-9
-    far = mphi_maximal_lower(f, [40.0])
-    mid = mphi_maximal_lower(f, [10.0])
-    assert far < mid < v
 
 
 def test_sampled_function_csv_roundtrip(tmp_path):
