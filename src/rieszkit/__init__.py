@@ -27,10 +27,10 @@ _EXPORTS = {
                   "fractional_maximal_witness", "hl_maximal", "hl_maximal_witness",
                   "indicator", "riesz_potential", "weighted_norm"),
     "atoms": ("AdmissibleRange", "Atom", "AtomParams", "AtomSampler", "AtomValidation",
-              "admissible_params", "atom_from_record", "construct_atom",
+              "CampaignSpec", "admissible_params", "atom_from_record", "construct_atom",
               "read_atom_manifest", "sample_atom_campaign", "validate_atom",
               "write_atom_manifest"),
-    "verify": ("CampaignSpec", "VerificationReport", "check_containment_step",
+    "verify": ("VerificationReport", "check_containment_step",
                "check_critical_index_chains", "check_maximal_inequalities",
                "check_pointwise_atom_bound", "check_quasi_norm_assembly",
                "check_rh_ball_inequality", "run_theorem_campaign"),

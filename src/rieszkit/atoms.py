@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -155,11 +155,6 @@ class AdmissibleRange:
     d_min: int
     q_critical: float
     rh_critical: float
-
-    def to_dict(self) -> dict:
-        enc = lambda v: v if math.isfinite(v) else "inf"
-        return {"p0_lower": self.p0_lower, "d_min": self.d_min,
-                "q_critical": enc(self.q_critical), "rh_critical": enc(self.rh_critical)}
 
 
 def atom_thresholds(idx, p: float, n: int):
@@ -369,6 +364,26 @@ class AtomSampler:
         c = self.centers[i % len(self.centers)]
         r = self.radii[(i // len(self.centers)) % len(self.radii)]
         return Ball(c, r)
+
+
+@dataclass(frozen=True)
+class CampaignSpec:
+    """Atom sampling and integration lattice for a theorem campaign."""
+
+    count: int = 50
+    seed: int = 0
+    centers: tuple = ((0.0,), (1.0,), (-2.0,))
+    radii: tuple = (0.25, 1.0, 4.0)
+    p: float = 1.0
+    p0: float = 2.0
+    s: float | None = None          # only for the positive-order theorem
+    d: int | None = None            # None derives the minimal degree
+    outer_octaves: int = 8
+    inner_resolution: int = 256
+    outer_resolution: int = 64
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def derive_seed(campaign_seed: int, index: int, retry: int = 0) -> int:

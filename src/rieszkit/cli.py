@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -24,8 +25,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, HypothesisFailed, RieszkitError
 
 if TYPE_CHECKING:
-    from .atoms import AtomParams
-    from .verify import CampaignSpec
+    from .atoms import AtomParams, CampaignSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -39,12 +39,29 @@ def _with_seed(spec: CampaignSpec, seed: int | None) -> CampaignSpec:
     return dataclasses.replace(spec, seed=int(seed))
 
 
+def _strict(v):
+    """``v`` as strict JSON takes it: a non-finite float as "inf", "-inf" or
+    "nan" (JSON has no number for them) and a numpy scalar as a float."""
+    if isinstance(v, dict):
+        return {k: _strict(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict(x) for x in v]
+    if isinstance(v, (float, np.floating, np.integer)):
+        v = float(v)
+        if not math.isfinite(v):
+            return "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
+    return v
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(_strict(payload), sort_keys=True, indent=1, allow_nan=False)
+
+
 def _write_report(out_dir: str, name: str, payload: dict):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.json")
     with open(path, "w") as fh:
-        json.dump({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   "report": payload}, fh, sort_keys=True, indent=1)
+        fh.write(_json({"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "report": payload}))
         fh.write("\n")
     return path
 
@@ -86,7 +103,7 @@ def cmd_weights_classify(cfg: RunConfig, out_dir: str) -> int:
         payload["critical_indices"] = critical_indices(
             w, family, scheme, tol=float(block.get("tol", 1e-2))).to_dict()
     _write_report(out_dir, "weights-classify", payload)
-    print(json.dumps(payload, indent=1, sort_keys=True))
+    print(_json(payload))
     return EXIT_OK
 
 

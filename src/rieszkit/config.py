@@ -25,7 +25,7 @@ from .weights import (LogExampleWeight, PowerWeight, ProductPowerWeight,
 
 if TYPE_CHECKING:
     from .operators import ExponentProfile, SampledFunction
-    from .verify import CampaignSpec
+    from .atoms import CampaignSpec
 
 SCHEMA_VERSION = 1
 # work budget: a config asking for more atoms or samples, sweep points, cells
@@ -262,6 +262,13 @@ def _ball_fields(block, dimension: int, path: str):
     return center, radius
 
 
+def _expect_within_extent(extent: float, path: str):
+    """A ball's extent |c| + r must stay below MAX_EXTENT, where the squared
+    distances of its points overflow."""
+    _expect(extent < MAX_EXTENT, path,
+            f"the ball's extent |c| + r must stay below {MAX_EXTENT:.3g}")
+
+
 def validate_check(item: dict, dimension: int, path: str) -> dict:
     """Domain checks of the parameters a check reads, before anything runs.
 
@@ -296,7 +303,9 @@ def validate_check(item: dict, dimension: int, path: str) -> dict:
         out.update(p=p, alpha=alpha)
     elif name == "containment-step":
         ball = _get(item, "ball", path, False, {"center": [1.0] * dimension, "radius": 0.1})
-        out.update(ball=Ball(*_ball_fields(ball, dimension, f"{path}.ball")),
+        center, radius = _ball_fields(ball, dimension, f"{path}.ball")
+        _expect_within_extent(math.hypot(*center) + radius, f"{path}.ball")
+        out.update(ball=Ball(center, radius),
                    count=_bounded(item, "count", path, 200, 1, MAX_COUNT))
     elif name == "critical-index-chain":
         p = _number(item, "p", path, False, 0.5)
@@ -351,7 +360,7 @@ def build_ball_family(block: dict | None, dimension: int, path: str = "family") 
 
 def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
                    path: str = "campaign") -> CampaignSpec:
-    from .verify import CampaignSpec
+    from .atoms import CampaignSpec
 
     block = block or {}
     atom_block = atom_block or {}
@@ -369,14 +378,11 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
     radii = _list(block, "radii", path, [0.25, 1.0, 4.0])
     _expect(radii and all(_is_number(r) and r > 0.0 for r in radii), f"{path}.radii",
             "expected a nonempty list of positive radii")
-    # a ball's extent |c| + r must stay below MAX_EXTENT, where the squared
-    # distances of its atoms overflow
-    too_far = f"the ball's extent |c| + r must stay below {MAX_EXTENT:.3g}"
     reach = [math.hypot(*c) for c in centers]
     for i, extent in enumerate(reach):
-        _expect(extent < MAX_EXTENT, f"{path}.centers[{i}]", too_far)
+        _expect_within_extent(extent, f"{path}.centers[{i}]")
     for i, r in enumerate(radii):
-        _expect(max(reach) + r < MAX_EXTENT, f"{path}.radii[{i}]", too_far)
+        _expect_within_extent(max(reach) + r, f"{path}.radii[{i}]")
     seed = _integer(block, "seed", path, False, 0)
     _expect(seed >= 0, f"{path}.seed", "must be a nonnegative integer")
     return CampaignSpec(

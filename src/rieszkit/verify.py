@@ -15,11 +15,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .atoms import (Atom, AtomParams, AtomSampler, atom_thresholds,
+from .atoms import (Atom, AtomParams, AtomSampler, CampaignSpec, atom_thresholds,
                     sample_atom_campaign)
 from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
@@ -29,7 +29,7 @@ from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
                         indicator, indicator_maximal_1d, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
-from .weights import (STABILITY_FACTOR, PowerWeight, ball_measure,
+from .weights import (STABILITY_FACTOR, PowerWeight, _exp, ball_measure,
                       check_matrix_compatibility, critical_indices, estimate_A1_constant,
                       estimate_Ap_constant, estimate_Apq_constant, estimate_RH_constant,
                       eval_weight_batch, power_mean, radial_factors, series_verdict,
@@ -51,16 +51,6 @@ class AuditItem:
     passed: bool
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        v = self.value
-        if isinstance(v, float) and not math.isfinite(v):
-            v = _nonfinite_name(v)
-        return {"name": self.name, "value": v, "passed": self.passed, "detail": self.detail}
-
-
-def _nonfinite_name(v: float) -> str:
-    return "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
-
 
 @dataclass
 class VerificationReport:
@@ -75,28 +65,7 @@ class VerificationReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not math.isfinite(v):
-                return _nonfinite_name(v)
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            if isinstance(v, (list, tuple)):
-                return [clean(x) for x in v]
-            if isinstance(v, (np.floating, np.integer)):
-                return clean(float(v))
-            return v
-
-        return {
-            "check_id": self.check_id,
-            "verdict": self.verdict,
-            "worst": clean(self.worst),
-            "hypotheses": [h.to_dict() for h in self.hypotheses],
-            "stability": clean(self.stability),
-            "sample": clean(self.sample),
-            "witnesses": clean(self.witnesses),
-            "extras": clean(self.extras),
-            "provenance": clean(self.provenance),
-        }
+        return asdict(self)
 
     def passed(self) -> bool:
         return self.verdict == "pass"
@@ -113,6 +82,26 @@ def _drift(values) -> float:
     if any(not math.isfinite(v) for v in values):
         return math.inf
     return max(finite) / min(finite)
+
+
+def _worst(values, lowest: bool = False):
+    """Index of the largest of ``values`` (the smallest with ``lowest``), or
+    None when there are none.  A NaN is the worst value and the first one is
+    returned: Python's max and min skip a NaN, so a check would pass over
+    it.  Every sup and inf over computed ratios goes through here."""
+    values = list(values)
+    for i, v in enumerate(values):
+        if math.isnan(v):
+            return i
+    if not values:
+        return None
+    return (min if lowest else max)(range(len(values)), key=values.__getitem__)
+
+
+def _at_worst(values, lowest: bool = False) -> float:
+    """The value ``_worst`` picks, or 0 when there is none."""
+    i = _worst(values, lowest)
+    return 0.0 if i is None else values[i]
 
 
 # ---------------------------------------------------------------------------
@@ -218,22 +207,23 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
                     witnesses.append({"radius": r, "x": np.asarray(x).tolist(),
                                       "region": k, "lhs": lhs, "rhs_decay": decay,
                                       "rhs_maximal": maximal, "ratio": ratio})
-            cstar[(r, refine)] = max(ratios) if ratios else 0.0
+            cstar[(r, refine)] = _at_worst(ratios)
             if samples is not None:
                 break
 
     base = [cstar[(r, 1)] for r in radii]
     refined = [cstar.get((r, 2), cstar[(r, 1)]) for r in radii]
     drift_radii = _drift(base)
-    drift_refine = _drift([max(base), max(refined)])
+    drift_refine = _drift([_at_worst(base), _at_worst(refined)])
     verdict = "pass" if (drift_radii < STABILITY_FACTOR
                          and drift_refine < STABILITY_FACTOR
                          and all(math.isfinite(v) for v in base)) else "fail"
     extras = {}
     if agreement:
-        extras["form_agreement"] = {"min": min(agreement), "max": max(agreement)}
+        extras["form_agreement"] = {"min": _at_worst(agreement, lowest=True),
+                                    "max": _at_worst(agreement)}
     return VerificationReport(
-        "pointwise-atom-bound", verdict, max(base), audits,
+        "pointwise-atom-bound", verdict, _at_worst(base), audits,
         stability={"by_radius": {str(r): cstar[(r, 1)] for r in radii},
                    "refined": {str(r): refined[i] for i, r in enumerate(radii)},
                    "drift_radii": drift_radii, "drift_refine": drift_refine},
@@ -248,8 +238,7 @@ def check_containment_step(ball: Ball, family: MatrixFamily, xi_samples,
                            x_samples) -> VerificationReport:
     """For outer x and xi in B, |x - A_i xi| must be at least half of
     |x - A_i x0|; reports the minimal slack factor."""
-    worst = math.inf
-    witnesses = []
+    slacks, samples = [], []
     for x in x_samples:
         label = classify(x, ball, family)
         if not label.is_outer():
@@ -262,11 +251,11 @@ def check_containment_step(ball: Ball, family: MatrixFamily, xi_samples,
             for i in range(family.m):
                 num = float(np.linalg.norm(xp - family.apply(i, xip)))
                 den = 0.5 * float(np.linalg.norm(xp - family.apply(i, ball.center)))
-                slack = num / den
-                if slack < worst:
-                    worst = slack
-                    witnesses = [{"x": xp.tolist(), "xi": xip.tolist(), "matrix": i,
-                                  "lhs": num, "rhs": den, "ratio": slack}]
+                slacks.append(num / den)
+                samples.append({"x": xp.tolist(), "xi": xip.tolist(), "matrix": i,
+                                "lhs": num, "rhs": den, "ratio": slacks[-1]})
+    k = _worst(slacks, lowest=True)
+    worst, witnesses = (math.inf, []) if k is None else (slacks[k], [samples[k]])
     verdict = "pass" if worst >= 1.0 - 1e-12 else "fail"
     return VerificationReport("containment-step", verdict, worst,
                               sample={"x_count": len(list(x_samples)),
@@ -295,21 +284,21 @@ def check_rh_ball_inequality(w, p: float, alpha: float, family: BallFamily,
     if rh.verdict != "finite":
         return VerificationReport("rh-ball-inequality", "skipped", math.inf, audits,
                                   extras={"reason": "reverse Holder hypothesis failed"})
-    worst_slack = math.inf
-    slacks = []
-    witnesses = []
+    slacks, samples = [], []
     for ball in family:
-        vol = ball_measure(wp, ball, scheme)
-        avg_p = power_mean(wp, 1.0, ball, scheme)          # average of w^p
-        pmq = power_mean(wp, q / p, ball, scheme)          # (avg w^q)^{p/q}
-        lhs = (avg_p * vol) ** (-1.0 / p) * (pmq ** (q / p) * vol) ** (1.0 / q)
-        rhs = rh.constant ** (1.0 / p) * vol ** (-alpha / n)
-        slack = (rhs - lhs) / rhs
-        slacks.append(slack)
-        if slack < worst_slack:
-            worst_slack = slack
-            witnesses = [{"ball": ball.to_dict(), "lhs": lhs, "rhs": rhs,
-                          "ratio": lhs / rhs}]
+        log_vol = math.log(ball_measure(wp, ball, scheme))
+        # from the logarithms of the means of w^p (orders q/p and 1), where
+        # the scale of w cancels instead of overflowing
+        log_lhs = ((power_mean(wp, q / p, ball, scheme, log=True)
+                    - power_mean(wp, 1.0, ball, scheme, log=True)) / p
+                   + (1.0 / q - 1.0 / p) * log_vol)
+        log_rhs = math.log(rh.constant) / p - alpha / n * log_vol
+        ratio = _exp(log_lhs - log_rhs)
+        slacks.append(1.0 - ratio)
+        samples.append({"ball": ball.to_dict(), "lhs": _exp(log_lhs), "rhs": _exp(log_rhs),
+                        "ratio": ratio})
+    k = _worst(slacks, lowest=True)
+    worst_slack, witnesses = slacks[k], [samples[k]]
     verdict = "pass" if worst_slack >= -1e-10 else "fail"
     return VerificationReport(
         "rh-ball-inequality", verdict, worst_slack, audits,
@@ -376,8 +365,7 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
     return VerificationReport(
         "critical-index-chain", "pass" if ok else "fail", worst, audits,
         stability={}, sample={"p": p, "q": q, "tol": tol},
-        extras={"indices": {k: (v if math.isfinite(v) else "inf") for k, v in values.items()},
-                "slack": slack},
+        extras={"indices": values, "slack": slack},
         provenance={"config_hash": config_hash({"w": weight_to_dict(w), "p": p, "q": q})})
 
 
@@ -454,12 +442,11 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
             # an overflowed norm (an inf that is really a finite number
             # beyond float range) leaves the ratio undefined
             ratios.append(num / den if math.isfinite(num) and math.isfinite(den) else math.nan)
-        # Python's max skips a NaN: a NaN ratio is the level's value instead,
-        # and its ball the witness
+        # a NaN ratio is the level's value (``_worst``), and its ball a witness
         undefined = [i for i, r in enumerate(ratios) if math.isnan(r)]
         witnesses += [{"level": level, "center": fns[i].ball.center.tolist(),
                        "radius": fns[i].ball.radius, "ratio": ratios[i]} for i in undefined]
-        series.append(math.nan if undefined else max([0.0, *ratios]))
+        series.append(_at_worst(ratios))
     # growth is read from the levels that have a value; a level without one
     # makes the verdict undefined (a failure), not growth
     grew = series_verdict([v for v in series if not math.isnan(v)]) == "diverging"
@@ -502,31 +489,6 @@ def check_quasi_norm_assembly(lams, q: float, p: float | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # Theorem campaigns
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Atom sampling and integration lattice for a theorem campaign."""
-
-    count: int = 50
-    seed: int = 0
-    centers: tuple = ((0.0,), (1.0,), (-2.0,))
-    radii: tuple = (0.25, 1.0, 4.0)
-    p: float = 1.0
-    p0: float = 2.0
-    s: float | None = None          # only for the positive-order theorem
-    d: int | None = None            # None derives the minimal degree
-    outer_octaves: int = 8
-    inner_resolution: int = 256
-    outer_resolution: int = 64
-
-    def to_dict(self) -> dict:
-        return {"count": self.count, "seed": self.seed,
-                "centers": [list(c) for c in self.centers],
-                "radii": list(self.radii), "p": self.p, "p0": self.p0, "s": self.s,
-                "d": self.d, "outer_octaves": self.outer_octaves,
-                "inner_resolution": self.inner_resolution,
-                "outer_resolution": self.outer_resolution}
 
 
 def _merge_intervals(intervals):
@@ -772,9 +734,9 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     by_radius = {}
     for row in rows:
         by_radius.setdefault(row["radius"], []).append(row["norm"])
-    radius_max = {r: max(v) for r, v in by_radius.items()}
+    radius_max = {r: _at_worst(v) for r, v in by_radius.items()}
     drift = _drift(list(radius_max.values()))
-    max_norm = max(r["norm"] for r in rows)
+    max_norm = _at_worst([r["norm"] for r in rows])
     finite = all(math.isfinite(r["norm"]) for r in rows)
     verdict = "pass" if (finite and drift < STABILITY_FACTOR) else "fail"
 

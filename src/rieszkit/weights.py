@@ -3,23 +3,24 @@
 A weight here is one of four analytic or tabulated positive functions on
 R^n.  Class membership (A_1, A_p, A_{p,q}, reverse Holder) is probed on a
 finite family of balls: the supremum defining each constant is replaced
-by a maximum over the family, essential infima by minima over quadrature
-nodes, and a "diverging" verdict is issued when the estimate either is
-infinite outright or keeps growing as the node set refines toward the
-singular points.  Estimates are therefore lower bounds for the true
-constants; the point of the family design (dyadic radii around the
-singular centers) is that power and log weights attain their worst
-behavior exactly there.
+by a maximum over the family, and a "diverging" verdict is issued when the
+estimate either is infinite outright or keeps growing as the node set
+refines toward the singular points.  Power means and essential infima of
+radial weights are exact; tabulated and multi-factor weights take cells
+and minima over quadrature nodes.  Estimates are therefore lower bounds
+for the true constants; the point of the family design (dyadic radii
+around the singular centers) is that power and log weights attain their
+worst behavior exactly there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NotIntegrable, OutOfGrid, SingularPoint
+from .errors import ConfigError, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point
 from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
@@ -210,7 +211,7 @@ def eval_weight_batch(w, pts, extended: bool = False) -> np.ndarray:
 
     With ``extended=False`` an exact hit on a pole/zero raises SingularPoint;
     with ``extended=True`` the limit value (0 at a zero, +inf at a pole) is
-    returned instead, which is what essential-infimum surrogates want.
+    returned instead, which is what essential infima want.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if pts.shape[1] != w.dimension:
@@ -245,17 +246,24 @@ def eval_weight(w, x) -> float:
 
 
 def weight_power(w, t: float):
-    """The weight w**t as a weight spec of the same kind."""
+    """The weight w**t as a weight spec of the same kind.  Raises ConfigError
+    at ``weight.scale`` when scale**t is not a positive finite float."""
     t = float(t)
+    try:
+        scale = w.scale**t
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise ConfigError("weight.scale", f"the scale of w^{t:g} is {w.scale:g}^{t:g}, "
+                          "which is not a positive finite float")
     if isinstance(w, PowerWeight):
-        return PowerWeight(w.exponent * t, w.dimension, w.scale**t)
+        return PowerWeight(w.exponent * t, w.dimension, scale)
     if isinstance(w, LogExampleWeight):
-        return LogExampleWeight(w.dimension, w.power * t, w.scale**t)
+        return LogExampleWeight(w.dimension, w.power * t, scale)
     if isinstance(w, ProductPowerWeight):
-        return ProductPowerWeight(tuple((a * t, c) for a, c in w.factors),
-                                  w.dimension, w.scale**t)
+        return ProductPowerWeight(tuple((a * t, c) for a, c in w.factors), w.dimension, scale)
     if isinstance(w, TabulatedWeight):
-        return TabulatedWeight(w.grid, w.values**t, w.scale**t)
+        return TabulatedWeight(w.grid, w.values**t, scale)
     raise TypeError(f"unsupported weight {type(w).__name__}")
 
 
@@ -389,91 +397,37 @@ def _probe_nodes(ball: Ball) -> np.ndarray:
 
 
 def min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
-    """Essential-infimum surrogate: minimum of w over the ball's midpoint lattice."""
-    cells = 2 * scheme.resolution
+    """Essential infimum of w over the ball.
+
+    A radial weight scale * P(|x - c|) is monotone in r, so it is exact: the
+    value at the point of the closed ball nearest to c or farthest from c,
+    with the limit at c itself (0 at a zero, +inf at a pole).  Tabulated and
+    multi-factor product weights take the minimum over the ball's midpoint
+    lattice of ``scheme``.
+    """
     radial = _radial_form(w, 1.0)
-    # a radial weight is monotone in r = |x - center|, so its minimum over the
-    # nodes sits at the nearest or the farthest one
-    pts = _node_lattice(ball, cells) if radial is None else _extreme_nodes(ball, cells, radial[0])
+    if radial is None:
+        pts = _node_lattice(ball, 2 * scheme.resolution)
+    else:
+        d = ball.center - radial[0]
+        dist = float(np.hypot(*d)) if ball.dimension == 2 else abs(float(d[0]))
+        unit = d / dist if dist > 0.0 else np.eye(ball.dimension)[0]
+        near = ball.center - ball.radius * unit if dist > ball.radius else radial[0]
+        pts = np.array([near, ball.center + ball.radius * unit])
     return float(np.min(eval_weight_batch(w, pts, extended=True)))
 
 
-def _cell_mids(ball: Ball, cells: int) -> list:
-    """Per axis, the midpoints of the ball's bounding box cut into cells."""
-    axes = [np.linspace(c - ball.radius, c + ball.radius, cells + 1) for c in ball.center]
-    return [0.5 * (a[:-1] + a[1:]) for a in axes]
-
-
 def _node_lattice(ball: Ball, cells: int) -> np.ndarray:
-    """Every cell midpoint inside the ball, row-major in the plane (the
-    center when none is)."""
-    mids = _cell_mids(ball, cells)
+    """Every midpoint of the ball's bounding box cut into cells that lies
+    inside the ball, row-major in the plane (the center when none does)."""
+    axes = [np.linspace(c - ball.radius, c + ball.radius, cells + 1) for c in ball.center]
+    mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
     if ball.dimension == 1:
         return mids[0][:, None]
     d0, d1 = ((m - c) ** 2 for m, c in zip(mids, ball.center))
     i, j = np.nonzero(np.sqrt(d0[:, None] + d1[None, :]) <= ball.radius)
     pts = np.column_stack([mids[0][i], mids[1][j]])
     return pts if pts.size else ball.center[None, :]
-
-
-def _extreme_nodes(ball: Ball, cells: int, center: np.ndarray) -> np.ndarray:
-    """The nodes of ``_node_lattice`` nearest to and farthest from ``center``
-    (ties in the computed distance are interchangeable), found in O(cells)
-    on the lattice's own floats.
-
-    Along a lattice line the distance to a point falls, then rises, so on a
-    run of nodes the farthest is one of its ends and the nearest is the node
-    nearest the point, clipped into the run.  On the line the run is every
-    node; in the plane it is each row's in-disk columns, which surround the
-    column nearest the ball's center and are found by bisection.
-    """
-    if ball.dimension == 1:
-        lo, hi, c = (float(v) for v in (ball.center[0] - ball.radius,
-                                        ball.center[0] + ball.radius, center[0]))
-        t = min(max((c - lo) / (hi - lo) * cells, -2.0), cells + 2.0)
-        ks = {0, cells - 1} | {min(max(math.floor(t) + k, 0), cells - 1) for k in range(-2, 2)}
-        mids = [0.5 * (_linspace_at(lo, hi, cells + 1, k) + _linspace_at(lo, hi, cells + 1, k + 1))
-                for k in sorted(ks)]
-        return np.array([[min(mids, key=lambda m: abs(m - c))],
-                         [max(mids, key=lambda m: abs(m - c))]])
-    mids = _cell_mids(ball, cells)
-    d0, d1 = ((m - c) ** 2 for m, c in zip(mids, ball.center))
-    jc = int(np.argmin(d1))
-    # in-disk columns of row i: jc - left[i] < j < jc + right[i]
-    right = _leading_true(lambda t: np.sqrt(d0 + d1[jc + t]) <= ball.radius, cells, cells - jc)
-    left = _leading_true(lambda t: np.sqrt(d0 + d1[jc - t]) <= ball.radius, cells, jc + 1)
-    rows = np.flatnonzero(right)
-    if rows.size == 0:
-        return ball.center[None, :]
-    first, last = jc - left[rows] + 1, jc + right[rows] - 1
-    near = np.clip(int(np.argmin((mids[1] - center[1]) ** 2)), first, last)
-    pts = np.column_stack([np.tile(mids[0][rows], 3),
-                           mids[1][np.concatenate([first, last, near])]])
-    r = np.linalg.norm(pts - center, axis=1)
-    return pts[[int(np.argmin(r)), int(np.argmax(r))]]
-
-
-def _leading_true(ok, rows: int, size: int) -> np.ndarray:
-    """Per row, how many leading t = 0, 1, ..., size - 1 satisfy ok, where
-    ok maps one t per row to one bool per row and is true, then false, along
-    t (a vectorized bisection)."""
-    lo = np.zeros(rows, dtype=np.intp)
-    hi = np.full(rows, size, dtype=np.intp)
-    while np.any(lo < hi):
-        active = lo < hi
-        mid = (lo + hi) // 2
-        good = ok(np.minimum(mid, size - 1))
-        lo, hi = np.where(active & good, mid + 1, lo), np.where(active & ~good, mid, hi)
-    return lo
-
-
-def _linspace_at(start: float, stop: float, num: int, i: int) -> float:
-    """np.linspace(start, stop, num)[i] by the same float operations."""
-    div = num - 1
-    if i == div:
-        return stop
-    step = (stop - start) / div
-    return (i / div * (stop - start) if step == 0.0 else i * step) + start
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +471,9 @@ def series_verdict(series) -> str:
 def _estimate_over_family(label, per_ball, family, scheme, refine_steps, lattice_free=False):
     """Max of a per-ball functional over the family, with a refinement series.
 
-    A ``lattice_free`` functional (exact power means only) gives the same
-    value on every lattice, so its series repeats the first level.
+    A ``lattice_free`` functional (exact means and infima of a radial
+    weight) gives the same value on every lattice, so its series repeats the
+    first level.
     """
     def sup_at(s):
         best, best_ball = -math.inf, None
@@ -554,10 +509,10 @@ def _ratio(log_num: float, log_den: float) -> float:
 
 def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps):
     """sup_B M_a(B) / M_b(B) over the family, where M_s is the power mean of
-    order s (``power_mean``, as a logarithm) and M_{-inf} the minimum of w
-    over the quadrature nodes of B.  A ball where w^a or w^b is not locally
-    integrable gives +inf.  Exact power means of a radial weight (b finite)
-    do not depend on the lattice (``lattice_free``)."""
+    order s (``power_mean``, as a logarithm) and M_{-inf} the essential
+    infimum of w on B (``min_over_nodes``).  A ball where w^a or w^b is not
+    locally integrable gives +inf.  Both are exact for a radial weight, so
+    its estimate does not depend on the lattice (``lattice_free``)."""
     if scheme is None:
         scheme = default_scheme(w.dimension)
 
@@ -574,12 +529,12 @@ def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps):
             return math.inf
 
     return _estimate_over_family(label, per_ball, family, scheme, refine_steps,
-                                 b != -math.inf and _is_radial(w))
+                                 _is_radial(w))
 
 
 def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None = None,
                          refine_steps: int = 3) -> WeightClassReport:
-    """sup_B (average of w over B) / (min of w over the quadrature nodes of B).
+    """sup_B (average of w over B) / (essential infimum of w on B).
 
     Like every class estimator, it forms its per-ball ratio from the
     logarithms of ``power_mean`` (``_class_constant``)."""
@@ -604,7 +559,7 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
     """Two-exponent constant for the fractional maximal inequality.
 
     For p > 1: sup_B (avg w^q)^{1/q} (avg w^{-p'})^{1/p'}; for p = 1 the dual
-    average is replaced by the minimum of w over the quadrature nodes.
+    average is replaced by the essential infimum of w on B.
     """
     p, q = float(p), float(q)
     if q < p or p < 1.0:
@@ -642,11 +597,7 @@ class CriticalIndices:
     tol: float
 
     def to_dict(self) -> dict:
-        def enc(v):
-            return v if math.isfinite(v) else "inf"
-        return {"q_critical": enc(self.q_critical), "q_bracket": [enc(v) for v in self.q_bracket],
-                "rh_critical": enc(self.rh_critical),
-                "rh_bracket": [enc(v) for v in self.rh_bracket], "tol": self.tol}
+        return asdict(self)
 
 
 def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = None,

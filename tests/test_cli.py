@@ -554,20 +554,31 @@ def test_theorem_campaign_leaves_numpy_ma_unloaded(tmp_path):
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
-    """A classify run loads no operator, atom or campaign module, and an
-    operator sweep no atom or campaign module: a process compiles only the
-    source its command runs."""
+    """A classify run loads no operator, atom or campaign module, an operator
+    sweep no atom or campaign module, and `atoms gen` and `atoms validate` no
+    campaign module: a process compiles only the source its command runs.
+    Nor does validate load hashlib, which the campaign's config hash needs
+    (gen loads it through numpy.random, which its seeds come from)."""
     code = ("import sys, rieszkit.cli\n"
-            "for argv in (sys.argv[1:7], sys.argv[7:]):\n"
+            "args = sys.argv[1:]\n"
+            "while args:\n"
+            "    argv, args = args[:6], args[6:]\n"
             "    code = rieszkit.cli.main(argv)\n"
-            "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify')\n"
-            "                           if 'rieszkit.' + m in sys.modules])")
+            "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify', 'hashlib')\n"
+            "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
+    atoms_cfg = os.path.join(CONFIG_DIR, "atoms-campaign.json")
     out = _python("-c", code, "weights", "classify", "--config",
                   os.path.join(CONFIG_DIR, "weights-log.json"), "--out", str(tmp_path / "w"),
                   "operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json"),
-                  "--out", str(tmp_path / "s"), check=True)
+                  "--out", str(tmp_path / "s"),
+                  "atoms", "gen", "--config", atoms_cfg, "--out", str(tmp_path / "a"),
+                  check=True)
     assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == [
-        "loaded 0 []", "loaded 0 ['operators']"]
+        "loaded 0 []", "loaded 0 ['operators']", "loaded 0 ['atoms', 'operators', 'hashlib']"]
+    out = _python("-c", code, "atoms", "validate", "--config", atoms_cfg,
+                  "--out", str(tmp_path / "a"), check=True)
+    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == [
+        "loaded 0 ['atoms', 'operators']"]
 
 
 def test_package_names_resolve_on_first_use():
@@ -638,3 +649,93 @@ def test_compare_reports_script(tmp_path):
     out = _python(script, str(a), str(b))
     assert out.returncode == 1
     assert "non-numeric" in out.stdout and "only in" in out.stdout
+
+
+def _no_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_bundled_reports_are_strict_json(tmp_path, capsys):
+    """Every report of the bundled runs, and classify's stdout, parse as
+    strict JSON: a non-finite float is written "inf", "-inf" or "nan", never
+    the token Infinity or NaN."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_all_verifications.py")
+    _python(script, "--out", str(tmp_path / "all"), check=True)
+    reports = sorted((tmp_path / "all").rglob("*.json"))
+    assert len(reports) == 7
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=_no_constant)
+    report = json.loads((tmp_path / "all" / "weights-power-half" / "weights-classify.json")
+                        .read_text())["report"]
+    assert report["classes"][0]["constant"] == "inf"
+    assert main(["weights", "classify", "--config",
+                 os.path.join(CONFIG_DIR, "weights-power-half.json"),
+                 "--out", str(tmp_path / "w")]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("config, scale", [
+    ("ta-worked.json", 1e300),
+    ("critical-index-chain", 1e300),
+    ("critical-index-chain", 1e-300),
+])
+def test_cli_weight_scale_out_of_float_range_exits_4(tmp_path, capsys, config, scale):
+    """A check that forms w^t (here t = 8/3 and t = 2) of a weight whose
+    scale**t under- or overflows is refused at weight.scale (exit 4), not
+    ended by an OverflowError or a zero scale."""
+    if config.endswith(".json"):
+        with open(os.path.join(CONFIG_DIR, config)) as fh:
+            raw = json.load(fh)
+        raw["campaign"]["count"] = 2
+    else:
+        raw = _base_config(checks=[{"check": config, "p": 0.5}])
+    raw["weight"] = {**raw["weight"], "exponent": -0.125, "scale": scale}
+    cfg = _write(tmp_path, "scaled.json", raw)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and error["path"] == "weight.scale"
+
+
+def test_cli_rh_ball_inequality_is_scale_invariant(tmp_path):
+    """Both sides of the RH ball inequality are invariant under w -> c w, and
+    the check forms them from logarithms: scale 1e308 reads the verdict and
+    the values of scale 1 instead of overflowing."""
+    reports = []
+    for scale in (1.0, 1e308):
+        cfg = _write(tmp_path, "rh.json", _base_config(
+            weight={"kind": "power", "exponent": -0.125, "scale": scale},
+            checks=[{"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.5}]))
+        out = tmp_path / f"out-{scale:g}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(json.loads((out / "00-rh-ball-inequality.json").read_text())["report"])
+    one, huge = reports
+    assert one["verdict"] == huge["verdict"] == "pass"
+    assert huge["worst"] == pytest.approx(one["worst"], abs=1e-12)
+    assert huge["witnesses"][0]["lhs"] == pytest.approx(one["witnesses"][0]["lhs"], rel=1e-12)
+
+
+def test_cli_containment_ball_beyond_max_extent_exits_4(tmp_path, capsys):
+    """A containment ball whose extent reaches sqrt(float max) is refused at
+    its field (exit 4): its squared distances overflow, and every sample
+    point used to drop out, leaving an empty check that passed."""
+    cfg = _write(tmp_path, "far.json", _base_config(
+        matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
+        checks=[{"check": "containment-step", "ball": {"center": [1e300], "radius": 1e300}}]))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and error["path"] == "checks[0].ball"
+
+
+def test_cli_containment_nan_slack_fails(tmp_path):
+    """Outer points 64 radii out of a 5e152 ball have distances whose squares
+    overflow, so their slack is inf / inf = NaN.  The NaN is the check's
+    worst value and its sample the witness: the check fails instead of
+    passing on the remaining samples."""
+    cfg = _write(tmp_path, "nan.json", _base_config(
+        matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
+        checks=[{"check": "containment-step", "ball": {"center": [0.0], "radius": 5e152},
+                 "count": 3}]))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "00-containment-step.json").read_text())["report"]
+    assert report["verdict"] == "fail" and report["worst"] == "nan"
+    assert report["witnesses"][0]["ratio"] == "nan"

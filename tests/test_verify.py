@@ -111,7 +111,7 @@ def test_chain_comparison(small_family):
 def test_chain_vacuous_for_unit_weight(small_family):
     rep = check_critical_index_chains(UNIT, 0.5, None, small_family)
     assert rep.passed()
-    assert rep.extras["indices"]["r_w"] == "inf"
+    assert rep.extras["indices"]["r_w"] == math.inf
 
 
 def test_chain_hypothesis_gate(small_family):

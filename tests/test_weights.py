@@ -223,11 +223,25 @@ def test_a1_log_example_weight(std_family):
 
 
 def test_a1_positive_power_diverges(std_family):
+    """|x|^{1/2} vanishes at the origin: its essential infimum on a ball
+    around it is 0, so the constant is +inf on such a ball."""
     rep = estimate_A1_constant(PowerWeight(0.5), std_family)
     assert rep.verdict == "diverging"
-    # divergence needs sustained growth across the refinement series
-    assert len(rep.series) >= 4
-    assert rep.series[-1] >= 4.0 * rep.series[0]
+    assert rep.constant == math.inf and rep.series == [math.inf]
+    assert abs(rep.worst_ball.center[0]) <= rep.worst_ball.radius
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda w, fam: estimate_A1_constant(w, fam),
+    lambda w, fam: estimate_Apq_constant(w, 1.0, 2.0, fam),
+], ids=["A1", "Apq(1,2)"])
+def test_a1_positive_power_diverges_in_the_plane(estimate):
+    """|x|^a is in A_1 only for a <= 0, in the plane as on the line.  A
+    minimum over refining node lattices of |x|^{1/2} falls by 2^{3a} < 4
+    over three refinements and so read "finite"; the exact infimum is 0."""
+    rep = estimate(PowerWeight(0.5, dimension=2), default_ball_family(2))
+    assert rep.verdict == "diverging" and rep.constant == math.inf
+    assert np.hypot(*rep.worst_ball.center) <= rep.worst_ball.radius
 
 
 def test_ap_examples(std_family):
@@ -573,14 +587,46 @@ def test_power_mean_matches_mpmath(w, s, center, radius):
         assert power_mean(w, s, ball) == pytest.approx(float(mp.e ** exact), rel=1e-12)
 
 
-@pytest.mark.parametrize("w", [PowerWeight(0.5, dimension=2), PowerWeight(-1.2, dimension=2),
-                               LogExampleWeight(dimension=2),
-                               LogExampleWeight(dimension=2, power=-2.0),
-                               ProductPowerWeight(((0.75, (0.5, 0.0)),), dimension=2),
-                               PowerWeight(0.5), LogExampleWeight(power=-1.0)])
-def test_min_over_nodes_matches_full_lattice(w):
-    """The lattice minimum of a radial weight, read at the nearest and the
-    farthest node only, equals the minimum over every node bit for bit."""
+_RADIAL_WEIGHTS = [PowerWeight(0.5, dimension=2), PowerWeight(-1.2, dimension=2),
+                   LogExampleWeight(dimension=2), LogExampleWeight(dimension=2, power=-2.0),
+                   ProductPowerWeight(((0.75, (0.5, 0.0)),), dimension=2),
+                   PowerWeight(0.5), LogExampleWeight(power=-1.0)]
+
+
+def _radial_infimum(w, ball):
+    """scale * min(P(max(0, d - rho)), P(d + rho)), d the distance from the
+    weight's centre to the ball's, written out per weight kind."""
+    if isinstance(w, ProductPowerWeight):
+        (a, c), = w.factors
+        P = lambda r: r**a if r > 0 else (math.inf if a < 0 else 0.0)
+    elif isinstance(w, PowerWeight):
+        a, c = w.exponent, (0.0,) * w.dimension
+        P = lambda r: r**a if r > 0 else (math.inf if a < 0 else 0.0)
+    else:
+        c = (0.0,) * w.dimension
+        P = lambda r: (1.0 if r >= math.exp(-1.0) else
+                       math.log(1.0 / r) ** w.power if r > 0 else
+                       (math.inf if w.power > 0 else 0.0))
+    d = math.dist(ball.center.tolist(), c)
+    return w.scale * min(P(max(0.0, d - ball.radius)), P(d + ball.radius))
+
+
+@pytest.mark.parametrize("w", _RADIAL_WEIGHTS)
+def test_min_over_nodes_is_the_radial_infimum(w):
+    """For a radial weight the infimum is exact: the weight at the point of
+    the closed ball nearest to or farthest from its centre."""
+    from rieszkit import QuadratureScheme, default_ball_family
+    from rieszkit.weights import min_over_nodes
+
+    for ball in default_ball_family(w.dimension):
+        got = min_over_nodes(w, ball, QuadratureScheme(resolution=16))
+        assert got == pytest.approx(_radial_infimum(w, ball), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("w", _RADIAL_WEIGHTS)
+def test_min_over_nodes_never_exceeds_the_node_minimum(w):
+    """The exact infimum is at most the weight's minimum over every node of
+    the ball's midpoint lattice."""
     from rieszkit import QuadratureScheme, default_ball_family
     from rieszkit.weights import min_over_nodes
 
@@ -593,6 +639,6 @@ def test_min_over_nodes_matches_full_lattice(w):
         return float(np.min(eval_weight_batch(w, pts, extended=True)))
 
     for ball in default_ball_family(w.dimension):
-        for resolution in (16, 50, 2048 if w.dimension == 1 else 256):
+        for resolution in (16, 64):
             scheme = QuadratureScheme(resolution=resolution)
-            assert min_over_nodes(w, ball, scheme) == every_node(ball, scheme)
+            assert min_over_nodes(w, ball, scheme) <= every_node(ball, scheme)
