@@ -27,6 +27,7 @@ from .errors import ConfigError, DegenerateProfile, HypothesisFailed
 from .geometry import Ball
 from .quadrature import QuadratureScheme, default_scheme, lebesgue_ball
 from .operators import PolynomialProfile, SampledFunction, weighted_norm
+from .rng import PCG64, generate_state
 from .weights import PowerWeight, critical_indices, weight_to_dict, weighted_measure
 
 A2_REL_TOL = 1e-8
@@ -272,16 +273,18 @@ def construct_atom(ball: Ball, params: AtomParams, seed: int,
                    scheme: QuadratureScheme | None = None) -> Atom:
     """Seeded random polynomial of degree d+2, projected and saturated.
 
-    The remaining degrees of freedom after the moment projection are the
+    The coefficients, in ``multiindices`` order, are uniform on [-1, 1):
+    the draws of numpy's ``default_rng(seed).uniform(-1.0, 1.0)``, taken
+    from ``rng.PCG64``.  The remaining degrees of freedom after the moment projection are the
     interesting ones; a residual below the degeneracy tolerance raises
     DegenerateProfile so the caller can resample.
     """
     n = params.dimension
     if scheme is None:
         scheme = default_scheme(n)
-    rng = np.random.default_rng(seed)
+    rng = PCG64(seed)
     keys = multiindices(n, params.d + 2)
-    raw = {k: float(rng.uniform(-1.0, 1.0)) for k in keys}
+    raw = {k: rng.uniform(-1.0, 1.0) for k in keys}
     resid = project_away_moments(raw, params.d, n)
     if _l2_norm_sq(resid, n) < (DEGENERACY_TOL ** 2) * _l2_norm_sq(raw, n):
         raise DegenerateProfile(f"projection annihilated the seed-{seed} profile")
@@ -387,7 +390,9 @@ class CampaignSpec:
 
 
 def derive_seed(campaign_seed: int, index: int, retry: int = 0) -> int:
-    return int(np.random.SeedSequence((campaign_seed, index, retry)).generate_state(1)[0])
+    """The seed of atom ``index`` at resampling attempt ``retry``: the first
+    word of numpy's SeedSequence over the three integers (``rng``)."""
+    return generate_state((campaign_seed, index, retry), 1)[0]
 
 
 def sample_atom_campaign(params: AtomParams, sampler: AtomSampler, count: int,

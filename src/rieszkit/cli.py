@@ -176,6 +176,18 @@ def cmd_atoms_validate(cfg: RunConfig, out_dir: str, manifest: str) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+def _ball_samples(ball, count: int, seed: int) -> np.ndarray:
+    """The points of ``ball`` among ``count`` uniform draws on its bounding
+    box, drawn as numpy's ``default_rng(seed).random((count, n))``."""
+    from .geometry import distances
+    from .rng import PCG64
+
+    rng = PCG64(seed)
+    u = np.array([rng.random() for _ in range(count * ball.dimension)])
+    xi = ball.center + ball.radius * (2.0 * u.reshape(count, ball.dimension) - 1.0)
+    return xi[distances(xi, ball.center) <= ball.radius]
+
+
 def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
     """Run one check on the parameters ``config.validate_check`` returned."""
     from .verify import (VerificationReport, check_containment_step,
@@ -208,9 +220,7 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
         if cfg.matrices is None:
             raise ConfigError("checks", f"{name} needs matrices")
         ball, count = item["ball"], item["count"]
-        rng = np.random.default_rng(seed if seed is not None else item["seed"])
-        xi = ball.center + ball.radius * (2.0 * rng.random((count, cfg.dimension)) - 1.0)
-        xi = xi[np.linalg.norm(xi - ball.center, axis=1) <= ball.radius]
+        xi = _ball_samples(ball, count, seed if seed is not None else item["seed"])
         big = 2.0 * cfg.matrices.norm_bound * ball.radius
         from .geometry import classify
 

@@ -28,6 +28,14 @@ def as_point(x, dimension: int | None = None) -> np.ndarray:
     return p
 
 
+def distances(pts, c) -> np.ndarray:
+    """|x - c| for each row x of ``pts`` (or for the one point ``pts``), as
+    abs on the line and hypot in the plane: a root of a sum of squares would
+    overflow beyond sqrt(float max) and underflow below its inverse."""
+    d = np.atleast_2d(pts) - c
+    return np.abs(d[:, 0]) if d.shape[1] == 1 else np.hypot(d[:, 0], d[:, 1])
+
+
 @dataclass(frozen=True)
 class Ball:
     center: np.ndarray
@@ -47,8 +55,7 @@ class Ball:
         return Ball(self.center, self.radius * factor)
 
     def contains(self, pts) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
+        return distances(np.asarray(pts, dtype=float), self.center) <= self.radius
 
     def to_dict(self) -> dict:
         return {"center": [float(c) for c in self.center], "radius": self.radius}
@@ -215,8 +222,7 @@ def classify(x, ball: Ball, family: MatrixFamily) -> RegionLabel:
     center (smallest index on ties; expanded-ball boundaries count as inside)."""
     x = as_point(x, ball.dimension)
     big_r = 2.0 * family.norm_bound * ball.radius
-    dists = [float(np.linalg.norm(x - family.apply(i, ball.center)))
-             for i in range(family.m)]
+    dists = [float(distances(x, family.apply(i, ball.center))[0]) for i in range(family.m)]
     for i, d in enumerate(dists):
         if d <= big_r:
             return RegionLabel("inside", i)
@@ -227,9 +233,8 @@ def classify_batch(pts, ball: Ball, family: MatrixFamily):
     """Vectorized classify: returns (kinds bool array 'is outer', indices)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     big_r = 2.0 * family.norm_bound * ball.radius
-    dists = np.stack(
-        [np.linalg.norm(pts - family.apply(i, ball.center), axis=1)
-         for i in range(family.m)], axis=1)
+    dists = np.stack([distances(pts, family.apply(i, ball.center)) for i in range(family.m)],
+                     axis=1)
     inside_any = dists <= big_r
     is_outer = ~np.any(inside_any, axis=1)
     idx = np.where(is_outer, np.argmin(dists, axis=1),

@@ -16,14 +16,13 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .atoms import (Atom, AtomParams, AtomSampler, CampaignSpec, atom_thresholds,
-                    sample_atom_campaign)
 from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
-                       default_ball_family, expanded_balls)
+                       default_ball_family, distances, expanded_balls)
 from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
                         apply_T_ball_1d, apply_T_batch, fractional_maximal_witness,
                         indicator, indicator_maximal_1d, weighted_norm)
@@ -34,6 +33,9 @@ from .weights import (STABILITY_FACTOR, PowerWeight, _exp, ball_measure,
                       estimate_Ap_constant, estimate_Apq_constant, estimate_RH_constant,
                       eval_weight_batch, power_mean, radial_factors, series_verdict,
                       weight_power, weight_singularities, weight_to_dict, weighted_measure)
+
+if TYPE_CHECKING:
+    from .atoms import Atom, AtomParams, CampaignSpec
 
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
@@ -145,7 +147,7 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
     if not label.is_outer():
         raise MisclassifiedSample(f"sample {np.asarray(x).tolist()} lies in an expanded ball")
     k = label.index
-    dist = float(np.linalg.norm(as_point(x, n) - family.apply(k, atom.ball.center)))
+    dist = float(distances(as_point(x, n), family.apply(k, atom.ball.center))[0])
     wfac = w_ball ** (-1.0 / params.p)
     decay = wfac * atom.ball.radius ** (n + d + 1) * dist ** (profile.alpha - n - d - 1)
     maximal = None
@@ -246,11 +248,11 @@ def check_containment_step(ball: Ball, family: MatrixFamily, xi_samples,
         xp = as_point(x, ball.dimension)
         for xi in xi_samples:
             xip = as_point(xi, ball.dimension)
-            if float(np.linalg.norm(xip - ball.center)) > ball.radius + 1e-12:
+            if float(distances(xip, ball.center)[0]) > ball.radius + 1e-12:
                 raise ValueError("xi samples must lie in the ball")
             for i in range(family.m):
-                num = float(np.linalg.norm(xp - family.apply(i, xip)))
-                den = 0.5 * float(np.linalg.norm(xp - family.apply(i, ball.center)))
+                num = float(distances(xp, family.apply(i, xip))[0])
+                den = 0.5 * float(distances(xp, family.apply(i, ball.center))[0])
                 slacks.append(num / den)
                 samples.append({"x": xp.tolist(), "xi": xip.tolist(), "matrix": i,
                                 "lhs": num, "rhs": den, "ratio": slacks[-1]})
@@ -374,13 +376,20 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
 # ---------------------------------------------------------------------------
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted without repeats, as np.unique gives them (which
+    imports numpy.ma)."""
+    out = np.sort(values)
+    return out[np.concatenate([[True], out[1:] != out[:-1]])]
+
+
 def _graded_domain(extent: float, per_unit: int, dense_halfwidth: float):
     """Symmetric graded mesh on [-extent, extent], dense near the origin."""
     dense = np.linspace(-dense_halfwidth, dense_halfwidth,
                         max(16, int(2 * dense_halfwidth * per_unit)) + 1)
     right = graded_edges(dense_halfwidth, extent, h0=1.0 / per_unit, block=max(8, per_unit))
     left = -right[::-1]
-    return np.unique(np.concatenate([left, dense, right]))
+    return _sorted_unique(np.concatenate([left, dense, right]))
 
 
 def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = None,
@@ -505,9 +514,7 @@ def _split_edges_at(edges: np.ndarray, points) -> np.ndarray:
     inside = [p for p in points if edges[0] < p < edges[-1]]
     if not inside:
         return edges
-    # sorted without repeats, as np.unique gives it (which imports numpy.ma)
-    out = np.sort(np.concatenate([edges, np.asarray(inside, dtype=float)]))
-    return out[np.concatenate([[True], out[1:] != out[:-1]])]
+    return _sorted_unique(np.concatenate([edges, np.asarray(inside, dtype=float)]))
 
 
 def _expanded_intervals(ball: Ball, family: MatrixFamily) -> list:
@@ -605,6 +612,8 @@ def _compatibility_audit(w, family) -> AuditItem:
 
 
 def _thm_zero_audits(w, profile, family, spec, scheme):
+    from .atoms import atom_thresholds
+
     fam_balls = default_ball_family(w.dimension)
     audits = []
     idx = critical_indices(w, fam_balls, scheme)
@@ -676,6 +685,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
         scheme = default_scheme(n)
     if kind not in ("thm-zero", "thm-positive"):
         raise ValueError("kind must be 'thm-zero' or 'thm-positive'")
+    from .atoms import AtomParams, AtomSampler, sample_atom_campaign
 
     sampler = AtomSampler(tuple(np.asarray(c, dtype=float) for c in spec.centers),
                           tuple(spec.radii))

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NotIntegrable, OutOfGrid, SingularPoint
-from .geometry import Ball, BallFamily, MatrixFamily, as_point
+from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
 from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
                          merge_coincident, radial_profile)
@@ -222,10 +222,7 @@ def eval_weight_batch(w, pts, extended: bool = False) -> np.ndarray:
     scale, factors = radial
     out = np.full(pts.shape[0], float(scale))
     for c, prof in factors:
-        # |x - c| without squaring it: a square would underflow 1e-200 onto
-        # the centre and overflow 1e200 to inf
-        d = pts - c
-        r = np.abs(d[:, 0]) if w.dimension == 1 else np.hypot(d[:, 0], d[:, 1])
+        r = distances(pts, c)
         hit = r == 0.0
         if not np.any(hit):
             out = out * prof.value(r)
@@ -313,17 +310,16 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_integral(w, s: float, ball: Ball, scheme: QuadratureScheme | None) -> float:
-    """log of the integral of w**s over the ball (NotIntegrable when w**s is
-    not locally integrable).
+def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None) -> float:
+    """log of the integral of w**s over the ball, where ``form`` is
+    ``_radial_form(w, s)``.
 
     A radial w**s is integrated exactly (``log_ball_integral``).  Otherwise
     the cell rule integrates (w / c)**s, c the maximum of w on a probe
     lattice, which keeps extreme exponents in float range.
     """
-    radial = _radial_form(w, s)
-    if radial is not None:
-        center, profile, log_scale = radial
+    if form is not None:
+        center, profile, log_scale = form
         return log_scale + log_ball_integral(profile, ball.center - center, ball.radius)
     if scheme is None:
         scheme = default_scheme(ball.dimension)
@@ -350,14 +346,19 @@ def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = 
     factors integrated exactly on the cells around their centers.  It reads
     the same integral as ``power_mean``.
     """
-    return _exp(_log_integral(w, float(s), ball, scheme))
+    s = float(s)
+    return _exp(_log_integral(w, s, _radial_form(w, s), ball, scheme))
 
 
 def ball_measure(w, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
     """|B| by the rule the averages of w divide by: the Lebesgue measure when
     w is radial (its integrals are exact) or on the line, otherwise the
     cell measure of ``scheme``."""
-    if ball.dimension == 1 or _is_radial(w):
+    return _ball_measure(ball.dimension == 1 or _is_radial(w), ball, scheme)
+
+
+def _ball_measure(exact: bool, ball: Ball, scheme: QuadratureScheme | None) -> float:
+    if exact:
         return lebesgue_ball(ball.dimension, ball.radius)
     if scheme is None:
         scheme = default_scheme(ball.dimension)
@@ -377,8 +378,14 @@ def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
     s = float(s)
     if s == 0.0:
         raise ValueError("power mean needs a nonzero exponent")
-    mean = (_log_integral(w, s, ball, scheme) - math.log(ball_measure(w, ball, scheme))) / s
+    mean = _log_mean(w, s, _radial_form(w, s), ball, scheme)
     return mean if log else _exp(mean)
+
+
+def _log_mean(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None) -> float:
+    """log ``power_mean(w, s, ball)``, where ``form`` is ``_radial_form(w, s)``."""
+    log_vol = math.log(_ball_measure(ball.dimension == 1 or form is not None, ball, scheme))
+    return (_log_integral(w, s, form, ball, scheme) - log_vol) / s
 
 
 def _probe_nodes(ball: Ball) -> np.ndarray:
@@ -405,12 +412,16 @@ def min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
     multi-factor product weights take the minimum over the ball's midpoint
     lattice of ``scheme``.
     """
-    radial = _radial_form(w, 1.0)
+    return _min_over_nodes(w, _radial_form(w, 1.0), ball, scheme)
+
+
+def _min_over_nodes(w, radial, ball: Ball, scheme: QuadratureScheme) -> float:
+    """``min_over_nodes``, where ``radial`` is ``_radial_form(w, 1.0)``."""
     if radial is None:
         pts = _node_lattice(ball, 2 * scheme.resolution)
     else:
         d = ball.center - radial[0]
-        dist = float(np.hypot(*d)) if ball.dimension == 2 else abs(float(d[0]))
+        dist = float(distances(ball.center, radial[0])[0])
         unit = d / dist if dist > 0.0 else np.eye(ball.dimension)[0]
         near = ball.center - ball.radius * unit if dist > ball.radius else radial[0]
         pts = np.array([near, ball.center + ball.radius * unit])
@@ -477,8 +488,8 @@ def _estimate_over_family(label, per_ball, family, scheme, refine_steps, lattice
     """
     def sup_at(s):
         best, best_ball = -math.inf, None
-        for ball in family:
-            v = per_ball(ball, s)
+        for i, ball in enumerate(family):
+            v = per_ball(i, ball, s)
             if v > best or not math.isfinite(v):
                 best, best_ball = v, ball
             if not math.isfinite(v):
@@ -507,29 +518,42 @@ def _ratio(log_num: float, log_den: float) -> float:
     return _exp(log_num - log_den)
 
 
-def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps):
+def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps,
+                    log_means=None):
     """sup_B M_a(B) / M_b(B) over the family, where M_s is the power mean of
     order s (``power_mean``, as a logarithm) and M_{-inf} the essential
-    infimum of w on B (``min_over_nodes``).  A ball where w^a or w^b is not
-    locally integrable gives +inf.  Both are exact for a radial weight, so
-    its estimate does not depend on the lattice (``lattice_free``)."""
+    infimum of w on B (``min_over_nodes``).  When w^a or w^b is not locally
+    integrable every ball gives +inf.  Both are exact for a radial weight,
+    so its estimate does not depend on the lattice (``lattice_free``).
+
+    ``log_means``, when given, memoizes the logarithms by (order, ball
+    index, scheme); it must only be shared by estimates of the same weight
+    on the same family."""
     if scheme is None:
         scheme = default_scheme(w.dimension)
+    try:
+        # w**s's radial form is one per order, whatever the ball
+        forms = {s: _radial_form(w, 1.0 if s == -math.inf else s) for s in (a, b)}
+    except NotIntegrable:
+        return _estimate_over_family(label, lambda i, ball, sch: math.inf, family, scheme,
+                                     refine_steps)
+    memo = {} if log_means is None else log_means
 
-    def log_mean(s, ball, sch):
-        if s == -math.inf:
-            lo = min_over_nodes(w, ball, sch)
-            return math.log(lo) if lo > 0.0 else -math.inf
-        return power_mean(w, s, ball, sch, log=True)
+    def log_mean(s, i, ball, sch):
+        key = (s, i, sch)
+        if key not in memo:
+            if s == -math.inf:
+                lo = _min_over_nodes(w, forms[s], ball, sch)
+                memo[key] = math.log(lo) if lo > 0.0 else -math.inf
+            else:
+                memo[key] = _log_mean(w, s, forms[s], ball, sch)
+        return memo[key]
 
-    def per_ball(ball, sch):
-        try:
-            return _ratio(log_mean(a, ball, sch), log_mean(b, ball, sch))
-        except NotIntegrable:
-            return math.inf
+    def per_ball(i, ball, sch):
+        return _ratio(log_mean(a, i, ball, sch), log_mean(b, i, ball, sch))
 
     return _estimate_over_family(label, per_ball, family, scheme, refine_steps,
-                                 _is_radial(w))
+                                 forms[a] is not None)
 
 
 def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None = None,
@@ -543,14 +567,15 @@ def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None 
 
 def estimate_Ap_constant(w, p: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
-    """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1."""
+                         refine_steps: int = 3, *, log_means=None) -> WeightClassReport:
+    """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1.  ``log_means``
+    shares the per-ball means between estimates (``_class_constant``)."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("estimate_Ap_constant needs p > 1 (use estimate_A1_constant)")
     # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1)
     return _class_constant(f"A_p(p={p:g})", w, 1.0, -1.0 / (p - 1.0), family, scheme,
-                           refine_steps)
+                           refine_steps, log_means)
 
 
 def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
@@ -572,13 +597,15 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
 
 def estimate_RH_constant(w, s_exp: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
-    """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w)."""
+                         refine_steps: int = 3, *, log_means=None) -> WeightClassReport:
+    """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w).
+    ``log_means`` shares the per-ball means between estimates
+    (``_class_constant``)."""
     s_exp = float(s_exp)
     if s_exp <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
     return _class_constant(f"RH_s(s={s_exp:g})", w, s_exp, 1.0, family, scheme,
-                           refine_steps)
+                           refine_steps, log_means)
 
 
 # ---------------------------------------------------------------------------
@@ -610,18 +637,23 @@ def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = No
     exact power means, carried as logarithms, so a probe at 2^10 neither
     under- nor overflows on the smallest balls and each step evaluates one
     lattice level (``_estimate_over_family``); other weights take the cell
-    rule at every level.
+    rule at every level.  Every A_p step takes its numerators and every RH
+    step its denominators from the family's order-1 means, which one memo
+    per call computes once.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if scheme is None:
         scheme = default_scheme(w.dimension)
+    log_means = {}
 
     def ap_finite(p):
-        return estimate_Ap_constant(w, p, family, scheme, refine_steps).verdict == "finite"
+        return estimate_Ap_constant(w, p, family, scheme, refine_steps,
+                                    log_means=log_means).verdict == "finite"
 
     def rh_finite(s):
-        return estimate_RH_constant(w, s, family, scheme, refine_steps).verdict == "finite"
+        return estimate_RH_constant(w, s, family, scheme, refine_steps,
+                                    log_means=log_means).verdict == "finite"
 
     if ap_finite(1.0 + tol):
         q_val, q_br = 1.0, (1.0, 1.0 + tol)

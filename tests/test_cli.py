@@ -538,47 +538,44 @@ def test_theorem_campaign_and_sweep_never_load_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
-def test_theorem_campaign_leaves_numpy_ma_unloaded(tmp_path):
-    """A small theorem campaign never imports numpy.ma (np.unique would, at
-    ~25 ms per process)."""
+def test_each_command_loads_only_its_modules(tmp_path):
+    """A classify run loads no operator, atom or campaign module, an operator
+    sweep no atom or campaign module, the maximal-inequality check no atom
+    module, and `atoms gen` and `atoms validate` no campaign module: a
+    process compiles only the source its command runs.  No command loads
+    numpy.random (the atom stream is ``rieszkit.rng``) or numpy.ma (which
+    np.unique imports), and only the checks load hashlib, which their config
+    hash needs."""
+    code = ("import json, sys, rieszkit.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = rieszkit.cli.main(argv)\n"
+            "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify', 'hashlib',\n"
+            "                                       'numpy.random', 'numpy.ma')\n"
+            "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
+
+    def loaded(*commands):
+        argvs = [[*command, "--out", str(tmp_path / str(i))]
+                 for i, command in enumerate(commands)]
+        out = _python("-c", code, json.dumps(argvs), check=True)
+        return [line for line in out.stdout.splitlines() if line.startswith("loaded")]
+
     with open(os.path.join(CONFIG_DIR, "thm1-smoke.json")) as fh:
         raw = json.load(fh)
     raw["campaign"]["count"] = 2
-    cfg = _write(tmp_path, "thm1.json", raw)
-    code = ("import sys, rieszkit.cli\n"
-            "code = rieszkit.cli.main(sys.argv[1:])\n"
-            "print(code, 'numpy.ma' in sys.modules)")
-    out = _python("-c", code, "verify", "--config", cfg, "--out", str(tmp_path / "out"),
-                  check=True)
-    assert out.stdout.strip().splitlines()[-1] == "0 False"
-
-
-def test_each_command_loads_only_its_modules(tmp_path):
-    """A classify run loads no operator, atom or campaign module, an operator
-    sweep no atom or campaign module, and `atoms gen` and `atoms validate` no
-    campaign module: a process compiles only the source its command runs.
-    Nor does validate load hashlib, which the campaign's config hash needs
-    (gen loads it through numpy.random, which its seeds come from)."""
-    code = ("import sys, rieszkit.cli\n"
-            "args = sys.argv[1:]\n"
-            "while args:\n"
-            "    argv, args = args[:6], args[6:]\n"
-            "    code = rieszkit.cli.main(argv)\n"
-            "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify', 'hashlib')\n"
-            "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
+    thm1 = _write(tmp_path, "thm1.json", raw)
     atoms_cfg = os.path.join(CONFIG_DIR, "atoms-campaign.json")
-    out = _python("-c", code, "weights", "classify", "--config",
-                  os.path.join(CONFIG_DIR, "weights-log.json"), "--out", str(tmp_path / "w"),
-                  "operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json"),
-                  "--out", str(tmp_path / "s"),
-                  "atoms", "gen", "--config", atoms_cfg, "--out", str(tmp_path / "a"),
-                  check=True)
-    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == [
-        "loaded 0 []", "loaded 0 ['operators']", "loaded 0 ['atoms', 'operators', 'hashlib']"]
-    out = _python("-c", code, "atoms", "validate", "--config", atoms_cfg,
-                  "--out", str(tmp_path / "a"), check=True)
-    assert [line for line in out.stdout.splitlines() if line.startswith("loaded")] == [
-        "loaded 0 ['atoms', 'operators']"]
+    assert loaded(
+        ["weights", "classify", "--config", os.path.join(CONFIG_DIR, "weights-log.json")],
+        ["operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json")],
+        ["verify", "--config", os.path.join(CONFIG_DIR, "maximal-power-half.json")]) == [
+        "loaded 0 []", "loaded 0 ['operators']", "loaded 0 ['operators', 'verify', 'hashlib']"]
+    assert loaded(
+        ["atoms", "gen", "--config", atoms_cfg],
+        ["atoms", "validate", "--config", atoms_cfg, "--manifest",
+         str(tmp_path / "0" / "atoms.jsonl")],
+        ["verify", "--config", thm1]) == [
+        "loaded 0 ['atoms', 'operators']", "loaded 0 ['atoms', 'operators']",
+        "loaded 0 ['atoms', 'operators', 'verify', 'hashlib']"]
 
 
 def test_package_names_resolve_on_first_use():
@@ -726,16 +723,23 @@ def test_cli_containment_ball_beyond_max_extent_exits_4(tmp_path, capsys):
     assert error["error"] == "config" and error["path"] == "checks[0].ball"
 
 
-def test_cli_containment_nan_slack_fails(tmp_path):
-    """Outer points 64 radii out of a 5e152 ball have distances whose squares
-    overflow, so their slack is inf / inf = NaN.  The NaN is the check's
-    worst value and its sample the witness: the check fails instead of
-    passing on the remaining samples."""
-    cfg = _write(tmp_path, "nan.json", _base_config(
-        matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
-        checks=[{"check": "containment-step", "ball": {"center": [0.0], "radius": 5e152},
-                 "count": 3}]))
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    report = json.loads((tmp_path / "out" / "00-containment-step.json").read_text())["report"]
-    assert report["verdict"] == "fail" and report["worst"] == "nan"
-    assert report["witnesses"][0]["ratio"] == "nan"
+def test_cli_containment_is_scale_invariant(tmp_path):
+    """The slack |x - A_i xi| / (|x - A_i x0| / 2) does not depend on the
+    radius.  Outer points 64 radii out of a 5e152 ball have distances whose
+    squares overflow, so the distances are taken without squaring: the
+    check reads the worst slack of the unit ball, at the same sample."""
+    reports = []
+    for radius in (1.0, 5e152):
+        cfg = _write(tmp_path, "ball.json", _base_config(
+            matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
+            checks=[{"check": "containment-step", "ball": {"center": [0.0], "radius": radius},
+                     "count": 3}]))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        reports.append(json.loads(
+            (tmp_path / "out" / "00-containment-step.json").read_text())["report"])
+    unit, huge = reports
+    assert huge["verdict"] == "pass" and huge["worst"] == pytest.approx(unit["worst"], rel=1e-14)
+    assert huge["witnesses"][0]["matrix"] == unit["witnesses"][0]["matrix"]
+    for key in ("x", "xi"):
+        assert [v / 5e152 for v in huge["witnesses"][0][key]] == pytest.approx(
+            unit["witnesses"][0][key], rel=1e-14)

@@ -92,6 +92,20 @@ def test_classify_partition(x):
         assert dists[lab.index] <= big
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e153])
+def test_membership_and_labels_hold_at_every_scale(scale):
+    """Distances are abs on the line and hypot in the plane: a root of a sum
+    of squares reads 2e-170 as 0 and 1e154 as inf."""
+    for n in (1, 2):
+        ball = Ball(np.zeros(n), scale)
+        fam = MatrixFamily((np.eye(n), -np.eye(n)))
+        far, near = np.full(n, 10.0 * scale), np.full(n, 0.5 * scale)
+        assert ball.contains([near, far]).tolist() == [True, False]
+        assert classify(far, ball, fam).kind == "outer"
+        assert classify(near, ball, fam).kind == "inside"
+        assert classify_batch([near, far], ball, fam)[0].tolist() == [False, True]
+
+
 def test_classify_batch_matches_scalar():
     fam = scalar_family([1.0, -1.0])
     ball = Ball([0.5], 0.3)

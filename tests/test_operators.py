@@ -19,7 +19,7 @@ from rieszkit import (AtomParams, Ball, CallableProfile, ExponentProfile, GridPr
 from rieszkit.geometry import MatrixFamily, expanded_balls
 from rieszkit.operators import (FAR_FIELD_ORDER, _polynomial_moments, apply_T_ball_1d,
                                 apply_T_batch, sampled_from_csv)
-from rieszkit.verify import CampaignSpec
+from rieszkit.atoms import CampaignSpec
 
 
 def test_exponent_profile_validation():

@@ -61,6 +61,21 @@ def test_containment_rejects_inner_points():
         check_containment_step(ball, fam, [[1.0]], [[1.05]])
 
 
+def test_nan_is_the_worst_value_and_its_sample_the_witness():
+    """Python's max and min skip a NaN, so ``_worst`` returns the first one.
+    An outer point at infinity has slack inf / inf = NaN: the containment
+    check fails with that sample as its witness."""
+    from rieszkit.verify import _worst
+
+    assert _worst([1.0, math.nan, 3.0, math.nan]) == 1
+    assert _worst([1.0, math.nan, 0.5], lowest=True) == 1
+    assert _worst([2.0, 0.5, 3.0], lowest=True) == 1 and _worst([]) is None
+    rep = check_containment_step(Ball([0.0], 1.0), scalar_family([1.0, -1.0]), [[0.5]],
+                                 [[4.0], [math.inf]])
+    assert not rep.passed() and math.isnan(rep.worst)
+    assert rep.witnesses[0]["x"] == [math.inf] and math.isnan(rep.witnesses[0]["ratio"])
+
+
 # ---------------------------------------------------------------------------
 # reverse Holder ball inequality
 # ---------------------------------------------------------------------------
