@@ -538,6 +538,21 @@ def test_theorem_campaign_and_sweep_never_load_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[0, 0] []"
 
 
+def test_theorem_campaign_leaves_numpy_ma_unloaded(tmp_path):
+    """A small theorem campaign never imports numpy.ma (np.unique would, at
+    ~25 ms per process)."""
+    with open(os.path.join(CONFIG_DIR, "thm1-smoke.json")) as fh:
+        raw = json.load(fh)
+    raw["campaign"]["count"] = 2
+    cfg = _write(tmp_path, "thm1.json", raw)
+    code = ("import sys, rieszkit.cli\n"
+            "code = rieszkit.cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = _python("-c", code, "verify", "--config", cfg, "--out", str(tmp_path / "out"),
+                  check=True)
+    assert out.stdout.strip().splitlines()[-1] == "0 False"
+
+
 def test_each_command_loads_only_its_modules(tmp_path):
     """A classify run loads no operator, atom or campaign module, an operator
     sweep no atom or campaign module, the maximal-inequality check no atom
