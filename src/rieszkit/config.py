@@ -300,6 +300,12 @@ def validate_check(item: dict, dimension: int, path: str) -> dict:
         p = _number(item, "p", path, False, 1.0)
         _expect(0.0 < p < dimension / alpha, f"{path}.p",
                 f"must lie in (0, n/alpha) = (0, {dimension / alpha:g})")
+        # q/p = 1/(1 - alpha p/n) rounds to 1 once alpha p/n is below the
+        # float resolution, and RH_{q/p} needs q/p > 1; the smaller of the two
+        # factors alpha/n and p is the field named
+        q = 1.0 / (1.0 / p - alpha / dimension)
+        _expect(q / p > 1.0, f"{path}.alpha" if alpha / dimension <= p else f"{path}.p",
+                f"alpha p/n = {alpha * p / dimension:g} is too small: q/p rounds to 1")
         out.update(p=p, alpha=alpha)
     elif name == "containment-step":
         ball = _get(item, "ball", path, False, {"center": [1.0] * dimension, "radius": 0.1})

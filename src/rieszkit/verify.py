@@ -12,13 +12,22 @@ HypothesisFailed rather than reporting a pass.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+# the builtin sha256, as random.py takes its sha512: the OpenSSL-backed
+# digests would load libcrypto, ~3.5 MB resident, for one digest per report
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
@@ -74,7 +83,7 @@ class VerificationReport:
 
 
 def config_hash(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
+    return sha256(json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
 def _drift(values) -> float:
@@ -449,8 +458,10 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
             mvals = indicator_maximal_1d(f.ball, mids, beta)
             num = float(np.sum(mvals**q * wv * widths)) ** (1.0 / q)
             # an overflowed norm (an inf that is really a finite number
-            # beyond float range) leaves the ratio undefined
-            ratios.append(num / den if math.isfinite(num) and math.isfinite(den) else math.nan)
+            # beyond float range) or an underflowed one (a 0 that is really
+            # positive) leaves the ratio undefined
+            ratios.append(num / den if math.isfinite(num) and 0.0 < den < math.inf
+                          else math.nan)
         # a NaN ratio is the level's value (``_worst``), and its ball a witness
         undefined = [i for i, r in enumerate(ratios) if math.isnan(r)]
         witnesses += [{"level": level, "center": fns[i].ball.center.tolist(),

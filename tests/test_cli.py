@@ -388,6 +388,10 @@ def _theorem_config(check, alpha, **campaign):
     (["atoms", "gen"], _atoms_campaign(radii=[1e300, 1.0]), "campaign.radii[0]"),
     (["atoms", "validate"], _atoms_campaign(radii=[1e300, 1.0]), "campaign.radii[0]"),
     (["atoms", "gen"], _atoms_campaign(centers=[[0.0], [-1e300]]), "campaign.centers[1]"),
+    (["verify"], _base_config(checks=[{"check": "rh-ball-inequality", "p": 1e-300}]),
+     "checks[0].p"),
+    (["verify"], _base_config(checks=[{"check": "rh-ball-inequality", "alpha": 1e-300}]),
+     "checks[0].alpha"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
@@ -401,11 +405,12 @@ def _theorem_config(check, alpha, **campaign):
         "sweep-points-over-budget", "outer-octaves-over-budget",
         "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget",
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
-        "atoms-gen-center-overflows"])
+        "atoms-gen-center-overflows", "rh-ball-p-tiny", "rh-ball-alpha-tiny"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
-    work beyond the budget, campaign balls whose squared distances overflow
-    and a theorem check whose order does not match the exponents are config
+    work beyond the budget, campaign balls whose squared distances overflow,
+    an RH ball check whose q/p rounds to 1 and a theorem check whose order
+    does not match the exponents are config
     errors (exit 4) naming the field, not tracebacks (exit 1), failed checks
     (exit 2) or runs without end."""
     cfg = _write(tmp_path, "bad.json", raw)
@@ -558,14 +563,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
     sweep no atom or campaign module, the maximal-inequality check no atom
     module, and `atoms gen` and `atoms validate` no campaign module: a
     process compiles only the source its command runs.  No command loads
-    numpy.random (the atom stream is ``rieszkit.rng``) or numpy.ma (which
-    np.unique imports), and only the checks load hashlib, which their config
-    hash needs."""
+    numpy.random (the atom stream is ``rieszkit.rng``), numpy.ma (which
+    np.unique imports) or hashlib and its OpenSSL module _hashlib (the config
+    hash in the checks' provenance is the builtin sha256)."""
     code = ("import json, sys, rieszkit.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = rieszkit.cli.main(argv)\n"
             "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify', 'hashlib',\n"
-            "                                       'numpy.random', 'numpy.ma')\n"
+            "                                       '_hashlib', 'numpy.random', 'numpy.ma')\n"
             "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
 
     def loaded(*commands):
@@ -583,14 +588,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["weights", "classify", "--config", os.path.join(CONFIG_DIR, "weights-log.json")],
         ["operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json")],
         ["verify", "--config", os.path.join(CONFIG_DIR, "maximal-power-half.json")]) == [
-        "loaded 0 []", "loaded 0 ['operators']", "loaded 0 ['operators', 'verify', 'hashlib']"]
+        "loaded 0 []", "loaded 0 ['operators']", "loaded 0 ['operators', 'verify']"]
     assert loaded(
         ["atoms", "gen", "--config", atoms_cfg],
         ["atoms", "validate", "--config", atoms_cfg, "--manifest",
          str(tmp_path / "0" / "atoms.jsonl")],
         ["verify", "--config", thm1]) == [
         "loaded 0 ['atoms', 'operators']", "loaded 0 ['atoms', 'operators']",
-        "loaded 0 ['atoms', 'operators', 'verify', 'hashlib']"]
+        "loaded 0 ['atoms', 'operators', 'verify']"]
 
 
 def test_package_names_resolve_on_first_use():
@@ -634,6 +639,21 @@ def test_cli_maximal_check_fails_on_an_overflowed_ball(tmp_path):
     report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
     assert report["verdict"] == "fail" and report["extras"]["verdict"] == "undefined"
     assert report["stability"]["monotone_growth"] is False
+
+
+def test_cli_maximal_check_fails_on_an_underflowed_ball(tmp_path):
+    """A test ball whose weighted norm underflows to 0 has no ratio either:
+    the check fails (exit 2) with that ball as the witness instead of
+    dividing by zero (exit 1)."""
+    cfg = _write(tmp_path, "maximal.json", _base_config(checks=[
+        {"check": "maximal-inequality", "test_balls": [{"center": [0.0], "radius": 1e-300}]}]))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    with open(tmp_path / "out" / "00-maximal-inequality-witnesses.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["center"], float(r["radius"]), r["ratio"]) for r in rows] == [
+        ("[0.0]", 1e-300, "nan")] * 4
+    report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
+    assert report["verdict"] == "fail" and report["extras"]["verdict"] == "undefined"
 
 
 def test_compare_reports_script(tmp_path):

@@ -1,7 +1,9 @@
 """Verification-harness checks: pointwise bounds, chains, campaigns, audits."""
 
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,8 +17,11 @@ from rieszkit import (AtomParams, Ball, CampaignSpec, ExponentProfile,
                       check_quasi_norm_assembly, check_rh_ball_inequality,
                       construct_atom, equal_split, identity_family,
                       run_theorem_campaign, scalar_family)
+from rieszkit.config import load_config
 from rieszkit.operators import (SampledFunction, fractional_maximal, hl_maximal,
                                 indicator_maximal_1d)
+from rieszkit.verify import config_hash
+from rieszkit.weights import weight_to_dict
 
 UNIT = PowerWeight(0.0)
 
@@ -354,3 +359,31 @@ def test_campaign_reproducible_bitwise():
     b = run_theorem_campaign("thm-zero", PowerWeight(0.5), prof, fam, spec)
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(),
                                                                  sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# provenance digest
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("obj", [
+    {"w": {"kind": "power", "exponent": 0.5, "center": [0.0]}, "p": 1.0, "alpha": None},
+    {"outer": {"inner": {"deep": [1, 2.5, {"x": -0.0}]}}, "b": 1e-300, "a": 1e300},
+    {"name": "Hölder–Riesz λ ∞", "values": [math.pi, 0.1 + 0.2]},
+    {"empty": {}, "list": [], "text": ""},
+    {}, [], "", 3.0,
+])
+def test_config_hash_is_sha256_of_sorted_json(obj):
+    """The builtin digest gives hashlib's sha256 of the canonical JSON, so a
+    digest fallback that changed any report's provenance fails here."""
+    text = json.dumps(obj, sort_keys=True, default=str).encode()
+    assert config_hash(obj) == hashlib.sha256(text).hexdigest()[:16]
+
+
+def test_config_hash_of_the_bundled_thm1_smoke():
+    """The literal provenance hash of the bundled thm1-smoke report."""
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "thm1-smoke.json"))
+    assert config_hash({"kind": "thm-zero", "w": weight_to_dict(cfg.weight),
+                        "alpha": cfg.exponents.alpha,
+                        "spec": cfg.campaign.to_dict()}) == "fee491910a05ef81"
