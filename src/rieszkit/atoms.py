@@ -79,6 +79,23 @@ def _l2_norm_sq(coeffs: dict, dimension: int) -> float:
     return total
 
 
+def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b for a symmetric positive-definite a by Gaussian
+    elimination without pivoting, which is backward stable on such a matrix
+    (Higham, Accuracy and Stability of Numerical Algorithms, 10.1).  A 1x1
+    system reads b / a, as LAPACK's dgesv does."""
+    a, b = a.copy(), b.copy()
+    k = b.size
+    for j in range(k - 1):
+        f = a[j + 1:, j] / a[j, j]
+        a[j + 1:, j:] -= np.outer(f, a[j, j:])
+        b[j + 1:] -= f * b[j]
+    x = np.empty(k)
+    for i in reversed(range(k)):
+        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x
+
+
 def project_away_moments(coeffs: dict, d: int, dimension: int) -> dict:
     """Subtract the L^2(B) projection onto polynomials of degree <= d.
 
@@ -93,7 +110,7 @@ def project_away_moments(coeffs: dict, d: int, dimension: int) -> dict:
         rhs[i] = sum(c * unit_ball_monomial_integral(
             tuple(x + y for x, y in zip(b, k)), dimension)
             for k, c in coeffs.items())
-    sol = np.linalg.solve(gram, rhs)
+    sol = _solve_spd(gram, rhs)
     out = dict(coeffs)
     for i, b in enumerate(low):
         out[b] = out.get(b, 0.0) - float(sol[i])

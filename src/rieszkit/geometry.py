@@ -5,6 +5,9 @@ M = max_j ||A_j||, the plane splits into the expanded balls
 B_i* = B(A_i x0, 2 M r) and the outer region, which is itself partitioned
 by nearest transformed center.  This decomposition is the geometric
 skeleton of every pointwise estimate in the verification harness.
+
+Every matrix is 1x1 or 2x2, so its singular values, condition number and
+inverse take closed forms here, and no command calls LAPACK.
 """
 
 from __future__ import annotations
@@ -100,19 +103,56 @@ def default_ball_family(dimension: int) -> BallFamily:
     return dyadic_ball_family(centers, -8, 4)
 
 
-def operator_norm(matrix) -> float:
-    """Spectral norm (largest singular value)."""
+def _scaled(matrix):
+    """(s, e, sigma_max / s, det / s^n) of a 1x1 or 2x2 matrix: s is its
+    largest |entry| and e its entries over s, which lie in [-1, 1], so
+    neither the hypot nor the determinant overflows or underflows."""
     a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("operator_norm expects a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] > 2:
+        raise ValueError(f"expected a square matrix in dimensions 1 and 2, got shape {a.shape}")
+    s = float(np.max(np.abs(a)))
+    e = [float(v) / s if s else 0.0 for v in a.ravel()]
+    if len(e) == 1:
+        return s, e, abs(e[0]), e[0]
+    p, q, r, t = e
+    return s, e, 0.5 * (math.hypot(p + t, q - r) + math.hypot(p - t, q + r)), p * t - q * r
+
+
+def singular_values(matrix) -> tuple:
+    """(sigma_max, sigma_min) of a 1x1 or 2x2 matrix [[p, q], [r, t]]:
+    (hypot(p + t, q - r) + hypot(p - t, q + r)) / 2 and |pt - qr| / sigma_max."""
+    s, _, hi, det = _scaled(matrix)
+    return (0.0, 0.0) if hi == 0.0 else (hi * s, abs(det) / hi * s)
+
+
+def condition_number(matrix) -> float:
+    """sigma_max / sigma_min of a 1x1 or 2x2 matrix, inf when it is singular."""
+    _, _, hi, det = _scaled(matrix)
+    return hi * hi / abs(det) if det != 0.0 else math.inf
+
+
+def inverse(matrix) -> np.ndarray:
+    """Inverse of an invertible 1x1 or 2x2 matrix: the adjugate over the
+    determinant, both of the scaled entries (1 / a exactly on the line)."""
+    s, e, _, det = _scaled(matrix)
+    if len(e) == 1:
+        return np.array([[1.0 / det / s]])
+    p, q, r, t = e
+    return np.array([[t / det / s, -q / det / s], [-r / det / s, p / det / s]])
+
+
+def operator_norm(matrix) -> float:
+    """Spectral norm (largest singular value) of a matrix in dimensions 1 and 2."""
+    a = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    return float(np.linalg.norm(a, 2))
+    return singular_values(a)[0]
 
 
 @dataclass(frozen=True)
 class MatrixFamily:
-    """The matrices A_1..A_m with cached inverses, norms and differences.
+    """The matrices A_1..A_m (dimensions 1 and 2) with cached inverses,
+    singular values and differences, all from the closed forms above.
 
     ``pairwise_invertible`` must be set when the family is used with a
     zero-order kernel (total kernel homogeneity -n), which requires every
@@ -129,19 +169,17 @@ class MatrixFamily:
             raise ValueError("matrix family must be nonempty")
         n = mats[0].shape[0]
         inverses = []
-        norms = []
         for j, a in enumerate(mats):
             if a.shape != (n, n):
                 raise RieszkitError(f"matrix {j}: expected shape ({n}, {n}), got {a.shape}")
-            cond = np.linalg.cond(a)
-            if not np.isfinite(cond) or cond > self.condition_cap:
+            cond = condition_number(a)
+            if not math.isfinite(cond) or cond > self.condition_cap:
                 raise RieszkitError(
                     f"matrix {j}: condition number {cond:.3e} exceeds cap {self.condition_cap:.1e}")
-            inverses.append(np.linalg.inv(a))
-            norms.append(operator_norm(a))
+            inverses.append(inverse(a))
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_inverses", tuple(inverses))
-        object.__setattr__(self, "_norms", tuple(norms))
+        object.__setattr__(self, "_singular", tuple(singular_values(a) for a in mats))
         singular = self.singular_differences() if self.pairwise_invertible else []
         if singular:
             i, j, cond = singular[0]
@@ -153,8 +191,8 @@ class MatrixFamily:
         out = []
         for i in range(self.m):
             for j in range(i + 1, self.m):
-                cond = np.linalg.cond(self.matrices[i] - self.matrices[j])
-                if not np.isfinite(cond) or cond > self.condition_cap:
+                cond = condition_number(self.matrices[i] - self.matrices[j])
+                if not math.isfinite(cond) or cond > self.condition_cap:
                     out.append((i, j, cond))
         return out
 
@@ -171,9 +209,14 @@ class MatrixFamily:
         return self._inverses
 
     @property
+    def singular_values(self) -> tuple:
+        """(sigma_max, sigma_min) of each A_j."""
+        return self._singular
+
+    @property
     def norm_bound(self) -> float:
         """M = max_j ||A_j|| in the spectral norm."""
-        return max(self._norms)
+        return max(hi for hi, _ in self._singular)
 
     def apply(self, j: int, x) -> np.ndarray:
         return self.matrices[j] @ as_point(x, self.dimension)

@@ -340,7 +340,7 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
     if n == 1 and isinstance(f.profile, (IndicatorProfile, PolynomialProfile)):
         return apply_T_ball_1d([f], xs[:, 0], profile, family)[0]
 
-    lam = _similarity_scale(family.matrices[0]) if n == 2 and profile.m == 1 else None
+    lam = _similarity_scale(family) if n == 2 and profile.m == 1 else None
     if lam is not None and isinstance(f.profile, IndicatorProfile):
         # |x - A y| = |lambda| |A^{-1} x - y|: one radial integral over the ball
         a = profile.alphas[0]
@@ -386,14 +386,12 @@ def apply_T_ball_1d(fs, xs, profile: ExponentProfile, family: MatrixFamily) -> n
     return out
 
 
-def _similarity_scale(mat: np.ndarray):
-    """|lambda| when mat^T mat = lambda^2 I (lambda times a rotation or a
-    reflection), to 1e-12 relative; None otherwise."""
-    gram = mat.T @ mat
-    lam2 = float(gram[0, 0])
-    if np.allclose(gram, lam2 * np.eye(mat.shape[0]), rtol=0.0, atol=1e-12 * lam2):
-        return math.sqrt(lam2)
-    return None
+def _similarity_scale(family: MatrixFamily):
+    """|lambda| when A_1 is lambda times a rotation or a reflection (its two
+    singular values agree to 1e-12 relative); None otherwise.  The closed-form
+    singular values neither overflow nor underflow where A^T A would."""
+    hi, lo = family.singular_values[0]
+    return hi if hi - lo <= 1e-12 * hi else None
 
 
 def _unit_moments_1d(profile):

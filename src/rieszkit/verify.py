@@ -148,7 +148,8 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
 
     The closed decay form  w(B)^{-1/p} r^{n+d+1} |x - A_k x0|^{alpha-n-d-1}
     is always defined; the fractional-maximal form degenerates at alpha = 0
-    and is returned as None there.
+    and is returned as None there.  M_beta chi_B takes its closed form on the
+    line and the lattice search in the plane.
     """
     params = atom.params
     n, d = params.dimension, params.d
@@ -163,8 +164,11 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
     if profile.alpha > 0.0:
         beta = profile.alpha * n / (n + d + 1)
         z = family.apply_inverse(k, x)
-        chi = indicator(atom.ball.center, atom.ball.radius)
-        mval, _ = fractional_maximal_witness(chi, z, beta, MaximalPolicy(cells_per_unit=64))
+        if n == 1:
+            mval = float(indicator_maximal_1d(atom.ball, z, beta)[0])
+        else:
+            chi = indicator(atom.ball.center, atom.ball.radius)
+            mval, _ = fractional_maximal_witness(chi, z, beta, MaximalPolicy(cells_per_unit=64))
         maximal = wfac * mval ** ((n + d + 1) / n)
     return k, decay, maximal
 

@@ -189,6 +189,51 @@ def test_cli_sweep_disk_matches_elliptic_closed_form(tmp_path):
             assert abs(float(row["value"]) - exact) <= 1e-12 * exact
 
 
+def _newtonian_disk(rho, radius):
+    """Integral of 1/|x - y| over a disk at in-plane distance rho from its
+    centre (as perfbench's ``newtonian_disk``), on mpf arguments: the caller
+    sets a precision that outlasts the cancellation in E(m) - (1 - m) K(m)."""
+    if rho <= radius:
+        return 4 * radius * mpmath.ellipe((rho / radius) ** 2)
+    m = (radius / rho) ** 2
+    return 4 * rho * (mpmath.ellipe(m) - (1 - m) * mpmath.ellipk(m))
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e-170, 1.0, 1e200])
+def test_cli_sweep_disk_under_a_scalar_matrix(tmp_path, lam):
+    """Under lambda I the alpha = 1 potential of the unit disk is
+    lambda^-1 N(|x| / lambda), N the Newtonian disk potential.  The
+    similarity scale comes from the closed-form singular values: A^T A
+    overflowed at 1e200 (every value read 0) and underflowed at 1e-170 and
+    1e-200 (ZeroDivisionError, exit 1)."""
+    with open(os.path.join(CONFIG_DIR, "sweep-disk.json")) as fh:
+        raw = json.load(fh)
+    raw["matrices"] = [[[lam, 0.0], [0.0, lam]]]
+    raw["sweeps"][0]["points"] = 13
+    cfg = _write(tmp_path, "disk.json", raw)
+    out = tmp_path / "out"
+    assert main(["operator", "sweep", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "riesz-one-disk.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 13
+    with mpmath.workdps(450):
+        for row in rows:
+            exact = _newtonian_disk(abs(mpmath.mpf(row["x0"])) / lam, 1) / lam
+            assert abs(float(row["value"]) - exact) <= 1e-12 * exact
+
+
+def test_cli_ill_conditioned_matrix_exits_4(tmp_path, capsys):
+    """The closed-form condition number keeps the cap's message."""
+    with open(os.path.join(CONFIG_DIR, "sweep-disk.json")) as fh:
+        raw = json.load(fh)
+    raw["matrices"] = [[[1.0, 1.0], [1.0, 1.000000001]]]
+    cfg = _write(tmp_path, "disk.json", raw)
+    assert main(["operator", "sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+    error = json.loads(capsys.readouterr().err)
+    assert error["path"] == "matrices"
+    assert "condition number 4.000e+09 exceeds cap 1.0e+08" in error["message"]
+
+
 def test_cli_sweep_empty_selection(tmp_path):
     cfg = _write(tmp_path, "empty.json", _base_config(sweeps=[]))
     out = tmp_path / "nothing"
@@ -596,6 +641,52 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["verify", "--config", thm1]) == [
         "loaded 0 ['atoms', 'operators']", "loaded 0 ['atoms', 'operators']",
         "loaded 0 ['atoms', 'operators', 'verify']"]
+
+
+def test_no_command_calls_lapack(tmp_path):
+    """No command calls LAPACK.  The child replaces numpy's LAPACK ufunc
+    module with an object whose every attribute raises, which breaks inv,
+    solve, svd, cond, norm(., 2) and det (vector norms along an axis do not
+    use it); every command still exits 0.  The matrices are 1x1 or 2x2 and
+    take closed forms in ``geometry``; ``atoms`` solves its unit-ball Gram
+    system itself, here at degree 2 as well."""
+    code = ("import json, sys, numpy as np, numpy.linalg._linalg as la, rieszkit.cli\n"
+            "class NoLapack:\n"
+            "    def __getattr__(self, name):\n"
+            "        raise RuntimeError('LAPACK call: ' + name)\n"
+            "la._umath_linalg = NoLapack()\n"
+            "for call in (np.linalg.inv, np.linalg.cond, np.linalg.det):\n"
+            "    try:\n"
+            "        call(np.eye(2))\n"
+            "        print('unarmed', call.__name__)\n"
+            "    except RuntimeError:\n"
+            "        pass\n"
+            "print('codes', [rieszkit.cli.main(argv) for argv in json.loads(sys.argv[1])])")
+    with open(os.path.join(CONFIG_DIR, "thm1-smoke.json")) as fh:
+        thm1 = json.load(fh)
+    thm1["campaign"]["count"] = 2
+    with open(os.path.join(CONFIG_DIR, "atoms-campaign.json")) as fh:
+        atoms = json.load(fh)
+    atoms["campaign"]["count"] = 6
+    degree_two = {**atoms, "atom": {**atoms["atom"], "d": 2}}
+    configs = {name: _write(tmp_path, name, raw) for name, raw in (
+        ("thm1.json", thm1), ("atoms.json", atoms), ("atoms-d2.json", degree_two))}
+    commands = [
+        ["weights", "classify", "--config", os.path.join(CONFIG_DIR, "weights-log.json")],
+        *(["operator", "sweep", "--config", os.path.join(CONFIG_DIR, name)]
+          for name in ("sweep-riesz.json", "sweep-t02.json", "sweep-disk.json")),
+        ["verify", "--config", os.path.join(CONFIG_DIR, "maximal-power-half.json")],
+        ["atoms", "gen", "--config", configs["atoms.json"]],
+        ["atoms", "validate", "--config", configs["atoms.json"], "--manifest",
+         str(tmp_path / "5" / "atoms.jsonl")],
+        ["verify", "--config", configs["thm1.json"]],
+        ["atoms", "gen", "--config", configs["atoms-d2.json"]]]
+    argvs = [[*command, "--out", str(tmp_path / str(i))] for i, command in enumerate(commands)]
+    out = _python("-c", code, json.dumps(argvs))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert not [line for line in lines if line.startswith("unarmed")]
+    assert lines[-1] == "codes " + str([0] * len(commands))
 
 
 def test_package_names_resolve_on_first_use():

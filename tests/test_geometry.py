@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rieszkit import (Ball, BallFamily, MatrixFamily, RieszkitError, classify,
                       classify_batch, dyadic_ball_family, expanded_balls,
                       identity_family, operator_norm, scalar_family)
+from rieszkit.geometry import condition_number, inverse, singular_values
 
 
 def test_ball_validation():
@@ -43,6 +44,53 @@ def test_matrix_family_validation():
         scalar_family([1.0, 1.0], pairwise_invertible=True)
     fam = scalar_family([1.0, -1.0], pairwise_invertible=True)
     assert fam.m == 2 and fam.norm_bound == 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.lists(
+    st.floats(-1.0, 1.0).map(lambda v: v if abs(v) >= 1e-100 else 0.0),
+    min_size=n * n, max_size=n * n)), st.floats(-150.0, 150.0))
+def test_closed_forms_match_lapack(entries, log_scale):
+    """The closed-form singular values, condition number and inverse of a 1x1
+    or 2x2 matrix agree with numpy's LAPACK over scales 1e-150..1e150 when
+    cond <= 1e6.  sigma_max agrees to 1e-12 relative.  sigma_min, the
+    condition number and the inverse agree to 1e-12 + 1e-15 cond relative:
+    LAPACK's own sigma_min is only good to about eps * cond (1.8e-10 at cond
+    1e6, measured against mpmath).  On the line the inverse is 1 / a exactly.
+
+    Entries below 1e-100 read as 0, so no entry is subnormal: there LAPACK's
+    own inverse of 1.1e-308 [[1, 0], [1, 1]] reads -1 for -9e307."""
+    n = 1 if len(entries) == 1 else 2
+    a = np.array(entries).reshape(n, n) * 10.0 ** log_scale
+    ref = np.linalg.svd(a, compute_uv=False)
+    assume(ref[0] > 0.0 and ref[0] <= 1e6 * ref[-1])
+    cond = ref[0] / ref[-1]
+    tol = 1e-12 + 1e-15 * cond
+    hi, lo = singular_values(a)
+    assert abs(hi - ref[0]) <= 1e-12 * ref[0]
+    assert operator_norm(a) == hi
+    assert abs(lo - ref[-1]) <= tol * ref[-1]
+    assert abs(condition_number(a) - cond) <= tol * cond
+    inv, ref_inv = inverse(a), np.linalg.inv(a)
+    if n == 1:
+        assert inv[0, 0] == ref_inv[0, 0]
+    else:
+        assert np.max(np.abs(inv - ref_inv)) <= tol * np.max(np.abs(ref_inv))
+
+
+def test_closed_forms_at_the_edges():
+    """A zero matrix reads cond = inf (numpy's reading); the inverse of the
+    least subnormal is inf, as numpy's; a 3x3 matrix is refused."""
+    for zero in (np.zeros((1, 1)), np.zeros((2, 2))):
+        assert condition_number(zero) == math.inf == np.linalg.cond(zero)
+        assert singular_values(zero) == (0.0, 0.0)
+    tiny = np.array([[5e-324]])
+    assert condition_number(tiny) == 1.0
+    assert inverse(tiny)[0, 0] == np.linalg.inv(tiny)[0, 0] == math.inf
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        condition_number(np.eye(3))
+    with pytest.raises(ValueError, match="dimensions 1 and 2"):
+        MatrixFamily((np.eye(3),))
 
 
 def test_expanded_balls_examples():
