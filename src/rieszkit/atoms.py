@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import ConfigError, DegenerateProfile, HypothesisFailed
 from .geometry import Ball
 from .quadrature import QuadratureScheme, default_scheme, lebesgue_ball
 from .operators import PolynomialProfile, SampledFunction, weighted_norm
+from .records import asdict, record
 from .rng import PCG64, generate_state
 from .weights import PowerWeight, critical_indices, weight_to_dict, weighted_measure
 
@@ -142,7 +142,7 @@ def profile_raw_moment(profile: PolynomialProfile, ball: Ball, beta) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AtomParams:
     """Exponents and weight defining one atom class."""
 
@@ -165,7 +165,7 @@ class AtomParams:
                 "weight": weight_to_dict(self.weight), "dimension": self.dimension}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AdmissibleRange:
     """Open lower endpoint for p0 and the minimal moment degree."""
 
@@ -212,7 +212,7 @@ def admissible_params(w, p: float, family, scheme: QuadratureScheme | None = Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True, eq=False)
 class Atom:
     ball: Ball
     profile: object
@@ -313,7 +313,7 @@ def construct_atom(ball: Ball, params: AtomParams, seed: int,
     return Atom(ball, prof.scaled(target / norm), params, seed)
 
 
-@dataclass
+@record
 class AtomValidation:
     passed: bool
     support_ok: bool
@@ -373,7 +373,7 @@ def validate_atom(atom: Atom, scheme: QuadratureScheme | None = None) -> AtomVal
                           (bound - norm) / bound, moments_ok, margins, norm, bound)
 
 
-@dataclass(frozen=True)
+@record(frozen=True, eq=False)
 class AtomSampler:
     """Deterministic campaign lattice: centers crossed with dyadic radii."""
 
@@ -386,7 +386,7 @@ class AtomSampler:
         return Ball(c, r)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CampaignSpec:
     """Atom sampling and integration lattice for a theorem campaign."""
 

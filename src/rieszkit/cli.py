@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -21,8 +20,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, derived_degree, load_config
 from .errors import ConfigError, HypothesisFailed, RieszkitError
+from .records import replace
 
 if TYPE_CHECKING:
     from .atoms import AtomParams, CampaignSpec
@@ -36,7 +36,7 @@ EXIT_CONFIG = 4
 def _with_seed(spec: CampaignSpec, seed: int | None) -> CampaignSpec:
     if seed is None:
         return spec
-    return dataclasses.replace(spec, seed=int(seed))
+    return replace(spec, seed=int(seed))
 
 
 def _strict(v):
@@ -142,7 +142,8 @@ def _atom_params_from(cfg: RunConfig) -> AtomParams:
     spec = cfg.campaign
     d = spec.d
     if d is None:
-        d = admissible_params(cfg.weight, spec.p, cfg.family, cfg.quadrature).d_min
+        d = derived_degree(admissible_params(cfg.weight, spec.p, cfg.family,
+                                             cfg.quadrature).d_min, spec.p)
     return AtomParams(spec.p, spec.p0, d, cfg.weight, cfg.dimension)
 
 

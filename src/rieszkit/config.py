@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,6 +19,7 @@ from .errors import ConfigError, OutOfGrid
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, default_ball_family,
                        dyadic_ball_family)
 from .quadrature import QuadratureScheme
+from .records import field, record
 from .weights import (LogExampleWeight, PowerWeight, ProductPowerWeight,
                       RegularGrid, TabulatedWeight, tabulated_from_csv)
 
@@ -32,6 +32,10 @@ SCHEMA_VERSION = 1
 # or octaves than this is refused (exit 4) instead of running for days or
 # failing to allocate
 MAX_COUNT = 10**6
+# moment-degree budget: from degree 8 on, some atoms that `atoms gen` builds
+# on the bundled atom campaign's balls fail `atoms validate`'s moment check,
+# so a config asking for more (atom.d), or whose atom.p derives more, is refused
+MAX_DEGREE = 7
 MAX_SWEEP_POINTS = 10**5
 MAX_RESOLUTION = {1: 2**20, 2: 2**10}
 MAX_CAMPAIGN_RESOLUTION = 2**16
@@ -79,10 +83,19 @@ def _integer(block, key, path, required=True, default=None):
 
 
 def _bounded(block, key, path, default, lo, hi):
-    """An optional integer in [lo, hi]."""
+    """An optional integer in [lo, hi] (``default``, which may be None, when
+    absent)."""
     v = _integer(block, key, path, False, default)
-    _expect(lo <= v <= hi, f"{path}.{key}", f"must lie in [{lo}, {hi}]")
+    _expect(v is None or lo <= v <= hi, f"{path}.{key}", f"must lie in [{lo}, {hi}]")
     return v
+
+
+def derived_degree(d: int, p: float) -> int:
+    """``d``, the minimal moment degree that atom.p = ``p`` and the weight's
+    critical index derive; past MAX_DEGREE the config is refused at atom.p."""
+    _expect(d <= MAX_DEGREE, "atom.p",
+            f"p = {p:g} derives moment degree {d}, above the budget {MAX_DEGREE}")
+    return d
 
 
 def _list(block, key, path, default):
@@ -239,7 +252,15 @@ def validate_classify(block, path: str = "classify"):
         elif kind == "RH":
             _expect(_number(cls, "s", path_i) > 1.0, f"{path_i}.s",
                     "the reverse Holder exponent must exceed 1")
-    _expect(_number(block, "tol", path, False, 1e-2) > 0.0, f"{path}.tol", "must be positive")
+    _tolerance(block, path)
+
+
+def _tolerance(block, path: str) -> float:
+    """The critical-index tolerance ``tol`` (1e-2 when absent): its first A_p
+    probe is 1 + tol, so 1 + tol must exceed 1 in floating point."""
+    tol = _number(block, "tol", path, False, 1e-2)
+    _expect(1.0 + tol > 1.0, f"{path}.tol", "must be positive, with 1 + tol > 1")
+    return tol
 
 
 def _is_number(v) -> bool:
@@ -320,9 +341,7 @@ def validate_check(item: dict, dimension: int, path: str) -> dict:
             _expect(0.0 < p < 1.0, f"{path}.p", "the two-sided chain needs 0 < p < 1")
         else:
             _expect(0.0 < p < q, f"{path}.p", "the comparison chain needs 0 < p < q")
-        tol = _number(item, "tol", path, False, 1e-2)
-        _expect(tol > 0.0, f"{path}.tol", "must be positive")
-        out.update(p=p, q=q, tol=tol)
+        out.update(p=p, q=q, tol=_tolerance(item, path))
     elif name == "quasi-norm-assembly":
         lams = _get(item, "lambdas", path, False, [1.0])
         _expect(isinstance(lams, list) and all(_is_number(v) for v in lams),
@@ -376,7 +395,11 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
     p0 = _number(atom_block, "p0", "atom", False, 2.0)
     _expect(p0 > 1.0 and math.isfinite(p0), "atom.p0",
             "must be finite and exceed 1 (infinite p0 is out of scope)")
-    d = _integer(atom_block, "d", "atom", False, None)
+    # every derived degree is at least floor(n (1/p - 1)) (q_critical >= 1)
+    _expect(dimension * (1.0 / p - 1.0) < MAX_DEGREE + 1, "atom.p",
+            f"derives a moment degree of at least n (1/p - 1) = "
+            f"{dimension * (1.0 / p - 1.0):.3g}, above the budget {MAX_DEGREE}")
+    d = _bounded(atom_block, "d", "atom", None, 0, MAX_DEGREE)
     centers = _list(block, "centers", path, [[0.0], [1.0], [-2.0]])
     _expect(bool(centers), f"{path}.centers", "expected a nonempty list of points")
     for i, c in enumerate(centers):
@@ -420,7 +443,7 @@ def build_function(block: dict, dimension: int, base_dir: str, path: str) -> Sam
     raise ConfigError(f"{path}.kind", f"unknown function kind {kind!r}")
 
 
-@dataclass
+@record
 class RunConfig:
     """Validated run configuration (q always derived, never supplied)."""
 

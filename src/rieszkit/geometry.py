@@ -13,11 +13,11 @@ inverse take closed forms here, and no command calls LAPACK.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RieszkitError
+from .records import record
 
 #: points (and campaign lines) must stay below sqrt(float max), where the
 #: squared distances of the kernel overflow
@@ -39,7 +39,7 @@ def distances(pts, c) -> np.ndarray:
     return np.abs(d[:, 0]) if d.shape[1] == 1 else np.hypot(d[:, 0], d[:, 1])
 
 
-@dataclass(frozen=True)
+@record(frozen=True, eq=False)
 class Ball:
     center: np.ndarray
     radius: float
@@ -64,7 +64,7 @@ class Ball:
         return {"center": [float(c) for c in self.center], "radius": self.radius}
 
 
-@dataclass(frozen=True)
+@record(frozen=True, eq=False)
 class BallFamily:
     balls: tuple
 
@@ -149,7 +149,7 @@ def operator_norm(matrix) -> float:
     return singular_values(a)[0]
 
 
-@dataclass(frozen=True)
+@record(frozen=True, eq=False)
 class MatrixFamily:
     """The matrices A_1..A_m (dimensions 1 and 2) with cached inverses,
     singular values and differences, all from the closed forms above.
@@ -239,7 +239,7 @@ def scalar_family(values, pairwise_invertible: bool = False) -> MatrixFamily:
                         pairwise_invertible=pairwise_invertible)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegionLabel:
     """Either inside the i-th expanded ball or in the k-th outer region.
 

@@ -52,7 +52,6 @@ of an interval is also available in closed form (``indicator_maximal_1d``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -62,7 +61,8 @@ from .geometry import Ball, MatrixFamily, as_point, identity_family
 from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
                          coincident, default_scheme, gauss_jacobi, integrate_ball,
                          lebesgue_ball, log_ball_integral)
-from .weights import eval_weight_batch, weight_singularities
+from .records import field, record
+from .weights import _exp, eval_weight_batch, weight_singularities
 
 #: a point is far field when every preimage is this many radii from the centre
 FAR_FIELD_RATIO = 3.0
@@ -77,7 +77,7 @@ _GRADING = 0.25
 _NEAR_BLOCK = 256
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ExponentProfile:
     """Kernel exponents: alpha in [0, n), positive alpha_j summing to n - alpha.
 
@@ -206,7 +206,7 @@ class GridProfile:
         return {"kind": "grid", "shape": list(self.values.shape)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True, eq=False)
 class SampledFunction:
     """A compactly supported function: profile restricted to a ball."""
 
@@ -342,12 +342,15 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
 
     lam = _similarity_scale(family) if n == 2 and profile.m == 1 else None
     if lam is not None and isinstance(f.profile, IndicatorProfile):
-        # |x - A y| = |lambda| |A^{-1} x - y|: one radial integral over the ball
+        # |x - A y| = |lambda| |A^{-1} x - y|: one radial integral over the
+        # ball, +inf where it exceeds the float range (about 2 pi R on a disk
+        # of radius R = 1e308)
         a = profile.alphas[0]
         kernel = PowerProfile(-a)
         offsets = ball.center - xs @ family.inverses[0].T
-        return np.array([lam ** -a * math.exp(log_ball_integral(kernel, o, ball.radius))
-                         for o in offsets])
+        with np.errstate(over="ignore"):
+            return np.array([lam ** -a * _exp(log_ball_integral(kernel, o, ball.radius))
+                             for o in offsets])
     out = np.empty(xs.shape[0])
     for i in range(xs.shape[0]):
         xi = xs[i]
@@ -621,7 +624,7 @@ def riesz_potential(f: SampledFunction, x, alpha: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MaximalPolicy:
     """Candidate lattice for maximal functions.
 

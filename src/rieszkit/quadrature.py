@@ -22,11 +22,11 @@ Supported dimensions: 1 (intervals) and 2 (disks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from .records import record, replace
 
 _SING_MERGE_TOL = 1e-12
 
@@ -43,7 +43,7 @@ _PATCH_SECTORS = 64
 _DISK_SUBSAMPLE = 8
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuadratureScheme:
     """Grid resolution and tolerance for ball integrals.
 
@@ -265,7 +265,7 @@ def combine_profiles(a, b):
     return radial_profile(a.exponent + b.exponent, a.s + b.s)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RadialSingularity:
     """Point c and radial profile P such that integrand / P(|y-c|) stays bounded."""
 

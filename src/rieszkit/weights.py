@@ -16,7 +16,6 @@ worst behavior exactly there.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
 from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
                          merge_coincident, radial_profile)
+from .records import asdict, field, record
 
 #: the single 4x rule: monotone growth by this factor over a refinement
 #: series flags a diverging constant, and a drift below it across scales
@@ -37,7 +37,7 @@ STABILITY_FACTOR = 4.0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerWeight:
     """w(x) = scale * |x|^exponent, singular (pole or zero) at the origin."""
 
@@ -52,7 +52,7 @@ class PowerWeight:
             raise ValueError("weight scale must be positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LogExampleWeight:
     """w(x) = (log(1/|x|))^power for |x| < 1/e and 1 otherwise (scaled)."""
 
@@ -65,7 +65,7 @@ class LogExampleWeight:
             raise ValueError("weight scale must be positive")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProductPowerWeight:
     """w(x) = scale * prod_i |x - c_i|^{a_i}; factors at one center multiply."""
 
@@ -88,7 +88,7 @@ class ProductPowerWeight:
                                  f"exceed -{self.dimension} for local integrability")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegularGrid:
     """Uniform cell grid on a box, addressed by cell midpoints."""
 
@@ -125,7 +125,7 @@ class RegularGrid:
         return tuple(idx)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class TabulatedWeight:
     """Piecewise-constant positive weight given on a regular grid."""
 
@@ -446,7 +446,7 @@ def _node_lattice(ball: Ball, cells: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class WeightClassReport:
     """Finite-family estimate of one class constant."""
 
@@ -613,7 +613,7 @@ def estimate_RH_constant(w, s_exp: float, family: BallFamily,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CriticalIndices:
     """Bisection brackets for inf{q > 1 : w in A_q} and sup{r > 1 : w in RH_r}."""
 
@@ -639,10 +639,12 @@ def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = No
     lattice level (``_estimate_over_family``); other weights take the cell
     rule at every level.  Every A_p step takes its numerators and every RH
     step its denominators from the family's order-1 means, which one memo
-    per call computes once.
+    per call computes once.  Bisection stops once the bracket is within
+    ``tol`` or its midpoint rounds onto an end, so every ``tol`` with
+    1 + tol > 1 ends.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 1.0 + tol > 1.0:
+        raise ValueError("tolerance must be positive and 1 + tol must exceed 1")
     if scheme is None:
         scheme = default_scheme(w.dimension)
     log_means = {}
@@ -663,6 +665,8 @@ def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = No
         lo, hi = 1.0 + tol, ap_cap
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             if ap_finite(mid):
                 hi = mid
             else:
@@ -677,6 +681,8 @@ def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = No
         lo, hi = 1.0 + tol, rh_cap
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
             if rh_finite(mid):
                 lo = mid
             else:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import pytest
@@ -307,13 +308,13 @@ def test_cli_seed_override_changes_campaign(tmp_path):
     assert a != b
 
 
-def _python(*args, check=False):
+def _python(*args, check=False, timeout=300):
     """Run the interpreter on ``args`` with this checkout's src on the path."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], env=env, check=check,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_cli_import_defers_scipy_integrate():
@@ -437,6 +438,22 @@ def _theorem_config(check, alpha, **campaign):
      "checks[0].p"),
     (["verify"], _base_config(checks=[{"check": "rh-ball-inequality", "alpha": 1e-300}]),
      "checks[0].alpha"),
+    (["atoms", "gen"], {**_atoms_campaign(), "atom": {"p": 1.0, "p0": 2.0, "d": -1}}, "atom.d"),
+    (["atoms", "gen"], {**_atoms_campaign(), "atom": {"p": 1.0, "p0": 2.0, "d": 2**70}},
+     "atom.d"),
+    (["atoms", "gen"], {**_atoms_campaign(), "atom": {"p": 1.0, "p0": 2.0, "d": 8}}, "atom.d"),
+    (["atoms", "gen"], {**_atoms_campaign(), "weight": {"kind": "power", "exponent": 8.5}},
+     "atom.p"),
+    (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2),
+                  "atom": {"p": 1e-308, "p0": 2.0}}, "atom.p"),
+    (["weights", "classify"],
+     _base_config(classify={"classes": [{"kind": "A1"}], "critical_indices": True,
+                            "tol": 1e-308}),
+     "classify.tol"),
+    (["verify"], _base_config(weight={"kind": "power", "exponent": -0.25},
+                              checks=[{"check": "critical-index-chain", "p": 0.5,
+                                       "tol": 1e-308}]),
+     "checks[0].tol"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
@@ -450,20 +467,57 @@ def _theorem_config(check, alpha, **campaign):
         "sweep-points-over-budget", "outer-octaves-over-budget",
         "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget",
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
-        "atoms-gen-center-overflows", "rh-ball-p-tiny", "rh-ball-alpha-tiny"])
+        "atoms-gen-center-overflows", "rh-ball-p-tiny", "rh-ball-alpha-tiny",
+        "atom-d-negative", "atom-d-overflows", "atom-d-over-budget",
+        "atom-p-derives-degree-over-budget", "thm1-p-tiny", "classify-tol-below-ulp",
+        "chain-tol-below-ulp"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
     work beyond the budget, campaign balls whose squared distances overflow,
-    an RH ball check whose q/p rounds to 1 and a theorem check whose order
-    does not match the exponents are config
-    errors (exit 4) naming the field, not tracebacks (exit 1), failed checks
-    (exit 2) or runs without end."""
+    an RH ball check whose q/p rounds to 1, a theorem check whose order
+    does not match the exponents, a moment degree (given, or derived from
+    atom.p and the weight) past ``config.MAX_DEGREE`` and a critical-index
+    tolerance with 1 + tol == 1 are config errors (exit 4) naming the field,
+    not tracebacks (exit 1), failed checks (exit 2) or runs without end."""
     cfg = _write(tmp_path, "bad.json", raw)
     out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
                   "--out", str(tmp_path / "out"))
     assert out.returncode == 4, out.stderr
     error = json.loads(out.stderr.strip().splitlines()[-1])
     assert error["error"] == "config" and error["path"] == field
+
+
+@pytest.mark.parametrize("command, raw", [
+    (["weights", "classify"],
+     _base_config(classify={"classes": [{"kind": "A1"}], "critical_indices": True,
+                            "tol": 2e-16})),
+    (["verify"], _base_config(weight={"kind": "power", "exponent": -0.25},
+                              checks=[{"check": "critical-index-chain", "p": 0.5,
+                                       "tol": 2e-16}])),
+], ids=["classify", "chain"])
+def test_critical_index_bisection_ends_at_one_ulp(tmp_path, command, raw):
+    """A tolerance below the spacing of floats near the bracket still ends
+    the bisection: it stops once the midpoint rounds onto an end."""
+    cfg = _write(tmp_path, "tol.json", raw)
+    out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
+                  "--out", str(tmp_path / "out"), timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+def test_cli_disk_sweep_past_float_range_writes_inf(tmp_path):
+    """T of a disk of radius 1e308 is about 2 pi 1e308, past the float
+    range: the similarity route returns +inf, without an overflow warning,
+    and the sweep writes ``inf``."""
+    with open(os.path.join(CONFIG_DIR, "sweep-disk.json")) as fh:
+        raw = json.load(fh)
+    raw["sweeps"][0]["function"]["radius"] = 1e308
+    cfg = _write(tmp_path, "disk.json", raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["operator", "sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "riesz-one-disk.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 41 and all(row["value"] == "inf" for row in rows)
 
 
 @pytest.mark.parametrize("entry, code", [(1e300, 4), (1e150, 0)])
@@ -609,13 +663,15 @@ def test_each_command_loads_only_its_modules(tmp_path):
     module, and `atoms gen` and `atoms validate` no campaign module: a
     process compiles only the source its command runs.  No command loads
     numpy.random (the atom stream is ``rieszkit.rng``), numpy.ma (which
-    np.unique imports) or hashlib and its OpenSSL module _hashlib (the config
-    hash in the checks' provenance is the builtin sha256)."""
+    np.unique imports), hashlib and its OpenSSL module _hashlib (the config
+    hash in the checks' provenance is the builtin sha256) or dataclasses
+    (the records are ``rieszkit.records``)."""
     code = ("import json, sys, rieszkit.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = rieszkit.cli.main(argv)\n"
             "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify', 'hashlib',\n"
-            "                                       '_hashlib', 'numpy.random', 'numpy.ma')\n"
+            "                                       '_hashlib', 'numpy.random', 'numpy.ma',\n"
+            "                                       'dataclasses')\n"
             "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
 
     def loaded(*commands):
