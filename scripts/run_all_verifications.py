@@ -31,6 +31,8 @@ RUNS = [
     ("verify", None, "ta-worked.json"),
     ("verify", None, "corollary.json"),
     ("verify", None, "maximal-power-half.json"),
+    ("verify", None, "pointwise-off-centre.json"),
+    ("verify", None, "critical-index-chain.json"),
 ]
 
 

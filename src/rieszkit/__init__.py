@@ -30,9 +30,8 @@ _EXPORTS = {
               "CampaignSpec", "admissible_params", "atom_from_record", "construct_atom",
               "read_atom_manifest", "sample_atom_campaign", "validate_atom",
               "write_atom_manifest"),
-    "verify": ("VerificationReport", "check_containment_step",
-               "check_critical_index_chains", "check_maximal_inequalities",
-               "check_pointwise_atom_bound", "check_quasi_norm_assembly",
+    "verify": ("VerificationReport", "check_critical_index_chains",
+               "check_maximal_inequalities", "check_pointwise_atom_bound",
                "check_rh_ball_inequality", "run_theorem_campaign"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

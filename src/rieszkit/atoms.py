@@ -278,7 +278,15 @@ def read_atom_manifest(path):
 def _norm_bound(ball: Ball, params: AtomParams, scheme: QuadratureScheme) -> float:
     vol = lebesgue_ball(ball.dimension, ball.radius)
     wb = weighted_measure(params.weight, 1.0, ball, scheme)
-    return vol ** (1.0 / params.p0) * wb ** (-1.0 / params.p)
+    try:
+        bound = vol ** (1.0 / params.p0) * wb ** (-1.0 / params.p)
+    except (OverflowError, ZeroDivisionError):
+        bound = math.inf
+    # a w(B) that under- or overflows would scale the atom by 0 or inf
+    if not (0.0 < wb < math.inf and 0.0 < bound < math.inf):
+        raise DegenerateProfile(f"the size bound of the ball of radius {ball.radius:g} "
+                                f"is not a positive finite float (w(B) = {wb:g})")
+    return bound
 
 
 def _p0_norm(fn: SampledFunction, p0: float, scheme: QuadratureScheme) -> float:
@@ -426,9 +434,9 @@ def sample_atom_campaign(params: AtomParams, sampler: AtomSampler, count: int,
                 atoms.append(construct_atom(ball, params, derive_seed(seed, i, retry),
                                             scheme))
                 break
-            except DegenerateProfile:
-                continue
+            except DegenerateProfile as exc:
+                last = exc
         else:
-            raise DegenerateProfile(
-                f"atom {i}: {max_retries} resampling attempts were all degenerate")
+            raise DegenerateProfile(f"atom {i}: {max_retries} resampling attempts were all "
+                                    f"degenerate (last: {last})")
     return atoms

@@ -177,76 +177,31 @@ def cmd_atoms_validate(cfg: RunConfig, out_dir: str, manifest: str) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def _ball_samples(ball, count: int, seed: int) -> np.ndarray:
-    """The points of ``ball`` among ``count`` uniform draws on its bounding
-    box, drawn as numpy's ``default_rng(seed).random((count, n))``."""
-    from .geometry import distances
-    from .rng import PCG64
-
-    rng = PCG64(seed)
-    u = np.array([rng.random() for _ in range(count * ball.dimension)])
-    xi = ball.center + ball.radius * (2.0 * u.reshape(count, ball.dimension) - 1.0)
-    return xi[distances(xi, ball.center) <= ball.radius]
-
-
 def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
     """Run one check on the parameters ``config.validate_check`` returned."""
-    from .verify import (VerificationReport, check_containment_step,
-                         check_critical_index_chains, check_maximal_inequalities,
-                         check_pointwise_atom_bound, check_quasi_norm_assembly,
-                         check_rh_ball_inequality, run_theorem_campaign)
+    from .verify import (check_critical_index_chains, check_maximal_inequalities,
+                         check_pointwise_atom_bound, check_rh_ball_inequality,
+                         run_theorem_campaign)
 
     name = item["check"]
     scheme = cfg.quadrature
     if name in ("theorem-thm1", "theorem-ta"):
-        if cfg.exponents is None or cfg.matrices is None or cfg.campaign is None:
-            raise ConfigError("checks", f"{name} needs matrices, exponents and a campaign")
-        if cfg.dimension != 1:
-            raise ConfigError("dimension", f"{name} is implemented on the line")
-        if (cfg.exponents.alpha == 0.0) != (name == "theorem-thm1"):
-            raise ConfigError("exponents.alpha", "theorem-thm1 needs alpha = 0 and "
-                              "theorem-ta needs alpha > 0")
         kind = "thm-zero" if name == "theorem-thm1" else "thm-positive"
-        spec = _with_seed(cfg.campaign, seed)
         return run_theorem_campaign(kind, cfg.weight, cfg.exponents, cfg.matrices,
-                                    spec, scheme, jobs=jobs)
+                                    _with_seed(cfg.campaign, seed), scheme, jobs=jobs)
     if name == "pointwise-atom-bound":
-        if cfg.exponents is None or cfg.matrices is None or cfg.campaign is None:
-            raise ConfigError("checks", f"{name} needs matrices, exponents and atom block")
-        params = _atom_params_from(cfg)
         return check_pointwise_atom_bound(
-            params, cfg.exponents, cfg.matrices, item["center"], radii=item["radii"],
-            seed=seed if seed is not None else item["seed"], scheme=scheme)
-    if name == "containment-step":
-        if cfg.matrices is None:
-            raise ConfigError("checks", f"{name} needs matrices")
-        ball, count = item["ball"], item["count"]
-        xi = _ball_samples(ball, count, seed if seed is not None else item["seed"])
-        big = 2.0 * cfg.matrices.norm_bound * ball.radius
-        from .geometry import classify
-
-        xs = []
-        for t in np.geomspace(1.1, 32.0, count):
-            for sign in (1.0, -1.0):
-                x = cfg.matrices.apply(0, ball.center) + sign * big * t * np.ones(cfg.dimension)
-                if classify(x, ball, cfg.matrices).is_outer():
-                    xs.append(x)
-        return check_containment_step(ball, cfg.matrices, xi, xs)
+            _atom_params_from(cfg), cfg.exponents, cfg.matrices, item["center"],
+            radii=item["radii"], seed=seed if seed is not None else item["seed"],
+            scheme=scheme)
     if name == "rh-ball-inequality":
         return check_rh_ball_inequality(cfg.weight, item["p"], item["alpha"], cfg.family,
                                         scheme)
     if name == "critical-index-chain":
         return check_critical_index_chains(cfg.weight, item["p"], item["q"], cfg.family,
                                            scheme, tol=item["tol"])
-    if name == "maximal-inequality":
-        return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"],
-                                          item["alpha"], scheme)
-    if name == "quasi-norm-assembly":
-        out = check_quasi_norm_assembly(item["lambdas"], item["q"], item["p"])
-        ok = out.get("holds", True)
-        return VerificationReport("quasi-norm-assembly", "pass" if ok else "fail",
-                                  out["assembly"], extras=out)
-    raise ConfigError("checks", f"unknown check {name!r}")
+    return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"],
+                                      item["alpha"], scheme)
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str, seed: int | None, jobs: int) -> int:

@@ -28,9 +28,9 @@ if TYPE_CHECKING:
     from .atoms import CampaignSpec
 
 SCHEMA_VERSION = 1
-# work budget: a config asking for more atoms or samples, sweep points, cells
-# or octaves than this is refused (exit 4) instead of running for days or
-# failing to allocate
+# work budget: a config asking for more atoms, sweep points, cells or octaves
+# than this is refused (exit 4) instead of running for days or failing to
+# allocate
 MAX_COUNT = 10**6
 # moment-degree budget: from degree 8 on, some atoms that `atoms gen` builds
 # on the bundled atom campaign's balls fail `atoms validate`'s moment check,
@@ -42,9 +42,8 @@ MAX_CAMPAIGN_RESOLUTION = 2**16
 MAX_OUTER_OCTAVES = 64
 
 KNOWN_CHECKS = (
-    "theorem-thm1", "theorem-ta", "pointwise-atom-bound", "containment-step",
-    "rh-ball-inequality", "critical-index-chain", "maximal-inequality",
-    "quasi-norm-assembly",
+    "theorem-thm1", "theorem-ta", "pointwise-atom-bound", "rh-ball-inequality",
+    "critical-index-chain", "maximal-inequality",
 )
 
 
@@ -290,8 +289,11 @@ def _expect_within_extent(extent: float, path: str):
             f"the ball's extent |c| + r must stay below {MAX_EXTENT:.3g}")
 
 
-def validate_check(item: dict, dimension: int, path: str) -> dict:
-    """Domain checks of the parameters a check reads, before anything runs.
+def validate_check(item: dict, dimension: int, path: str,
+                   exponents: ExponentProfile | None, campaign: CampaignSpec | None) -> dict:
+    """Domain checks of the parameters a check reads, and of the config
+    blocks it needs (``exponents`` with its matrices, ``campaign``), before
+    anything runs.
 
     Returns the check's parameters with every default applied, ready for
     the runner (``cli._run_check``) to read as they are.
@@ -328,12 +330,6 @@ def validate_check(item: dict, dimension: int, path: str) -> dict:
         _expect(q / p > 1.0, f"{path}.alpha" if alpha / dimension <= p else f"{path}.p",
                 f"alpha p/n = {alpha * p / dimension:g} is too small: q/p rounds to 1")
         out.update(p=p, alpha=alpha)
-    elif name == "containment-step":
-        ball = _get(item, "ball", path, False, {"center": [1.0] * dimension, "radius": 0.1})
-        center, radius = _ball_fields(ball, dimension, f"{path}.ball")
-        _expect_within_extent(math.hypot(*center) + radius, f"{path}.ball")
-        out.update(ball=Ball(center, radius),
-                   count=_bounded(item, "count", path, 200, 1, MAX_COUNT))
     elif name == "critical-index-chain":
         p = _number(item, "p", path, False, 0.5)
         q = _number(item, "q", path, False, None)
@@ -342,28 +338,27 @@ def validate_check(item: dict, dimension: int, path: str) -> dict:
         else:
             _expect(0.0 < p < q, f"{path}.p", "the comparison chain needs 0 < p < q")
         out.update(p=p, q=q, tol=_tolerance(item, path))
-    elif name == "quasi-norm-assembly":
-        lams = _get(item, "lambdas", path, False, [1.0])
-        _expect(isinstance(lams, list) and all(_is_number(v) for v in lams),
-                f"{path}.lambdas", "expected a list of finite numbers")
-        q = _number(item, "q", path, False, 1.0)
-        _expect(q > 0.0, f"{path}.q", "must be positive")
-        p = _number(item, "p", path, False, None)
-        if p is not None:
-            _expect(0.0 < p <= min(1.0, q), f"{path}.p", "must lie in (0, min(1, q)]")
-        out.update(lambdas=lams, q=q, p=p)
     elif name == "pointwise-atom-bound":
         center = _get(item, "center", path, False, [0.0] * dimension)
         _point(center, dimension, f"{path}.center")
+        reach = math.hypot(*center)
+        _expect_within_extent(reach, f"{path}.center")
         radii = _get(item, "radii", path, False, [0.25, 1.0, 4.0])
         _expect(isinstance(radii, list) and radii
                 and all(_is_number(r) and r > 0.0 for r in radii),
                 f"{path}.radii", "expected a nonempty list of positive radii")
-        out.update(center=center, radii=tuple(radii))
-    if name in ("pointwise-atom-bound", "containment-step"):
+        for j, r in enumerate(radii):
+            _expect_within_extent(reach + r, f"{path}.radii[{j}]")
         seed = _integer(item, "seed", path, False, 0)
         _expect(seed >= 0, f"{path}.seed", "must be a nonnegative integer")
-        out["seed"] = seed
+        out.update(center=center, radii=tuple(radii), seed=seed)
+    if name in ("theorem-thm1", "theorem-ta", "pointwise-atom-bound"):
+        _expect(exponents is not None and campaign is not None, f"{path}.check",
+                f"{name} needs matrices, exponents and a campaign or atom block")
+    if name in ("theorem-thm1", "theorem-ta"):
+        _expect(dimension == 1, f"{path}.check", f"{name} is implemented on the line")
+        _expect((exponents.alpha == 0.0) == (name == "theorem-thm1"), "exponents.alpha",
+                "theorem-thm1 needs alpha = 0 and theorem-ta needs alpha > 0")
     return out
 
 
@@ -508,7 +503,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         name = _get(item, "check", f"checks[{i}]")
         _expect(name in KNOWN_CHECKS, f"checks[{i}].check",
                 f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-        checks.append(validate_check(item, n, f"checks[{i}]"))
+        checks.append(validate_check(item, n, f"checks[{i}]", exponents, campaign))
 
     sweeps = []
     for i, item in enumerate(_list(raw, "sweeps", "(root)", [])):

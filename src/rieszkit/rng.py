@@ -1,12 +1,12 @@
 """numpy's SeedSequence and PCG64 streams in plain Python, bit for bit.
 
 A campaign turns its seed into one 32-bit word per atom and each word into
-a few uniforms; the containment check draws its samples the same way.  The
-words and draws equal those of numpy's ``SeedSequence`` and
-``default_rng`` for every nonnegative integer seed, so the stream is the
-one numpy keeps stable for its bit generators (NEP 19), while the methods
-that map it to floats live here and cannot change with numpy.  A process
-that draws atoms does not import numpy's random module.
+a few uniforms, the polynomial coefficients of that atom.  The words and
+draws equal those of numpy's ``SeedSequence`` and ``default_rng`` for every
+nonnegative integer seed, so the stream is the one numpy keeps stable for
+its bit generators (NEP 19), while the methods that map it to floats live
+here and cannot change with numpy.  A process that draws atoms does not
+import numpy's random module.
 
 PCG64 is O'Neill's 128-bit linear congruential generator with the XSL-RR
 output function (PCG, HMC-CS-2014-0905); SeedSequence is numpy's entropy

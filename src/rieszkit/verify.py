@@ -9,7 +9,10 @@ A campaign does not re-run its norms on a refined lattice; only the
 pointwise atom bound also measures its drift under one lattice refinement.
 Checks never assert sharp constants; hypothesis audits are mandatory, and a
 campaign run on inputs violating an audited hypothesis raises
-HypothesisFailed rather than reporting a pass.
+HypothesisFailed rather than reporting a pass.  A step of the proofs that
+holds by construction, such as the triangle inequality
+|x - A_i xi| >= |x - A_i x0| / 2 for outer x, is a property test of the
+package (``tests/test_geometry.py``), not a check.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from .config import derived_degree
 from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, distances, expanded_balls)
-from .operators import (ExponentProfile, MaximalPolicy, SampledFunction,
-                        apply_T_ball_1d, apply_T_batch, fractional_maximal_witness,
-                        indicator, indicator_maximal_1d, weighted_norm)
+from .operators import (ExponentProfile, MaximalPolicy, apply_T_ball_1d, apply_T_batch,
+                        fractional_maximal_witness, indicator, indicator_maximal_1d,
+                        weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
 from .records import asdict, field, record
@@ -152,7 +155,9 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
     The closed decay form  w(B)^{-1/p} r^{n+d+1} |x - A_k x0|^{alpha-n-d-1}
     is always defined; the fractional-maximal form degenerates at alpha = 0
     and is returned as None there.  M_beta chi_B takes its closed form on the
-    line and the lattice search in the plane.
+    line and the lattice search in the plane.  Both forms are taken from
+    their logarithms, so a huge or tiny ball neither overflows nor
+    underflows a power that the product would cancel.
     """
     params = atom.params
     n, d = params.dimension, params.d
@@ -161,8 +166,9 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
         raise MisclassifiedSample(f"sample {np.asarray(x).tolist()} lies in an expanded ball")
     k = label.index
     dist = float(distances(as_point(x, n), family.apply(k, atom.ball.center))[0])
-    wfac = w_ball ** (-1.0 / params.p)
-    decay = wfac * atom.ball.radius ** (n + d + 1) * dist ** (profile.alpha - n - d - 1)
+    log_wfac = -math.log(w_ball) / params.p
+    decay = _exp(log_wfac + (n + d + 1) * math.log(atom.ball.radius)
+                 + (profile.alpha - n - d - 1) * math.log(dist))
     maximal = None
     if profile.alpha > 0.0:
         beta = profile.alpha * n / (n + d + 1)
@@ -172,7 +178,7 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
         else:
             chi = indicator(atom.ball.center, atom.ball.radius)
             mval, _ = fractional_maximal_witness(chi, z, beta, MaximalPolicy(cells_per_unit=64))
-        maximal = wfac * mval ** ((n + d + 1) / n)
+        maximal = _exp(log_wfac + (n + d + 1) / n * math.log(mval))
     return k, decay, maximal
 
 
@@ -214,10 +220,10 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
                                               family, scheme)[0]))
                 k, decay, maximal = _pointwise_rhs(atom, x, profile, family, w_ball)
                 rhs = maximal if maximal is not None else decay
-                if lhs < RATIO_FLOOR and rhs < RATIO_FLOOR:
-                    ratio = 0.0
-                else:
-                    ratio = lhs / rhs
+                # both sides scale alike under dilation, so a huge or tiny
+                # ball reads the unit ball's ratio; a right side that
+                # underflows to 0 leaves it undefined
+                ratio = lhs / rhs if rhs > 0.0 else math.nan
                 ratios.append(ratio)
                 if maximal is not None and maximal > 0:
                     agreement.append(decay / maximal)
@@ -250,36 +256,6 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
         witnesses=witnesses, extras=extras,
         provenance={"seed": seed, "config_hash": config_hash(
             {"check": "pointwise", "params": params.to_dict(), "alpha": profile.alpha})})
-
-
-def check_containment_step(ball: Ball, family: MatrixFamily, xi_samples,
-                           x_samples) -> VerificationReport:
-    """For outer x and xi in B, |x - A_i xi| must be at least half of
-    |x - A_i x0|; reports the minimal slack factor."""
-    slacks, samples = [], []
-    for x in x_samples:
-        label = classify(x, ball, family)
-        if not label.is_outer():
-            raise MisclassifiedSample(f"sample {np.asarray(x).tolist()} is not outer")
-        xp = as_point(x, ball.dimension)
-        for xi in xi_samples:
-            xip = as_point(xi, ball.dimension)
-            if float(distances(xip, ball.center)[0]) > ball.radius + 1e-12:
-                raise ValueError("xi samples must lie in the ball")
-            for i in range(family.m):
-                num = float(distances(xp, family.apply(i, xip))[0])
-                den = 0.5 * float(distances(xp, family.apply(i, ball.center))[0])
-                slacks.append(num / den)
-                samples.append({"x": xp.tolist(), "xi": xip.tolist(), "matrix": i,
-                                "lhs": num, "rhs": den, "ratio": slacks[-1]})
-    k = _worst(slacks, lowest=True)
-    worst, witnesses = (math.inf, []) if k is None else (slacks[k], [samples[k]])
-    verdict = "pass" if worst >= 1.0 - 1e-12 else "fail"
-    return VerificationReport("containment-step", verdict, worst,
-                              sample={"x_count": len(list(x_samples)),
-                                      "xi_count": len(list(xi_samples))},
-                              witnesses=witnesses,
-                              provenance={"config_hash": config_hash(ball.to_dict())})
 
 
 # ---------------------------------------------------------------------------
@@ -490,27 +466,6 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         witnesses=witnesses, extras={"verdict": verdict},
         provenance={"config_hash": config_hash({"w": weight_to_dict(w), "p": p,
                                                 "alpha": alpha})})
-
-
-# ---------------------------------------------------------------------------
-# Quasi-norm assembly
-# ---------------------------------------------------------------------------
-
-
-def check_quasi_norm_assembly(lams, q: float, p: float | None = None) -> dict:
-    """min(1, q)-quasi-norm assembly of atomic coefficients, and the comparison
-    against the stronger p-sum when p <= min(1, q)."""
-    lams = np.asarray(lams, dtype=float)
-    t = min(1.0, q)
-    assembly = float(np.sum(np.abs(lams) ** t) ** (1.0 / t))
-    out = {"assembly": assembly, "t": t}
-    if p is not None:
-        if p > t + 1e-12:
-            raise ValueError("comparison needs p <= min(1, q)")
-        bound = float(np.sum(np.abs(lams) ** p) ** (1.0 / p))
-        out["p_bound"] = bound
-        out["holds"] = assembly <= bound * (1 + 1e-12)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from rieszkit import (AtomParams, AtomSampler, Ball, CallableProfile,
 from rieszkit.atoms import (MOMENT_REL_TOL, Atom, _gram, _l2_norm_sq, _solve_spd,
                             multiindices, profile_raw_moment, project_away_moments,
                             unit_ball_monomial_integral)
+from rieszkit.errors import DegenerateProfile
 
 UNIT = PowerWeight(0.0)
 
@@ -146,6 +147,17 @@ def test_construct_atom_higher_moments():
     assert rep.passed
     assert all(m < 1.0 for m in rep.moment_margins.values())
     assert set(rep.moment_margins) == {(0,), (1,)}
+
+
+@pytest.mark.parametrize("p, d, radius", [(1.0, 0, 1e-300), (0.5, 1, 1e-110)])
+def test_size_bound_of_a_degenerate_ball_is_refused(p, d, radius):
+    """|B|^{1/p0} w(B)^{-1/p} must be a positive finite float.  For
+    |x|^{1/2}, w(B) underflows to 0 at radius 1e-300, and at radius 1e-110
+    w(B) ~ 1.3e-165 is positive but w(B)^{-2} overflows: either is a
+    degenerate atom, never a ZeroDivisionError or an OverflowError."""
+    params = AtomParams(p, 2.0, d, PowerWeight(0.5), 1)
+    with pytest.raises(DegenerateProfile, match="size bound"):
+        construct_atom(Ball([0.0], radius), params, 0)
 
 
 def test_atom_params_validation():

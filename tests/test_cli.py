@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from rieszkit.cli import main
-from rieszkit.config import load_config, parse_config
+from rieszkit.config import KNOWN_CHECKS, load_config, parse_config
 from rieszkit.errors import ConfigError
 from rieszkit.quadrature import QuadratureScheme
 
@@ -88,19 +88,21 @@ def test_unknown_check_rejected():
 @pytest.mark.parametrize("check, field", [
     ({"check": "pointwise-atom-bound", "radii": [1.0, -0.5]}, "checks[0].radii"),
     ({"check": "pointwise-atom-bound", "center": ["0"]}, "checks[0].center"),
-    ({"check": "containment-step", "count": 0}, "checks[0].count"),
-    ({"check": "containment-step", "seed": -1}, "checks[0].seed"),
+    ({"check": "pointwise-atom-bound", "radii": [1.0, 1e300]}, "checks[0].radii[1]"),
+    ({"check": "pointwise-atom-bound", "center": [1e300]}, "checks[0].center"),
     ({"check": "critical-index-chain", "p": 1.5}, "checks[0].p"),
     ({"check": "critical-index-chain", "p": 0.5, "q": 0.25}, "checks[0].p"),
-    ({"check": "quasi-norm-assembly", "lambdas": [1.0, "2"]}, "checks[0].lambdas"),
-    ({"check": "quasi-norm-assembly", "q": 0.0}, "checks[0].q"),
-    ({"check": "quasi-norm-assembly", "q": 2.0, "p": 1.5}, "checks[0].p"),
+    ({"check": "pointwise-atom-bound"}, "checks[0].check"),
+    ({"check": "theorem-thm1"}, "checks[0].check"),
+    ({"check": "theorem-ta"}, "checks[0].check"),
     ({"check": "maximal-inequality", "test_balls": []}, "checks[0].test_balls"),
     ({"check": "maximal-inequality", "test_balls": [{"center": [0.0], "radius": 0.0}]},
      "checks[0].test_balls[0].radius"),
 ])
 def test_check_parameters_validated(check, field):
-    """Every parameter a check reads is validated when the config is parsed."""
+    """Every parameter a check reads, and every config block it needs (here
+    the matrices, exponents and campaign of the pointwise and theorem
+    checks), is validated when the config is parsed."""
     with pytest.raises(ConfigError) as err:
         parse_config(_base_config(checks=[check]))
     assert err.value.path == field
@@ -109,7 +111,9 @@ def test_check_parameters_validated(check, field):
 def test_check_defaults_applied_at_parse():
     """The parsed check carries every parameter its runner reads, defaults
     included, so the runner keeps no defaults of its own."""
-    cfg = parse_config(_base_config(checks=[{"check": "maximal-inequality"},
+    cfg = parse_config(_base_config(matrices=[[[1.0]]], exponents={"alpha": 0.5},
+                                    atom={"p": 1.0, "p0": 2.0},
+                                    checks=[{"check": "maximal-inequality"},
                                             {"check": "pointwise-atom-bound"},
                                             {"check": "critical-index-chain", "p": 0.25}]))
     maximal, pointwise, chain = cfg.checks
@@ -259,8 +263,6 @@ def test_cli_atoms_gen_and_validate(tmp_path):
 def test_cli_verify_fast_checks_and_determinism(tmp_path):
     cfg = _write(tmp_path, "checks.json", _base_config(
         checks=[
-            {"check": "quasi-norm-assembly", "lambdas": [1.0, 0.5, 0.25], "q": 1.5,
-             "p": 0.75},
             {"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.5},
             {"check": "critical-index-chain", "p": 0.5},
         ],
@@ -362,7 +364,7 @@ def _theorem_config(check, alpha, **campaign):
                   checks=[{"check": "maximal-inequality", "p": 2.0}]),
      "checks[0].check"),
     (["verify"],
-     _base_config(checks=[{"check": "quasi-norm-assembly", "lambdas": [1.0]},
+     _base_config(checks=[{"check": "critical-index-chain"},
                           {"check": "rh-ball-inequality", "p": 2.0, "alpha": 0.5}]),
      "checks[1].p"),
     (["verify"],
@@ -381,10 +383,6 @@ def _theorem_config(check, alpha, **campaign):
     (["verify"],
      _base_config(checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 0.75}]),
      "checks[0].p"),
-    (["verify"],
-     _base_config(matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
-                  checks=[{"check": "containment-step", "ball": {"center": [1.0]}}]),
-     "checks[0].ball.radius"),
     (["verify"],
      _base_config(checks=[{"check": "critical-index-chain", "p": 0.5, "tol": "fine"}]),
      "checks[0].tol"),
@@ -419,6 +417,13 @@ def _theorem_config(check, alpha, **campaign):
     (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2), "seed": -1}, "seed"),
     (["verify"], _theorem_config("theorem-thm1", 0.5, count=2), "exponents.alpha"),
     (["verify"], _theorem_config("theorem-ta", 0.0, count=2), "exponents.alpha"),
+    (["verify"], _base_config(matrices=[[[1.0]]], exponents={"alpha": 0.5},
+                              checks=[{"check": "pointwise-atom-bound"}]),
+     "checks[0].check"),
+    (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2, centers=[[0.0, 0.0]]),
+                  "dimension": 2, "matrices": [[[1.0, 0.0], [0.0, 1.0]],
+                                               [[-1.0, 0.0], [0.0, -1.0]]]},
+     "checks[0].check"),
     (["operator", "sweep"],
      _base_config(sweeps=[{"function": {"kind": "indicator", "center": [0.0], "radius": 1.0},
                            "x_min": -1.0, "x_max": 1.0, "points": 10**30}]),
@@ -456,7 +461,7 @@ def _theorem_config(check, alpha, **campaign):
      "checks[0].tol"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
-        "maximal-alpha-1", "maximal-p-above-1-over-alpha", "containment-ball-without-radius",
+        "maximal-alpha-1", "maximal-p-above-1-over-alpha",
         "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells",
         "weight-power-scale-0", "weight-log-scale-negative", "weight-tabulated-negative-value",
         "weight-tabulated-zero-value", "weight-tabulated-hi-below-lo",
@@ -464,6 +469,7 @@ def _theorem_config(check, alpha, **campaign):
         "weight-dimension-mismatch",
         "campaign-seed-negative", "campaign-count-over-budget", "cli-seed-negative",
         "root-seed-negative", "thm1-positive-alpha", "ta-zero-alpha",
+        "pointwise-without-atom", "thm1-2d",
         "sweep-points-over-budget", "outer-octaves-over-budget",
         "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget",
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
@@ -475,7 +481,8 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
     work beyond the budget, campaign balls whose squared distances overflow,
     an RH ball check whose q/p rounds to 1, a theorem check whose order
-    does not match the exponents, a moment degree (given, or derived from
+    does not match the exponents or that runs off the line, a pointwise
+    check without its atom block, a moment degree (given, or derived from
     atom.p and the weight) past ``config.MAX_DEGREE`` and a critical-index
     tolerance with 1 + tol == 1 are config errors (exit 4) naming the field,
     not tracebacks (exit 1), failed checks (exit 2) or runs without end."""
@@ -841,7 +848,7 @@ def test_bundled_reports_are_strict_json(tmp_path, capsys):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_all_verifications.py")
     _python(script, "--out", str(tmp_path / "all"), check=True)
     reports = sorted((tmp_path / "all").rglob("*.json"))
-    assert len(reports) == 7
+    assert len(reports) == 10
     for path in reports:
         json.loads(path.read_text(), parse_constant=_no_constant)
     report = json.loads((tmp_path / "all" / "weights-power-half" / "weights-classify.json")
@@ -893,35 +900,90 @@ def test_cli_rh_ball_inequality_is_scale_invariant(tmp_path):
     assert huge["witnesses"][0]["lhs"] == pytest.approx(one["witnesses"][0]["lhs"], rel=1e-12)
 
 
-def test_cli_containment_ball_beyond_max_extent_exits_4(tmp_path, capsys):
-    """A containment ball whose extent reaches sqrt(float max) is refused at
-    its field (exit 4): its squared distances overflow, and every sample
-    point used to drop out, leaving an empty check that passed."""
-    cfg = _write(tmp_path, "far.json", _base_config(
-        matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
-        checks=[{"check": "containment-step", "ball": {"center": [1e300], "radius": 1e300}}]))
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
+def test_cli_check_requirements_fail_before_any_report(tmp_path, capsys):
+    """A check whose config blocks are missing is refused when the config is
+    read: the maximal check before it neither runs nor writes its report."""
+    cfg = _write(tmp_path, "two.json", _base_config(
+        checks=[{"check": "maximal-inequality", "p": 2.0}, {"check": "theorem-thm1"}]))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 4
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert error["error"] == "config" and error["path"] == "checks[0].ball"
+    assert error["error"] == "config" and error["path"] == "checks[1].check"
+    assert not out.exists()
 
 
-def test_cli_containment_is_scale_invariant(tmp_path):
-    """The slack |x - A_i xi| / (|x - A_i x0| / 2) does not depend on the
-    radius.  Outer points 64 radii out of a 5e152 ball have distances whose
-    squares overflow, so the distances are taken without squaring: the
-    check reads the worst slack of the unit ball, at the same sample."""
-    reports = []
-    for radius in (1.0, 5e152):
-        cfg = _write(tmp_path, "ball.json", _base_config(
-            matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
-            checks=[{"check": "containment-step", "ball": {"center": [0.0], "radius": radius},
-                     "count": 3}]))
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        reports.append(json.loads(
-            (tmp_path / "out" / "00-containment-step.json").read_text())["report"])
-    unit, huge = reports
-    assert huge["verdict"] == "pass" and huge["worst"] == pytest.approx(unit["worst"], rel=1e-14)
-    assert huge["witnesses"][0]["matrix"] == unit["witnesses"][0]["matrix"]
-    for key in ("x", "xi"):
-        assert [v / 5e152 for v in huge["witnesses"][0][key]] == pytest.approx(
-            unit["witnesses"][0][key], rel=1e-14)
+def _pointwise_config(exponent, radii):
+    return _base_config(weight={"kind": "power", "exponent": exponent},
+                        matrices=[[[1.0]], [[-1.0]]],
+                        exponents={"alpha": 0.5, "alphas": [0.25, 0.25]},
+                        atom={"p": 1.0, "p0": 2.0},
+                        checks=[{"check": "pointwise-atom-bound", "radii": radii}])
+
+
+def test_cli_pointwise_bound_at_extreme_radii(tmp_path, capsys):
+    """Both sides of the pointwise bound scale alike under dilation and are
+    formed from logarithms, so radii 1e150 and 1e-300 read the unit ball's
+    ratio.  A radius past ``geometry.MAX_EXTENT`` exits 4 at its field, and
+    a ball whose w(B) underflows to 0 (|x|^{1/2} at radius 1e-300) exits 2
+    with a degenerate atom, in the pointwise check and in a campaign."""
+    reports = {}
+    for radii in ([1.0], [1e150, 1e-300]):
+        cfg = _write(tmp_path, "pointwise.json", _pointwise_config(-0.125, radii))
+        out = tmp_path / f"out-{len(radii)}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        reports[len(radii)] = json.loads(
+            (out / "00-pointwise-atom-bound.json").read_text())["report"]
+    unit, extreme = reports[1]["worst"], reports[2]
+    assert extreme["verdict"] == "pass" and extreme["worst"] == pytest.approx(unit, rel=1e-12)
+    assert list(extreme["stability"]["by_radius"].values()) == pytest.approx(
+        [unit, unit], rel=1e-12)
+    capsys.readouterr()
+
+    cfg = _write(tmp_path, "far.json", _pointwise_config(-0.125, [1e300, 1.0]))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "far")]) == 4
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "config" and error["path"] == "checks[0].radii[0]"
+
+    with open(os.path.join(CONFIG_DIR, "thm1-smoke.json")) as fh:
+        campaign = json.load(fh)
+    campaign["campaign"].update(count=2, radii=[1e-300])
+    for name, raw in (("tiny.json", _pointwise_config(0.5, [1e-300, 1.0])),
+                      ("campaign.json", campaign)):
+        cfg = _write(tmp_path, name, raw)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "tiny")]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "check" and "w(B) = 0" in error["message"]
+
+
+def test_bundled_pointwise_drift_measures_something(tmp_path):
+    """At centre 0 a power weight, a pair of reflections and the atoms'
+    dilations make every radius read the same ratio, so the drift across
+    radii is 1 by symmetry; the bundled config's centre 0.3 breaks that, and
+    its drift (1.87) stays below the factor 4."""
+    with open(os.path.join(CONFIG_DIR, "pointwise-off-centre.json")) as fh:
+        raw = json.load(fh)
+    drifts = []
+    for center in ([0.3], [0.0]):
+        raw["checks"][0]["center"] = center
+        cfg = _write(tmp_path, "pointwise.json", raw)
+        out = tmp_path / f"out-{center[0]:g}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "00-pointwise-atom-bound.json").read_text())["report"]
+        drifts.append(report["stability"]["drift_radii"])
+    off_centre, centred = drifts
+    assert 1.5 < off_centre < 4.0 and centred == pytest.approx(1.0, abs=1e-12)
+
+
+def test_bundled_runs_cover_every_check_kind():
+    """``run_all_verifications.py`` runs every check kind, apart from
+    rh-ball-inequality, which reads its constant off the family it tests."""
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                        "run_all_verifications.py")
+    spec = importlib.util.spec_from_file_location("run_all_verifications", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    kinds = {item["check"] for command, _, name in script.RUNS if command == "verify"
+             for item in load_config(os.path.join(CONFIG_DIR, name)).checks}
+    assert kinds == set(KNOWN_CHECKS) - {"rh-ball-inequality"}

@@ -26,32 +26,11 @@ for _name in sorted(os.listdir(CONFIG_DIR)):
         with open(os.path.join(CONFIG_DIR, _name)) as _fh:
             BUNDLED[_name] = json.load(_fh)
 
-# one small config per check that no bundled config runs, so that mutations
-# reach its parameters too
-_WEIGHT = {"kind": "power", "exponent": -0.125}
-_PAIR = [[[1.0]], [[-1.0]]]
-BUNDLED.update({
-    "check-pointwise.json": {
-        "version": 1, "dimension": 1, "weight": _WEIGHT, "matrices": _PAIR,
-        "exponents": {"alpha": 0.5, "alphas": [0.25, 0.25]}, "atom": {"p": 1.0, "p0": 2.0},
-        "checks": [{"check": "pointwise-atom-bound", "center": [0.0], "radii": [0.25, 1.0],
-                    "seed": 1}]},
-    "check-containment.json": {
-        "version": 1, "dimension": 1, "weight": _WEIGHT, "matrices": _PAIR,
-        "exponents": {"alpha": 0.0},
-        "checks": [{"check": "containment-step", "ball": {"center": [1.0], "radius": 0.1},
-                    "count": 8, "seed": 1}]},
-    "check-rh-ball.json": {
-        "version": 1, "dimension": 1, "weight": _WEIGHT,
-        "checks": [{"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.5}]},
-    "check-index-chain.json": {
-        "version": 1, "dimension": 1, "weight": _WEIGHT,
-        "checks": [{"check": "critical-index-chain", "p": 0.5, "tol": 0.05}]},
-    "check-quasi-norm.json": {
-        "version": 1, "dimension": 1, "weight": _WEIGHT,
-        "checks": [{"check": "quasi-norm-assembly", "lambdas": [1.0, 0.5], "q": 1.5,
-                    "p": 0.75}]},
-})
+# a small config for the one check kind that no bundled config runs, so that
+# mutations reach its parameters too
+BUNDLED["check-rh-ball.json"] = {
+    "version": 1, "dimension": 1, "weight": {"kind": "power", "exponent": -0.125},
+    "checks": [{"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.5}]}
 # every weight carries its scale, so that mutations reach it
 for _cfg in BUNDLED.values():
     _cfg["weight"] = {**_cfg["weight"], "scale": 1.0}
@@ -126,6 +105,7 @@ RUNS = {"atoms-campaign.json": ["atoms", "gen"], "corollary.json": ["verify"],
         "sweep-disk.json": ["operator", "sweep"], "sweep-riesz.json": ["operator", "sweep"],
         "sweep-t02.json": ["operator", "sweep"],
         "ta-worked.json": ["verify"], "thm1-smoke.json": ["verify"],
+        "pointwise-off-centre.json": ["verify"], "critical-index-chain.json": ["verify"],
         "weights-log.json": ["weights", "classify"],
         "weights-power-half.json": ["weights", "classify"],
         **{name: ["verify"] for name in BUNDLED if name.startswith("check-")}}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from rieszkit import (Ball, BallFamily, MatrixFamily, RieszkitError, classify,
                       classify_batch, dyadic_ball_family, expanded_balls,
                       identity_family, operator_norm, scalar_family)
-from rieszkit.geometry import condition_number, inverse, singular_values
+from rieszkit.geometry import condition_number, distances, inverse, singular_values
 
 
 def test_ball_validation():
@@ -189,3 +189,16 @@ def test_outer_containment_inequality(b, t):
         lhs = abs(x[0] - fam.matrices[j][0, 0] * xi[0])
         rhs = 0.5 * abs(x[0] - fam.matrices[j][0, 0] * 1.0)
         assert lhs >= rhs - 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_distances_neither_overflow_nor_underflow(scale):
+    """On the line |x - c| is abs and in the plane hypot: at coordinates
+    around 1e200 the squares of the differences overflow and around 1e-200
+    they underflow, but the distances stay exact to rounding."""
+    line = distances(np.array([[4.0 * scale], [-2.0 * scale]]), np.array([scale]))
+    assert line.tolist() == pytest.approx([3.0 * scale, 3.0 * scale], rel=1e-15)
+    plane = distances(np.array([[4.0 * scale, 3.0 * scale], [-2.0 * scale, -5.0 * scale]]),
+                      np.array([scale, -scale]))
+    assert plane.tolist() == pytest.approx([5.0 * scale, 5.0 * scale], rel=1e-15)
+    assert distances(np.array([scale, 0.0]), np.zeros(2)).tolist() == [scale]

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from rieszkit.atoms import derive_seed
-from rieszkit.cli import _ball_samples
-from rieszkit.geometry import Ball
 from rieszkit.rng import PCG64, generate_state
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5]
@@ -52,15 +50,3 @@ def test_negative_seed_is_refused_like_numpy():
         PCG64(-1)
     with pytest.raises(ValueError):
         generate_state((0, -1), 1)
-
-
-@pytest.mark.parametrize("center,radius,count,seed", [
-    ([0.0], 1.0, 40, 0), ([2.5], 0.25, 33, 2**64 + 5), ([0.0, 1.0], 3.0, 50, 7)])
-def test_containment_samples_match_numpy(center, radius, count, seed):
-    """The containment check's samples are those that numpy's
-    default_rng(seed).random((count, n)) gives on the bounding box."""
-    ball = Ball(center, radius)
-    u = np.random.default_rng(seed).random((count, ball.dimension))
-    xi = ball.center + ball.radius * (2.0 * u - 1.0)
-    expected = xi[np.linalg.norm(xi - ball.center, axis=1) <= ball.radius]
-    assert np.array_equal(_ball_samples(ball, count, seed), expected)

@@ -7,14 +7,11 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rieszkit import (AtomParams, Ball, CampaignSpec, ExponentProfile,
                       HypothesisFailed, MisclassifiedSample, PowerWeight,
-                      check_containment_step, check_critical_index_chains,
-                      check_maximal_inequalities, check_pointwise_atom_bound,
-                      check_quasi_norm_assembly, check_rh_ball_inequality,
+                      check_critical_index_chains, check_maximal_inequalities,
+                      check_pointwise_atom_bound, check_rh_ball_inequality,
                       construct_atom, equal_split, identity_family,
                       run_theorem_campaign, scalar_family)
 from rieszkit.config import load_config
@@ -31,54 +28,19 @@ SMALL_SPEC = CampaignSpec(count=4, seed=17, centers=((0.0,), (1.0,)),
 
 
 # ---------------------------------------------------------------------------
-# containment
+# the NaN-aware sup and inf
 # ---------------------------------------------------------------------------
-
-
-def test_containment_examples():
-    ball = Ball([1.0], 0.1)
-    fam = scalar_family([1.0, -1.0])
-    rep = check_containment_step(ball, fam, [[1.05]], [[2.0]])
-    assert rep.passed()
-    # |2 - 1.05| = 0.95 against half of |2 - 1| = 0.5
-    assert rep.worst == pytest.approx(0.95 / 0.5)
-    # xi at the ball center gives slack factor exactly 2 (>= 1)
-    rep = check_containment_step(ball, fam, [[1.0]], [[2.0]])
-    assert rep.worst == pytest.approx(2.0)
-
-
-def test_containment_random_pairs():
-    rng = np.random.default_rng(0)
-    ball = Ball([0.0], 1.0)
-    fam = scalar_family([1.0, -1.0])
-    xi = (2.0 * rng.random((100, 1)) - 1.0)
-    xs = []
-    for t in np.geomspace(2.1, 64.0, 10):
-        xs += [[t], [-t]]
-    rep = check_containment_step(ball, fam, xi, xs)
-    assert rep.passed()
-
-
-def test_containment_rejects_inner_points():
-    ball = Ball([1.0], 0.1)
-    fam = scalar_family([1.0, -1.0])
-    with pytest.raises(MisclassifiedSample):
-        check_containment_step(ball, fam, [[1.0]], [[1.05]])
 
 
 def test_nan_is_the_worst_value_and_its_sample_the_witness():
     """Python's max and min skip a NaN, so ``_worst`` returns the first one.
-    An outer point at infinity has slack inf / inf = NaN: the containment
-    check fails with that sample as its witness."""
+    A check's NaN witness in a report is held by the maximal check's
+    underflowed-ball test (``tests/test_cli.py``)."""
     from rieszkit.verify import _worst
 
     assert _worst([1.0, math.nan, 3.0, math.nan]) == 1
     assert _worst([1.0, math.nan, 0.5], lowest=True) == 1
     assert _worst([2.0, 0.5, 3.0], lowest=True) == 1 and _worst([]) is None
-    rep = check_containment_step(Ball([0.0], 1.0), scalar_family([1.0, -1.0]), [[0.5]],
-                                 [[4.0], [math.inf]])
-    assert not rep.passed() and math.isnan(rep.worst)
-    assert rep.witnesses[0]["x"] == [math.inf] and math.isnan(rep.witnesses[0]["ratio"])
 
 
 # ---------------------------------------------------------------------------
@@ -141,31 +103,6 @@ def test_chain_hypothesis_gate(small_family):
 
 
 # ---------------------------------------------------------------------------
-# quasi-norm assembly
-# ---------------------------------------------------------------------------
-
-
-def test_quasi_norm_examples():
-    out = check_quasi_norm_assembly([1.0], 2.0, 1.0)
-    assert out["assembly"] == pytest.approx(1.0) and out["holds"]
-    out = check_quasi_norm_assembly([1.0, 1.0], 1.5, 0.75)
-    assert out["assembly"] == pytest.approx(2.0)
-    assert out["p_bound"] == pytest.approx(2.0 ** (4.0 / 3.0))
-    assert out["holds"]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=10),
-       st.floats(min_value=0.3, max_value=3.0), st.floats(min_value=0.2, max_value=1.0))
-def test_quasi_norm_random(lams, q, p):
-    if not any(abs(v) > 1e-9 for v in lams):
-        return
-    p = min(p, min(1.0, q))
-    out = check_quasi_norm_assembly(lams, q, p)
-    assert out["holds"]
-
-
-# ---------------------------------------------------------------------------
 # pointwise atom bound
 # ---------------------------------------------------------------------------
 
@@ -202,6 +139,28 @@ def test_pointwise_bound_zero_order():
     rep = check_pointwise_atom_bound(params, prof, fam, [0.0], seed=5)
     assert rep.passed()
     assert "form_agreement" not in rep.extras  # decay form only at order zero
+
+
+def test_pointwise_rhs_logarithms_match_the_products():
+    """At moderate radii the right-hand sides formed from logarithms equal
+    the products w(B)^{-1/p} r^{n+d+1} |x - A_k x0|^{alpha-n-d-1} and
+    w(B)^{-1/p} (M_beta chi_B)^{(n+d+1)/n} to rounding."""
+    from rieszkit.verify import _pointwise_rhs, outer_sample_points
+    from rieszkit.weights import weighted_measure
+
+    params = AtomParams(1.0, 2.0, 0, PowerWeight(-0.125), 1)
+    prof = ExponentProfile(0.5, (0.25, 0.25), 1)
+    fam = scalar_family([1.0, -1.0])
+    for center, radius in ((0.3, 0.25), (0.0, 4.0)):
+        ball = Ball([center], radius)
+        atom = construct_atom(ball, params, 0)
+        w_ball = weighted_measure(params.weight, 1.0, ball)
+        for x in outer_sample_points(ball, fam):
+            k, decay, maximal = _pointwise_rhs(atom, x, prof, fam, w_ball)
+            dist = abs(x[0] - fam.apply(k, ball.center)[0])
+            assert decay == pytest.approx(radius ** 2 * dist ** -1.5 / w_ball, rel=1e-13)
+            mval = indicator_maximal_1d(ball, fam.apply_inverse(k, x), 0.25)[0]
+            assert maximal == pytest.approx(mval ** 2 / w_ball, rel=1e-13)
 
 
 def test_pointwise_bound_rejects_inner_samples():
