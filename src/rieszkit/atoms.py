@@ -178,16 +178,11 @@ class AdmissibleRange:
 def atom_thresholds(idx, p: float, n: int):
     """(p0_lower, d_min) for atoms with exponent p from critical indices ``idx``.
 
-    The p0 threshold is max(1, p * r / (r - 1)) with the convention
-    r / (r - 1) = 1 when the reverse Holder index r is infinite; the minimal
-    degree is floor(n (q_critical / p - 1)), None when q_critical is
-    infinite (w is in no A_q, so no degree is admissible).
+    The p0 threshold is max(1, p * r / (r - 1)) (``idx.rh_conjugate``); the
+    minimal degree is floor(n (q_critical / p - 1)), None when q_critical
+    is infinite (w is in no A_q, so no degree is admissible).
     """
-    if math.isinf(idx.rh_critical):
-        ratio = 1.0
-    else:
-        ratio = idx.rh_critical / (idx.rh_critical - 1.0)
-    p0_lower = max(1.0, p * ratio)
+    p0_lower = max(1.0, p * idx.rh_conjugate())
     if math.isinf(idx.q_critical):
         return p0_lower, None
     return p0_lower, max(0, math.floor(n * (idx.q_critical / p - 1.0)))

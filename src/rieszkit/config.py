@@ -355,8 +355,8 @@ def validate_check(item: dict, dimension: int, path: str,
     if name in ("theorem-thm1", "theorem-ta", "pointwise-atom-bound"):
         _expect(exponents is not None and campaign is not None, f"{path}.check",
                 f"{name} needs matrices, exponents and a campaign or atom block")
-    if name in ("theorem-thm1", "theorem-ta"):
         _expect(dimension == 1, f"{path}.check", f"{name} is implemented on the line")
+    if name in ("theorem-thm1", "theorem-ta"):
         _expect((exponents.alpha == 0.0) == (name == "theorem-thm1"), "exponents.alpha",
                 "theorem-thm1 needs alpha = 0 and theorem-ta needs alpha > 0")
     return out
@@ -395,7 +395,8 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
             f"derives a moment degree of at least n (1/p - 1) = "
             f"{dimension * (1.0 / p - 1.0):.3g}, above the budget {MAX_DEGREE}")
     d = _bounded(atom_block, "d", "atom", None, 0, MAX_DEGREE)
-    centers = _list(block, "centers", path, [[0.0], [1.0], [-2.0]])
+    centers = _list(block, "centers", path,
+                    [[c] + [0.0] * (dimension - 1) for c in (0.0, 1.0, -2.0)])
     _expect(bool(centers), f"{path}.centers", "expected a nonempty list of points")
     for i, c in enumerate(centers):
         _point(c, dimension, f"{path}.centers[{i}]")

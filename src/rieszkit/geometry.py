@@ -22,6 +22,8 @@ from .records import record
 #: points (and campaign lines) must stay below sqrt(float max), where the
 #: squared distances of the kernel overflow
 MAX_EXTENT = math.sqrt(np.finfo(float).max)
+#: largest condition number of an A_j, or of an A_i - A_j at order zero
+CONDITION_CAP = 1e8
 
 
 def as_point(x, dimension: int | None = None) -> np.ndarray:
@@ -161,7 +163,6 @@ class MatrixFamily:
 
     matrices: tuple
     pairwise_invertible: bool = False
-    condition_cap: float = 1e8
 
     def __post_init__(self):
         mats = tuple(np.asarray(m, dtype=float) for m in self.matrices)
@@ -173,9 +174,9 @@ class MatrixFamily:
             if a.shape != (n, n):
                 raise RieszkitError(f"matrix {j}: expected shape ({n}, {n}), got {a.shape}")
             cond = condition_number(a)
-            if not math.isfinite(cond) or cond > self.condition_cap:
+            if not math.isfinite(cond) or cond > CONDITION_CAP:
                 raise RieszkitError(
-                    f"matrix {j}: condition number {cond:.3e} exceeds cap {self.condition_cap:.1e}")
+                    f"matrix {j}: condition number {cond:.3e} exceeds cap {CONDITION_CAP:.1e}")
             inverses.append(inverse(a))
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "_inverses", tuple(inverses))
@@ -192,7 +193,7 @@ class MatrixFamily:
         for i in range(self.m):
             for j in range(i + 1, self.m):
                 cond = condition_number(self.matrices[i] - self.matrices[j])
-                if not math.isfinite(cond) or cond > self.condition_cap:
+                if not math.isfinite(cond) or cond > CONDITION_CAP:
                     out.append((i, j, cond))
         return out
 

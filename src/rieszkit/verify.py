@@ -6,13 +6,13 @@ estimates the implied constant, and tracks its stability under rescaling.
 seeded campaign is finite and its per-radius maxima drift by less than a
 factor of 4 across the campaign's radii (0.25, 1 and 4 by default).
 A campaign does not re-run its norms on a refined lattice; only the
-pointwise atom bound also measures its drift under one lattice refinement.
-Checks never assert sharp constants; hypothesis audits are mandatory, and a
-campaign run on inputs violating an audited hypothesis raises
-HypothesisFailed rather than reporting a pass.  A step of the proofs that
-holds by construction, such as the triangle inequality
-|x - A_i xi| >= |x - A_i x0| / 2 for outer x, is a property test of the
-package (``tests/test_geometry.py``), not a check.
+pointwise atom bound also measures its drift, under a doubled set of outer
+sample points (its values of T read no lattice).  Checks never assert sharp
+constants.  Every check audits its hypotheses before any costly work, and
+``require_hypotheses`` raises HypothesisFailed for the first that fails.
+A step of the proofs that holds by construction, such as the triangle
+inequality |x - A_i xi| >= |x - A_i x0| / 2 for outer x, is a property test
+of the package (``tests/test_geometry.py``), not a check.
 """
 
 from __future__ import annotations
@@ -37,16 +37,15 @@ from .config import derived_degree
 from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, distances, expanded_balls)
-from .operators import (ExponentProfile, MaximalPolicy, apply_T_ball_1d, apply_T_batch,
-                        fractional_maximal_witness, indicator, indicator_maximal_1d,
-                        weighted_norm)
+from .operators import (ExponentProfile, SampledFunction, apply_T_ball_1d, apply_T_batch,
+                        indicator_maximal_1d, weighted_norm)
 from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d)
 from .records import asdict, field, record
 from .weights import (STABILITY_FACTOR, PowerWeight, _exp, ball_measure,
                       check_matrix_compatibility, critical_indices, estimate_A1_constant,
                       estimate_Ap_constant, estimate_Apq_constant, estimate_RH_constant,
-                      eval_weight_batch, power_mean, radial_factors, series_verdict,
+                      eval_weight_batch, power_mean, radial_factors,
                       weight_power, weight_singularities, weight_to_dict, weighted_measure)
 
 if TYPE_CHECKING:
@@ -72,7 +71,7 @@ class AuditItem:
 @record
 class VerificationReport:
     check_id: str
-    verdict: str                       # "pass" | "fail" | "skipped"
+    verdict: str                       # "pass" | "fail"
     worst: float
     hypotheses: list = field(default_factory=list)
     stability: dict = field(default_factory=dict)
@@ -86,6 +85,14 @@ class VerificationReport:
 
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+
+def require_hypotheses(audits):
+    """Raise HypothesisFailed for the first audit item that failed; its
+    detail is the item's ``detail``, or else ``value <value>``."""
+    for a in audits:
+        if not a.passed:
+            raise HypothesisFailed(a.name, a.detail or f"value {a.value}")
 
 
 def config_hash(obj) -> str:
@@ -128,21 +135,15 @@ def _at_worst(values, lowest: bool = False) -> float:
 
 def outer_sample_points(ball: Ball, family: MatrixFamily, per_side: int = 6,
                         refine: int = 1):
-    """Points in the outer region on dyadic shells around each transformed center."""
+    """Points in the outer region of a ball on the line, on dyadic shells
+    either side of each transformed center."""
     big_r = 2.0 * family.norm_bound * ball.radius
     taus = np.geomspace(1.25, 16.0, per_side * refine)
     pts = []
-    n = ball.dimension
     for k in range(family.m):
         ck = family.apply(k, ball.center)
         for t in taus:
-            if n == 1:
-                cands = [ck + np.array([big_r * t]), ck - np.array([big_r * t])]
-            else:
-                cands = [ck + big_r * t * np.array(u) for u in
-                         ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-                          (0.7071067811865476, 0.7071067811865476))]
-            for x in cands:
+            for x in (ck + np.array([big_r * t]), ck - np.array([big_r * t])):
                 if classify(x, ball, family).is_outer():
                     pts.append(x)
     return pts
@@ -155,9 +156,8 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
     The closed decay form  w(B)^{-1/p} r^{n+d+1} |x - A_k x0|^{alpha-n-d-1}
     is always defined; the fractional-maximal form degenerates at alpha = 0
     and is returned as None there.  M_beta chi_B takes its closed form on the
-    line and the lattice search in the plane.  Both forms are taken from
-    their logarithms, so a huge or tiny ball neither overflows nor
-    underflows a power that the product would cancel.
+    line.  Both forms are taken from their logarithms, so a huge or tiny ball
+    neither overflows nor underflows a power that the product would cancel.
     """
     params = atom.params
     n, d = params.dimension, params.d
@@ -172,12 +172,7 @@ def _pointwise_rhs(atom: Atom, x, profile: ExponentProfile, family: MatrixFamily
     maximal = None
     if profile.alpha > 0.0:
         beta = profile.alpha * n / (n + d + 1)
-        z = family.apply_inverse(k, x)
-        if n == 1:
-            mval = float(indicator_maximal_1d(atom.ball, z, beta)[0])
-        else:
-            chi = indicator(atom.ball.center, atom.ball.radius)
-            mval, _ = fractional_maximal_witness(chi, z, beta, MaximalPolicy(cells_per_unit=64))
+        mval = float(indicator_maximal_1d(atom.ball, family.apply_inverse(k, x), beta)[0])
         maximal = _exp(log_wfac + (n + d + 1) / n * math.log(mval))
     return k, decay, maximal
 
@@ -187,21 +182,19 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
                                radii=(0.25, 1.0, 4.0), seed: int = 0,
                                scheme: QuadratureScheme | None = None,
                                samples=None) -> VerificationReport:
-    """Estimate the constant in the outer-region pointwise bound and test its
-    stability across atom radii and a doubled sample set."""
+    """Estimate the constant in the outer-region pointwise bound on the line
+    and test its stability across atom radii and a doubled sample set."""
     n = params.dimension
+    if n != 1:
+        raise ValueError("the pointwise atom bound is implemented on the line")
     if scheme is None:
         scheme = default_scheme(n)
     from .atoms import construct_atom
 
-    audits = [AuditItem("order in [0, n)", profile.alpha,
-                        0.0 <= profile.alpha < n)]
     idx = critical_indices(params.weight, default_ball_family(params.weight.dimension))
-    audits.append(AuditItem("weight in A_infinity (finite Muckenhoupt index)",
-                            idx.q_critical, math.isfinite(idx.q_critical)))
-    for a in audits:
-        if not a.passed:
-            raise HypothesisFailed(a.name, f"value {a.value}")
+    audits = [AuditItem("weight in A_infinity (finite Muckenhoupt index)",
+                        idx.q_critical, math.isfinite(idx.q_critical))]
+    require_hypotheses(audits)
 
     witnesses = []
     cstar = {}
@@ -275,9 +268,7 @@ def check_rh_ball_inequality(w, p: float, alpha: float, family: BallFamily,
     wp = weight_power(w, p)
     rh = estimate_RH_constant(wp, q / p, family, scheme)
     audits = [AuditItem(f"w^p in RH_{q / p:g}", rh.constant, rh.verdict == "finite")]
-    if rh.verdict != "finite":
-        return VerificationReport("rh-ball-inequality", "skipped", math.inf, audits,
-                                  extras={"reason": "reverse Holder hypothesis failed"})
+    require_hypotheses(audits)
     slacks, samples = [], []
     for ball in family:
         log_vol = math.log(ball_measure(wp, ball, scheme))
@@ -338,9 +329,7 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
             raise ValueError("the comparison chain needs 0 < p < q")
         hyp = estimate_A1_constant(weight_power(w, q), family, scheme)
         audits.append(AuditItem("w^q in A_1", hyp.constant, hyp.verdict == "finite"))
-    if not audits[-1].passed:
-        return VerificationReport("critical-index-chain", "skipped", math.inf, audits,
-                                  extras={"reason": "A_1 hypothesis failed"})
+    require_hypotheses(audits)
 
     r_w = critical_indices(w, family, scheme, tol=tol).rh_critical
     r_wp = critical_indices(weight_power(w, p), family, scheme, tol=tol).rh_critical
@@ -398,7 +387,8 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     (``indicator_maximal_1d``: |B| (|B| + dist(x, B))^(beta-1)); the left
     side integrates it over a graded mesh of [-extent, extent].  Each
     refinement level doubles both the mesh density and the truncation
-    domain, so unbounded configurations reveal themselves as monotone growth.
+    domain, and the levels must drift by less than STABILITY_FACTOR; an
+    infinite norm can grow too slowly to show, so the class audit gates it.
     """
     n = w.dimension
     if n != 1:
@@ -421,10 +411,10 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         audits.append(AuditItem(f"w in A_pq(p={p:g},q={q:g})", rep.constant,
                                 rep.verdict == "finite"))
         s_norm = p  # ||f||_{L^p_{w^p}}; the numerator weight w^q is applied below
+    require_hypotheses(audits)
 
-    fns = [indicator(b.center, b.radius) for b in test_balls]
     beta = 0.0 if alpha is None else alpha
-    dens_norms = [weighted_norm(f, p, w, s_norm, scheme) for f in fns]
+    dens_norms = [weighted_norm(SampledFunction(b), p, w, s_norm, scheme) for b in test_balls]
     series = []
     witnesses = []
     for level in range(levels):
@@ -437,31 +427,29 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         if alpha is not None:
             wv = wv ** q
         ratios = []
-        for f, den in zip(fns, dens_norms):
-            mvals = indicator_maximal_1d(f.ball, mids, beta)
+        for ball, den in zip(test_balls, dens_norms):
+            mvals = indicator_maximal_1d(ball, mids, beta)
             num = float(np.sum(mvals**q * wv * widths)) ** (1.0 / q)
             # an overflowed norm (an inf that is really a finite number
             # beyond float range) or an underflowed one (a 0 that is really
             # positive) leaves the ratio undefined
-            ratios.append(num / den if math.isfinite(num) and 0.0 < den < math.inf
+            ratios.append(num / den if 0.0 < num < math.inf and 0.0 < den < math.inf
                           else math.nan)
         # a NaN ratio is the level's value (``_worst``), and its ball a witness
         undefined = [i for i, r in enumerate(ratios) if math.isnan(r)]
-        witnesses += [{"level": level, "center": fns[i].ball.center.tolist(),
-                       "radius": fns[i].ball.radius, "ratio": ratios[i]} for i in undefined]
+        witnesses += [{"level": level, "center": test_balls[i].center.tolist(),
+                       "radius": test_balls[i].radius, "ratio": ratios[i]} for i in undefined]
         series.append(_at_worst(ratios))
-    # growth is read from the levels that have a value; a level without one
-    # makes the verdict undefined (a failure), not growth
-    grew = series_verdict([v for v in series if not math.isnan(v)]) == "diverging"
+    # a level without a value makes the verdict undefined (a failure)
     if any(math.isnan(v) for v in series):
         verdict = "undefined"
     else:
-        verdict = "pass" if (not grew and _drift(series) < STABILITY_FACTOR) else "diverging"
+        verdict = "pass" if _drift(series) < STABILITY_FACTOR else "diverging"
     return VerificationReport(
         "maximal-inequality", "pass" if verdict == "pass" else "fail", series[-1],
         audits,
-        stability={"levels": series, "drift": _drift(series), "monotone_growth": grew},
-        sample={"p": p, "alpha": alpha, "test_count": len(fns),
+        stability={"levels": series, "drift": _drift(series)},
+        sample={"p": p, "alpha": alpha, "test_count": len(test_balls),
                 "base_extent": base_extent},
         witnesses=witnesses, extras={"verdict": verdict},
         provenance={"config_hash": config_hash({"w": weight_to_dict(w), "p": p,
@@ -593,8 +581,6 @@ def _thm_zero_audits(w, profile, family, spec, scheme):
     audits.append(AuditItem("weight in A_infinity (finite Muckenhoupt index)",
                             idx.q_critical, math.isfinite(idx.q_critical)))
     audits.append(_compatibility_audit(w, family))
-    audits.append(AuditItem("at least two factors at order zero", profile.m,
-                            profile.m >= 2))
     singular = family.singular_differences()
     detail = ""
     if singular:
@@ -628,8 +614,7 @@ def _thm_positive_audits(w, profile, family, spec, scheme):
         audits.append(AuditItem("w^{n/((n-alpha)s)} in A_1", "not a weight", False,
                                 str(exc)))
     idx = critical_indices(w, fam_balls, scheme)
-    r_lo = idx.rh_bracket[0]
-    ratio = 1.0 if math.isinf(idx.rh_critical) else r_lo / (r_lo - 1.0)
+    ratio = idx.rh_conjugate()
     audits.append(AuditItem("r_w/(r_w - 1) < n/alpha", ratio,
                             ratio < n / profile.alpha,
                             f"estimated reverse Holder index {idx.rh_critical:.4g}"))
@@ -651,7 +636,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     case of the same pipeline).
     Raises ConfigError at ``campaign`` when an atom's truncated line reaches
     MAX_EXTENT, before any audit runs, and HypothesisFailed when any audited
-    hypothesis is violated.
+    hypothesis is violated, the moment degree included.
     """
     n = w.dimension
     if scheme is None:
@@ -684,14 +669,11 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
         q = 1.0 / (1.0 / spec.p - profile.alpha / n)
         norm_weight, weight_exponent, norm_exponent = w, q, q
 
-    for a in audits:
-        if not a.passed:
-            raise HypothesisFailed(a.name, str(a.detail or a.value))
-
-    d = spec.d if spec.d is not None else derived_degree(d_min, spec.p)
-    if d < d_min:
-        raise HypothesisFailed("moment degree at least the minimal degree",
-                               f"d = {d} < required {d_min}")
+    if d_min is not None:  # None only when an item above has failed
+        d = spec.d if spec.d is not None else derived_degree(d_min, spec.p)
+        audits.append(AuditItem("moment degree at least the minimal degree", d, d >= d_min,
+                                f"required {d_min}"))
+    require_hypotheses(audits)
     params = AtomParams(spec.p, spec.p0, d, atom_weight, n)
     atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, scheme)
 

@@ -626,6 +626,16 @@ class CriticalIndices:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def rh_conjugate(self) -> float:
+        """r / (r - 1) for the reverse Holder index r, read from the lower
+        end of its bracket: r / (r - 1) falls as r grows, so a p0 bound set
+        by it errs on the safe side.  1 when r is infinite, +inf when the
+        bracket starts at 1."""
+        if math.isinf(self.rh_critical):
+            return 1.0
+        r_lo = self.rh_bracket[0]
+        return r_lo / (r_lo - 1.0) if r_lo > 1.0 else math.inf
+
 
 def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = None,
                      tol: float = 1e-2, ap_cap: float = 256.0,

@@ -260,6 +260,19 @@ def test_cli_atoms_gen_and_validate(tmp_path):
     assert report["report"]["all_passed"]
 
 
+def test_cli_plane_atoms_take_the_default_centres(tmp_path):
+    """Without a campaign block the default centres 0, 1 and -2 lie on the
+    first axis, in the plane as on the line."""
+    cfg = _write(tmp_path, "atoms.json", _base_config(
+        dimension=2, atom={"p": 1.0, "p0": 2.0, "d": 0}))
+    out = str(tmp_path / "out")
+    assert main(["atoms", "gen", "--config", cfg, "--out", out]) == 0
+    assert main(["atoms", "validate", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "atoms.jsonl")) as fh:
+        centers = {tuple(json.loads(line)["ball"]["center"]) for line in fh}
+    assert centers == {(0.0, 0.0), (1.0, 0.0), (-2.0, 0.0)}
+
+
 def test_cli_verify_fast_checks_and_determinism(tmp_path):
     cfg = _write(tmp_path, "checks.json", _base_config(
         checks=[
@@ -277,13 +290,6 @@ def test_cli_verify_fast_checks_and_determinism(tmp_path):
         b = json.load(open(os.path.join(out2, name)))
         a.pop("timestamp"), b.pop("timestamp")
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True), name
-
-
-def test_cli_verify_check_failure_exit_code(tmp_path):
-    cfg = _write(tmp_path, "fail.json", _base_config(
-        weight={"kind": "power", "exponent": 0.9},
-        checks=[{"check": "maximal-inequality", "p": 1.0}]))
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_cli_verify_hypothesis_exit_code(tmp_path):
@@ -337,18 +343,70 @@ def test_cli_import_defers_scipy_special():
 _GRID = {"lo": [-1.0], "hi": [1.0], "shape": [2]}
 
 
-def _atoms_campaign(**campaign):
-    """The bundled atom campaign with ``campaign`` fields replaced."""
-    with open(os.path.join(CONFIG_DIR, "atoms-campaign.json")) as fh:
+def _bundled(name, **campaign):
+    """The bundled config ``name`` with ``campaign`` fields replaced."""
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
         raw = json.load(fh)
     raw["campaign"].update(campaign)
     return raw
+
+
+def _atoms_campaign(**campaign):
+    return _bundled("atoms-campaign.json", **campaign)
 
 
 def _theorem_config(check, alpha, **campaign):
     return _base_config(matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": alpha},
                         atom={"p": 1.0, "p0": 2.0}, campaign=campaign,
                         checks=[{"check": check}])
+
+
+def _failed_audit_config(raw, check):
+    """``raw`` running ``check`` and then a maximal-inequality check."""
+    return {**raw, "checks": [check, {"check": "maximal-inequality"}]}
+
+
+@pytest.mark.parametrize("raw, item", [
+    (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": -0.75}),
+                          {"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.75}),
+     "w^p in RH_4"),
+    (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": 0.6}),
+                          {"check": "critical-index-chain", "p": 0.25}),
+     "w^{1/p} in A_1"),
+    (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": 1.5}),
+                          {"check": "maximal-inequality", "p": 2.0}),
+     "w in A_2"),
+    (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": 0.9}),
+                          {"check": "maximal-inequality", "p": 1.0}),
+     "w in A_1"),
+    (_failed_audit_config(_bundled("ta-worked.json", s=1.5, count=2),
+                          {"check": "theorem-ta"}),
+     "s in (0, 1)"),
+    (_failed_audit_config(_bundled("ta-worked.json", count=2)
+                          | {"weight": {"kind": "power", "exponent": -0.995}},
+                          {"check": "theorem-ta"}),
+     "w^{n/((n-alpha)s)} in A_1"),
+    (_failed_audit_config(_theorem_config("theorem-thm1", 0.0, count=2)
+                          | {"weight": {"kind": "power", "exponent": -0.25},
+                             "atom": {"p": 1.0, "p0": 1.3332}},
+                          {"check": "theorem-thm1"}),
+     "p0 above the atomic threshold"),
+], ids=["rh-ball", "chain", "maximal-a2", "maximal-a1", "ta-s", "ta-rh-bracket-at-1",
+        "thm1-p0-below-threshold"])
+def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
+    """A failed hypothesis audit exits 3 from every check kind. The run
+    writes one hypothesis-failed report that names the audit and ends there,
+    so the check listed after it writes no report. |x|^{3/2} with p = 2 is
+    outside A_2, where the truncated levels of its infinite norm grow only
+    1.86x. r_w/(r_w - 1) is read from the lower end of the reverse Holder
+    bracket: for |x|^{-0.995} that end is 1 and the ratio +inf, and the thm1
+    campaign's p0 = 1.3332 lies below the 4/3 of |x|^{-1/4}."""
+    cfg = _write(tmp_path, "audit.json", raw)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    assert sorted(os.listdir(out)) == [f"00-{raw['checks'][0]['check']}.json"]
+    report = json.loads(next(out.iterdir()).read_text())["report"]
+    assert report["verdict"] == "hypothesis-failed" and report["failed_item"] == item
 
 
 @pytest.mark.parametrize("command, raw, field", [
@@ -424,6 +482,12 @@ def _theorem_config(check, alpha, **campaign):
                   "dimension": 2, "matrices": [[[1.0, 0.0], [0.0, 1.0]],
                                                [[-1.0, 0.0], [0.0, -1.0]]]},
      "checks[0].check"),
+    (["verify"], _base_config(dimension=2, matrices=[[[1.0, 0.0], [0.0, 1.0]],
+                                                     [[-1.0, 0.0], [0.0, -1.0]]],
+                              exponents={"alpha": 0.5}, atom={"p": 1.0, "p0": 2.0, "d": 0},
+                              checks=[{"check": "pointwise-atom-bound",
+                                       "center": [0.3, 0.0]}]),
+     "checks[0].check"),
     (["operator", "sweep"],
      _base_config(sweeps=[{"function": {"kind": "indicator", "center": [0.0], "radius": 1.0},
                            "x_min": -1.0, "x_max": 1.0, "points": 10**30}]),
@@ -469,7 +533,7 @@ def _theorem_config(check, alpha, **campaign):
         "weight-dimension-mismatch",
         "campaign-seed-negative", "campaign-count-over-budget", "cli-seed-negative",
         "root-seed-negative", "thm1-positive-alpha", "ta-zero-alpha",
-        "pointwise-without-atom", "thm1-2d",
+        "pointwise-without-atom", "thm1-2d", "pointwise-2d",
         "sweep-points-over-budget", "outer-octaves-over-budget",
         "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget",
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
@@ -482,10 +546,11 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     work beyond the budget, campaign balls whose squared distances overflow,
     an RH ball check whose q/p rounds to 1, a theorem check whose order
     does not match the exponents or that runs off the line, a pointwise
-    check without its atom block, a moment degree (given, or derived from
-    atom.p and the weight) past ``config.MAX_DEGREE`` and a critical-index
-    tolerance with 1 + tol == 1 are config errors (exit 4) naming the field,
-    not tracebacks (exit 1), failed checks (exit 2) or runs without end."""
+    check without its atom block or off the line, a moment degree (given,
+    or derived from atom.p and the weight) past ``config.MAX_DEGREE`` and a
+    critical-index tolerance with 1 + tol == 1 are config errors (exit 4)
+    naming the field, not tracebacks (exit 1), failed checks (exit 2) or
+    runs without end."""
     cfg = _write(tmp_path, "bad.json", raw)
     out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
                   "--out", str(tmp_path / "out"))
@@ -792,7 +857,6 @@ def test_cli_maximal_check_fails_on_an_overflowed_ball(tmp_path):
         ("[1.0]", 1e300, "nan")] * 4
     report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
     assert report["verdict"] == "fail" and report["extras"]["verdict"] == "undefined"
-    assert report["stability"]["monotone_growth"] is False
 
 
 def test_cli_maximal_check_fails_on_an_underflowed_ball(tmp_path):
@@ -808,6 +872,23 @@ def test_cli_maximal_check_fails_on_an_underflowed_ball(tmp_path):
         ("[0.0]", 1e-300, "nan")] * 4
     report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
     assert report["verdict"] == "fail" and report["extras"]["verdict"] == "undefined"
+
+
+def test_cli_maximal_check_fails_on_an_underflowed_numerator(tmp_path):
+    """With p = 2 and alpha = 0.45, q = 20, and (M_alpha chi_B)^20 underflows
+    to 0 on a ball of radius 1e-20 while ||chi_B|| does not. For the unit
+    weight the ratio is dilation-invariant, so that ball's ratio is really
+    the unit ball's: it reads NaN and fails the check, where a ratio of 0
+    would hide under the other ball's maximum."""
+    cfg = _write(tmp_path, "maximal.json", _base_config(
+        weight={"kind": "power", "exponent": 0.0},
+        checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 0.45,
+                 "test_balls": [{"center": [0.0], "radius": 1.0},
+                                {"center": [0.0], "radius": 1e-20}]}]))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
+    assert report["extras"]["verdict"] == "undefined"
+    assert {(w["radius"], w["ratio"]) for w in report["witnesses"]} == {(1e-20, "nan")}
 
 
 def test_compare_reports_script(tmp_path):

@@ -65,10 +65,11 @@ def test_rh_ball_weighted_configurations(small_family):
     assert rep.extras["max_slack"] > 1e-3
 
 
-def test_rh_ball_hypothesis_failure_skips(small_family):
+def test_rh_ball_hypothesis_failure_raises(small_family):
     # w^p = |x|^{-0.75} fails RH_{q/p} when (q/p) * 0.75 >= 1
-    rep = check_rh_ball_inequality(PowerWeight(-0.75), 1.0, 0.75, small_family)
-    assert rep.verdict == "skipped"
+    with pytest.raises(HypothesisFailed) as err:
+        check_rh_ball_inequality(PowerWeight(-0.75), 1.0, 0.75, small_family)
+    assert err.value.item == "w^p in RH_4"
 
 
 # ---------------------------------------------------------------------------
@@ -97,9 +98,10 @@ def test_chain_vacuous_for_unit_weight(small_family):
 
 
 def test_chain_hypothesis_gate(small_family):
-    # w^{1/p} = |x|^{2.4} is far from A_1, so the check must be skipped
-    rep = check_critical_index_chains(PowerWeight(0.6), 0.25, None, small_family)
-    assert rep.verdict == "skipped"
+    # w^{1/p} = |x|^{2.4} is far from A_1, so the check must not run
+    with pytest.raises(HypothesisFailed) as err:
+        check_critical_index_chains(PowerWeight(0.6), 0.25, None, small_family)
+    assert err.value.item == "w^{1/p} in A_1"
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +182,10 @@ def test_maximal_inequality_pass_and_diverge():
     balls = [Ball([0.0], 1.0), Ball([0.0], 0.5), Ball([1.0], 2.0)]
     rep = check_maximal_inequalities(PowerWeight(0.5), 2.0, balls, levels=3)
     assert rep.passed()
-    # growth must be observed across 3 successive refinements (4 levels)
-    rep = check_maximal_inequalities(PowerWeight(0.9), 1.0, balls, levels=4)
-    assert not rep.passed()
-    assert rep.extras["verdict"] == "diverging"
-    assert rep.stability["monotone_growth"]
+    # |x|^{0.9} is not in A_1, so the check raises before its levels run
+    with pytest.raises(HypothesisFailed) as err:
+        check_maximal_inequalities(PowerWeight(0.9), 1.0, balls, levels=4)
+    assert err.value.item == "w in A_1"
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9])
