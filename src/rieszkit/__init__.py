@@ -26,10 +26,9 @@ _EXPORTS = {
                   "apply_T_batch", "equal_split", "fractional_maximal",
                   "fractional_maximal_witness", "hl_maximal", "hl_maximal_witness",
                   "indicator", "riesz_potential", "weighted_norm"),
-    "atoms": ("AdmissibleRange", "Atom", "AtomParams", "AtomSampler", "AtomValidation",
-              "CampaignSpec", "admissible_params", "atom_from_record", "construct_atom",
-              "read_atom_manifest", "sample_atom_campaign", "validate_atom",
-              "write_atom_manifest"),
+    "atoms": ("Atom", "AtomParams", "AtomSampler", "AtomValidation", "CampaignSpec",
+              "atom_class", "atom_from_record", "construct_atom", "read_atom_manifest",
+              "sample_atom_campaign", "validate_atom", "write_atom_manifest"),
     "verify": ("VerificationReport", "check_critical_index_chains",
                "check_maximal_inequalities", "check_pointwise_atom_bound",
                "check_rh_ball_inequality", "run_theorem_campaign"),

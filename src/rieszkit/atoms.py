@@ -3,7 +3,9 @@
 An atom for the weight w with parameters (p, p0, d) is supported in a ball
 B = B(x0, r), obeys the size bound ||a||_{p0} <= |B|^{1/p0} w(B)^{-1/p},
 and has vanishing moments against every monomial of degree at most d.
-Admissible (p0, d) come from the weight's critical indices.
+``atom_class`` is the one place that derives the admissible (p0, d) from
+the weight's critical indices, with the A_infinity audit they rest on; the
+theorem and pointwise checks and ``atoms gen`` all read it.
 
 Atoms are built from seeded random polynomials: the moment conditions are
 enforced exactly by an orthogonal projection in the unweighted L^2 inner
@@ -22,7 +24,7 @@ from itertools import product as _iterproduct
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateProfile, HypothesisFailed
+from .errors import AuditItem, ConfigError, DegenerateProfile
 from .geometry import Ball
 from .quadrature import QuadratureScheme, default_scheme, lebesgue_ball
 from .operators import PolynomialProfile, SampledFunction, weighted_norm
@@ -138,7 +140,7 @@ def profile_raw_moment(profile: PolynomialProfile, ball: Ball, beta) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parameters and admissibility
+# Parameters and the atom class
 # ---------------------------------------------------------------------------
 
 
@@ -165,41 +167,31 @@ class AtomParams:
                 "weight": weight_to_dict(self.weight), "dimension": self.dimension}
 
 
-@record(frozen=True)
-class AdmissibleRange:
-    """Open lower endpoint for p0 and the minimal moment degree."""
+def atom_class(w, p: float, d: int | None, family, scheme: QuadratureScheme | None = None):
+    """``(audit, p0_lower, d_min, d)`` for (p, p0, d)-atoms of ``w``, from one
+    run of ``critical_indices`` on ``family``:
 
-    p0_lower: float
-    d_min: int
-    q_critical: float
-    rh_critical: float
-
-
-def atom_thresholds(idx, p: float, n: int):
-    """(p0_lower, d_min) for atoms with exponent p from critical indices ``idx``.
-
-    The p0 threshold is max(1, p * r / (r - 1)) (``idx.rh_conjugate``); the
-    minimal degree is floor(n (q_critical / p - 1)), None when q_critical
-    is infinite (w is in no A_q, so no degree is admissible).
+    - ``audit``, the A_infinity audit item, failed when w is in no A_q
+      below the bisection cap (``require_hypotheses`` raises it);
+    - ``p0_lower``, the open lower end max(1, p r_w / (r_w - 1)) for p0
+      (``CriticalIndices.rh_conjugate``);
+    - ``d_min``, the least moment degree floor(n (q_w / p - 1)) with q_w at
+      the upper end of its bracket (a larger degree is always admissible,
+      so this errs on the safe side); None when the audit fails;
+    - ``d``, the given degree, or else ``d_min`` within ``config.MAX_DEGREE``
+      (past it the config is refused at ``atom.p``).
     """
-    p0_lower = max(1.0, p * idx.rh_conjugate())
-    if math.isinf(idx.q_critical):
-        return p0_lower, None
-    return p0_lower, max(0, math.floor(n * (idx.q_critical / p - 1.0)))
+    idx = critical_indices(w, family, scheme)
+    finite = math.isfinite(idx.q_critical)
+    audit = AuditItem("weight in A_infinity (finite Muckenhoupt index)", idx.q_critical,
+                      finite, "" if finite else
+                      f"q_critical = inf (no A_q up to {idx.q_bracket[0]:g})")
+    d_min = max(0, math.floor(w.dimension * (idx.q_bracket[1] / p - 1.0))) if finite else None
+    if d is None and finite:
+        from .config import derived_degree  # see atom_from_record
 
-
-def admissible_params(w, p: float, family, scheme: QuadratureScheme | None = None,
-                      tol: float = 1e-2) -> AdmissibleRange:
-    """Admissible (p0, d) from the weight's critical indices (``atom_thresholds``).
-
-    Raises HypothesisFailed when the weight has no finite Muckenhoupt index.
-    """
-    idx = critical_indices(w, family, scheme, tol=tol)
-    p0_lower, d_min = atom_thresholds(idx, p, w.dimension)
-    if d_min is None:
-        raise HypothesisFailed("weight in A_infinity (finite Muckenhoupt index)",
-                               f"q_critical = inf (no A_q up to {idx.q_bracket[0]:g})")
-    return AdmissibleRange(p0_lower, d_min, idx.q_critical, idx.rh_critical)
+        d = derived_degree(d_min, p)
+    return audit, max(1.0, p * idx.rh_conjugate()), d_min, d
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +219,7 @@ class Atom:
 def atom_from_record(rec: dict, path: str = "record") -> Atom:
     """The atom of a manifest record; a malformed field raises ConfigError
     naming its path under ``path``."""
-    # config imports verify, which imports this module
+    # imported here, so a process that only builds atoms loads no config
     from .config import _ball_fields, _expect, _get, _integer, _number, build_weight
 
     ppath = f"{path}.params"

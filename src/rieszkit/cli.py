@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import RunConfig, derived_degree, load_config
-from .errors import ConfigError, HypothesisFailed, RieszkitError
+from .config import RunConfig, load_config
+from .errors import ConfigError, HypothesisFailed, RieszkitError, require_hypotheses
 from .records import replace
 
 if TYPE_CHECKING:
@@ -135,15 +135,15 @@ def cmd_operator_sweep(cfg: RunConfig, out_dir: str) -> int:
 
 
 def _atom_params_from(cfg: RunConfig) -> AtomParams:
-    from .atoms import AtomParams, admissible_params
+    from .atoms import AtomParams, atom_class
 
     if cfg.campaign is None:
         raise ConfigError("atom", "atom generation needs an atom/campaign block")
     spec = cfg.campaign
     d = spec.d
     if d is None:
-        d = derived_degree(admissible_params(cfg.weight, spec.p, cfg.family,
-                                             cfg.quadrature).d_min, spec.p)
+        a_infinity, _, _, d = atom_class(cfg.weight, spec.p, None, cfg.family, cfg.quadrature)
+        require_hypotheses([a_infinity])
     return AtomParams(spec.p, spec.p0, d, cfg.weight, cfg.dimension)
 
 

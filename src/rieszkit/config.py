@@ -304,7 +304,8 @@ def validate_check(item: dict, dimension: int, path: str,
         _expect(dimension == 1, f"{path}.check",
                 "maximal-inequality sweeps are implemented on the line")
         p = _number(item, "p", path, False, 2.0)
-        _expect(1.0 <= p < math.inf, f"{path}.p", "must be finite and at least 1")
+        # at p = 1 the maximal operators have only the weak-type bound
+        _expect(1.0 < p < math.inf, f"{path}.p", "must be finite and exceed 1")
         alpha = _number(item, "alpha", path, False, None)
         if alpha is not None:
             _expect(0.0 <= alpha < 1.0, f"{path}.alpha", "must lie in [0, 1)")

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the audit items that raise them."""
+
+from .records import record
 
 
 class RieszkitError(Exception):
@@ -39,6 +41,24 @@ class HypothesisFailed(RieszkitError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+@record
+class AuditItem:
+    """One audited hypothesis of a check and whether it held."""
+
+    name: str
+    value: float | str
+    passed: bool
+    detail: str = ""
+
+
+def require_hypotheses(audits):
+    """Raise HypothesisFailed for the first audit item that failed; its
+    detail is the item's ``detail``, or else ``value <value>``."""
+    for a in audits:
+        if not a.passed:
+            raise HypothesisFailed(a.name, a.detail or f"value {a.value}")
 
 
 class ConfigError(RieszkitError):

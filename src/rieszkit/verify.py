@@ -10,6 +10,8 @@ pointwise atom bound also measures its drift, under a doubled set of outer
 sample points (its values of T read no lattice).  Checks never assert sharp
 constants.  Every check audits its hypotheses before any costly work, and
 ``require_hypotheses`` raises HypothesisFailed for the first that fails.
+The checks that take atoms read their A_infinity gate and moment degree
+from ``atoms.atom_class``, as ``atoms gen`` does.
 A step of the proofs that holds by construction, such as the triangle
 inequality |x - A_i xi| >= |x - A_i x0| / 2 for outer x, is a property test
 of the package (``tests/test_geometry.py``), not a check.
@@ -34,7 +36,7 @@ except ImportError:
         from hashlib import sha256
 
 from .config import derived_degree
-from .errors import ConfigError, HypothesisFailed, MisclassifiedSample
+from .errors import AuditItem, ConfigError, MisclassifiedSample, require_hypotheses
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, distances, expanded_balls)
 from .operators import (ExponentProfile, SampledFunction, apply_T_ball_1d, apply_T_batch,
@@ -61,14 +63,6 @@ COMPATIBILITY_CAP = 1e6
 
 
 @record
-class AuditItem:
-    name: str
-    value: float | str
-    passed: bool
-    detail: str = ""
-
-
-@record
 class VerificationReport:
     check_id: str
     verdict: str                       # "pass" | "fail"
@@ -85,14 +79,6 @@ class VerificationReport:
 
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-
-def require_hypotheses(audits):
-    """Raise HypothesisFailed for the first audit item that failed; its
-    detail is the item's ``detail``, or else ``value <value>``."""
-    for a in audits:
-        if not a.passed:
-            raise HypothesisFailed(a.name, a.detail or f"value {a.value}")
 
 
 def config_hash(obj) -> str:
@@ -189,11 +175,9 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
         raise ValueError("the pointwise atom bound is implemented on the line")
     if scheme is None:
         scheme = default_scheme(n)
-    from .atoms import construct_atom
+    from .atoms import atom_class, construct_atom
 
-    idx = critical_indices(params.weight, default_ball_family(params.weight.dimension))
-    audits = [AuditItem("weight in A_infinity (finite Muckenhoupt index)",
-                        idx.q_critical, math.isfinite(idx.q_critical))]
+    audits = [atom_class(params.weight, params.p, params.d, default_ball_family(n))[0]]
     require_hypotheses(audits)
 
     witnesses = []
@@ -382,6 +366,8 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     alpha None: sup_f ||Mf||_{L^p_w} / ||f||_{L^p_w} needs w in A_p.
     alpha set:  sup_f ||M_alpha f||_{L^q_{w^q}} / ||f||_{L^p_{w^p}} with
     1/q = 1/p - alpha/n needs w in A_{p,q}.
+    Both need p > 1: at p = 1 the operators have only the weak-type bound,
+    and the strong-type ratio is unbounded over balls.
 
     M_beta of the indicator of an interval B is exact on the line
     (``indicator_maximal_1d``: |B| (|B| + dist(x, B))^(beta-1)); the left
@@ -393,16 +379,16 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     n = w.dimension
     if n != 1:
         raise ValueError("maximal-inequality sweeps are implemented on the line")
+    if not p > 1.0:
+        raise ValueError("the maximal operators are bounded on L^p_w only for p > 1")
     if scheme is None:
         scheme = default_scheme(n)
     fam = default_ball_family(w.dimension)
     audits = []
     if alpha is None:
-        rep = (estimate_A1_constant(w, fam, scheme) if p == 1.0
-               else estimate_Ap_constant(w, p, fam, scheme))
+        rep = estimate_Ap_constant(w, p, fam, scheme)
         audits.append(AuditItem(f"w in A_{p:g}", rep.constant, rep.verdict == "finite",
-                                "required for the strong-type bound" if p > 1 else
-                                "p = 1 has only the weak-type bound"))
+                                "required for the strong-type bound"))
         q = p
         s_norm = 1.0
     else:
@@ -573,14 +559,11 @@ def _compatibility_audit(w, family) -> AuditItem:
 
 
 def _thm_zero_audits(w, profile, family, spec, scheme):
-    from .atoms import atom_thresholds
+    from .atoms import atom_class
 
-    fam_balls = default_ball_family(w.dimension)
-    audits = []
-    idx = critical_indices(w, fam_balls, scheme)
-    audits.append(AuditItem("weight in A_infinity (finite Muckenhoupt index)",
-                            idx.q_critical, math.isfinite(idx.q_critical)))
-    audits.append(_compatibility_audit(w, family))
+    a_infinity, thresh, d_min, d = atom_class(w, spec.p, spec.d,
+                                              default_ball_family(w.dimension), scheme)
+    audits = [a_infinity, _compatibility_audit(w, family)]
     singular = family.singular_differences()
     detail = ""
     if singular:
@@ -589,10 +572,9 @@ def _thm_zero_audits(w, profile, family, spec, scheme):
     audits.append(AuditItem("pairwise differences invertible", not singular,
                             not singular, detail))
     audits.append(AuditItem("p in (0, 1]", spec.p, 0.0 < spec.p <= 1.0))
-    thresh, d_min = atom_thresholds(idx, spec.p, w.dimension)
     audits.append(AuditItem("p0 above the atomic threshold", spec.p0,
                             spec.p0 > thresh, f"threshold {thresh:.4g}"))
-    return audits, idx, d_min
+    return audits, d_min, d
 
 
 def _thm_positive_audits(w, profile, family, spec, scheme):
@@ -621,8 +603,10 @@ def _thm_positive_audits(w, profile, family, spec, scheme):
     audits.append(_compatibility_audit(w, family))
     audits.append(AuditItem("p0 inside (r_w/(r_w-1), n/alpha)", spec.p0,
                             ratio < spec.p0 < n / profile.alpha))
+    # the A_1 audit above makes w^p, the atoms' weight, an A_1 weight: q = 1
     d_min = max(0, math.floor(n * (1.0 / spec.p - 1.0)))
-    return audits, idx, d_min
+    d = spec.d if spec.d is not None else derived_degree(d_min, spec.p)
+    return audits, d_min, d
 
 
 def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixFamily,
@@ -657,20 +641,19 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     if kind == "thm-zero":
         if profile.alpha != 0.0:
             raise ValueError("the zero-order campaign needs alpha = 0")
-        audits, idx, d_min = _thm_zero_audits(w, profile, family, spec, scheme)
+        audits, d_min, d = _thm_zero_audits(w, profile, family, spec, scheme)
         atom_weight = w
         norm_weight, weight_exponent, norm_exponent = w, 1.0, spec.p
         q = spec.p
     else:
         if profile.alpha <= 0.0:
             raise ValueError("the positive-order campaign needs alpha > 0")
-        audits, idx, d_min = _thm_positive_audits(w, profile, family, spec, scheme)
+        audits, d_min, d = _thm_positive_audits(w, profile, family, spec, scheme)
         atom_weight = weight_power(w, spec.p) if spec.p != 1.0 else w
         q = 1.0 / (1.0 / spec.p - profile.alpha / n)
         norm_weight, weight_exponent, norm_exponent = w, q, q
 
     if d_min is not None:  # None only when an item above has failed
-        d = spec.d if spec.d is not None else derived_degree(d_min, spec.p)
         audits.append(AuditItem("moment degree at least the minimal degree", d, d >= d_min,
                                 f"required {d_min}"))
     require_hypotheses(audits)

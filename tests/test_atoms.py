@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rieszkit import (AtomParams, AtomSampler, Ball, CallableProfile,
-                      PolynomialProfile, PowerWeight, admissible_params,
-                      atom_from_record, construct_atom, read_atom_manifest,
+                      PolynomialProfile, PowerWeight, atom_class, atom_from_record,
+                      construct_atom, critical_indices, read_atom_manifest,
                       sample_atom_campaign, validate_atom, write_atom_manifest)
 from rieszkit.atoms import (MOMENT_REL_TOL, Atom, _gram, _l2_norm_sq, _solve_spd,
                             multiindices, profile_raw_moment, project_away_moments,
@@ -93,16 +93,32 @@ def test_gram_solve_at_degree_zero_is_the_quotient():
 
 
 def test_admissible_params_examples(std_family):
-    ar = admissible_params(UNIT, 1.0, std_family)
-    assert ar.p0_lower == 1.0 and ar.d_min == 0
-    ar = admissible_params(PowerWeight(0.5), 1.0, std_family)
-    assert ar.p0_lower == 1.0 and ar.d_min == 0
-    ar = admissible_params(PowerWeight(-0.125), 0.75, std_family)
-    assert ar.p0_lower == pytest.approx(1.0)
-    assert ar.d_min == 0
+    """``atom_class`` on power weights: the A_infinity audit passes, and
+    without a given degree the degree is the least one."""
+    audit, p0_lower, d_min, d = atom_class(UNIT, 1.0, None, std_family)
+    assert audit.passed and p0_lower == 1.0 and d_min == d == 0
+    _, p0_lower, d_min, _ = atom_class(PowerWeight(0.5), 1.0, None, std_family)
+    assert p0_lower == 1.0 and d_min == 0
+    _, p0_lower, d_min, _ = atom_class(PowerWeight(-0.125), 0.75, None, std_family)
+    assert p0_lower == pytest.approx(1.0)
+    assert d_min == 0
     # smaller p forces moments: q_critical = 1.5 and p = 0.6 gives d >= 1
-    ar = admissible_params(PowerWeight(0.5), 0.6, std_family)
-    assert ar.d_min == math.floor(1.5 / 0.6 - 1.0)
+    _, _, d_min, d = atom_class(PowerWeight(0.5), 0.6, 0, std_family)
+    assert d_min == math.floor(1.5 / 0.6 - 1.0) and d == 0
+
+
+@pytest.mark.parametrize("a, p, d_min", [(0.5, 0.7499, 1), (0.5, 0.749, 1), (0.5, 0.5, 2),
+                                         (2.5, 0.875, 3)])
+def test_degree_is_read_from_the_upper_end_of_the_q_bracket(std_family, a, p, d_min):
+    """|x|^a has q_w = 1 + a, so d_min = floor((1 + a)/p - 1).  The midpoint
+    of the bisection bracket lies below 1 + a and derives one degree less;
+    the upper end derives the theory's degree (a larger degree is always
+    admissible, so that end errs on the safe side)."""
+    w = PowerWeight(a)
+    idx = critical_indices(w, std_family)
+    assert idx.q_bracket[0] < 1.0 + a < idx.q_bracket[1]
+    assert math.floor(idx.q_critical / p - 1.0) == d_min - 1
+    assert atom_class(w, p, None, std_family)[2:] == (d_min, d_min)
 
 
 def test_sign_profile_is_extremal_atom():

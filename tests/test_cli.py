@@ -376,9 +376,6 @@ def _failed_audit_config(raw, check):
     (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": 1.5}),
                           {"check": "maximal-inequality", "p": 2.0}),
      "w in A_2"),
-    (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": 0.9}),
-                          {"check": "maximal-inequality", "p": 1.0}),
-     "w in A_1"),
     (_failed_audit_config(_bundled("ta-worked.json", s=1.5, count=2),
                           {"check": "theorem-ta"}),
      "s in (0, 1)"),
@@ -391,7 +388,7 @@ def _failed_audit_config(raw, check):
                              "atom": {"p": 1.0, "p0": 1.3332}},
                           {"check": "theorem-thm1"}),
      "p0 above the atomic threshold"),
-], ids=["rh-ball", "chain", "maximal-a2", "maximal-a1", "ta-s", "ta-rh-bracket-at-1",
+], ids=["rh-ball", "chain", "maximal-a2", "ta-s", "ta-rh-bracket-at-1",
         "thm1-p0-below-threshold"])
 def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     """A failed hypothesis audit exits 3 from every check kind. The run
@@ -434,6 +431,13 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
      "checks[0].test_balls[0].center"),
     (["verify"],
      _base_config(checks=[{"check": "maximal-inequality", "p": 0.5}]),
+     "checks[0].p"),
+    (["verify"], _base_config(weight={"kind": "power", "exponent": 0.0},
+                              checks=[{"check": "maximal-inequality", "p": 1.0}]),
+     "checks[0].p"),
+    (["verify"], _base_config(weight={"kind": "power", "exponent": 0.0},
+                              checks=[{"check": "maximal-inequality", "p": 1.0,
+                                       "alpha": 0.5}]),
      "checks[0].p"),
     (["verify"],
      _base_config(checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 1.0}]),
@@ -525,7 +529,7 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
      "checks[0].tol"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
-        "maximal-alpha-1", "maximal-p-above-1-over-alpha",
+        "maximal-p-1", "maximal-p-1-alpha", "maximal-alpha-1", "maximal-p-above-1-over-alpha",
         "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells",
         "weight-power-scale-0", "weight-log-scale-negative", "weight-tabulated-negative-value",
         "weight-tabulated-zero-value", "weight-tabulated-hi-below-lo",
@@ -544,8 +548,11 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
     work beyond the budget, campaign balls whose squared distances overflow,
-    an RH ball check whose q/p rounds to 1, a theorem check whose order
-    does not match the exponents or that runs off the line, a pointwise
+    a maximal check at p = 1, where the maximal operators have only the
+    weak-type bound (the unit weight's levels grew like the log of the
+    extent and passed), an RH ball check whose q/p rounds to 1, a theorem
+    check whose order does not match the exponents or that runs off the
+    line, a pointwise
     check without its atom block or off the line, a moment degree (given,
     or derived from atom.p and the weight) past ``config.MAX_DEGREE`` and a
     critical-index tolerance with 1 + tol == 1 are config errors (exit 4)
@@ -670,6 +677,50 @@ def test_cli_weight_above_ap_cap(tmp_path, command, extra, code):
     else:
         error = json.loads(out.stderr.strip().splitlines()[-1])
         assert (error["error"], error["item"]) == ("hypothesis", a_infinity)
+
+
+def test_cli_failed_a_infinity_gate_reads_the_same_everywhere(tmp_path, capsys):
+    """|x|^300 is in no A_q below the bisection cap 256.  The pointwise check
+    with a given degree and without one, and `atoms gen` deriving its
+    degree, all fail the one A_infinity audit of ``atoms.atom_class`` (exit
+    3), with the same item and detail."""
+    raw = _base_config(weight={"kind": "power", "exponent": 300.0},
+                       matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.5},
+                       campaign={"count": 2}, checks=[{"check": "pointwise-atom-bound"}])
+    failures = []
+    for i, (argv, atom) in enumerate([(["verify"], {"d": 0}), (["verify"], {}),
+                                      (["atoms", "gen"], {})]):
+        cfg = _write(tmp_path, f"{i}.json", {**raw, "atom": {"p": 1.0, "p0": 2.0, **atom}})
+        out = tmp_path / str(i)
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 3
+        if argv == ["verify"]:
+            report = json.loads((out / "00-pointwise-atom-bound.json").read_text())["report"]
+            failures.append((report["failed_item"], report["detail"]))
+        else:
+            error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            failures.append((error["item"], error["detail"]))
+    assert failures == [("weight in A_infinity (finite Muckenhoupt index)",
+                         "q_critical = inf (no A_q up to 256)")] * 3
+
+
+def test_cli_every_command_derives_the_same_degree(tmp_path):
+    """|x|^{1/2} (q_w = 3/2) with atom p = 3/4 and no atom.d: `atoms gen`
+    writes atoms of the least degree floor(n (q_w/p - 1)) = 1 (the midpoint
+    of the q bracket read 0), `atoms validate` accepts them, and a
+    theorem-thm1 campaign on the same weight and p reports the same degree:
+    both come from ``atoms.atom_class``."""
+    cfg = _write(tmp_path, "thm1.json", _base_config(
+        matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.0},
+        atom={"p": 0.75, "p0": 2.0}, campaign={"count": 3},
+        checks=[{"check": "theorem-thm1"}]))
+    out = tmp_path / "out"
+    assert main(["atoms", "gen", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["atoms", "validate", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "atoms.jsonl") as fh:
+        degrees = {json.loads(line)["params"]["d"] for line in fh}
+    report = json.loads((out / "00-theorem-thm1.json").read_text())["report"]
+    assert degrees == {report["extras"]["d"]} == {1}
 
 
 def test_cli_rh_index_above_cap_is_inf(tmp_path):

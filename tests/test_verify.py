@@ -182,10 +182,16 @@ def test_maximal_inequality_pass_and_diverge():
     balls = [Ball([0.0], 1.0), Ball([0.0], 0.5), Ball([1.0], 2.0)]
     rep = check_maximal_inequalities(PowerWeight(0.5), 2.0, balls, levels=3)
     assert rep.passed()
-    # |x|^{0.9} is not in A_1, so the check raises before its levels run
+    # |x|^{3/2} is not in A_2, so the check raises before its levels run
     with pytest.raises(HypothesisFailed) as err:
-        check_maximal_inequalities(PowerWeight(0.9), 1.0, balls, levels=4)
-    assert err.value.item == "w in A_1"
+        check_maximal_inequalities(PowerWeight(1.5), 2.0, balls, levels=4)
+    assert err.value.item == "w in A_2"
+    # at p = 1 the maximal operators have only the weak-type bound, for every
+    # weight: the strong-type levels of the unit weight grow like the log of
+    # the extent
+    for alpha in (None, 0.5):
+        with pytest.raises(ValueError, match="p > 1"):
+            check_maximal_inequalities(PowerWeight(0.0), 1.0, balls, alpha, levels=4)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9])
