@@ -2,8 +2,10 @@
 """Finiteness verdicts of the Muckenhoupt estimator over a power-weight grid.
 
 Prints a table of (exponent a, integrability exponent p) cells; the verdict
-should flip along a = n (p - 1).  Cells within the margin of the boundary
-are marked '~' and not judged.
+should be "finite" exactly when p exceeds the weight's critical index q_w
+(``critical_indices``, in closed form: max(1, 1 + a/n)), so it flips along
+a = n (p - 1).  Cells within the margin of that line, or of a = -n, are
+marked '~' and not judged.
 
 Usage:
     python scripts/classify_weight_grid.py [--margin 0.2]
@@ -17,7 +19,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rieszkit import PowerWeight, default_ball_family, estimate_Ap_constant  # noqa: E402
+from rieszkit import (PowerWeight, critical_indices, default_ball_family,  # noqa: E402
+                      estimate_Ap_constant)
 
 EXPONENTS = (-0.8, -1.0 / 3.0, 0.0, 0.25, 0.5, 0.9)
 PS = (1.25, 1.5, 2.0, 3.0)
@@ -34,8 +37,9 @@ def main() -> int:
     mismatches = 0
     for a in EXPONENTS:
         row = [f"{a:6.2f}"]
+        q_w = critical_indices(PowerWeight(a)).q_critical
         for p in PS:
-            predicted = -1.0 < a < (p - 1.0)
+            predicted = p > q_w
             boundary = (abs(a - (p - 1.0)) < args.margin - 1e-9
                         or abs(a + 1.0) < args.margin - 1e-9)
             verdict = estimate_Ap_constant(PowerWeight(a), p, family).verdict
@@ -47,7 +51,7 @@ def main() -> int:
                 mismatches += 1
             row.append(f"{mark:>9}")
         print("".join(row))
-    print(f"{mismatches} non-boundary mismatches against the a < n(p-1) rule")
+    print(f"{mismatches} non-boundary mismatches against the p > q_w rule")
     return 1 if mismatches else 0
 
 

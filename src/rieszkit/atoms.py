@@ -30,7 +30,8 @@ from .quadrature import QuadratureScheme, default_scheme, lebesgue_ball
 from .operators import PolynomialProfile, SampledFunction, weighted_norm
 from .records import asdict, record
 from .rng import PCG64, generate_state
-from .weights import PowerWeight, critical_indices, weight_to_dict, weighted_measure
+from .weights import (AP_CAP, PowerWeight, critical_indices, weight_to_dict,
+                      weighted_measure)
 
 A2_REL_TOL = 1e-8
 MOMENT_REL_TOL = 1e-10
@@ -167,31 +168,44 @@ class AtomParams:
                 "weight": weight_to_dict(self.weight), "dimension": self.dimension}
 
 
-def atom_class(w, p: float, d: int | None, family, scheme: QuadratureScheme | None = None):
-    """``(audit, p0_lower, d_min, d)`` for (p, p0, d)-atoms of ``w``, from one
-    run of ``critical_indices`` on ``family``:
+def atom_class(w, p: float, d: int | None):
+    """``(audit, p0_lower, d_min, d)`` for (p, p0, d)-atoms of ``w``, from
+    ``critical_indices``:
 
-    - ``audit``, the A_infinity audit item, failed when w is in no A_q
-      below the bisection cap (``require_hypotheses`` raises it);
+    - ``audit``, the A_infinity audit item, failed when w is in no A_q up
+      to ``weights.AP_CAP`` (``require_hypotheses`` raises it);
     - ``p0_lower``, the open lower end max(1, p r_w / (r_w - 1)) for p0
       (``CriticalIndices.rh_conjugate``);
-    - ``d_min``, the least moment degree floor(n (q_w / p - 1)) with q_w at
-      the upper end of its bracket (a larger degree is always admissible,
-      so this errs on the safe side); None when the audit fails;
+    - ``d_min``, the least moment degree floor(n (q_w / p - 1)), exact on
+      the floats q_w and p (integer ratios); None when the audit fails;
     - ``d``, the given degree, or else ``d_min`` within ``config.MAX_DEGREE``
       (past it the config is refused at ``atom.p``).
     """
-    idx = critical_indices(w, family, scheme)
+    idx = critical_indices(w)
     finite = math.isfinite(idx.q_critical)
     audit = AuditItem("weight in A_infinity (finite Muckenhoupt index)", idx.q_critical,
-                      finite, "" if finite else
-                      f"q_critical = inf (no A_q up to {idx.q_bracket[0]:g})")
-    d_min = max(0, math.floor(w.dimension * (idx.q_bracket[1] / p - 1.0))) if finite else None
+                      finite, "" if finite else f"q_critical = inf (no A_q up to {AP_CAP:g})")
+    d_min = None
+    if finite:
+        (qn, qd), (pn, pd) = idx.q_critical.as_integer_ratio(), float(p).as_integer_ratio()
+        d_min = max(0, w.dimension * (qn * pd - pn * qd) // (qd * pn))
     if d is None and finite:
         from .config import derived_degree  # see atom_from_record
 
         d = derived_degree(d_min, p)
     return audit, max(1.0, p * idx.rh_conjugate()), d_min, d
+
+
+def degree_audit(d: int, d_min: int) -> AuditItem:
+    return AuditItem("moment degree at least the minimal degree", d, d >= d_min,
+                     f"required {d_min}")
+
+
+def class_audits(w, p: float, d: int | None):
+    """``(audits, d)`` from one ``atom_class`` call: the A_infinity audit and,
+    once it passes, ``degree_audit``."""
+    audit, _, d_min, d = atom_class(w, p, d)
+    return [audit] + ([] if d_min is None else [degree_audit(d, d_min)]), d
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import ConfigError, HypothesisFailed, RieszkitError, require_hypoth
 from .records import replace
 
 if TYPE_CHECKING:
-    from .atoms import AtomParams, CampaignSpec
+    from .atoms import CampaignSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -98,10 +98,8 @@ def cmd_weights_classify(cfg: RunConfig, out_dir: str) -> int:
         "RH": lambda c: estimate_RH_constant(w, float(c["s"]), family, scheme),
     }
     payload = {"classes": [estimate[cls["kind"]](cls).to_dict()
-                           for cls in block.get("classes", [{"kind": "A1"}])]}
-    if block.get("critical_indices", True):
-        payload["critical_indices"] = critical_indices(
-            w, family, scheme, tol=float(block.get("tol", 1e-2))).to_dict()
+                           for cls in block.get("classes", [{"kind": "A1"}])],
+               "critical_indices": critical_indices(w).to_dict()}
     _write_report(out_dir, "weights-classify", payload)
     print(_json(payload))
     return EXIT_OK
@@ -134,23 +132,26 @@ def cmd_operator_sweep(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _atom_params_from(cfg: RunConfig) -> AtomParams:
-    from .atoms import AtomParams, atom_class
+def _atom_params_from(cfg: RunConfig):
+    """``(params, audits)``: the atom block's parameters and the audits of
+    their class from one ``atoms.class_audits`` call.  A degree is derived
+    only once the A_infinity audit passes, so without ``atom.d`` a failed
+    audit raises here."""
+    from .atoms import AtomParams, class_audits
 
     if cfg.campaign is None:
         raise ConfigError("atom", "atom generation needs an atom/campaign block")
     spec = cfg.campaign
-    d = spec.d
+    audits, d = class_audits(cfg.weight, spec.p, spec.d)
     if d is None:
-        a_infinity, _, _, d = atom_class(cfg.weight, spec.p, None, cfg.family, cfg.quadrature)
-        require_hypotheses([a_infinity])
-    return AtomParams(spec.p, spec.p0, d, cfg.weight, cfg.dimension)
+        require_hypotheses(audits)
+    return AtomParams(spec.p, spec.p0, d, cfg.weight, cfg.dimension), audits
 
 
 def cmd_atoms_gen(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
     from .atoms import AtomSampler, sample_atom_campaign, write_atom_manifest
 
-    params = _atom_params_from(cfg)
+    params = _atom_params_from(cfg)[0]
     spec = _with_seed(cfg.campaign, seed)
     sampler = AtomSampler(tuple(np.asarray(c) for c in spec.centers), spec.radii)
     atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, cfg.quadrature)
@@ -190,16 +191,16 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
         return run_theorem_campaign(kind, cfg.weight, cfg.exponents, cfg.matrices,
                                     _with_seed(cfg.campaign, seed), scheme, jobs=jobs)
     if name == "pointwise-atom-bound":
+        params, audits = _atom_params_from(cfg)
         return check_pointwise_atom_bound(
-            _atom_params_from(cfg), cfg.exponents, cfg.matrices, item["center"],
-            radii=item["radii"], seed=seed if seed is not None else item["seed"],
-            scheme=scheme)
+            params, cfg.exponents, cfg.matrices, item["center"], radii=item["radii"],
+            seed=seed if seed is not None else item["seed"], scheme=scheme, audits=audits)
     if name == "rh-ball-inequality":
         return check_rh_ball_inequality(cfg.weight, item["p"], item["alpha"], cfg.family,
                                         scheme)
     if name == "critical-index-chain":
         return check_critical_index_chains(cfg.weight, item["p"], item["q"], cfg.family,
-                                           scheme, tol=item["tol"])
+                                           scheme)
     return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"],
                                       item["alpha"], scheme)
 

@@ -231,7 +231,7 @@ CLASS_KINDS = ("A1", "Ap", "Apq", "RH")
 
 
 def validate_classify(block, path: str = "classify"):
-    """Check the class list and the critical-index tolerance of a classify block."""
+    """Check the class list of a classify block."""
     _expect(isinstance(block, dict), path, "expected an object")
     classes = _get(block, "classes", path, False, [])
     _expect(isinstance(classes, list), f"{path}.classes", "expected a list of classes")
@@ -251,15 +251,6 @@ def validate_classify(block, path: str = "classify"):
         elif kind == "RH":
             _expect(_number(cls, "s", path_i) > 1.0, f"{path_i}.s",
                     "the reverse Holder exponent must exceed 1")
-    _tolerance(block, path)
-
-
-def _tolerance(block, path: str) -> float:
-    """The critical-index tolerance ``tol`` (1e-2 when absent): its first A_p
-    probe is 1 + tol, so 1 + tol must exceed 1 in floating point."""
-    tol = _number(block, "tol", path, False, 1e-2)
-    _expect(1.0 + tol > 1.0, f"{path}.tol", "must be positive, with 1 + tol > 1")
-    return tol
 
 
 def _is_number(v) -> bool:
@@ -338,7 +329,7 @@ def validate_check(item: dict, dimension: int, path: str,
             _expect(0.0 < p < 1.0, f"{path}.p", "the two-sided chain needs 0 < p < 1")
         else:
             _expect(0.0 < p < q, f"{path}.p", "the comparison chain needs 0 < p < q")
-        out.update(p=p, q=q, tol=_tolerance(item, path))
+        out.update(p=p, q=q)
     elif name == "pointwise-atom-bound":
         center = _get(item, "center", path, False, [0.0] * dimension)
         _point(center, dimension, f"{path}.center")

@@ -55,6 +55,7 @@ if TYPE_CHECKING:
 
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
+CHAIN_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +168,19 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
                                family: MatrixFamily, center,
                                radii=(0.25, 1.0, 4.0), seed: int = 0,
                                scheme: QuadratureScheme | None = None,
-                               samples=None) -> VerificationReport:
+                               samples=None, audits=None) -> VerificationReport:
     """Estimate the constant in the outer-region pointwise bound on the line
-    and test its stability across atom radii and a doubled sample set."""
+    and test its stability across atom radii and a doubled sample set;
+    ``audits`` defaults to ``atoms.class_audits``."""
     n = params.dimension
     if n != 1:
         raise ValueError("the pointwise atom bound is implemented on the line")
     if scheme is None:
         scheme = default_scheme(n)
-    from .atoms import atom_class, construct_atom
+    from .atoms import class_audits, construct_atom
 
-    audits = [atom_class(params.weight, params.p, params.d, default_ball_family(n))[0]]
+    if audits is None:
+        audits = class_audits(params.weight, params.p, params.d)[0]
     require_hypotheses(audits)
 
     witnesses = []
@@ -292,13 +295,14 @@ def _chain_leq(a: float, b: float, slack: float) -> bool:
 
 
 def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily,
-                                scheme: QuadratureScheme | None = None,
-                                tol: float = 1e-2) -> VerificationReport:
+                                scheme: QuadratureScheme | None = None) -> VerificationReport:
     """Index chains relating the reverse Holder indices of w, w^p (and w^q).
 
     Without q:  p * r_{w^p} <= r_w <= r_{w^p}   (hypothesis: w^{1/p} in A_1).
     With q:     p * r_{w^p} <= q * r_{w^q}      (hypothesis: w^q in A_1).
-    Infinite indices satisfy the chains vacuously.
+    Infinite indices satisfy the chains vacuously.  The indices are exact
+    and r_{w^t} = r_w / t, so the chains are identities up to rounding
+    (``CHAIN_RTOL`` of the largest finite term).
     """
     if scheme is None:
         scheme = default_scheme(w.dimension)
@@ -315,23 +319,22 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
         audits.append(AuditItem("w^q in A_1", hyp.constant, hyp.verdict == "finite"))
     require_hypotheses(audits)
 
-    r_w = critical_indices(w, family, scheme, tol=tol).rh_critical
-    r_wp = critical_indices(weight_power(w, p), family, scheme, tol=tol).rh_critical
-    slack = 4.0 * tol * max(1.0, p * (r_wp if math.isfinite(r_wp) else 1.0))
+    r_w = critical_indices(w).rh_critical
+    r_wp = critical_indices(weight_power(w, p)).rh_critical
     values = {"r_w": r_w, "r_wp": r_wp}
+    if q is not None:
+        values["r_wq"] = r_wq = critical_indices(weight_power(w, q)).rh_critical
+    terms = [r_w, p * r_wp] + ([] if q is None else [q * r_wq])
+    slack = CHAIN_RTOL * max([1.0] + [t for t in terms if math.isfinite(t)])
     if q is None:
         ok = (_chain_leq(p * r_wp, r_w, slack) and _chain_leq(r_w, r_wp, slack))
         worst = 0.0 if ok else max(p * r_wp - r_w, r_w - r_wp)
     else:
-        r_wq = critical_indices(weight_power(w, q), family, scheme, tol=tol).rh_critical
-        values["r_wq"] = r_wq
-        slack = 4.0 * tol * max(1.0, p * (r_wp if math.isfinite(r_wp) else 1.0),
-                                q * (r_wq if math.isfinite(r_wq) else 1.0))
         ok = _chain_leq(p * r_wp, q * r_wq, slack)
         worst = 0.0 if ok else p * r_wp - q * r_wq
     return VerificationReport(
         "critical-index-chain", "pass" if ok else "fail", worst, audits,
-        stability={}, sample={"p": p, "q": q, "tol": tol},
+        stability={}, sample={"p": p, "q": q},
         extras={"indices": values, "slack": slack},
         provenance={"config_hash": config_hash({"w": weight_to_dict(w), "p": p, "q": q})})
 
@@ -472,9 +475,10 @@ def _expanded_intervals(ball: Ball, family: MatrixFamily) -> list:
 
 def _truncation_extent(intervals, outer_octaves: int) -> float:
     """Half-width of the truncated line that the norm of T a is integrated
-    over: outer_octaves dyadic octaves beyond the expanded balls."""
+    over: outer_octaves dyadic octaves beyond the expanded balls, so it
+    dilates with them."""
     scale = max(abs(lo) + abs(hi) for lo, hi in intervals)
-    return (scale + 1.0) * 2.0**outer_octaves
+    return scale * 2.0**outer_octaves
 
 
 def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
@@ -483,12 +487,13 @@ def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
     """Inner (expanded balls) and outer contributions to the target norm of
     each atom in ``atoms``, which all lie on one ball.
 
-    Returns (inner, outer, tail_bound), three arrays with one entry per atom:
-    inner + outer is the quadrature value of the integral of |T a|^e w^s over
-    the truncated plane; the tail beyond the truncation is estimated from the
-    closed decay form and reported, not added.  The cells, the weight values
-    and T itself (``operators.apply_T_ball_1d``) are evaluated once for the
-    ball, and each atom's entries are bit for bit those of a one-atom call.
+    Returns (norm, inner, outer, tail_bound), four arrays with one entry per
+    atom: norm is the e-th root of inner + outer, the integral of |T a|^e w^s
+    over the truncated line, formed from logarithms so that no dilated ball
+    over- or underflows it; the tail is estimated from the closed decay form
+    and reported, not added.  The cells, the weight values and T itself
+    (``operators.apply_T_ball_1d``) are evaluated once for the ball, and
+    each atom's entries are bit for bit those of a one-atom call.
     """
     ball = atoms[0].ball
     n = ball.dimension
@@ -499,12 +504,19 @@ def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
     sw = weight_exponent
     wsings = weight_singularities(norm_weight, sw)
 
-    def integrand(xs):
-        tvals = apply_T_ball_1d(fns, xs, profile, family)
-        wvals = eval_weight_batch(norm_weight, xs[:, None], extended=True) ** sw
-        return np.abs(tvals) ** e * wvals
+    def log_integrand(xs):
+        with np.errstate(divide="ignore"):
+            return (e * np.log(np.abs(apply_T_ball_1d(fns, xs, profile, family)))
+                    + sw * np.log(eval_weight_batch(norm_weight, xs[:, None], extended=True)))
 
     intervals = _expanded_intervals(ball, family)
+    ends = log_integrand(np.array([intervals[0][0], intervals[-1][1]]))
+    shift = np.max(np.where(np.isfinite(ends), ends, -math.inf), axis=1)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+
+    def integrand(xs):
+        return np.exp(log_integrand(xs) - shift[:, None])
+
     breakpoints = [0.0] if profile.alpha == 0.0 else []
     breakpoints += [float(s.center_array()[0]) for s in wsings]
 
@@ -548,7 +560,10 @@ def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
         tail = 2.0 * at_edge * extent / (-tail_exp - 1.0)
     else:
         tail = np.full(len(atoms), math.inf)
-    return inner, outer, tail
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = np.exp(shift)
+        return (np.exp((np.log(inner + outer) + shift) / e), inner * scale, outer * scale,
+                tail * scale)
 
 
 def _compatibility_audit(w, family) -> AuditItem:
@@ -558,11 +573,10 @@ def _compatibility_audit(w, family) -> AuditItem:
     return AuditItem("w(A_j x) <= C w(x) on the sample", comp, passed, detail)
 
 
-def _thm_zero_audits(w, profile, family, spec, scheme):
+def _thm_zero_audits(w, family, spec):
     from .atoms import atom_class
 
-    a_infinity, thresh, d_min, d = atom_class(w, spec.p, spec.d,
-                                              default_ball_family(w.dimension), scheme)
+    a_infinity, thresh, d_min, d = atom_class(w, spec.p, spec.d)
     audits = [a_infinity, _compatibility_audit(w, family)]
     singular = family.singular_differences()
     detail = ""
@@ -595,11 +609,11 @@ def _thm_positive_audits(w, profile, family, spec, scheme):
     except ValueError as exc:
         audits.append(AuditItem("w^{n/((n-alpha)s)} in A_1", "not a weight", False,
                                 str(exc)))
-    idx = critical_indices(w, fam_balls, scheme)
+    idx = critical_indices(w)
     ratio = idx.rh_conjugate()
     audits.append(AuditItem("r_w/(r_w - 1) < n/alpha", ratio,
                             ratio < n / profile.alpha,
-                            f"estimated reverse Holder index {idx.rh_critical:.4g}"))
+                            f"reverse Holder index {idx.rh_critical:.4g}"))
     audits.append(_compatibility_audit(w, family))
     audits.append(AuditItem("p0 inside (r_w/(r_w-1), n/alpha)", spec.p0,
                             ratio < spec.p0 < n / profile.alpha))
@@ -627,7 +641,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
         scheme = default_scheme(n)
     if kind not in ("thm-zero", "thm-positive"):
         raise ValueError("kind must be 'thm-zero' or 'thm-positive'")
-    from .atoms import AtomParams, AtomSampler, sample_atom_campaign
+    from .atoms import AtomParams, AtomSampler, degree_audit, sample_atom_campaign
 
     sampler = AtomSampler(tuple(np.asarray(c, dtype=float) for c in spec.centers),
                           tuple(spec.radii))
@@ -641,7 +655,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     if kind == "thm-zero":
         if profile.alpha != 0.0:
             raise ValueError("the zero-order campaign needs alpha = 0")
-        audits, d_min, d = _thm_zero_audits(w, profile, family, spec, scheme)
+        audits, d_min, d = _thm_zero_audits(w, family, spec)
         atom_weight = w
         norm_weight, weight_exponent, norm_exponent = w, 1.0, spec.p
         q = spec.p
@@ -654,8 +668,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
         norm_weight, weight_exponent, norm_exponent = w, q, q
 
     if d_min is not None:  # None only when an item above has failed
-        audits.append(AuditItem("moment degree at least the minimal degree", d, d >= d_min,
-                                f"required {d_min}"))
+        audits.append(degree_audit(d, d_min))
     require_hypotheses(audits)
     params = AtomParams(spec.p, spec.p0, d, atom_weight, n)
     atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, scheme)
@@ -694,8 +707,8 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     if kind == "thm-zero" and rows:
         # spot check: the zero-order operator maps the first atom into L^{p0}
         flat = PowerWeight(0.0, n)
-        i0, o0, _ = _ball_norm_split([atoms[0]], profile, family, flat, 1.0, spec.p0, spec)
-        extras["lp0_spot_check"] = float(i0[0] + o0[0]) ** (1.0 / spec.p0)
+        norm0 = _ball_norm_split([atoms[0]], profile, family, flat, 1.0, spec.p0, spec)[0]
+        extras["lp0_spot_check"] = float(norm0[0])
 
     return VerificationReport(
         f"theorem-{'thm1' if kind == 'thm-zero' else 'ta'}", verdict, max_norm, audits,
@@ -714,9 +727,9 @@ def _campaign_worker(args):
     """The witness rows of one ball's atoms, in their order (serial and
     process-pool runs)."""
     atoms, profile, family, norm_weight, weight_exponent, norm_exponent, spec = args
-    inner, outer, tail = _ball_norm_split(atoms, profile, family, norm_weight,
-                                          weight_exponent, norm_exponent, spec)
+    splits = _ball_norm_split(atoms, profile, family, norm_weight, weight_exponent,
+                              norm_exponent, spec)
     return [{"center": atom.ball.center.tolist(), "radius": atom.ball.radius,
-             "seed": atom.seed, "norm": float(i + o) ** (1.0 / norm_exponent),
-             "inner": float(i), "outer": float(o), "tail_bound": float(t)}
-            for atom, i, o, t in zip(atoms, inner, outer, tail)]
+             "seed": atom.seed, "norm": float(v), "inner": float(i), "outer": float(o),
+             "tail_bound": float(t)}
+            for atom, v, i, o, t in zip(atoms, *splits)]

@@ -10,7 +10,9 @@ radial weights are exact; tabulated and multi-factor weights take cells
 and minima over quadrature nodes.  Estimates are therefore lower bounds
 for the true constants; the point of the family design (dyadic radii
 around the singular centers) is that power and log weights attain their
-worst behavior exactly there.
+worst behavior exactly there.  A finite family cannot see a weight's
+behavior at infinity, so the critical indices are not estimated: they are
+read in closed form from the weight's exponents (``critical_indices``).
 """
 
 from __future__ import annotations
@@ -372,8 +374,8 @@ def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
     The average is ``weighted_measure``'s integral over ``ball_measure``:
     exact for radial weights, cells otherwise.  The integral is carried as
     a logarithm, so the mean neither under- nor overflows on small balls at
-    extreme exponents (reverse Holder probes up to 2^10); the class
-    estimators form their ratios from the logarithms.
+    extreme exponents (|x|^260, or reverse Holder exponents up to 2^10); the
+    class estimators form their ratios from the logarithms.
     """
     s = float(s)
     if s == 0.0:
@@ -488,8 +490,8 @@ def _estimate_over_family(label, per_ball, family, scheme, refine_steps, lattice
     """
     def sup_at(s):
         best, best_ball = -math.inf, None
-        for i, ball in enumerate(family):
-            v = per_ball(i, ball, s)
+        for ball in family:
+            v = per_ball(ball, s)
             if v > best or not math.isfinite(v):
                 best, best_ball = v, ball
             if not math.isfinite(v):
@@ -518,39 +520,29 @@ def _ratio(log_num: float, log_den: float) -> float:
     return _exp(log_num - log_den)
 
 
-def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps,
-                    log_means=None):
+def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps):
     """sup_B M_a(B) / M_b(B) over the family, where M_s is the power mean of
     order s (``power_mean``, as a logarithm) and M_{-inf} the essential
     infimum of w on B (``min_over_nodes``).  When w^a or w^b is not locally
     integrable every ball gives +inf.  Both are exact for a radial weight,
-    so its estimate does not depend on the lattice (``lattice_free``).
-
-    ``log_means``, when given, memoizes the logarithms by (order, ball
-    index, scheme); it must only be shared by estimates of the same weight
-    on the same family."""
+    so its estimate does not depend on the lattice (``lattice_free``)."""
     if scheme is None:
         scheme = default_scheme(w.dimension)
     try:
         # w**s's radial form is one per order, whatever the ball
         forms = {s: _radial_form(w, 1.0 if s == -math.inf else s) for s in (a, b)}
     except NotIntegrable:
-        return _estimate_over_family(label, lambda i, ball, sch: math.inf, family, scheme,
+        return _estimate_over_family(label, lambda ball, sch: math.inf, family, scheme,
                                      refine_steps)
-    memo = {} if log_means is None else log_means
 
-    def log_mean(s, i, ball, sch):
-        key = (s, i, sch)
-        if key not in memo:
-            if s == -math.inf:
-                lo = _min_over_nodes(w, forms[s], ball, sch)
-                memo[key] = math.log(lo) if lo > 0.0 else -math.inf
-            else:
-                memo[key] = _log_mean(w, s, forms[s], ball, sch)
-        return memo[key]
+    def log_mean(s, ball, sch):
+        if s == -math.inf:
+            lo = _min_over_nodes(w, forms[s], ball, sch)
+            return math.log(lo) if lo > 0.0 else -math.inf
+        return _log_mean(w, s, forms[s], ball, sch)
 
-    def per_ball(i, ball, sch):
-        return _ratio(log_mean(a, i, ball, sch), log_mean(b, i, ball, sch))
+    def per_ball(ball, sch):
+        return _ratio(log_mean(a, ball, sch), log_mean(b, ball, sch))
 
     return _estimate_over_family(label, per_ball, family, scheme, refine_steps,
                                  forms[a] is not None)
@@ -567,15 +559,14 @@ def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None 
 
 def estimate_Ap_constant(w, p: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3, *, log_means=None) -> WeightClassReport:
-    """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1.  ``log_means``
-    shares the per-ball means between estimates (``_class_constant``)."""
+                         refine_steps: int = 3) -> WeightClassReport:
+    """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("estimate_Ap_constant needs p > 1 (use estimate_A1_constant)")
     # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1)
     return _class_constant(f"A_p(p={p:g})", w, 1.0, -1.0 / (p - 1.0), family, scheme,
-                           refine_steps, log_means)
+                           refine_steps)
 
 
 def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
@@ -597,109 +588,79 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
 
 def estimate_RH_constant(w, s_exp: float, family: BallFamily,
                          scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3, *, log_means=None) -> WeightClassReport:
-    """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w).
-    ``log_means`` shares the per-ball means between estimates
-    (``_class_constant``)."""
+                         refine_steps: int = 3) -> WeightClassReport:
+    """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w)."""
     s_exp = float(s_exp)
     if s_exp <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
     return _class_constant(f"RH_s(s={s_exp:g})", w, s_exp, 1.0, family, scheme,
-                           refine_steps, log_means)
+                           refine_steps)
 
 
 # ---------------------------------------------------------------------------
 # Critical indices
 # ---------------------------------------------------------------------------
 
+#: the largest finite A_q index reported; a weight in no A_q up to it reads
+#: q_critical = inf
+AP_CAP = 256.0
+
 
 @record
 class CriticalIndices:
-    """Bisection brackets for inf{q > 1 : w in A_q} and sup{r > 1 : w in RH_r}."""
+    """q_w = inf{q >= 1 : w in A_q} and r_w = sup{r > 1 : w in RH_r}."""
 
     q_critical: float
-    q_bracket: tuple
     rh_critical: float
-    rh_bracket: tuple
-    tol: float
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     def rh_conjugate(self) -> float:
-        """r / (r - 1) for the reverse Holder index r, read from the lower
-        end of its bracket: r / (r - 1) falls as r grows, so a p0 bound set
-        by it errs on the safe side.  1 when r is infinite, +inf when the
-        bracket starts at 1."""
-        if math.isinf(self.rh_critical):
+        """r_w / (r_w - 1): 1 when r_w is infinite, +inf when r_w is 1."""
+        r = self.rh_critical
+        if math.isinf(r):
             return 1.0
-        r_lo = self.rh_bracket[0]
-        return r_lo / (r_lo - 1.0) if r_lo > 1.0 else math.inf
+        return r / (r - 1.0) if r > 1.0 else math.inf
 
 
-def critical_indices(w, family: BallFamily, scheme: QuadratureScheme | None = None,
-                     tol: float = 1e-2, ap_cap: float = 256.0,
-                     rh_cap: float = 1024.0, refine_steps: int = 2) -> CriticalIndices:
-    """Bisection on the finiteness verdicts of the A_p and RH estimators.
+def _ratio_up(num: int, den: int) -> float:
+    """num / den (den > 0) rounded up to a float (+-inf past the float range)."""
+    try:
+        x = num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+    xn, xd = x.as_integer_ratio()
+    return x if xn * den >= num * xd else math.nextafter(x, math.inf)
 
-    Reports +inf for the reverse Holder index when no divergence shows up to
-    ``rh_cap`` (2^10 by default).  For a radial weight every step reads
-    exact power means, carried as logarithms, so a probe at 2^10 neither
-    under- nor overflows on the smallest balls and each step evaluates one
-    lattice level (``_estimate_over_family``); other weights take the cell
-    rule at every level.  Every A_p step takes its numerators and every RH
-    step its denominators from the family's order-1 means, which one memo
-    per call computes once.  Bisection stops once the bracket is within
-    ``tol`` or its midpoint rounds onto an end, so every ``tol`` with
-    1 + tol > 1 ends.
+
+def critical_indices(w, family=None) -> CriticalIndices:
+    """The critical indices of w in closed form, from its exponents; no
+    estimator runs, and ``family`` is accepted and not read.
+
+    Tabulated weights are bounded above and below, and the log weight is
+    A_1-like for every power: q_w = 1 and r_w = inf.  For power and product
+    weights take the merged local exponents a_i of ``radial_factors`` and
+    their sum S, the exponent at infinity.  |x - c|^a is in A_q exactly for
+    -n < a < n (q - 1) (Garcia-Cuerva, Dissertationes Math. 162, 1979), so
+    q_w = max(1, 1 + max a_i / n, 1 + S / n), and q_w = inf when S <= -n.
+    w is in RH_s exactly when w^s is in A_infinity (Cruz-Uribe and
+    Neugebauer, Trans. AMS 347, 1995), so r_w = min(-n / v) over the
+    negative v among the a_i and S, inf when none is, and 1 (no RH_r with
+    r > 1) when S <= -n.  The exponents are summed as integer ratios, q_w is
+    rounded up and r_w down, so neither errs to the unsafe side of a degree
+    or a p0 bound.  A q_w above ``AP_CAP`` reads inf.
     """
-    if not 1.0 + tol > 1.0:
-        raise ValueError("tolerance must be positive and 1 + tol must exceed 1")
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-    log_means = {}
-
-    def ap_finite(p):
-        return estimate_Ap_constant(w, p, family, scheme, refine_steps,
-                                    log_means=log_means).verdict == "finite"
-
-    def rh_finite(s):
-        return estimate_RH_constant(w, s, family, scheme, refine_steps,
-                                    log_means=log_means).verdict == "finite"
-
-    if ap_finite(1.0 + tol):
-        q_val, q_br = 1.0, (1.0, 1.0 + tol)
-    elif not ap_finite(ap_cap):
-        q_val, q_br = math.inf, (ap_cap, math.inf)
-    else:
-        lo, hi = 1.0 + tol, ap_cap
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if ap_finite(mid):
-                hi = mid
-            else:
-                lo = mid
-        q_val, q_br = 0.5 * (lo + hi), (lo, hi)
-
-    if rh_finite(rh_cap):
-        r_val, r_br = math.inf, (rh_cap, math.inf)
-    elif not rh_finite(1.0 + tol):
-        r_val, r_br = 1.0 + 0.5 * tol, (1.0, 1.0 + tol)
-    else:
-        lo, hi = 1.0 + tol, rh_cap
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if rh_finite(mid):
-                lo = mid
-            else:
-                hi = mid
-        r_val, r_br = 0.5 * (lo + hi), (lo, hi)
-
-    return CriticalIndices(q_val, q_br, r_val, r_br, tol)
+    n = w.dimension
+    radial = radial_factors(w)
+    ratios = [p.exponent.as_integer_ratio() for _, p in (radial[1] if radial else ())]
+    den = max((d for _, d in ratios), default=1)  # a power of two
+    nums = [num * (den // d) for num, d in ratios]
+    total = sum(nums)
+    q = math.inf if total <= -n * den else _ratio_up(n * den + max([0, total] + nums), n * den)
+    low = min([0, total] + nums)
+    r = math.inf if low == 0 else max(1.0, -_ratio_up(-n * den, -low))
+    return CriticalIndices(q if q <= AP_CAP else math.inf, r)
 
 
 # ---------------------------------------------------------------------------

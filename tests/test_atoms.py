@@ -92,33 +92,52 @@ def test_gram_solve_at_degree_zero_is_the_quotient():
             assert x == b / gram[0, 0] == np.linalg.solve(gram, [b])[0]
 
 
-def test_admissible_params_examples(std_family):
+def test_admissible_params_examples():
     """``atom_class`` on power weights: the A_infinity audit passes, and
     without a given degree the degree is the least one."""
-    audit, p0_lower, d_min, d = atom_class(UNIT, 1.0, None, std_family)
+    audit, p0_lower, d_min, d = atom_class(UNIT, 1.0, None)
     assert audit.passed and p0_lower == 1.0 and d_min == d == 0
-    _, p0_lower, d_min, _ = atom_class(PowerWeight(0.5), 1.0, None, std_family)
+    _, p0_lower, d_min, _ = atom_class(PowerWeight(0.5), 1.0, None)
     assert p0_lower == 1.0 and d_min == 0
-    _, p0_lower, d_min, _ = atom_class(PowerWeight(-0.125), 0.75, None, std_family)
+    _, p0_lower, d_min, _ = atom_class(PowerWeight(-0.125), 0.75, None)
     assert p0_lower == pytest.approx(1.0)
     assert d_min == 0
     # smaller p forces moments: q_critical = 1.5 and p = 0.6 gives d >= 1
-    _, _, d_min, d = atom_class(PowerWeight(0.5), 0.6, 0, std_family)
+    _, _, d_min, d = atom_class(PowerWeight(0.5), 0.6, 0)
     assert d_min == math.floor(1.5 / 0.6 - 1.0) and d == 0
 
 
-@pytest.mark.parametrize("a, p, d_min", [(0.5, 0.7499, 1), (0.5, 0.749, 1), (0.5, 0.5, 2),
-                                         (2.5, 0.875, 3)])
-def test_degree_is_read_from_the_upper_end_of_the_q_bracket(std_family, a, p, d_min):
-    """|x|^a has q_w = 1 + a, so d_min = floor((1 + a)/p - 1).  The midpoint
-    of the bisection bracket lies below 1 + a and derives one degree less;
-    the upper end derives the theory's degree (a larger degree is always
-    admissible, so that end errs on the safe side)."""
-    w = PowerWeight(a)
-    idx = critical_indices(w, std_family)
-    assert idx.q_bracket[0] < 1.0 + a < idx.q_bracket[1]
-    assert math.floor(idx.q_critical / p - 1.0) == d_min - 1
-    assert atom_class(w, p, None, std_family)[2:] == (d_min, d_min)
+@pytest.mark.parametrize("a, p, d_min", [(0.5, 0.75, 1), (0.5, 0.7499, 1), (0.5, 0.749, 1),
+                                         (0.5, 0.5, 2), (2.5, 0.875, 3)])
+def test_degree_is_the_theory_degree(a, p, d_min):
+    """|x|^a has q_w = 1 + a, so d_min = floor((1 + a)/p - 1).  The old
+    bisection read q_w from a bracket midpoint below 1 + a, which derived
+    one degree less at the last four rows."""
+    assert atom_class(PowerWeight(a), p, None)[2:] == (d_min, d_min)
+
+
+def test_degree_is_exact_on_the_float_inputs():
+    """d_min = floor(n (q_w/p - 1)) is taken in integers from the floats q_w
+    and p, and q_w is rounded up from the exponent, so on a grid of (a, p),
+    on the line and in the plane, no cell derives less than the exact degree
+    of its float exponent; float division gives another floor in hundreds
+    of these cells."""
+    from fractions import Fraction
+
+    float_misses = 0
+    for n in (1, 2):
+        for a in np.round(np.arange(-0.9, 4.0, 0.1), 1):
+            w = PowerWeight(float(a), n)
+            q = critical_indices(w).q_critical
+            q_exact = max(Fraction(1), 1 + Fraction(float(a)) / n)
+            assert q >= q_exact
+            for p in np.round(np.arange(0.05, 1.0001, 0.01), 2):
+                p = float(p)
+                d_min = atom_class(w, p, 0)[2]
+                assert d_min == math.floor(n * (Fraction(q) / Fraction(p) - 1)), (a, p)
+                assert d_min >= math.floor(n * (q_exact / Fraction(p) - 1)), (a, p)
+                float_misses += d_min != math.floor(n * (q / p - 1.0))
+    assert float_misses > 100
 
 
 def test_sign_profile_is_extremal_atom():

@@ -122,7 +122,7 @@ def test_check_defaults_applied_at_parse():
     assert (maximal["p"], maximal["alpha"]) == (2.0, None)
     assert pointwise == {"check": "pointwise-atom-bound", "center": [0.0],
                          "radii": (0.25, 1.0, 4.0), "seed": 0}
-    assert chain == {"check": "critical-index-chain", "p": 0.25, "q": None, "tol": 1e-2}
+    assert chain == {"check": "critical-index-chain", "p": 0.25, "q": None}
 
 
 def test_quadrature_block_reads_resolution_and_tol():
@@ -149,7 +149,7 @@ def test_cli_weights_classify(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["classes"][0]["verdict"] == "finite"
-    assert abs(payload["critical_indices"]["q_critical"] - 1.5) < 0.04
+    assert payload["critical_indices"] == {"q_critical": 1.5, "rh_critical": "inf"}
     assert (tmp_path / "out" / "weights-classify.json").exists()
 
 
@@ -395,9 +395,9 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     writes one hypothesis-failed report that names the audit and ends there,
     so the check listed after it writes no report. |x|^{3/2} with p = 2 is
     outside A_2, where the truncated levels of its infinite norm grow only
-    1.86x. r_w/(r_w - 1) is read from the lower end of the reverse Holder
-    bracket: for |x|^{-0.995} that end is 1 and the ratio +inf, and the thm1
-    campaign's p0 = 1.3332 lies below the 4/3 of |x|^{-1/4}."""
+    1.86x. For |x|^{-0.995} the theorem-ta audit of w^{n/((n-alpha)s)}
+    fails first, and the thm1 campaign's p0 = 1.3332 lies below the 4/3 of
+    |x|^{-1/4}."""
     cfg = _write(tmp_path, "audit.json", raw)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
@@ -445,9 +445,6 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     (["verify"],
      _base_config(checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 0.75}]),
      "checks[0].p"),
-    (["verify"],
-     _base_config(checks=[{"check": "critical-index-chain", "p": 0.5, "tol": "fine"}]),
-     "checks[0].tol"),
     (["weights", "classify"],
      _base_config(quadrature={"policy": "exclude_refine"},
                   classify={"classes": [{"kind": "A1"}], "critical_indices": False}),
@@ -519,18 +516,10 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
      "atom.p"),
     (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2),
                   "atom": {"p": 1e-308, "p0": 2.0}}, "atom.p"),
-    (["weights", "classify"],
-     _base_config(classify={"classes": [{"kind": "A1"}], "critical_indices": True,
-                            "tol": 1e-308}),
-     "classify.tol"),
-    (["verify"], _base_config(weight={"kind": "power", "exponent": -0.25},
-                              checks=[{"check": "critical-index-chain", "p": 0.5,
-                                       "tol": 1e-308}]),
-     "checks[0].tol"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-p-1", "maximal-p-1-alpha", "maximal-alpha-1", "maximal-p-above-1-over-alpha",
-        "chain-tol-not-a-number", "quadrature-policy", "quadrature-patch-cells",
+        "quadrature-policy", "quadrature-patch-cells",
         "weight-power-scale-0", "weight-log-scale-negative", "weight-tabulated-negative-value",
         "weight-tabulated-zero-value", "weight-tabulated-hi-below-lo",
         "weight-product-exponent-string", "weight-product-coincident-not-integrable",
@@ -543,8 +532,7 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
         "atoms-gen-center-overflows", "rh-ball-p-tiny", "rh-ball-alpha-tiny",
         "atom-d-negative", "atom-d-overflows", "atom-d-over-budget",
-        "atom-p-derives-degree-over-budget", "thm1-p-tiny", "classify-tol-below-ulp",
-        "chain-tol-below-ulp"])
+        "atom-p-derives-degree-over-budget", "thm1-p-tiny"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
     work beyond the budget, campaign balls whose squared distances overflow,
@@ -553,9 +541,9 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     extent and passed), an RH ball check whose q/p rounds to 1, a theorem
     check whose order does not match the exponents or that runs off the
     line, a pointwise
-    check without its atom block or off the line, a moment degree (given,
-    or derived from atom.p and the weight) past ``config.MAX_DEGREE`` and a
-    critical-index tolerance with 1 + tol == 1 are config errors (exit 4)
+    check without its atom block or off the line and a moment degree (given,
+    or derived from atom.p and the weight) past ``config.MAX_DEGREE`` are
+    config errors (exit 4)
     naming the field, not tracebacks (exit 1), failed checks (exit 2) or
     runs without end."""
     cfg = _write(tmp_path, "bad.json", raw)
@@ -566,21 +554,40 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     assert error["error"] == "config" and error["path"] == field
 
 
+def _chain_with(**fields):
+    return _base_config(weight={"kind": "power", "exponent": -0.25},
+                        checks=[{"check": "critical-index-chain", "p": 0.5, **fields}])
+
+
 @pytest.mark.parametrize("command, raw", [
     (["weights", "classify"],
      _base_config(classify={"classes": [{"kind": "A1"}], "critical_indices": True,
                             "tol": 2e-16})),
-    (["verify"], _base_config(weight={"kind": "power", "exponent": -0.25},
-                              checks=[{"check": "critical-index-chain", "p": 0.5,
-                                       "tol": 2e-16}])),
-], ids=["classify", "chain"])
-def test_critical_index_bisection_ends_at_one_ulp(tmp_path, command, raw):
-    """A tolerance below the spacing of floats near the bracket still ends
-    the bisection: it stops once the midpoint rounds onto an end."""
+    (["verify"], _chain_with(tol=2e-16)),
+    (["weights", "classify"],
+     _base_config(classify={"classes": [{"kind": "A1"}], "critical_indices": False,
+                            "tol": 1e-308})),
+    (["verify"], _chain_with(tol=1e-308)),
+    (["verify"], _chain_with(tol="fine")),
+], ids=["classify", "chain", "classify-tol-below-ulp", "chain-tol-below-ulp",
+        "chain-tol-not-a-number"])
+def test_cli_critical_index_fields_are_not_read(tmp_path, command, raw):
+    """The critical indices are closed forms, so no tolerance is read:
+    configs that still carry ``classify.tol``, ``classify.critical_indices``
+    or ``checks[i].tol`` load and run whatever those hold (they exited 4
+    at a tolerance with 1 + tol == 1 or one that was not a number), and
+    classify always reports the indices."""
     cfg = _write(tmp_path, "tol.json", raw)
-    out = _python("-m", "rieszkit.cli", *command, "--config", cfg,
-                  "--out", str(tmp_path / "out"), timeout=60)
+    out_dir = tmp_path / "out"
+    out = _python("-m", "rieszkit.cli", *command, "--config", cfg, "--out", str(out_dir))
     assert out.returncode == 0, out.stderr
+    if command[0] == "weights":
+        report = json.loads((out_dir / "weights-classify.json").read_text())["report"]
+        assert report["critical_indices"] == {"q_critical": 1.5, "rh_critical": "inf"}
+    else:
+        report = json.loads((out_dir / "00-critical-index-chain.json").read_text())["report"]
+        assert report["extras"]["indices"] == {"r_w": 4.0, "r_wp": 8.0}
+        assert "tol" not in report["sample"]
 
 
 def test_cli_disk_sweep_past_float_range_writes_inf(tmp_path):
@@ -660,9 +667,10 @@ _CAPPED = _base_config(weight={"kind": "power", "exponent": 260.0},
     (["atoms", "gen"], {}, 3),
 ], ids=["classify", "thm1", "pointwise", "atoms-gen"])
 def test_cli_weight_above_ap_cap(tmp_path, command, extra, code):
-    """|x|^260 is in no A_q below the bisection cap 256: classify reports
-    q_critical = inf and every atom-based command fails the A_infinity
-    audit (exit 3) instead of dividing by an underflowed average."""
+    """|x|^260 is in no A_q up to the cap 256 (``weights.AP_CAP``): classify
+    reports q_critical = inf and every atom-based command fails the
+    A_infinity audit (exit 3) instead of dividing by an underflowed
+    average."""
     cfg = _write(tmp_path, "capped.json", {**_CAPPED, **extra})
     out_dir = tmp_path / "out"
     out = _python("-m", "rieszkit.cli", *command, "--config", cfg, "--out", str(out_dir))
@@ -680,7 +688,7 @@ def test_cli_weight_above_ap_cap(tmp_path, command, extra, code):
 
 
 def test_cli_failed_a_infinity_gate_reads_the_same_everywhere(tmp_path, capsys):
-    """|x|^300 is in no A_q below the bisection cap 256.  The pointwise check
+    """|x|^300 is in no A_q up to the cap 256.  The pointwise check
     with a given degree and without one, and `atoms gen` deriving its
     degree, all fail the one A_infinity audit of ``atoms.atom_class`` (exit
     3), with the same item and detail."""
@@ -703,10 +711,48 @@ def test_cli_failed_a_infinity_gate_reads_the_same_everywhere(tmp_path, capsys):
                          "q_critical = inf (no A_q up to 256)")] * 3
 
 
+def _pointwise_half(atom):
+    return _base_config(matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": 0.5},
+                        atom=atom, checks=[{"check": "pointwise-atom-bound"}])
+
+
+def test_cli_pointwise_audits_the_moment_degree(tmp_path):
+    """|x|^{1/2} (q_w = 3/2) at p = 1/2 needs atoms of degree
+    floor(3/2 / (1/2) - 1) = 2: the pointwise check with atom.d = 0 fails
+    "moment degree at least the minimal degree" (exit 3), as theorem-thm1
+    does, where it passed with one audit item."""
+    cfg = _write(tmp_path, "d0.json", _pointwise_half({"p": 0.5, "p0": 2.0, "d": 0}))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+    report = json.loads((out / "00-pointwise-atom-bound.json").read_text())["report"]
+    assert (report["failed_item"], report["detail"]) == (
+        "moment degree at least the minimal degree", "required 2")
+
+
+@pytest.mark.parametrize("atom", [{"p": 1.0, "p0": 2.0}, {"p": 1.0, "p0": 2.0, "d": 0}],
+                         ids=["derived-degree", "given-degree"])
+def test_cli_pointwise_reads_the_atom_class_once(tmp_path, monkeypatch, atom):
+    """The pointwise check derives its degree and audits it from one
+    ``atoms.atom_class`` call, so a run reads the critical indices once,
+    with or without atom.d (without it, it read them twice)."""
+    from rieszkit import atoms
+
+    calls = []
+    real = atoms.critical_indices
+    monkeypatch.setattr(atoms, "critical_indices", lambda w: calls.append(w) or real(w))
+    cfg = _write(tmp_path, "pointwise.json", _pointwise_half(atom))
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "00-pointwise-atom-bound.json").read_text())
+    assert [h["name"] for h in report["report"]["hypotheses"]] == [
+        "weight in A_infinity (finite Muckenhoupt index)",
+        "moment degree at least the minimal degree"]
+    assert len(calls) == 1
+
+
 def test_cli_every_command_derives_the_same_degree(tmp_path):
     """|x|^{1/2} (q_w = 3/2) with atom p = 3/4 and no atom.d: `atoms gen`
-    writes atoms of the least degree floor(n (q_w/p - 1)) = 1 (the midpoint
-    of the q bracket read 0), `atoms validate` accepts them, and a
+    writes atoms of the least degree floor(n (q_w/p - 1)) = 1, `atoms
+    validate` accepts them, and a
     theorem-thm1 campaign on the same weight and p reports the same degree:
     both come from ``atoms.atom_class``."""
     cfg = _write(tmp_path, "thm1.json", _base_config(
@@ -724,17 +770,16 @@ def test_cli_every_command_derives_the_same_degree(tmp_path):
 
 
 def test_cli_rh_index_above_cap_is_inf(tmp_path):
-    """|x|^260 is in RH_s for every s: its power means on the 2^-8 balls
-    (about 2^-2080) are carried as logarithms instead of underflowing to 0,
-    so the RH bisection reports "inf", not an index near 1."""
+    """|x|^260 is in RH_s for every s, so r_w is "inf"; its RH_1024 estimate
+    reads finite, since the power means on the 2^-8 balls (about 2^-2080)
+    are carried as logarithms instead of underflowing to 0."""
     cfg = _write(tmp_path, "capped.json", {**_CAPPED, "classify": {
         "classes": [{"kind": "RH", "s": 1024.0}], "critical_indices": True}})
     assert main(["weights", "classify", "--config", cfg, "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "weights-classify.json").read_text())["report"]
     assert report["classes"][0]["verdict"] == "finite"
     assert report["classes"][0]["constant"] >= 1.0
-    assert report["critical_indices"]["rh_critical"] == "inf"
-    assert report["critical_indices"]["rh_bracket"] == [1024.0, "inf"]
+    assert report["critical_indices"] == {"q_critical": "inf", "rh_critical": "inf"}
 
 
 def test_weights_log_classify_never_loads_scipy_integrate(tmp_path):

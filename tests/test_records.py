@@ -145,7 +145,7 @@ def _stdlib_twin(value):
 
 
 def test_asdict_of_a_nested_report_matches_stdlib():
-    idx = CriticalIndices(1.5, (1.49, 1.51), math.inf, (1024.0, math.inf), 1e-2)
+    idx = CriticalIndices(1.5, math.inf)
     report = VerificationReport(
         "theorem-thm1", "pass", 1.25,
         hypotheses=[AuditItem("weight in A_infinity", 1.5, True),
@@ -156,7 +156,7 @@ def test_asdict_of_a_nested_report_matches_stdlib():
         provenance={"seed": 7})
     ours = records.asdict(report)
     assert ours == dataclasses.asdict(_stdlib_twin(report))
-    assert ours["extras"]["critical"]["q_bracket"] == (1.49, 1.51)
+    assert ours["extras"]["critical"] == {"q_critical": 1.5, "rh_critical": math.inf}
     assert ours == report.to_dict()
     ours["hypotheses"].append(None)                # new containers, not aliases
     assert len(report.hypotheses) == 2

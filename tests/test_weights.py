@@ -346,45 +346,130 @@ def test_critical_indices_unit_weight(std_family):
 
 def test_critical_indices_power_examples(std_family):
     idx = critical_indices(PowerWeight(0.5), std_family)
-    assert idx.q_critical == pytest.approx(1.5, abs=0.02)
+    assert idx.q_critical == 1.5
     assert math.isinf(idx.rh_critical)
     idx = critical_indices(PowerWeight(-0.125), std_family)
-    assert idx.rh_critical == pytest.approx(8.0, abs=0.2)
+    assert idx.rh_critical == 8.0
     assert idx.q_critical == 1.0
 
 
 @pytest.mark.parametrize("a", [-1.0 / 3.0, 0.0, 0.5])
 def test_critical_index_formula(a, std_family):
     idx = critical_indices(PowerWeight(a), std_family)
-    expected = max(1.0, 1.0 + a)
-    assert idx.q_critical == pytest.approx(expected, abs=0.02)
+    assert idx.q_critical == max(1.0, 1.0 + a)
+
+
+@pytest.mark.parametrize("a, n, q, r", [(0.5, 1, 1.5, math.inf), (0.5, 2, 1.25, math.inf),
+                                        (0.0, 2, 1.0, math.inf), (-0.125, 1, 1.0, 8.0),
+                                        (-0.5, 2, 1.0, 4.0)],
+                         ids=["line-q", "plane-q", "plane-unit", "line-r", "plane-r"])
+def test_critical_indices_of_power_weights_in_closed_form(a, n, q, r):
+    """|x|^a on R^n is in A_q exactly for -n < a < n (q - 1), and in RH_s
+    exactly for a s > -n when a < 0: q_w = max(1, 1 + a/n) and r_w = -n/a.
+    No family is needed, and none is read."""
+    idx = critical_indices(PowerWeight(a, dimension=n))
+    assert (idx.q_critical, idx.rh_critical) == (q, r)
+    assert idx.rh_conjugate() == (1.0 if math.isinf(r) else r / (r - 1.0))
+
+
+def test_critical_indices_of_log_and_tabulated_weights():
+    """A tabulated weight is bounded above and below, and the log weight is
+    A_1-like for every power: q_w = 1 and r_w = inf."""
+    grid = RegularGrid((0.0,), (1.0,), (2,))
+    for w in (LogExampleWeight(), LogExampleWeight(power=-2.0), LogExampleWeight(dimension=2),
+              TabulatedWeight(grid, np.array([1.0, 5.0]))):
+        idx = critical_indices(w)
+        assert (idx.q_critical, idx.rh_critical) == (1.0, math.inf)
+
+
+def test_critical_indices_round_to_the_safe_side():
+    """q_w is rounded up and r_w down from the exact exponent, and an index
+    past the float range reads inf instead of raising OverflowError."""
+    assert critical_indices(PowerWeight(1e-300)).q_critical == math.nextafter(1.0, 2.0)
+    assert critical_indices(PowerWeight(-1e-300)).rh_critical <= 1e300
+    assert math.isinf(critical_indices(PowerWeight(-5e-324)).rh_critical)
+    w = ProductPowerWeight(((1e308, (0.0,)), (1e308, (1.0,))))
+    assert math.isinf(critical_indices(w).q_critical)
+
+
+def _ratio_on(w, a, b, k):
+    """M_a / M_b of w on B(0, 2^k), as the class estimators form it."""
+    ball = Ball([0.0], 2.0**k)
+    return power_mean(w, a, ball) / power_mean(w, b, ball)
+
+
+def test_two_centre_product_index_is_set_at_infinity():
+    """|x|^{0.6} |x - 1|^{0.7} is |x|^{1.3} at infinity, so it is in A_q
+    exactly for q > 2.3, although each factor is in A_2.  A finite family
+    cannot see this: the A_2 ratio on B(0, 2^k) keeps growing with k, while
+    the A_2.4 ratio levels off.  At p = 1/2 the atoms then need
+    floor(2.3 / 0.5 - 1) = 3 vanishing moments, not the 2 of q = 1.7."""
+    w = ProductPowerWeight(((0.6, (0.0,)), (0.7, (1.0,))))
+    idx = critical_indices(w)
+    assert idx.q_critical == pytest.approx(2.3, rel=1e-15) and idx.q_critical >= 2.3
+    assert math.isinf(idx.rh_critical)
+    # per 4 octaves the A_2 ratio (2.13, 6.65, 17.3, 32.5) gains more and more,
+    # the A_2.4 ratio (1.77, 3.83, 5.85, 6.95) less and less
+    a2 = np.diff([_ratio_on(w, 1.0, -1.0, k) for k in (0, 4, 8, 12)])
+    a24 = np.diff([_ratio_on(w, 1.0, -1.0 / 1.4, k) for k in (0, 4, 8, 12)])
+    assert np.all(np.diff(a2) > 0.0) and np.all(np.diff(a24) < 0.0) and np.all(a24 > 0.0)
+    from rieszkit import atom_class
+
+    assert atom_class(w, 0.5, None)[2:] == (3, 3)
+
+
+def test_two_centre_product_outside_a_infinity():
+    """|x|^{-1/2} |x - 1|^{-1/2} is |x|^{-1} at infinity, a sum S = -n: it is
+    in no A_q and in no RH_r with r > 1 (its RH_1.5 ratio on B(0, 2^k)
+    grows without bound), so ``atom_class``'s A_infinity audit fails."""
+    w = ProductPowerWeight(((-0.5, (0.0,)), (-0.5, (1.0,))))
+    idx = critical_indices(w)
+    assert (idx.q_critical, idx.rh_critical, idx.rh_conjugate()) == (math.inf, 1.0, math.inf)
+    rh = [_ratio_on(w, 1.5, 1.0, k) for k in (0, 4, 8, 12)]
+    assert rh == sorted(rh) and rh[-1] > 4.0 * rh[0]
+    from rieszkit import atom_class
+
+    audit, _, d_min, d = atom_class(w, 0.5, None)
+    assert not audit.passed and d_min is None and d is None
+    assert audit.detail == "q_critical = inf (no A_q up to 256)"
 
 
 def test_critical_indices_rh_above_cap_is_inf(std_family):
-    """|x|^260: the plain averages on the 2^-8 balls (~2^-2080) stay finite
-    as logarithms, so no RH probe divides by an underflowed 0."""
-    idx = critical_indices(PowerWeight(260.0), std_family)
-    assert math.isinf(idx.q_critical)
-    assert math.isinf(idx.rh_critical) and idx.rh_bracket == (1024.0, math.inf)
+    """|x|^260 is in no A_q up to 256 (``weights.AP_CAP``) and in every RH_s.
+    The estimators agree at those exponents on the default family: the
+    plain averages on the 2^-8 balls (~2^-2080) stay finite as logarithms,
+    so RH_1024 divides by no underflowed 0 and reads finite, and A_256
+    reads diverging."""
+    w = PowerWeight(260.0)
+    idx = critical_indices(w, std_family)
+    assert math.isinf(idx.q_critical) and math.isinf(idx.rh_critical)
+    assert estimate_Ap_constant(w, 256.0, std_family, refine_steps=2).verdict == "diverging"
+    rep = estimate_RH_constant(w, 1024.0, std_family, refine_steps=2)
+    assert rep.verdict == "finite" and 1.0 <= rep.constant < math.inf
 
 
 def test_critical_indices_in_dimension_two_rh_near_cap_of_circle():
     """|x|^{-1/2} in the plane is in RH_s exactly for s < 4; the default
     family has disks whose circle passes through the singular point, where
-    the last probes below 4 integrate r^(g-1) with g = 2 - s/2 close to 0."""
-    idx = critical_indices(PowerWeight(-0.5, dimension=2), default_ball_family(2))
-    lo, hi = idx.rh_bracket
-    assert lo <= 4.0 <= hi and hi - lo <= idx.tol
-    assert idx.q_bracket == (1.0, 1.0 + idx.tol)
+    RH_s just below 4 integrates r^(g-1) with g = 2 - s/2 close to 0.  The
+    estimator reads finite there and diverging just above 4."""
+    w, fam = PowerWeight(-0.5, dimension=2), default_ball_family(2)
+    idx = critical_indices(w, fam)
+    assert (idx.q_critical, idx.rh_critical) == (1.0, 4.0)
+    for s in (3.99, 3.999):
+        assert estimate_RH_constant(w, s, fam, refine_steps=2).verdict == "finite", s
+    assert estimate_RH_constant(w, 4.01, fam, refine_steps=2).verdict == "diverging"
 
 
 def test_critical_indices_in_dimension_two():
-    """|x|^{1/2} in the plane is in A_q exactly for q > 1 + a/n = 1.25."""
+    """|x|^{1/2} in the plane is in A_q exactly for q > 1 + a/n = 1.25; the
+    estimator reads that on either side of 1.25."""
+    w = PowerWeight(0.5, dimension=2)
     fam = dyadic_ball_family([[0.0, 0.0], [1.0, 0.0]], -4, 0)
-    idx = critical_indices(PowerWeight(0.5, dimension=2), fam)
-    lo, hi = idx.q_bracket
-    assert lo <= 1.25 <= hi and hi - lo <= idx.tol
-    assert math.isinf(idx.rh_critical)
+    idx = critical_indices(w, fam)
+    assert idx.q_critical == 1.25 and math.isinf(idx.rh_critical)
+    assert estimate_Ap_constant(w, 1.24, fam, refine_steps=2).verdict == "diverging"
+    assert estimate_Ap_constant(w, 1.26, fam, refine_steps=2).verdict == "finite"
 
 
 # ---------------------------------------------------------------------------
