@@ -6,9 +6,11 @@ Usage:
 
 JSON reports are compared without their top-level ``timestamp``; JSON-lines
 and CSV files are compared value by value. For each file the script prints
-"identical" or the largest relative change of a float, and it exits 1 on any
-difference (a changed float, a changed non-numeric value, a file present on
-one side only).
+"identical", the largest relative change of a float and its key path (such
+as ``report.worst``, or ``[2][1]`` for row 2, column 1 of a CSV file), or the
+key path of the first other difference and what differs there (such as
+``report.stability: keys changed``). It exits 1 on any difference (a changed
+float, a changed non-numeric value, a file present on one side only).
 """
 
 from __future__ import annotations
@@ -55,24 +57,35 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def largest_change(a, b) -> float:
-    """Largest relative change of a number between two parsed values; inf
-    when anything else (a string, a key, a length, a type) differs."""
+def largest_change(a, b, path: str = "") -> tuple:
+    """(change, path, what) between two parsed values: the largest relative
+    change of a number and the key path where it is, or inf with the path
+    of the first other difference and what differs there (a key set, a
+    length, a type, a string or a non-finite number)."""
     numeric = (int, float)
     if isinstance(a, numeric) and isinstance(b, numeric) \
             and not isinstance(a, bool) and not isinstance(b, bool):
-        return _rel(float(a), float(b))
+        change = _rel(float(a), float(b))
+        return change, path, "non-finite number changed" if math.isinf(change) else ""
     if type(a) is not type(b):
-        return math.inf
+        return math.inf, path, "type changed"
     if isinstance(a, dict):
         if a.keys() != b.keys():
-            return math.inf
-        return max((largest_change(a[k], b[k]) for k in a), default=0.0)
-    if isinstance(a, list):
+            return math.inf, path, "keys changed"
+        items = [(f"{path}.{k}" if path else str(k), a[k], b[k]) for k in a]
+    elif isinstance(a, list):
         if len(a) != len(b):
-            return math.inf
-        return max((largest_change(x, y) for x, y in zip(a, b)), default=0.0)
-    return 0.0 if a == b else math.inf
+            return math.inf, path, "length changed"
+        items = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        return (0.0, path, "") if a == b else (math.inf, path, "value changed")
+    best = (0.0, path, "")
+    for sub, x, y in items:
+        found = largest_change(x, y, sub)
+        if math.isinf(found[0]):
+            return found
+        best = max(best, found, key=lambda item: item[0])
+    return best
 
 
 def main(argv=None) -> int:
@@ -87,11 +100,12 @@ def main(argv=None) -> int:
         if rel not in b_files or rel not in a_files:
             status = f"only in {a_dir if rel in a_files else b_dir}"
         else:
-            change = largest_change(_load(os.path.join(a_dir, rel)),
-                                    _load(os.path.join(b_dir, rel)))
+            change, path, what = largest_change(_load(os.path.join(a_dir, rel)),
+                                                _load(os.path.join(b_dir, rel)))
             status = ("identical" if change == 0.0 else
-                      "non-numeric or non-finite change" if math.isinf(change) else
-                      f"largest relative change {change:.3e}")
+                      f"non-numeric or non-finite change: {path or '(file)'}: {what}"
+                      if math.isinf(change) else
+                      f"largest relative change {change:.3e} at {path}")
         differ += status != "identical"
         print(f"{status:34s} {rel}")
     print(f"{len(a_files | b_files) - differ}/{len(a_files | b_files)} files identical")

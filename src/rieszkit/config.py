@@ -19,7 +19,7 @@ from .errors import ConfigError, OutOfGrid
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, default_ball_family,
                        dyadic_ball_family)
 from .quadrature import QuadratureScheme
-from .records import field, record
+from .records import field, record, replace
 from .weights import (LogExampleWeight, PowerWeight, ProductPowerWeight,
                       RegularGrid, TabulatedWeight, tabulated_from_csv)
 
@@ -214,17 +214,14 @@ def build_quadrature(block: dict | None, dimension: int, path: str = "quadrature
     if block is None:
         return default_scheme(dimension)
     _expect(isinstance(block, dict), path, "expected an object")
+    # ``tol`` is accepted and not read: only the scalar ``operators.apply_T``,
+    # which no command calls, reads it
     for key in block:
         _expect(key in ("resolution", "tol"), f"{path}.{key}",
                 "unknown quadrature field; known: resolution, tol")
     base = default_scheme(dimension)
-    try:
-        return QuadratureScheme(
-            resolution=_bounded(block, "resolution", path, base.resolution, 16,
-                                MAX_RESOLUTION[dimension]),
-            tol=_number(block, "tol", path, False, base.tol))
-    except ValueError as exc:
-        raise ConfigError(path, str(exc))
+    return replace(base, resolution=_bounded(block, "resolution", path, base.resolution, 16,
+                                             MAX_RESOLUTION[dimension]))
 
 
 CLASS_KINDS = ("A1", "Ap", "Apq", "RH")
@@ -280,11 +277,11 @@ def _expect_within_extent(extent: float, path: str):
             f"the ball's extent |c| + r must stay below {MAX_EXTENT:.3g}")
 
 
-def validate_check(item: dict, dimension: int, path: str,
+def validate_check(item: dict, dimension: int, path: str, weight,
                    exponents: ExponentProfile | None, campaign: CampaignSpec | None) -> dict:
     """Domain checks of the parameters a check reads, and of the config
-    blocks it needs (``exponents`` with its matrices, ``campaign``), before
-    anything runs.
+    blocks it needs (``weight``, ``exponents`` with its matrices,
+    ``campaign``), before anything runs.
 
     Returns the check's parameters with every default applied, ready for
     the runner (``cli._run_check``) to read as they are.
@@ -294,6 +291,9 @@ def validate_check(item: dict, dimension: int, path: str,
     if name == "maximal-inequality":
         _expect(dimension == 1, f"{path}.check",
                 "maximal-inequality sweeps are implemented on the line")
+        _expect(not isinstance(weight, TabulatedWeight), "weight.kind",
+                "maximal-inequality integrates over the whole line, beyond a "
+                "tabulated weight's grid")
         p = _number(item, "p", path, False, 2.0)
         # at p = 1 the maximal operators have only the weak-type bound
         _expect(1.0 < p < math.inf, f"{path}.p", "must be finite and exceed 1")
@@ -306,9 +306,13 @@ def validate_check(item: dict, dimension: int, path: str,
                       {"center": [1.0], "radius": 2.0}])
         _expect(isinstance(balls, list) and balls, f"{path}.test_balls",
                 "expected a nonempty list of balls")
-        out.update(p=p, alpha=alpha, test_balls=[
-            Ball(*_ball_fields(ball, dimension, f"{path}.test_balls[{i}]"))
-            for i, ball in enumerate(balls)])
+        out.update(p=p, alpha=alpha, test_balls=[])
+        for i, ball in enumerate(balls):
+            (c,), r = _ball_fields(ball, dimension, f"{path}.test_balls[{i}]")
+            _expect(c - r < c < c + r and (c + r) - (c - r) < math.inf,
+                    f"{path}.test_balls[{i}].radius", "the ends c - r and c + r must differ "
+                    "from the centre and lie a finite length apart")
+            out["test_balls"].append(Ball([c], r))
     elif name == "rh-ball-inequality":
         alpha = _number(item, "alpha", path, False, 0.5)
         _expect(0.0 < alpha < dimension, f"{path}.alpha", f"must lie in (0, {dimension})")
@@ -496,7 +500,7 @@ def parse_config(raw: dict, base_dir: str = ".") -> RunConfig:
         name = _get(item, "check", f"checks[{i}]")
         _expect(name in KNOWN_CHECKS, f"checks[{i}].check",
                 f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-        checks.append(validate_check(item, n, f"checks[{i}]", exponents, campaign))
+        checks.append(validate_check(item, n, f"checks[{i}]", weight, exponents, campaign))
 
     sweeps = []
     for i, item in enumerate(_list(raw, "sweeps", "(root)", [])):

@@ -1,0 +1,106 @@
+"""Whole-line integrals of products of radial profiles (``log_line_integral``).
+
+The maximal check (``verify``) reads its norms from it and imports it only
+when it runs: a module of its own keeps the campaign and classify
+processes, which compile their source without written bytecode, from
+compiling it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .operators import _graded_panels
+from .quadrature import _GL16_W, _GL16_X, _KNEE, gauss_jacobi
+
+# toward a log factor's centre the grading goes on until the innermost panel
+# holds at most e**-_LOG_DEPTH of its half
+_LOG_DEPTH = 36.0
+
+
+def log_line_integral(factors, a: float, b: float):
+    """log of the integral over [a, b] of prod_k P_k(|x - m_k|), for
+    ``factors`` [(m_k, P_k)] with finite m_k and -inf <= a <= b <= inf, and
+    its log with every panel halved: a pair, +inf when the integral diverges
+    (a mark in [a, b] with summed exponent <= -1, or an infinite end where
+    gamma = sum_k e_k >= -1) and -inf when a == b.
+
+    The marks (the m_k, the knees m_k +- 1/e of log factors, the finite
+    ends) split [a, b] into pieces; each piece is halved and each half graded
+    toward its mark (``operators._graded_panels``), deeper when a centre
+    beyond it is close and deeper still toward a log factor.  An infinite
+    end beyond the last mark v takes x = v +- D (1 - t) / t, d_k =
+    |v - m_k|, D = max d_k: the integrand D t^(-gamma-2) prod_k (D (1 - t)
+    + d_k t)^e_k gives two more halves, toward t = 0 and t = 1.  The panel
+    at a mark takes ``quadrature.gauss_jacobi`` for its exponent and every
+    other one 16-point Gauss-Legendre (Davis & Rabinowitz, Methods of
+    Numerical Integration, 1984).  Each factor is a power of a form A + B u
+    in the offset u of a node from its half's mark, so no distance is lost
+    to rounding, and the sums are logarithms.
+    """
+    if not a < b:
+        return -math.inf, -math.inf
+    cs = [float(c) for c, _ in factors]
+    es = [prof.exponent for _, prof in factors]
+    ss = [prof.s for _, prof in factors]
+    gamma = sum(es)
+    marks = {a, b, *cs, *(c + k for c, s in zip(cs, ss) if s for k in (-_KNEE, _KNEE))}
+    marks = sorted(m for m in marks if a <= m <= b and math.isfinite(m))
+    if (min((sum(e for c, e in zip(cs, es) if c == m) for m in marks), default=0.0) <= -1.0
+            or (gamma >= -1.0 and not math.isfinite(b - a))):
+        return math.inf, math.inf
+    # per half: its length and its forms (A, B, e, s), each giving the factor
+    # (A + B u)^e log(1 / (A + B u))^s; two neutral forms pad a finite half
+    # to the length of a tail's
+    halves = []
+    for p0, p1 in zip(marks, marks[1:]):
+        h = 0.5 * (p1 - p0)
+        for p, way in ((p0, 1.0), (p1, -1.0)):
+            sides = [way * math.copysign(1.0, p - c) if p != c else 1.0 for c in cs]
+            halves.append((h, [(1.0, 0.0, 0.0, 0.0)] * 2 + [
+                (abs(p - c), side, e, s if abs(p - c) + 0.5 * h * side < _KNEE else 0.0)
+                for c, side, e, s in zip(cs, sides, es, ss)]))
+    for v, way, end in ((marks[0], -1.0, a), (marks[-1], 1.0, b)):
+        if math.isinf(end):
+            d = [way * (v - c) for c in cs]
+            big = max(d)
+            # t = t0 + sign u: the Jacobian D, t itself and each D (1 - t) + d_k t
+            for t0, sign in ((0.0, 1.0), (1.0, -1.0)):
+                halves.append((0.5, [(big, 0.0, 1.0, 0.0), (t0, sign, -2.0 - gamma, 0.0)] + [
+                    (dk if t0 else big, sign * (dk - big), e, 0.0) for dk, e in zip(d, es)]))
+    h = np.array([half[0] for half in halves])
+    A, B, E, S = np.moveaxis(np.array([half[1] for half in halves]), 2, 0)
+    e0 = np.sum(np.where(A == 0.0, E, 0.0), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.min(np.where((A > 0.0) & (B > 0.0), A / B, math.inf), axis=1)
+    deep = 0.5 * h * np.maximum(np.exp(-_LOG_DEPTH / (1.0 + e0)), 1e-150)
+    gap = np.where(np.any((A == 0.0) & (S != 0.0), axis=1), np.minimum(gap, deep), gap)
+    owner, lo, hi = _graded_panels(np.arange(h.size), np.zeros(h.size), h, gap,
+                                   np.full(h.size, math.inf))
+    # every panel, then every panel halved
+    mid = lo + 0.5 * (hi - lo)
+    fine = np.repeat([False, True, True], lo.size)
+    owner = np.tile(owner, 3)
+    lo, hi = np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])
+    # nodes as fractions of their panel from its low end, and log weights
+    jacobi = (lo == 0.0) & (e0[owner] != 0.0)
+    x = np.tile(_GL16_X, (lo.size, 1))
+    logw = np.tile(np.log(_GL16_W), (lo.size, 1))
+    for level in set(e0[owner[jacobi]].tolist()):
+        rule = gauss_jacobi(16, 0.0, level)
+        sel = jacobi & (e0[owner] == level)
+        x[sel] = 0.5 * rule[1]
+        logw[sel] = np.log(rule[3]) - (1.0 + level) * math.log(2.0)
+    fa, fb, fe, fs = (f[owner][:, :, None] for f in (A, B, E, S))
+    width = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logr = np.log(fa + fb * (lo[:, None] + width[:, None] * x)[:, None, :])
+        # on a Gauss-Jacobi panel the rule's weight holds the powers of u
+        power = np.where(jacobi[:, None, None] & (fa == 0.0), np.log(fb), logr)
+        terms = (np.sum(fe * power + np.where(fs != 0.0, fs * np.log(-logr), 0.0), axis=1)
+                 + logw + ((1.0 + np.where(jacobi, e0[owner], 0.0)) * np.log(width))[:, None])
+    top = float(np.max(terms))
+    return tuple(top + math.log(float(np.sum(np.exp(terms[fine == f] - top))))
+                 for f in (False, True))

@@ -562,13 +562,15 @@ def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: Exponent
 
 
 def _graded_panels(point, u, v, gap_lo, gap_hi):
-    """Split pieces [u, v] into panels graded toward a preimage beyond an end.
+    """Split pieces [u, v] into panels graded toward a singular point beyond
+    an end: a kernel preimage here, a factor's centre in
+    ``line_integral.log_line_integral``.
 
-    A piece whose end is closer than half its length to a preimage beyond it
+    A piece whose end is closer than half its length to a point beyond it
     is cut at sigma = _GRADING of its length from that end, again and again,
     until the innermost panel is at most twice its distance long; a piece with
-    such preimages beyond both ends is halved first.  Each panel is then at
-    least sigma / (1 - sigma) of its length away from every outside preimage.
+    such points beyond both ends is halved first.  Each panel is then at
+    least sigma / (1 - sigma) of its length away from every outside point.
     Returns (point, lo, hi) per panel.
     """
     length = v - u

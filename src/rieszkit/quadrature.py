@@ -14,7 +14,10 @@ sums (``RadialProfile``); no adaptive quadrature runs.
 A ball integral of P alone needs no cells: ``log_ball_integral`` returns
 its logarithm exactly (primitives on the line, a full disk plus an
 annulus in the plane), which is what the radial weights' power means and
-the plane Riesz potentials of disks (``operators``) read.
+the plane Riesz potentials of disks (``operators``) read.  A line integral
+of a product of such profiles at several points, over finite or infinite
+ranges, takes this module's Gauss-Jacobi and Gauss-Legendre rules on graded
+panels (``line_integral.log_line_integral``).
 
 Supported dimensions: 1 (intervals) and 2 (disks).
 """

@@ -7,9 +7,11 @@ seeded campaign is finite and its per-radius maxima drift by less than a
 factor of 4 across the campaign's radii (0.25, 1 and 4 by default).
 A campaign does not re-run its norms on a refined lattice; only the
 pointwise atom bound also measures its drift, under a doubled set of outer
-sample points (its values of T read no lattice).  Checks never assert sharp
-constants.  Every check audits its hypotheses before any costly work, and
-``require_hypotheses`` raises HypothesisFailed for the first that fails.
+sample points (its values of T read no lattice).  The maximal check reads
+its ratios exactly on the whole line and fails only on an infinite one.
+Checks never assert sharp constants.  Every check audits its hypotheses
+before any costly work, and ``require_hypotheses`` raises HypothesisFailed
+for the first that fails.
 The checks that take atoms read their A_infinity gate and moment degree
 from ``atoms.atom_class``, as ``atoms gen`` does.
 A step of the proofs that holds by construction, such as the triangle
@@ -39,10 +41,10 @@ from .config import derived_degree
 from .errors import AuditItem, ConfigError, MisclassifiedSample, require_hypotheses
 from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, classify,
                        default_ball_family, distances, expanded_balls)
-from .operators import (ExponentProfile, SampledFunction, apply_T_ball_1d, apply_T_batch,
-                        indicator_maximal_1d, weighted_norm)
-from .quadrature import (QuadratureScheme, default_scheme, graded_edges,
-                         integrate_cells_1d)
+from .operators import (ExponentProfile, apply_T_ball_1d, apply_T_batch,
+                        indicator_maximal_1d)
+from .quadrature import (PowerProfile, QuadratureScheme, default_scheme, graded_edges,
+                         integrate_cells_1d, radial_profile)
 from .records import asdict, field, record
 from .weights import (STABILITY_FACTOR, PowerWeight, _exp, ball_measure,
                       check_matrix_compatibility, critical_indices, estimate_A1_constant,
@@ -344,26 +346,8 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
 # ---------------------------------------------------------------------------
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``values`` sorted without repeats, as np.unique gives them (which
-    imports numpy.ma)."""
-    out = np.sort(values)
-    return out[np.concatenate([[True], out[1:] != out[:-1]])]
-
-
-def _graded_domain(extent: float, per_unit: int, dense_halfwidth: float):
-    """Symmetric graded mesh on [-extent, extent], dense near the origin."""
-    dense = np.linspace(-dense_halfwidth, dense_halfwidth,
-                        max(16, int(2 * dense_halfwidth * per_unit)) + 1)
-    right = graded_edges(dense_halfwidth, extent, h0=1.0 / per_unit, block=max(8, per_unit))
-    left = -right[::-1]
-    return _sorted_unique(np.concatenate([left, dense, right]))
-
-
 def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = None,
-                               scheme: QuadratureScheme | None = None,
-                               base_extent: float = 32.0, per_unit: int = 16,
-                               levels: int = 4) -> VerificationReport:
+                               scheme: QuadratureScheme | None = None) -> VerificationReport:
     """Operator-norm ratio of the (fractional) maximal operator on indicators.
 
     alpha None: sup_f ||Mf||_{L^p_w} / ||f||_{L^p_w} needs w in A_p.
@@ -372,74 +356,66 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     Both need p > 1: at p = 1 the operators have only the weak-type bound,
     and the strong-type ratio is unbounded over balls.
 
-    M_beta of the indicator of an interval B is exact on the line
-    (``indicator_maximal_1d``: |B| (|B| + dist(x, B))^(beta-1)); the left
-    side integrates it over a graded mesh of [-extent, extent].  Each
-    refinement level doubles both the mesh density and the truncation
-    domain, and the levels must drift by less than STABILITY_FACTOR; an
-    infinite norm can grow too slowly to show, so the class audit gates it.
+    On the line M_beta chi_B = |B| (|B| + dist(x, B))^(beta-1)
+    (``indicator_maximal_1d``) is |B|^beta in B = [lo, hi] and
+    |B| |x - e|^(beta-1) outside, e the end of B farther from x.  So each
+    norm is read exactly on the whole line by
+    ``line_integral.log_line_integral`` (the left side over (-inf, lo],
+    [lo, hi] and [hi, inf)), with ``err_est`` the ratio's relative change
+    when every panel is halved.  A ratio is +inf exactly when an integral
+    diverges (verdict "diverging"), which the exponent at infinity decides
+    where the audit's finite family cannot.
     """
-    n = w.dimension
-    if n != 1:
+    if w.dimension != 1:
         raise ValueError("maximal-inequality sweeps are implemented on the line")
     if not p > 1.0:
         raise ValueError("the maximal operators are bounded on L^p_w only for p > 1")
-    if scheme is None:
-        scheme = default_scheme(n)
+    radial = radial_factors(w)
+    if radial is None:
+        raise ValueError("the maximal check needs the weight beyond a tabulated grid")
     fam = default_ball_family(w.dimension)
-    audits = []
     if alpha is None:
         rep = estimate_Ap_constant(w, p, fam, scheme)
-        audits.append(AuditItem(f"w in A_{p:g}", rep.constant, rep.verdict == "finite",
-                                "required for the strong-type bound"))
-        q = p
-        s_norm = 1.0
+        audits = [AuditItem(f"w in A_{p:g}", rep.constant, rep.verdict == "finite",
+                            "required for the strong-type bound")]
+        q, beta, s_num, s_den = p, 0.0, 1.0, 1.0
     else:
-        q = 1.0 / (1.0 / p - alpha / n)
+        q = 1.0 / (1.0 / p - alpha)
         rep = estimate_Apq_constant(w, p, q, fam, scheme)
-        audits.append(AuditItem(f"w in A_pq(p={p:g},q={q:g})", rep.constant,
-                                rep.verdict == "finite"))
-        s_norm = p  # ||f||_{L^p_{w^p}}; the numerator weight w^q is applied below
+        audits = [AuditItem(f"w in A_pq(p={p:g},q={q:g})", rep.constant,
+                            rep.verdict == "finite")]
+        # ||M_alpha f||_{L^q_{w^q}} / ||f||_{L^p_{w^p}}
+        beta, s_num, s_den = alpha, q, p
     require_hypotheses(audits)
+    # only this check compiles the rule (see ``line_integral``)
+    from .line_integral import log_line_integral
 
-    beta = 0.0 if alpha is None else alpha
-    dens_norms = [weighted_norm(SampledFunction(b), p, w, s_norm, scheme) for b in test_balls]
-    series = []
+    # the weight's scale cancels in the ratio
+    num_w, den_w = ([(float(c[0]), radial_profile(prof.exponent * t, prof.s * t))
+                     for c, prof in radial[1]] for t in (s_num, s_den))
+    far = PowerProfile(q * (beta - 1.0))
     witnesses = []
-    for level in range(levels):
-        extent = base_extent * 2.0**level
-        dens = int(per_unit * 2.0**level)
-        mesh = _graded_domain(extent, dens, dense_halfwidth=4.0)
-        mids = 0.5 * (mesh[:-1] + mesh[1:])
-        widths = np.diff(mesh)
-        wv = eval_weight_batch(w, mids[:, None], extended=True)
-        if alpha is not None:
-            wv = wv ** q
-        ratios = []
-        for ball, den in zip(test_balls, dens_norms):
-            mvals = indicator_maximal_1d(ball, mids, beta)
-            num = float(np.sum(mvals**q * wv * widths)) ** (1.0 / q)
-            # an overflowed norm (an inf that is really a finite number
-            # beyond float range) or an underflowed one (a 0 that is really
-            # positive) leaves the ratio undefined
-            ratios.append(num / den if 0.0 < num < math.inf and 0.0 < den < math.inf
-                          else math.nan)
-        # a NaN ratio is the level's value (``_worst``), and its ball a witness
-        undefined = [i for i, r in enumerate(ratios) if math.isnan(r)]
-        witnesses += [{"level": level, "center": test_balls[i].center.tolist(),
-                       "radius": test_balls[i].radius, "ratio": ratios[i]} for i in undefined]
-        series.append(_at_worst(ratios))
-    # a level without a value makes the verdict undefined (a failure)
-    if any(math.isnan(v) for v in series):
-        verdict = "undefined"
-    else:
-        verdict = "pass" if _drift(series) < STABILITY_FACTOR else "diverging"
+    for ball in test_balls:
+        c = float(ball.center[0])
+        lo, hi = c - ball.radius, c + ball.radius
+        if not (lo < c < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"test ball B({c:g}, {ball.radius:g}) has no finite positive length")
+        log_size = math.log(hi - lo)
+        log_num = np.logaddexp.reduce([
+            q * log_size + np.array(log_line_integral(num_w + [(hi, far)], -math.inf, lo)),
+            beta * q * log_size + np.array(log_line_integral(num_w, lo, hi)),
+            q * log_size + np.array(log_line_integral(num_w + [(lo, far)], hi, math.inf))])
+        with np.errstate(over="ignore"):
+            coarse, ratio = np.exp(log_num / q - np.array(log_line_integral(den_w, lo, hi)) / p)
+        # an infinite ratio is decided by the exponents, not by the panels
+        witnesses.append({"center": [c], "radius": ball.radius, "ratio": float(ratio),
+                          "err_est": float(abs(ratio / coarse - 1.0))
+                          if math.isfinite(ratio) else 0.0})
+    ratios = [row["ratio"] for row in witnesses]
+    verdict = "pass" if all(math.isfinite(v) for v in ratios) else "diverging"
     return VerificationReport(
-        "maximal-inequality", "pass" if verdict == "pass" else "fail", series[-1],
-        audits,
-        stability={"levels": series, "drift": _drift(series)},
-        sample={"p": p, "alpha": alpha, "test_count": len(test_balls),
-                "base_extent": base_extent},
+        "maximal-inequality", "pass" if verdict == "pass" else "fail", _at_worst(ratios),
+        audits, sample={"p": p, "alpha": alpha, "test_count": len(test_balls)},
         witnesses=witnesses, extras={"verdict": verdict},
         provenance={"config_hash": config_hash({"w": weight_to_dict(w), "p": p,
                                                 "alpha": alpha})})
@@ -458,6 +434,13 @@ def _merge_intervals(intervals):
         else:
             out.append([lo, hi])
     return out
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted without repeats, as np.unique gives them (which
+    imports numpy.ma)."""
+    out = np.sort(values)
+    return out[np.concatenate([[True], out[1:] != out[:-1]])]
 
 
 def _split_edges_at(edges: np.ndarray, points) -> np.ndarray:

@@ -125,9 +125,15 @@ def test_check_defaults_applied_at_parse():
     assert chain == {"check": "critical-index-chain", "p": 0.25, "q": None}
 
 
-def test_quadrature_block_reads_resolution_and_tol():
+def test_quadrature_block_reads_resolution_not_tol():
+    """``quadrature.tol`` is read by no command (only the scalar
+    ``apply_T`` checks its convergence with it), so a config that carries
+    it loads whatever it holds; a negative tol exited 4."""
     cfg = parse_config(_base_config(quadrature={"resolution": 256, "tol": 1e-5}))
-    assert cfg.quadrature == QuadratureScheme(resolution=256, tol=1e-5)
+    assert cfg.quadrature == QuadratureScheme(resolution=256, tol=1e-6)
+    for tol in (-1.0, "fine"):
+        assert parse_config(_base_config(quadrature={"tol": tol})).quadrature == \
+            QuadratureScheme()
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +400,10 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     """A failed hypothesis audit exits 3 from every check kind. The run
     writes one hypothesis-failed report that names the audit and ends there,
     so the check listed after it writes no report. |x|^{3/2} with p = 2 is
-    outside A_2, where the truncated levels of its infinite norm grow only
-    1.86x. For |x|^{-0.995} the theorem-ta audit of w^{n/((n-alpha)s)}
-    fails first, and the thm1 campaign's p0 = 1.3332 lies below the 4/3 of
-    |x|^{-1/4}."""
+    outside A_2 (its numerator, M chi_B ~ |x|^{-1} squared against
+    |x|^{3/2}, diverges at infinity). For |x|^{-0.995} the theorem-ta audit
+    of w^{n/((n-alpha)s)} fails first, and the thm1 campaign's p0 = 1.3332
+    lies below the 4/3 of |x|^{-1/4}."""
     cfg = _write(tmp_path, "audit.json", raw)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
@@ -445,6 +451,17 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     (["verify"],
      _base_config(checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 0.75}]),
      "checks[0].p"),
+    (["verify"], _base_config(weight={"kind": "tabulated", "grid": _GRID, "values": [1.0, 2.0]},
+                              checks=[{"check": "maximal-inequality"}]), "weight.kind"),
+    (["verify"],
+     _base_config(checks=[{"check": "maximal-inequality",
+                           "test_balls": [{"center": [0.0], "radius": 1.0},
+                                          {"center": [1.0], "radius": 1e-17}]}]),
+     "checks[0].test_balls[1].radius"),
+    (["verify"],
+     _base_config(checks=[{"check": "maximal-inequality",
+                           "test_balls": [{"center": [0.0], "radius": 1e308}]}]),
+     "checks[0].test_balls[0].radius"),
     (["weights", "classify"],
      _base_config(quadrature={"policy": "exclude_refine"},
                   classify={"classes": [{"kind": "A1"}], "critical_indices": False}),
@@ -519,6 +536,7 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-p-1", "maximal-p-1-alpha", "maximal-alpha-1", "maximal-p-above-1-over-alpha",
+        "maximal-tabulated", "maximal-ball-ends-round-to-centre", "maximal-ball-length-overflows",
         "quadrature-policy", "quadrature-patch-cells",
         "weight-power-scale-0", "weight-log-scale-negative", "weight-tabulated-negative-value",
         "weight-tabulated-zero-value", "weight-tabulated-hi-below-lo",
@@ -537,8 +555,10 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
     work beyond the budget, campaign balls whose squared distances overflow,
     a maximal check at p = 1, where the maximal operators have only the
-    weak-type bound (the unit weight's levels grew like the log of the
-    extent and passed), an RH ball check whose q/p rounds to 1, a theorem
+    weak-type bound (the unit weight's ratio is infinite), on a tabulated
+    weight (the check needs the weight beyond its grid) or on a test ball
+    whose ends round to its centre (B(1, 1e-17)) or lie an infinite length
+    apart, an RH ball check whose q/p rounds to 1, a theorem
     check whose order does not match the exponents or that runs off the
     line, a pointwise
     check without its atom block or off the line and a moment degree (given,
@@ -829,7 +849,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
     """A classify run loads no operator, atom or campaign module, an operator
     sweep no atom or campaign module, the maximal-inequality check no atom
     module, and `atoms gen` and `atoms validate` no campaign module: a
-    process compiles only the source its command runs.  No command loads
+    process compiles only the source its command runs.  Only the maximal
+    check loads the whole-line rule (``line_integral``), so a campaign
+    process does not compile it.  No command loads
     numpy.random (the atom stream is ``rieszkit.rng``), numpy.ma (which
     np.unique imports), hashlib and its OpenSSL module _hashlib (the config
     hash in the checks' provenance is the builtin sha256) or dataclasses
@@ -837,9 +859,9 @@ def test_each_command_loads_only_its_modules(tmp_path):
     code = ("import json, sys, rieszkit.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = rieszkit.cli.main(argv)\n"
-            "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify', 'hashlib',\n"
-            "                                       '_hashlib', 'numpy.random', 'numpy.ma',\n"
-            "                                       'dataclasses')\n"
+            "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify',\n"
+            "                                       'line_integral', 'hashlib', '_hashlib',\n"
+            "                                       'numpy.random', 'numpy.ma', 'dataclasses')\n"
             "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
 
     def loaded(*commands):
@@ -857,7 +879,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["weights", "classify", "--config", os.path.join(CONFIG_DIR, "weights-log.json")],
         ["operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json")],
         ["verify", "--config", os.path.join(CONFIG_DIR, "maximal-power-half.json")]) == [
-        "loaded 0 []", "loaded 0 ['operators']", "loaded 0 ['operators', 'verify']"]
+        "loaded 0 []", "loaded 0 ['operators']",
+        "loaded 0 ['operators', 'verify', 'line_integral']"]
     assert loaded(
         ["atoms", "gen", "--config", atoms_cfg],
         ["atoms", "validate", "--config", atoms_cfg, "--manifest",
@@ -938,58 +961,81 @@ def test_cli_refined_lattice_keeps_the_campaign_passing(tmp_path):
     assert any(r["center"] == [-2.0] and r["radius"] == 0.25 for r in report["witnesses"])
 
 
-def test_cli_maximal_check_fails_on_an_overflowed_ball(tmp_path):
-    """A test ball whose weighted norm overflows has no ratio: the check
-    fails with that ball as the witness instead of dropping it, and reads
-    "undefined", not growth."""
+def _maximal_witnesses(tmp_path, raw):
+    """The exit code, report and witness rows of a run of one maximal check."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    cfg = _write(tmp_path, "maximal.json", raw)
+    out = tmp_path / "out"
+    code = main(["verify", "--config", cfg, "--out", str(out)])
+    with open(out / "00-maximal-inequality-witnesses.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    report = json.loads((out / "00-maximal-inequality.json").read_text())["report"]
+    assert len(rows) == len(report["witnesses"])
+    return code, report, [(r["center"], float(r["radius"]), float(r["ratio"])) for r in rows]
+
+
+def test_cli_maximal_check_reads_a_huge_ball_at_radius_one(tmp_path):
+    """For |x|^{1/2} the ratio is dilation-invariant, and B(1, 1e300)
+    reads the ratio of B(0, 1) (2.95167562248711, 30-digit mpmath): its
+    integrals are logarithms, so nothing overflows (the truncated norm
+    overflowed and the check exited 2, "undefined")."""
     with open(os.path.join(CONFIG_DIR, "maximal-power-half.json")) as fh:
         raw = json.load(fh)
     raw["checks"][0]["test_balls"][2]["radius"] = 1e300
-    cfg = _write(tmp_path, "maximal.json", raw)
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    with open(tmp_path / "out" / "00-maximal-inequality-witnesses.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["center"], float(r["radius"]), r["ratio"]) for r in rows] == [
-        ("[1.0]", 1e300, "nan")] * 4
-    report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
-    assert report["verdict"] == "fail" and report["extras"]["verdict"] == "undefined"
+    code, report, rows = _maximal_witnesses(tmp_path, raw)
+    assert code == 0 and report["extras"]["verdict"] == "pass"
+    assert [row[:2] for row in rows] == [("[0.0]", 1.0), ("[0.0]", 0.5), ("[1.0]", 1e300)]
+    for row in rows:
+        assert row[2] == pytest.approx(2.9516756224871, rel=1e-12)
 
 
-def test_cli_maximal_check_fails_on_an_underflowed_ball(tmp_path):
-    """A test ball whose weighted norm underflows to 0 has no ratio either:
-    the check fails (exit 2) with that ball as the witness instead of
-    dividing by zero (exit 1)."""
-    cfg = _write(tmp_path, "maximal.json", _base_config(checks=[
+def test_cli_maximal_check_reads_a_tiny_ball_at_radius_one(tmp_path):
+    """B(0, 1e-300) reads the ratio of B(0, 1) too, where ||chi_B||
+    underflowed to 0 (exit 2, "undefined")."""
+    code, report, rows = _maximal_witnesses(tmp_path, _base_config(checks=[
         {"check": "maximal-inequality", "test_balls": [{"center": [0.0], "radius": 1e-300}]}]))
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    with open(tmp_path / "out" / "00-maximal-inequality-witnesses.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [(r["center"], float(r["radius"]), r["ratio"]) for r in rows] == [
-        ("[0.0]", 1e-300, "nan")] * 4
-    report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
-    assert report["verdict"] == "fail" and report["extras"]["verdict"] == "undefined"
+    assert code == 0 and report["extras"]["verdict"] == "pass"
+    assert rows == [("[0.0]", 1e-300, pytest.approx(2.9516756224871, rel=1e-12))]
 
 
-def test_cli_maximal_check_fails_on_an_underflowed_numerator(tmp_path):
-    """With p = 2 and alpha = 0.45, q = 20, and (M_alpha chi_B)^20 underflows
-    to 0 on a ball of radius 1e-20 while ||chi_B|| does not. For the unit
-    weight the ratio is dilation-invariant, so that ball's ratio is really
-    the unit ball's: it reads NaN and fails the check, where a ratio of 0
-    would hide under the other ball's maximum."""
-    cfg = _write(tmp_path, "maximal.json", _base_config(
+def test_cli_maximal_check_reads_an_underflowing_numerator_at_radius_one(tmp_path):
+    """With p = 2 and alpha = 0.45, q = 20, and (M_alpha chi_B)^20 is below
+    the float range on a ball of radius 1e-20. For the unit weight the ratio
+    is dilation-invariant, and the logarithms read that ball's ratio as the
+    unit ball's (it read NaN, exit 2, "undefined")."""
+    code, report, rows = _maximal_witnesses(tmp_path, _base_config(
         weight={"kind": "power", "exponent": 0.0},
         checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 0.45,
                  "test_balls": [{"center": [0.0], "radius": 1.0},
                                 {"center": [0.0], "radius": 1e-20}]}]))
-    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    report = json.loads((tmp_path / "out" / "00-maximal-inequality.json").read_text())["report"]
-    assert report["extras"]["verdict"] == "undefined"
-    assert {(w["radius"], w["ratio"]) for w in report["witnesses"]} == {(1e-20, "nan")}
+    assert code == 0 and report["extras"]["verdict"] == "pass"
+    (_, _, unit), (_, _, tiny) = rows
+    assert tiny == pytest.approx(unit, rel=1e-12) and 1.0 < unit < 1.1
+
+
+def test_cli_maximal_check_sees_the_exponent_at_infinity(tmp_path):
+    """|x|^{0.6} |x - 1|^{0.7} has q_w = 2.3, so it is outside A_2, yet its
+    family estimate passes "w in A_2". The whole-line integral sees the
+    exponent at infinity: (M chi_B)^2 w ~ |x|^{-2 + 1.3} is not integrable,
+    so every ratio is +inf and the check fails "diverging" (exit 2; the
+    truncated levels passed, exit 0). At p = 2.5 > q_w it passes."""
+    weight = {"kind": "product_power", "factors": [[0.6, [0.0]], [0.7, [1.0]]]}
+    code, report, rows = _maximal_witnesses(tmp_path / "2", _base_config(
+        weight=weight, checks=[{"check": "maximal-inequality", "p": 2.0}]))
+    assert code == 2 and report["extras"]["verdict"] == "diverging"
+    assert report["hypotheses"][0]["passed"] and report["worst"] == "inf"
+    assert [ratio for _, _, ratio in rows] == [math.inf] * 3
+    code, report, rows = _maximal_witnesses(tmp_path / "2.5", _base_config(
+        weight=weight, checks=[{"check": "maximal-inequality", "p": 2.5}]))
+    assert code == 0 and report["extras"]["verdict"] == "pass"
+    assert [ratio for _, _, ratio in rows] == pytest.approx([4.304, 3.507, 4.852], abs=1e-3)
 
 
 def test_compare_reports_script(tmp_path):
     """compare_reports ignores report timestamps, names the largest relative
-    float change, and exits non-zero on any difference."""
+    float change with its key path, or the key path of the first other
+    difference and what differs there, and exits non-zero on any
+    difference."""
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_reports.py")
     a, b = tmp_path / "a", tmp_path / "b"
     for root, stamp, value in ((a, "2020-01-01", 1.0), (b, "2021-02-02", 1.0)):
@@ -1003,7 +1049,7 @@ def test_compare_reports_script(tmp_path):
     (b / "s.csv").write_text("x0,value\n0.5,2.002\n")
     out = _python(script, str(a), str(b))
     assert out.returncode == 1
-    assert "largest relative change 9.990e-04" in out.stdout
+    assert "largest relative change 9.990e-04 at [1][1]" in out.stdout
 
     (b / "s.csv").write_text("x0,value\n0.5,2.0\n")
     (b / "sub" / "r.json").write_text(json.dumps(
@@ -1011,7 +1057,24 @@ def test_compare_reports_script(tmp_path):
     (b / "extra.json").write_text("{}")
     out = _python(script, str(a), str(b))
     assert out.returncode == 1
-    assert "non-numeric" in out.stdout and "only in" in out.stdout
+    assert "non-numeric or non-finite change: report.verdict: value changed" in out.stdout
+    assert "only in" in out.stdout
+
+    # the first structural difference is named, before any float change
+    (b / "sub" / "r.json").write_text(json.dumps(
+        {"report": {"worst": 1.5, "stability": {}, "verdict": "pass"}}))
+    (a / "sub" / "r.json").write_text(json.dumps(
+        {"report": {"worst": 1.0, "stability": {"levels": [1.0]}, "verdict": "pass"}}))
+    out = _python(script, str(a), str(b))
+    assert "non-numeric or non-finite change: report.stability: keys changed" in out.stdout
+    (b / "sub" / "r.json").write_text(json.dumps(
+        {"report": {"worst": 1.5, "stability": {"levels": [1.0, 2.0]}, "verdict": "pass"}}))
+    out = _python(script, str(a), str(b))
+    assert "report.stability.levels: length changed" in out.stdout
+    (b / "sub" / "r.json").write_text(json.dumps(
+        {"report": {"worst": 1.5, "stability": {"levels": [1.001]}, "verdict": "pass"}}))
+    out = _python(script, str(a), str(b))
+    assert "largest relative change 3.333e-01 at report.worst" in out.stdout
 
 
 def _no_constant(token):

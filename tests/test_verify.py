@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,10 +16,13 @@ from rieszkit import (AtomParams, Ball, CampaignSpec, ExponentProfile,
                       construct_atom, equal_split, identity_family,
                       run_theorem_campaign, scalar_family)
 from rieszkit.config import load_config
+from rieszkit.line_integral import log_line_integral
 from rieszkit.operators import (SampledFunction, fractional_maximal, hl_maximal,
                                 indicator_maximal_1d)
+from rieszkit.quadrature import LogPowerProfile, PowerProfile
 from rieszkit.verify import config_hash
-from rieszkit.weights import weight_to_dict
+from rieszkit.weights import (LogExampleWeight, ProductPowerWeight, RegularGrid,
+                              TabulatedWeight, weight_to_dict)
 
 UNIT = PowerWeight(0.0)
 
@@ -33,9 +37,7 @@ SMALL_SPEC = CampaignSpec(count=4, seed=17, centers=((0.0,), (1.0,)),
 
 
 def test_nan_is_the_worst_value_and_its_sample_the_witness():
-    """Python's max and min skip a NaN, so ``_worst`` returns the first one.
-    A check's NaN witness in a report is held by the maximal check's
-    underflowed-ball test (``tests/test_cli.py``)."""
+    """Python's max and min skip a NaN, so ``_worst`` returns the first one."""
     from rieszkit.verify import _worst
 
     assert _worst([1.0, math.nan, 3.0, math.nan]) == 1
@@ -173,24 +175,174 @@ def test_pointwise_bound_rejects_inner_samples():
 
 
 # ---------------------------------------------------------------------------
+# whole-line integrals of radial profiles
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("a, b", [(0.5, -0.3), (-0.9, 0.7), (0.0, 0.0), (2.5, -0.99),
+                                  (-0.5, -0.5)])
+def test_line_integral_of_a_beta_kernel(a, b):
+    """The integral of x^a (1 - x)^b over [0, 1] is B(a + 1, b + 1): each
+    end is a mark whose panel takes the Gauss-Jacobi rule of its exponent,
+    and halving every panel moves nothing."""
+    exact = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    for value in log_line_integral([(0.0, PowerProfile(a)), (1.0, PowerProfile(b))],
+                                   0.0, 1.0):
+        assert value == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("g", [-1.5, -2.0, -1.01, -3.7, -1.0, -0.5])
+def test_line_integral_to_infinity(g):
+    """The integral of x^g over [1, inf) is 1 / (-g - 1) for g < -1, through
+    the map x = 1 + (1 - t) / t of the infinite end, and +inf for g >= -1,
+    where the exponent at infinity makes it diverge."""
+    got = log_line_integral([(0.0, PowerProfile(g))], 1.0, math.inf)
+    if g >= -1.0:
+        assert got == (math.inf, math.inf)
+    else:
+        for value in got:
+            assert value == pytest.approx(-math.log(-g - 1.0), abs=1e-14)
+    left = log_line_integral([(0.0, PowerProfile(g))], -math.inf, -1.0)
+    assert left == pytest.approx(got, abs=1e-14) if g < -1.0 else left == got
+
+
+def test_line_integral_divergence_and_empty_range():
+    """A mark in the range whose summed exponent is -1 or below diverges,
+    one outside it does not, the whole line without factors diverges, and
+    an empty range is log 0."""
+    pole = [(0.0, PowerProfile(-0.6)), (0.0, PowerProfile(-0.4)), (2.0, PowerProfile(-1.0))]
+    assert log_line_integral(pole, -1.0, 1.0) == (math.inf, math.inf)
+    assert math.isfinite(log_line_integral(pole, 0.5, 1.5)[0])
+    assert log_line_integral(pole, 1.0, 1.0) == (-math.inf, -math.inf)
+    assert log_line_integral([], -math.inf, math.inf) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("s", [1.0, 2.0, 0.5, -0.5])
+def test_line_integral_of_a_log_factor(s):
+    """The integral of L(|x|)^s over [-1, 1], with L = log(1/r) below the
+    knee 1/e and 1 above, is 2 (Gamma(s + 1, 1) + 1 - 1/e): the knees are
+    marks, and the grading toward the log factor's centre runs deep."""
+    with mpmath.workdps(30):
+        exact = float(mpmath.log(2 * (mpmath.gammainc(s + 1, 1) + 1 - mpmath.exp(-1))))
+    for value in log_line_integral([(0.0, LogPowerProfile(s))], -1.0, 1.0):
+        assert value == pytest.approx(exact, abs=1e-14)
+
+
+@pytest.mark.parametrize("c, h", [(1.0, 1e-14), (0.0, 1e-300), (0.0, 1.0), (0.0, 1e300),
+                                  (-3.0, 0.5)])
+def test_line_integral_forms_distances_from_the_marks(c, h):
+    """With x = c + h y the integral of |x - c|^(-3/4) |x - c - h|^(-3/4) is
+    h^(-1/2) B(1/4, 1/4) over [c, c + h] and h^(-1/2) B(1/2, 1/4) over
+    [c + h, inf): every distance is a mark's own distance plus a node's
+    offset from its mark, so c = 1 loses nothing to rounding at h = 1e-14,
+    and nothing under- or overflows at h = 1e-300 or 1e300."""
+    h = (c + h) - c
+    factors = [(c, PowerProfile(-0.75)), (c + h, PowerProfile(-0.75))]
+    inner = math.lgamma(0.25) * 2.0 - math.lgamma(0.5) - 0.5 * math.log(h)
+    outer = math.lgamma(0.5) + math.lgamma(0.25) - math.lgamma(0.75) - 0.5 * math.log(h)
+    for got, exact in ((log_line_integral(factors, c, c + h), inner),
+                       (log_line_integral(factors, c + h, math.inf), outer)):
+        for value in got:
+            assert value == pytest.approx(exact, abs=1e-14 * max(1.0, abs(exact)))
+
+
+# ---------------------------------------------------------------------------
 # maximal-operator inequalities
 # ---------------------------------------------------------------------------
 
 
 def test_maximal_inequality_pass_and_diverge():
     balls = [Ball([0.0], 1.0), Ball([0.0], 0.5), Ball([1.0], 2.0)]
-    rep = check_maximal_inequalities(PowerWeight(0.5), 2.0, balls, levels=3)
+    rep = check_maximal_inequalities(PowerWeight(0.5), 2.0, balls)
     assert rep.passed()
-    # |x|^{3/2} is not in A_2, so the check raises before its levels run
+    # |x|^{3/2} is not in A_2, so the check raises before any integral runs
     with pytest.raises(HypothesisFailed) as err:
-        check_maximal_inequalities(PowerWeight(1.5), 2.0, balls, levels=4)
+        check_maximal_inequalities(PowerWeight(1.5), 2.0, balls)
     assert err.value.item == "w in A_2"
     # at p = 1 the maximal operators have only the weak-type bound, for every
-    # weight: the strong-type levels of the unit weight grow like the log of
-    # the extent
+    # weight: M chi_B ~ |B| / |x| is not integrable against the unit weight
     for alpha in (None, 0.5):
         with pytest.raises(ValueError, match="p > 1"):
-            check_maximal_inequalities(PowerWeight(0.0), 1.0, balls, alpha, levels=4)
+            check_maximal_inequalities(PowerWeight(0.0), 1.0, balls, alpha)
+
+
+#: (weight, p, alpha, the weight as an mpmath function, its marks) for
+#: ``test_maximal_ratio_matches_mpmath``
+_MAXIMAL_CASES = [
+    (PowerWeight(0.5), 2.0, None, lambda x: abs(x) ** mpmath.mpf(0.5), [0]),
+    (PowerWeight(-1.0 / 12.0), 2.0, 0.25, lambda x: abs(x) ** (-mpmath.mpf(1) / 12), [0]),
+    (LogExampleWeight(1, 1.0), 2.0, None,
+     lambda x: mpmath.log(1 / abs(x)) if abs(x) < mpmath.exp(-1) else 1,
+     [0, -mpmath.exp(-1), mpmath.exp(-1)]),
+    (ProductPowerWeight(((0.3, (0.0,)), (-0.4, (1.0,)))), 3.0, None,
+     lambda x: abs(x) ** mpmath.mpf(0.3) * abs(x - 1) ** mpmath.mpf(-0.4), [0, 1]),
+]
+
+
+def _mpmath_maximal_ratio(weight, marks, p, alpha, center, radius):
+    """||M_beta chi_B|| / ||chi_B|| at 30 digits, with mpmath's quadrature
+    split at the ball's ends and the weight's marks."""
+    with mpmath.workdps(30):
+        lo, hi = mpmath.mpf(center) - radius, mpmath.mpf(center) + radius
+        beta = 0 if alpha is None else mpmath.mpf(alpha)
+        q = p if alpha is None else 1 / (mpmath.mpf(1) / p - beta)
+        s_num, s_den = (1, 1) if alpha is None else (q, p)
+
+        def num(x):
+            return ((hi - lo) * (hi - lo + max(lo - x, x - hi, 0)) ** (beta - 1)) ** q \
+                * weight(x) ** s_num
+
+        pts = sorted({lo, hi, *(mpmath.mpf(m) for m in marks)})
+        inner = [t for t in pts if lo <= t <= hi]
+        total = (mpmath.quad(num, [-mpmath.inf] + [t for t in pts if t <= lo])
+                 + mpmath.quad(num, inner)
+                 + mpmath.quad(num, [t for t in pts if t >= hi] + [mpmath.inf]))
+        den = mpmath.quad(lambda x: weight(x) ** s_den, inner)
+        return float(total ** (1 / q) / den ** (mpmath.mpf(1) / p))
+
+
+@pytest.mark.parametrize("case", range(len(_MAXIMAL_CASES)),
+                         ids=["power", "fractional", "log", "product"])
+def test_maximal_ratio_matches_mpmath(case):
+    """Each test ball's ratio is read on the whole line and matches a
+    30-digit mpmath quadrature to 1e-10 relative, for power, fractional
+    (alpha = 1/4, q = 4), log and two-centre product weights, with an
+    ``err_est`` of 1e-10 or less."""
+    w, p, alpha, weight, marks = _MAXIMAL_CASES[case]
+    balls = [(0.0, 1.0), (1.0, 2.0), (3.0, 0.25)]
+    rep = check_maximal_inequalities(w, p, [Ball([c], r) for c, r in balls], alpha)
+    assert rep.passed() and rep.extras["verdict"] == "pass"
+    for (c, r), row in zip(balls, rep.witnesses):
+        assert (row["center"], row["radius"]) == ([c], r)
+        assert row["ratio"] == pytest.approx(
+            _mpmath_maximal_ratio(weight, marks, p, alpha, c, r), rel=1e-10)
+        assert row["err_est"] <= 1e-10
+    assert rep.worst == max(row["ratio"] for row in rep.witnesses)
+
+
+def test_maximal_ratio_is_dilation_invariant():
+    """For |x|^{1/2} the ratio on B(0, r) does not depend on r, and on
+    B(1, r) it tends to the unit weight's sqrt(3) as r -> 0 (the weight is
+    1 + O(r) there): each ball's integrals are formed from the offsets of
+    their nodes from the marks, in logarithms, so 1e-300 and 1e300 neither
+    under- nor overflow, and 1 + 1e-14 loses nothing to rounding."""
+    radii = [1.0, 1e-300, 1e300]
+    rep = check_maximal_inequalities(PowerWeight(0.5), 2.0,
+                                     [Ball([0.0], r) for r in radii] + [Ball([1.0], 1e-14)])
+    unit, tiny, huge, near = (row["ratio"] for row in rep.witnesses)
+    assert tiny == pytest.approx(unit, rel=1e-12) and huge == pytest.approx(unit, rel=1e-12)
+    assert near == pytest.approx(math.sqrt(3.0), rel=1e-12)
+
+
+def test_maximal_check_refuses_what_it_cannot_integrate():
+    """A tabulated weight is not known beyond its grid, and a ball whose
+    ends round to its centre has no length."""
+    grid = RegularGrid((-1.0,), (1.0,), (2,))
+    with pytest.raises(ValueError, match="tabulated"):
+        check_maximal_inequalities(TabulatedWeight(grid, np.array([1.0, 2.0])), 2.0,
+                                   [Ball([0.0], 1.0)])
+    with pytest.raises(ValueError, match="length"):
+        check_maximal_inequalities(PowerWeight(0.5), 2.0, [Ball([1.0], 1e-17)])
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.25, 0.5, 0.9])
@@ -218,8 +370,7 @@ def test_indicator_maximal_needs_beta_below_one():
 
 def test_maximal_inequality_fractional():
     balls = [Ball([0.0], 1.0), Ball([1.0], 2.0)]
-    rep = check_maximal_inequalities(PowerWeight(-1.0 / 12.0), 2.0, balls,
-                                     alpha=0.25, levels=3)
+    rep = check_maximal_inequalities(PowerWeight(-1.0 / 12.0), 2.0, balls, alpha=0.25)
     assert rep.passed()
 
 
