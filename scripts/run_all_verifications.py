@@ -32,7 +32,6 @@ RUNS = [
     ("verify", None, "corollary.json"),
     ("verify", None, "maximal-power-half.json"),
     ("verify", None, "pointwise-off-centre.json"),
-    ("verify", None, "critical-index-chain.json"),
 ]
 
 

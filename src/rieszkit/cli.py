@@ -180,9 +180,8 @@ def cmd_atoms_validate(cfg: RunConfig, out_dir: str, manifest: str) -> int:
 
 def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
     """Run one check on the parameters ``config.validate_check`` returned."""
-    from .verify import (check_critical_index_chains, check_maximal_inequalities,
-                         check_pointwise_atom_bound, check_rh_ball_inequality,
-                         run_theorem_campaign)
+    from .verify import (check_maximal_inequalities, check_pointwise_atom_bound,
+                         check_rh_ball_inequality, run_theorem_campaign)
 
     name = item["check"]
     scheme = cfg.quadrature
@@ -198,9 +197,6 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
     if name == "rh-ball-inequality":
         return check_rh_ball_inequality(cfg.weight, item["p"], item["alpha"], cfg.family,
                                         scheme)
-    if name == "critical-index-chain":
-        return check_critical_index_chains(cfg.weight, item["p"], item["q"], cfg.family,
-                                           scheme)
     return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"],
                                       item["alpha"], scheme)
 
@@ -218,7 +214,7 @@ def cmd_verify(cfg: RunConfig, out_dir: str, seed: int | None, jobs: int) -> int
         except HypothesisFailed as exc:
             _write_report(out_dir, tag, {"check_id": name, "verdict": "hypothesis-failed",
                                          "failed_item": exc.item, "detail": exc.detail})
-            print(f"[{name}] HYPOTHESIS FAILED: {exc.item}")
+            print(f"[{name}] HYPOTHESIS FAILED: {exc.item} ({exc.detail})")
             return EXIT_HYPOTHESIS
         payload = report.to_dict()
         _write_report(out_dir, tag, payload)

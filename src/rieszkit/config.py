@@ -43,7 +43,7 @@ MAX_OUTER_OCTAVES = 64
 
 KNOWN_CHECKS = (
     "theorem-thm1", "theorem-ta", "pointwise-atom-bound", "rh-ball-inequality",
-    "critical-index-chain", "maximal-inequality",
+    "maximal-inequality",
 )
 
 
@@ -326,14 +326,6 @@ def validate_check(item: dict, dimension: int, path: str, weight,
         _expect(q / p > 1.0, f"{path}.alpha" if alpha / dimension <= p else f"{path}.p",
                 f"alpha p/n = {alpha * p / dimension:g} is too small: q/p rounds to 1")
         out.update(p=p, alpha=alpha)
-    elif name == "critical-index-chain":
-        p = _number(item, "p", path, False, 0.5)
-        q = _number(item, "q", path, False, None)
-        if q is None:
-            _expect(0.0 < p < 1.0, f"{path}.p", "the two-sided chain needs 0 < p < 1")
-        else:
-            _expect(0.0 < p < q, f"{path}.p", "the comparison chain needs 0 < p < q")
-        out.update(p=p, q=q)
     elif name == "pointwise-atom-bound":
         center = _get(item, "center", path, False, [0.0] * dimension)
         _point(center, dimension, f"{path}.center")

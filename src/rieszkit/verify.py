@@ -46,7 +46,7 @@ from .operators import (ExponentProfile, apply_T_ball_1d, apply_T_batch,
 from .quadrature import (PowerProfile, QuadratureScheme, default_scheme, graded_edges,
                          integrate_cells_1d, radial_profile)
 from .records import asdict, field, record
-from .weights import (STABILITY_FACTOR, PowerWeight, _exp, ball_measure,
+from .weights import (PowerWeight, _exp, ball_measure,
                       check_matrix_compatibility, critical_indices, estimate_A1_constant,
                       estimate_Ap_constant, estimate_Apq_constant, estimate_RH_constant,
                       eval_weight_batch, power_mean, radial_factors,
@@ -55,6 +55,10 @@ from .weights import (STABILITY_FACTOR, PowerWeight, _exp, ball_measure,
 if TYPE_CHECKING:
     from .atoms import Atom, AtomParams, CampaignSpec
 
+#: a campaign's per-radius maxima, and the pointwise bound's worst ratio
+#: under a doubled sample set, count as uniformly bounded when they drift by
+#: less than this factor
+STABILITY_FACTOR = 4.0
 RATIO_FLOOR = 1e-14
 COMPATIBILITY_CAP = 1e6
 CHAIN_RTOL = 1e-12
@@ -115,6 +119,11 @@ def _at_worst(values, lowest: bool = False) -> float:
     """The value ``_worst`` picks, or 0 when there is none."""
     i = _worst(values, lowest)
     return 0.0 if i is None else values[i]
+
+
+def _class_audit(name: str, rep, detail: str = "") -> AuditItem:
+    """A class audit from its estimate; a failure's detail is ``excluded_by``."""
+    return AuditItem(name, rep.constant, rep.verdict == "finite", rep.excluded_by or detail)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def check_rh_ball_inequality(w, p: float, alpha: float, family: BallFamily,
         scheme = default_scheme(n)
     wp = weight_power(w, p)
     rh = estimate_RH_constant(wp, q / p, family, scheme)
-    audits = [AuditItem(f"w^p in RH_{q / p:g}", rh.constant, rh.verdict == "finite")]
+    audits = [_class_audit(f"w^p in RH_{q / p:g}", rh)]
     require_hypotheses(audits)
     slacks, samples = [], []
     for ball in family:
@@ -313,12 +322,12 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
         if not (0.0 < p < 1.0):
             raise ValueError("the two-sided chain needs 0 < p < 1")
         hyp = estimate_A1_constant(weight_power(w, 1.0 / p), family, scheme)
-        audits.append(AuditItem("w^{1/p} in A_1", hyp.constant, hyp.verdict == "finite"))
+        audits.append(_class_audit("w^{1/p} in A_1", hyp))
     else:
         if not (0.0 < p < q):
             raise ValueError("the comparison chain needs 0 < p < q")
         hyp = estimate_A1_constant(weight_power(w, q), family, scheme)
-        audits.append(AuditItem("w^q in A_1", hyp.constant, hyp.verdict == "finite"))
+        audits.append(_class_audit("w^q in A_1", hyp))
     require_hypotheses(audits)
 
     r_w = critical_indices(w).rh_critical
@@ -363,8 +372,8 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     ``line_integral.log_line_integral`` (the left side over (-inf, lo],
     [lo, hi] and [hi, inf)), with ``err_est`` the ratio's relative change
     when every panel is halved.  A ratio is +inf exactly when an integral
-    diverges (verdict "diverging"), which the exponent at infinity decides
-    where the audit's finite family cannot.
+    diverges (verdict "diverging"); the class audit, read from the exponents,
+    refuses such a weight first.
     """
     if w.dimension != 1:
         raise ValueError("maximal-inequality sweeps are implemented on the line")
@@ -376,14 +385,12 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
     fam = default_ball_family(w.dimension)
     if alpha is None:
         rep = estimate_Ap_constant(w, p, fam, scheme)
-        audits = [AuditItem(f"w in A_{p:g}", rep.constant, rep.verdict == "finite",
-                            "required for the strong-type bound")]
+        audits = [_class_audit(f"w in A_{p:g}", rep, "required for the strong-type bound")]
         q, beta, s_num, s_den = p, 0.0, 1.0, 1.0
     else:
         q = 1.0 / (1.0 / p - alpha)
         rep = estimate_Apq_constant(w, p, q, fam, scheme)
-        audits = [AuditItem(f"w in A_pq(p={p:g},q={q:g})", rep.constant,
-                            rep.verdict == "finite")]
+        audits = [_class_audit(f"w in A_pq(p={p:g},q={q:g})", rep)]
         # ||M_alpha f||_{L^q_{w^q}} / ||f||_{L^p_{w^p}}
         beta, s_num, s_den = alpha, q, p
     require_hypotheses(audits)
@@ -587,8 +594,7 @@ def _thm_positive_audits(w, profile, family, spec, scheme):
     try:
         aux = weight_power(w, n / ((n - profile.alpha) * spec.s))
         a1 = estimate_A1_constant(aux, fam_balls, scheme)
-        audits.append(AuditItem("w^{n/((n-alpha)s)} in A_1", a1.constant,
-                                a1.verdict == "finite"))
+        audits.append(_class_audit("w^{n/((n-alpha)s)} in A_1", a1))
     except ValueError as exc:
         audits.append(AuditItem("w^{n/((n-alpha)s)} in A_1", "not a weight", False,
                                 str(exc)))

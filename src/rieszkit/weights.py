@@ -1,18 +1,16 @@
 """Weights and finite-family estimates of their Muckenhoupt-type constants.
 
 A weight here is one of four analytic or tabulated positive functions on
-R^n.  Class membership (A_1, A_p, A_{p,q}, reverse Holder) is probed on a
-finite family of balls: the supremum defining each constant is replaced
-by a maximum over the family, and a "diverging" verdict is issued when the
-estimate either is infinite outright or keeps growing as the node set
-refines toward the singular points.  Power means and essential infima of
-radial weights are exact; tabulated and multi-factor weights take cells
-and minima over quadrature nodes.  Estimates are therefore lower bounds
-for the true constants; the point of the family design (dyadic radii
-around the singular centers) is that power and log weights attain their
-worst behavior exactly there.  A finite family cannot see a weight's
-behavior at infinity, so the critical indices are not estimated: they are
-read in closed form from the weight's exponents (``critical_indices``).
+R^n.  Class membership (A_1, A_p, A_{p,q}, reverse Holder) and the
+critical indices are read in closed form from the weight's exponents
+(``class_exclusion``, ``critical_indices``), at infinity too, where no
+finite family of balls can see them.  A class that holds gets its
+constant as a maximum over a finite family of balls.  Power means and
+essential infima of radial weights are exact; tabulated and multi-factor
+weights take cells and minima over quadrature nodes.  Estimates are
+therefore lower bounds for the true constants; the point of the family
+design (dyadic radii around the singular centers) is that power and log
+weights attain their worst behavior exactly there.
 """
 
 from __future__ import annotations
@@ -26,12 +24,7 @@ from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
 from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
                          merge_coincident, radial_profile)
-from .records import asdict, field, record
-
-#: the single 4x rule: monotone growth by this factor over a refinement
-#: series flags a diverging constant, and a drift below it across scales
-#: or refinements counts as uniformly bounded
-STABILITY_FACTOR = 4.0
+from .records import asdict, record
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +443,14 @@ def _node_lattice(ball: Ball, cells: int) -> np.ndarray:
 
 @record
 class WeightClassReport:
-    """Finite-family estimate of one class constant."""
+    """Finite-family estimate of one class constant; ``class_exclusion``
+    gives the verdict."""
 
     label: str
     constant: float
     verdict: str  # "finite" | "diverging"
     worst_ball: Ball | None
-    series: list = field(default_factory=list)
+    excluded_by: str | None = None
     family_size: int = 0
 
     def to_dict(self) -> dict:
@@ -465,52 +459,9 @@ class WeightClassReport:
             "constant": self.constant,
             "verdict": self.verdict,
             "worst_ball": self.worst_ball.to_dict() if self.worst_ball else None,
-            "series": list(self.series),
+            "excluded_by": self.excluded_by,
             "family_size": self.family_size,
         }
-
-
-def series_verdict(series) -> str:
-    """Refinement-series verdict: "diverging" on a non-finite level or on
-    monotone growth by STABILITY_FACTOR, else "finite"."""
-    if any(not math.isfinite(v) for v in series):
-        return "diverging"
-    monotone = all(series[i + 1] >= series[i] * (1.0 - 1e-9) for i in range(len(series) - 1))
-    if monotone and len(series) > 1 and series[-1] >= STABILITY_FACTOR * series[0]:
-        return "diverging"
-    return "finite"
-
-
-def _estimate_over_family(label, per_ball, family, scheme, refine_steps, lattice_free=False):
-    """Max of a per-ball functional over the family, with a refinement series.
-
-    A ``lattice_free`` functional (exact means and infima of a radial
-    weight) gives the same value on every lattice, so its series repeats the
-    first level.
-    """
-    def sup_at(s):
-        best, best_ball = -math.inf, None
-        for ball in family:
-            v = per_ball(ball, s)
-            if v > best or not math.isfinite(v):
-                best, best_ball = v, ball
-            if not math.isfinite(v):
-                break
-        return best, best_ball
-
-    n = family.balls[0].dimension
-    factor = 4 if n == 1 else 2
-    val, worst = sup_at(scheme)
-    series = [val]
-    current = scheme
-    while math.isfinite(val) and len(series) <= refine_steps:
-        if not lattice_free:
-            current = current.refined(factor)
-            val, _ = sup_at(current)
-        series.append(val)
-    verdict = series_verdict(series)
-    return WeightClassReport(label, series[-1] if math.isfinite(series[-1]) else math.inf,
-                             verdict, worst, series, len(family))
 
 
 def _ratio(log_num: float, log_den: float) -> float:
@@ -520,58 +471,58 @@ def _ratio(log_num: float, log_den: float) -> float:
     return _exp(log_num - log_den)
 
 
-def _class_constant(label, w, a: float, b: float, family, scheme, refine_steps):
+def _class_constant(label, w, a, b, family, scheme):
     """sup_B M_a(B) / M_b(B) over the family, where M_s is the power mean of
     order s (``power_mean``, as a logarithm) and M_{-inf} the essential
-    infimum of w on B (``min_over_nodes``).  When w^a or w^b is not locally
-    integrable every ball gives +inf.  Both are exact for a radial weight,
-    so its estimate does not depend on the lattice (``lattice_free``)."""
+    infimum of w on B (``min_over_nodes``); the orders are exact ratios
+    (num, den), or None for -inf.  A class that ``class_exclusion`` rules
+    out reads +inf and evaluates no ball; otherwise each ball is read once,
+    on ``scheme`` refined 64-fold on the line and 8-fold in the plane (exact
+    means and infima of a radial weight read no lattice)."""
+    excluded = class_exclusion(w, a, b)
+    if excluded is not None:
+        return WeightClassReport(label, math.inf, "diverging", None, excluded, len(family))
     if scheme is None:
         scheme = default_scheme(w.dimension)
-    try:
-        # w**s's radial form is one per order, whatever the ball
-        forms = {s: _radial_form(w, 1.0 if s == -math.inf else s) for s in (a, b)}
-    except NotIntegrable:
-        return _estimate_over_family(label, lambda ball, sch: math.inf, family, scheme,
-                                     refine_steps)
+    scheme = scheme.refined(4**3 if w.dimension == 1 else 2**3)
+    a, b = (-math.inf if t is None else t[0] / t[1] for t in (a, b))
+    # w**s's radial form is one per order, whatever the ball
+    forms = {s: _radial_form(w, 1.0 if s == -math.inf else s) for s in (a, b)}
 
-    def log_mean(s, ball, sch):
+    def log_mean(s, ball):
         if s == -math.inf:
-            lo = _min_over_nodes(w, forms[s], ball, sch)
+            lo = _min_over_nodes(w, forms[s], ball, scheme)
             return math.log(lo) if lo > 0.0 else -math.inf
-        return _log_mean(w, s, forms[s], ball, sch)
+        return _log_mean(w, s, forms[s], ball, scheme)
 
-    def per_ball(ball, sch):
-        return _ratio(log_mean(a, ball, sch), log_mean(b, ball, sch))
+    ratios = [_ratio(log_mean(a, ball), log_mean(b, ball)) for ball in family]
+    k = max(range(len(ratios)), key=ratios.__getitem__)
+    verdict = "finite" if ratios[k] < math.inf else "diverging"
+    return WeightClassReport(label, ratios[k], verdict, family.balls[k], None, len(family))
 
-    return _estimate_over_family(label, per_ball, family, scheme, refine_steps,
-                                 forms[a] is not None)
 
-
-def estimate_A1_constant(w, family: BallFamily, scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
+def estimate_A1_constant(w, family: BallFamily,
+                         scheme: QuadratureScheme | None = None) -> WeightClassReport:
     """sup_B (average of w over B) / (essential infimum of w on B).
 
     Like every class estimator, it forms its per-ball ratio from the
     logarithms of ``power_mean`` (``_class_constant``)."""
-    return _class_constant("A_1", w, 1.0, -math.inf, family, scheme, refine_steps)
+    return _class_constant("A_1", w, (1, 1), None, family, scheme)
 
 
 def estimate_Ap_constant(w, p: float, family: BallFamily,
-                         scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
+                         scheme: QuadratureScheme | None = None) -> WeightClassReport:
     """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("estimate_Ap_constant needs p > 1 (use estimate_A1_constant)")
-    # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1)
-    return _class_constant(f"A_p(p={p:g})", w, 1.0, -1.0 / (p - 1.0), family, scheme,
-                           refine_steps)
+    num, den = p.as_integer_ratio()
+    # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1), dual = -1/(p-1)
+    return _class_constant(f"A_p(p={p:g})", w, (1, 1), (-den, num - den), family, scheme)
 
 
 def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
-                          scheme: QuadratureScheme | None = None,
-                          refine_steps: int = 3) -> WeightClassReport:
+                          scheme: QuadratureScheme | None = None) -> WeightClassReport:
     """Two-exponent constant for the fractional maximal inequality.
 
     For p > 1: sup_B (avg w^q)^{1/q} (avg w^{-p'})^{1/p'}; for p = 1 the dual
@@ -580,25 +531,25 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
     p, q = float(p), float(q)
     if q < p or p < 1.0:
         raise ValueError("estimate_Apq_constant needs 1 <= p <= q")
+    num, den = p.as_integer_ratio()
     # (avg w^{-p'})^{1/p'} equals power_mean(w, -p')^{-1}
-    dual = -p / (p - 1.0) if p > 1.0 else -math.inf
-    return _class_constant(f"A_pq(p={p:g},q={q:g})", w, q, dual, family, scheme,
-                           refine_steps)
+    dual = (-num, num - den) if p > 1.0 else None
+    return _class_constant(f"A_pq(p={p:g},q={q:g})", w, q.as_integer_ratio(), dual, family,
+                           scheme)
 
 
 def estimate_RH_constant(w, s_exp: float, family: BallFamily,
-                         scheme: QuadratureScheme | None = None,
-                         refine_steps: int = 3) -> WeightClassReport:
+                         scheme: QuadratureScheme | None = None) -> WeightClassReport:
     """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w)."""
     s_exp = float(s_exp)
     if s_exp <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
-    return _class_constant(f"RH_s(s={s_exp:g})", w, s_exp, 1.0, family, scheme,
-                           refine_steps)
+    return _class_constant(f"RH_s(s={s_exp:g})", w, s_exp.as_integer_ratio(), (1, 1), family,
+                           scheme)
 
 
 # ---------------------------------------------------------------------------
-# Critical indices
+# Critical indices and class membership, from the exponents
 # ---------------------------------------------------------------------------
 
 #: the largest finite A_q index reported; a weight in no A_q up to it reads
@@ -634,6 +585,17 @@ def _ratio_up(num: int, den: int) -> float:
     return x if xn * den >= num * xd else math.nextafter(x, math.inf)
 
 
+def _exponents(w):
+    """The merged factors of ``radial_factors`` with their exponents as
+    integers over one denominator: (den, [(center, profile, num)]), with no
+    factor for a tabulated w."""
+    radial = radial_factors(w)
+    factors = radial[1] if radial else []
+    ratios = [p.exponent.as_integer_ratio() for _, p in factors]
+    den = max((d for _, d in ratios), default=1)  # a power of two
+    return den, [(c, p, num * (den // d)) for (c, p), (num, d) in zip(factors, ratios)]
+
+
 def critical_indices(w, family=None) -> CriticalIndices:
     """The critical indices of w in closed form, from its exponents; no
     estimator runs, and ``family`` is accepted and not read.
@@ -652,15 +614,50 @@ def critical_indices(w, family=None) -> CriticalIndices:
     or a p0 bound.  A q_w above ``AP_CAP`` reads inf.
     """
     n = w.dimension
-    radial = radial_factors(w)
-    ratios = [p.exponent.as_integer_ratio() for _, p in (radial[1] if radial else ())]
-    den = max((d for _, d in ratios), default=1)  # a power of two
-    nums = [num * (den // d) for num, d in ratios]
+    den, factors = _exponents(w)
+    nums = [num for _, _, num in factors]
     total = sum(nums)
     q = math.inf if total <= -n * den else _ratio_up(n * den + max([0, total] + nums), n * den)
     low = min([0, total] + nums)
     r = math.inf if low == 0 else max(1.0, -_ratio_up(-n * den, -low))
     return CriticalIndices(q if q <= AP_CAP else math.inf, r)
+
+
+def class_exclusion(w, a, b) -> str | None:
+    """What excludes w from the class sup_B M_a(B) / M_b(B) < inf, or None.
+
+    The orders are exact ratios (num, den), den > 0, or None for -inf
+    (``_class_constant``).  At each merged factor P of ``radial_factors``,
+    for each order t, P^t is locally integrable (t finite) and P does not
+    vanish (t = -inf); at infinity w is |x|^S, S the sum of the exponents,
+    and |x|^{S t} is locally integrable (S <= 0 when w vanishes nowhere).
+    For |x|^a this is -n < a < n (p - 1) for A_p (Garcia-Cuerva,
+    Dissertationes Math. 162, 1979); w is in A_pq when w^q is in A_{1+q/p'}
+    (Muckenhoupt and Wheeden, Trans. AMS 192, 1974).  A tabulated weight has
+    no factor.  The tests are exact on the integer ratios of the inputs, so
+    a boundary reads excluded.
+    """
+    n = w.dimension
+    den, factors = _exponents(w)
+    total = sum(num for _, _, num in factors)
+    places = [(c.tolist(), p, num) for c, p, num in factors]
+    # the float sum names the power, and is inf rather than an OverflowError
+    at_infinity = radial_profile(sum(p.exponent for _, p, _ in factors), 0.0)
+    places.append(("infinity", at_infinity, total))
+    for where, prof, num in places:
+        for t in (a, b):
+            if t is None:
+                if where != "infinity" and (num > 0 or (num == 0 and prof.s < 0.0)):
+                    return f"w vanishes at {where}"
+            # e t + n > 0 with e = num / den and t = t[0] / t[1]
+            elif num * t[0] + n * den * t[1] <= 0:
+                tf = t[0] / t[1]
+                if where == "infinity":
+                    return (f"w has the factor {prof!r} at infinity, whose power {tf:g} is "
+                            f"not locally integrable in dimension {n}")
+                return (f"w^{tf:g} has the factor {_profile_power(prof, tf)!r} at {where}, "
+                        f"which is not locally integrable in dimension {n}")
+    return None
 
 
 # ---------------------------------------------------------------------------

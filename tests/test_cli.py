@@ -90,8 +90,8 @@ def test_unknown_check_rejected():
     ({"check": "pointwise-atom-bound", "center": ["0"]}, "checks[0].center"),
     ({"check": "pointwise-atom-bound", "radii": [1.0, 1e300]}, "checks[0].radii[1]"),
     ({"check": "pointwise-atom-bound", "center": [1e300]}, "checks[0].center"),
-    ({"check": "critical-index-chain", "p": 1.5}, "checks[0].p"),
-    ({"check": "critical-index-chain", "p": 0.5, "q": 0.25}, "checks[0].p"),
+    ({"check": "rh-ball-inequality", "p": 2.5}, "checks[0].p"),
+    ({"check": "maximal-inequality", "p": 0.5}, "checks[0].p"),
     ({"check": "pointwise-atom-bound"}, "checks[0].check"),
     ({"check": "theorem-thm1"}, "checks[0].check"),
     ({"check": "theorem-ta"}, "checks[0].check"),
@@ -115,14 +115,14 @@ def test_check_defaults_applied_at_parse():
                                     atom={"p": 1.0, "p0": 2.0},
                                     checks=[{"check": "maximal-inequality"},
                                             {"check": "pointwise-atom-bound"},
-                                            {"check": "critical-index-chain", "p": 0.25}]))
-    maximal, pointwise, chain = cfg.checks
+                                            {"check": "rh-ball-inequality"}]))
+    maximal, pointwise, rh_ball = cfg.checks
     assert [(b.center.tolist(), b.radius) for b in maximal["test_balls"]] == [
         ([0.0], 1.0), ([0.0], 0.5), ([1.0], 2.0)]
     assert (maximal["p"], maximal["alpha"]) == (2.0, None)
     assert pointwise == {"check": "pointwise-atom-bound", "center": [0.0],
                          "radii": (0.25, 1.0, 4.0), "seed": 0}
-    assert chain == {"check": "critical-index-chain", "p": 0.25, "q": None}
+    assert rh_ball == {"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.5}
 
 
 def test_quadrature_block_reads_resolution_not_tol():
@@ -283,7 +283,7 @@ def test_cli_verify_fast_checks_and_determinism(tmp_path):
     cfg = _write(tmp_path, "checks.json", _base_config(
         checks=[
             {"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.5},
-            {"check": "critical-index-chain", "p": 0.5},
+            {"check": "maximal-inequality", "p": 2.0},
         ],
         weight={"kind": "power", "exponent": -0.125}))
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -376,9 +376,10 @@ def _failed_audit_config(raw, check):
     (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": -0.75}),
                           {"check": "rh-ball-inequality", "p": 1.0, "alpha": 0.75}),
      "w^p in RH_4"),
-    (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": 0.6}),
-                          {"check": "critical-index-chain", "p": 0.25}),
-     "w^{1/p} in A_1"),
+    (_failed_audit_config(_bundled("ta-worked.json", count=2)
+                          | {"weight": {"kind": "power", "exponent": 0.25}},
+                          {"check": "theorem-ta"}),
+     "w^{n/((n-alpha)s)} in A_1"),
     (_failed_audit_config(_base_config(weight={"kind": "power", "exponent": 1.5}),
                           {"check": "maximal-inequality", "p": 2.0}),
      "w in A_2"),
@@ -394,16 +395,17 @@ def _failed_audit_config(raw, check):
                              "atom": {"p": 1.0, "p0": 1.3332}},
                           {"check": "theorem-thm1"}),
      "p0 above the atomic threshold"),
-], ids=["rh-ball", "chain", "maximal-a2", "ta-s", "ta-rh-bracket-at-1",
+], ids=["rh-ball", "ta-a1-vanishes", "maximal-a2", "ta-s", "ta-rh-bracket-at-1",
         "thm1-p0-below-threshold"])
 def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     """A failed hypothesis audit exits 3 from every check kind. The run
     writes one hypothesis-failed report that names the audit and ends there,
     so the check listed after it writes no report. |x|^{3/2} with p = 2 is
     outside A_2 (its numerator, M chi_B ~ |x|^{-1} squared against
-    |x|^{3/2}, diverges at infinity). For |x|^{-0.995} the theorem-ta audit
-    of w^{n/((n-alpha)s)} fails first, and the thm1 campaign's p0 = 1.3332
-    lies below the 4/3 of |x|^{-1/4}."""
+    |x|^{3/2}, diverges at infinity). The theorem-ta audit of
+    w^{n/((n-alpha)s)} in A_1 fails for |x|^{1/4}, which vanishes at 0, and
+    for |x|^{-0.995}, whose power is no weight. The thm1 campaign's
+    p0 = 1.3332 lies below the 4/3 of |x|^{-1/4}."""
     cfg = _write(tmp_path, "audit.json", raw)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
@@ -425,7 +427,7 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
                   checks=[{"check": "maximal-inequality", "p": 2.0}]),
      "checks[0].check"),
     (["verify"],
-     _base_config(checks=[{"check": "critical-index-chain"},
+     _base_config(checks=[{"check": "maximal-inequality"},
                           {"check": "rh-ball-inequality", "p": 2.0, "alpha": 0.5}]),
      "checks[1].p"),
     (["verify"],
@@ -533,6 +535,8 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
      "atom.p"),
     (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2),
                   "atom": {"p": 1e-308, "p0": 2.0}}, "atom.p"),
+    (["verify"], _base_config(checks=[{"check": "critical-index-chain", "p": 0.5}]),
+     "checks[0].check"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-p-1", "maximal-p-1-alpha", "maximal-alpha-1", "maximal-p-above-1-over-alpha",
@@ -550,7 +554,7 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
         "atoms-gen-center-overflows", "rh-ball-p-tiny", "rh-ball-alpha-tiny",
         "atom-d-negative", "atom-d-overflows", "atom-d-over-budget",
-        "atom-p-derives-degree-over-budget", "thm1-p-tiny"])
+        "atom-p-derives-degree-over-budget", "thm1-p-tiny", "chain-kind-gone"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     """Malformed weight blocks, class and check parameters, negative seeds,
     work beyond the budget, campaign balls whose squared distances overflow,
@@ -574,23 +578,23 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     assert error["error"] == "config" and error["path"] == field
 
 
-def _chain_with(**fields):
+def _check_with(**fields):
     return _base_config(weight={"kind": "power", "exponent": -0.25},
-                        checks=[{"check": "critical-index-chain", "p": 0.5, **fields}])
+                        checks=[{"check": "rh-ball-inequality", "p": 0.5, **fields}])
 
 
 @pytest.mark.parametrize("command, raw", [
     (["weights", "classify"],
      _base_config(classify={"classes": [{"kind": "A1"}], "critical_indices": True,
                             "tol": 2e-16})),
-    (["verify"], _chain_with(tol=2e-16)),
+    (["verify"], _check_with(tol=2e-16)),
     (["weights", "classify"],
      _base_config(classify={"classes": [{"kind": "A1"}], "critical_indices": False,
                             "tol": 1e-308})),
-    (["verify"], _chain_with(tol=1e-308)),
-    (["verify"], _chain_with(tol="fine")),
-], ids=["classify", "chain", "classify-tol-below-ulp", "chain-tol-below-ulp",
-        "chain-tol-not-a-number"])
+    (["verify"], _check_with(tol=1e-308)),
+    (["verify"], _check_with(tol="fine")),
+], ids=["classify", "check", "classify-tol-below-ulp", "check-tol-below-ulp",
+        "check-tol-not-a-number"])
 def test_cli_critical_index_fields_are_not_read(tmp_path, command, raw):
     """The critical indices are closed forms, so no tolerance is read:
     configs that still carry ``classify.tol``, ``classify.critical_indices``
@@ -605,9 +609,8 @@ def test_cli_critical_index_fields_are_not_read(tmp_path, command, raw):
         report = json.loads((out_dir / "weights-classify.json").read_text())["report"]
         assert report["critical_indices"] == {"q_critical": 1.5, "rh_critical": "inf"}
     else:
-        report = json.loads((out_dir / "00-critical-index-chain.json").read_text())["report"]
-        assert report["extras"]["indices"] == {"r_w": 4.0, "r_wp": 8.0}
-        assert "tol" not in report["sample"]
+        report = json.loads((out_dir / "00-rh-ball-inequality.json").read_text())["report"]
+        assert report["verdict"] == "pass" and "tol" not in report["sample"]
 
 
 def test_cli_disk_sweep_past_float_range_writes_inf(tmp_path):
@@ -1013,18 +1016,19 @@ def test_cli_maximal_check_reads_an_underflowing_numerator_at_radius_one(tmp_pat
     assert tiny == pytest.approx(unit, rel=1e-12) and 1.0 < unit < 1.1
 
 
-def test_cli_maximal_check_sees_the_exponent_at_infinity(tmp_path):
-    """|x|^{0.6} |x - 1|^{0.7} has q_w = 2.3, so it is outside A_2, yet its
-    family estimate passes "w in A_2". The whole-line integral sees the
-    exponent at infinity: (M chi_B)^2 w ~ |x|^{-2 + 1.3} is not integrable,
-    so every ratio is +inf and the check fails "diverging" (exit 2; the
-    truncated levels passed, exit 0). At p = 2.5 > q_w it passes."""
+def test_cli_maximal_check_sees_the_exponent_at_infinity(tmp_path, capsys):
+    """|x|^{0.6} |x - 1|^{0.7} is |x|^{1.3} at infinity, so q_w = 2.3 and it
+    is outside A_2, although each factor is in A_2. The audit reads that
+    from the exponents and exits 3 at "w in A_2", naming the factor at
+    infinity (its family maximum passed it, and the check exited 2 on its
+    whole-line integrals). At p = 2.5 > q_w it passes."""
     weight = {"kind": "product_power", "factors": [[0.6, [0.0]], [0.7, [1.0]]]}
-    code, report, rows = _maximal_witnesses(tmp_path / "2", _base_config(
+    cfg = _write(tmp_path, "maximal.json", _base_config(
         weight=weight, checks=[{"check": "maximal-inequality", "p": 2.0}]))
-    assert code == 2 and report["extras"]["verdict"] == "diverging"
-    assert report["hypotheses"][0]["passed"] and report["worst"] == "inf"
-    assert [ratio for _, _, ratio in rows] == [math.inf] * 3
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "2")]) == 3
+    report = json.loads((tmp_path / "2" / "00-maximal-inequality.json").read_text())["report"]
+    assert report["failed_item"] == "w in A_2" and "at infinity" in report["detail"]
+    assert "HYPOTHESIS FAILED: w in A_2 (w has the factor" in capsys.readouterr().out
     code, report, rows = _maximal_witnesses(tmp_path / "2.5", _base_config(
         weight=weight, checks=[{"check": "maximal-inequality", "p": 2.5}]))
     assert code == 0 and report["extras"]["verdict"] == "pass"
@@ -1088,7 +1092,7 @@ def test_bundled_reports_are_strict_json(tmp_path, capsys):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_all_verifications.py")
     _python(script, "--out", str(tmp_path / "all"), check=True)
     reports = sorted((tmp_path / "all").rglob("*.json"))
-    assert len(reports) == 10
+    assert len(reports) == 8
     for path in reports:
         json.loads(path.read_text(), parse_constant=_no_constant)
     report = json.loads((tmp_path / "all" / "weights-power-half" / "weights-classify.json")
@@ -1102,11 +1106,11 @@ def test_bundled_reports_are_strict_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("config, scale", [
     ("ta-worked.json", 1e300),
-    ("critical-index-chain", 1e300),
-    ("critical-index-chain", 1e-300),
+    ("rh-ball-inequality", 1e300),
+    ("rh-ball-inequality", 1e-300),
 ])
 def test_cli_weight_scale_out_of_float_range_exits_4(tmp_path, capsys, config, scale):
-    """A check that forms w^t (here t = 8/3 and t = 2) of a weight whose
+    """A check that forms w^t (here t = 8/3 and t = 3/2) of a weight whose
     scale**t under- or overflows is refused at weight.scale (exit 4), not
     ended by an OverflowError or a zero scale."""
     if config.endswith(".json"):
@@ -1114,7 +1118,7 @@ def test_cli_weight_scale_out_of_float_range_exits_4(tmp_path, capsys, config, s
             raw = json.load(fh)
         raw["campaign"]["count"] = 2
     else:
-        raw = _base_config(checks=[{"check": config, "p": 0.5}])
+        raw = _base_config(checks=[{"check": config, "p": 1.5, "alpha": 0.5}])
     raw["weight"] = {**raw["weight"], "exponent": -0.125, "scale": scale}
     cfg = _write(tmp_path, "scaled.json", raw)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 4
@@ -1216,7 +1220,9 @@ def test_bundled_pointwise_drift_measures_something(tmp_path):
 
 def test_bundled_runs_cover_every_check_kind():
     """``run_all_verifications.py`` runs every check kind, apart from
-    rh-ball-inequality, which reads its constant off the family it tests."""
+    rh-ball-inequality, which reads its constant off the family it tests,
+    and its runs read exactly the configs in ``configs/``: a deleted config
+    leaves no dangling run, and a new one cannot go unrun."""
     import importlib.util
 
     path = os.path.join(os.path.dirname(__file__), "..", "scripts",
@@ -1227,3 +1233,4 @@ def test_bundled_runs_cover_every_check_kind():
     kinds = {item["check"] for command, _, name in script.RUNS if command == "verify"
              for item in load_config(os.path.join(CONFIG_DIR, name)).checks}
     assert kinds == set(KNOWN_CHECKS) - {"rh-ball-inequality"}
+    assert {name for _, _, name in script.RUNS} == set(os.listdir(CONFIG_DIR))

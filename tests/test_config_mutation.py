@@ -105,7 +105,7 @@ RUNS = {"atoms-campaign.json": ["atoms", "gen"], "corollary.json": ["verify"],
         "sweep-disk.json": ["operator", "sweep"], "sweep-riesz.json": ["operator", "sweep"],
         "sweep-t02.json": ["operator", "sweep"],
         "ta-worked.json": ["verify"], "thm1-smoke.json": ["verify"],
-        "pointwise-off-centre.json": ["verify"], "critical-index-chain.json": ["verify"],
+        "pointwise-off-centre.json": ["verify"],
         "weights-log.json": ["weights", "classify"],
         "weights-power-half.json": ["weights", "classify"],
         **{name: ["verify"] for name in BUNDLED if name.startswith("check-")}}

@@ -72,6 +72,8 @@ def test_rh_ball_hypothesis_failure_raises(small_family):
     with pytest.raises(HypothesisFailed) as err:
         check_rh_ball_inequality(PowerWeight(-0.75), 1.0, 0.75, small_family)
     assert err.value.item == "w^p in RH_4"
+    assert err.value.detail == ("w^4 has the factor PowerProfile(-3.0, 0.0) at [0.0], which "
+                                "is not locally integrable in dimension 1")
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,7 @@ def test_chain_hypothesis_gate(small_family):
     with pytest.raises(HypothesisFailed) as err:
         check_critical_index_chains(PowerWeight(0.6), 0.25, None, small_family)
     assert err.value.item == "w^{1/p} in A_1"
+    assert err.value.detail == "w vanishes at [0.0]"
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +262,8 @@ def test_maximal_inequality_pass_and_diverge():
     with pytest.raises(HypothesisFailed) as err:
         check_maximal_inequalities(PowerWeight(1.5), 2.0, balls)
     assert err.value.item == "w in A_2"
+    assert err.value.detail == ("w^-1 has the factor PowerProfile(-1.5, 0.0) at [0.0], which "
+                                "is not locally integrable in dimension 1")
     # at p = 1 the maximal operators have only the weak-type bound, for every
     # weight: M chi_B ~ |B| / |x| is not integrable against the unit weight
     for alpha in (None, 0.5):
@@ -425,6 +430,28 @@ def test_campaign_hypothesis_gates():
         run_theorem_campaign("thm-positive", w, ExponentProfile(0.5, (0.25, 0.25), 1),
                              scalar_family([1.0, -1.0]), bad)
     assert "p0" in err.value.item
+
+
+def test_failed_class_audits_name_the_exponent():
+    """Each class audit fails with the exponent rule's reason as its detail:
+    the product |x|^{-0.3} |x - 1|^{-0.4} is |x|^{-0.7} at infinity, so at
+    p = 5/4 and alpha = 1/4 (q = 20/11) w^q decays too fast there for
+    A_{p,q}, although each factor of w^q is locally integrable; the
+    theorem-ta audit of
+    w^{n/((n-alpha)s)} in A_1 fails on the zero of |x|^{1/4}."""
+    w = ProductPowerWeight(((-0.3, (0.0,)), (-0.4, (1.0,))))
+    with pytest.raises(HypothesisFailed) as err:
+        check_maximal_inequalities(w, 1.25, [Ball([0.0], 1.0)], alpha=0.25)
+    assert err.value.item == "w in A_pq(p=1.25,q=1.81818)"
+    assert err.value.detail == ("w has the factor PowerProfile(-0.7, 0.0) at infinity, whose "
+                                "power 1.81818 is not locally integrable in dimension 1")
+    spec = CampaignSpec(count=2, seed=1, p=0.75, p0=1.5, s=0.75)
+    with pytest.raises(HypothesisFailed) as err:
+        run_theorem_campaign("thm-positive", PowerWeight(0.25),
+                             ExponentProfile(0.5, (0.25, 0.25), 1), scalar_family([1.0, -1.0]),
+                             spec)
+    assert err.value.item == "w^{n/((n-alpha)s)} in A_1"
+    assert err.value.detail == "w vanishes at [0.0]"
 
 
 def test_campaign_parallel_matches_serial():

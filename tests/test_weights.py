@@ -144,7 +144,7 @@ def test_tabulated_from_csv(tmp_path):
 def test_apq_ess_inf_branch(std_family, fast_scheme):
     # p = 1 uses the node-minimum in place of the dual average
     w = weight_power(PowerWeight(-1.0 / 3.0), 0.25)
-    rep = estimate_Apq_constant(w, 1.0, 4.0, std_family, fast_scheme, refine_steps=1)
+    rep = estimate_Apq_constant(w, 1.0, 4.0, std_family, fast_scheme)
     assert rep.verdict == "finite"
     assert rep.constant >= 1.0 - 1e-12
 
@@ -223,12 +223,13 @@ def test_a1_log_example_weight(std_family):
 
 
 def test_a1_positive_power_diverges(std_family):
-    """|x|^{1/2} vanishes at the origin: its essential infimum on a ball
-    around it is 0, so the constant is +inf on such a ball."""
+    """|x|^{1/2} vanishes at the origin, so its essential infimum on a ball
+    around it is 0: the exponent rule excludes A_1, and the family is not
+    evaluated."""
     rep = estimate_A1_constant(PowerWeight(0.5), std_family)
     assert rep.verdict == "diverging"
-    assert rep.constant == math.inf and rep.series == [math.inf]
-    assert abs(rep.worst_ball.center[0]) <= rep.worst_ball.radius
+    assert rep.constant == math.inf and rep.worst_ball is None
+    assert rep.excluded_by == "w vanishes at [0.0]"
 
 
 @pytest.mark.parametrize("estimate", [
@@ -236,12 +237,11 @@ def test_a1_positive_power_diverges(std_family):
     lambda w, fam: estimate_Apq_constant(w, 1.0, 2.0, fam),
 ], ids=["A1", "Apq(1,2)"])
 def test_a1_positive_power_diverges_in_the_plane(estimate):
-    """|x|^a is in A_1 only for a <= 0, in the plane as on the line.  A
-    minimum over refining node lattices of |x|^{1/2} falls by 2^{3a} < 4
-    over three refinements and so read "finite"; the exact infimum is 0."""
+    """|x|^a is in A_1 only for a <= 0, in the plane as on the line: the
+    exponent rule reads the zero of |x|^{1/2} at the origin."""
     rep = estimate(PowerWeight(0.5, dimension=2), default_ball_family(2))
     assert rep.verdict == "diverging" and rep.constant == math.inf
-    assert np.hypot(*rep.worst_ball.center) <= rep.worst_ball.radius
+    assert rep.worst_ball is None and rep.excluded_by == "w vanishes at [0.0, 0.0]"
 
 
 def test_ap_examples(std_family):
@@ -254,19 +254,18 @@ def test_ap_examples(std_family):
 
 def test_apq_examples(std_family, fast_scheme):
     assert estimate_Apq_constant(PowerWeight(0.0), 2.0, 4.0, std_family,
-                                 fast_scheme, refine_steps=1).constant == pytest.approx(1.0)
+                                 fast_scheme).constant == pytest.approx(1.0)
     # w in A_1 implies w^{1/q} in A_{p,q}
     wq = weight_power(PowerWeight(-1.0 / 3.0), 0.25)
-    rep = estimate_Apq_constant(wq, 2.0, 4.0, std_family, fast_scheme, refine_steps=1)
+    rep = estimate_Apq_constant(wq, 2.0, 4.0, std_family, fast_scheme)
     assert rep.verdict == "finite"
 
 
 def test_apq_diagonal_matches_ap(std_family, fast_scheme):
     # p = q: the two-exponent constant is [w^p]_{A_p}^{1/p}
     w = PowerWeight(0.25)
-    r1 = estimate_Apq_constant(w, 2.0, 2.0, std_family, fast_scheme, refine_steps=1)
-    r2 = estimate_Ap_constant(weight_power(w, 2.0), 2.0, std_family, fast_scheme,
-                              refine_steps=1)
+    r1 = estimate_Apq_constant(w, 2.0, 2.0, std_family, fast_scheme)
+    r2 = estimate_Ap_constant(weight_power(w, 2.0), 2.0, std_family, fast_scheme)
     assert r1.verdict == r2.verdict == "finite"
     assert r1.constant**2 == pytest.approx(r2.constant, rel=1e-8)
 
@@ -284,23 +283,21 @@ def test_constants_at_least_one(std_family, fast_scheme):
     for w in (PowerWeight(0.0), PowerWeight(0.5), PowerWeight(-1.0 / 3.0),
               LogExampleWeight()):
         for p in (1.5, 2.0, 3.0):
-            rep = estimate_Ap_constant(w, p, std_family, fast_scheme, refine_steps=0)
+            rep = estimate_Ap_constant(w, p, std_family, fast_scheme)
             assert rep.constant >= 1.0 - 1e-12
-        rep = estimate_RH_constant(w, 2.0, std_family, fast_scheme, refine_steps=0)
+        rep = estimate_RH_constant(w, 2.0, std_family, fast_scheme)
         assert rep.constant >= 1.0 - 1e-12
 
 
 def test_ap_monotone_in_p(std_family, fast_scheme):
     for w in (PowerWeight(0.5), PowerWeight(-1.0 / 3.0)):
-        values = [estimate_Ap_constant(w, p, std_family, fast_scheme,
-                                       refine_steps=0).constant
+        values = [estimate_Ap_constant(w, p, std_family, fast_scheme).constant
                   for p in (1.6, 2.0, 2.5, 3.0)]
         assert all(values[i + 1] <= values[i] * (1 + 1e-9) for i in range(len(values) - 1))
 
 
 def test_rh_monotone_in_s(std_family, fast_scheme):
-    values = [estimate_RH_constant(PowerWeight(-0.125), s, std_family, fast_scheme,
-                                   refine_steps=0).constant
+    values = [estimate_RH_constant(PowerWeight(-0.125), s, std_family, fast_scheme).constant
               for s in (1.5, 2.0, 3.0, 4.0)]
     assert all(values[i + 1] >= values[i] * (1 - 1e-9) for i in range(len(values) - 1))
 
@@ -315,11 +312,11 @@ def test_scaling_invariance(c):
     base = PowerWeight(0.5)
     scaled = PowerWeight(0.5, scale=c)
     for fn, arg in ((estimate_Ap_constant, 2.0), (estimate_RH_constant, 2.0)):
-        a = fn(base, arg, family, scheme, refine_steps=0).constant
-        b = fn(scaled, arg, family, scheme, refine_steps=0).constant
+        a = fn(base, arg, family, scheme).constant
+        b = fn(scaled, arg, family, scheme).constant
         assert b == pytest.approx(a, rel=1e-10)
-    a1 = estimate_A1_constant(base, family, scheme, refine_steps=0).constant
-    b1 = estimate_A1_constant(scaled, family, scheme, refine_steps=0).constant
+    a1 = estimate_A1_constant(base, family, scheme).constant
+    b1 = estimate_A1_constant(scaled, family, scheme).constant
     assert b1 == pytest.approx(a1, rel=1e-10)
 
 
@@ -328,9 +325,142 @@ def test_power_weight_classifier_spot_checks(std_family, fast_scheme):
     cases = [(-0.8, 1.5, True), (0.5, 2.0, True), (0.9, 1.25, False),
              (0.5, 1.25, False)]
     for a, p, finite in cases:
-        rep = estimate_Ap_constant(PowerWeight(a), p, std_family, fast_scheme,
-                                   refine_steps=2)
+        rep = estimate_Ap_constant(PowerWeight(a), p, std_family, fast_scheme)
         assert (rep.verdict == "finite") == finite, (a, p)
+
+
+# ---------------------------------------------------------------------------
+# class membership from the exponents
+# ---------------------------------------------------------------------------
+
+
+def _product(*factors, dimension=1):
+    return ProductPowerWeight(tuple(factors), dimension=dimension)
+
+
+_LINE_PAIR = ((0.0,), (1.0,))
+_PLANE_PAIR = ((0.0, 0.0), (1.0, 0.0))
+_AGREEMENT_WEIGHTS = [
+    *(PowerWeight(a) for a in (-0.75, -0.3, 0.0, 0.4, 1.3)),
+    *(PowerWeight(a, dimension=2) for a in (-1.5, -0.6, 0.7, 2.5)),
+    *(_product((a, _LINE_PAIR[0]), (b, _LINE_PAIR[1]))
+      for a, b in ((-0.3, -0.4), (0.3, -0.4), (0.6, 0.7), (-0.55, -0.7), (-0.2, 0.45))),
+    *(_product((a, _PLANE_PAIR[0]), (b, _PLANE_PAIR[1]), dimension=2)
+      for a, b in ((-0.5, -0.7), (0.4, -0.9), (-1.2, -1.1))),
+]
+
+
+@pytest.mark.parametrize("w", _AGREEMENT_WEIGHTS,
+                         ids=lambda w: f"{type(w).__name__}-{w.dimension}d")
+def test_class_verdicts_agree_with_the_critical_indices(w):
+    """On a grid of power and product exponents, on the line and in the
+    plane: A_p reads finite exactly for p > q_w, RH_s exactly for s < r_w,
+    and A_1 exactly when q_w = 1 and w vanishes nowhere.  Products read
+    their family on a coarse lattice: only the verdicts are compared."""
+    from rieszkit import QuadratureScheme
+
+    n = w.dimension
+    idx = critical_indices(w)
+    exponents = [a for a, _ in w.factors] if hasattr(w, "factors") else [w.exponent]
+    vanishes = any(a > 0.0 for a in exponents)
+    fam = (default_ball_family(n) if isinstance(w, PowerWeight)
+           else dyadic_ball_family([list(c) for c in (_LINE_PAIR, _PLANE_PAIR[:1])[n - 1]],
+                                   -1, 2))
+    scheme = QuadratureScheme(resolution=64 if n == 1 else 16, tol=1e-3)
+    rep = estimate_A1_constant(w, fam, scheme)
+    assert (rep.verdict == "finite") == (idx.q_critical == 1.0 and not vanishes)
+    for p in (1.25, 1.5, 2.0, 3.0, 5.0):
+        assert p != idx.q_critical
+        rep = estimate_Ap_constant(w, p, fam, scheme)
+        assert (rep.verdict == "finite") == (p > idx.q_critical), p
+    for s in (1.2, 1.5, 2.0, 4.0, 16.0):
+        assert s != idx.rh_critical
+        rep = estimate_RH_constant(w, s, fam, scheme)
+        assert (rep.verdict == "finite") == (s < idx.rh_critical), s
+        assert (rep.excluded_by is None) == (rep.verdict == "finite")
+
+
+@pytest.mark.parametrize("w, estimate, boundary, inside", [
+    (PowerWeight(0.5), lambda w, p: estimate_Ap_constant(w, p, default_ball_family(1)),
+     1.5, math.nextafter(1.5, 2.0)),
+    (PowerWeight(-0.5), lambda w, s: estimate_RH_constant(w, s, default_ball_family(1)),
+     2.0, math.nextafter(2.0, 1.0)),
+    (PowerWeight(-0.5, dimension=2),
+     lambda w, s: estimate_RH_constant(w, s, default_ball_family(2)),
+     4.0, math.nextafter(4.0, 1.0)),
+], ids=["A_1.5", "RH_2", "plane-RH_4"])
+def test_class_boundaries_read_diverging(w, estimate, boundary, inside):
+    """|x|^{1/2} at p = 1.5, and |x|^{-1/2} at s = 2 (s = 4 in the plane),
+    lie on the boundary of their class: w^{-2}, or w^s, is |x|^{-n}.  The
+    exponent rule compares exactly, so the boundary reads diverging and one
+    ulp inside it, in the order or in the exponent, reads finite."""
+    n = w.dimension
+    rep = estimate(w, boundary)
+    assert rep.verdict == "diverging" and rep.excluded_by.endswith(
+        f"at {[0.0] * n}, which is not locally integrable in dimension {n}")
+    assert estimate(w, inside).verdict == "finite"
+    nearer_zero = PowerWeight(math.nextafter(w.exponent, 0.0), dimension=n)
+    assert estimate(nearer_zero, boundary).verdict == "finite"
+
+
+_PAIR_A = _product((0.3, (0.0,)), (-0.4, (1.0,)))
+_PAIR_B = _product((0.6, (0.0,)), (0.7, (1.0,)))
+_PAIR_C = _product((-0.3, (0.0,)), (-0.4, (1.0,)))
+
+
+@pytest.mark.parametrize("w, estimate, excluded_by", [
+    (_PAIR_A, lambda w, f: estimate_A1_constant(w, f), "w vanishes at [0.0]"),
+    (_PAIR_A, lambda w, f: estimate_Apq_constant(w, 1.0, 2.0, f), "w vanishes at [0.0]"),
+    (_PAIR_B, lambda w, f: estimate_Ap_constant(w, 2.0, f),
+     "w has the factor PowerProfile(1.2999999999999998, 0.0) at infinity, whose power -1 "
+     "is not locally integrable in dimension 1"),
+    (_PAIR_C, lambda w, f: estimate_RH_constant(w, 1.5, f),
+     "w has the factor PowerProfile(-0.7, 0.0) at infinity, whose power 1.5 is not "
+     "locally integrable in dimension 1"),
+    (_PAIR_C, lambda w, f: estimate_Apq_constant(w, 1.0, 2.0, f),
+     "w has the factor PowerProfile(-0.7, 0.0) at infinity, whose power 2 is not "
+     "locally integrable in dimension 1"),
+], ids=["A_1-zero", "A_12-zero", "A_2-infinity", "RH_1.5-infinity", "A_12-infinity"])
+def test_two_centre_products_outside_their_class(std_family, w, estimate, excluded_by):
+    """Five classes whose family maxima are finite (A_1 of
+    |x|^{0.3} |x - 1|^{-0.4} reads 47.7 on the 64-fold lattice, A_2 of
+    |x|^{0.6} |x - 1|^{0.7} 6.88 with q_w = 2.3, RH_1.5 of
+    |x|^{-0.3} |x - 1|^{-0.4} 1.28 with r_w = 1/0.7) and that the exponents
+    exclude: a zero at 0, or the exponent at infinity.  The family is not
+    evaluated."""
+    rep = estimate(w, std_family)
+    assert (rep.verdict, rep.constant, rep.worst_ball) == ("diverging", math.inf, None)
+    assert rep.excluded_by == excluded_by
+
+
+def test_log_weight_classes_from_the_exponents(std_family):
+    """log(1/|x|)^{-1} vanishes at 0, so it is outside A_1; every finite
+    power of it is locally integrable, so it is in A_2 and RH_4."""
+    w = LogExampleWeight(1, -1.0)
+    rep = estimate_A1_constant(w, std_family)
+    assert rep.verdict == "diverging" and rep.excluded_by == "w vanishes at [0.0]"
+    assert estimate_Ap_constant(w, 2.0, std_family).verdict == "finite"
+    assert estimate_RH_constant(w, 4.0, std_family).verdict == "finite"
+
+
+def test_finite_constants_read_one_lattice_refined_64_fold(std_family):
+    """An admitted class is read in one pass over the family on the line
+    lattice refined 64-fold: the constants of a two-centre product on the
+    default family and of a tabulated weight are pinned bit for bit."""
+    assert [estimate_A1_constant(_PAIR_C, std_family).constant,
+            estimate_Ap_constant(_PAIR_C, 2.0, std_family).constant,
+            estimate_RH_constant(_PAIR_C, 1.2, std_family).constant] == [
+        3.2676649201141506, 1.6796045274588012, 1.0971693442559962]
+    grid = RegularGrid((-2.0,), (2.0,), (8,))
+    w = TabulatedWeight(grid, np.array([1.0, 3.0, 0.5, 2.0, 4.0, 1.5, 0.25, 1.0]))
+    fam = dyadic_ball_family([[0.0], [0.3]], -4, 0)
+    reps = [estimate_A1_constant(w, fam), estimate_Ap_constant(w, 2.0, fam),
+            estimate_RH_constant(w, 3.0, fam), estimate_Apq_constant(w, 1.5, 3.0, fam)]
+    assert [rep.constant for rep in reps] == [7.850006103515626, 2.26502988813445,
+                                              1.3563125190332914, 5.830270463146343]
+    assert all(rep.excluded_by is None and rep.worst_ball.to_dict() == {"center": [0.3],
+                                                                         "radius": 1.0}
+               for rep in reps)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +573,8 @@ def test_critical_indices_rh_above_cap_is_inf(std_family):
     w = PowerWeight(260.0)
     idx = critical_indices(w, std_family)
     assert math.isinf(idx.q_critical) and math.isinf(idx.rh_critical)
-    assert estimate_Ap_constant(w, 256.0, std_family, refine_steps=2).verdict == "diverging"
-    rep = estimate_RH_constant(w, 1024.0, std_family, refine_steps=2)
+    assert estimate_Ap_constant(w, 256.0, std_family).verdict == "diverging"
+    rep = estimate_RH_constant(w, 1024.0, std_family)
     assert rep.verdict == "finite" and 1.0 <= rep.constant < math.inf
 
 
@@ -457,8 +587,8 @@ def test_critical_indices_in_dimension_two_rh_near_cap_of_circle():
     idx = critical_indices(w, fam)
     assert (idx.q_critical, idx.rh_critical) == (1.0, 4.0)
     for s in (3.99, 3.999):
-        assert estimate_RH_constant(w, s, fam, refine_steps=2).verdict == "finite", s
-    assert estimate_RH_constant(w, 4.01, fam, refine_steps=2).verdict == "diverging"
+        assert estimate_RH_constant(w, s, fam).verdict == "finite", s
+    assert estimate_RH_constant(w, 4.01, fam).verdict == "diverging"
 
 
 def test_critical_indices_in_dimension_two():
@@ -468,8 +598,8 @@ def test_critical_indices_in_dimension_two():
     fam = dyadic_ball_family([[0.0, 0.0], [1.0, 0.0]], -4, 0)
     idx = critical_indices(w, fam)
     assert idx.q_critical == 1.25 and math.isinf(idx.rh_critical)
-    assert estimate_Ap_constant(w, 1.24, fam, refine_steps=2).verdict == "diverging"
-    assert estimate_Ap_constant(w, 1.26, fam, refine_steps=2).verdict == "finite"
+    assert estimate_Ap_constant(w, 1.24, fam).verdict == "diverging"
+    assert estimate_Ap_constant(w, 1.26, fam).verdict == "finite"
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +646,9 @@ def test_estimates_in_dimension_two():
 
     fam = dyadic_ball_family([[0.0, 0.0], [1.0, 0.0]], -4, 0)
     scheme = QuadratureScheme(resolution=24, tol=1e-2)
-    rep = estimate_Ap_constant(PowerWeight(0.5, dimension=2), 2.0, fam, scheme,
-                               refine_steps=1)
+    rep = estimate_Ap_constant(PowerWeight(0.5, dimension=2), 2.0, fam, scheme)
     assert rep.verdict == "finite"
-    rep = estimate_Ap_constant(PowerWeight(1.2, dimension=2), 1.5, fam, scheme,
-                               refine_steps=1)
+    rep = estimate_Ap_constant(PowerWeight(1.2, dimension=2), 1.5, fam, scheme)
     assert rep.verdict == "diverging"
     # radial patch makes the singular disk integral accurate at low resolution
     v = weighted_measure(PowerWeight(-0.5, dimension=2), 1.0, Ball([0.0, 0.0], 1.0),
