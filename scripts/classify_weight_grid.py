@@ -4,16 +4,15 @@
 Prints a table of (exponent a, integrability exponent p) cells; the verdict
 should be "finite" exactly when p exceeds the weight's critical index q_w
 (``critical_indices``, in closed form: max(1, 1 + a/n)), so it flips along
-a = n (p - 1).  Cells within the margin of that line, or of a = -n, are
-marked '~' and not judged.
+a = n (p - 1).  Both are exact, so every cell is judged, and a cell on that
+line (p = q_w) reads "diverging".
 
 Usage:
-    python scripts/classify_weight_grid.py [--margin 0.2]
+    python scripts/classify_weight_grid.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -27,10 +26,6 @@ PS = (1.25, 1.5, 2.0, 3.0)
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--margin", type=float, default=0.2)
-    args = ap.parse_args()
-
     family = default_ball_family(1)
     header = "a \\ p " + "".join(f"{p:>9.2f}" for p in PS)
     print(header)
@@ -39,19 +34,14 @@ def main() -> int:
         row = [f"{a:6.2f}"]
         q_w = critical_indices(PowerWeight(a)).q_critical
         for p in PS:
-            predicted = p > q_w
-            boundary = (abs(a - (p - 1.0)) < args.margin - 1e-9
-                        or abs(a + 1.0) < args.margin - 1e-9)
             verdict = estimate_Ap_constant(PowerWeight(a), p, family).verdict
             mark = "fin" if verdict == "finite" else "div"
-            if boundary:
-                mark += "~"
-            elif (verdict == "finite") != predicted:
+            if (verdict == "finite") != (p > q_w):
                 mark += "!"
                 mismatches += 1
             row.append(f"{mark:>9}")
         print("".join(row))
-    print(f"{mismatches} non-boundary mismatches against the p > q_w rule")
+    print(f"{mismatches} mismatches against the p > q_w rule")
     return 1 if mismatches else 0
 
 

@@ -424,7 +424,7 @@ def derive_seed(campaign_seed: int, index: int, retry: int = 0) -> int:
 def sample_atom_campaign(params: AtomParams, sampler: AtomSampler, count: int,
                          seed: int, scheme: QuadratureScheme | None = None,
                          max_retries: int = 8) -> list:
-    """``count`` validated atoms on the sampler's lattice, reproducible by seed."""
+    """``count`` validated atoms on the lattice of the sampler, reproducible by seed."""
     if count < 1:
         raise ValueError("campaign needs at least one atom")
     atoms = []

@@ -267,6 +267,8 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.seed
         if seed is not None and seed < 0:
             raise ConfigError("--seed", "must be a nonnegative integer")
+        if args.jobs < 1:
+            raise ConfigError("--jobs", "must be a positive integer")
         if args.command == "weights":
             return cmd_weights_classify(cfg, out_dir)
         if args.command == "operator":

@@ -11,8 +11,19 @@ class SingularPoint(RieszkitError):
     """A weight was evaluated at a pole or zero of its analytic form."""
 
 
-class OutOfGrid(RieszkitError):
-    """A tabulated weight was evaluated outside its grid domain."""
+class ConfigError(RieszkitError):
+    """A run configuration failed schema validation."""
+
+    def __init__(self, path: str, message: str):
+        self.path, self.message = path, message
+        super().__init__(f"{path}: {message}")
+
+    def __reduce__(self):  # a process pool passes errors back pickled
+        return type(self), (self.path, self.message)
+
+
+class OutOfGrid(ConfigError):
+    """A tabulated weight was evaluated outside its grid (``weight.grid``)."""
 
 
 class NotIntegrable(RieszkitError):
@@ -59,11 +70,3 @@ def require_hypotheses(audits):
     for a in audits:
         if not a.passed:
             raise HypothesisFailed(a.name, a.detail or f"value {a.value}")
-
-
-class ConfigError(RieszkitError):
-    """A run configuration failed schema validation."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")

@@ -2,9 +2,10 @@
 
 A weight here is one of four analytic or tabulated positive functions on
 R^n.  Class membership (A_1, A_p, A_{p,q}, reverse Holder) and the
-critical indices are read in closed form from the weight's exponents
-(``class_exclusion``, ``critical_indices``), at infinity too, where no
-finite family of balls can see them.  A class that holds gets its
+critical indices and the constant C of w(A_j x) <= C w(x) are read in
+closed form from the weight's exponents (``class_exclusion``,
+``critical_indices``, ``check_matrix_compatibility``), at infinity too,
+where no finite family of balls can see them.  A class that holds gets its
 constant as a maximum over a finite family of balls.  Power means and
 essential infima of radial weights are exact; tabulated and multi-factor
 weights take cells and minima over quadrature nodes.  Estimates are
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
-from .quadrature import (QuadratureScheme, RadialSingularity, default_scheme,
+from .quadrature import (QuadratureScheme, RadialSingularity, coincident, default_scheme,
                          integrate_ball, lebesgue_ball, log_ball_integral,
                          merge_coincident, radial_profile)
 from .records import asdict, record
@@ -115,7 +116,8 @@ class RegularGrid:
             i = np.floor((pts[:, d] - self.lo[d]) / width).astype(int)
             out = (pts[:, d] < self.lo[d] - 1e-12) | (pts[:, d] > self.hi[d] + 1e-12)
             if np.any(out):
-                raise OutOfGrid("point outside the tabulated grid domain")
+                raise OutOfGrid("weight.grid", f"the point {pts[np.argmax(out)].tolist()} lies "
+                                f"outside the grid box {list(self.lo)} .. {list(self.hi)}")
             idx.append(np.clip(i, 0, self.shape[d] - 1))
         return tuple(idx)
 
@@ -661,46 +663,40 @@ def class_exclusion(w, a, b) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Matrix compatibility
+# Matrix compatibility, from the exponents
 # ---------------------------------------------------------------------------
 
 
-def compatibility_sample(w, count: int = 256, extent: float = 8.0) -> np.ndarray:
-    """Deterministic sample lattice avoiding the singular points of w."""
-    n = w.dimension
-    if n == 1:
-        xs = np.linspace(-extent, extent, count)[:, None]
-    else:
-        side = max(4, int(math.isqrt(count)))
-        g = np.linspace(-extent, extent, side)
-        X, Y = np.meshgrid(g, g, indexing="ij")
-        xs = np.column_stack([X.ravel(), Y.ravel()])
-    keep = np.ones(xs.shape[0], dtype=bool)
-    radial = radial_factors(w)
-    for c, _ in radial[1] if radial else ():
-        keep &= np.linalg.norm(xs - c, axis=1) > 1e-6
-    return xs[keep]
-
-
-def check_matrix_compatibility(w, family: MatrixFamily, sample: np.ndarray | None = None):
-    """(max over matrices and sample points of w(A_j x) / w(x), its point x).
-
-    A ratio that is not a finite number (0/0 or t/0 where w under- or
-    overflows, as |x|^260 does near 0) makes the maximum +inf at the first
-    such point: the sample cannot confirm the bound there.
+def check_matrix_compatibility(w, family: MatrixFamily):
+    """(C, detail) for w(A_j x) <= C w(x), from the exponents and no weight
+    value: ``detail`` is None when the ratio is bounded, else it names j, m
+    and e(m).  Near m, w(A x) / w(x) behaves like |x - m|^{e(m)}, where e(m)
+    sums the merged exponents a_i of ``radial_factors`` with A^{-1} c_i = m
+    (``coincident``) less those with c_i = m, in exact integers.  The e(m)
+    sum to 0, so the ratio is bounded exactly when all vanish; then it is
+    prod_i (|A u_i| / |u_i|)^{a_i}, u_i = x - A^{-1} c_i, and C_j takes
+    sigma_max^a for a > 0 and sigma_min^a for a < 0: |lambda_j|^S on the
+    line, exact in the plane for one centre or a similarity, else a bound.
+    The log factor of ``log_example`` (at 0) peaks at (1 + log(1/sigma_min))^s
+    for s > 0, (1 + log sigma_max)^{-s} for s < 0.  C is formed from
+    logarithms (inf past the float range).  A tabulated weight, bounded
+    above and below, reads the bound max(values) / min(values).
     """
-    if sample is None:
-        sample = compatibility_sample(w)
-    sample = np.atleast_2d(np.asarray(sample, dtype=float))
-    base = eval_weight_batch(w, sample)
-    worst, point = 0.0, None
-    for j in range(family.m):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratios = eval_weight_batch(w, sample @ family.matrices[j].T) / base
-        bad = ~np.isfinite(ratios)
-        if np.any(bad):
-            return math.inf, sample[int(np.argmax(bad))]
-        k = int(np.argmax(ratios))
-        if ratios[k] > worst:
-            worst, point = float(ratios[k]), sample[k]
-    return worst, point
+    if radial_factors(w) is None:
+        return float(np.max(w.values) / np.min(w.values)), None
+    den, factors = _exponents(w)
+    pos, neg = (sum(k for _, _, k in factors if k * sign > 0) / den for sign in (1, -1))
+    log_power = sum(p.s for _, p, _ in factors)
+    logs = []
+    for j, (inv, (s_max, s_min)) in enumerate(zip(family.inverses, family.singular_values)):
+        marks = [(inv @ c, k) for c, _, k in factors] + [(c, -k) for c, _, k in factors]
+        for point, _ in marks:
+            e = sum(k for q, k in marks if coincident(q, point))
+            if e < 0:
+                m = f"{point[0]:g}" if w.dimension == 1 else point.tolist()
+                return math.inf, f"w(A_{j} x)/w(x) grows like |x - m|^{e / den:g} at m = {m}"
+        # the log factor's ratio peaks where |x| = 1/e (s > 0) or |A x| = 1/e (s < 0)
+        knee = -math.log(s_min) if log_power > 0.0 else math.log(s_max)
+        logs.append(pos * math.log(s_max) + neg * math.log(s_min)
+                    + abs(log_power) * math.log1p(max(0.0, knee)))
+    return _exp(max(logs)), None

@@ -347,6 +347,10 @@ def test_cli_import_defers_scipy_special():
 
 
 _GRID = {"lo": [-1.0], "hi": [1.0], "shape": [2]}
+#: a tabulated weight on [-10, 10]: the default ball family and a campaign's
+#: truncated line both reach beyond it
+_WIDE_TABULATED = {"kind": "tabulated", "grid": {"lo": [-10.0], "hi": [10.0], "shape": [4]},
+                   "values": [1.0, 2.0, 3.0, 4.0]}
 
 
 def _bundled(name, **campaign):
@@ -365,6 +369,11 @@ def _theorem_config(check, alpha, **campaign):
     return _base_config(matrices=[[[1.0]], [[-1.0]]], exponents={"alpha": alpha},
                         atom={"p": 1.0, "p0": 2.0}, campaign=campaign,
                         checks=[{"check": check}])
+
+
+def _shifted(a):
+    """The weight |x - 1|^a."""
+    return {"kind": "product_power", "factors": [[a, [1.0]]]}
 
 
 def _failed_audit_config(raw, check):
@@ -395,8 +404,19 @@ def _failed_audit_config(raw, check):
                              "atom": {"p": 1.0, "p0": 1.3332}},
                           {"check": "theorem-thm1"}),
      "p0 above the atomic threshold"),
+    (_failed_audit_config(_theorem_config("theorem-thm1", 0.0, count=2)
+                          | {"weight": _shifted(-0.25)}, {"check": "theorem-thm1"}),
+     "w(A_j x) <= C w(x)"),
+    (_failed_audit_config(_theorem_config("theorem-thm1", 0.0, count=2)
+                          | {"weight": _shifted(-0.25), "matrices": [[[1.0]], [[2.0]]]},
+                          {"check": "theorem-thm1"}),
+     "w(A_j x) <= C w(x)"),
+    (_failed_audit_config(_bundled("ta-worked.json", count=2) | {"weight": _shifted(-0.125)},
+                          {"check": "theorem-ta"}),
+     "w(A_j x) <= C w(x)"),
 ], ids=["rh-ball", "ta-a1-vanishes", "maximal-a2", "ta-s", "ta-rh-bracket-at-1",
-        "thm1-p0-below-threshold"])
+        "thm1-p0-below-threshold", "thm1-compatibility-reflection",
+        "thm1-compatibility-dilation", "ta-compatibility-reflection"])
 def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     """A failed hypothesis audit exits 3 from every check kind. The run
     writes one hypothesis-failed report that names the audit and ends there,
@@ -405,7 +425,9 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     |x|^{3/2}, diverges at infinity). The theorem-ta audit of
     w^{n/((n-alpha)s)} in A_1 fails for |x|^{1/4}, which vanishes at 0, and
     for |x|^{-0.995}, whose power is no weight. The thm1 campaign's
-    p0 = 1.3332 lies below the 4/3 of |x|^{-1/4}."""
+    p0 = 1.3332 lies below the 4/3 of |x|^{-1/4}. |x - 1|^{-1/4} under the
+    matrices +-1 or {1, 2}, and |x - 1|^{-1/8} under +-1, have unbounded
+    ratios w(A_j x)/w(x) (at x = -1, 1/2 and -1)."""
     cfg = _write(tmp_path, "audit.json", raw)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
@@ -537,6 +559,17 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
                   "atom": {"p": 1e-308, "p0": 2.0}}, "atom.p"),
     (["verify"], _base_config(checks=[{"check": "critical-index-chain", "p": 0.5}]),
      "checks[0].check"),
+    (["verify"], _base_config(weight=_WIDE_TABULATED,
+                              checks=[{"check": "rh-ball-inequality", "p": 1.0,
+                                       "alpha": 0.5}]), "weight.grid"),
+    (["weights", "classify"], _base_config(weight=_WIDE_TABULATED), "weight.grid"),
+    (["verify"], _theorem_config("theorem-thm1", 0.0, count=2, radii=[0.25, 1.0, 4.0])
+     | {"weight": _WIDE_TABULATED}, "weight.grid"),
+    (["verify", "--jobs", "2"],
+     _theorem_config("theorem-thm1", 0.0, count=2, radii=[0.25, 1.0, 4.0])
+     | {"weight": _WIDE_TABULATED}, "weight.grid"),
+    (["verify", "--jobs", "0"], _theorem_config("theorem-thm1", 0.0, count=2), "--jobs"),
+    (["verify", "--jobs", "-1"], _theorem_config("theorem-thm1", 0.0, count=2), "--jobs"),
 ], ids=["ap-without-p", "rh-s-1", "maximal-2d", "rh-ball-p-above-n-over-alpha",
         "maximal-ball-without-radius", "maximal-ball-2d-center", "maximal-p-below-1",
         "maximal-p-1", "maximal-p-1-alpha", "maximal-alpha-1", "maximal-p-above-1-over-alpha",
@@ -554,9 +587,16 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
         "atoms-gen-center-overflows", "rh-ball-p-tiny", "rh-ball-alpha-tiny",
         "atom-d-negative", "atom-d-overflows", "atom-d-over-budget",
-        "atom-p-derives-degree-over-budget", "thm1-p-tiny", "chain-kind-gone"])
+        "atom-p-derives-degree-over-budget", "thm1-p-tiny", "chain-kind-gone",
+        "rh-ball-outside-grid", "classify-outside-grid", "thm1-outside-grid",
+        "thm1-outside-grid-in-a-worker", "cli-jobs-0",
+        "cli-jobs-negative"])
 def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
-    """Malformed weight blocks, class and check parameters, negative seeds,
+    """Malformed weight blocks, class and check parameters, negative seeds
+    and fewer than one job, a tabulated weight whose grid does not cover the
+    balls or the line a run reads (it exited 2, "point outside the tabulated
+    grid domain"; raised in a campaign's worker process it reaches the CLI
+    intact),
     work beyond the budget, campaign balls whose squared distances overflow,
     a maximal check at p = 1, where the maximal operators have only the
     weak-type bound (the unit weight's ratio is infinite), on a tabulated
@@ -1033,6 +1073,16 @@ def test_cli_maximal_check_sees_the_exponent_at_infinity(tmp_path, capsys):
         weight=weight, checks=[{"check": "maximal-inequality", "p": 2.5}]))
     assert code == 0 and report["extras"]["verdict"] == "pass"
     assert [ratio for _, _, ratio in rows] == pytest.approx([4.304, 3.507, 4.852], abs=1e-3)
+
+
+def test_classify_weight_grid_script_judges_every_cell():
+    """The grid script judges all 24 cells against p > q_w, the boundary
+    cells (p = q_w) included, and finds no mismatch."""
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                          "classify_weight_grid.py")
+    out = _python(script)
+    assert out.returncode == 0, out.stderr
+    assert "0 mismatches" in out.stdout and "~" not in out.stdout
 
 
 def test_compare_reports_script(tmp_path):

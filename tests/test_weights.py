@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rieszkit import (Ball, LogExampleWeight, NotIntegrable, OutOfGrid,
+from rieszkit import (Ball, LogExampleWeight, MatrixFamily, NotIntegrable, OutOfGrid,
                       PowerWeight, ProductPowerWeight, RegularGrid,
                       SingularPoint, TabulatedWeight, check_matrix_compatibility,
                       critical_indices, default_ball_family, dyadic_ball_family,
@@ -609,23 +609,138 @@ def test_critical_indices_in_dimension_two():
 
 def test_matrix_compatibility_examples():
     fam = scalar_family([1.0, -1.0])
-    assert check_matrix_compatibility(PowerWeight(0.0), fam)[0] == pytest.approx(1.0)
-    assert check_matrix_compatibility(PowerWeight(0.5), fam)[0] == pytest.approx(1.0)
+    assert check_matrix_compatibility(PowerWeight(0.0), fam) == (1.0, None)
+    assert check_matrix_compatibility(PowerWeight(0.5), fam) == (1.0, None)
     # orthogonal matrices leave |x| invariant
     rot = MatrixFamilyRotation()
     assert check_matrix_compatibility(PowerWeight(0.25, dimension=2), rot)[0] == pytest.approx(1.0)
 
 
-def test_matrix_compatibility_flags_non_finite_ratios():
-    """|x|^260 underflows to 0 near the origin, where w(-x) / w(x) is 0/0:
-    the sample cannot confirm the bound there, so the maximum is +inf at
-    that point instead of the NaN being skipped."""
-    w, fam = PowerWeight(260.0), scalar_family([1.0, -1.0])
-    worst, point = check_matrix_compatibility(w, fam)
-    assert worst == math.inf and eval_weight(w, point) == 0.0
-    # away from the underflow the same weight is compatible
-    sample = np.linspace(0.5, 2.0, 7)[:, None]
-    assert check_matrix_compatibility(w, fam, sample)[0] == pytest.approx(1.0)
+def test_matrix_compatibility_reads_huge_powers_exactly():
+    """|x|^{220} and |x|^{260} underflow to 0 near the origin, where a
+    sampled w(-x)/w(x) reads 0/0; but w(-x) = w(x), so C is exactly 1."""
+    fam = scalar_family([1.0, -1.0])
+    for a in (220.0, 260.0):
+        assert check_matrix_compatibility(PowerWeight(a), fam) == (1.0, None)
+
+
+def _product(*factors):
+    return ProductPowerWeight(tuple((a, [c]) for a, c in factors))
+
+
+@pytest.mark.parametrize("w, lams", [
+    (PowerWeight(0.5), (1.0, -1.0, 2.0, -0.5, 3.0)),
+    (PowerWeight(-0.5), (0.25, -4.0, 1.0 / 3.0)),
+    (_product((0.3, 0.0), (0.2, 0.0)), (2.0, -0.5, 3.0, -1.0)),
+    (_product((0.4, 0.0), (0.2, 1.0), (0.2, -1.0)), (1.0, -1.0)),
+    (_product((-0.3, 1.0), (-0.3, -1.0)), (-1.0,)),
+    (_product((0.7, 0.0), (-0.2, 0.0)), (5.0, -0.2)),
+], ids=["power", "pole", "two-factors-one-centre", "three-centres", "two-poles", "net-power"])
+def test_matrix_compatibility_on_the_line_is_the_dilation_factor(w, lams):
+    """When the factors are invariant under c -> c / lambda, w(lambda x) =
+    |lambda|^S w(x) for every x (S the sum of the exponents): C is |lambda|^S
+    to 1e-15, and a dense scan of w(lambda x) / w(x) reads it everywhere."""
+    total = sum(a for a, _ in w.factors) if isinstance(w, ProductPowerWeight) else w.exponent
+    x = np.random.default_rng(7).uniform(-8.0, 8.0, 10**4)[:, None]
+    for lam in lams:
+        comp, detail = check_matrix_compatibility(w, scalar_family([lam]))
+        assert detail is None
+        assert comp == pytest.approx(abs(lam) ** total, rel=1e-15, abs=0.0)
+        ratio = eval_weight_batch(w, lam * x) / eval_weight_batch(w, x)
+        np.testing.assert_allclose(ratio, comp, rtol=1e-13, atol=0.0)
+    comp = check_matrix_compatibility(w, scalar_family(lams))[0]
+    assert comp == pytest.approx(max(abs(lam) ** total for lam in lams), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("w, lams, detail", [
+    (_product((-0.25, 1.0)), (1.0, -1.0), "w(A_1 x)/w(x) grows like |x - m|^-0.25 at m = -1"),
+    (_product((-0.25, 1.0)), (1.0, 2.0), "w(A_1 x)/w(x) grows like |x - m|^-0.25 at m = 0.5"),
+    (_product((0.5, 1.0)), (1.0, -1.0), "w(A_1 x)/w(x) grows like |x - m|^-0.5 at m = 1"),
+    (_product((0.2, 1.0), (0.3, -1.0)), (1.0, -1.0),
+     "w(A_1 x)/w(x) grows like |x - m|^-0.1 at m = -1"),
+    (_product((-0.125, 1.0)), (1.0, -1.0),
+     "w(A_1 x)/w(x) grows like |x - m|^-0.125 at m = -1"),
+], ids=["pole-reflected", "pole-dilated", "zero-reflected", "two-centres", "ta-pole"])
+def test_matrix_compatibility_names_an_unbounded_ratio(w, lams, detail):
+    """A factor set that c -> c / lambda does not preserve leaves a point m
+    where w(lambda x) / w(x) grows like |x - m|^{e(m)}, e(m) < 0: C = inf and
+    the detail names the matrix (0-based), m and e(m)."""
+    assert check_matrix_compatibility(w, scalar_family(lams)) == (math.inf, detail)
+
+
+def _mp_log_sup(power, lam):
+    """sup_x L(|lam x|)^power / L(|x|)^power, L(r) = max(1, log(1/r)), by a
+    golden-section search in t = log |x| at 40 digits (the ratio rises to
+    one peak and is flat beyond it)."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        def f(t):
+            return (max(1, -(t + mp.log(abs(lam)))) / max(1, -t)) ** power
+
+        a, b = mp.mpf(-40), mp.mpf(40)
+        g = (mp.sqrt(5) - 1) / 2
+        for _ in range(400):
+            c, d = b - g * (b - a), a + g * (b - a)
+            if f(c) >= f(d):
+                b = d
+            else:
+                a = c
+        return float(f((a + b) / 2))
+
+
+@pytest.mark.parametrize("power, lams", [(1.0, (1.0, 0.5)), (-1.0, (1.0, 2.0)),
+                                         (2.0, (1.0, 0.1)), (0.5, (3.0, -0.25)),
+                                         (-3.0, (0.5, -7.0))])
+def test_matrix_compatibility_of_the_log_weight_matches_mpmath(power, lams):
+    """The log factor at 0 peaks at (1 + log(1/|lambda|))^s for s > 0 and
+    |lambda| < 1, and at (1 + log |lambda|)^{-s} for s < 0 and |lambda| > 1:
+    1 + log 2 for {1, 1/2} and log^{-1} under {1, 2}, (1 + log 10)^2 for
+    log^2 under {1, 0.1}."""
+    comp, detail = check_matrix_compatibility(LogExampleWeight(power=power),
+                                              scalar_family(lams))
+    assert detail is None
+    assert comp == pytest.approx(max(_mp_log_sup(power, lam) for lam in lams), rel=1e-12)
+
+
+def test_matrix_compatibility_in_the_plane():
+    """One centre: w(Ax)/w(x) = (|Au| / |u|)^a takes sigma_max^a (a > 0) or
+    sigma_min^a (a < 0) in some direction, as a scan of 10^5 directions
+    reads.  Two centres under a non-similarity give an upper bound."""
+    a = np.array([[2.0, 0.3], [0.0, 0.5]])
+    fam = MatrixFamily((a,))
+    theta = np.linspace(0.0, math.pi, 10**5)
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    for exponent, expected in ((0.25, 1.1927323854983949), (-0.5, 1.4226105434166918)):
+        w = PowerWeight(exponent, dimension=2)
+        comp, detail = check_matrix_compatibility(w, fam)
+        assert detail is None and comp == pytest.approx(expected, rel=1e-12)
+        scan = np.max(eval_weight_batch(w, u @ a.T) / eval_weight_batch(w, u))
+        assert scan <= comp * (1.0 + 1e-14) and scan == pytest.approx(comp, rel=1e-9)
+    # diag(-1, 3) swaps the centres (+-1, 0)
+    w = ProductPowerWeight(((0.25, [1.0, 0.0]), (0.25, [-1.0, 0.0])), dimension=2)
+    comp, detail = check_matrix_compatibility(w, MatrixFamily((np.diag([-1.0, 3.0]),)))
+    assert detail is None and comp == pytest.approx(3.0**0.5, rel=1e-15)
+    g = np.linspace(-7.9, 8.1, 301)
+    pts = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
+    ratio = eval_weight_batch(w, pts * [-1.0, 3.0]) / eval_weight_batch(w, pts)
+    assert np.max(ratio) <= comp
+
+
+def test_matrix_compatibility_evaluates_no_weight(monkeypatch):
+    """The constant comes from the exponents and singular values, and a
+    tabulated weight's from the extremes of its values: max / min bounds the
+    ratio, and no value is looked up."""
+    import rieszkit.weights as weights
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the compatibility rule evaluated the weight")
+
+    monkeypatch.setattr(weights, "eval_weight_batch", refuse)
+    monkeypatch.setattr(RegularGrid, "cell_index", refuse)
+    tab = TabulatedWeight(RegularGrid((-1.0,), (1.0,), (4,)), np.array([2.0, 1.0, 8.0, 4.0]))
+    assert check_matrix_compatibility(tab, scalar_family([1.0, -3.0])) == (8.0, None)
+    assert check_matrix_compatibility(PowerWeight(0.5), scalar_family([4.0])) == (2.0, None)
 
 
 def MatrixFamilyRotation():
