@@ -242,17 +242,10 @@ def scalar_family(values, pairwise_invertible: bool = False) -> MatrixFamily:
 
 @record(frozen=True)
 class RegionLabel:
-    """Either inside the i-th expanded ball or in the k-th outer region.
-
-    Indices are 0-based.  Ties are broken toward the smallest index so the
-    outer regions partition the complement of the expanded balls.
-    """
+    """Inside the i-th expanded ball or in the k-th outer region (0-based)."""
 
     kind: str  # "inside" | "outer"
     index: int
-
-    def is_outer(self) -> bool:
-        return self.kind == "outer"
 
 
 def expanded_balls(ball: Ball, family: MatrixFamily) -> list:
@@ -262,19 +255,15 @@ def expanded_balls(ball: Ball, family: MatrixFamily) -> list:
 
 
 def classify(x, ball: Ball, family: MatrixFamily) -> RegionLabel:
-    """Label a point: first expanded ball covering it, else nearest transformed
-    center (smallest index on ties; expanded-ball boundaries count as inside)."""
-    x = as_point(x, ball.dimension)
-    big_r = 2.0 * family.norm_bound * ball.radius
-    dists = [float(distances(x, family.apply(i, ball.center))[0]) for i in range(family.m)]
-    for i, d in enumerate(dists):
-        if d <= big_r:
-            return RegionLabel("inside", i)
-    return RegionLabel("outer", int(np.argmin(dists)))
+    """Label one point by ``classify_batch``'s rule."""
+    is_outer, idx = classify_batch(as_point(x, ball.dimension)[None, :], ball, family)
+    return RegionLabel("outer" if is_outer[0] else "inside", int(idx[0]))
 
 
 def classify_batch(pts, ball: Ball, family: MatrixFamily):
-    """Vectorized classify: returns (kinds bool array 'is outer', indices)."""
+    """Label each row of ``pts``: (is_outer, index) arrays.  A point is inside
+    the first expanded ball covering it (boundaries count as inside), else
+    outer at its nearest transformed center (smallest index on ties)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     big_r = 2.0 * family.norm_bound * ball.radius
     dists = np.stack([distances(pts, family.apply(i, ball.center)) for i in range(family.m)],

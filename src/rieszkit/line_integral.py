@@ -1,9 +1,9 @@
 """Whole-line integrals of products of radial profiles (``log_line_integral``).
 
-The maximal check (``verify``) reads its norms from it and imports it only
-when it runs: a module of its own keeps the campaign and classify
-processes, which compile their source without written bytecode, from
-compiling it.
+The maximal check (``verify``) and a product weight's integrals on the
+line (``weights``) import it only when they run: a module of its own keeps
+the campaign processes and other weights' classify processes, which
+compile their source without written bytecode, from compiling it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ def log_line_integral(factors, a: float, b: float):
     The marks (the m_k, the knees m_k +- 1/e of log factors, the finite
     ends) split [a, b] into pieces; each piece is halved and each half graded
     toward its mark (``operators._graded_panels``), deeper when a centre
-    beyond it is close and deeper still toward a log factor.  An infinite
+    beyond it is close and deeper still toward a log factor; a panel across
+    which a high power changes too fast is cut into equal parts.  An infinite
     end beyond the last mark v takes x = v +- D (1 - t) / t, d_k =
     |v - m_k|, D = max d_k: the integrand D t^(-gamma-2) prod_k (D (1 - t)
     + d_k t)^e_k gives two more halves, toward t = 0 and t = 1.  The panel
@@ -79,6 +80,20 @@ def log_line_integral(factors, a: float, b: float):
     gap = np.where(np.any((A == 0.0) & (S != 0.0), axis=1), np.minimum(gap, deep), gap)
     owner, lo, hi = _graded_panels(np.arange(h.size), np.zeros(h.size), h, gap,
                                    np.full(h.size, math.inf))
+    # a high power varies faster than 16 nodes resolve: a panel where the log
+    # of a form may change by |e B| (hi - lo) / min(A + B u) > 16 is cut into
+    # up to 64 equal parts; a second pass cuts those next to a mark
+    for _ in range(2):
+        fa, fb, fe = A[owner], B[owner], E[owner]
+        near = np.minimum(fa + fb * lo[:, None], fa + fb * hi[:, None])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            span = np.abs(fe * fb) * (hi - lo)[:, None] / near
+        span[(fe == 0.0) | ((fa == 0.0) & (lo == 0.0)[:, None]) | np.isnan(span)] = 0.0
+        parts = np.clip(np.ceil(np.max(span, axis=1) / 16.0), 1, 64).astype(np.intp)
+        j = np.arange(parts.sum()) - np.repeat(np.cumsum(parts) - parts, parts)
+        k = np.repeat(parts, parts)
+        owner, lo, hi, width = (np.repeat(v, parts) for v in (owner, lo, hi, hi - lo))
+        lo, hi = lo + width * (j / k), np.where(j + 1 == k, hi, lo + width * ((j + 1) / k))
     # every panel, then every panel halved
     mid = lo + 0.5 * (hi - lo)
     fine = np.repeat([False, True, True], lo.size)

@@ -6,9 +6,10 @@ critical indices and the constant C of w(A_j x) <= C w(x) are read in
 closed form from the weight's exponents (``class_exclusion``,
 ``critical_indices``, ``check_matrix_compatibility``), at infinity too,
 where no finite family of balls can see them.  A class that holds gets its
-constant as a maximum over a finite family of balls.  Power means and
-essential infima of radial weights are exact; tabulated and multi-factor
-weights take cells and minima over quadrature nodes.  Estimates are
+constant as a maximum over a finite family of balls.  Power means of
+analytic weights on the line and of radial weights are exact, and so are
+the essential infima of radial weights; the other means take cells and
+the other infima minima over quadrature nodes.  Estimates are
 therefore lower bounds for the true constants; the point of the family
 design (dyadic radii around the singular centers) is that power and log
 weights attain their worst behavior exactly there.
@@ -311,13 +312,21 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
     """log of the integral of w**s over the ball, where ``form`` is
     ``_radial_form(w, s)``.
 
-    A radial w**s is integrated exactly (``log_ball_integral``).  Otherwise
-    the cell rule integrates (w / c)**s, c the maximum of w on a probe
-    lattice, which keeps extreme exponents in float range.
+    A radial w**s is integrated exactly (``log_ball_integral``), and so is a
+    product on the line (``line_integral.log_line_integral``).  Otherwise the
+    cell rule integrates (w / c)**s, c the maximum of w on a probe lattice,
+    which keeps extreme exponents in float range.
     """
     if form is not None:
         center, profile, log_scale = form
         return log_scale + log_ball_integral(profile, ball.center - center, ball.radius)
+    radial = radial_factors(w)
+    if radial is not None and ball.dimension == 1:
+        from .line_integral import log_line_integral  # only products compile it
+
+        lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
+        factors = [(float(m[0]), _profile_power(prof, s)) for m, prof in radial[1]]
+        return s * math.log(radial[0]) + log_line_integral(factors, lo, hi)[0]
     if scheme is None:
         scheme = default_scheme(ball.dimension)
     with np.errstate(divide="ignore", over="ignore"):
@@ -339,9 +348,10 @@ def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = 
     """Integral of w(x)**s over the ball.
 
     Exact when w**s is one radial profile (power, log and one-factor product
-    weights); otherwise the cell rule of ``scheme``, with the singular
-    factors integrated exactly on the cells around their centers.  It reads
-    the same integral as ``power_mean``.
+    weights) and for every product weight on the line; otherwise (tabulated
+    weights, products in the plane) the cell rule of ``scheme``, with the
+    singular factors integrated exactly on the cells around their centers.
+    It reads the same integral as ``power_mean``.
     """
     s = float(s)
     return _exp(_log_integral(w, s, _radial_form(w, s), ball, scheme))

@@ -893,8 +893,10 @@ def test_each_command_loads_only_its_modules(tmp_path):
     sweep no atom or campaign module, the maximal-inequality check no atom
     module, and `atoms gen` and `atoms validate` no campaign module: a
     process compiles only the source its command runs.  Only the maximal
-    check loads the whole-line rule (``line_integral``), so a campaign
-    process does not compile it.  No command loads
+    check and the integrals of a product weight load the whole-line rule
+    (``line_integral``, with the panel grading of ``operators``), so a
+    campaign process and a power or log classify do not compile it.  No
+    command loads
     numpy.random (the atom stream is ``rieszkit.rng``), numpy.ma (which
     np.unique imports), hashlib and its OpenSSL module _hashlib (the config
     hash in the checks' provenance is the builtin sha256) or dataclasses
@@ -918,12 +920,19 @@ def test_each_command_loads_only_its_modules(tmp_path):
     raw["campaign"]["count"] = 2
     thm1 = _write(tmp_path, "thm1.json", raw)
     atoms_cfg = os.path.join(CONFIG_DIR, "atoms-campaign.json")
+    product = _write(tmp_path, "product.json", {
+        "version": 1, "dimension": 1,
+        "weight": {"kind": "product_power", "factors": [[0.3, [0.0]], [-0.4, [1.0]]]},
+        "classify": {"classes": [{"kind": "Ap", "p": 2.0}]}})
     assert loaded(
         ["weights", "classify", "--config", os.path.join(CONFIG_DIR, "weights-log.json")],
+        ["weights", "classify", "--config", os.path.join(CONFIG_DIR, "weights-power-half.json")],
         ["operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json")],
         ["verify", "--config", os.path.join(CONFIG_DIR, "maximal-power-half.json")]) == [
-        "loaded 0 []", "loaded 0 ['operators']",
+        "loaded 0 []", "loaded 0 []", "loaded 0 ['operators']",
         "loaded 0 ['operators', 'verify', 'line_integral']"]
+    assert loaded(["weights", "classify", "--config", product]) == [
+        "loaded 0 ['operators', 'line_integral']"]
     assert loaded(
         ["atoms", "gen", "--config", atoms_cfg],
         ["atoms", "validate", "--config", atoms_cfg, "--manifest",
@@ -1026,7 +1035,7 @@ def test_cli_maximal_check_reads_a_huge_ball_at_radius_one(tmp_path):
         raw = json.load(fh)
     raw["checks"][0]["test_balls"][2]["radius"] = 1e300
     code, report, rows = _maximal_witnesses(tmp_path, raw)
-    assert code == 0 and report["extras"]["verdict"] == "pass"
+    assert code == 0 and report["verdict"] == "pass" and report["extras"] == {}
     assert [row[:2] for row in rows] == [("[0.0]", 1.0), ("[0.0]", 0.5), ("[1.0]", 1e300)]
     for row in rows:
         assert row[2] == pytest.approx(2.9516756224871, rel=1e-12)
@@ -1037,7 +1046,7 @@ def test_cli_maximal_check_reads_a_tiny_ball_at_radius_one(tmp_path):
     underflowed to 0 (exit 2, "undefined")."""
     code, report, rows = _maximal_witnesses(tmp_path, _base_config(checks=[
         {"check": "maximal-inequality", "test_balls": [{"center": [0.0], "radius": 1e-300}]}]))
-    assert code == 0 and report["extras"]["verdict"] == "pass"
+    assert code == 0 and report["verdict"] == "pass" and report["extras"] == {}
     assert rows == [("[0.0]", 1e-300, pytest.approx(2.9516756224871, rel=1e-12))]
 
 
@@ -1051,7 +1060,7 @@ def test_cli_maximal_check_reads_an_underflowing_numerator_at_radius_one(tmp_pat
         checks=[{"check": "maximal-inequality", "p": 2.0, "alpha": 0.45,
                  "test_balls": [{"center": [0.0], "radius": 1.0},
                                 {"center": [0.0], "radius": 1e-20}]}]))
-    assert code == 0 and report["extras"]["verdict"] == "pass"
+    assert code == 0 and report["verdict"] == "pass" and report["extras"] == {}
     (_, _, unit), (_, _, tiny) = rows
     assert tiny == pytest.approx(unit, rel=1e-12) and 1.0 < unit < 1.1
 
@@ -1071,7 +1080,7 @@ def test_cli_maximal_check_sees_the_exponent_at_infinity(tmp_path, capsys):
     assert "HYPOTHESIS FAILED: w in A_2 (w has the factor" in capsys.readouterr().out
     code, report, rows = _maximal_witnesses(tmp_path / "2.5", _base_config(
         weight=weight, checks=[{"check": "maximal-inequality", "p": 2.5}]))
-    assert code == 0 and report["extras"]["verdict"] == "pass"
+    assert code == 0 and report["verdict"] == "pass" and report["extras"] == {}
     assert [ratio for _, _, ratio in rows] == pytest.approx([4.304, 3.507, 4.852], abs=1e-3)
 
 

@@ -150,8 +150,8 @@ def test_pointwise_bound_zero_order():
 def test_pointwise_rhs_logarithms_match_the_products():
     """At moderate radii the right-hand sides formed from logarithms equal
     the products w(B)^{-1/p} r^{n+d+1} |x - A_k x0|^{alpha-n-d-1} and
-    w(B)^{-1/p} (M_beta chi_B)^{(n+d+1)/n} to rounding."""
-    from rieszkit.verify import _pointwise_rhs, outer_sample_points
+    w(B)^{-1/p} (M_beta chi_B)^{(n+d+1)/n} to rounding, for a whole sample
+    set at once."""
     from rieszkit.weights import weighted_measure
 
     params = AtomParams(1.0, 2.0, 0, PowerWeight(-0.125), 1)
@@ -159,14 +159,83 @@ def test_pointwise_rhs_logarithms_match_the_products():
     fam = scalar_family([1.0, -1.0])
     for center, radius in ((0.3, 0.25), (0.0, 4.0)):
         ball = Ball([center], radius)
-        atom = construct_atom(ball, params, 0)
         w_ball = weighted_measure(params.weight, 1.0, ball)
+        rows = check_pointwise_atom_bound(params, prof, fam, [center], radii=(radius,),
+                                          seed=0).witnesses
+        x = np.array([row["x"][0] for row in rows])
+        k = [row["region"] for row in rows]
+        dist = np.abs(x - np.array([fam.apply(j, ball.center)[0] for j in k]))
+        decay, maximal = (np.array([row[key] for row in rows])
+                          for key in ("rhs_decay", "rhs_maximal"))
+        assert decay == pytest.approx(radius ** 2 * dist ** -1.5 / w_ball, rel=1e-13)
+        mval = indicator_maximal_1d(ball, [fam.apply_inverse(j, [v])[0] for j, v in zip(k, x)],
+                                    0.25)
+        assert maximal == pytest.approx(mval ** 2 / w_ball, rel=1e-13)
+
+
+def _bundled_pointwise():
+    """The check of ``configs/pointwise-off-centre.json`` and its arguments."""
+    from rieszkit.cli import _atom_params_from
+
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "pointwise-off-centre.json"))
+    item = cfg.checks[0]
+    params, audits = _atom_params_from(cfg)
+    return cfg, item, params, lambda: check_pointwise_atom_bound(
+        params, cfg.exponents, cfg.matrices, item["center"], radii=item["radii"],
+        seed=item["seed"], scheme=cfg.quadrature, audits=audits)
+
+
+def test_pointwise_bound_evaluates_each_sample_set_at_once(monkeypatch):
+    """The bundled check calls ``apply_T_batch`` once per (radius, refinement),
+    on every point of that set, and labels points only through
+    ``classify_batch``."""
+    import rieszkit.geometry as geometry
+    import rieszkit.verify as verify
+
+    cfg, item, _, run = _bundled_pointwise()
+    calls = []
+    batch = verify.apply_T_batch
+    monkeypatch.setattr(verify, "apply_T_batch",
+                        lambda f, xs, *rest: calls.append(
+                            (f.ball.radius, np.asarray(xs).shape)) or batch(f, xs, *rest))
+    monkeypatch.setattr(geometry, "classify", None)
+    assert run().passed()
+    sizes = [(r, (len(verify.outer_sample_points(Ball(item["center"], r), cfg.matrices,
+                                                 refine=refine)), 1))
+             for r in item["radii"] for refine in (1, 2)]
+    assert calls == sizes and len(calls) == 6
+
+
+def test_pointwise_batch_matches_a_point_by_point_evaluation():
+    """Each value of the bundled report is within 4 ulp of the same value
+    formed one point at a time: T a(x) by a one-point ``apply_T_batch``,
+    the right-hand sides from ``math`` logarithms."""
+    from rieszkit.operators import apply_T_batch
+    from rieszkit.verify import outer_sample_points
+    from rieszkit.weights import weighted_measure
+
+    cfg, item, params, run = _bundled_pointwise()
+    rep = run()
+    prof, fam, e = cfg.exponents, cfg.matrices, params.d + 2
+    rows = iter(rep.witnesses)
+    for r in item["radii"]:
+        ball = Ball(item["center"], r)
+        fn = construct_atom(ball, params, item["seed"], cfg.quadrature).function()
+        log_wfac = -math.log(weighted_measure(params.weight, 1.0, ball)) / params.p
         for x in outer_sample_points(ball, fam):
-            k, decay, maximal = _pointwise_rhs(atom, x, prof, fam, w_ball)
+            row = next(rows)
+            k = row["region"]
+            assert row["radius"] == r and row["x"] == x.tolist()
+            lhs = abs(float(apply_T_batch(fn, [x], prof, fam, cfg.quadrature)[0]))
             dist = abs(x[0] - fam.apply(k, ball.center)[0])
-            assert decay == pytest.approx(radius ** 2 * dist ** -1.5 / w_ball, rel=1e-13)
-            mval = indicator_maximal_1d(ball, fam.apply_inverse(k, x), 0.25)[0]
-            assert maximal == pytest.approx(mval ** 2 / w_ball, rel=1e-13)
+            decay = math.exp(log_wfac + e * math.log(r) + (prof.alpha - e) * math.log(dist))
+            mval = indicator_maximal_1d(ball, fam.apply_inverse(k, x), prof.alpha / e)[0]
+            maximal = math.exp(log_wfac + e * math.log(mval))
+            for got, want in ((row["lhs"], lhs), (row["rhs_decay"], decay),
+                              (row["rhs_maximal"], maximal), (row["ratio"], lhs / maximal)):
+                assert abs(got - want) <= 4 * np.spacing(want), (row, want)
+    assert next(rows, None) is None
 
 
 def test_pointwise_bound_rejects_inner_samples():
@@ -316,7 +385,7 @@ def test_maximal_ratio_matches_mpmath(case):
     w, p, alpha, weight, marks = _MAXIMAL_CASES[case]
     balls = [(0.0, 1.0), (1.0, 2.0), (3.0, 0.25)]
     rep = check_maximal_inequalities(w, p, [Ball([c], r) for c, r in balls], alpha)
-    assert rep.passed() and rep.extras["verdict"] == "pass"
+    assert rep.passed() and rep.extras == {}
     for (c, r), row in zip(balls, rep.witnesses):
         assert (row["center"], row["radius"]) == ([c], r)
         assert row["ratio"] == pytest.approx(

@@ -446,11 +446,14 @@ def test_log_weight_classes_from_the_exponents(std_family):
 def test_finite_constants_read_one_lattice_refined_64_fold(std_family):
     """An admitted class is read in one pass over the family on the line
     lattice refined 64-fold: the constants of a two-centre product on the
-    default family and of a tabulated weight are pinned bit for bit."""
+    default family and of a tabulated weight are pinned bit for bit.  The
+    product's means are exact, so its A_2 and RH_1.2 constants are within
+    2 ulp of 40-digit mpmath (1.6796045276686074 and 1.097169344276094);
+    its A_1 constant divides by the lattice minimum."""
     assert [estimate_A1_constant(_PAIR_C, std_family).constant,
             estimate_Ap_constant(_PAIR_C, 2.0, std_family).constant,
             estimate_RH_constant(_PAIR_C, 1.2, std_family).constant] == [
-        3.2676649201141506, 1.6796045274588012, 1.0971693442559962]
+        3.2676649205655344, 1.6796045276686071, 1.0971693442760941]
     grid = RegularGrid((-2.0,), (2.0,), (8,))
     w = TabulatedWeight(grid, np.array([1.0, 3.0, 0.5, 2.0, 4.0, 1.5, 0.25, 1.0]))
     fam = dyadic_ball_family([[0.0], [0.3]], -4, 0)
@@ -913,6 +916,73 @@ def test_power_mean_matches_mpmath(w, s, center, radius):
     assert abs(got - exact) <= 1e-12 * max(1.0, abs(float(exact)))
     if abs(exact) < 700:
         assert power_mean(w, s, ball) == pytest.approx(float(mp.e ** exact), rel=1e-12)
+
+
+_TINY = 2.0 ** -46  # about 1.4e-14, so the ends below are exact floats
+_W_ZERO_POLE = ProductPowerWeight(((0.3, (0.0,)), (-0.4, (1.0,))))
+_W_TWO_POLES = ProductPowerWeight(((-0.5, (0.0,)), (-0.5, (1.0,)), (0.7, (-2.0,))))
+_W_NEAR = ProductPowerWeight(((0.6, (0.0,)), (-0.3, (1.0,))), scale=2.5)
+_W_THREE = ProductPowerWeight(((2.0, (-1.0,)), (-0.01, (0.5,)), (0.25, (2.0,))), scale=3.0)
+_PRODUCT_CASES = [
+    # (weight, s, center, radius): a zero and a pole in one ball, s from -3
+    # to 64 where w^s is locally integrable, ball ends 2^-46 from a centre
+    (_W_ZERO_POLE, 1.0, 0.0, 1.0),
+    (_W_ZERO_POLE, 1.0, 0.5, 1.0),
+    (_W_ZERO_POLE, 2.0, 0.5, 1.0),
+    (_W_ZERO_POLE, -2.0, 0.5, 1.0),
+    (_W_ZERO_POLE, -3.0, 0.5, 1.0),
+    (_W_ZERO_POLE, -3.0, -0.5, 0.25),
+    (_W_TWO_POLES, 1.0, 0.5, 1.0),
+    (_W_TWO_POLES, 1.5, 0.5, 1.0),
+    (_W_TWO_POLES, -1.2, -1.0, 2.0),
+    (_W_NEAR, 1.0, 1.0 + _TINY, 1.0),
+    (_W_NEAR, 3.0, 1.0 + _TINY, _TINY),
+    (_W_NEAR, -1.5, _TINY, _TINY),
+    (_W_NEAR, -1.5, 0.5 + _TINY, 0.5),
+    (_W_THREE, 0.5, 0.0, 2.0),
+    (_W_THREE, 64.0, -1.0, 0.5),
+    (_W_THREE, 64.0, 0.5, 2.0),
+    (_W_THREE, -0.4, -1.0, 0.25),
+]
+
+
+def _mp_product_integral(w, s, lo, hi):
+    """The integral of w^s over [lo, hi] in mpmath: each piece between the
+    ends and the centres is halved, and each half, with its end p and the
+    exponent e of w^s there, is integrated in the offset u = |x - p|, for
+    e < 0 through u = t^(1 / (1 + e)), where the pole and the Jacobian
+    cancel.  Offsets keep the digits that x - p would lose."""
+    import mpmath as mp
+
+    lo, hi = mp.mpf(lo), mp.mpf(hi)
+    factors = [(mp.mpf(c[0]), a * s) for a, c in w.factors]
+    cuts = sorted({lo, hi, *(c for c, _ in factors if lo < c < hi)})
+    total = 0
+    for p0, p1 in zip(cuts, cuts[1:]):
+        for p, way in ((p0, 1), (p1, -1)):
+            e = sum(e for c, e in factors if c == p)
+            m = 1 / (1 + e) if e < 0 else 1
+            rest = [(c, e) for c, e in factors if c != p]
+            total += m * mp.quad(lambda t: t**(m * (1 + e) - 1) * mp.fprod(
+                abs(p + way * t**m - c)**ek for c, ek in rest), [0, ((p1 - p0) / 2) ** (1 / m)])
+    return mp.mpf(w.scale) ** s * total
+
+
+@pytest.mark.parametrize("w, s, center, radius", _PRODUCT_CASES)
+def test_product_power_mean_on_the_line_matches_mpmath(w, s, center, radius):
+    """A product weight's mean on the line is exact (``line_integral``):
+    |x|^0.3 |x - 1|^-0.4 on B(0, 1) integrates to 2.03855610446236, where
+    the cell rule read 2.0385520869, and every case is within 1e-12 of
+    40-digit mpmath (at 30 digits mpmath's own tolerance
+    is absolute, and |x + 1|^128 on B(-1, 1/2) integrates to 4e-33).  The
+    ends are exact floats, so both read one ball."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        lo, hi = center - radius, center + radius
+        exact = float(mp.log(_mp_product_integral(w, s, lo, hi) / (2 * mp.mpf(radius))) / s)
+    got = power_mean(w, s, Ball([center], radius), log=True)
+    assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
 _RADIAL_WEIGHTS = [PowerWeight(0.5, dimension=2), PowerWeight(-1.2, dimension=2),
