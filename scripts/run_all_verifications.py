@@ -21,6 +21,7 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 RUNS = [
     ("weights", "classify", "weights-power-half.json"),
     ("weights", "classify", "weights-log.json"),
+    ("weights", "classify", "weights-product.json"),
     ("operator", "sweep", "sweep-riesz.json"),
     ("operator", "sweep", "sweep-t02.json"),
     ("operator", "sweep", "sweep-disk.json"),

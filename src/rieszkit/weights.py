@@ -6,10 +6,10 @@ critical indices and the constant C of w(A_j x) <= C w(x) are read in
 closed form from the weight's exponents (``class_exclusion``,
 ``critical_indices``, ``check_matrix_compatibility``), at infinity too,
 where no finite family of balls can see them.  A class that holds gets its
-constant as a maximum over a finite family of balls.  Power means of
-analytic weights on the line and of radial weights are exact, and so are
-the essential infima of radial weights; the other means take cells and
-the other infima minima over quadrature nodes.  Estimates are
+constant as a maximum over a finite family of balls.  Power means and
+essential infima of every weight on the line and of radial weights are
+exact; in the plane the other means take cells and the other infima
+minima over quadrature nodes.  Estimates are
 therefore lower bounds for the true constants; the point of the family
 design (dyadic radii around the singular centers) is that power and log
 weights attain their worst behavior exactly there.
@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import ConfigError, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
-from .quadrature import (QuadratureScheme, RadialSingularity, coincident, default_scheme,
-                         integrate_ball, lebesgue_ball, log_ball_integral,
-                         merge_coincident, radial_profile)
+from .quadrature import (QuadratureScheme, RadialSingularity, coincident, combine_profiles,
+                         default_scheme, integrate_ball, lebesgue_ball, log_ball_integral,
+                         radial_profile)
 from .records import asdict, record
 
 
@@ -183,20 +183,23 @@ def radial_factors(w):
 
     This is the one place that tells the analytic weight kinds apart: a
     power is r**a, the log example log(1/r)**power below the knee, and a
-    product weight one power per center.  Factors at coincident centers are
-    merged by the quadrature's rule, so their exponents add.
+    product weight one power per center.  Factors at equal centers merge, so
+    their exponents add; distinct centers stay apart however close.
     """
     n = w.dimension
     if isinstance(w, PowerWeight):
-        raw = [(np.zeros(n), w.exponent, 0.0)]
+        raw = [((0.0,) * n, w.exponent, 0.0)]
     elif isinstance(w, LogExampleWeight):
-        raw = [(np.zeros(n), 0.0, w.power)]
+        raw = [((0.0,) * n, 0.0, w.power)]
     elif isinstance(w, ProductPowerWeight):
-        raw = [(np.asarray(c), a, 0.0) for a, c in w.factors]
+        raw = [(c, a, 0.0) for a, c in w.factors]
     else:
         return None
-    factors = merge_coincident([(c, radial_profile(e, s), 0.0) for c, e, s in raw])
-    return w.scale, [(c, p) for c, p, _ in factors if p.exponent != 0.0 or p.s != 0.0]
+    merged = {}
+    for c, e, s in raw:
+        merged[c] = combine_profiles(merged.get(c, radial_profile(0.0, 0.0)), radial_profile(e, s))
+    return w.scale, [(np.array(c), p) for c, p in merged.items()
+                     if p.exponent != 0.0 or p.s != 0.0]
 
 
 def _profile_power(profile, t: float):
@@ -297,10 +300,6 @@ def _radial_form(w, s: float):
     return center, p, s * math.log(scale)
 
 
-def _is_radial(w) -> bool:
-    return _radial_form(w, 1.0) is not None
-
-
 def _exp(x: float) -> float:
     try:
         return math.exp(x)
@@ -312,16 +311,20 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
     """log of the integral of w**s over the ball, where ``form`` is
     ``_radial_form(w, s)``.
 
-    A radial w**s is integrated exactly (``log_ball_integral``), and so is a
-    product on the line (``line_integral.log_line_integral``).  Otherwise the
-    cell rule integrates (w / c)**s, c the maximum of w on a probe lattice,
-    which keeps extreme exponents in float range.
+    A radial w**s is integrated exactly (``log_ball_integral``), and so is
+    every weight on the line: a product by ``line_integral.log_line_integral``,
+    a tabulated one as the sum of |cell_j & B| v_j**s (``_grid_cells``).  In
+    the plane the cell rule integrates (w / c)**s, c the maximum of w on a
+    coarse lattice, which keeps extreme exponents in float range.
     """
     if form is not None:
         center, profile, log_scale = form
         return log_scale + log_ball_integral(profile, ball.center - center, ball.radius)
     radial = radial_factors(w)
-    if radial is not None and ball.dimension == 1:
+    if ball.dimension == 1 and radial is None:
+        lengths, values = _grid_cells(w, ball)
+        return float(np.logaddexp.reduce(np.log(lengths) + s * np.log(values)))
+    if ball.dimension == 1:
         from .line_integral import log_line_integral  # only products compile it
 
         lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
@@ -330,7 +333,7 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
     if scheme is None:
         scheme = default_scheme(ball.dimension)
     with np.errstate(divide="ignore", over="ignore"):
-        pv = eval_weight_batch(w, _probe_nodes(ball), extended=True)
+        pv = eval_weight_batch(w, _node_lattice(ball, 33), extended=True)
     finite = pv[np.isfinite(pv) & (pv > 0)]
     c = float(np.max(finite)) if finite.size else 1.0
 
@@ -344,12 +347,24 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
     return s * math.log(c) + log_m
 
 
+def _grid_cells(w, ball: Ball) -> tuple:
+    """(|cell_j & B|, v_j) over the cells of a tabulated w on the line that
+    meet the open ball, v_j scaled, cell ends taken from the ball's centre;
+    OutOfGrid at ``weight.grid`` past the grid."""
+    c, r = float(ball.center[0]), ball.radius
+    w.grid.cell_index(np.array([[c - r], [c + r]]))
+    edges = np.linspace(w.grid.lo[0], w.grid.hi[0], w.grid.shape[0] + 1) - c
+    lengths = np.minimum(edges[1:], r) - np.maximum(edges[:-1], -r)
+    meet = lengths > 0.0
+    return lengths[meet], w.scale * w.values[meet]
+
+
 def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
     """Integral of w(x)**s over the ball.
 
     Exact when w**s is one radial profile (power, log and one-factor product
-    weights) and for every product weight on the line; otherwise (tabulated
-    weights, products in the plane) the cell rule of ``scheme``, with the
+    weights) and for every weight on the line; otherwise (tabulated weights
+    and products in the plane) the cell rule of ``scheme``, with the
     singular factors integrated exactly on the cells around their centers.
     It reads the same integral as ``power_mean``.
     """
@@ -361,7 +376,8 @@ def ball_measure(w, ball: Ball, scheme: QuadratureScheme | None = None) -> float
     """|B| by the rule the averages of w divide by: the Lebesgue measure when
     w is radial (its integrals are exact) or on the line, otherwise the
     cell measure of ``scheme``."""
-    return _ball_measure(ball.dimension == 1 or _is_radial(w), ball, scheme)
+    return _ball_measure(ball.dimension == 1 or _radial_form(w, 1.0) is not None, ball,
+                         scheme)
 
 
 def _ball_measure(exact: bool, ball: Ball, scheme: QuadratureScheme | None) -> float:
@@ -377,10 +393,10 @@ def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
     """(average of w**s over the ball)**(1/s), or its logarithm with ``log``.
 
     The average is ``weighted_measure``'s integral over ``ball_measure``:
-    exact for radial weights, cells otherwise.  The integral is carried as
-    a logarithm, so the mean neither under- nor overflows on small balls at
-    extreme exponents (|x|^260, or reverse Holder exponents up to 2^10); the
-    class estimators form their ratios from the logarithms.
+    exact for radial weights and on the line, cells otherwise.  The integral
+    is carried as a logarithm, so the mean neither under- nor overflows on
+    small balls at extreme exponents (|x|^260, or reverse Holder exponents up
+    to 2^10); the class estimators form their ratios from the logarithms.
     """
     s = float(s)
     if s == 0.0:
@@ -395,53 +411,63 @@ def _log_mean(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None) ->
     return (_log_integral(w, s, form, ball, scheme) - log_vol) / s
 
 
-def _probe_nodes(ball: Ball) -> np.ndarray:
-    """Small fixed midpoint lattice used for per-ball normalization."""
-    n = ball.dimension
-    k = 33
-    if n == 1:
-        edges = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, k + 1)
-        return (0.5 * (edges[:-1] + edges[1:]))[:, None]
-    g0 = np.linspace(ball.center[0] - ball.radius, ball.center[0] + ball.radius, k)
-    g1 = np.linspace(ball.center[1] - ball.radius, ball.center[1] + ball.radius, k)
-    X, Y = np.meshgrid(g0, g1, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    inside = np.linalg.norm(pts - ball.center, axis=1) <= ball.radius
-    return pts[inside] if np.any(inside) else ball.center[None, :]
-
-
 def min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
-    """Essential infimum of w over the ball.
-
-    A radial weight scale * P(|x - c|) is monotone in r, so it is exact: the
-    value at the point of the closed ball nearest to c or farthest from c,
-    with the limit at c itself (0 at a zero, +inf at a pole).  Tabulated and
-    multi-factor product weights take the minimum over the ball's midpoint
-    lattice of ``scheme``.
-    """
+    """Essential infimum of w over the ball, exact on the line and for radial
+    weights.  A radial weight scale * P(|x - c|) is monotone in r: the value
+    at the point of the closed ball nearest to or farthest from c, with the
+    limit at c itself (0 at a zero, +inf at a pole).  On the line a
+    tabulated weight reads its least cell value on the open ball, and a
+    product (ValueError when an exponent is positive) its least value at
+    ``_product_minimizers``.  In the plane the others take the minimum over
+    the ball's midpoint lattice of ``scheme``."""
     return _min_over_nodes(w, _radial_form(w, 1.0), ball, scheme)
 
 
 def _min_over_nodes(w, radial, ball: Ball, scheme: QuadratureScheme) -> float:
     """``min_over_nodes``, where ``radial`` is ``_radial_form(w, 1.0)``."""
-    if radial is None:
-        pts = _node_lattice(ball, 2 * scheme.resolution)
-    else:
+    if radial is not None:
         d = ball.center - radial[0]
         dist = float(distances(ball.center, radial[0])[0])
         unit = d / dist if dist > 0.0 else np.eye(ball.dimension)[0]
         near = ball.center - ball.radius * unit if dist > ball.radius else radial[0]
         pts = np.array([near, ball.center + ball.radius * unit])
+    elif ball.dimension != 1:
+        pts = _node_lattice(ball, 2 * scheme.resolution)
+    elif isinstance(w, TabulatedWeight):
+        return float(np.min(_grid_cells(w, ball)[1]))
+    else:
+        pts = _product_minimizers(radial_factors(w)[1], ball)
     return float(np.min(eval_weight_batch(w, pts, extended=True)))
 
 
+def _product_minimizers(factors, ball: Ball) -> np.ndarray:
+    """Points of the closed ball on the line, shape (N, 1), among which the
+    product of ``factors`` [(c_i, |x - c_i|^{a_i})], every a_i < 0 (else
+    ValueError), is least.  Its log is convex between the poles, so on each
+    piece it is least at an end or at the one root of the increasing
+    sum_i a_i / (x - c_i); bisection brackets either between adjacent floats."""
+    cs = [float(c[0]) for c, _ in factors]
+    es = [p.exponent for _, p in factors]
+    if max(es) > 0.0:
+        raise ValueError(f"a product's infimum on the line needs every exponent negative: {es}")
+    lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
+    cuts = sorted({lo, hi, *(c for c in cs if lo < c < hi)})
+    pts = [lo, hi]
+    for a, b in zip(cuts, cuts[1:]):
+        while a < (mid := 0.5 * a + 0.5 * b) < b:
+            if sum(e / (mid - c) for c, e in zip(cs, es)) < 0.0:
+                a = mid
+            else:
+                b = mid
+        pts += [a, b]
+    return np.array(pts)[:, None]
+
+
 def _node_lattice(ball: Ball, cells: int) -> np.ndarray:
-    """Every midpoint of the ball's bounding box cut into cells that lies
-    inside the ball, row-major in the plane (the center when none does)."""
+    """Every midpoint of the disk's bounding box cut into cells x cells that
+    lies inside the disk, row-major (the center when none does)."""
     axes = [np.linspace(c - ball.radius, c + ball.radius, cells + 1) for c in ball.center]
     mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
-    if ball.dimension == 1:
-        return mids[0][:, None]
     d0, d1 = ((m - c) ** 2 for m, c in zip(mids, ball.center))
     i, j = np.nonzero(np.sqrt(d0[:, None] + d1[None, :]) <= ball.radius)
     pts = np.column_stack([mids[0][i], mids[1][j]])
@@ -489,14 +515,13 @@ def _class_constant(label, w, a, b, family, scheme):
     infimum of w on B (``min_over_nodes``); the orders are exact ratios
     (num, den), or None for -inf.  A class that ``class_exclusion`` rules
     out reads +inf and evaluates no ball; otherwise each ball is read once,
-    on ``scheme`` refined 64-fold on the line and 8-fold in the plane (exact
+    exactly on the line and on ``scheme`` refined 8-fold in the plane (exact
     means and infima of a radial weight read no lattice)."""
     excluded = class_exclusion(w, a, b)
     if excluded is not None:
         return WeightClassReport(label, math.inf, "diverging", None, excluded, len(family))
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
-    scheme = scheme.refined(4**3 if w.dimension == 1 else 2**3)
+    if w.dimension != 1:
+        scheme = (default_scheme(w.dimension) if scheme is None else scheme).refined(2**3)
     a, b = (-math.inf if t is None else t[0] / t[1] for t in (a, b))
     # w**s's radial form is one per order, whatever the ball
     forms = {s: _radial_form(w, 1.0 if s == -math.inf else s) for s in (a, b)}

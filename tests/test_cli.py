@@ -1151,7 +1151,7 @@ def test_bundled_reports_are_strict_json(tmp_path, capsys):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_all_verifications.py")
     _python(script, "--out", str(tmp_path / "all"), check=True)
     reports = sorted((tmp_path / "all").rglob("*.json"))
-    assert len(reports) == 8
+    assert len(reports) == 9
     for path in reports:
         json.loads(path.read_text(), parse_constant=_no_constant)
     report = json.loads((tmp_path / "all" / "weights-power-half" / "weights-classify.json")

@@ -108,6 +108,7 @@ RUNS = {"atoms-campaign.json": ["atoms", "gen"], "corollary.json": ["verify"],
         "pointwise-off-centre.json": ["verify"],
         "weights-log.json": ["weights", "classify"],
         "weights-power-half.json": ["weights", "classify"],
+        "weights-product.json": ["weights", "classify"],
         **{name: ["verify"] for name in BUNDLED if name.startswith("check-")}}
 CAMPAIGN_COUNT = 2
 EXAMPLE_SECONDS = 10.0

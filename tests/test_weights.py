@@ -16,7 +16,7 @@ from rieszkit import (Ball, LogExampleWeight, MatrixFamily, NotIntegrable, OutOf
                       estimate_Apq_constant, estimate_RH_constant, eval_weight,
                       power_mean, scalar_family, weight_power, weighted_measure)
 from rieszkit.config import build_weight
-from rieszkit.weights import eval_weight_batch, weight_to_dict
+from rieszkit.weights import eval_weight_batch, radial_factors, weight_to_dict
 
 # frozen oracle values (see the oracle implementations further down)
 LOG_MEASURE_ORACLE = 1.471517480466384       # 1e6-node midpoint + analytic center cell
@@ -422,11 +422,10 @@ _PAIR_C = _product((-0.3, (0.0,)), (-0.4, (1.0,)))
      "locally integrable in dimension 1"),
 ], ids=["A_1-zero", "A_12-zero", "A_2-infinity", "RH_1.5-infinity", "A_12-infinity"])
 def test_two_centre_products_outside_their_class(std_family, w, estimate, excluded_by):
-    """Five classes whose family maxima are finite (A_1 of
-    |x|^{0.3} |x - 1|^{-0.4} reads 47.7 on the 64-fold lattice, A_2 of
+    """Five classes that the exponents exclude, a zero at 0 or the exponent
+    at infinity, although family maxima can read finite (A_2 of
     |x|^{0.6} |x - 1|^{0.7} 6.88 with q_w = 2.3, RH_1.5 of
-    |x|^{-0.3} |x - 1|^{-0.4} 1.28 with r_w = 1/0.7) and that the exponents
-    exclude: a zero at 0, or the exponent at infinity.  The family is not
+    |x|^{-0.3} |x - 1|^{-0.4} 1.28 with r_w = 1/0.7).  The family is not
     evaluated."""
     rep = estimate(w, std_family)
     assert (rep.verdict, rep.constant, rep.worst_ball) == ("diverging", math.inf, None)
@@ -443,27 +442,139 @@ def test_log_weight_classes_from_the_exponents(std_family):
     assert estimate_RH_constant(w, 4.0, std_family).verdict == "finite"
 
 
-def test_finite_constants_read_one_lattice_refined_64_fold(std_family):
-    """An admitted class is read in one pass over the family on the line
-    lattice refined 64-fold: the constants of a two-centre product on the
-    default family and of a tabulated weight are pinned bit for bit.  The
-    product's means are exact, so its A_2 and RH_1.2 constants are within
-    2 ulp of 40-digit mpmath (1.6796045276686074 and 1.097169344276094);
-    its A_1 constant divides by the lattice minimum."""
-    assert [estimate_A1_constant(_PAIR_C, std_family).constant,
-            estimate_Ap_constant(_PAIR_C, 2.0, std_family).constant,
-            estimate_RH_constant(_PAIR_C, 1.2, std_family).constant] == [
-        3.2676649205655344, 1.6796045276686071, 1.0971693442760941]
+def test_finite_constants_read_exact_means_and_infima(std_family):
+    """An admitted class is read in one pass over the family, and on the line
+    every mean and infimum is exact.  The two-centre product's A_1 on the
+    default family is within 1e-12 of 40-digit mpmath: it divides by the
+    infimum at the ball end -6 of B(-2, 4).  Its A_2 and RH_1.2 constants
+    are pinned bit for bit, within 2 ulp of 40-digit mpmath
+    (1.6796045276686074 and 1.097169344276094).  The tabulated weight's
+    constants are derived by hand from the five cells that meet
+    B(0.3, 1) = (-0.7, 1.3), their lengths and values below."""
+    from fractions import Fraction as F
+
+    reps = [estimate_A1_constant(_PAIR_C, std_family),
+            estimate_Ap_constant(_PAIR_C, 2.0, std_family),
+            estimate_RH_constant(_PAIR_C, 1.2, std_family)]
+    assert abs(reps[0].constant - 3.26768628956856388) <= 1e-12 * 3.26768628956856388
+    assert reps[0].worst_ball.to_dict() == {"center": [-2.0], "radius": 4.0}
+    assert [rep.constant for rep in reps[1:]] == [1.6796045276686071, 1.0971693442760941]
     grid = RegularGrid((-2.0,), (2.0,), (8,))
     w = TabulatedWeight(grid, np.array([1.0, 3.0, 0.5, 2.0, 4.0, 1.5, 0.25, 1.0]))
     fam = dyadic_ball_family([[0.0], [0.3]], -4, 0)
     reps = [estimate_A1_constant(w, fam), estimate_Ap_constant(w, 2.0, fam),
             estimate_RH_constant(w, 3.0, fam), estimate_Apq_constant(w, 1.5, 3.0, fam)]
-    assert [rep.constant for rep in reps] == [7.850006103515626, 2.26502988813445,
-                                              1.3563125190332914, 5.830270463146343]
+    cells = [(F(1, 5), F(1, 2)), (F(1, 2), F(2)), (F(1, 2), F(4)), (F(1, 2), F(3, 2)),
+             (F(3, 10), F(1, 4))]
+
+    def avg(t):
+        return sum(length * v**t for length, v in cells) / 2
+
+    assert avg(1) == F(157, 80) and avg(-1) == F(277, 240)
+    by_hand = [avg(1) / F(1, 4), avg(1) * avg(-1),
+               float(avg(3)) ** (1 / 3) / float(avg(1)),
+               (float(avg(3)) * float(avg(-3))) ** (1 / 3)]
+    assert by_hand[0] == F(157, 20)
+    for rep, value in zip(reps, by_hand):
+        assert abs(rep.constant - float(value)) <= 1e-14 * float(value)
     assert all(rep.excluded_by is None and rep.worst_ball.to_dict() == {"center": [0.3],
                                                                          "radius": 1.0}
                for rep in reps)
+
+
+_GAP = 1e-14
+_INFIMUM_PRODUCTS = [
+    _PAIR_C,
+    ProductPowerWeight(((-0.2, (0.0,)), (-0.5, (0.3,)), (-0.25, (2.0,)))),
+    # poles at the ends of B(0, 1/2), B(-1, 1/2) and B(2, 1) of the family
+    ProductPowerWeight(((-0.7, (0.5,)), (-0.2, (-1.5,)), (-0.1, (3.0,))), scale=2.5),
+    ProductPowerWeight(((-0.45, (0.0,)), (-0.45, (_GAP,)))),
+]
+
+
+def _mp_product_infimum(w, lo, hi):
+    """The least value of w = scale * prod_i |x - c_i|^{a_i} (every a_i < 0)
+    on [lo, hi] in mpmath: at the ends or at a real root in (lo, hi) of
+    sum_i a_i prod_{j != i} (x - c_j), the numerator of (log w)'."""
+    import mpmath as mp
+
+    cs = [mp.mpf(c[0]) for _, c in w.factors]
+    numerator = [mp.mpf(0)] * len(cs)
+    for i, (a, _) in enumerate(w.factors):
+        poly = [mp.mpf(1)]
+        for j, c in enumerate(cs):
+            if j != i:
+                poly = [p - c * q for p, q in zip(poly + [0], [0] + poly)]
+        numerator = [n + a * p for n, p in zip(numerator, poly)]
+    roots = mp.polyroots(numerator, maxsteps=200, extraprec=200) if len(cs) > 1 else []
+    points = [mp.mpf(lo), mp.mpf(hi)] + [r.real for r in roots
+                                         if abs(r.imag) < mp.mpf(10) ** -30 and lo < r.real < hi]
+    return min(mp.inf if x in cs else mp.mpf(w.scale) * mp.fprod(
+        abs(x - c) ** a for c, (a, _) in zip(cs, w.factors)) for x in points)
+
+
+@pytest.mark.parametrize("w", _INFIMUM_PRODUCTS, ids=["two", "three", "end-at-pole", "gap"])
+def test_product_infimum_on_the_line_matches_mpmath(w, std_family):
+    """A product's infimum on the line is exact (``_product_minimizers``):
+    within 1e-12 of 40-digit mpmath on every ball of the default family,
+    for two and three centres, poles at ball ends and centres 1e-14 apart."""
+    import mpmath as mp
+
+    from rieszkit import QuadratureScheme
+    from rieszkit.weights import min_over_nodes
+
+    with mp.workdps(40):
+        for ball in std_family:
+            lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
+            exact = float(_mp_product_infimum(w, lo, hi))
+            got = min_over_nodes(w, ball, QuadratureScheme(resolution=16))
+            assert abs(got - exact) <= 1e-12 * exact
+
+
+def test_line_weights_read_no_lattice(monkeypatch, std_family):
+    """On the line no class estimate reads a lattice or the cell rule: with
+    both made to raise, the four estimators still read a two-centre product
+    and a tabulated weight."""
+    from rieszkit import weights
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line weight read a lattice or the cell rule")
+
+    monkeypatch.setattr(weights, "_node_lattice", refuse)
+    monkeypatch.setattr(weights, "integrate_ball", refuse)
+    tab = TabulatedWeight(RegularGrid((-20.0,), (20.0,), (16,)), np.linspace(1.0, 4.0, 16))
+    for w in (_PAIR_C, tab):
+        reps = [estimate_A1_constant(w, std_family), estimate_Ap_constant(w, 2.0, std_family),
+                estimate_Apq_constant(w, 1.0, 1.2, std_family),
+                estimate_RH_constant(w, 1.2, std_family)]
+        assert all(rep.verdict == "finite" and rep.constant >= 1.0 for rep in reps)
+
+
+def test_line_product_infimum_refuses_a_positive_exponent():
+    """The exact infimum of a product on the line assumes every exponent
+    negative; a product with a zero is refused, whether or not the ball
+    holds it (``class_exclusion`` keeps the estimators from asking)."""
+    from rieszkit import QuadratureScheme
+    from rieszkit.weights import min_over_nodes
+
+    for ball in (Ball([0.5], 1.0), Ball([5.0], 1.0)):
+        with pytest.raises(ValueError, match="every exponent negative"):
+            min_over_nodes(_PAIR_A, ball, QuadratureScheme(resolution=16))
+
+
+def test_factors_merge_only_at_equal_centres(std_family):
+    """Factors merge only at one centre: centres 1e-14 apart stay two
+    factors.  So |x|^0.45 |x - 1e-14|^-0.45 vanishes at 0 (outside A_1) and
+    has q_w = 1.45 and r_w = 1 / 0.45, and |x|^-0.6 |x - 1e-14|^-0.6, whose
+    factors are each locally integrable, is a weight."""
+    w = ProductPowerWeight(((0.45, (0.0,)), (-0.45, (_GAP,))))
+    assert len(radial_factors(w)[1]) == 2
+    assert estimate_A1_constant(w, std_family).excluded_by == "w vanishes at [0.0]"
+    idx = critical_indices(w)
+    assert idx.q_critical == pytest.approx(1.45, rel=1e-15)
+    assert idx.rh_critical == pytest.approx(1.0 / 0.45, rel=1e-15)
+    assert weighted_measure(ProductPowerWeight(((-0.6, (0.0,)), (-0.6, (_GAP,)))), 1.0,
+                            Ball([0.5], 1.0)) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +1034,8 @@ _W_ZERO_POLE = ProductPowerWeight(((0.3, (0.0,)), (-0.4, (1.0,))))
 _W_TWO_POLES = ProductPowerWeight(((-0.5, (0.0,)), (-0.5, (1.0,)), (0.7, (-2.0,))))
 _W_NEAR = ProductPowerWeight(((0.6, (0.0,)), (-0.3, (1.0,))), scale=2.5)
 _W_THREE = ProductPowerWeight(((2.0, (-1.0,)), (-0.01, (0.5,)), (0.25, (2.0,))), scale=3.0)
+_W_GAP = ProductPowerWeight(((-0.45, (0.0,)), (-0.45, (_GAP,))))
+_W_GAP_DEEP = ProductPowerWeight(((-0.6, (0.0,)), (-0.6, (_GAP,))))
 _PRODUCT_CASES = [
     # (weight, s, center, radius): a zero and a pole in one ball, s from -3
     # to 64 where w^s is locally integrable, ball ends 2^-46 from a centre
@@ -943,6 +1056,11 @@ _PRODUCT_CASES = [
     (_W_THREE, 64.0, -1.0, 0.5),
     (_W_THREE, 64.0, 0.5, 2.0),
     (_W_THREE, -0.4, -1.0, 0.25),
+    # centres 1e-14 apart
+    (_W_GAP, 1.0, 0.5, 1.0),
+    (_W_GAP, -2.0, 0.5, 1.0),
+    (_W_GAP_DEEP, 1.0, 0.5, 1.0),
+    (_W_GAP_DEEP, 1.5, _GAP, _GAP),
 ]
 
 
@@ -972,7 +1090,9 @@ def _mp_product_integral(w, s, lo, hi):
 def test_product_power_mean_on_the_line_matches_mpmath(w, s, center, radius):
     """A product weight's mean on the line is exact (``line_integral``):
     |x|^0.3 |x - 1|^-0.4 on B(0, 1) integrates to 2.03855610446236, where
-    the cell rule read 2.0385520869, and every case is within 1e-12 of
+    the cell rule read 2.0385520869, |x|^-0.45 |x - 1e-14|^-0.45 on
+    B(0.5, 1) to 19.15474759701586, where one merged factor |x|^-0.9 read
+    19.744, and every case is within 1e-12 of
     40-digit mpmath (at 30 digits mpmath's own tolerance
     is absolute, and |x + 1|^128 on B(-1, 1/2) integrates to 4e-33).  The
     ends are exact floats, so both read one ball."""
