@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .operators import _graded_panels
+from .panels import graded_panels
 from .quadrature import _GL16_W, _GL16_X, _KNEE, gauss_jacobi
 
 # toward a log factor's centre the grading goes on until the innermost panel
@@ -29,7 +29,7 @@ def log_line_integral(factors, a: float, b: float):
 
     The marks (the m_k, the knees m_k +- 1/e of log factors, the finite
     ends) split [a, b] into pieces; each piece is halved and each half graded
-    toward its mark (``operators._graded_panels``), deeper when a centre
+    toward its mark (``panels.graded_panels``), deeper when a centre
     beyond it is close and deeper still toward a log factor; a panel across
     which a high power changes too fast is cut into equal parts.  An infinite
     end beyond the last mark v takes x = v +- D (1 - t) / t, d_k =
@@ -78,7 +78,7 @@ def log_line_integral(factors, a: float, b: float):
         gap = np.min(np.where((A > 0.0) & (B > 0.0), A / B, math.inf), axis=1)
     deep = 0.5 * h * np.maximum(np.exp(-_LOG_DEPTH / (1.0 + e0)), 1e-150)
     gap = np.where(np.any((A == 0.0) & (S != 0.0), axis=1), np.minimum(gap, deep), gap)
-    owner, lo, hi = _graded_panels(np.arange(h.size), np.zeros(h.size), h, gap,
+    owner, lo, hi = graded_panels(np.arange(h.size), np.zeros(h.size), h, gap,
                                    np.full(h.size, math.inf))
     # a high power varies faster than 16 nodes resolve: a panel where the log
     # of a form may change by |e B| (hi - lo) / min(A + B u) > 16 is cut into

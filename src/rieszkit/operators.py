@@ -61,6 +61,7 @@ from .geometry import Ball, MatrixFamily, as_point, identity_family
 from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
                          coincident, default_scheme, gauss_jacobi, integrate_ball,
                          lebesgue_ball, log_ball_integral)
+from .panels import graded_panels
 from .records import field, record
 from .weights import _exp, eval_weight_batch, weight_singularities
 
@@ -70,9 +71,6 @@ FAR_FIELD_RATIO = 3.0
 FAR_FIELD_ORDER = 40
 #: nodes of each Gauss-Jacobi panel of the near field on the line
 NEAR_FIELD_NODES = 16
-# a near-field piece is cut this fraction of its length from an end that lies
-# close to an outside preimage
-_GRADING = 0.25
 # near-field panels evaluated at once (bounds the panels x nodes temporaries)
 _NEAR_BLOCK = 256
 
@@ -470,7 +468,7 @@ def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: Exponent
     C = prod_j |lambda_j|^{-a_j}.  The support splits at the preimages inside
     it (coincident ones merged, their exponents added) into pieces; a piece
     closer to an outside preimage than half its length is graded toward it
-    (``_graded_panels``).  Every panel takes the NEAR_FIELD_NODES-point rule
+    (``panels.graded_panels``).  Every panel takes the NEAR_FIELD_NODES-point rule
     for the exponents of the preimages at its ends, and the other factors and
     the profile are evaluated at its nodes, their distances to the preimages
     formed from the panel ends so that none is lost to rounding.  The panels,
@@ -514,7 +512,7 @@ def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: Exponent
     gap_hi = np.min(np.where(pre[:, None, :] > v, pre[:, None, :] - v, math.inf), axis=2)
     u, v = u[..., 0], v[..., 0]
     keep = (v > u) & (out == 0.0)[:, None]
-    point, pu, pv = _graded_panels(np.nonzero(keep)[0], u[keep], v[keep],
+    point, pu, pv = graded_panels(np.nonzero(keep)[0], u[keep], v[keep],
                                    gap_lo[keep], gap_hi[keep])
     if point.size == 0:
         return np.tile(out, (len(profiles), 1))
@@ -559,46 +557,6 @@ def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: Exponent
                       for mat, a in zip(family.matrices, profile.alphas))
     return np.stack([out + scale * np.bincount(point, weights=row_sums, minlength=xs.size)
                      for row_sums in sums])
-
-
-def _graded_panels(point, u, v, gap_lo, gap_hi):
-    """Split pieces [u, v] into panels graded toward a singular point beyond
-    an end: a kernel preimage here, a factor's centre in
-    ``line_integral.log_line_integral``.
-
-    A piece whose end is closer than half its length to a point beyond it
-    is cut at sigma = _GRADING of its length from that end, again and again,
-    until the innermost panel is at most twice its distance long; a piece with
-    such points beyond both ends is halved first.  Each panel is then at
-    least sigma / (1 - sigma) of its length away from every outside point.
-    Returns (point, lo, hi) per panel.
-    """
-    length = v - u
-    need_lo = gap_lo < 0.5 * length
-    need_hi = gap_hi < 0.5 * length
-    both = need_lo & need_hi
-    mid = u + 0.5 * length
-    # segments, each graded toward its near end: (owner, near end, far end,
-    # gap beyond the near end)
-    near = np.concatenate([np.where(need_hi & ~both, v, u), v[both]])
-    far = np.concatenate([np.where(both, mid, np.where(need_hi, u, v)), mid[both]])
-    gap = np.concatenate([np.where(need_hi & ~both, gap_hi,
-                                   np.where(need_lo, gap_lo, math.inf)), gap_hi[both]])
-    owner = np.concatenate([point, point[both]])
-    span = far - near
-    with np.errstate(divide="ignore"):
-        levels = np.ceil(np.log(2.0 * gap / np.abs(span)) / math.log(_GRADING))
-    levels = np.where(2.0 * gap < np.abs(span), np.maximum(levels, 1.0), 0.0).astype(np.intp)
-    seg = np.repeat(np.arange(near.size), levels + 1)
-    step = np.arange(seg.size) - np.repeat(np.cumsum(levels + 1) - levels - 1, levels + 1)
-    # panel `step` runs from sigma^(depth + 1) to sigma^depth of the span
-    # (from the near end itself for step 0, to the far end itself at depth 0)
-    depth = levels[seg] - step
-    a = np.where(step == 0, near[seg], near[seg] + _GRADING ** (depth + 1) * span[seg])
-    b = np.where(depth == 0, far[seg], near[seg] + _GRADING ** depth * span[seg])
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    ok = 0.5 * (hi - lo) > 0.0
-    return owner[seg][ok], lo[ok], hi[ok]
 
 
 def _cauchy_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,11 +6,10 @@ critical indices and the constant C of w(A_j x) <= C w(x) are read in
 closed form from the weight's exponents (``class_exclusion``,
 ``critical_indices``, ``check_matrix_compatibility``), at infinity too,
 where no finite family of balls can see them.  A class that holds gets its
-constant as a maximum over a finite family of balls.  Power means and
-essential infima of every weight on the line and of radial weights are
-exact; in the plane the other means take cells and the other infima
-minima over quadrature nodes.  Estimates are
-therefore lower bounds for the true constants; the point of the family
+constant as a maximum over a finite family of balls.  Every essential
+infimum is exact, and so is every power mean except a multi-factor
+product's in the plane, which takes cells.  Estimates are therefore lower
+bounds for the true constants; the point of the family
 design (dyadic radii around the singular centers) is that power and log
 weights attain their worst behavior exactly there.
 """
@@ -23,9 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
-from .quadrature import (QuadratureScheme, RadialSingularity, coincident, combine_profiles,
-                         default_scheme, integrate_ball, lebesgue_ball, log_ball_integral,
-                         radial_profile)
+from .quadrature import (QuadratureScheme, RadialSingularity, combine_profiles, default_scheme,
+                         integrate_ball, lebesgue_ball, log_ball_integral, radial_profile)
 from .records import asdict, record
 
 
@@ -311,19 +309,20 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
     """log of the integral of w**s over the ball, where ``form`` is
     ``_radial_form(w, s)``.
 
-    A radial w**s is integrated exactly (``log_ball_integral``), and so is
-    every weight on the line: a product by ``line_integral.log_line_integral``,
-    a tabulated one as the sum of |cell_j & B| v_j**s (``_grid_cells``).  In
-    the plane the cell rule integrates (w / c)**s, c the maximum of w on a
-    coarse lattice, which keeps extreme exponents in float range.
+    A radial w**s is integrated exactly (``log_ball_integral``), a tabulated
+    one as the sum of |cell_j & B| v_j**s (``_grid_cells``), and a product on
+    the line by ``line_integral.log_line_integral``.  A product in the plane
+    takes the cell rule on (w / c)**s, c the largest finite w on the boundary
+    circle's scan, which keeps extreme exponents in float range.
     """
     if form is not None:
         center, profile, log_scale = form
         return log_scale + log_ball_integral(profile, ball.center - center, ball.radius)
     radial = radial_factors(w)
-    if ball.dimension == 1 and radial is None:
-        lengths, values = _grid_cells(w, ball)
-        return float(np.logaddexp.reduce(np.log(lengths) + s * np.log(values)))
+    if radial is None:
+        measures, values = _grid_cells(w, ball)
+        with np.errstate(divide="ignore"):  # a cell that the disk grazes may read 0
+            return float(np.logaddexp.reduce(np.log(measures) + s * np.log(values)))
     if ball.dimension == 1:
         from .line_integral import log_line_integral  # only products compile it
 
@@ -333,7 +332,7 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
     if scheme is None:
         scheme = default_scheme(ball.dimension)
     with np.errstate(divide="ignore", over="ignore"):
-        pv = eval_weight_batch(w, _node_lattice(ball, 33), extended=True)
+        pv = eval_weight_batch(w, _circle(ball, _scan_angles(len(radial[1]))), extended=True)
     finite = pv[np.isfinite(pv) & (pv > 0)]
     c = float(np.max(finite)) if finite.size else 1.0
 
@@ -348,25 +347,44 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
 
 
 def _grid_cells(w, ball: Ball) -> tuple:
-    """(|cell_j & B|, v_j) over the cells of a tabulated w on the line that
-    meet the open ball, v_j scaled, cell ends taken from the ball's centre;
-    OutOfGrid at ``weight.grid`` past the grid."""
-    c, r = float(ball.center[0]), ball.radius
-    w.grid.cell_index(np.array([[c - r], [c + r]]))
-    edges = np.linspace(w.grid.lo[0], w.grid.hi[0], w.grid.shape[0] + 1) - c
-    lengths = np.minimum(edges[1:], r) - np.maximum(edges[:-1], -r)
-    meet = lengths > 0.0
-    return lengths[meet], w.scale * w.values[meet]
+    """(|cell_j & B|, v_j) over the cells of a tabulated w that meet the open
+    ball, v_j scaled; OutOfGrid at ``weight.grid`` past the grid.  Along each
+    axis |cell & B| differences the measure of B below a cell corner, taken
+    from the ball's centre: the clipped end, in the plane ``_quadrant_area``."""
+    r = ball.radius
+    w.grid.cell_index(ball.center + r * np.array([[-1.0], [1.0]]))
+    edges = [np.linspace(lo, hi, k + 1) - c
+             for lo, hi, k, c in zip(w.grid.lo, w.grid.hi, w.grid.shape, ball.center)]
+    measures = (np.clip(edges[0], -r, r) if ball.dimension == 1
+                else _quadrant_area(edges[0][:, None], edges[1][None, :], r))
+    for axis in range(ball.dimension):
+        measures = np.diff(measures, axis=axis)
+    # the distance from the centre to each cell
+    gaps = np.ix_(*(np.maximum(np.maximum(e[:-1], -e[1:]), 0.0) for e in edges))
+    meet = np.sqrt(sum(g * g for g in gaps)) < r
+    return np.maximum(measures[meet], 0.0), w.scale * w.values[meet]
+
+
+def _quadrant_area(x, y, r: float) -> np.ndarray:
+    """|{p in B(0, r) : p_0 <= x, p_1 <= y}|, broadcast: the integral of the
+    clipped chord through F(u) = (u sqrt(r^2 - u^2) + r^2 arcsin(u / r)) / 2."""
+    def f(u):
+        return 0.5 * (u * np.sqrt((r - u) * (r + u)) + r * r * np.arcsin(u / r))
+
+    h = np.minimum(np.abs(y), r)
+    t = np.sqrt((r - h) * (r + h))
+    u = np.clip(x, -t, t)
+    below = f(u) + f(t) - h * (u + t)  # the part below -|y|, by reflection above |y|
+    return np.where(y < 0.0, below, 2.0 * (f(np.clip(x, -r, r)) + f(r)) - below)
 
 
 def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
     """Integral of w(x)**s over the ball.
 
-    Exact when w**s is one radial profile (power, log and one-factor product
-    weights) and for every weight on the line; otherwise (tabulated weights
-    and products in the plane) the cell rule of ``scheme``, with the
-    singular factors integrated exactly on the cells around their centers.
-    It reads the same integral as ``power_mean``.
+    Exact for every weight but a multi-factor product in the plane, which
+    takes the cell rule of ``scheme``, with the singular factors integrated
+    exactly on the cells around their centers.  It reads the same integral
+    as ``power_mean``.
     """
     s = float(s)
     return _exp(_log_integral(w, s, _radial_form(w, s), ball, scheme))
@@ -374,14 +392,14 @@ def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = 
 
 def ball_measure(w, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
     """|B| by the rule the averages of w divide by: the Lebesgue measure when
-    w is radial (its integrals are exact) or on the line, otherwise the
-    cell measure of ``scheme``."""
-    return _ball_measure(ball.dimension == 1 or _radial_form(w, 1.0) is not None, ball,
-                         scheme)
+    w's integrals are exact, the cell measure of ``scheme`` for a
+    multi-factor product in the plane."""
+    return _ball_measure(w, _radial_form(w, 1.0), ball, scheme)
 
 
-def _ball_measure(exact: bool, ball: Ball, scheme: QuadratureScheme | None) -> float:
-    if exact:
+def _ball_measure(w, form, ball: Ball, scheme: QuadratureScheme | None) -> float:
+    """``ball_measure``, where ``form`` is ``_radial_form(w, s)``."""
+    if form is not None or ball.dimension == 1 or radial_factors(w) is None:
         return lebesgue_ball(ball.dimension, ball.radius)
     if scheme is None:
         scheme = default_scheme(ball.dimension)
@@ -393,10 +411,11 @@ def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
     """(average of w**s over the ball)**(1/s), or its logarithm with ``log``.
 
     The average is ``weighted_measure``'s integral over ``ball_measure``:
-    exact for radial weights and on the line, cells otherwise.  The integral
-    is carried as a logarithm, so the mean neither under- nor overflows on
-    small balls at extreme exponents (|x|^260, or reverse Holder exponents up
-    to 2^10); the class estimators form their ratios from the logarithms.
+    exact but for a multi-factor product in the plane, which takes cells.
+    The integral is carried as a logarithm, so the mean neither under- nor
+    overflows on small balls at extreme exponents (|x|^260, or reverse
+    Holder exponents up to 2^10); the class estimators form their ratios
+    from the logarithms.
     """
     s = float(s)
     if s == 0.0:
@@ -407,32 +426,28 @@ def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
 
 def _log_mean(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None) -> float:
     """log ``power_mean(w, s, ball)``, where ``form`` is ``_radial_form(w, s)``."""
-    log_vol = math.log(_ball_measure(ball.dimension == 1 or form is not None, ball, scheme))
+    log_vol = math.log(_ball_measure(w, form, ball, scheme))
     return (_log_integral(w, s, form, ball, scheme) - log_vol) / s
 
 
-def min_over_nodes(w, ball: Ball, scheme: QuadratureScheme) -> float:
-    """Essential infimum of w over the ball, exact on the line and for radial
-    weights.  A radial weight scale * P(|x - c|) is monotone in r: the value
-    at the point of the closed ball nearest to or farthest from c, with the
-    limit at c itself (0 at a zero, +inf at a pole).  On the line a
-    tabulated weight reads its least cell value on the open ball, and a
-    product (ValueError when an exponent is positive) its least value at
-    ``_product_minimizers``.  In the plane the others take the minimum over
-    the ball's midpoint lattice of ``scheme``."""
-    return _min_over_nodes(w, _radial_form(w, 1.0), ball, scheme)
+def essential_infimum(w, ball: Ball) -> float:
+    """Essential infimum of w over the ball, exact for every weight.  A
+    radial weight scale * P(|x - c|) is monotone in r: the value at the
+    point of the closed ball nearest to or farthest from c, with the limit
+    at c itself (0 at a zero, +inf at a pole).  A tabulated weight reads its
+    least cell value on the open ball, and a product (ValueError when an
+    exponent is positive) its least value at ``_product_minimizers``."""
+    return _essential_infimum(w, _radial_form(w, 1.0), ball)
 
 
-def _min_over_nodes(w, radial, ball: Ball, scheme: QuadratureScheme) -> float:
-    """``min_over_nodes``, where ``radial`` is ``_radial_form(w, 1.0)``."""
+def _essential_infimum(w, radial, ball: Ball) -> float:
+    """``essential_infimum``, where ``radial`` is ``_radial_form(w, 1.0)``."""
     if radial is not None:
         d = ball.center - radial[0]
         dist = float(distances(ball.center, radial[0])[0])
         unit = d / dist if dist > 0.0 else np.eye(ball.dimension)[0]
         near = ball.center - ball.radius * unit if dist > ball.radius else radial[0]
         pts = np.array([near, ball.center + ball.radius * unit])
-    elif ball.dimension != 1:
-        pts = _node_lattice(ball, 2 * scheme.resolution)
     elif isinstance(w, TabulatedWeight):
         return float(np.min(_grid_cells(w, ball)[1]))
     else:
@@ -441,15 +456,20 @@ def _min_over_nodes(w, radial, ball: Ball, scheme: QuadratureScheme) -> float:
 
 
 def _product_minimizers(factors, ball: Ball) -> np.ndarray:
-    """Points of the closed ball on the line, shape (N, 1), among which the
-    product of ``factors`` [(c_i, |x - c_i|^{a_i})], every a_i < 0 (else
-    ValueError), is least.  Its log is convex between the poles, so on each
+    """Points of the closed ball, shape (N, n), among which the product of
+    ``factors`` [(c_i, |x - c_i|^{a_i})], every a_i < 0 (else ValueError), is
+    least.  On the line its log is convex between the poles, so on each
     piece it is least at an end or at the one root of the increasing
-    sum_i a_i / (x - c_i); bisection brackets either between adjacent floats."""
-    cs = [float(c[0]) for c, _ in factors]
+    sum_i a_i / (x - c_i); bisection brackets either between adjacent floats.
+    In the plane log w is superharmonic, so it is least on the boundary
+    circle, poles inside or on it included (the minimum principle; Armitage
+    and Gardiner, Classical Potential Theory, 2001): ``_circle_minimizers``."""
     es = [p.exponent for _, p in factors]
     if max(es) > 0.0:
-        raise ValueError(f"a product's infimum on the line needs every exponent negative: {es}")
+        raise ValueError(f"a product's infimum needs every exponent negative: {es}")
+    if ball.dimension != 1:
+        return _circle(ball, _circle_minimizers(factors, ball))
+    cs = [float(c[0]) for c, _ in factors]
     lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
     cuts = sorted({lo, hi, *(c for c in cs if lo < c < hi)})
     pts = [lo, hi]
@@ -463,15 +483,38 @@ def _product_minimizers(factors, ball: Ball) -> np.ndarray:
     return np.array(pts)[:, None]
 
 
-def _node_lattice(ball: Ball, cells: int) -> np.ndarray:
-    """Every midpoint of the disk's bounding box cut into cells x cells that
-    lies inside the disk, row-major (the center when none does)."""
-    axes = [np.linspace(c - ball.radius, c + ball.radius, cells + 1) for c in ball.center]
-    mids = [0.5 * (a[:-1] + a[1:]) for a in axes]
-    d0, d1 = ((m - c) ** 2 for m, c in zip(mids, ball.center))
-    i, j = np.nonzero(np.sqrt(d0[:, None] + d1[None, :]) <= ball.radius)
-    pts = np.column_stack([mids[0][i], mids[1][j]])
-    return pts if pts.size else ball.center[None, :]
+def _circle_minimizers(factors, ball: Ball) -> np.ndarray:
+    """``_scan_angles`` and the ends of each of its - to + sign changes of
+    d/dtheta log w, bisected to adjacent floats: prod_i |x - c_i|^2 d/dtheta
+    log w is a trigonometric polynomial of degree at most k (<= 2k roots)."""
+    v = np.array([c for c, _ in factors]) - ball.center
+    es = np.array([p.exponent for _, p in factors])
+
+    def rising(theta):  # d/dtheta log w >= 0, a pole's angle included
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        dx, dy = ball.radius * cos - v[:, 0], ball.radius * sin - v[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.sum(es * (v[:, 0] * sin - v[:, 1] * cos) / (dx * dx + dy * dy), axis=1)
+        return ~(slope < 0.0)
+
+    theta = _scan_angles(len(factors))
+    up = rising(theta)
+    j = np.nonzero(~up[:-1] & up[1:])[0]
+    a, b = theta[j], theta[j + 1]
+    while np.any(move := (a < (mid := 0.5 * a + 0.5 * b)) & (mid < b)):
+        up = rising(mid)
+        a, b = np.where(move & ~up, mid, a), np.where(move & up, mid, b)
+    return np.concatenate([theta, a, b])
+
+
+def _scan_angles(k: int) -> np.ndarray:
+    """k factors' scan: 256 k angles in [pi, 3 pi], off 0 so that bisection ends."""
+    return math.pi + np.linspace(0.0, 2.0 * math.pi, 256 * k + 1)
+
+
+def _circle(ball: Ball, theta) -> np.ndarray:
+    """The points of the ball's boundary circle at the angles ``theta``."""
+    return ball.center + ball.radius * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +555,11 @@ def _ratio(log_num: float, log_den: float) -> float:
 def _class_constant(label, w, a, b, family, scheme):
     """sup_B M_a(B) / M_b(B) over the family, where M_s is the power mean of
     order s (``power_mean``, as a logarithm) and M_{-inf} the essential
-    infimum of w on B (``min_over_nodes``); the orders are exact ratios
+    infimum of w on B (``essential_infimum``); the orders are exact ratios
     (num, den), or None for -inf.  A class that ``class_exclusion`` rules
     out reads +inf and evaluates no ball; otherwise each ball is read once,
-    exactly on the line and on ``scheme`` refined 8-fold in the plane (exact
-    means and infima of a radial weight read no lattice)."""
+    exactly, but for a multi-factor product's means in the plane, which
+    take ``scheme`` refined 8-fold."""
     excluded = class_exclusion(w, a, b)
     if excluded is not None:
         return WeightClassReport(label, math.inf, "diverging", None, excluded, len(family))
@@ -528,7 +571,7 @@ def _class_constant(label, w, a, b, family, scheme):
 
     def log_mean(s, ball):
         if s == -math.inf:
-            lo = _min_over_nodes(w, forms[s], ball, scheme)
+            lo = _essential_infimum(w, forms[s], ball)
             return math.log(lo) if lo > 0.0 else -math.inf
         return _log_mean(w, s, forms[s], ball, scheme)
 
@@ -707,7 +750,9 @@ def check_matrix_compatibility(w, family: MatrixFamily):
     value: ``detail`` is None when the ratio is bounded, else it names j, m
     and e(m).  Near m, w(A x) / w(x) behaves like |x - m|^{e(m)}, where e(m)
     sums the merged exponents a_i of ``radial_factors`` with A^{-1} c_i = m
-    (``coincident``) less those with c_i = m, in exact integers.  The e(m)
+    less those with c_i = m, in exact integers.  The marks are compared
+    through A: A^{-1} c_i = c_j exactly when c_i = A c_j, which
+    ``_exact_image`` forms in the integer ratios of the float inputs.  The e(m)
     sum to 0, so the ratio is bounded exactly when all vanish; then it is
     prod_i (|A u_i| / |u_i|)^{a_i}, u_i = x - A^{-1} c_i, and C_j takes
     sigma_max^a for a > 0 and sigma_min^a for a < 0: |lambda_j|^S on the
@@ -723,10 +768,13 @@ def check_matrix_compatibility(w, family: MatrixFamily):
     pos, neg = (sum(k for _, _, k in factors if k * sign > 0) / den for sign in (1, -1))
     log_power = sum(p.s for _, p, _ in factors)
     logs = []
-    for j, (inv, (s_max, s_min)) in enumerate(zip(family.inverses, family.singular_values)):
-        marks = [(inv @ c, k) for c, _, k in factors] + [(c, -k) for c, _, k in factors]
-        for point, _ in marks:
-            e = sum(k for q, k in marks if coincident(q, point))
+    for j, (mat, inv, (s_max, s_min)) in enumerate(zip(family.matrices, family.inverses,
+                                                        family.singular_values)):
+        # each mark m with its image A m, exactly
+        marks = ([(inv @ c, tuple(map(float.as_integer_ratio, c.tolist())), k)
+                  for c, _, k in factors] + [(c, _exact_image(mat, c), -k) for c, _, k in factors])
+        for point, image, _ in marks:
+            e = sum(k for _, q, k in marks if q == image)
             if e < 0:
                 m = f"{point[0]:g}" if w.dimension == 1 else point.tolist()
                 return math.inf, f"w(A_{j} x)/w(x) grows like |x - m|^{e / den:g} at m = {m}"
@@ -735,3 +783,18 @@ def check_matrix_compatibility(w, family: MatrixFamily):
         logs.append(pos * math.log(s_max) + neg * math.log(s_min)
                     + abs(log_power) * math.log1p(max(0.0, knee)))
     return _exp(max(logs)), None
+
+
+def _exact_image(mat, c) -> tuple:
+    """mat @ c exactly: per coordinate the reduced integer ratio of the sum
+    of products of the float entries, whose denominators are powers of two."""
+    out = []
+    for row in mat:
+        terms = [(p * q, r * t) for (p, r), (q, t) in
+                 ((float(a).as_integer_ratio(), float(x).as_integer_ratio())
+                  for a, x in zip(row, c))]
+        den = max(d for _, d in terms)
+        num = sum(n * (den // d) for n, d in terms)
+        g = math.gcd(num, den)
+        out.append((num // g, den // g))
+    return tuple(out)

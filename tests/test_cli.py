@@ -40,7 +40,8 @@ def _base_config(**extra):
 def test_bundled_configs_validate():
     for name in os.listdir(CONFIG_DIR):
         cfg = load_config(os.path.join(CONFIG_DIR, name))
-        assert cfg.dimension == (2 if name == "sweep-disk.json" else 1)
+        assert cfg.dimension == (2 if name in ("sweep-disk.json", "weights-tabulated-plane.json")
+                                 else 1)
 
 
 def test_missing_field_paths(tmp_path):
@@ -414,9 +415,15 @@ def _failed_audit_config(raw, check):
     (_failed_audit_config(_bundled("ta-worked.json", count=2) | {"weight": _shifted(-0.125)},
                           {"check": "theorem-ta"}),
      "w(A_j x) <= C w(x)"),
+    (_failed_audit_config(_theorem_config("theorem-thm1", 0.0, count=2)
+                          | {"weight": {"kind": "product_power",
+                                        "factors": [[-0.45, [0.0]], [-0.45, [1e-14]]]}},
+                          {"check": "theorem-thm1"}),
+     "w(A_j x) <= C w(x)"),
 ], ids=["rh-ball", "ta-a1-vanishes", "maximal-a2", "ta-s", "ta-rh-bracket-at-1",
         "thm1-p0-below-threshold", "thm1-compatibility-reflection",
-        "thm1-compatibility-dilation", "ta-compatibility-reflection"])
+        "thm1-compatibility-dilation", "ta-compatibility-reflection",
+        "thm1-compatibility-gap"])
 def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     """A failed hypothesis audit exits 3 from every check kind. The run
     writes one hypothesis-failed report that names the audit and ends there,
@@ -426,8 +433,9 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     w^{n/((n-alpha)s)} in A_1 fails for |x|^{1/4}, which vanishes at 0, and
     for |x|^{-0.995}, whose power is no weight. The thm1 campaign's
     p0 = 1.3332 lies below the 4/3 of |x|^{-1/4}. |x - 1|^{-1/4} under the
-    matrices +-1 or {1, 2}, and |x - 1|^{-1/8} under +-1, have unbounded
-    ratios w(A_j x)/w(x) (at x = -1, 1/2 and -1)."""
+    matrices +-1 or {1, 2}, |x - 1|^{-1/8} under +-1, and
+    |x|^{-0.45} |x - 1e-14|^{-0.45} under +-1 have unbounded ratios
+    w(A_j x)/w(x) (at x = -1, 1/2, -1 and -1e-14)."""
     cfg = _write(tmp_path, "audit.json", raw)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
@@ -894,11 +902,11 @@ def test_each_command_loads_only_its_modules(tmp_path):
     module, and `atoms gen` and `atoms validate` no campaign module: a
     process compiles only the source its command runs.  Only the maximal
     check and the integrals of a product weight load the whole-line rule
-    (``line_integral``, with the panel grading of ``operators``), so a
-    campaign process and a power or log classify do not compile it.  No
-    command loads
-    numpy.random (the atom stream is ``rieszkit.rng``), numpy.ma (which
-    np.unique imports), hashlib and its OpenSSL module _hashlib (the config
+    (``line_integral``, whose panel grading ``panels`` holds apart from
+    ``operators``), so a campaign process and a power or log classify do not
+    compile it, and a product classify does not compile ``operators``.  No
+    command loads numpy.random (the atom stream is ``rieszkit.rng``),
+    numpy.ma (which np.unique imports), hashlib and its OpenSSL module _hashlib (the config
     hash in the checks' provenance is the builtin sha256) or dataclasses
     (the records are ``rieszkit.records``)."""
     code = ("import json, sys, rieszkit.cli\n"
@@ -932,7 +940,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "loaded 0 []", "loaded 0 []", "loaded 0 ['operators']",
         "loaded 0 ['operators', 'verify', 'line_integral']"]
     assert loaded(["weights", "classify", "--config", product]) == [
-        "loaded 0 ['operators', 'line_integral']"]
+        "loaded 0 ['line_integral']"]
     assert loaded(
         ["atoms", "gen", "--config", atoms_cfg],
         ["atoms", "validate", "--config", atoms_cfg, "--manifest",
@@ -1151,7 +1159,7 @@ def test_bundled_reports_are_strict_json(tmp_path, capsys):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_all_verifications.py")
     _python(script, "--out", str(tmp_path / "all"), check=True)
     reports = sorted((tmp_path / "all").rglob("*.json"))
-    assert len(reports) == 9
+    assert len(reports) == 10
     for path in reports:
         json.loads(path.read_text(), parse_constant=_no_constant)
     report = json.loads((tmp_path / "all" / "weights-power-half" / "weights-classify.json")

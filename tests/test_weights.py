@@ -520,46 +520,183 @@ def test_product_infimum_on_the_line_matches_mpmath(w, std_family):
     for two and three centres, poles at ball ends and centres 1e-14 apart."""
     import mpmath as mp
 
-    from rieszkit import QuadratureScheme
-    from rieszkit.weights import min_over_nodes
+    from rieszkit.weights import essential_infimum
 
     with mp.workdps(40):
         for ball in std_family:
             lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
             exact = float(_mp_product_infimum(w, lo, hi))
-            got = min_over_nodes(w, ball, QuadratureScheme(resolution=16))
+            got = essential_infimum(w, ball)
             assert abs(got - exact) <= 1e-12 * exact
 
 
-def test_line_weights_read_no_lattice(monkeypatch, std_family):
-    """On the line no class estimate reads a lattice or the cell rule: with
-    both made to raise, the four estimators still read a two-centre product
-    and a tabulated weight."""
+def test_no_weight_reads_a_lattice(monkeypatch, std_family):
+    """No class estimate of a line product or of a tabulated weight, in
+    either dimension, reads the cell rule, and no infimum reads a lattice:
+    with ``integrate_ball`` made to raise, the four estimators still read a
+    two-centre product on the line and tabulated weights on the line and in
+    the plane, and ``essential_infimum`` reads the plane products."""
     from rieszkit import weights
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a line weight read a lattice or the cell rule")
+        raise AssertionError("a weight read the cell rule")
 
-    monkeypatch.setattr(weights, "_node_lattice", refuse)
     monkeypatch.setattr(weights, "integrate_ball", refuse)
     tab = TabulatedWeight(RegularGrid((-20.0,), (20.0,), (16,)), np.linspace(1.0, 4.0, 16))
-    for w in (_PAIR_C, tab):
-        reps = [estimate_A1_constant(w, std_family), estimate_Ap_constant(w, 2.0, std_family),
-                estimate_Apq_constant(w, 1.0, 1.2, std_family),
-                estimate_RH_constant(w, 1.2, std_family)]
+    plane = TabulatedWeight(RegularGrid((-20.0, -20.0), (20.0, 20.0), (8, 8)),
+                            np.linspace(1.0, 4.0, 64))
+    for w, family in ((_PAIR_C, std_family), (tab, std_family),
+                      (plane, default_ball_family(2))):
+        reps = [estimate_A1_constant(w, family), estimate_Ap_constant(w, 2.0, family),
+                estimate_Apq_constant(w, 1.0, 1.2, family),
+                estimate_RH_constant(w, 1.2, family)]
         assert all(rep.verdict == "finite" and rep.constant >= 1.0 for rep in reps)
+    for w in _PLANE_PRODUCTS:
+        for ball in default_ball_family(2):
+            assert 0.0 < weights.essential_infimum(w, ball) < math.inf
 
 
 def test_line_product_infimum_refuses_a_positive_exponent():
     """The exact infimum of a product on the line assumes every exponent
     negative; a product with a zero is refused, whether or not the ball
     holds it (``class_exclusion`` keeps the estimators from asking)."""
-    from rieszkit import QuadratureScheme
-    from rieszkit.weights import min_over_nodes
+    from rieszkit.weights import essential_infimum
 
     for ball in (Ball([0.5], 1.0), Ball([5.0], 1.0)):
         with pytest.raises(ValueError, match="every exponent negative"):
-            min_over_nodes(_PAIR_A, ball, QuadratureScheme(resolution=16))
+            essential_infimum(_PAIR_A, ball)
+
+
+_PLANE_PRODUCTS = [
+    ProductPowerWeight(((-0.5, (0.0, 0.0)), (-0.3, (1.0, 0.0))), dimension=2),
+    ProductPowerWeight(((-0.4, (0.5, 0.5)), (-0.7, (-1.0, 0.25)), (-0.2, (2.0, -1.0))),
+                       dimension=2, scale=2.5),
+    # (0.5, 0) lies on the circles of B(0, 1/2) and B((1, 0), 1/2), (0, 1.5)
+    # on that of B((0, 1), 1/2) and (-1, 0) on those of B(0, 1) and B((-1, -1), 1)
+    ProductPowerWeight(((-0.6, (0.5, 0.0)), (-0.3, (-1.0, 0.0)), (-0.2, (0.0, 1.5))),
+                       dimension=2),
+]
+
+
+def _mp_circle_infimum(w, ball):
+    """The least value of w = scale * prod_i |x - c_i|^{a_i} (every a_i < 0)
+    on the circle bounding ``ball``, at the working precision: each local
+    minimum of w on a float scan of 4096 angles is refined in mpmath by a
+    bracketing root search for d/dtheta log w = sum_i a_i (v_i,x sin theta -
+    v_i,y cos theta) / |x - c_i|^2, v_i = c_i - centre."""
+    import mpmath as mp
+
+    m = 4096
+    theta = 2.0 * math.pi * np.arange(m) / m
+    circle = ball.center + ball.radius * np.column_stack([np.cos(theta), np.sin(theta)])
+    with np.errstate(divide="ignore"):
+        scan = eval_weight_batch(w, circle, extended=True)
+    r = mp.mpf(float(ball.radius))
+    vs = [(mp.mpf(c[0]) - mp.mpf(float(ball.center[0])),
+           mp.mpf(c[1]) - mp.mpf(float(ball.center[1]))) for _, c in w.factors]
+    es = [mp.mpf(a) for a, _ in w.factors]
+
+    def sq(t, v):
+        return (r * mp.cos(t) - v[0]) ** 2 + (r * mp.sin(t) - v[1]) ** 2
+
+    def value(t):
+        return mp.mpf(w.scale) * mp.fprod(sq(t, v) ** (a / 2) for a, v in zip(es, vs))
+
+    def slope(t):
+        return mp.fsum(a * (v[0] * mp.sin(t) - v[1] * mp.cos(t)) / sq(t, v)
+                       for a, v in zip(es, vs))
+
+    best = mp.inf
+    for i in np.nonzero((scan <= np.roll(scan, 1)) & (scan <= np.roll(scan, -1)))[0]:
+        a, b = (mp.mpf(2) * mp.pi * (int(i) + k) / m for k in (-1, 1))
+        t = mp.mpf(2) * mp.pi * int(i) / m
+        if slope(a) < 0 < slope(b):
+            t = mp.findroot(slope, (a, b), solver="anderson")
+        best = min(best, value(t))
+    return best
+
+
+@pytest.mark.parametrize("w", _PLANE_PRODUCTS, ids=["two", "three", "on-circle"])
+def test_product_infimum_in_the_plane_matches_mpmath(w):
+    """A product's infimum in the plane is exact (``_product_minimizers``):
+    within 1e-12 of 40-digit mpmath on every disk of the default family, for
+    two and three centres and centres on a disk's circle."""
+    import mpmath as mp
+
+    from rieszkit.weights import essential_infimum
+
+    with mp.workdps(40):
+        for ball in default_ball_family(2):
+            exact = float(_mp_circle_infimum(w, ball))
+            assert abs(essential_infimum(w, ball) - exact) <= 1e-12 * exact
+
+
+def test_plane_product_infimum_refuses_a_positive_exponent():
+    """In the plane as on the line, the exact infimum of a product assumes
+    every exponent negative."""
+    from rieszkit.weights import essential_infimum
+
+    w = ProductPowerWeight(((0.3, (0.0, 0.0)), (-0.4, (1.0, 0.0))), dimension=2)
+    for ball in (Ball([0.5, 0.0], 1.0), Ball([5.0, 5.0], 1.0)):
+        with pytest.raises(ValueError, match="every exponent negative"):
+            essential_infimum(w, ball)
+
+
+#: 8 x 8 cells of width 5 on [-20, 20]^2, nodes at multiples of 5
+_PLANE_GRID = RegularGrid((-20.0, -20.0), (20.0, 20.0), (8, 8))
+
+
+def test_plane_tabulated_areas_match_hand_values():
+    """|cell & B| in closed form: four quarter disks around a grid node, a
+    cell wholly inside the disk at its own area, the areas summing to
+    pi r^2, and a disk tangent to its cell's sides inside that cell alone;
+    the infimum is exactly the least value of the cells that meet the disk,
+    and the mean is sum_j |cell_j & B| v_j / (pi r^2)."""
+    from rieszkit.weights import _grid_cells, essential_infimum
+
+    values = (np.arange(64.0) * 37.0 % 64.0 + 1.0).reshape(8, 8)
+    w = TabulatedWeight(_PLANE_GRID, values)
+    areas, vals = _grid_cells(w, Ball([0.0, 0.0], 2.0))
+    np.testing.assert_allclose(areas, np.full(4, math.pi), rtol=1e-13, atol=0.0)
+    assert sorted(vals) == sorted(values[3:5, 3:5].ravel())
+    assert essential_infimum(w, Ball([0.0, 0.0], 2.0)) == np.min(values[3:5, 3:5])
+    ball = Ball([2.5, 2.5], 4.0)
+    areas, vals = _grid_cells(w, ball)
+    assert areas.size == 9
+    assert abs(areas[4] - 25.0) <= 1e-13 * 25.0
+    assert abs(np.sum(areas) - 16.0 * math.pi) <= 1e-13 * 16.0 * math.pi
+    assert essential_infimum(w, ball) == np.min(values[3:6, 3:6])
+    mean = np.sum(areas * vals) / (16.0 * math.pi)
+    assert power_mean(w, 1.0, ball) == pytest.approx(mean, rel=1e-13)
+    # tangent to the sides of the cell [0, 5]^2, whose neighbours are smaller
+    values = np.full((8, 8), 1.0)
+    values[4, 4] = 7.0
+    areas, vals = _grid_cells(TabulatedWeight(_PLANE_GRID, values), Ball([2.5, 2.5], 2.5))
+    assert vals.tolist() == [7.0]
+    assert abs(areas[0] - 6.25 * math.pi) <= 1e-13 * 6.25 * math.pi
+    assert essential_infimum(TabulatedWeight(_PLANE_GRID, values), Ball([2.5, 2.5], 2.5)) == 7.0
+    # past the corner (0, 0) by 1e-15 relative: the diagonal cell meets the
+    # disk, its area rounds to 0, and it counts for the infimum
+    values[3, 3] = 0.5
+    w = TabulatedWeight(_PLANE_GRID, values)
+    ball = Ball([2.5, 2.5], math.hypot(2.5, 2.5) * (1 + 1e-15))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert essential_infimum(w, ball) == 0.5
+        assert 1.0 < power_mean(w, 1.0, ball) < 7.0
+
+
+def test_plane_tabulated_disk_leaving_the_grid_raises():
+    """A disk whose bounding box leaves the grid by half a cell raises
+    OutOfGrid at ``weight.grid``, for means and infima alike."""
+    from rieszkit.weights import essential_infimum
+
+    w = TabulatedWeight(_PLANE_GRID, np.ones(64))
+    for ball in (Ball([18.0, 0.0], 4.5), Ball([0.0, -18.0], 4.5)):
+        for read in (lambda: power_mean(w, 2.0, ball), lambda: essential_infimum(w, ball)):
+            with pytest.raises(OutOfGrid) as exc:
+                read()
+            assert exc.value.path == "weight.grid"
 
 
 def test_factors_merge_only_at_equal_centres(std_family):
@@ -774,11 +911,14 @@ def test_matrix_compatibility_on_the_line_is_the_dilation_factor(w, lams):
      "w(A_1 x)/w(x) grows like |x - m|^-0.1 at m = -1"),
     (_product((-0.125, 1.0)), (1.0, -1.0),
      "w(A_1 x)/w(x) grows like |x - m|^-0.125 at m = -1"),
-], ids=["pole-reflected", "pole-dilated", "zero-reflected", "two-centres", "ta-pole"])
+    (_product((-0.45, 0.0), (-0.45, 1e-14)), (1.0, -1.0),
+     "w(A_1 x)/w(x) grows like |x - m|^-0.45 at m = -1e-14"),
+], ids=["pole-reflected", "pole-dilated", "zero-reflected", "two-centres", "ta-pole", "gap"])
 def test_matrix_compatibility_names_an_unbounded_ratio(w, lams, detail):
     """A factor set that c -> c / lambda does not preserve leaves a point m
     where w(lambda x) / w(x) grows like |x - m|^{e(m)}, e(m) < 0: C = inf and
-    the detail names the matrix (0-based), m and e(m)."""
+    the detail names the matrix (0-based), m and e(m).  Marks match exactly,
+    so centres 1e-14 apart are two marks."""
     assert check_matrix_compatibility(w, scalar_family(lams)) == (math.inf, detail)
 
 
@@ -839,6 +979,23 @@ def test_matrix_compatibility_in_the_plane():
     pts = np.column_stack([np.repeat(g, g.size), np.tile(g, g.size)])
     ratio = eval_weight_batch(w, pts * [-1.0, 3.0]) / eval_weight_batch(w, pts)
     assert np.max(ratio) <= comp
+
+
+def test_matrix_compatibility_matches_marks_exactly_in_the_plane():
+    """Marks match exactly in the plane too: A^{-1} c_i = c_j when
+    c_i = A c_j in the integer ratios of the float inputs.  So
+    |x|^{-0.45} |x - (1e-14, 0)|^{-0.45} under +-I, whose w(-x) / w(x) is
+    unbounded near (-1e-14, 0), reads inf, and four centres that a quarter
+    turn permutes, none a dyadic point, read C = 1."""
+    w = ProductPowerWeight(((-0.45, (0.0, 0.0)), (-0.45, (_GAP, 0.0))), dimension=2)
+    comp, detail = check_matrix_compatibility(w, MatrixFamily((np.eye(2), -np.eye(2))))
+    assert comp == math.inf and detail.startswith(
+        "w(A_1 x)/w(x) grows like |x - m|^-0.45 at m = [-1e-14, ")
+    w = ProductPowerWeight(tuple((-0.2, c) for c in ((0.1, 0.3), (-0.3, 0.1), (-0.1, -0.3),
+                                                     (0.3, -0.1))), dimension=2)
+    quarter = np.array([[0.0, -1.0], [1.0, 0.0]])
+    assert check_matrix_compatibility(w, MatrixFamily((np.eye(2), quarter, -np.eye(2)))) == (
+        1.0, None)
 
 
 def test_matrix_compatibility_evaluates_no_weight(monkeypatch):
@@ -1133,11 +1290,11 @@ def _radial_infimum(w, ball):
 def test_min_over_nodes_is_the_radial_infimum(w):
     """For a radial weight the infimum is exact: the weight at the point of
     the closed ball nearest to or farthest from its centre."""
-    from rieszkit import QuadratureScheme, default_ball_family
-    from rieszkit.weights import min_over_nodes
+    from rieszkit import default_ball_family
+    from rieszkit.weights import essential_infimum
 
     for ball in default_ball_family(w.dimension):
-        got = min_over_nodes(w, ball, QuadratureScheme(resolution=16))
+        got = essential_infimum(w, ball)
         assert got == pytest.approx(_radial_infimum(w, ball), rel=1e-12, abs=0.0)
 
 
@@ -1146,7 +1303,7 @@ def test_min_over_nodes_never_exceeds_the_node_minimum(w):
     """The exact infimum is at most the weight's minimum over every node of
     the ball's midpoint lattice."""
     from rieszkit import QuadratureScheme, default_ball_family
-    from rieszkit.weights import min_over_nodes
+    from rieszkit.weights import essential_infimum
 
     def every_node(ball, scheme):
         cells = 2 * scheme.resolution
@@ -1159,4 +1316,4 @@ def test_min_over_nodes_never_exceeds_the_node_minimum(w):
     for ball in default_ball_family(w.dimension):
         for resolution in (16, 64):
             scheme = QuadratureScheme(resolution=resolution)
-            assert min_over_nodes(w, ball, scheme) <= every_node(ball, scheme)
+            assert essential_infimum(w, ball) <= every_node(ball, scheme)
