@@ -22,6 +22,7 @@ RUNS = [
     ("weights", "classify", "weights-power-half.json"),
     ("weights", "classify", "weights-log.json"),
     ("weights", "classify", "weights-product.json"),
+    ("weights", "classify", "weights-product-plane.json"),
     ("weights", "classify", "weights-tabulated-plane.json"),
     ("operator", "sweep", "sweep-riesz.json"),
     ("operator", "sweep", "sweep-t02.json"),

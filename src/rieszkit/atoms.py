@@ -276,9 +276,9 @@ def read_atom_manifest(path):
     return out
 
 
-def _norm_bound(ball: Ball, params: AtomParams, scheme: QuadratureScheme) -> float:
+def _norm_bound(ball: Ball, params: AtomParams) -> float:
     vol = lebesgue_ball(ball.dimension, ball.radius)
-    wb = weighted_measure(params.weight, 1.0, ball, scheme)
+    wb = weighted_measure(params.weight, 1.0, ball)
     try:
         bound = vol ** (1.0 / params.p0) * wb ** (-1.0 / params.p)
     except (OverflowError, ZeroDivisionError):
@@ -318,7 +318,7 @@ def construct_atom(ball: Ball, params: AtomParams, seed: int,
     norm = _p0_norm(SampledFunction(ball, prof), params.p0, scheme)
     if norm <= 0.0:
         raise DegenerateProfile(f"seed-{seed} profile has zero norm")
-    target = _norm_bound(ball, params, scheme)
+    target = _norm_bound(ball, params)
     return Atom(ball, prof.scaled(target / norm), params, seed)
 
 
@@ -354,7 +354,7 @@ def validate_atom(atom: Atom, scheme: QuadratureScheme | None = None) -> AtomVal
         scheme = default_scheme(n)
     fn = atom.function()
     norm = _p0_norm(fn, params.p0, scheme)
-    bound = _norm_bound(atom.ball, params, scheme)
+    bound = _norm_bound(atom.ball, params)
     size_ok = norm <= bound * (1.0 + A2_REL_TOL)
 
     r = atom.ball.radius

@@ -87,15 +87,13 @@ def cmd_weights_classify(cfg: RunConfig, out_dir: str) -> int:
 
     block = cfg.classify_block or {}
     family = cfg.family
-    scheme = cfg.quadrature
     w = cfg.weight
     # config.validate_classify has checked every kind and its parameters
     estimate = {
-        "A1": lambda c: estimate_A1_constant(w, family, scheme),
-        "Ap": lambda c: estimate_Ap_constant(w, float(c["p"]), family, scheme),
-        "Apq": lambda c: estimate_Apq_constant(w, float(c["p"]), float(c["q"]), family,
-                                               scheme),
-        "RH": lambda c: estimate_RH_constant(w, float(c["s"]), family, scheme),
+        "A1": lambda c: estimate_A1_constant(w, family),
+        "Ap": lambda c: estimate_Ap_constant(w, float(c["p"]), family),
+        "Apq": lambda c: estimate_Apq_constant(w, float(c["p"]), float(c["q"]), family),
+        "RH": lambda c: estimate_RH_constant(w, float(c["s"]), family),
     }
     payload = {"classes": [estimate[cls["kind"]](cls).to_dict()
                            for cls in block.get("classes", [{"kind": "A1"}])],
@@ -195,10 +193,8 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
             params, cfg.exponents, cfg.matrices, item["center"], radii=item["radii"],
             seed=seed if seed is not None else item["seed"], scheme=scheme, audits=audits)
     if name == "rh-ball-inequality":
-        return check_rh_ball_inequality(cfg.weight, item["p"], item["alpha"], cfg.family,
-                                        scheme)
-    return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"],
-                                      item["alpha"], scheme)
+        return check_rh_ball_inequality(cfg.weight, item["p"], item["alpha"], cfg.family)
+    return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"], item["alpha"])
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str, seed: int | None, jobs: int) -> int:

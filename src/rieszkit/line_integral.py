@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .panels import graded_panels
-from .quadrature import _GL16_W, _GL16_X, _KNEE, gauss_jacobi
+from .panels import graded_panels, panel_rule
+from .quadrature import _KNEE
 
 # toward a log factor's centre the grading goes on until the innermost panel
 # holds at most e**-_LOG_DEPTH of its half
@@ -99,23 +99,15 @@ def log_line_integral(factors, a: float, b: float):
     fine = np.repeat([False, True, True], lo.size)
     owner = np.tile(owner, 3)
     lo, hi = np.concatenate([lo, lo, mid]), np.concatenate([hi, mid, hi])
-    # nodes as fractions of their panel from its low end, and log weights
     jacobi = (lo == 0.0) & (e0[owner] != 0.0)
-    x = np.tile(_GL16_X, (lo.size, 1))
-    logw = np.tile(np.log(_GL16_W), (lo.size, 1))
-    for level in set(e0[owner[jacobi]].tolist()):
-        rule = gauss_jacobi(16, 0.0, level)
-        sel = jacobi & (e0[owner] == level)
-        x[sel] = 0.5 * rule[1]
-        logw[sel] = np.log(rule[3]) - (1.0 + level) * math.log(2.0)
     fa, fb, fe, fs = (f[owner][:, :, None] for f in (A, B, E, S))
-    width = hi - lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        logr = np.log(fa + fb * (lo[:, None] + width[:, None] * x)[:, None, :])
+        u, logw, logjac = panel_rule(lo, hi, np.where(jacobi, e0[owner], 0.0))
+        logr = np.log(fa + fb * u[:, None, :])
         # on a Gauss-Jacobi panel the rule's weight holds the powers of u
         power = np.where(jacobi[:, None, None] & (fa == 0.0), np.log(fb), logr)
         terms = (np.sum(fe * power + np.where(fs != 0.0, fs * np.log(-logr), 0.0), axis=1)
-                 + logw + ((1.0 + np.where(jacobi, e0[owner], 0.0)) * np.log(width))[:, None])
+                 + logw + logjac[:, None])
     top = float(np.max(terms))
     return tuple(top + math.log(float(np.sum(np.exp(terms[fine == f] - top))))
                  for f in (False, True))

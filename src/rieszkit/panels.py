@@ -1,9 +1,11 @@
-"""Panels graded geometrically toward singular points beyond their ends.
+"""Panels graded geometrically toward singular points beyond their ends,
+and the 16-point rules on them.
 
-The near field of ``operators`` (a kernel preimage) and
-``line_integral.log_line_integral`` (a weight factor's centre) both cut
-their pieces here; a module of its own keeps a product weight's classify
-process from compiling ``operators``.
+The near field of ``operators`` (a kernel preimage),
+``line_integral.log_line_integral`` (a weight factor's centre) and
+``plane_integral.log_disk_integral`` (a centre, in angle and along a ray)
+cut their pieces here; a module of its own keeps a product weight's
+classify process from compiling ``operators``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .quadrature import _GL16_W, _GL16_X, gauss_jacobi
 
 # a piece is cut this fraction of its length from an end that lies close to
 # a singular point beyond it
@@ -55,3 +59,19 @@ def graded_panels(point, u, v, gap_lo, gap_hi):
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     ok = 0.5 * (hi - lo) > 0.0
     return owner[seg][ok], lo[ok], hi[ok]
+
+
+def panel_rule(lo, hi, level):
+    """16-point rules on panels [lo, hi]: the nodes, their log weights and
+    the log Jacobian (hi - lo)**(1 + level), Gauss-Jacobi for u**level (u
+    from lo) where ``level`` is nonzero and Gauss-Legendre elsewhere
+    (``quadrature.gauss_jacobi``)."""
+    width = hi - lo
+    x = np.tile(_GL16_X, (width.size, 1))
+    logw = np.tile(np.log(_GL16_W), (width.size, 1))
+    for e in set(level[level != 0.0].tolist()):
+        rule = gauss_jacobi(16, 0.0, e)
+        sel = level == e
+        x[sel] = 0.5 * rule[1]
+        logw[sel] = np.log(rule[3]) - (1.0 + e) * math.log(2.0)
+    return lo[:, None] + width[:, None] * x, logw, (1.0 + level) * np.log(width)

@@ -48,14 +48,14 @@ _DISK_SUBSAMPLE = 8
 
 @record(frozen=True)
 class QuadratureScheme:
-    """Grid resolution and tolerance for ball integrals.
+    """Grid resolution and tolerance for the cells of operators and atoms.
 
     ``resolution`` counts cells per ball radius (per axis in dimension 2).
     ``tol`` bounds the change that a convergence check (``apply_T``) accepts
     when the resolution doubles.  Singular points always take product
     integration on the fixed patch geometry above.  T a of a polynomial or
-    indicator profile on the line, and T of a disk's indicator under one
-    similarity kernel factor, read neither field (``operators``).
+    indicator profile on the line, T of a disk's indicator under one
+    similarity kernel factor (``operators``) and every weight read neither.
     """
 
     resolution: int = 512

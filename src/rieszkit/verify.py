@@ -44,13 +44,12 @@ from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, cla
                        default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, apply_T_ball_1d, apply_T_batch,
                         indicator_maximal_1d)
-from .quadrature import (PowerProfile, QuadratureScheme, default_scheme, graded_edges,
-                         integrate_cells_1d, radial_profile)
+from .quadrature import (PowerProfile, QuadratureScheme, graded_edges,
+                         integrate_cells_1d, lebesgue_ball, radial_profile)
 from .records import asdict, field, record
-from .weights import (PowerWeight, _exp, ball_measure,
-                      check_matrix_compatibility, critical_indices, estimate_A1_constant,
-                      estimate_Ap_constant, estimate_Apq_constant, estimate_RH_constant,
-                      eval_weight_batch, power_mean, radial_factors,
+from .weights import (PowerWeight, _exp, check_matrix_compatibility, critical_indices,
+                      estimate_A1_constant, estimate_Ap_constant, estimate_Apq_constant,
+                      estimate_RH_constant, eval_weight_batch, power_mean, radial_factors,
                       weight_power, weight_singularities, weight_to_dict, weighted_measure)
 
 if TYPE_CHECKING:
@@ -161,8 +160,6 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
     n = params.dimension
     if n != 1:
         raise ValueError("the pointwise atom bound is implemented on the line")
-    if scheme is None:
-        scheme = default_scheme(n)
     from .atoms import class_audits, construct_atom
 
     if audits is None:
@@ -178,7 +175,7 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
     for r in radii:
         ball = Ball(center, r)
         fn = construct_atom(ball, params, seed, scheme).function()
-        log_wfac = -math.log(weighted_measure(params.weight, 1.0, ball, scheme)) / params.p
+        log_wfac = -math.log(weighted_measure(params.weight, 1.0, ball)) / params.p
         for refine in (1, 2):
             pts = (np.array([as_point(x, n) for x in samples]) if samples is not None
                    else outer_sample_points(ball, family, refine=refine))
@@ -238,26 +235,23 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
 # ---------------------------------------------------------------------------
 
 
-def check_rh_ball_inequality(w, p: float, alpha: float, family: BallFamily,
-                             scheme: QuadratureScheme | None = None) -> VerificationReport:
+def check_rh_ball_inequality(w, p: float, alpha: float, family: BallFamily) -> VerificationReport:
     """[w^p(B)]^{-1/p} [w^q(B)]^{1/q} <= [w^p]_{RH_{q/p}}^{1/p} |B|^{-alpha/n}."""
     n = w.dimension
     if not (0.0 < p < n / alpha):
         raise ValueError("need 0 < p < n / alpha")
     q = 1.0 / (1.0 / p - alpha / n)
-    if scheme is None:
-        scheme = default_scheme(n)
     wp = weight_power(w, p)
-    rh = estimate_RH_constant(wp, q / p, family, scheme)
+    rh = estimate_RH_constant(wp, q / p, family)
     audits = [_class_audit(f"w^p in RH_{q / p:g}", rh)]
     require_hypotheses(audits)
     slacks, samples = [], []
     for ball in family:
-        log_vol = math.log(ball_measure(wp, ball, scheme))
+        log_vol = math.log(lebesgue_ball(n, ball.radius))
         # from the logarithms of the means of w^p (orders q/p and 1), where
         # the scale of w cancels instead of overflowing
-        log_lhs = ((power_mean(wp, q / p, ball, scheme, log=True)
-                    - power_mean(wp, 1.0, ball, scheme, log=True)) / p
+        log_lhs = ((power_mean(wp, q / p, ball, log=True)
+                    - power_mean(wp, 1.0, ball, log=True)) / p
                    + (1.0 / q - 1.0 / p) * log_vol)
         log_rhs = math.log(rh.constant) / p - alpha / n * log_vol
         ratio = _exp(log_lhs - log_rhs)
@@ -289,8 +283,8 @@ def _chain_leq(a: float, b: float, slack: float) -> bool:
     return a <= b + slack
 
 
-def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily,
-                                scheme: QuadratureScheme | None = None) -> VerificationReport:
+def check_critical_index_chains(w, p: float, q: float | None,
+                                family: BallFamily) -> VerificationReport:
     """Index chains relating the reverse Holder indices of w, w^p (and w^q).
 
     Without q:  p * r_{w^p} <= r_w <= r_{w^p}   (hypothesis: w^{1/p} in A_1).
@@ -299,18 +293,16 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
     and r_{w^t} = r_w / t, so the chains are identities up to rounding
     (``CHAIN_RTOL`` of the largest finite term).
     """
-    if scheme is None:
-        scheme = default_scheme(w.dimension)
     audits = []
     if q is None:
         if not (0.0 < p < 1.0):
             raise ValueError("the two-sided chain needs 0 < p < 1")
-        hyp = estimate_A1_constant(weight_power(w, 1.0 / p), family, scheme)
+        hyp = estimate_A1_constant(weight_power(w, 1.0 / p), family)
         audits.append(_class_audit("w^{1/p} in A_1", hyp))
     else:
         if not (0.0 < p < q):
             raise ValueError("the comparison chain needs 0 < p < q")
-        hyp = estimate_A1_constant(weight_power(w, q), family, scheme)
+        hyp = estimate_A1_constant(weight_power(w, q), family)
         audits.append(_class_audit("w^q in A_1", hyp))
     require_hypotheses(audits)
 
@@ -339,8 +331,8 @@ def check_critical_index_chains(w, p: float, q: float | None, family: BallFamily
 # ---------------------------------------------------------------------------
 
 
-def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = None,
-                               scheme: QuadratureScheme | None = None) -> VerificationReport:
+def check_maximal_inequalities(w, p: float, test_balls,
+                               alpha: float | None = None) -> VerificationReport:
     """Operator-norm ratio of the (fractional) maximal operator on indicators.
 
     alpha None: sup_f ||Mf||_{L^p_w} / ||f||_{L^p_w} needs w in A_p.
@@ -368,12 +360,12 @@ def check_maximal_inequalities(w, p: float, test_balls, alpha: float | None = No
         raise ValueError("the maximal check needs the weight beyond a tabulated grid")
     fam = default_ball_family(w.dimension)
     if alpha is None:
-        rep = estimate_Ap_constant(w, p, fam, scheme)
+        rep = estimate_Ap_constant(w, p, fam)
         audits = [_class_audit(f"w in A_{p:g}", rep, "required for the strong-type bound")]
         q, beta, s_num, s_den = p, 0.0, 1.0, 1.0
     else:
         q = 1.0 / (1.0 / p - alpha)
-        rep = estimate_Apq_constant(w, p, q, fam, scheme)
+        rep = estimate_Apq_constant(w, p, q, fam)
         audits = [_class_audit(f"w in A_pq(p={p:g},q={q:g})", rep)]
         # ||M_alpha f||_{L^q_{w^q}} / ||f||_{L^p_{w^p}}
         beta, s_num, s_den = alpha, q, p
@@ -562,7 +554,7 @@ def _thm_zero_audits(w, family, spec):
     return audits, d_min, d
 
 
-def _thm_positive_audits(w, profile, family, spec, scheme):
+def _thm_positive_audits(w, profile, family, spec):
     n = w.dimension
     fam_balls = default_ball_family(w.dimension)
     audits = []
@@ -574,7 +566,7 @@ def _thm_positive_audits(w, profile, family, spec, scheme):
     audits.append(AuditItem("p in [s, 1]", spec.p, spec.s <= spec.p <= 1.0))
     try:
         aux = weight_power(w, n / ((n - profile.alpha) * spec.s))
-        a1 = estimate_A1_constant(aux, fam_balls, scheme)
+        a1 = estimate_A1_constant(aux, fam_balls)
         audits.append(_class_audit("w^{n/((n-alpha)s)} in A_1", a1))
     except ValueError as exc:
         audits.append(AuditItem("w^{n/((n-alpha)s)} in A_1", "not a weight", False,
@@ -607,8 +599,6 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     hypothesis is violated, the moment degree included.
     """
     n = w.dimension
-    if scheme is None:
-        scheme = default_scheme(n)
     if kind not in ("thm-zero", "thm-positive"):
         raise ValueError("kind must be 'thm-zero' or 'thm-positive'")
     from .atoms import AtomParams, AtomSampler, degree_audit, sample_atom_campaign
@@ -632,7 +622,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     else:
         if profile.alpha <= 0.0:
             raise ValueError("the positive-order campaign needs alpha > 0")
-        audits, d_min, d = _thm_positive_audits(w, profile, family, spec, scheme)
+        audits, d_min, d = _thm_positive_audits(w, profile, family, spec)
         atom_weight = weight_power(w, spec.p) if spec.p != 1.0 else w
         q = 1.0 / (1.0 / spec.p - profile.alpha / n)
         norm_weight, weight_exponent, norm_exponent = w, q, q

@@ -7,9 +7,9 @@ closed form from the weight's exponents (``class_exclusion``,
 ``critical_indices``, ``check_matrix_compatibility``), at infinity too,
 where no finite family of balls can see them.  A class that holds gets its
 constant as a maximum over a finite family of balls.  Every essential
-infimum is exact, and so is every power mean except a multi-factor
-product's in the plane, which takes cells.  Estimates are therefore lower
-bounds for the true constants; the point of the family
+infimum and every power mean is exact, each by one rule per weight kind
+and none on cells.  Estimates are therefore lower bounds for the true
+constants, short of them only by the finite family; the point of the family
 design (dyadic radii around the singular centers) is that power and log
 weights attain their worst behavior exactly there.
 """
@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
-from .quadrature import (QuadratureScheme, RadialSingularity, combine_profiles, default_scheme,
-                         integrate_ball, lebesgue_ball, log_ball_integral, radial_profile)
+from .quadrature import (RadialSingularity, combine_profiles, lebesgue_ball, log_ball_integral,
+                         radial_profile)
 from .records import asdict, record
 
 
@@ -305,15 +305,14 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None) -> float:
+def _log_integral(w, s: float, form, ball: Ball) -> float:
     """log of the integral of w**s over the ball, where ``form`` is
-    ``_radial_form(w, s)``.
+    ``_radial_form(w, s)``, exact for every weight.
 
-    A radial w**s is integrated exactly (``log_ball_integral``), a tabulated
-    one as the sum of |cell_j & B| v_j**s (``_grid_cells``), and a product on
-    the line by ``line_integral.log_line_integral``.  A product in the plane
-    takes the cell rule on (w / c)**s, c the largest finite w on the boundary
-    circle's scan, which keeps extreme exponents in float range.
+    A radial w**s is integrated by ``log_ball_integral``, a tabulated one as
+    the sum of |cell_j & B| v_j**s (``_grid_cells``), a product on the line
+    by ``line_integral.log_line_integral`` and a product in the plane by
+    ``plane_integral.log_disk_integral``.
     """
     if form is not None:
         center, profile, log_scale = form
@@ -329,21 +328,10 @@ def _log_integral(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None
         lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
         factors = [(float(m[0]), _profile_power(prof, s)) for m, prof in radial[1]]
         return s * math.log(radial[0]) + log_line_integral(factors, lo, hi)[0]
-    if scheme is None:
-        scheme = default_scheme(ball.dimension)
-    with np.errstate(divide="ignore", over="ignore"):
-        pv = eval_weight_batch(w, _circle(ball, _scan_angles(len(radial[1]))), extended=True)
-    finite = pv[np.isfinite(pv) & (pv > 0)]
-    c = float(np.max(finite)) if finite.size else 1.0
+    from .plane_integral import log_disk_integral  # only plane products compile it
 
-    def fn(pts):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return (eval_weight_batch(w, pts, extended=True) / c) ** s
-
-    m = integrate_ball(fn, ball, scheme, weight_singularities(w, s))
-    # a non-finite integral of w^s counts as +inf
-    log_m = math.log(m) if m > 0.0 else (-math.inf if m == 0.0 else math.inf)
-    return s * math.log(c) + log_m
+    factors = [(m, s * prof.exponent) for m, prof in radial[1]]
+    return s * math.log(radial[0]) + log_disk_integral(factors, ball.center, ball.radius)
 
 
 def _grid_cells(w, ball: Ball) -> tuple:
@@ -378,56 +366,33 @@ def _quadrant_area(x, y, r: float) -> np.ndarray:
     return np.where(y < 0.0, below, 2.0 * (f(np.clip(x, -r, r)) + f(r)) - below)
 
 
-def weighted_measure(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
-    """Integral of w(x)**s over the ball.
-
-    Exact for every weight but a multi-factor product in the plane, which
-    takes the cell rule of ``scheme``, with the singular factors integrated
-    exactly on the cells around their centers.  It reads the same integral
-    as ``power_mean``.
-    """
+def weighted_measure(w, s: float, ball: Ball) -> float:
+    """Integral of w(x)**s over the ball, exact for every weight
+    (``_log_integral``).  It reads the same integral as ``power_mean``."""
     s = float(s)
-    return _exp(_log_integral(w, s, _radial_form(w, s), ball, scheme))
+    return _exp(_log_integral(w, s, _radial_form(w, s), ball))
 
 
-def ball_measure(w, ball: Ball, scheme: QuadratureScheme | None = None) -> float:
-    """|B| by the rule the averages of w divide by: the Lebesgue measure when
-    w's integrals are exact, the cell measure of ``scheme`` for a
-    multi-factor product in the plane."""
-    return _ball_measure(w, _radial_form(w, 1.0), ball, scheme)
-
-
-def _ball_measure(w, form, ball: Ball, scheme: QuadratureScheme | None) -> float:
-    """``ball_measure``, where ``form`` is ``_radial_form(w, s)``."""
-    if form is not None or ball.dimension == 1 or radial_factors(w) is None:
-        return lebesgue_ball(ball.dimension, ball.radius)
-    if scheme is None:
-        scheme = default_scheme(ball.dimension)
-    return integrate_ball(lambda pts: np.ones(pts.shape[0]), ball, scheme)
-
-
-def power_mean(w, s: float, ball: Ball, scheme: QuadratureScheme | None = None,
-               log: bool = False) -> float:
+def power_mean(w, s: float, ball: Ball, log: bool = False) -> float:
     """(average of w**s over the ball)**(1/s), or its logarithm with ``log``.
 
-    The average is ``weighted_measure``'s integral over ``ball_measure``:
-    exact but for a multi-factor product in the plane, which takes cells.
-    The integral is carried as a logarithm, so the mean neither under- nor
-    overflows on small balls at extreme exponents (|x|^260, or reverse
-    Holder exponents up to 2^10); the class estimators form their ratios
-    from the logarithms.
+    The average is ``weighted_measure``'s integral over |B|, exact for every
+    weight.  The integral is carried as a logarithm, so the mean neither
+    under- nor overflows on small balls at extreme exponents (|x|^260, or
+    reverse Holder exponents up to 2^10); the class estimators form their
+    ratios from the logarithms.
     """
     s = float(s)
     if s == 0.0:
         raise ValueError("power mean needs a nonzero exponent")
-    mean = _log_mean(w, s, _radial_form(w, s), ball, scheme)
+    mean = _log_mean(w, s, _radial_form(w, s), ball)
     return mean if log else _exp(mean)
 
 
-def _log_mean(w, s: float, form, ball: Ball, scheme: QuadratureScheme | None) -> float:
+def _log_mean(w, s: float, form, ball: Ball) -> float:
     """log ``power_mean(w, s, ball)``, where ``form`` is ``_radial_form(w, s)``."""
-    log_vol = math.log(_ball_measure(w, form, ball, scheme))
-    return (_log_integral(w, s, form, ball, scheme) - log_vol) / s
+    log_vol = math.log(lebesgue_ball(ball.dimension, ball.radius))
+    return (_log_integral(w, s, form, ball) - log_vol) / s
 
 
 def essential_infimum(w, ball: Ball) -> float:
@@ -468,7 +433,7 @@ def _product_minimizers(factors, ball: Ball) -> np.ndarray:
     if max(es) > 0.0:
         raise ValueError(f"a product's infimum needs every exponent negative: {es}")
     if ball.dimension != 1:
-        return _circle(ball, _circle_minimizers(factors, ball))
+        return _circle_minimizers(factors, ball)
     cs = [float(c[0]) for c, _ in factors]
     lo, hi = (float(ball.center[0] + t * ball.radius) for t in (-1.0, 1.0))
     cuts = sorted({lo, hi, *(c for c in cs if lo < c < hi)})
@@ -484,9 +449,11 @@ def _product_minimizers(factors, ball: Ball) -> np.ndarray:
 
 
 def _circle_minimizers(factors, ball: Ball) -> np.ndarray:
-    """``_scan_angles`` and the ends of each of its - to + sign changes of
-    d/dtheta log w, bisected to adjacent floats: prod_i |x - c_i|^2 d/dtheta
-    log w is a trigonometric polynomial of degree at most k (<= 2k roots)."""
+    """The points of the boundary circle at 256 k scan angles in [pi, 3 pi]
+    (off 0, so that bisection ends) and at the ends of each - to + sign
+    change of d/dtheta log w on the scan, bisected to adjacent floats:
+    prod_i |x - c_i|^2 d/dtheta log w is a trigonometric polynomial of
+    degree at most k (<= 2k roots)."""
     v = np.array([c for c, _ in factors]) - ball.center
     es = np.array([p.exponent for _, p in factors])
 
@@ -497,23 +464,14 @@ def _circle_minimizers(factors, ball: Ball) -> np.ndarray:
             slope = np.sum(es * (v[:, 0] * sin - v[:, 1] * cos) / (dx * dx + dy * dy), axis=1)
         return ~(slope < 0.0)
 
-    theta = _scan_angles(len(factors))
+    theta = math.pi + np.linspace(0.0, 2.0 * math.pi, 256 * len(factors) + 1)
     up = rising(theta)
     j = np.nonzero(~up[:-1] & up[1:])[0]
     a, b = theta[j], theta[j + 1]
     while np.any(move := (a < (mid := 0.5 * a + 0.5 * b)) & (mid < b)):
         up = rising(mid)
         a, b = np.where(move & ~up, mid, a), np.where(move & up, mid, b)
-    return np.concatenate([theta, a, b])
-
-
-def _scan_angles(k: int) -> np.ndarray:
-    """k factors' scan: 256 k angles in [pi, 3 pi], off 0 so that bisection ends."""
-    return math.pi + np.linspace(0.0, 2.0 * math.pi, 256 * k + 1)
-
-
-def _circle(ball: Ball, theta) -> np.ndarray:
-    """The points of the ball's boundary circle at the angles ``theta``."""
+    theta = np.concatenate([theta, a, b])
     return ball.center + ball.radius * np.column_stack([np.cos(theta), np.sin(theta)])
 
 
@@ -552,19 +510,16 @@ def _ratio(log_num: float, log_den: float) -> float:
     return _exp(log_num - log_den)
 
 
-def _class_constant(label, w, a, b, family, scheme):
+def _class_constant(label, w, a, b, family):
     """sup_B M_a(B) / M_b(B) over the family, where M_s is the power mean of
     order s (``power_mean``, as a logarithm) and M_{-inf} the essential
     infimum of w on B (``essential_infimum``); the orders are exact ratios
     (num, den), or None for -inf.  A class that ``class_exclusion`` rules
     out reads +inf and evaluates no ball; otherwise each ball is read once,
-    exactly, but for a multi-factor product's means in the plane, which
-    take ``scheme`` refined 8-fold."""
+    exactly."""
     excluded = class_exclusion(w, a, b)
     if excluded is not None:
         return WeightClassReport(label, math.inf, "diverging", None, excluded, len(family))
-    if w.dimension != 1:
-        scheme = (default_scheme(w.dimension) if scheme is None else scheme).refined(2**3)
     a, b = (-math.inf if t is None else t[0] / t[1] for t in (a, b))
     # w**s's radial form is one per order, whatever the ball
     forms = {s: _radial_form(w, 1.0 if s == -math.inf else s) for s in (a, b)}
@@ -573,7 +528,7 @@ def _class_constant(label, w, a, b, family, scheme):
         if s == -math.inf:
             lo = _essential_infimum(w, forms[s], ball)
             return math.log(lo) if lo > 0.0 else -math.inf
-        return _log_mean(w, s, forms[s], ball, scheme)
+        return _log_mean(w, s, forms[s], ball)
 
     ratios = [_ratio(log_mean(a, ball), log_mean(b, ball)) for ball in family]
     k = max(range(len(ratios)), key=ratios.__getitem__)
@@ -581,28 +536,25 @@ def _class_constant(label, w, a, b, family, scheme):
     return WeightClassReport(label, ratios[k], verdict, family.balls[k], None, len(family))
 
 
-def estimate_A1_constant(w, family: BallFamily,
-                         scheme: QuadratureScheme | None = None) -> WeightClassReport:
+def estimate_A1_constant(w, family: BallFamily) -> WeightClassReport:
     """sup_B (average of w over B) / (essential infimum of w on B).
 
     Like every class estimator, it forms its per-ball ratio from the
     logarithms of ``power_mean`` (``_class_constant``)."""
-    return _class_constant("A_1", w, (1, 1), None, family, scheme)
+    return _class_constant("A_1", w, (1, 1), None, family)
 
 
-def estimate_Ap_constant(w, p: float, family: BallFamily,
-                         scheme: QuadratureScheme | None = None) -> WeightClassReport:
+def estimate_Ap_constant(w, p: float, family: BallFamily) -> WeightClassReport:
     """sup_B (avg_B w) * (avg_B w^{-1/(p-1)})^{p-1} for p > 1."""
     p = float(p)
     if p <= 1.0:
         raise ValueError("estimate_Ap_constant needs p > 1 (use estimate_A1_constant)")
     num, den = p.as_integer_ratio()
     # (avg w^dual)^(p-1) equals power_mean(w, dual)^(-1), dual = -1/(p-1)
-    return _class_constant(f"A_p(p={p:g})", w, (1, 1), (-den, num - den), family, scheme)
+    return _class_constant(f"A_p(p={p:g})", w, (1, 1), (-den, num - den), family)
 
 
-def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
-                          scheme: QuadratureScheme | None = None) -> WeightClassReport:
+def estimate_Apq_constant(w, p: float, q: float, family: BallFamily) -> WeightClassReport:
     """Two-exponent constant for the fractional maximal inequality.
 
     For p > 1: sup_B (avg w^q)^{1/q} (avg w^{-p'})^{1/p'}; for p = 1 the dual
@@ -614,18 +566,15 @@ def estimate_Apq_constant(w, p: float, q: float, family: BallFamily,
     num, den = p.as_integer_ratio()
     # (avg w^{-p'})^{1/p'} equals power_mean(w, -p')^{-1}
     dual = (-num, num - den) if p > 1.0 else None
-    return _class_constant(f"A_pq(p={p:g},q={q:g})", w, q.as_integer_ratio(), dual, family,
-                           scheme)
+    return _class_constant(f"A_pq(p={p:g},q={q:g})", w, q.as_integer_ratio(), dual, family)
 
 
-def estimate_RH_constant(w, s_exp: float, family: BallFamily,
-                         scheme: QuadratureScheme | None = None) -> WeightClassReport:
+def estimate_RH_constant(w, s_exp: float, family: BallFamily) -> WeightClassReport:
     """Reverse Holder constant: sup_B (avg_B w^s)^{1/s} / (avg_B w)."""
     s_exp = float(s_exp)
     if s_exp <= 1.0:
         raise ValueError("reverse Holder exponent must exceed 1")
-    return _class_constant(f"RH_s(s={s_exp:g})", w, s_exp.as_integer_ratio(), (1, 1), family,
-                           scheme)
+    return _class_constant(f"RH_s(s={s_exp:g})", w, s_exp.as_integer_ratio(), (1, 1), family)
 
 
 # ---------------------------------------------------------------------------

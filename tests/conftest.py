@@ -1,6 +1,6 @@
 import pytest
 
-from rieszkit import QuadratureScheme, default_ball_family, dyadic_ball_family
+from rieszkit import default_ball_family, dyadic_ball_family
 
 
 @pytest.fixture(scope="session")
@@ -12,9 +12,3 @@ def std_family():
 @pytest.fixture(scope="session")
 def small_family():
     return dyadic_ball_family([[0.0], [1.0], [-1.0]], -6, 2)
-
-
-@pytest.fixture(scope="session")
-def fast_scheme():
-    """Cheaper 1-d scheme for unit tests that do many integrals."""
-    return QuadratureScheme(resolution=128, tol=1e-5)

@@ -40,8 +40,8 @@ def _base_config(**extra):
 def test_bundled_configs_validate():
     for name in os.listdir(CONFIG_DIR):
         cfg = load_config(os.path.join(CONFIG_DIR, name))
-        assert cfg.dimension == (2 if name in ("sweep-disk.json", "weights-tabulated-plane.json")
-                                 else 1)
+        assert cfg.dimension == (2 if name in ("sweep-disk.json", "weights-tabulated-plane.json",
+                                               "weights-product-plane.json") else 1)
 
 
 def test_missing_field_paths(tmp_path):
@@ -901,10 +901,12 @@ def test_each_command_loads_only_its_modules(tmp_path):
     sweep no atom or campaign module, the maximal-inequality check no atom
     module, and `atoms gen` and `atoms validate` no campaign module: a
     process compiles only the source its command runs.  Only the maximal
-    check and the integrals of a product weight load the whole-line rule
-    (``line_integral``, whose panel grading ``panels`` holds apart from
-    ``operators``), so a campaign process and a power or log classify do not
-    compile it, and a product classify does not compile ``operators``.  No
+    check and the integrals of a product weight on the line load the
+    whole-line rule (``line_integral``), and only a product weight's
+    integrals in the plane load the disk rule (``plane_integral``); both
+    take their panels from ``panels``, which holds them apart from
+    ``operators``.  So a campaign process and a power or log classify
+    compile neither, and a product classify does not compile ``operators``.  No
     command loads numpy.random (the atom stream is ``rieszkit.rng``),
     numpy.ma (which np.unique imports), hashlib and its OpenSSL module _hashlib (the config
     hash in the checks' provenance is the builtin sha256) or dataclasses
@@ -913,7 +915,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = rieszkit.cli.main(argv)\n"
             "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify',\n"
-            "                                       'line_integral', 'hashlib', '_hashlib',\n"
+            "                                       'line_integral', 'plane_integral', 'panels',\n"
+            "                                       'hashlib', '_hashlib',\n"
             "                                       'numpy.random', 'numpy.ma', 'dataclasses')\n"
             "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
 
@@ -937,17 +940,20 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["weights", "classify", "--config", os.path.join(CONFIG_DIR, "weights-power-half.json")],
         ["operator", "sweep", "--config", os.path.join(CONFIG_DIR, "sweep-t02.json")],
         ["verify", "--config", os.path.join(CONFIG_DIR, "maximal-power-half.json")]) == [
-        "loaded 0 []", "loaded 0 []", "loaded 0 ['operators']",
-        "loaded 0 ['operators', 'verify', 'line_integral']"]
+        "loaded 0 []", "loaded 0 []", "loaded 0 ['operators', 'panels']",
+        "loaded 0 ['operators', 'verify', 'line_integral', 'panels']"]
     assert loaded(["weights", "classify", "--config", product]) == [
-        "loaded 0 ['line_integral']"]
+        "loaded 0 ['line_integral', 'panels']"]
+    assert loaded(["weights", "classify", "--config",
+                   os.path.join(CONFIG_DIR, "weights-product-plane.json")]) == [
+        "loaded 0 ['plane_integral', 'panels']"]
     assert loaded(
         ["atoms", "gen", "--config", atoms_cfg],
         ["atoms", "validate", "--config", atoms_cfg, "--manifest",
          str(tmp_path / "0" / "atoms.jsonl")],
         ["verify", "--config", thm1]) == [
-        "loaded 0 ['atoms', 'operators']", "loaded 0 ['atoms', 'operators']",
-        "loaded 0 ['atoms', 'operators', 'verify']"]
+        "loaded 0 ['atoms', 'operators', 'panels']", "loaded 0 ['atoms', 'operators', 'panels']",
+        "loaded 0 ['atoms', 'operators', 'verify', 'panels']"]
 
 
 def test_no_command_calls_lapack(tmp_path):
@@ -1159,7 +1165,7 @@ def test_bundled_reports_are_strict_json(tmp_path, capsys):
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_all_verifications.py")
     _python(script, "--out", str(tmp_path / "all"), check=True)
     reports = sorted((tmp_path / "all").rglob("*.json"))
-    assert len(reports) == 10
+    assert len(reports) == 11
     for path in reports:
         json.loads(path.read_text(), parse_constant=_no_constant)
     report = json.loads((tmp_path / "all" / "weights-power-half" / "weights-classify.json")

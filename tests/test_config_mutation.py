@@ -109,6 +109,7 @@ RUNS = {"atoms-campaign.json": ["atoms", "gen"], "corollary.json": ["verify"],
         "weights-log.json": ["weights", "classify"],
         "weights-power-half.json": ["weights", "classify"],
         "weights-product.json": ["weights", "classify"],
+        "weights-product-plane.json": ["weights", "classify"],
         "weights-tabulated-plane.json": ["weights", "classify"],
         **{name: ["verify"] for name in BUNDLED if name.startswith("check-")}}
 CAMPAIGN_COUNT = 2
