@@ -25,7 +25,7 @@ _EXPORTS = {
                   "MaximalPolicy", "PolynomialProfile", "SampledFunction", "apply_T",
                   "apply_T_batch", "equal_split", "fractional_maximal",
                   "fractional_maximal_witness", "hl_maximal", "hl_maximal_witness",
-                  "indicator", "riesz_potential", "weighted_norm"),
+                  "indicator", "riesz_potential"),
     "atoms": ("Atom", "AtomParams", "AtomSampler", "AtomValidation", "CampaignSpec",
               "atom_class", "atom_from_record", "construct_atom", "read_atom_manifest",
               "sample_atom_campaign", "validate_atom", "write_atom_manifest"),

@@ -14,6 +14,10 @@ variable, which keeps the system well conditioned at every scale), and the
 size bound is then saturated by scaling.  Saturation is deliberate: the
 verification campaigns stress the uniform operator bounds hardest at the
 norm ceiling.
+
+Both read ||a||_{p0} exactly (``_p0_norm``) and the moments in closed form,
+so ``validate_atom`` checks what ``construct_atom`` built independently of
+any quadrature scheme; only a plane atom at p0 != 2 still takes cells.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ import numpy as np
 
 from .errors import AuditItem, ConfigError, DegenerateProfile
 from .geometry import Ball
-from .quadrature import QuadratureScheme, default_scheme, lebesgue_ball
-from .operators import PolynomialProfile, SampledFunction, weighted_norm
+from .quadrature import gauss_jacobi, lebesgue_ball
+from .operators import PolynomialProfile, SampledFunction
 from .records import asdict, record
 from .rng import PCG64, generate_state
-from .weights import (AP_CAP, PowerWeight, critical_indices, weight_to_dict,
-                      weighted_measure)
+from .weights import AP_CAP, critical_indices, weight_to_dict, weighted_measure
 
 A2_REL_TOL = 1e-8
 MOMENT_REL_TOL = 1e-10
@@ -70,16 +73,6 @@ def _gram(indices, dimension: int) -> np.ndarray:
             g[i, j] = unit_ball_monomial_integral(
                 tuple(x + y for x, y in zip(a, b)), dimension)
     return g
-
-
-def _l2_norm_sq(coeffs: dict, dimension: int) -> float:
-    keys = list(coeffs)
-    total = 0.0
-    for i, a in enumerate(keys):
-        for b in keys:
-            total += coeffs[a] * coeffs[b] * unit_ball_monomial_integral(
-                tuple(x + y for x, y in zip(a, b)), dimension)
-    return total
 
 
 def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,16 +209,18 @@ def class_audits(w, p: float, d: int | None):
 @record(frozen=True, eq=False)
 class Atom:
     ball: Ball
-    profile: object
+    profile: PolynomialProfile
     params: AtomParams
     seed: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.profile, PolynomialProfile):
+            raise TypeError("an atom's profile must be a PolynomialProfile")
 
     def function(self) -> SampledFunction:
         return SampledFunction(self.ball, self.profile)
 
     def to_record(self) -> dict:
-        if not isinstance(self.profile, PolynomialProfile):
-            raise TypeError("only polynomial atoms are serializable")
         return {"ball": self.ball.to_dict(), "profile": self.profile.to_dict(),
                 "params": self.params.to_dict(), "seed": self.seed}
 
@@ -290,13 +285,73 @@ def _norm_bound(ball: Ball, params: AtomParams) -> float:
     return bound
 
 
-def _p0_norm(fn: SampledFunction, p0: float, scheme: QuadratureScheme) -> float:
-    flat = PowerWeight(0.0, fn.dimension)
-    return weighted_norm(fn, p0, flat, 1.0, scheme)
+def polynomial_zeros(coeffs) -> np.ndarray:
+    """The complex zeros of sum_k coeffs[k] u^k (coeffs[-1] != 0), all at
+    once by Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from a
+    circle of radius |coeffs[0] / coeffs[-1]|^(1/n), the zeros' geometric
+    mean.  A zero stops moving once |p(z)| is within 4 eps of
+    sum_k |c_k| |z|^k, its rounding level, and all stop after 64 steps; a
+    zero whose imaginary part is at most 1e-12 max(1, |z|) is returned
+    real.  No LAPACK runs."""
+    a = np.asarray(coeffs, dtype=float) / coeffs[-1]
+    n = a.size - 1
+    radius = abs(a[0]) ** (1.0 / n) if n and a[0] else 1.0
+    z = radius * np.exp(1j * (2.0 * math.pi * np.arange(n) + 0.5) / n)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    for _ in range(64 if n else 0):
+        p, dp, size, modulus = np.zeros(n, complex), np.zeros(n, complex), np.zeros(n), abs(z)
+        for c in a[::-1]:
+            p, dp, size = p * z + c, dp * z + p, size * modulus + abs(c)
+        moving = abs(p) > 4.0 * np.finfo(float).eps * size
+        if not moving.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = p / dp
+            pull = np.sum(np.where(off_diagonal, 1.0 / (z[:, None] - z), 0.0), axis=1)
+            step = ratio / (1.0 - ratio * pull)
+        z = np.where(moving & np.isfinite(step), z - step, z)
+    real = abs(z.imag) <= 1e-12 * np.maximum(1.0, abs(z))
+    return np.where(real, z.real + 0j, z)
 
 
-def construct_atom(ball: Ball, params: AtomParams, seed: int,
-                   scheme: QuadratureScheme | None = None) -> Atom:
+def _p0_norm(profile: PolynomialProfile, ball: Ball, p0: float) -> float:
+    """||a||_{p0} over the ball for a = profile.  At p0 = 2, a Gauss rule
+    exact for a^2 on [-1, 1] or, in polar coordinates, on the unit disk, so
+    no digit is lost to cancellation; at other p0, on the line, the
+    whole-line rule over [-1, 1] of prod_k |u - z_k|^p0 at the zeros z_k
+    (``polynomial_zeros``) times |c|^p0 for the leading coefficient c, in
+    logarithms; in the plane, cells at ``quadrature.default_scheme(2)``."""
+    n, degree = ball.dimension, profile.degree()
+    if not profile.coeffs:
+        return 0.0
+    if p0 == 2.0:
+        t, _, _, logw = gauss_jacobi(degree + 1, 0.0, n - 1.0)
+        pts, wts = t[:, None], np.exp(logw)
+        if n == 2:
+            # radii (1 + t) / 2, whose rule's weight 1 + t is the polar
+            # Jacobian, on 2 degree + 1 equal angles
+            turn = np.exp(2j * math.pi * np.arange(2 * degree + 1) / (2 * degree + 1))
+            z = np.outer(0.5 * (1.0 + t), turn).ravel()
+            pts = np.column_stack([z.real, z.imag])
+            wts = np.repeat(wts * (math.pi / (2.0 * turn.size)), turn.size)
+        vals = profile.eval(Ball(np.zeros(n), 1.0), pts)
+        big = float(np.max(np.abs(vals)))
+        return big * math.sqrt(float(np.sum(wts * (vals / big) ** 2))) * ball.radius ** (n / 2.0)
+    if n == 2:
+        from .quadrature import integrate_ball
+
+        fn = SampledFunction(ball, profile)
+        return integrate_ball(lambda pts: np.abs(fn.eval(pts)) ** p0, ball) ** (1.0 / p0)
+    from .line_integral import log_line_integral
+    from .quadrature import PowerProfile
+
+    coeffs = [profile.coeffs.get((k,), 0.0) for k in range(degree + 1)]
+    power = PowerProfile(p0)
+    log_int = log_line_integral([(z, power) for z in polynomial_zeros(coeffs)], -1.0, 1.0)[0]
+    return math.exp(math.log(abs(coeffs[-1])) + (math.log(ball.radius) + log_int) / p0)
+
+
+def construct_atom(ball: Ball, params: AtomParams, seed: int) -> Atom:
     """Seeded random polynomial of degree d+2, projected and saturated.
 
     The coefficients, in ``multiindices`` order, are uniform on [-1, 1):
@@ -306,16 +361,14 @@ def construct_atom(ball: Ball, params: AtomParams, seed: int,
     DegenerateProfile so the caller can resample.
     """
     n = params.dimension
-    if scheme is None:
-        scheme = default_scheme(n)
     rng = PCG64(seed)
     keys = multiindices(n, params.d + 2)
     raw = {k: rng.uniform(-1.0, 1.0) for k in keys}
-    resid = project_away_moments(raw, params.d, n)
-    if _l2_norm_sq(resid, n) < (DEGENERACY_TOL ** 2) * _l2_norm_sq(raw, n):
+    prof = PolynomialProfile(project_away_moments(raw, params.d, n))
+    unit = Ball(np.zeros(n), 1.0)
+    if _p0_norm(prof, unit, 2.0) < DEGENERACY_TOL * _p0_norm(PolynomialProfile(raw), unit, 2.0):
         raise DegenerateProfile(f"projection annihilated the seed-{seed} profile")
-    prof = PolynomialProfile(resid)
-    norm = _p0_norm(SampledFunction(ball, prof), params.p0, scheme)
+    norm = _p0_norm(prof, ball, params.p0)
     if norm <= 0.0:
         raise DegenerateProfile(f"seed-{seed} profile has zero norm")
     target = _norm_bound(ball, params)
@@ -341,19 +394,16 @@ class AtomValidation:
                 "norm": self.norm, "bound": self.bound}
 
 
-def validate_atom(atom: Atom, scheme: QuadratureScheme | None = None) -> AtomValidation:
+def validate_atom(atom: Atom) -> AtomValidation:
     """Check support, the size bound and the vanishing moments.
 
-    Moments of polynomial profiles are integrated exactly; other profiles
-    fall back to quadrature.  The moment tolerance is scaled by
-    r^{|beta| + n (1 - 1/p0)} so validation is dilation stable.
+    The norm is ``_p0_norm``'s and the moments are exact.  The moment
+    tolerance is scaled by r^{|beta| + n (1 - 1/p0)} so validation is
+    dilation stable.
     """
     params = atom.params
     n = params.dimension
-    if scheme is None:
-        scheme = default_scheme(n)
-    fn = atom.function()
-    norm = _p0_norm(fn, params.p0, scheme)
+    norm = _p0_norm(atom.profile, atom.ball, params.p0)
     bound = _norm_bound(atom.ball, params)
     size_ok = norm <= bound * (1.0 + A2_REL_TOL)
 
@@ -361,19 +411,7 @@ def validate_atom(atom: Atom, scheme: QuadratureScheme | None = None) -> AtomVal
     margins = {}
     moments_ok = True
     for beta in multiindices(n, params.d):
-        if isinstance(atom.profile, PolynomialProfile):
-            mom = profile_raw_moment(atom.profile, atom.ball, beta)
-        else:
-            from .quadrature import integrate_ball
-
-            def integrand(pts, _b=beta):
-                out = fn.eval(pts)
-                for dax, e in enumerate(_b):
-                    if e:
-                        out = out * pts[:, dax] ** e
-                return out
-
-            mom = integrate_ball(integrand, atom.ball, scheme)
+        mom = profile_raw_moment(atom.profile, atom.ball, beta)
         tol = MOMENT_REL_TOL * norm * r ** (sum(beta) + n * (1.0 - 1.0 / params.p0))
         margins[beta] = abs(mom) / tol if tol > 0 else math.inf
         if abs(mom) > tol:
@@ -422,8 +460,7 @@ def derive_seed(campaign_seed: int, index: int, retry: int = 0) -> int:
 
 
 def sample_atom_campaign(params: AtomParams, sampler: AtomSampler, count: int,
-                         seed: int, scheme: QuadratureScheme | None = None,
-                         max_retries: int = 8) -> list:
+                         seed: int, max_retries: int = 8) -> list:
     """``count`` validated atoms on the lattice of the sampler, reproducible by seed."""
     if count < 1:
         raise ValueError("campaign needs at least one atom")
@@ -432,8 +469,7 @@ def sample_atom_campaign(params: AtomParams, sampler: AtomSampler, count: int,
         ball = sampler.ball(i)
         for retry in range(max_retries):
             try:
-                atoms.append(construct_atom(ball, params, derive_seed(seed, i, retry),
-                                            scheme))
+                atoms.append(construct_atom(ball, params, derive_seed(seed, i, retry)))
                 break
             except DegenerateProfile as exc:
                 last = exc

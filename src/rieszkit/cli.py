@@ -152,7 +152,7 @@ def cmd_atoms_gen(cfg: RunConfig, out_dir: str, seed: int | None) -> int:
     params = _atom_params_from(cfg)[0]
     spec = _with_seed(cfg.campaign, seed)
     sampler = AtomSampler(tuple(np.asarray(c) for c in spec.centers), spec.radii)
-    atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, cfg.quadrature)
+    atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed)
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "atoms.jsonl")
     write_atom_manifest(atoms, manifest)
@@ -167,7 +167,7 @@ def cmd_atoms_validate(cfg: RunConfig, out_dir: str, manifest: str) -> int:
     rows = []
     all_ok = True
     for i, atom in enumerate(atoms):
-        rep = validate_atom(atom, cfg.quadrature)
+        rep = validate_atom(atom)
         rows.append({"index": i, **rep.to_dict()})
         all_ok &= rep.passed
     _write_report(out_dir, "atoms-validate", {"count": len(atoms), "all_passed": all_ok,
@@ -182,16 +182,15 @@ def _run_check(cfg: RunConfig, item: dict, seed: int | None, jobs: int):
                          check_rh_ball_inequality, run_theorem_campaign)
 
     name = item["check"]
-    scheme = cfg.quadrature
     if name in ("theorem-thm1", "theorem-ta"):
         kind = "thm-zero" if name == "theorem-thm1" else "thm-positive"
         return run_theorem_campaign(kind, cfg.weight, cfg.exponents, cfg.matrices,
-                                    _with_seed(cfg.campaign, seed), scheme, jobs=jobs)
+                                    _with_seed(cfg.campaign, seed), jobs=jobs)
     if name == "pointwise-atom-bound":
         params, audits = _atom_params_from(cfg)
         return check_pointwise_atom_bound(
             params, cfg.exponents, cfg.matrices, item["center"], radii=item["radii"],
-            seed=seed if seed is not None else item["seed"], scheme=scheme, audits=audits)
+            seed=seed if seed is not None else item["seed"], audits=audits)
     if name == "rh-ball-inequality":
         return check_rh_ball_inequality(cfg.weight, item["p"], item["alpha"], cfg.family)
     return check_maximal_inequalities(cfg.weight, item["p"], item["test_balls"], item["alpha"])

@@ -36,6 +36,9 @@ MAX_COUNT = 10**6
 # on the bundled atom campaign's balls fail `atoms validate`'s moment check,
 # so a config asking for more (atom.d), or whose atom.p derives more, is refused
 MAX_DEGREE = 7
+# atom-exponent cap: up to p0 = 1e5 the atoms' norms read 30-digit mpmath to
+# 2e-14; at 1e6 the Gauss-Jacobi rule at their zeros merges nodes (2e-8 off)
+MAX_P0 = 1e5
 MAX_SWEEP_POINTS = 10**5
 MAX_RESOLUTION = {1: 2**20, 2: 2**10}
 MAX_CAMPAIGN_RESOLUTION = 2**16
@@ -376,8 +379,7 @@ def build_campaign(block: dict | None, atom_block: dict | None, dimension: int,
     p = _number(atom_block, "p", "atom", False, 1.0)
     _expect(0.0 < p <= 1.0, "atom.p", "must lie in (0, 1]")
     p0 = _number(atom_block, "p0", "atom", False, 2.0)
-    _expect(p0 > 1.0 and math.isfinite(p0), "atom.p0",
-            "must be finite and exceed 1 (infinite p0 is out of scope)")
+    _expect(1.0 < p0 <= MAX_P0, "atom.p0", f"must exceed 1 and be at most {MAX_P0:g}")
     # every derived degree is at least floor(n (1/p - 1)) (q_critical >= 1)
     _expect(dimension * (1.0 / p - 1.0) < MAX_DEGREE + 1, "atom.p",
             f"derives a moment degree of at least n (1/p - 1) = "

@@ -38,9 +38,9 @@ about the preimage A^{-1} x, which ``quadrature.log_ball_integral`` computes
 exactly (2e-15 relative against 30-digit mpmath, at the centre, one ulp
 either side of the circle and out to 40 radii).
 
-Every other case (tabulated and callable profiles, other disks) is computed
-by midpoint cells over the support with the kernel's radial singularities
-integrated exactly by the product-integration machinery in `quadrature`.
+Every other T f (tabulated and callable profiles, other disks) takes
+midpoint cells over the support at a ``QuadratureScheme``, with the kernel's
+radial singularities integrated exactly by `quadrature`'s product rules.
 
 Maximal functions (Hardy-Littlewood and fractional) are
 computed as maxima over finite, lattice-aligned candidate ball sets and are
@@ -63,7 +63,7 @@ from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
                          lebesgue_ball, log_ball_integral)
 from .panels import graded_panels
 from .records import field, record
-from .weights import _exp, eval_weight_batch, weight_singularities
+from .weights import _exp
 
 #: a point is far field when every preimage is this many radii from the centre
 FAR_FIELD_RATIO = 3.0
@@ -330,8 +330,6 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
     every other case takes the cell quadrature.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    if scheme is None:
-        scheme = default_scheme(profile.dimension)
     ball = f.ball
     n = ball.dimension
 
@@ -540,6 +538,7 @@ def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: Exponent
     table = [gauss_jacobi(NEAR_FIELD_NODES, float(levels[c // levels.size]),
                           float(levels[c % levels.size])) for c in np.flatnonzero(present)]
     t_lo, t_hi, wts = (np.stack([rule[i] for rule in table]) for i in (1, 2, 3))
+    wts = np.exp(wts)
     sums = np.empty((len(profiles), point.size))
     for k in range(0, point.size, _NEAR_BLOCK):
         sl = slice(k, k + _NEAR_BLOCK)
@@ -735,24 +734,3 @@ def fractional_maximal_witness(f: SampledFunction, x, beta: float,
     if n == 1:
         return _maximal_1d(f, float(x[0]), policy, beta=beta)
     return _maximal_2d(f, x, policy, beta=beta)
-
-
-# ---------------------------------------------------------------------------
-# Weighted norms
-# ---------------------------------------------------------------------------
-
-
-def weighted_norm(f: SampledFunction, p: float, w, s: float = 1.0,
-                  scheme: QuadratureScheme | None = None) -> float:
-    """(integral of |f|^p w^s over supp f)^(1/p)."""
-    p = float(p)
-    if p <= 0:
-        raise ValueError("norm exponent must be positive")
-    if scheme is None:
-        scheme = default_scheme(f.dimension)
-
-    def fn(pts):
-        return np.abs(f.eval(pts)) ** p * eval_weight_batch(w, pts, extended=True) ** s
-
-    val = integrate_ball(fn, f.ball, scheme, weight_singularities(w, s))
-    return val ** (1.0 / p)

@@ -73,5 +73,5 @@ def panel_rule(lo, hi, level):
         rule = gauss_jacobi(16, 0.0, e)
         sel = level == e
         x[sel] = 0.5 * rule[1]
-        logw[sel] = np.log(rule[3]) - (1.0 + e) * math.log(2.0)
+        logw[sel] = rule[3] - (1.0 + e) * math.log(2.0)
     return lo[:, None] + width[:, None] * x, logw, (1.0 + level) * np.log(width)

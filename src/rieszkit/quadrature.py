@@ -48,14 +48,16 @@ _DISK_SUBSAMPLE = 8
 
 @record(frozen=True)
 class QuadratureScheme:
-    """Grid resolution and tolerance for the cells of operators and atoms.
+    """Grid resolution and tolerance for the cells of T f in ``operators``,
+    which an operator sweep's config sets (its ``quadrature`` block).
 
     ``resolution`` counts cells per ball radius (per axis in dimension 2).
     ``tol`` bounds the change that a convergence check (``apply_T``) accepts
     when the resolution doubles.  Singular points always take product
     integration on the fixed patch geometry above.  T a of a polynomial or
     indicator profile on the line, T of a disk's indicator under one
-    similarity kernel factor (``operators``) and every weight read neither.
+    similarity kernel factor, every weight and every atom read no scheme
+    (a plane atom's norm at p0 != 2 takes cells at ``default_scheme(2)``).
     """
 
     resolution: int = 512
@@ -536,14 +538,16 @@ def _log_annulus(profile: RadialProfile, d: float, rho: float) -> float:
 @lru_cache(maxsize=64)
 def gauss_jacobi(n: int, alpha: float, beta: float):
     """n-point Gauss rule for the weight (1 - t)**alpha (1 + t)**beta on [-1, 1],
-    alpha, beta > -1, as read-only arrays (nodes, 1 + nodes, 1 - nodes, weights).
+    alpha, beta > -1, as read-only arrays (nodes, 1 + nodes, 1 - nodes, log
+    weights).
 
     The nodes are the eigenvalues of the Jacobi matrix of the monic three-term
     recurrence (Golub & Welsch, Math. Comp. 23, 1969), located all at once by
     Sturm-sequence bisection and polished by Newton steps on the recurrence;
-    the weights are the Christoffel numbers 1 / sum_k q_k(t)**2 of the
-    orthonormal polynomials q_k.  Against 30-digit rules the nodes agree to
-    2e-16 and the weights to 2e-14 relative, down to alpha = -0.9999.
+    the weights are the Christoffel numbers mu0 / sum_k q_k(t)**2 (q_0 = 1,
+    mu0 the weight's integral), in logarithms, so no Gamma function
+    overflows.  Against 30-digit rules the nodes agree to 2e-16 and the
+    weights to 2e-14 relative, down to alpha = -0.9999.
     """
     if not (alpha > -1.0 and beta > -1.0):
         raise ValueError("Gauss-Jacobi exponents must exceed -1")
@@ -579,15 +583,15 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
             p0, p1, d0, d1 = (p1, (t - diag[i]) * p1 - off2[i] * p0,
                               d1, p1 + (t - diag[i]) * d1 - off2[i] * d0)
         t = np.clip(t - p1 / d1, lo, hi)
-    mu0 = (2.0 ** (alpha + beta + 1.0) * math.gamma(alpha + 1.0) * math.gamma(beta + 1.0)
-           / math.gamma(alpha + beta + 2.0))
+    log_mu0 = ((alpha + beta + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+               + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
     off = np.sqrt(off2)
-    q0, q1 = np.zeros(n), np.full(n, 1.0 / math.sqrt(mu0))
+    q0, q1 = np.zeros(n), np.ones(n)
     total = q1 * q1
     for i in range(n - 1):
         q0, q1 = q1, ((t - diag[i]) * q1 - off[i] * q0) / off[i + 1]
         total += q1 * q1
-    rule = (t, 1.0 + t, 1.0 - t, 1.0 / total)
+    rule = (t, 1.0 + t, 1.0 - t, log_mu0 - np.log(total))
     for arr in rule:
         arr.flags.writeable = False
     return rule

@@ -44,8 +44,8 @@ from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, cla
                        default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, apply_T_ball_1d, apply_T_batch,
                         indicator_maximal_1d)
-from .quadrature import (PowerProfile, QuadratureScheme, graded_edges,
-                         integrate_cells_1d, lebesgue_ball, radial_profile)
+from .quadrature import (PowerProfile, graded_edges, integrate_cells_1d, lebesgue_ball,
+                         radial_profile)
 from .records import asdict, field, record
 from .weights import (PowerWeight, _exp, check_matrix_compatibility, critical_indices,
                       estimate_A1_constant, estimate_Ap_constant, estimate_Apq_constant,
@@ -143,7 +143,6 @@ def outer_sample_points(ball: Ball, family: MatrixFamily, per_side: int = 6,
 def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
                                family: MatrixFamily, center,
                                radii=(0.25, 1.0, 4.0), seed: int = 0,
-                               scheme: QuadratureScheme | None = None,
                                samples=None, audits=None) -> VerificationReport:
     """Estimate the constant in the outer-region pointwise bound on the line
     and test its stability across atom radii and a doubled sample set;
@@ -174,7 +173,7 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
     agreement = []
     for r in radii:
         ball = Ball(center, r)
-        fn = construct_atom(ball, params, seed, scheme).function()
+        fn = construct_atom(ball, params, seed).function()
         log_wfac = -math.log(weighted_measure(params.weight, 1.0, ball)) / params.p
         for refine in (1, 2):
             pts = (np.array([as_point(x, n) for x in samples]) if samples is not None
@@ -184,7 +183,7 @@ def check_pointwise_atom_bound(params: AtomParams, profile: ExponentProfile,
                 raise MisclassifiedSample(
                     f"sample {pts[np.argmin(is_outer)].tolist()} lies in an expanded ball")
             x = pts[:, 0]
-            lhs = np.abs(apply_T_batch(fn, pts, profile, family, scheme))
+            lhs = np.abs(apply_T_batch(fn, pts, profile, family))
             # both sides scale alike under dilation, so a huge or tiny ball
             # reads the unit ball's ratio; a right side that underflows to 0
             # leaves it undefined
@@ -586,8 +585,7 @@ def _thm_positive_audits(w, profile, family, spec):
 
 
 def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixFamily,
-                         spec: CampaignSpec, scheme: QuadratureScheme | None = None,
-                         jobs: int = 1) -> VerificationReport:
+                         spec: CampaignSpec, jobs: int = 1) -> VerificationReport:
     """Uniform-atom-bound campaign for the zero-order and positive-order theorems.
 
     kind "thm-zero": atoms for w itself, target norm L^p_w.
@@ -631,7 +629,7 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
         audits.append(degree_audit(d, d_min))
     require_hypotheses(audits)
     params = AtomParams(spec.p, spec.p0, d, atom_weight, n)
-    atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed, scheme)
+    atoms = sample_atom_campaign(params, sampler, spec.count, spec.seed)
 
     # one task per ball, in order of first appearance; rows return in atom order
     groups = {}

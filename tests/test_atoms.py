@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from rieszkit import (AtomParams, AtomSampler, Ball, CallableProfile,
                       PolynomialProfile, PowerWeight, atom_class, atom_from_record,
                       construct_atom, critical_indices, read_atom_manifest,
                       sample_atom_campaign, validate_atom, write_atom_manifest)
-from rieszkit.atoms import (MOMENT_REL_TOL, Atom, _gram, _l2_norm_sq, _solve_spd,
-                            multiindices, profile_raw_moment, project_away_moments,
-                            unit_ball_monomial_integral)
+from rieszkit.atoms import (MOMENT_REL_TOL, Atom, _gram, _p0_norm, _solve_spd,
+                            multiindices, polynomial_zeros, profile_raw_moment,
+                            project_away_moments, unit_ball_monomial_integral)
 from rieszkit.errors import DegenerateProfile
 
 UNIT = PowerWeight(0.0)
@@ -73,7 +74,7 @@ def test_gram_solve_matches_lapack_and_clears_the_moments(case, seed):
     assert np.max(np.abs(_solve_spd(gram, rhs) - ref)) <= 1e-10 * np.max(np.abs(ref))
     coeffs = {k: rng.uniform(-1.0, 1.0) for k in multiindices(n, d + 2)}
     resid = project_away_moments(coeffs, d, n)
-    size = math.sqrt(_l2_norm_sq(coeffs, n))
+    size = _p0_norm(PolynomialProfile(coeffs), Ball(np.zeros(n), 1.0), 2.0)
     for b in low:
         mom = sum(c * unit_ball_monomial_integral(tuple(x + y for x, y in zip(b, k)), n)
                   for k, c in resid.items())
@@ -141,30 +142,36 @@ def test_degree_is_exact_on_the_float_inputs():
 
 
 def test_sign_profile_is_extremal_atom():
-    """c * sign(y) on B(0, 1) with c = 1/2 saturates the size bound."""
+    """c u on B(0, 1) with c = sqrt(3/2) / sqrt(2) saturates the size bound
+    1 / sqrt(2) at p = 1, p0 = 2: its L^2 norm is c sqrt(2/3)."""
     params = AtomParams(1.0, 2.0, 0, UNIT, 1)
     ball = Ball([0.0], 1.0)
-    atom = Atom(ball, CallableProfile(lambda pts: 0.5 * np.sign(pts[:, 0])), params)
+    atom = Atom(ball, PolynomialProfile({(1,): math.sqrt(1.5) / math.sqrt(2.0)}), params)
     rep = validate_atom(atom)
     assert rep.passed
-    assert rep.norm == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
-    assert abs(rep.size_margin) < 1e-8
+    assert rep.norm == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
+    assert abs(rep.size_margin) < 1e-15
 
 
 def test_scaled_profile_fails_size_bound():
     params = AtomParams(1.0, 2.0, 0, UNIT, 1)
-    atom = Atom(Ball([0.0], 1.0),
-                CallableProfile(lambda pts: np.sign(pts[:, 0])), params)
+    atom = Atom(Ball([0.0], 1.0), PolynomialProfile({(1,): math.sqrt(1.5)}), params)
     rep = validate_atom(atom)
     assert not rep.passed and not rep.size_ok
 
 
 def test_constant_profile_fails_moments():
     params = AtomParams(1.0, 2.0, 0, UNIT, 1)
-    atom = Atom(Ball([0.0], 1.0),
-                CallableProfile(lambda pts: 0.5 * np.ones(pts.shape[0])), params)
+    atom = Atom(Ball([0.0], 1.0), PolynomialProfile({(0,): 0.5}), params)
     rep = validate_atom(atom)
     assert not rep.passed and not rep.moments_ok and rep.size_ok
+
+
+def test_an_atom_is_a_polynomial():
+    """An atom holds a PolynomialProfile; any other profile is refused."""
+    params = AtomParams(1.0, 2.0, 0, UNIT, 1)
+    with pytest.raises(TypeError, match="PolynomialProfile"):
+        Atom(Ball([0.0], 1.0), CallableProfile(lambda pts: np.sign(pts[:, 0])), params)
 
 
 def test_construct_atom_validates():
@@ -254,3 +261,130 @@ def test_construct_atom_seed_sweep(seed):
     params = AtomParams(1.0, 2.0, 0, PowerWeight(0.5), 1)
     atom = construct_atom(Ball([1.0], 0.5), params, seed)
     assert validate_atom(atom).passed
+
+
+# ---------------------------------------------------------------------------
+# exact p0 norms
+# ---------------------------------------------------------------------------
+
+
+def _mp_real_zeros(c):
+    """The real zeros in (-1, 1) of the polynomial with mpf coefficients c,
+    highest degree first."""
+    if len(c) < 2:
+        return []
+    zeros = mpmath.polyroots(c, maxsteps=200, extraprec=60)
+    return [mpmath.re(z) for z in zeros
+            if abs(mpmath.im(z)) < mpmath.mpf(10) ** -20 and -1 < mpmath.re(z) < 1]
+
+
+def _mp_line_norm(coeffs, p0, radius):
+    """||a||_{p0} over an interval of radius ``radius`` for a = sum_k
+    coeffs[k] u^k in 30-digit mpmath, on the pieces of [-1, 1] between the
+    real zeros of a: at p0 = 2 and 3 from the exact integrals of a^2 and a^3
+    (a has one sign on each piece), otherwise by tanh-sinh with the
+    integrand scaled by a value near its largest (an unscaled |a|^p0 as
+    small as 1e-39 would meet the quadrature's absolute tolerance early)."""
+    with mpmath.workdps(30):
+        c = [mpmath.mpf(x) for x in coeffs]
+        zeros = _mp_real_zeros(c[::-1]) if p0 != 2.0 else []
+        marks = sorted({mpmath.mpf(-1), mpmath.mpf(1), *zeros})
+        if p0 in (2.0, 3.0):
+            power = [mpmath.mpf(1)]
+            for _ in range(int(p0)):
+                power = [mpmath.fsum(power[j] * c[k - j] for j in range(len(power))
+                                     if 0 <= k - j < len(c))
+                         for k in range(len(power) + len(c) - 1)]
+            primitive = [0] + [ck / (k + 1) for k, ck in enumerate(power)]
+            ends = [mpmath.polyval(primitive[::-1], u) for u in marks]
+            val = mpmath.fsum(abs(hi - lo) for lo, hi in zip(ends, ends[1:]))
+        else:
+            top = max(abs(mpmath.polyval(c[::-1], u)) for u in [*marks, 0])
+            val = top ** p0 * mpmath.quad(
+                lambda u: (abs(mpmath.polyval(c[::-1], u)) / top) ** p0, marks)
+        return (radius * val) ** (1 / mpmath.mpf(p0))
+
+
+@pytest.mark.parametrize("p0", [1.01, 1.5, 2.0, 3.0, 7.3])
+def test_line_norms_match_mpmath(p0):
+    """``validate_atom`` reads the p0 norm of every atom that
+    ``construct_atom`` builds on the line within 1e-12 of 30-digit mpmath,
+    for moment degrees 0 to 7 and 20 seeds each, and each of them saturates
+    its size bound to 1e-12."""
+    ball = Ball([0.3], 0.7)
+    worst = 0.0
+    for d in range(8):
+        params = AtomParams(1.0, p0, d, UNIT, 1)
+        for seed in range(20):
+            atom = construct_atom(ball, params, seed)
+            rep = validate_atom(atom)
+            assert rep.passed and abs(rep.size_margin) <= 1e-12
+            coeffs = [atom.profile.coeffs.get((k,), 0.0) for k in range(d + 3)]
+            ref = _mp_line_norm(coeffs, p0, 0.7)
+            worst = max(worst, abs(float((rep.norm - ref) / ref)))
+    assert worst <= 1e-12
+
+
+def test_plane_l2_norms_match_mpmath():
+    """At p0 = 2 the norm of every atom ``construct_atom`` builds on a disk,
+    degrees 0 to 7, is within 1e-13 of 30-digit mpmath, which sums the
+    exact monomial integrals of a^2 over the unit disk."""
+    ball = Ball([0.3, -0.2], 0.7)
+    for d in range(8):
+        params = AtomParams(1.0, 2.0, d, PowerWeight(0.0, 2), 2)
+        for seed in range(4):
+            atom = construct_atom(ball, params, seed)
+            rep = validate_atom(atom)
+            assert rep.passed and abs(rep.size_margin) <= 1e-12
+            with mpmath.workdps(30):
+                moments = {}
+                for a, ca in atom.profile.coeffs.items():
+                    for b, cb in atom.profile.coeffs.items():
+                        g = (a[0] + b[0], a[1] + b[1])
+                        moments[g] = moments.get(g, 0) + mpmath.mpf(ca) * cb
+                square = mpmath.fsum(
+                    m * mpmath.gamma((g[0] + 1) / mpmath.mpf(2))
+                    * mpmath.gamma((g[1] + 1) / mpmath.mpf(2)) / mpmath.gamma(sum(g) / 2 + 2)
+                    for g, m in moments.items() if g[0] % 2 == g[1] % 2 == 0)
+                ref = mpmath.sqrt(square * mpmath.mpf(0.7) ** 2)
+                assert abs(rep.norm - ref) <= 1e-13 * ref
+
+
+def test_atoms_read_no_cells(monkeypatch):
+    """With every cell rule of ``quadrature`` raising, atoms are built,
+    validated and sampled on the line at every p0 of the mpmath test and in
+    the plane at p0 = 2: their norms and moments read no cell."""
+    import rieszkit.quadrature as quadrature
+
+    def cells(*args, **kwargs):
+        raise AssertionError("a cell rule ran")
+
+    for name in ("integrate_ball", "integrate_cells_1d", "integrate_disk"):
+        monkeypatch.setattr(quadrature, name, cells)
+    cases = [(1, p0) for p0 in (1.01, 1.5, 2.0, 3.0, 7.3)] + [(2, 2.0)]
+    for n, p0 in cases:
+        params = AtomParams(1.0, p0, 1, PowerWeight(0.5, n), n)
+        sampler = AtomSampler((np.zeros(n), np.full(n, 1.0)), (0.5, 2.0))
+        atoms = sample_atom_campaign(params, sampler, 4, seed=5)
+        atoms.append(construct_atom(Ball(np.zeros(n), 1.0), params, 9))
+        assert all(validate_atom(atom).passed for atom in atoms)
+
+
+def test_polynomial_zeros_are_backward_stable():
+    """Aberth-Ehrlich iteration finds every zero of the atoms' polynomials,
+    degrees 2 to 9, to a residual within 1e-14 of sum_k |c_k| |z|^k; a
+    polynomial's real zeros come back real, and a constant has none."""
+    for d in range(8):
+        for seed in range(25):
+            rng = np.random.default_rng(1000 * d + seed)
+            raw = {k: rng.uniform(-1.0, 1.0) for k in multiindices(1, d + 2)}
+            c = np.array([project_away_moments(raw, d, 1)[(k,)] for k in range(d + 3)])
+            zeros = polynomial_zeros(c)
+            assert zeros.size == d + 2
+            residual = np.abs(np.polyval(c[::-1], zeros))
+            assert np.all(residual <= 1e-14 * np.polyval(np.abs(c[::-1]), np.abs(zeros)))
+    # (u - 1/2)(u + 1/4)(u^2 + 1): two real zeros and a pair at +-i
+    zeros = polynomial_zeros(np.polynomial.polynomial.polyfromroots([0.5, -0.25, 1j, -1j]).real)
+    assert sorted(z.real for z in zeros if z.imag == 0.0) == pytest.approx([-0.25, 0.5])
+    assert sorted(z.imag for z in zeros if z.imag != 0.0) == pytest.approx([-1.0, 1.0])
+    assert polynomial_zeros([3.0]).size == 0

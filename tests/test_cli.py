@@ -626,6 +626,55 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
     assert error["error"] == "config" and error["path"] == field
 
 
+@pytest.mark.parametrize("exponent, rh2", [(80.0, 15.714023045625309),
+                                           (300.0, 31.318359981544646)])
+def test_product_weight_with_a_high_power_classifies(tmp_path, exponent, rh2):
+    """|x|^e |x - 1|^-0.4 at e = 80 and 300 classifies with exit 0 and a
+    finite RH_2.  The Gauss-Jacobi rule at the factor's centre forms its
+    weights in logarithms: from Gamma functions outside them, RH_2 read
+    NaN ("diverging") at 80 and the run raised OverflowError (exit 1) at
+    300."""
+    with open(os.path.join(CONFIG_DIR, "weights-product.json")) as fh:
+        raw = json.load(fh)
+    raw["weight"]["factors"][0][0] = exponent
+    out = _python("-m", "rieszkit.cli", "weights", "classify",
+                  "--config", _write(tmp_path, "product.json", raw), "--out", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    with open(tmp_path / "weights-classify.json") as fh:
+        rh = json.load(fh)["report"]["classes"][3]
+    assert rh["verdict"] == "finite" and rh["constant"] == pytest.approx(rh2, rel=1e-12)
+
+
+@pytest.mark.parametrize("p0", [1.0001, 1000.0, 1e30, 1e300])
+def test_every_accepted_p0_keeps_the_exit_contract(tmp_path, capsys, p0):
+    """`atoms gen` + `atoms validate` and the pointwise check at atom.p0
+    from just above 1 to 1e300 either exit 0 with every atom validated or
+    refuse p0 (exit 4 at atom.p0, past ``config.MAX_P0``).  When |a|^p0
+    overflowed the cells, every atom was scaled to 0: at 1e30 `atoms gen`
+    exited 2 with "zero norm" and the pointwise check failed with worst 0."""
+    from rieszkit.config import MAX_P0
+
+    atoms = {**_atoms_campaign(count=12), "atom": {"p": 1.0, "p0": p0}}
+    with open(os.path.join(CONFIG_DIR, "pointwise-off-centre.json")) as fh:
+        pointwise = json.load(fh)
+    pointwise["atom"]["p0"] = p0
+    out = str(tmp_path / "out")
+    codes = [main([*command, "--config", _write(tmp_path, f"{i}.json", raw), "--out", out])
+             for i, (command, raw) in enumerate([(["atoms", "gen"], atoms),
+                                                 (["atoms", "validate"], atoms),
+                                                 (["verify"], pointwise)])]
+    if p0 > MAX_P0:
+        assert codes == [4, 4, 4]
+        errors = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert {e["path"] for e in errors} == {"atom.p0"}
+    else:
+        assert codes == [0, 0, 0]
+        with open(os.path.join(out, "atoms-validate.json")) as fh:
+            report = json.load(fh)["report"]
+        assert report["all_passed"] and report["count"] == 12
+        assert all(abs(row["size_margin"]) <= 1e-12 for row in report["results"])
+
+
 def _check_with(**fields):
     return _base_config(weight={"kind": "power", "exponent": -0.25},
                         checks=[{"check": "rh-ball-inequality", "p": 0.5, **fields}])
@@ -901,12 +950,15 @@ def test_each_command_loads_only_its_modules(tmp_path):
     sweep no atom or campaign module, the maximal-inequality check no atom
     module, and `atoms gen` and `atoms validate` no campaign module: a
     process compiles only the source its command runs.  Only the maximal
-    check and the integrals of a product weight on the line load the
-    whole-line rule (``line_integral``), and only a product weight's
-    integrals in the plane load the disk rule (``plane_integral``); both
-    take their panels from ``panels``, which holds them apart from
-    ``operators``.  So a campaign process and a power or log classify
-    compile neither, and a product classify does not compile ``operators``.  No
+    check, the integrals of a product weight on the line and the norms of
+    atoms on the line at p0 != 2 load the whole-line rule
+    (``line_integral``), and only a product weight's integrals in the plane
+    load the disk rule (``plane_integral``); both take their panels from
+    ``panels``, which holds them apart from ``operators``.  So a campaign
+    process at p0 = 2, `atoms gen` and `atoms validate` at p0 = 2 and a
+    power or log classify compile neither, a campaign at p0 = 3/2 compiles
+    the whole-line rule, and a product classify does not compile
+    ``operators``.  No
     command loads numpy.random (the atom stream is ``rieszkit.rng``),
     numpy.ma (which np.unique imports), hashlib and its OpenSSL module _hashlib (the config
     hash in the checks' provenance is the builtin sha256) or dataclasses
@@ -930,6 +982,10 @@ def test_each_command_loads_only_its_modules(tmp_path):
         raw = json.load(fh)
     raw["campaign"]["count"] = 2
     thm1 = _write(tmp_path, "thm1.json", raw)
+    with open(os.path.join(CONFIG_DIR, "ta-worked.json")) as fh:
+        raw = json.load(fh)
+    raw["campaign"]["count"] = 2
+    ta = _write(tmp_path, "ta.json", raw)
     atoms_cfg = os.path.join(CONFIG_DIR, "atoms-campaign.json")
     product = _write(tmp_path, "product.json", {
         "version": 1, "dimension": 1,
@@ -954,6 +1010,8 @@ def test_each_command_loads_only_its_modules(tmp_path):
         ["verify", "--config", thm1]) == [
         "loaded 0 ['atoms', 'operators', 'panels']", "loaded 0 ['atoms', 'operators', 'panels']",
         "loaded 0 ['atoms', 'operators', 'verify', 'panels']"]
+    assert loaded(["verify", "--config", ta]) == [
+        "loaded 0 ['atoms', 'operators', 'verify', 'line_integral', 'panels']"]
 
 
 def test_no_command_calls_lapack(tmp_path):

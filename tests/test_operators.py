@@ -14,8 +14,7 @@ from rieszkit import (AtomParams, Ball, CallableProfile, ExponentProfile, GridPr
                       QuadratureDiverged, QuadratureScheme, SampledFunction, apply_T,
                       construct_atom, equal_split, fractional_maximal,
                       fractional_maximal_witness, hl_maximal, hl_maximal_witness,
-                      identity_family, indicator, riesz_potential, scalar_family,
-                      weighted_norm)
+                      identity_family, indicator, riesz_potential, scalar_family)
 from rieszkit.geometry import MatrixFamily, expanded_balls
 from rieszkit.operators import (FAR_FIELD_ORDER, _polynomial_moments, apply_T_ball_1d,
                                 apply_T_batch, sampled_from_csv)
@@ -159,24 +158,6 @@ def test_maximal_refinement_improves():
     fine = coarse.refine(8)
     x = [1.7]
     assert hl_maximal(f, x, coarse) <= hl_maximal(f, x, fine) + 1e-12
-
-
-def test_weighted_norm_examples():
-    assert weighted_norm(indicator([0.5], 0.5), 1.0, PowerWeight(0.0)) == pytest.approx(1.0)
-    v = weighted_norm(indicator([0.0], 1.0), 2.0, PowerWeight(0.5))
-    assert v == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-10)
-
-
-def test_weighted_norm_sampled_gaussian():
-    from scipy.special import erf
-
-    cells = 4096
-    edges = np.linspace(-4, 4, cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    prof = GridProfile(np.exp(-mids**2 / 2.0) / math.sqrt(2.0 * math.pi))
-    g = SampledFunction(Ball([0.0], 4.0), prof)
-    oracle = float(erf(4.0 / math.sqrt(2.0)))  # 1e6-node quadrature agrees to 1e-10
-    assert weighted_norm(g, 1.0, PowerWeight(0.0)) == pytest.approx(oracle, rel=1e-5)
 
 
 def test_sampled_function_csv_roundtrip(tmp_path):

@@ -183,7 +183,7 @@ def _bundled_pointwise():
     params, audits = _atom_params_from(cfg)
     return cfg, item, params, lambda: check_pointwise_atom_bound(
         params, cfg.exponents, cfg.matrices, item["center"], radii=item["radii"],
-        seed=item["seed"], scheme=cfg.quadrature, audits=audits)
+        seed=item["seed"], audits=audits)
 
 
 def test_pointwise_bound_evaluates_each_sample_set_at_once(monkeypatch):
@@ -221,7 +221,7 @@ def test_pointwise_batch_matches_a_point_by_point_evaluation():
     rows = iter(rep.witnesses)
     for r in item["radii"]:
         ball = Ball(item["center"], r)
-        fn = construct_atom(ball, params, item["seed"], cfg.quadrature).function()
+        fn = construct_atom(ball, params, item["seed"]).function()
         log_wfac = -math.log(weighted_measure(params.weight, 1.0, ball)) / params.p
         for x in outer_sample_points(ball, fam):
             row = next(rows)
@@ -316,6 +316,30 @@ def test_line_integral_forms_distances_from_the_marks(c, h):
                        (log_line_integral(factors, c + h, math.inf), outer)):
         for value in got:
             assert value == pytest.approx(exact, abs=1e-14 * max(1.0, abs(exact)))
+
+
+@pytest.mark.parametrize("factors", [
+    [(0.2 + 1e-6j, 1.5), (0.2 - 1e-6j, 1.5), (-0.5, 1.5)],
+    [(1.0 + 1e-7, 3.0), (-0.3 + 0.4j, 3.0), (-0.3 - 0.4j, 3.0), (0.9 + 1e-9j, 3.0)],
+    [(-1.3 + 0.4j, 7.3), (0.0, 7.3), (0.7 + 0.05j, 7.3), (0.7 - 0.05j, 7.3)],
+    [(0.5 + 0.1j, -0.7), (-0.99 + 1e-3j, 1.01), (0.25, -0.5)],
+], ids=["near-real-pair", "past-the-end", "outside-and-high", "negative"])
+def test_line_integral_with_complex_centres(factors):
+    """A centre x + iy off the line is sqrt((u - x)^2 + y^2) from a node u:
+    the integral over [-1, 1] of prod_k |u - z_k|^e_k reads 30-digit mpmath
+    to 1e-13, with centres just off the line, just past an end and outside
+    the range, and halving every panel moves it by 1e-13 at most."""
+    got = log_line_integral([(z, PowerProfile(e)) for z, e in factors], -1.0, 1.0)
+    with mpmath.workdps(30):
+        marks = sorted({-1.0, 1.0, *(complex(z).real for z, _ in factors
+                                     if -1.0 < complex(z).real < 1.0)})
+        exact = mpmath.log(mpmath.quad(lambda u: mpmath.fprod(
+            abs(u - mpmath.mpc(z)) ** e for z, e in factors), marks))
+    for value in got:
+        assert abs(value - float(exact)) <= 1e-13 * max(1.0, abs(float(exact)))
+    assert abs(got[0] - got[1]) <= 1e-13 * max(1.0, abs(got[0]))
+    with pytest.raises(ValueError, match="finite ends"):
+        log_line_integral([(z, PowerProfile(e)) for z, e in factors], -1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
