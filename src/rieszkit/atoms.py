@@ -7,23 +7,26 @@ and has vanishing moments against every monomial of degree at most d.
 the weight's critical indices, with the A_infinity audit they rest on; the
 theorem and pointwise checks and ``atoms gen`` all read it.
 
-Atoms are built from seeded random polynomials: the moment conditions are
-enforced exactly by an orthogonal projection in the unweighted L^2 inner
-product on B (the monomial Gram system in the centered, radius-scaled
-variable, which keeps the system well conditioned at every scale), and the
-size bound is then saturated by scaling.  Saturation is deliberate: the
+Atoms are built from seeded random polynomials in the centred, radius-scaled
+variable u = (y - x0) / r: the moment conditions are enforced by the
+orthogonal projection in the unweighted L^2 inner product on the unit ball,
+in closed form from the ball's monic orthogonal polynomials, and the size
+bound is then saturated by scaling.  Saturation is deliberate: the
 verification campaigns stress the uniform operator bounds hardest at the
 norm ceiling.
 
-Both read ||a||_{p0} exactly (``_p0_norm``) and the moments in closed form,
-so ``validate_atom`` checks what ``construct_atom`` built independently of
-any quadrature scheme; only a plane atom at p0 != 2 still takes cells.
+Both read ||a||_{p0} exactly (``_p0_norm``), and ``validate_atom`` reads
+the moments against ((y - x0) / r)^beta as exact integer ratios
+(``operators._polynomial_moments``, which the far field shares), so it
+checks what ``construct_atom`` built independently of any quadrature
+scheme; only a plane atom at p0 != 2 still takes cells.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -31,7 +34,7 @@ import numpy as np
 from .errors import AuditItem, ConfigError, DegenerateProfile
 from .geometry import Ball
 from .quadrature import gauss_jacobi, lebesgue_ball
-from .operators import PolynomialProfile, SampledFunction
+from .operators import PolynomialProfile, SampledFunction, _polynomial_moments
 from .records import asdict, record
 from .rng import PCG64, generate_state
 from .weights import AP_CAP, critical_indices, weight_to_dict, weighted_measure
@@ -42,95 +45,49 @@ DEGENERACY_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Exact monomial integrals over balls
+# Orthogonal polynomials of the unit ball
 # ---------------------------------------------------------------------------
 
 
 def multiindices(dimension: int, max_degree: int):
     """All multi-indices in ``dimension`` variables of total degree <= max_degree."""
+    return sorted((k for k in _iterproduct(range(max_degree + 1), repeat=dimension)
+                   if sum(k) <= max_degree), key=lambda k: (sum(k), k))
+
+
+@lru_cache(maxsize=None)
+def _monic_ball_polynomial(alpha: tuple):
+    """The monic orthogonal polynomial V_alpha = u^alpha + (lower degree) of
+    the unit ball in n = len(alpha) variables for Lebesgue measure, which is
+    orthogonal to every polynomial of degree < |alpha| (Dunkl & Xu,
+    Orthogonal Polynomials of Several Variables, 2001; on the line the monic
+    Legendre polynomials), as (multi-index, coefficient) pairs:
+    V_alpha = sum_{gamma <= alpha / 2} (-alpha)_{2 gamma} u^(alpha - 2 gamma)
+    / (4^|gamma| gamma! ((2 - n) / 2 - |alpha|)_|gamma|), each coefficient
+    one integer ratio rounded once."""
+    n, m = len(alpha), sum(alpha)
     out = []
-    for combo in _iterproduct(range(max_degree + 1), repeat=dimension):
-        if sum(combo) <= max_degree:
-            out.append(tuple(combo))
-    out.sort(key=lambda k: (sum(k), k))
-    return out
-
-
-def unit_ball_monomial_integral(gamma, dimension: int) -> float:
-    """Exact integral of u^gamma over the unit ball (zero for odd indices)."""
-    if any(g % 2 for g in gamma):
-        return 0.0
-    log_num = sum(math.lgamma((g + 1) / 2.0) for g in gamma)
-    log_den = math.lgamma((sum(gamma) + dimension) / 2.0 + 1.0)
-    return math.exp(log_num - log_den)
-
-
-def _gram(indices, dimension: int) -> np.ndarray:
-    k = len(indices)
-    g = np.empty((k, k))
-    for i, a in enumerate(indices):
-        for j, b in enumerate(indices):
-            g[i, j] = unit_ball_monomial_integral(
-                tuple(x + y for x, y in zip(a, b)), dimension)
-    return g
-
-
-def _solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for a symmetric positive-definite a by Gaussian
-    elimination without pivoting, which is backward stable on such a matrix
-    (Higham, Accuracy and Stability of Numerical Algorithms, 10.1).  A 1x1
-    system reads b / a, as LAPACK's dgesv does."""
-    a, b = a.copy(), b.copy()
-    k = b.size
-    for j in range(k - 1):
-        f = a[j + 1:, j] / a[j, j]
-        a[j + 1:, j:] -= np.outer(f, a[j, j:])
-        b[j + 1:] -= f * b[j]
-    x = np.empty(k)
-    for i in reversed(range(k)):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x
+    for gamma in _iterproduct(*(range(a // 2 + 1) for a in alpha)):
+        g = sum(gamma)
+        num = math.prod(math.perm(a, 2 * c) for a, c in zip(alpha, gamma))
+        den = (2**g * math.prod(math.factorial(c) for c in gamma)
+               * math.prod(2 - n - 2 * m + 2 * j for j in range(g)))
+        out.append((tuple(a - 2 * c for a, c in zip(alpha, gamma)), num / den))
+    return tuple(out)
 
 
 def project_away_moments(coeffs: dict, d: int, dimension: int) -> dict:
-    """Subtract the L^2(B) projection onto polynomials of degree <= d.
-
-    Works in the centered scaled variable, so the same unit-ball Gram system
-    serves every ball.  The residual has exactly vanishing moments against
-    all monomials of degree <= d.
-    """
-    low = multiindices(dimension, d)
-    gram = _gram(low, dimension)
-    rhs = np.zeros(len(low))
-    for i, b in enumerate(low):
-        rhs[i] = sum(c * unit_ball_monomial_integral(
-            tuple(x + y for x, y in zip(b, k)), dimension)
-            for k, c in coeffs.items())
-    sol = _solve_spd(gram, rhs)
-    out = dict(coeffs)
-    for i, b in enumerate(low):
-        out[b] = out.get(b, 0.0) - float(sol[i])
+    """Subtract the L^2 projection on the unit ball onto polynomials of
+    degree <= d from sum_alpha m_alpha u^alpha, of degree at most d + 2: the
+    residual is sum_{|alpha| > d} m_alpha V_alpha (``_monic_ball_polynomial``),
+    as V_alpha - u^alpha has degree <= d and V_alpha is orthogonal to it.
+    No system is solved; the keys come out in ``multiindices`` order."""
+    out = dict.fromkeys(multiindices(dimension, d + 2), 0.0)
+    for alpha, m in coeffs.items():
+        if sum(alpha) > d:
+            for key, v in _monic_ball_polynomial(alpha):
+                out[key] += m * v
     return out
-
-
-def profile_raw_moment(profile: PolynomialProfile, ball: Ball, beta) -> float:
-    """Exact integral of y^beta * a(y) over the ball for a polynomial profile."""
-    n = ball.dimension
-    x0 = ball.center
-    r = ball.radius
-    total = 0.0
-    ranges = [range(b + 1) for b in beta]
-    for gamma in _iterproduct(*ranges):
-        binom = 1.0
-        for bd, gd, xd in zip(beta, gamma, x0):
-            binom *= math.comb(bd, gd) * xd ** (bd - gd)
-        if binom == 0.0:
-            continue
-        inner = sum(c * unit_ball_monomial_integral(
-            tuple(g + k for g, k in zip(gamma, key)), n)
-            for key, c in profile.coeffs.items())
-        total += binom * r ** (sum(gamma)) * inner
-    return total * r**n
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +247,21 @@ def polynomial_zeros(coeffs) -> np.ndarray:
     once by Aberth-Ehrlich iteration (Aberth, Math. Comp. 27, 1973) from a
     circle of radius |coeffs[0] / coeffs[-1]|^(1/n), the zeros' geometric
     mean.  A zero stops moving once |p(z)| is within 4 eps of
-    sum_k |c_k| |z|^k, its rounding level, and all stop after 64 steps; a
-    zero whose imaginary part is at most 1e-12 max(1, |z|) is returned
-    real.  No LAPACK runs."""
-    a = np.asarray(coeffs, dtype=float) / coeffs[-1]
+    sum_k |c_k| |z|^k, its rounding level, and all stop after 64 steps.  The
+    iteration runs in long double (a 64-bit mantissa on x86), which takes a
+    degree-18 atom's zeros from ~1e-12 to ~1e-15 off.  A zero whose
+    imaginary part is at most 1e-12 max(1, |z|) is returned real.  No LAPACK
+    runs."""
+    a = np.asarray(coeffs, dtype=np.longdouble) / np.longdouble(coeffs[-1])
     n = a.size - 1
     radius = abs(a[0]) ** (1.0 / n) if n and a[0] else 1.0
-    z = radius * np.exp(1j * (2.0 * math.pi * np.arange(n) + 0.5) / n)
+    z = radius * np.exp(1j * (2.0 * np.pi * np.arange(n, dtype=np.longdouble) + 0.5) / n)
     off_diagonal = ~np.eye(n, dtype=bool)
     for _ in range(64 if n else 0):
-        p, dp, size, modulus = np.zeros(n, complex), np.zeros(n, complex), np.zeros(n), abs(z)
+        p, dp, size, modulus = np.zeros_like(z), np.zeros_like(z), np.zeros(n, a.dtype), abs(z)
         for c in a[::-1]:
             p, dp, size = p * z + c, dp * z + p, size * modulus + abs(c)
-        moving = abs(p) > 4.0 * np.finfo(float).eps * size
+        moving = abs(p) > 4.0 * np.finfo(np.longdouble).eps * size
         if not moving.any():
             break
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -310,6 +269,7 @@ def polynomial_zeros(coeffs) -> np.ndarray:
             pull = np.sum(np.where(off_diagonal, 1.0 / (z[:, None] - z), 0.0), axis=1)
             step = ratio / (1.0 - ratio * pull)
         z = np.where(moving & np.isfinite(step), z - step, z)
+    z = z.astype(complex)
     real = abs(z.imag) <= 1e-12 * np.maximum(1.0, abs(z))
     return np.where(real, z.real + 0j, z)
 
@@ -320,7 +280,9 @@ def _p0_norm(profile: PolynomialProfile, ball: Ball, p0: float) -> float:
     no digit is lost to cancellation; at other p0, on the line, the
     whole-line rule over [-1, 1] of prod_k |u - z_k|^p0 at the zeros z_k
     (``polynomial_zeros``) times |c|^p0 for the leading coefficient c, in
-    logarithms; in the plane, cells at ``quadrature.default_scheme(2)``."""
+    logarithms; in the plane, cells at ``quadrature.default_scheme(2)`` of
+    |a| over its largest sample raised to p0, so that no power over- or
+    underflows (a first pass of the same cells finds that sample)."""
     n, degree = ball.dimension, profile.degree()
     if not profile.coeffs:
         return 0.0
@@ -340,8 +302,11 @@ def _p0_norm(profile: PolynomialProfile, ball: Ball, p0: float) -> float:
     if n == 2:
         from .quadrature import integrate_ball
 
-        fn = SampledFunction(ball, profile)
-        return integrate_ball(lambda pts: np.abs(fn.eval(pts)) ** p0, ball) ** (1.0 / p0)
+        fn, samples = SampledFunction(ball, profile), []
+        integrate_ball(lambda pts: samples.append(np.abs(fn.eval(pts))) or samples[-1], ball)
+        big = max(float(np.max(v, initial=0.0)) for v in samples)
+        replay = iter(samples)
+        return big * integrate_ball(lambda pts: (next(replay) / big) ** p0, ball) ** (1.0 / p0)
     from .line_integral import log_line_integral
     from .quadrature import PowerProfile
 
@@ -397,9 +362,11 @@ class AtomValidation:
 def validate_atom(atom: Atom) -> AtomValidation:
     """Check support, the size bound and the vanishing moments.
 
-    The norm is ``_p0_norm``'s and the moments are exact.  The moment
-    tolerance is scaled by r^{|beta| + n (1 - 1/p0)} so validation is
-    dilation stable.
+    The norm is ``_p0_norm``'s.  The moments are those against
+    ((y - x0) / r)^beta, |beta| <= d, which span the same polynomials as
+    y^beta: r^n times the exact unit-ball moments of the stored polynomial,
+    with no off-centre binomial expansion.  Each must be at most
+    MOMENT_REL_TOL norm r^{n (1 - 1/p0)}, so validation is dilation stable.
     """
     params = atom.params
     n = params.dimension
@@ -408,14 +375,12 @@ def validate_atom(atom: Atom) -> AtomValidation:
     size_ok = norm <= bound * (1.0 + A2_REL_TOL)
 
     r = atom.ball.radius
-    margins = {}
-    moments_ok = True
-    for beta in multiindices(n, params.d):
-        mom = profile_raw_moment(atom.profile, atom.ball, beta)
-        tol = MOMENT_REL_TOL * norm * r ** (sum(beta) + n * (1.0 - 1.0 / params.p0))
-        margins[beta] = abs(mom) / tol if tol > 0 else math.inf
-        if abs(mom) > tol:
-            moments_ok = False
+    betas = tuple(multiindices(n, params.d))
+    moments = r**n * _polynomial_moments(tuple(atom.profile.coeffs.items()), betas)
+    tol = MOMENT_REL_TOL * norm * r ** (n * (1.0 - 1.0 / params.p0))
+    margins = {beta: abs(mom) / tol if tol > 0 else math.inf
+               for beta, mom in zip(betas, moments.tolist())}
+    moments_ok = bool(np.all(np.abs(moments) <= tol))
     return AtomValidation(size_ok and moments_ok, True, size_ok,
                           (bound - norm) / bound, moments_ok, margins, norm, bound)
 

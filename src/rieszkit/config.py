@@ -32,13 +32,16 @@ SCHEMA_VERSION = 1
 # than this is refused (exit 4) instead of running for days or failing to
 # allocate
 MAX_COUNT = 10**6
-# moment-degree budget: from degree 8 on, some atoms that `atoms gen` builds
-# on the bundled atom campaign's balls fail `atoms validate`'s moment check,
-# so a config asking for more (atom.d), or whose atom.p derives more, is refused
-MAX_DEGREE = 7
+# moment-degree budget: up to degree 16 all of 200 atoms per degree that `atoms gen` builds
+# on the atom campaign's balls, and on balls with |c|/r = 1e3, pass `atoms validate`; at 17
+# one fails, so a config asking for more (atom.d), or deriving it (atom.p), is refused
+MAX_DEGREE = 16
 # atom-exponent cap: up to p0 = 1e5 the atoms' norms read 30-digit mpmath to
 # 2e-14; at 1e6 the Gauss-Jacobi rule at their zeros merges nodes (2e-8 off)
 MAX_P0 = 1e5
+# product-factor exponent cap: the line rule reads log of the integral of |x|^a
+# over [-1, 1] within 7e-14 up to a = 1e5, 1.2e-4 off at 1e6, NaN from ~1e10
+MAX_FACTOR_EXPONENT = 1e5
 MAX_SWEEP_POINTS = 10**5
 MAX_RESOLUTION = {1: 2**20, 2: 2**10}
 MAX_CAMPAIGN_RESOLUTION = 2**16
@@ -134,8 +137,9 @@ def build_weight(block: dict, dimension: int, base_dir: str = ".", path: str = "
                     "expected [exponent, center]")
             a, c = item
             _point(c, dimension, f"{path}.factors[{i}][1]")
-            _expect(_is_number(a) and a > -dimension, f"{path}.factors[{i}][0]",
-                    f"must be a number above -{dimension}")
+            _expect(_is_number(a) and -dimension < a <= MAX_FACTOR_EXPONENT,
+                    f"{path}.factors[{i}][0]",
+                    f"must be a number above -{dimension} and at most {MAX_FACTOR_EXPONENT:g}")
             factors.append((float(a), tuple(float(v) for v in c)))
         try:
             return ProductPowerWeight(tuple(factors), dimension, scale)

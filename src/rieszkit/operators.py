@@ -393,32 +393,51 @@ def _similarity_scale(family: MatrixFamily):
     return hi if hi - lo <= 1e-12 * hi else None
 
 
+# the far field contracts its series with the moments against u^k, k <= FAR_FIELD_ORDER
+_FAR_ORDERS = tuple((k,) for k in range(FAR_FIELD_ORDER + 1))
+
+
 def _unit_moments_1d(profile):
     """m_k = integral over [-1, 1] of u^k p(u), k <= FAR_FIELD_ORDER, for a
     polynomial or indicator profile p."""
     if isinstance(profile, IndicatorProfile):
-        return _polynomial_moments(((0, 1.0),))
-    return _polynomial_moments(tuple(sorted((k[0], c) for k, c in profile.coeffs.items())))
+        return _polynomial_moments((((0,), 1.0),), _FAR_ORDERS)
+    return _polynomial_moments(tuple(sorted(profile.coeffs.items())), _FAR_ORDERS)
+
+
+@lru_cache(maxsize=None)
+def _unit_ball_moment(gamma: tuple):
+    """The integral of u^gamma over the unit ball as an integer ratio: 0 for
+    an odd exponent, else 2 / (g + 1) on the line and pi 2 (a - 1)!!
+    (b - 1)!! / (a + b + 2)!! on the disk (Folland, Amer. Math. Monthly 108,
+    2001), with pi the float's exact ratio."""
+    if any(g % 2 for g in gamma):
+        return 0, 1
+    if len(gamma) == 1:
+        return 2, gamma[0] + 1
+    (pn, pd), (a, b) = math.pi.as_integer_ratio(), gamma
+    return (2 * pn * math.prod(range(a - 1, 0, -2)) * math.prod(range(b - 1, 0, -2)),
+            pd * math.prod(range(a + b + 2, 0, -2)))
 
 
 @lru_cache(maxsize=256)
-def _polynomial_moments(terms) -> np.ndarray:
-    """Moments of sum c u^i from (i, c) pairs, summed exactly over the float
-    coefficients and rounded once, so vanishing moments stay at their
-    ~1e-17 residuals instead of picking up rounding noise.
-
-    Each float c is num / 2^e exactly, so every moment is one integer
-    numerator over lcm(j + 1) 2^max(e); Python's int / int is correctly
-    rounded, as the float of the same Fraction is."""
-    ratios = [(i, *c.as_integer_ratio()) for i, c in terms]
+def _polynomial_moments(terms, betas) -> np.ndarray:
+    """The integrals over the unit ball of u^beta sum c u^k, one per beta in
+    ``betas``, from (k, c) pairs of multi-indices and floats, summed exactly
+    and rounded once, so vanishing moments stay at their ~1e-17 residuals
+    instead of picking up rounding noise: each float c is num / 2^e exactly
+    and each monomial integral an integer ratio, so every moment is one
+    integer numerator over the lcm of their denominators times 2^max(e), and
+    Python's int / int is correctly rounded, as the float of the same
+    Fraction is."""
+    ratios = [(k, *c.as_integer_ratio()) for k, c in terms]
     den = max((d for _, _, d in ratios), default=1)      # a power of two
-    nums = [(i, num * (den // d)) for i, num, d in ratios]
-    out = np.empty(FAR_FIELD_ORDER + 1)
-    for k in range(FAR_FIELD_ORDER + 1):
-        # integral of u^j over [-1, 1] is 2 / (j + 1) for even j, 0 for odd j
-        even = [(k + i + 1, num) for i, num in nums if (k + i) % 2 == 0]
-        lcm = math.lcm(*(j for j, _ in even))
-        out[k] = sum(2 * num * (lcm // j) for j, num in even) / (lcm * den)
+    nums = [(k, num * (den // d)) for k, num, d in ratios]
+    out = np.empty(len(betas))
+    for row, beta in enumerate(betas):
+        parts = [(*_unit_ball_moment(tuple(map(sum, zip(k, beta)))), num) for k, num in nums]
+        lcm = math.lcm(*(q for _, q, _ in parts))
+        out[row] = sum(num * p * (lcm // q) for p, q, num in parts) / (lcm * den)
     out.flags.writeable = False
     return out
 

@@ -473,44 +473,51 @@ def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
             return (e * np.log(np.abs(apply_T_ball_1d(fns, xs, profile, family)))
                     + sw * np.log(eval_weight_batch(norm_weight, xs[:, None], extended=True)))
 
-    intervals = _expanded_intervals(ball, family)
-    ends = log_integrand(np.array([intervals[0][0], intervals[-1][1]]))
-    shift = np.max(np.where(np.isfinite(ends), ends, -math.inf), axis=1)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-
-    def integrand(xs):
-        return np.exp(log_integrand(xs) - shift[:, None])
-
     breakpoints = [0.0] if profile.alpha == 0.0 else []
     breakpoints += [float(s.center_array()[0]) for s in wsings]
 
-    # a divergent cell rule returns math.inf, which these broadcast
-    inner = np.zeros(len(atoms))
+    intervals = _expanded_intervals(ball, family)
     star_diameter = 4.0 * family.norm_bound * ball.radius
-    for lo, hi in intervals:
-        # inner_resolution cells per expanded-ball diameter
-        cells = max(64, int(spec.inner_resolution * (hi - lo) / star_diameter))
-        edges = _split_edges_at(np.linspace(lo, hi, cells + 1), breakpoints)
-        inner += integrate_cells_1d(integrand, edges, wsings)
+    # inner_resolution cells per expanded-ball diameter
+    inner_cells = [_split_edges_at(np.linspace(lo, hi, max(64, int(
+        spec.inner_resolution * (hi - lo) / star_diameter)) + 1), breakpoints)
+        for lo, hi in intervals]
 
     extent = _truncation_extent(intervals, spec.outer_octaves)
     h0 = 2.0 * family.norm_bound * ball.radius / spec.outer_resolution
-    segments = []
-    left_end = intervals[0][0]
-    right_end = intervals[-1][1]
-    segments.append(graded_edges(left_end, -extent, h0, block=spec.outer_resolution))
-    segments.append(graded_edges(right_end, extent, h0, block=spec.outer_resolution))
+    spans = [(intervals[0][0], -extent), (intervals[-1][1], extent)]
     for (a_lo, a_hi), (b_lo, b_hi) in zip(intervals, intervals[1:]):
         midpt = 0.5 * (a_hi + b_lo)
-        segments.append(graded_edges(a_hi, midpt, h0, block=spec.outer_resolution))
-        segments.append(graded_edges(midpt, b_lo, h0, block=spec.outer_resolution))
+        spans += [(a_hi, midpt), (midpt, b_lo)]
+    outer_cells = [_split_edges_at(edges, breakpoints) for edges in (
+        graded_edges(near, far, h0, block=spec.outer_resolution) for near, far in spans)
+        if edges[-1] - edges[0] > 0]
 
-    outer = np.zeros(len(atoms))
-    for edges in segments:
-        if edges[-1] - edges[0] <= 0:
-            continue
-        edges = _split_edges_at(edges, breakpoints)
-        outer += integrate_cells_1d(integrand, edges, wsings)
+    def shifted_integral(edges):
+        """The cell rule over ``edges`` of exp(log-integrand - top), top the
+        largest finite log-integrand at the midpoints (each evaluated once)."""
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        logs = log_integrand(mids)
+        top = np.max(np.where(np.isfinite(logs), logs, -math.inf), axis=1)
+        top = np.where(np.isfinite(top), top, 0.0)
+
+        def integrand(xs):
+            at = np.minimum(np.searchsorted(mids, xs), mids.size - 1)
+            hit = mids[at] == xs
+            vals = np.take(logs, at, axis=1)        # C order: rows sum as a lone atom's
+            if not np.all(hit):
+                vals[:, ~hit] = log_integrand(xs[~hit])
+            return np.exp(vals - top[:, None])
+
+        return integrate_cells_1d(integrand, edges, wsings), top
+
+    # the cell sets are summed relative to the largest top, so that no exp
+    # over- or underflows however large e; a divergent rule's math.inf stays
+    parts = [[shifted_integral(edges) for edges in cells] for cells in (inner_cells, outer_cells)]
+    shift = np.max([top for part in parts for _, top in part], axis=0)
+    with np.errstate(invalid="ignore"):
+        inner, outer = (sum((np.where(np.isinf(v), v, v * np.exp(top - shift)) for v, top in part),
+                            np.zeros(len(atoms))) for part in parts)
 
     # decay-form tail estimate beyond the truncation: w^s grows like |x|^wexp,
     # the sum of the factors' power exponents (log factors are 1 out there)
@@ -520,14 +527,14 @@ def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
     wexp = sum(p.exponent for _, p in radial[1]) * sw if radial else 0.0
     tail_exp = -decay + wexp
     if tail_exp < -1.0:
-        at_edge = np.abs(integrand(np.array([extent]))[:, 0])
+        at_edge = np.exp(log_integrand(np.array([extent]))[:, 0] - shift)
         tail = 2.0 * at_edge * extent / (-tail_exp - 1.0)
     else:
         tail = np.full(len(atoms), math.inf)
-    with np.errstate(divide="ignore", over="ignore"):
-        scale = np.exp(shift)
-        return (np.exp((np.log(inner + outer) + shift) / e), inner * scale, outer * scale,
-                tail * scale)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norm, scale = np.exp((np.log(inner + outer) + shift) / e), np.exp(shift)
+        # a part that underflows against a shift past the float range is 0, not 0 * inf
+        return (norm, *(np.where(v == 0.0, 0.0, v * scale) for v in (inner, outer, tail)))
 
 
 def _compatibility_audit(w, family) -> AuditItem:

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 from rieszkit.cli import main
-from rieszkit.config import KNOWN_CHECKS, load_config, parse_config
+from rieszkit.config import KNOWN_CHECKS, MAX_DEGREE, load_config, parse_config
 from rieszkit.errors import ConfigError
 from rieszkit.quadrature import QuadratureScheme
 
@@ -265,6 +265,38 @@ def test_cli_atoms_gen_and_validate(tmp_path):
                  "--manifest", manifest]) == 0
     report = json.load(open(os.path.join(out, "atoms-validate.json")))
     assert report["report"]["all_passed"]
+
+
+@pytest.mark.parametrize("d", [8, 12, MAX_DEGREE])
+@pytest.mark.parametrize("campaign", [{}, {"count": 24, "centers": [[1e3], [-2e3]],
+                                           "radii": [1.0, 2.0]}], ids=["bundled", "far"])
+def test_cli_atoms_validate_up_to_the_degree_cap(tmp_path, d, campaign):
+    """`atoms gen` and `atoms validate` exit 0 with every atom passing at
+    degrees 8, 12 and ``config.MAX_DEGREE``, on atoms-campaign's balls and
+    on balls with |c| / r = 1e3.  With the monomial Gram projection and raw
+    moments about the origin, 1 of 100 atoms failed at degree 8."""
+    raw = _atoms_campaign(**campaign)
+    raw["atom"]["d"] = d
+    cfg = _write(tmp_path, "atoms.json", raw)
+    out = str(tmp_path / "out")
+    assert main(["atoms", "gen", "--config", cfg, "--out", out]) == 0
+    assert main(["atoms", "validate", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "atoms-validate.json")) as fh:
+        assert json.load(fh)["report"]["all_passed"]
+
+
+def test_cli_plane_atoms_validate_at_a_large_p0(tmp_path):
+    """Plane atoms at p0 = 1000 are generated and validated with exit 0:
+    the cells raise |a| over its largest sample to p0.  Raised as is, |a| <=
+    0.3 underflowed, and `atoms validate` read norm 0 and exited 2."""
+    cfg = _write(tmp_path, "atoms.json", _base_config(
+        dimension=2, weight={"kind": "power", "exponent": 0.5},
+        atom={"p": 1.0, "p0": 1000.0, "d": 0}, campaign={"count": 2, "seed": 7}))
+    out = str(tmp_path / "out")
+    assert main(["atoms", "gen", "--config", cfg, "--out", out]) == 0
+    assert main(["atoms", "validate", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "atoms-validate.json")) as fh:
+        assert all(r["norm"] > 0.0 for r in json.load(fh)["report"]["results"])
 
 
 def test_cli_plane_atoms_take_the_default_centres(tmp_path):
@@ -560,9 +592,11 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
     (["atoms", "gen"], {**_atoms_campaign(), "atom": {"p": 1.0, "p0": 2.0, "d": -1}}, "atom.d"),
     (["atoms", "gen"], {**_atoms_campaign(), "atom": {"p": 1.0, "p0": 2.0, "d": 2**70}},
      "atom.d"),
-    (["atoms", "gen"], {**_atoms_campaign(), "atom": {"p": 1.0, "p0": 2.0, "d": 8}}, "atom.d"),
-    (["atoms", "gen"], {**_atoms_campaign(), "weight": {"kind": "power", "exponent": 8.5}},
-     "atom.p"),
+    (["atoms", "gen"], {**_atoms_campaign(),
+                        "atom": {"p": 1.0, "p0": 2.0, "d": MAX_DEGREE + 1}}, "atom.d"),
+    (["atoms", "gen"], {**_atoms_campaign(), "atom": {"p": 1.0, "p0": 2.0, "d": 30}}, "atom.d"),
+    (["atoms", "gen"], {**_atoms_campaign(),
+                        "weight": {"kind": "power", "exponent": MAX_DEGREE + 1.5}}, "atom.p"),
     (["verify"], {**_theorem_config("theorem-thm1", 0.0, count=2),
                   "atom": {"p": 1e-308, "p0": 2.0}}, "atom.p"),
     (["verify"], _base_config(checks=[{"check": "critical-index-chain", "p": 0.5}]),
@@ -594,7 +628,7 @@ def test_cli_failed_audit_exits_3_and_ends_the_run(tmp_path, raw, item):
         "inner-resolution-over-budget", "outer-resolution-0", "resolution-over-budget",
         "atoms-gen-radius-overflows", "atoms-validate-radius-overflows",
         "atoms-gen-center-overflows", "rh-ball-p-tiny", "rh-ball-alpha-tiny",
-        "atom-d-negative", "atom-d-overflows", "atom-d-over-budget",
+        "atom-d-negative", "atom-d-overflows", "atom-d-over-budget", "atom-d-30",
         "atom-p-derives-degree-over-budget", "thm1-p-tiny", "chain-kind-gone",
         "rh-ball-outside-grid", "classify-outside-grid", "thm1-outside-grid",
         "thm1-outside-grid-in-a-worker", "cli-jobs-0",
@@ -627,18 +661,26 @@ def test_cli_malformed_parameters_exit_4(tmp_path, command, raw, field):
 
 
 @pytest.mark.parametrize("exponent, rh2", [(80.0, 15.714023045625309),
-                                           (300.0, 31.318359981544646)])
+                                           (300.0, 31.318359981544646),
+                                           (1e10, None), (1e15, None), (1e20, None),
+                                           (1e30, None)])
 def test_product_weight_with_a_high_power_classifies(tmp_path, exponent, rh2):
     """|x|^e |x - 1|^-0.4 at e = 80 and 300 classifies with exit 0 and a
     finite RH_2.  The Gauss-Jacobi rule at the factor's centre forms its
     weights in logarithms: from Gamma functions outside them, RH_2 read
     NaN ("diverging") at 80 and the run raised OverflowError (exit 1) at
-    300."""
+    300.  Past ``config.MAX_FACTOR_EXPONENT`` the config is refused (exit 4
+    at the exponent): from 1e10 on the rule's log-sum was NaN and the run
+    exited 1 with "math domain error"."""
     with open(os.path.join(CONFIG_DIR, "weights-product.json")) as fh:
         raw = json.load(fh)
     raw["weight"]["factors"][0][0] = exponent
     out = _python("-m", "rieszkit.cli", "weights", "classify",
                   "--config", _write(tmp_path, "product.json", raw), "--out", str(tmp_path))
+    if rh2 is None:
+        assert out.returncode == 4, out.stderr
+        assert json.loads(out.stderr.strip().splitlines()[-1])["path"] == "weight.factors[0][0]"
+        return
     assert out.returncode == 0, out.stderr
     with open(tmp_path / "weights-classify.json") as fh:
         rh = json.load(fh)["report"]["classes"][3]
@@ -961,15 +1003,18 @@ def test_each_command_loads_only_its_modules(tmp_path):
     ``operators``.  No
     command loads numpy.random (the atom stream is ``rieszkit.rng``),
     numpy.ma (which np.unique imports), hashlib and its OpenSSL module _hashlib (the config
-    hash in the checks' provenance is the builtin sha256) or dataclasses
-    (the records are ``rieszkit.records``)."""
+    hash in the checks' provenance is the builtin sha256), dataclasses
+    (the records are ``rieszkit.records``), or fractions and the decimal
+    module it imports (exact moments and the atoms' orthogonal polynomials
+    are integer ratios)."""
     code = ("import json, sys, rieszkit.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = rieszkit.cli.main(argv)\n"
             "    print('loaded', code, [m for m in ('atoms', 'operators', 'verify',\n"
             "                                       'line_integral', 'plane_integral', 'panels',\n"
             "                                       'hashlib', '_hashlib',\n"
-            "                                       'numpy.random', 'numpy.ma', 'dataclasses')\n"
+            "                                       'numpy.random', 'numpy.ma', 'dataclasses',\n"
+            "                                       'fractions', 'decimal')\n"
             "                           if m in sys.modules or 'rieszkit.' + m in sys.modules])")
 
     def loaded(*commands):
@@ -1019,8 +1064,8 @@ def test_no_command_calls_lapack(tmp_path):
     module with an object whose every attribute raises, which breaks inv,
     solve, svd, cond, norm(., 2) and det (vector norms along an axis do not
     use it); every command still exits 0.  The matrices are 1x1 or 2x2 and
-    take closed forms in ``geometry``; ``atoms`` solves its unit-ball Gram
-    system itself, here at degree 2 as well."""
+    take closed forms in ``geometry``; ``atoms`` builds its atoms in closed
+    form with no system to solve, here at degree 2 as well."""
     code = ("import json, sys, numpy as np, numpy.linalg._linalg as la, rieszkit.cli\n"
             "class NoLapack:\n"
             "    def __getattr__(self, name):\n"

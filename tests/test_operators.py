@@ -18,7 +18,7 @@ from rieszkit import (AtomParams, Ball, CallableProfile, ExponentProfile, GridPr
 from rieszkit.geometry import MatrixFamily, expanded_balls
 from rieszkit.operators import (FAR_FIELD_ORDER, _polynomial_moments, apply_T_ball_1d,
                                 apply_T_batch, sampled_from_csv)
-from rieszkit.atoms import CampaignSpec
+from rieszkit.atoms import CampaignSpec, multiindices
 
 
 def test_exponent_profile_validation():
@@ -360,20 +360,34 @@ def test_shared_ball_rule_needs_one_ball():
 
 def test_polynomial_moments_match_the_fraction_sum():
     """The integer-arithmetic moments are bit for bit the Fraction sum rounded
-    once, on 3,000 random coefficient sets with scales 1e-200 to 1e200."""
-    def fraction_moments(terms):
-        exact = [(i, Fraction(c)) for i, c in terms]
-        return np.array([float(sum((c * Fraction(2, k + i + 1) for i, c in exact
-                                    if (k + i) % 2 == 0), Fraction(0)))
-                         for k in range(FAR_FIELD_ORDER + 1)])
+    once, on 3,000 random coefficient sets on the line against u^k,
+    k <= FAR_FIELD_ORDER (the far field's), and 300 on the disk against
+    u^beta, |beta| <= 4 (pi as its float's exact ratio), with scales 1e-200
+    to 1e200."""
+    def fraction_moments(terms, betas, moment):
+        exact = [(k, Fraction(c)) for k, c in terms]
+        return np.array([float(sum((c * moment(*(i + j for i, j in zip(k, beta)))
+                                    for k, c in exact), Fraction(0)))
+                         for beta in betas])
+
+    def line(g):
+        return Fraction(0) if g % 2 else Fraction(2, g + 1)
+
+    def disk(a, b):
+        if a % 2 or b % 2:
+            return Fraction(0)
+        return Fraction(math.pi) * 2 * math.prod(range(a - 1, 0, -2)) * math.prod(
+            range(b - 1, 0, -2)) / math.prod(range(a + b + 2, 0, -2))
 
     rng = np.random.default_rng(2024)
-    for _ in range(3000):
-        deg = int(rng.integers(0, 6))
-        coeffs = rng.standard_normal(deg + 1) * 10.0 ** rng.uniform(-200, 200, deg + 1)
-        terms = tuple((i, float(c)) for i, c in enumerate(coeffs) if rng.random() < 0.8)
-        moments = _polynomial_moments.__wrapped__(terms)
-        assert moments.tobytes() == fraction_moments(terms).tobytes(), terms
+    cases = [(1, tuple((k,) for k in range(FAR_FIELD_ORDER + 1)), line)] * 3000 \
+        + [(2, tuple(multiindices(2, 4)), disk)] * 300
+    for n, betas, moment in cases:
+        keys = multiindices(n, int(rng.integers(0, 6)))
+        coeffs = rng.standard_normal(len(keys)) * 10.0 ** rng.uniform(-200, 200, len(keys))
+        terms = tuple((k, float(c)) for k, c in zip(keys, coeffs) if rng.random() < 0.8)
+        moments = _polynomial_moments.__wrapped__(terms, betas)
+        assert moments.tobytes() == fraction_moments(terms, betas, moment).tobytes(), terms
 
 
 def test_near_field_preimages_near_origin_stay_apart():

@@ -15,7 +15,7 @@ from rieszkit import (AtomParams, Ball, CampaignSpec, ExponentProfile,
                       check_pointwise_atom_bound, check_rh_ball_inequality,
                       construct_atom, equal_split, identity_family,
                       run_theorem_campaign, scalar_family)
-from rieszkit.config import load_config
+from rieszkit.config import MAX_DEGREE, load_config
 from rieszkit.line_integral import log_line_integral
 from rieszkit.operators import (SampledFunction, fractional_maximal, hl_maximal,
                                 indicator_maximal_1d)
@@ -585,14 +585,15 @@ def test_campaign_shares_balls_and_keeps_atom_order():
         assert alone == row
 
 
-def _thm1_smoke_at(radius):
-    """thm1-smoke's weight and matrices with one atom on B(0, radius)."""
+def _thm1_smoke_at(radius, d=None):
+    """thm1-smoke's weight and matrices with one atom of moment degree d on
+    B(0, radius)."""
     import warnings
 
     cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
                                    "thm1-smoke.json"))
     spec = CampaignSpec(count=1, seed=20240801, centers=((0.0,),), radii=(radius,),
-                        p=1.0, p0=2.0)
+                        p=1.0, p0=2.0, d=d)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return run_theorem_campaign("thm-zero", cfg.weight, cfg.exponents, cfg.matrices, spec)
@@ -610,6 +611,31 @@ def test_campaign_norm_is_dilation_invariant(radius):
     assert rep.passed() and rep.worst == pytest.approx(base.worst, rel=1e-12)
     assert rep.extras["lp0_spot_check"] * radius == pytest.approx(
         base.extras["lp0_spot_check"], rel=1e-12)
+
+
+@pytest.mark.parametrize("p0", [1000.0, 1e5])
+def test_lp0_spot_check_is_finite_at_a_large_p0(p0):
+    """thm1-smoke's campaign with 4 atoms at p0 = 1000 and 1e5 reports a
+    finite L^p0 spot check, with no numpy warning: the shift of its cells is
+    the largest log-integrand they see.  Shifted by the values at the ends
+    of the expanded balls, |T a|^p0 overflowed and the check read inf."""
+    import warnings
+
+    cfg = load_config(os.path.join(os.path.dirname(__file__), "..", "configs",
+                                   "thm1-smoke.json"))
+    spec = CampaignSpec(count=4, seed=20240801, p=1.0, p0=p0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = run_theorem_campaign("thm-zero", cfg.weight, cfg.exponents, cfg.matrices, spec)
+    assert rep.passed() and 0.0 < rep.extras["lp0_spot_check"] < math.inf
+
+
+def test_campaign_norm_at_the_degree_cap_is_dilation_invariant():
+    """At d = ``config.MAX_DEGREE`` one atom's thm1 norm about 0 at radii
+    0.25, 1 and 4 agrees to 1e-8: it reads 1.3e-9 there and 1.5e-10 at
+    degree 12, the digits the near field loses to the monomial storage."""
+    worst = [_thm1_smoke_at(r, MAX_DEGREE).worst for r in (0.25, 1.0, 4.0)]
+    assert max(worst) - min(worst) <= 1e-8 * max(worst)
 
 
 def test_campaign_reproducible_bitwise():
