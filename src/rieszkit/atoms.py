@@ -287,7 +287,7 @@ def _p0_norm(profile: PolynomialProfile, ball: Ball, p0: float) -> float:
     if not profile.coeffs:
         return 0.0
     if p0 == 2.0:
-        t, _, _, logw = gauss_jacobi(degree + 1, 0.0, n - 1.0)
+        t, logw = gauss_jacobi(degree + 1, 0.0, n - 1.0)
         pts, wts = t[:, None], np.exp(logw)
         if n == 2:
             # radii (1 + t) / 2, whose rule's weight 1 + t is the polar

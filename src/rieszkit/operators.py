@@ -6,14 +6,15 @@ n - alpha and the A_j are invertible matrices.  For a single identity
 matrix this is the classical Riesz potential of order alpha.
 
 On the line, T f of a polynomial (or indicator) profile takes one of two
-rules that do not depend on the quadrature scheme.  Near points use product
-Gauss-Jacobi integration (Davis & Rabinowitz, Methods of Numerical
-Integration, 1984): the support splits at the preimages x / lambda_j inside
-it, each piece takes a 16-point rule for the weight (1 - t)^a (1 + t)^b whose
-exponents are those of the kernel factors at its ends, and a piece close to
-a preimage just outside it is graded geometrically toward it.  Against a
-30-digit mpmath quadrature these values agree to 1e-13 relative or better,
-one ulp from a support endpoint and where two preimages nearly coincide.
+rules that do not depend on the quadrature scheme.  Near points take the
+line's panel stage (``panels``), one group per point: the support splits at
+the preimages x / lambda_j inside it, each piece is halved and each half
+graded geometrically toward its own end, and the panel at a preimage takes
+the 16-point Gauss-Jacobi rule for its exponent, every other panel
+Gauss-Legendre (Davis & Rabinowitz, Methods of Numerical Integration, 1984).
+Against a 30-digit mpmath quadrature these values agree to 1e-13 relative
+or better, one ulp from a support endpoint and where two preimages nearly
+coincide.
 
 Far points, whose preimages A_j^{-1} x all lie at least 3 radii from the
 centre c of the support, take a multipole rule: with D_j = x - A_j c, each
@@ -26,8 +27,8 @@ a 40-digit mpmath quadrature these values agree to 3e-13 relative or
 better, from 3 radii out to a theorem campaign's truncation.
 
 Neither rule's costly part depends on the function: the product series,
-the panels, the rule table and the kernel factors are those of the ball,
-the kernel and the points.  ``apply_T_ball_1d`` builds them once for every
+the panels and their log terms are those of the ball, the kernel and the
+points.  ``apply_T_ball_1d`` builds them once for every
 polynomial or indicator on one ball and applies them to each function, so
 the functions of a campaign that share a ball share one evaluation of T.
 
@@ -59,9 +60,9 @@ import numpy as np
 from .errors import QuadratureDiverged
 from .geometry import Ball, MatrixFamily, as_point, identity_family
 from .quadrature import (PowerProfile, QuadratureScheme, RadialSingularity,
-                         coincident, default_scheme, gauss_jacobi, integrate_ball,
-                         lebesgue_ball, log_ball_integral)
-from .panels import graded_panels
+                         coincident, default_scheme, integrate_ball, lebesgue_ball,
+                         log_ball_integral)
+from .panels import line_halves, line_nodes, line_panels
 from .records import field, record
 from .weights import _exp
 
@@ -69,10 +70,6 @@ from .weights import _exp
 FAR_FIELD_RATIO = 3.0
 #: degree at which the far-field series is truncated
 FAR_FIELD_ORDER = 40
-#: nodes of each Gauss-Jacobi panel of the near field on the line
-NEAR_FIELD_NODES = 16
-# near-field panels evaluated at once (bounds the panels x nodes temporaries)
-_NEAR_BLOCK = 256
 
 
 @record(frozen=True)
@@ -324,7 +321,7 @@ def apply_T_batch(f: SampledFunction, xs, profile: ExponentProfile,
     """Vectorized apply_T over a batch of evaluation points (no refinement check).
 
     On the line, a polynomial or indicator profile takes ``apply_T_ball_1d``
-    (the multipole rule at far-field points, the Gauss-Jacobi rule at the
+    (the multipole rule at far-field points, the panel stage at the
     others); in the plane, a disk's indicator under one similarity factor
     takes one exact radial ball integral.  None of these reads ``scheme``;
     every other case takes the cell quadrature.
@@ -364,8 +361,8 @@ def apply_T_ball_1d(fs, xs, profile: ExponentProfile, family: MatrixFamily) -> n
 
     The functions are polynomials or indicators on one common ball.  Every
     costly part of T depends on the ball, the kernel and the points only:
-    the far-field product series, the near-field panels, rule table and
-    kernel factors are built once and applied to each function, so row i
+    the far-field product series and the near-field panels and their log
+    terms are built once and applied to each function, so row i
     is T fs[i] with exactly the floating-point operations of
     ``apply_T_batch(fs[i], ...)``.  Returns an (len(fs), len(xs)) array.
     """
@@ -478,103 +475,50 @@ def _far_field_1d(xs: np.ndarray, moments: list, profile: ExponentProfile,
 
 def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: ExponentProfile,
                    family: MatrixFamily) -> np.ndarray:
-    """Product Gauss-Jacobi values of T f at near-field points (see the module
-    docstring), one row per polynomial or indicator profile on ``ball``.
+    """Panel values of T f at near-field points (see the module docstring),
+    one row per polynomial or indicator profile on ``ball``.
 
     With s_j = x / lambda_j the kernel is C prod_j |s_j - y|^{-a_j},
-    C = prod_j |lambda_j|^{-a_j}.  The support splits at the preimages inside
-    it (coincident ones merged, their exponents added) into pieces; a piece
-    closer to an outside preimage than half its length is graded toward it
-    (``panels.graded_panels``).  Every panel takes the NEAR_FIELD_NODES-point rule
-    for the exponents of the preimages at its ends, and the other factors and
-    the profile are evaluated at its nodes, their distances to the preimages
-    formed from the panel ends so that none is lost to rounding.  The panels,
-    the rule table and the factors depend on the ball and the points only;
-    each profile's node values are multiplied by them in the same order.  A
-    merged exponent of -1 or below at a point of the support gives +inf.
+    C = prod_j |lambda_j|^{-a_j}.  Each point is one group of the line's
+    panel stage (``panels``), marked at the support's ends and the
+    preimages inside it, with the preimages as factors.  Each profile's
+    node values are multiplied by the stage's weights and summed per panel,
+    then per point, in one order.  A merged exponent of -1 or below at a
+    point of the support gives +inf.
     """
     lo = float(ball.center[0] - ball.radius)
     hi = float(ball.center[0] + ball.radius)
-    # order the factors by 1 / lambda_j: the preimages x / lambda_j of a row
-    # then increase for x > 0, decrease for x < 0 and coincide for x = 0
-    pairs = sorted(((float(mat[0, 0]), a) for mat, a in zip(family.matrices, profile.alphas)),
-                   key=lambda pair: 1.0 / pair[0])
-    lams, alphas = (np.array(col) for col in zip(*pairs))
-    neg = xs[:, None] < 0
+    lams = np.array([float(mat[0, 0]) for mat in family.matrices])
+    # each row's preimages x / lambda_j in increasing order, with their exponents
     pre = xs[:, None] / lams
-    pre = np.where(neg, pre[:, ::-1], pre)
-    alphas = np.where(neg, alphas[::-1], alphas)
+    order = np.argsort(pre, axis=1, kind="stable")
+    pre = np.take_along_axis(pre, order, axis=1)
+    exponent = -np.array(profile.alphas)[order]
     # merge coincident preimages: every member of a run sits at the run's first
-    # preimage and carries the run's summed exponent.  The panels below form
-    # their distances exactly, so the merge is purely relative: +-x stay apart
-    # for every x != 0
-    summed = -alphas
+    # preimage, and its last carries the run's summed exponent.  The stage forms
+    # its distances exactly, so the merge is purely relative: +-x stay apart for
+    # every x != 0
+    summed = exponent.copy()
     for k in range(1, lams.size):
         same = coincident(pre[:, k, None], pre[:, k - 1, None], floor=0.0)
         pre[same, k] = pre[same, k - 1]
         summed[same, k] += summed[same, k - 1]
-    for k in range(lams.size - 2, -1, -1):
-        same = pre[:, k] == pre[:, k + 1]
-        summed[same, k] = summed[same, k + 1]
-    inside = (pre >= lo) & (pre <= hi)
-    ends = np.where(inside, summed, 0.0)
-    out = np.where(np.any(ends <= -1.0, axis=1), math.inf, 0.0)
-
-    # pieces between consecutive break points, with the distance from each
-    # end to the nearest preimage beyond it
-    marks = np.concatenate([np.full((xs.size, 1), lo), np.clip(pre, lo, hi),
-                            np.full((xs.size, 1), hi)], axis=1)
-    u, v = marks[:, :-1, None], marks[:, 1:, None]
-    gap_lo = np.min(np.where(pre[:, None, :] < u, u - pre[:, None, :], math.inf), axis=2)
-    gap_hi = np.min(np.where(pre[:, None, :] > v, pre[:, None, :] - v, math.inf), axis=2)
-    u, v = u[..., 0], v[..., 0]
-    keep = (v > u) & (out == 0.0)[:, None]
-    point, pu, pv = graded_panels(np.nonzero(keep)[0], u[keep], v[keep],
-                                   gap_lo[keep], gap_hi[keep])
-    if point.size == 0:
-        return np.tile(out, (len(profiles), 1))
-    # the exponents a panel end can carry
-    levels = np.array(sorted(set(ends.ravel().tolist()) | {0.0}))
-
-    # per panel: the exponents at its ends and, for every other factor, its
-    # distance from the panel and its side (below: True)
-    pre, inside, ends = pre[point], inside[point], ends[point]
-    at_lo = inside & (pre == pu[:, None])
-    at_hi = inside & (pre == pv[:, None])
-    beta = np.min(np.where(at_lo, ends, 0.0), axis=1)
-    alpha = np.min(np.where(at_hi, ends, 0.0), axis=1)
-    below = pre <= pu[:, None]
-    half = 0.5 * (pv - pu)
-    # distances in half panel lengths: the factors stay moderate on the
-    # tiniest panels, and their scale joins the rule's in ``lift``
-    dist = np.where(below, pu[:, None] - pre, pre - pv[:, None]) / half[:, None]
-    power = np.where(at_lo | at_hi, 0.0, -alphas[point])
-    lift = 1.0 + alpha + beta + power.sum(axis=1)
-    # one stacked rule table; panel i takes row[i]
-    code = np.searchsorted(levels, alpha) * levels.size + np.searchsorted(levels, beta)
-    present = np.bincount(code, minlength=levels.size**2) > 0
-    row = (np.cumsum(present) - 1)[code]
-    table = [gauss_jacobi(NEAR_FIELD_NODES, float(levels[c // levels.size]),
-                          float(levels[c % levels.size])) for c in np.flatnonzero(present)]
-    t_lo, t_hi, wts = (np.stack([rule[i] for rule in table]) for i in (1, 2, 3))
-    wts = np.exp(wts)
-    sums = np.empty((len(profiles), point.size))
-    for k in range(0, point.size, _NEAR_BLOCK):
-        sl = slice(k, k + _NEAR_BLOCK)
-        r, h = row[sl], half[sl, None]
-        nodes = (pu[sl, None] + h * t_lo[r]).reshape(-1, 1)
-        factors = [(dist[sl, j, None] + np.where(below[sl, j, None], t_lo[r], t_hi[r]))
-                   ** power[sl, j, None] for j in range(lams.size)]
-        rule, lifted = wts[r], h[:, 0] ** lift[sl]
+    out = np.where(np.any((pre >= lo) & (pre <= hi) & (summed <= -1.0), axis=1), math.inf, 0.0)
+    live = np.flatnonzero(out == 0.0)
+    marks = np.pad(np.clip(pre[live], lo, hi), ((0, 0), (1, 1)), constant_values=(lo, hi))
+    group, mark, way, length, forms = line_halves(marks, pre[live], 0.0, exponent[live], 0.0)
+    half, plo, phi = line_panels(length, forms)
+    sums = np.empty((len(profiles), half.size))
+    k = 0
+    for own, nodes, terms in line_nodes(half, plo, phi, mark, way, forms):
+        rule = np.exp(terms)
         for i, prof in enumerate(profiles):
-            vals = prof.eval(ball, nodes).reshape(h.size, NEAR_FIELD_NODES)
-            for factor in factors:
-                vals *= factor
-            sums[i, sl] = np.einsum("ij,ij->i", vals, rule) * lifted
-    scale = math.prod(abs(float(mat[0, 0])) ** -a
-                      for mat, a in zip(family.matrices, profile.alphas))
-    return np.stack([out + scale * np.bincount(point, weights=row_sums, minlength=xs.size)
-                     for row_sums in sums])
+            vals = prof.eval(ball, nodes.reshape(-1, 1)).reshape(nodes.shape)
+            sums[i, k:k + own.size] = np.einsum("ij,ij->i", vals, rule)
+        k += own.size
+    scale = math.prod(abs(lam) ** -a for lam, a in zip(lams, profile.alphas))
+    return np.stack([out + scale * np.bincount(live[group[half]], weights=row_sums,
+                                               minlength=xs.size) for row_sums in sums])
 
 
 def _cauchy_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -101,8 +101,7 @@ def _nodes(length, gap, level):
     (``panels.graded_panels``): each node's half, offset u and log weight,
     and its panel's level, which is the half's on the panel at 0, where the
     rule takes u^level (``panels.panel_rule``)."""
-    owner, lo, hi = graded_panels(np.arange(length.size), np.zeros(length.size), length, gap,
-                                  np.full(length.size, math.inf))
+    owner, lo, hi = graded_panels(length, gap)
     level = np.where(lo == 0.0, level[owner], 0.0)
     u, logw, logjac = panel_rule(lo, hi, level)
     return owner, u, logw + logjac[:, None], level

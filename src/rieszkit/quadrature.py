@@ -538,8 +538,7 @@ def _log_annulus(profile: RadialProfile, d: float, rho: float) -> float:
 @lru_cache(maxsize=64)
 def gauss_jacobi(n: int, alpha: float, beta: float):
     """n-point Gauss rule for the weight (1 - t)**alpha (1 + t)**beta on [-1, 1],
-    alpha, beta > -1, as read-only arrays (nodes, 1 + nodes, 1 - nodes, log
-    weights).
+    alpha, beta > -1, as read-only arrays (nodes, log weights).
 
     The nodes are the eigenvalues of the Jacobi matrix of the monic three-term
     recurrence (Golub & Welsch, Math. Comp. 23, 1969), located all at once by
@@ -591,7 +590,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
     for i in range(n - 1):
         q0, q1 = q1, ((t - diag[i]) * q1 - off[i] * q0) / off[i + 1]
         total += q1 * q1
-    rule = (t, 1.0 + t, 1.0 - t, log_mu0 - np.log(total))
+    rule = (t, log_mu0 - np.log(total))
     for arr in rule:
         arr.flags.writeable = False
     return rule
@@ -705,6 +704,19 @@ def graded_edges(near, far, h0, block=64, growth=2.0, max_cells=200000):
 # ---------------------------------------------------------------------------
 
 
+def _quadrant_area(x, y, r: float) -> np.ndarray:
+    """|{p in B(0, r) : p_0 <= x, p_1 <= y}|, broadcast: the integral of the
+    clipped chord through F(u) = (u sqrt(r^2 - u^2) + r^2 arcsin(u / r)) / 2."""
+    def f(u):
+        return 0.5 * (u * np.sqrt((r - u) * (r + u)) + r * r * np.arcsin(u / r))
+
+    h = np.minimum(np.abs(y), r)
+    t = np.sqrt((r - h) * (r + h))
+    u = np.clip(x, -t, t)
+    below = f(u) + f(t) - h * (u + t)  # the part below -|y|, by reflection above |y|
+    return np.where(y < 0.0, below, 2.0 * (f(np.clip(x, -r, r)) + f(r)) - below)
+
+
 def integrate_disk(fn, center, radius, resolution, singularities=()):
     """Integrate ``fn`` over the disk B(center, radius).
 
@@ -756,12 +768,29 @@ def integrate_disk(fn, center, radius, resolution, singularities=()):
         off = (np.arange(_DISK_SUBSAMPLE) + 0.5) / _DISK_SUBSAMPLE - 0.5
         OX, OY = np.meshgrid(off * h, off * h, indexing="ij")
         offsets = np.column_stack([OX.ravel(), OY.ravel()])
-        sp = (pts[straddle][:, None, :] + offsets[None, :, :]).reshape(-1, 2)
-        ok = np.linalg.norm(sp - center, axis=1) <= radius
+        sp = pts[straddle][:, None, :] + offsets[None, :, :]
+        ok = np.linalg.norm(sp - center, axis=2) <= radius
         for c, _, rho in active:
-            ok &= np.linalg.norm(sp - c, axis=1) > rho
-        if np.any(ok):
-            total += (h / _DISK_SUBSAMPLE) ** 2 * float(np.sum(fn(sp[ok])))
+            ok &= np.linalg.norm(sp - c, axis=2) > rho
+        # a cell across the circle that meets no patch carries its exact area
+        # |cell & B| (edges about the centre: the outermost are +-radius), shared
+        # by its inside points or, if none, taken by its point nearest the centre
+        ring = ~near_patch[straddle]
+        i, j = np.divmod(np.flatnonzero(straddle)[ring], ncell)
+        edge = np.linspace(-radius, radius, ncell + 1)
+        area = np.maximum(_quadrant_area(edge[i + 1], edge[j + 1], radius)
+                          - _quadrant_area(edge[i], edge[j + 1], radius)
+                          - _quadrant_area(edge[i + 1], edge[j], radius)
+                          + _quadrant_area(edge[i], edge[j], radius), 0.0)
+        count = np.sum(ok[ring], axis=1)
+        weight = np.full(ok.shape, (h / _DISK_SUBSAMPLE) ** 2)
+        weight[ring] = (area / np.maximum(count, 1))[:, None]
+        lone = (count == 0) & (area > 0.0)
+        nearest = center + np.column_stack([np.clip(0.0, edge[i], edge[i + 1]),
+                                            np.clip(0.0, edge[j], edge[j + 1])])[lone]
+        if np.any(ok) or np.any(lone):
+            total += float(np.sum(fn(np.concatenate([sp[ok], nearest]))
+                                  * np.concatenate([weight[ok], area[lone]])))
 
     theta = (np.arange(_PATCH_SECTORS) + 0.5) * (2.0 * math.pi / _PATCH_SECTORS)
     directions = np.column_stack([np.cos(theta), np.sin(theta)])

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, NotIntegrable, OutOfGrid, SingularPoint
 from .geometry import Ball, BallFamily, MatrixFamily, as_point, distances
-from .quadrature import (RadialSingularity, combine_profiles, lebesgue_ball, log_ball_integral,
-                         radial_profile)
+from .quadrature import (RadialSingularity, _quadrant_area, combine_profiles, lebesgue_ball,
+                         log_ball_integral, radial_profile)
 from .records import asdict, record
 
 
@@ -351,19 +351,6 @@ def _grid_cells(w, ball: Ball) -> tuple:
     gaps = np.ix_(*(np.maximum(np.maximum(e[:-1], -e[1:]), 0.0) for e in edges))
     meet = np.sqrt(sum(g * g for g in gaps)) < r
     return np.maximum(measures[meet], 0.0), w.scale * w.values[meet]
-
-
-def _quadrant_area(x, y, r: float) -> np.ndarray:
-    """|{p in B(0, r) : p_0 <= x, p_1 <= y}|, broadcast: the integral of the
-    clipped chord through F(u) = (u sqrt(r^2 - u^2) + r^2 arcsin(u / r)) / 2."""
-    def f(u):
-        return 0.5 * (u * np.sqrt((r - u) * (r + u)) + r * r * np.arcsin(u / r))
-
-    h = np.minimum(np.abs(y), r)
-    t = np.sqrt((r - h) * (r + h))
-    u = np.clip(x, -t, t)
-    below = f(u) + f(t) - h * (u + t)  # the part below -|y|, by reflection above |y|
-    return np.where(y < 0.0, below, 2.0 * (f(np.clip(x, -r, r)) + f(r)) - below)
 
 
 def weighted_measure(w, s: float, ball: Ball) -> float:

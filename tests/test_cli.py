@@ -1213,7 +1213,8 @@ def test_classify_weight_grid_script_judges_every_cell():
 
 def test_compare_reports_script(tmp_path):
     """compare_reports ignores report timestamps, names the largest relative
-    float change with its key path, or the key path of the first other
+    float change with its key path and the largest change in ulps, or the
+    key path of the first other
     difference and what differs there, and exits non-zero on any
     difference."""
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_reports.py")
@@ -1230,6 +1231,11 @@ def test_compare_reports_script(tmp_path):
     out = _python(script, str(a), str(b))
     assert out.returncode == 1
     assert "largest relative change 9.990e-04 at [1][1]" in out.stdout
+
+    # the change in ulps is the count of doubles between the values
+    (b / "s.csv").write_text(f"x0,value\n0.5,{2.0 + 3 * math.ulp(2.0)!r}\n")
+    out = _python(script, str(a), str(b))
+    assert "largest relative change 6.661e-16 at [1][1], largest 3 ulp" in out.stdout
 
     (b / "s.csv").write_text("x0,value\n0.5,2.0\n")
     (b / "sub" / "r.json").write_text(json.dumps(

@@ -15,10 +15,11 @@ from rieszkit import (AtomParams, Ball, CallableProfile, ExponentProfile, GridPr
                       construct_atom, equal_split, fractional_maximal,
                       fractional_maximal_witness, hl_maximal, hl_maximal_witness,
                       identity_family, indicator, riesz_potential, scalar_family)
-from rieszkit.geometry import MatrixFamily, expanded_balls
+from rieszkit.geometry import MatrixFamily
 from rieszkit.operators import (FAR_FIELD_ORDER, _polynomial_moments, apply_T_ball_1d,
                                 apply_T_batch, sampled_from_csv)
 from rieszkit.atoms import CampaignSpec, multiindices
+from rieszkit.verify import _expanded_intervals, _truncation_extent
 
 
 def test_exponent_profile_validation():
@@ -214,7 +215,8 @@ def _mpmath_T(coeffs, center, radius, x, profile, lams):
 @pytest.mark.parametrize("d", [0, 1, 2])
 def test_far_field_matches_mpmath(profile, d):
     """Atoms with vanishing moments, every point at least 3 radii out in each
-    preimage, out to the campaign truncation: relative error <= 1e-8."""
+    preimage, out to the campaign's truncation (``verify._truncation_extent``):
+    relative error <= 3e-13, the README's bound."""
     lams = (1.0, -1.0)
     fam = scalar_family(list(lams), pairwise_invertible=True)
     octaves = CampaignSpec().outer_octaves
@@ -222,16 +224,14 @@ def test_far_field_matches_mpmath(profile, d):
         ball = Ball([center], radius)
         atom = construct_atom(ball, AtomParams(1.0, 2.0, d, PowerWeight(0.5), 1), seed=11)
         coeffs = sorted((k[0], c) for k, c in atom.profile.coeffs.items())
-        stars = expanded_balls(ball, fam)
-        scale = max(abs(b.center[0] - b.radius) + abs(b.center[0] + b.radius) for b in stars)
-        truncation = (scale + 1.0) * 2.0**octaves
+        truncation = _truncation_extent(_expanded_intervals(ball, fam), octaves)
         side = np.geomspace(abs(center) + 3.0 * radius, truncation, 4)
         xs = np.concatenate([-side[::-1], side])
         assert all(abs(x / lam - center) >= 3.0 * radius for x in xs for lam in lams)
         vals = apply_T_batch(atom.function(), xs[:, None], profile, fam)
         for x, v in zip(xs, vals):
             ref = _mpmath_T(coeffs, center, radius, x, profile, lams)
-            assert abs(v - ref) <= 1e-8 * abs(ref), (center, radius, x, v, ref)
+            assert abs(v - ref) <= 3e-13 * abs(ref), (center, radius, x, v, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,8 @@ def _mpmath_near(polys, lo, hi, center, radius, x, alphas, lams):
 def test_near_field_matches_mpmath(kernel):
     """Atoms of degree d = 0, 1, 2 at points one ulp and 1e-9 inside and
     outside each support endpoint, and at +-1e-9, where the preimages +-x
-    nearly coincide: relative error <= 1e-12 against 30 digits."""
+    nearly coincide: relative error <= 1e-13 against 30 digits, the README's
+    bound."""
     profile, lams = NEAR_FIELD_KERNELS[kernel]
     fam = scalar_family(list(lams), pairwise_invertible=len(lams) > 1)
     center, radius = 0.25, 0.5
@@ -323,7 +324,7 @@ def test_near_field_matches_mpmath(kernel):
     for i, x in enumerate(xs):
         refs = _mpmath_near(polys, lo, hi, center, radius, x, profile.alphas, lams)
         for d, ref in enumerate(refs):
-            assert abs(values[d, i] - ref) <= 1e-12 * abs(ref), (kernel, d, x, values[d, i], ref)
+            assert abs(values[d, i] - ref) <= 1e-13 * abs(ref), (kernel, d, x, values[d, i], ref)
 
 
 @pytest.mark.parametrize("kernel", ["thm1", "ta"])
@@ -348,6 +349,33 @@ def test_shared_ball_rows_match_single_function_calls(kernel):
     for f, row in zip(fs, shared):
         alone = apply_T_batch(f, xs[:, None], profile, fam)
         assert row.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["thm1", "ta"])
+def test_near_field_points_do_not_depend_on_their_batch(kernel):
+    """Every near-field point is one group of the panel stage: 1,201 points in
+    one call read bit for bit what 1,201 one-point calls read."""
+    profile, lams = NEAR_FIELD_KERNELS[kernel]
+    fam = scalar_family(list(lams), pairwise_invertible=True)
+    atom = construct_atom(Ball([0.25], 0.5), AtomParams(1.0, 2.0, 2, PowerWeight(0.5), 1),
+                          seed=17).function()
+    xs = np.linspace(-1.6, 1.6, 1201)
+    assert all(min(abs(x / lam - 0.25) for lam in lams) < 1.5 for x in xs)
+    batch = apply_T_batch(atom, xs[:, None], profile, fam)
+    alone = np.concatenate([apply_T_batch(atom, np.array([[x]]), profile, fam) for x in xs])
+    assert batch.tobytes() == alone.tobytes()
+
+
+def test_near_field_builds_one_rule():
+    """thm1-smoke's kernel (two exponents 1/2) builds one Gauss-Jacobi rule,
+    for u**-1/2 at a preimage; every other panel is Gauss-Legendre."""
+    from rieszkit.quadrature import gauss_jacobi
+
+    profile, lams = NEAR_FIELD_KERNELS["thm1"]
+    fam = scalar_family(list(lams), pairwise_invertible=True)
+    gauss_jacobi.cache_clear()
+    apply_T_ball_1d([indicator([0.25], 0.5)], np.linspace(-0.6, 1.1, 41), profile, fam)
+    assert gauss_jacobi.cache_info().currsize == 1
 
 
 def test_shared_ball_rule_needs_one_ball():
