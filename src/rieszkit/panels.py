@@ -2,11 +2,10 @@
 on them, and the line's one panel stage: ``line_halves`` halves the pieces
 between each group's marks, ``line_panels`` grades and cuts the halves'
 panels and ``line_nodes`` weights their nodes.  The near field of T f in
-``operators`` passes one group per evaluation point,
-``line_integral.log_line_integral`` one group per call, and
-``plane_integral.log_disk_integral`` takes ``graded_panels`` and
-``panel_rule`` directly.  A module of its own keeps a product weight's
-classify process from compiling ``operators``.
+``operators`` passes one group per evaluation point, ``log_line_integral``
+one per call and ``log_disk_integral`` one per ray (its angles take
+``graded_panels`` and ``panel_rule`` directly).  A module of its own keeps a
+product weight's classify process from compiling ``operators``.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ def panel_rule(lo, hi, level):
     from lo) where ``level`` is nonzero and Gauss-Legendre elsewhere
     (``quadrature.gauss_jacobi``)."""
     width = hi - lo
-    x = np.tile(_GL16_X, (width.size, 1))
-    logw = np.tile(np.log(_GL16_W), (width.size, 1))
+    x, logw = np.empty((2, width.size, 16))
+    x[:], logw[:] = _GL16_X, np.log(_GL16_W)
     for e in set(level[level != 0.0].tolist()):
         rule = gauss_jacobi(16, 0.0, e)
         sel = level == e
@@ -101,21 +100,23 @@ def line_panels(length, forms):
     """Panels on the halves [0, length] with forms (A, B, Y, E, S)
     (``line_halves``), as offsets from the mark: (half, lo, hi) per panel.
     Each half is graded toward its mark (``graded_panels``) to its nearest
-    centre behind it, hypot(A, y) / B over B > 0, and deeper toward a log
-    factor at the mark, until the innermost panel holds at most
-    e**-_LOG_DEPTH of the half's integral; a panel where the log of a form
-    may change by |e B| (hi - lo) / min r > 16 is cut into up to 64 equal
-    parts, and a second pass cuts those next to a mark.
+    centre off it, hypot(A, Y) / |B| (ahead too: the plane clamps centres to
+    its circle), and deeper toward a log factor at the mark, until the
+    innermost panel holds at most e**-_LOG_DEPTH of the half's integral.  A
+    graded panel lies a third of its width or more from every zero, so only
+    where some |e| > 5 may the log of a form change by |e B| (hi - lo) /
+    min r > 16 on a panel, which is cut into up to 64 equal parts (a second
+    pass cuts those next to a mark).
     """
     A, B, Y, E, S = forms
     at_mark = (A == 0.0) & (Y == 0.0)
     e0 = np.sum(np.where(at_mark, E, 0.0), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.min(np.where(~at_mark & (B > 0.0), np.hypot(A, Y) / B, math.inf), axis=1)
+        gap = np.min(np.where(at_mark, math.inf, np.hypot(A, Y) / np.abs(B)), axis=1)
     deep = 0.5 * length * np.maximum(np.exp(-_LOG_DEPTH / (1.0 + e0)), 1e-150)
     gap = np.where(np.any(at_mark & (S != 0.0), axis=1), np.minimum(gap, deep), gap)
     owner, lo, hi = graded_panels(length, gap)
-    for _ in range(2):
+    for _ in range(2 if np.max(np.abs(E), initial=0.0) > 5.0 else 0):
         fa, fb, fy, fe = A[owner], B[owner], Y[owner], E[owner]
         near = np.hypot(np.minimum(fa + fb * lo[:, None], fa + fb * hi[:, None]), fy)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -142,21 +143,23 @@ def line_nodes(half, lo, hi, mark, way, forms):
     """
     at_mark = (forms[0] == 0.0) & (forms[2] == 0.0)
     e0 = np.sum(np.where(at_mark, forms[3], 0.0), axis=1)
+    ys = slice(np.flatnonzero(np.any(forms[2], axis=0)).max(initial=-1) + 1)  # hypot(r, 0) = |r|
     for k in range(0, lo.size, _BLOCK):
         own, a, b = half[k:k + _BLOCK], lo[k:k + _BLOCK], hi[k:k + _BLOCK]
         jacobi = (a == 0.0) & (e0[own] != 0.0)
         u, logw, logjac = panel_rule(a, b, np.where(jacobi, e0[own], 0.0))
-        fa, fb, fy, fe, fs = (f[own][:, :, None] for f in forms)
+        # factor-major, so the factors' sum and hypot run over whole slabs
+        fa, fb, fy, fe, fs = np.take(forms, own, axis=1).transpose(0, 2, 1).copy()[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = fb * u[:, None, :]
+            r = fb * u
             r += fa
-            # skipped for the near field (no offsets, no log powers): a fifth of its time
-            logr = np.log(np.hypot(r, fy) if np.any(fy) else np.abs(r, out=r), out=r)
+            np.hypot(r[ys], fy[ys], out=r[ys])
+            logr = np.log(np.abs(r, out=r), out=r)
+            power = fe * logr
             # on a Gauss-Jacobi panel the rule's weight holds u**e0, so a
             # factor (B u)**e at the mark leaves B**e
-            power = np.where(jacobi[:, None, None] & at_mark[own][:, :, None], np.log(fb), logr)
-            power *= fe
+            np.copyto(power, fe * np.log(fb), where=(jacobi[:, None] & at_mark[own]).T[..., None])
             if np.any(fs):
                 power += np.where(fs != 0.0, fs * np.log(-logr), 0.0)
-            terms = np.sum(power, axis=1) + logw + logjac[:, None]
+            terms = np.sum(power, axis=0) + logw + logjac[:, None]
         yield own, mark[own][:, None] + way[own][:, None] * u, terms

@@ -706,9 +706,10 @@ def graded_edges(near, far, h0, block=64, growth=2.0, max_cells=200000):
 
 def _quadrant_area(x, y, r: float) -> np.ndarray:
     """|{p in B(0, r) : p_0 <= x, p_1 <= y}|, broadcast: the integral of the
-    clipped chord through F(u) = (u sqrt(r^2 - u^2) + r^2 arcsin(u / r)) / 2."""
+    clipped chord through F(u) = (u s + r^2 arctan2(u, s)) / 2, s = sqrt(r^2 - u^2)."""
     def f(u):
-        return 0.5 * (u * np.sqrt((r - u) * (r + u)) + r * r * np.arcsin(u / r))
+        s = np.sqrt((r - u) * (r + u))
+        return 0.5 * (u * s + r * r * np.arctan2(u, s))
 
     h = np.minimum(np.abs(y), r)
     t = np.sqrt((r - h) * (r + h))

@@ -687,6 +687,26 @@ def test_product_weight_with_a_high_power_classifies(tmp_path, exponent, rh2):
     assert rh["verdict"] == "finite" and rh["constant"] == pytest.approx(rh2, rel=1e-12)
 
 
+@pytest.mark.parametrize("exponent", [None, 64.0, 1000.0])
+def test_plane_product_weight_past_the_disk_rule_exits_4(tmp_path, exponent):
+    """The bundled plane product classifies with exit 0; with its second
+    exponent at 64 or 1000 the disk rule cannot resolve the means' powers
+    (``plane_integral.MAX_POWER``) and refuses at ``weight.factors`` (exit
+    4), where it read RH_2 = 49.23 at 1000 and 1249.5 at 1e5 with exit 0."""
+    with open(os.path.join(CONFIG_DIR, "weights-product-plane.json")) as fh:
+        raw = json.load(fh)
+    if exponent is not None:
+        raw["weight"]["factors"][1][0] = exponent
+    out = _python("-m", "rieszkit.cli", "weights", "classify",
+                  "--config", _write(tmp_path, "plane.json", raw), "--out", str(tmp_path))
+    if exponent is None:
+        assert out.returncode == 0, out.stderr
+        return
+    assert out.returncode == 4, out.stderr
+    error = json.loads(out.stderr.strip().splitlines()[-1])
+    assert error["error"] == "config" and error["path"] == "weight.factors"
+
+
 @pytest.mark.parametrize("p0", [1.0001, 1000.0, 1e30, 1e300])
 def test_every_accepted_p0_keeps_the_exit_contract(tmp_path, capsys, p0):
     """`atoms gen` + `atoms validate` and the pointwise check at atom.p0

@@ -342,6 +342,47 @@ def test_line_integral_with_complex_centres(factors):
         log_line_integral([(z, PowerProfile(e)) for z, e in factors], -1.0, math.inf)
 
 
+def test_line_stage_grades_toward_a_centre_just_ahead_of_a_half():
+    """A half is graded toward its mark to the nearest centre off the mark on
+    either side: a centre 1e-9 ahead of the half (as where the plane clamps
+    a centre within rounding of its circle to the mark R) takes the panels
+    of one 1e-9 behind it, down to an innermost panel at most 2e-9 long.
+    Counting only centres behind left that half one panel, and the disk
+    rule read |x|^-1.9 on B((0, 1), 1) 0.187 off in log."""
+    from rieszkit.panels import line_panels
+
+    behind, ahead = (line_panels(np.array([0.5]), np.array([[[1e-9]], [[way]], [[0.0]],
+                                                            [[-1.9]], [[0.0]]]))
+                     for way in (1.0, -1.0))
+    for got, want in zip(ahead, behind):
+        assert np.array_equal(got, want)
+    assert behind[1].size > 10 and behind[1][0] == 0.0 and behind[2][0] <= 2e-9
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_line_stage_panels_keep_a_third_of_their_width_from_every_zero(seed):
+    """The fast-power cut runs only where some |e| > 5, because every graded
+    panel lies at least a third of its width from the zero of each form off
+    its mark (and from the mark itself unless it starts there), so a power
+    |e| <= 5 changes its log by at most 15 < 16 across it; checked on
+    random groups with real and complex centres."""
+    from rieszkit.panels import line_halves, line_panels
+
+    rng = np.random.default_rng(seed)
+    centre = np.sort(rng.uniform(-1.0, 1.0, (50, 4)), axis=1)
+    offset = np.where(rng.random((50, 4)) < 0.3, 10.0 ** rng.uniform(-12, 0, (50, 4)), 0.0)
+    marks = np.sort(np.concatenate([centre, rng.uniform(-1.5, 1.5, (50, 2))], axis=1), axis=1)
+    _, _, _, length, forms = line_halves(marks, centre, offset, rng.uniform(-0.9, 5.0, (50, 4)),
+                                         0.0)
+    half, lo, hi = line_panels(length, forms)
+    A, B, Y = (f[half] for f in forms[:3])
+    at_mark = (A == 0.0) & (Y == 0.0)
+    near = np.hypot(np.minimum(A + B * lo[:, None], A + B * hi[:, None]), Y)
+    with np.errstate(divide="ignore"):  # a factor at the mark, on the panel that starts there
+        ratio = np.abs(B) * (hi - lo)[:, None] / near
+    assert np.all(ratio[~(at_mark & (lo == 0.0)[:, None])] <= 3.0 * (1.0 + 1e-12))
+
+
 # ---------------------------------------------------------------------------
 # maximal-operator inequalities
 # ---------------------------------------------------------------------------

@@ -723,25 +723,76 @@ def test_disk_integral_converges_in_its_panels(monkeypatch):
     log integral of the plane products by more than 1e-13, on a subsample
     of the default 2-D family (every radius and centre, and the unit disks
     about 0 and (1, 0), whose circles pass through the other centre) for
-    s = 2, where the exponents are the most negative."""
-    from rieszkit import plane_integral
-    from rieszkit.panels import graded_panels
+    s = 2, where the exponents are the most negative.  The angles take
+    ``graded_panels`` directly and the rays through the line's panel stage,
+    so both bindings are split."""
+    from rieszkit import panels, plane_integral
 
+    graded_panels, calls = panels.graded_panels, []
     family = default_ball_family(2).balls
     balls = family[4::9] + (family[8], family[21])
     forms = [[(c, 2.0 * a) for a, c in w.factors] for w in _PLANE_PRODUCTS]
     base = [[_disk_integral(f, b.center, b.radius) for b in balls] for f in forms]
 
     def split(*args):
+        calls.append(args[0].size)
         owner, lo, hi = graded_panels(*args)
         mid = lo + 0.5 * (hi - lo)
         return np.repeat(owner, 2), np.ravel([lo, mid], "F"), np.ravel([mid, hi], "F")
 
     monkeypatch.setattr(plane_integral, "graded_panels", split)
+    monkeypatch.setattr(panels, "graded_panels", split)
     for f, row in zip(forms, base):
         for b, value in zip(balls, row):
             got = _disk_integral(f, b.center, b.radius)
             assert abs(got - value) <= 1e-13 * max(1.0, abs(value))
+    # every integral split its angles and at least one block of rays
+    assert len(calls) >= 2 * len(forms) * len(balls)
+
+
+def test_disk_integral_reads_to_1e13_up_to_its_power_bound():
+    """One factor |x - c|^b at b = ``MAX_POWER`` = 40 reads
+    ``log_ball_integral`` to 1e-13 on the disks of the radial-rule test
+    above (worst 4.3e-14; 5.5e-16 at b = 24 and 1.3e-14 at 32).  At b = 48
+    the worst read 1.6e-12 and at 64 2.5e-11, because the angles take no
+    fast-power cut, so past the bound the disk rule refuses at
+    ``weight.factors``."""
+    from rieszkit.errors import ConfigError
+    from rieszkit.plane_integral import MAX_POWER
+    from rieszkit.quadrature import log_ball_integral, radial_profile
+
+    disks = [(c, c0, 2.0**k) for c in ((0.0, 0.0), (1.0, 0.0), (0.3, -0.7), (-2.0, 5.0))
+             for c0 in ((0.0, 0.0), (0.0, 1.0), (-1.0, -1.0)) for k in (-8, 0, 4) if c != c0]
+    disks += [((1.0, 0.0), (0.0, 0.0), r) for r in (1.0, 1.0 - 1e-6, 1.0 + 1e-9)]
+    disks += [((0.6, 0.8), (0.0, 0.0), 1.0), ((1e-12, 0.0), (0.0, 0.0), 3.0)]
+    assert MAX_POWER == 40.0
+    for c, c0, r in disks:
+        exact = log_ball_integral(radial_profile(MAX_POWER, 0.0), np.subtract(c0, c), r)
+        got = _disk_integral([(c, MAX_POWER)], c0, r)
+        assert abs(got - exact) <= 1e-13 * max(1.0, abs(exact)), (c, c0, r)
+    for factors in ([((1.0, 0.0), 48.0)], [((1.0, 0.0), 20.0), ((0.0, 2.0), -20.5)]):
+        with pytest.raises(ConfigError) as exc:
+            _disk_integral(factors, (0.0, 0.0), 1.0)
+        assert exc.value.path == "weight.factors"
+    # a factor at the disk's centre joins the Jacobian and counts for nothing
+    assert math.isfinite(_disk_integral([((0.0, 0.0), 60.0), ((1.0, 0.0), 1.0)], (0.0, 0.0), 1.0))
+
+
+def test_disk_integral_peaks_under_12_mb():
+    """The line's panel stage weights the rays' nodes in blocks of panels,
+    and the rays come in blocks of angular panels, so one integral of the
+    bundled plane product over B((0, 1), 2) peaks at most at 12 MB under
+    tracemalloc (3.2 MB measured; 48.9 MB when every node was weighted at
+    once)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        _disk_integral([((0.0, 0.0), -0.5), ((1.0, 0.0), -0.3)], (0.0, 1.0), 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
 
 
 #: 8 x 8 cells of width 5 on [-20, 20]^2, nodes at multiples of 5
@@ -786,6 +837,29 @@ def test_plane_tabulated_areas_match_hand_values():
         warnings.simplefilter("error")
         assert essential_infimum(w, ball) == 0.5
         assert 1.0 < power_mean(w, 1.0, ball) < 7.0
+
+
+@pytest.mark.parametrize("center, radius", [((0.3, -1.7), 0.37), ((0.0, 0.0), 1.0),
+                                            ((-2.5, 4.0), 3.0)])
+def test_plane_tabulated_areas_sum_to_the_disk_by_a_grid_line(center, radius):
+    """The cells' areas |cell & B| sum to pi r^2 within 1e-15 relative when a
+    grid line lies 0, 1, 2, 8 or 1000 ulps inside the circle: F(u) reads
+    arctan2(u, sqrt(r^2 - u^2)), well conditioned at u = +-r, where
+    arcsin(u / r) read pi r^2 (1 + 7.3e-10) at 1 ulp on B((0.3, -1.7), r)."""
+    from rieszkit.weights import _grid_cells
+
+    x, y = center
+    grid = RegularGrid((x - 4.0, y - 4.0), (x + 4.0, y + 4.0), (64, 64))
+    w = TabulatedWeight(grid, np.ones(64 * 64))
+    # the grid line nearest the circle's right end, as ``_grid_cells`` forms it
+    edges = np.linspace(grid.lo[0], grid.hi[0], 65) - x
+    line = edges[np.argmin(np.abs(edges - radius))]
+    for ulps in (0, 1, 2, 8, 1000):
+        r = line
+        for _ in range(ulps):
+            r = np.nextafter(r, math.inf)
+        areas, _ = _grid_cells(w, Ball([x, y], r))
+        assert abs(np.sum(areas) / (math.pi * r * r) - 1.0) <= 1e-15, ulps
 
 
 def test_plane_tabulated_disk_leaving_the_grid_raises():
