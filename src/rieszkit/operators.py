@@ -455,8 +455,9 @@ def _far_field_1d(xs: np.ndarray, moments: list, profile: ExponentProfile,
 
     k(x, c + r u) = prod_j |D_j|^{-a_j} (1 - z_j u)^{-a_j} with z_j = lambda_j r / D_j,
     and (1 - z u)^{-a} = sum_k (a)_k / k! z^k u^k; the product series is
-    built once and contracted with the unit-ball moments of each profile,
-    one matrix-vector product per profile.
+    built once and contracted with the unit-ball moments of each profile by
+    a row sum, whose rounding, unlike a BLAS matrix-vector product's, does
+    not depend on the other points in the call.
     """
     c, r = float(ball.center[0]), float(ball.radius)
     k = np.arange(FAR_FIELD_ORDER + 1)
@@ -470,7 +471,7 @@ def _far_field_1d(xs: np.ndarray, moments: list, profile: ExponentProfile,
         binom = np.cumprod(np.concatenate([[1.0], (a + k[:-1]) / k[1:]]))
         term = binom * (lam * r / dist)[:, None] ** k
         series = term if series is None else _cauchy_product(series, term)
-    return np.stack([scale * (series @ m) for m in moments])
+    return np.stack([scale * np.sum(series * m, axis=1) for m in moments])
 
 
 def _near_field_1d(xs: np.ndarray, profiles: list, ball: Ball, profile: ExponentProfile,

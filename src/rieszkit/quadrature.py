@@ -3,8 +3,11 @@
 Every integrand handled here factors, near finitely many points c, as
 F(y) = P(|y - c|) * G(y) with G bounded and P one radial profile
 r**e * L(r)**s, L(r) = log(1/r) below the knee 1/e and 1 above it.  On
-the line every cell owned by c integrates P exactly against G frozen at
-the cell midpoint; on disks a small polar patch around c does, and every
+the line the rule is data: ``cell_weights`` makes every singular point an
+edge and gives each cell its midpoint and a weight, the exact integral of P
+over the cell divided by P at the midpoint for a cell owned by c, so that
+the sum of F(mids) * weights integrates P exactly against G frozen at the
+midpoints.  On disks a small polar patch around c does the same, and every
 other cell uses the plain midpoint rule.  This removes the dominant
 quadrature error exactly where the integrand blows up, so ball averages
 of singular weights and product-kernel integrals converge at modest
@@ -44,6 +47,8 @@ _PATCH_CELLS = 8
 _PATCH_SHELLS = 16
 _PATCH_SECTORS = 64
 _DISK_SUBSAMPLE = 8
+# the most cells one graded span of the line may take
+MAX_GRADED_CELLS = 200_000
 
 
 @record(frozen=True)
@@ -107,8 +112,9 @@ _CHUNK = 4096
 class RadialProfile:
     """P(r) = r**exponent * L(r)**s with L(r) = log(1/r) for r < 1/e and 1 above.
 
-    ``primitive(u, v, n)`` is the integral of P(r) r**(n-1) over [u, v].
-    With g = exponent + n it splits at the knee 1/e:
+    ``primitive_vec(u, v, n)`` is the integral of P(r) r**(n-1) over each
+    cell [u, v] of two arrays.  With g = exponent + n it splits at the knee
+    1/e:
 
     * s == 0, or the part above the knee: (v**g - u**g) / g (log(v/u) at g == 0);
     * a cell below the knee with u > 0: 16-point Gauss-Legendre in
@@ -144,18 +150,6 @@ class RadialProfile:
     def integrable(self, dim: int) -> bool:
         return self.exponent + dim > 0
 
-    def primitive(self, u: float, v: float, dim: int) -> float:
-        """Exact integral of P(r) * r**(dim-1) over [u, v]."""
-        g = self.exponent + dim
-        if self.s != 0.0:
-            return float(self._log_primitive(np.array([u], dtype=float),
-                                             np.array([v], dtype=float), dim)[0])
-        if u <= 0.0 and g <= 0.0:
-            return math.inf
-        if g == 0.0:
-            return math.log(v / u)
-        return (v**g - u**g) / g
-
     def primitive_vec(self, u: np.ndarray, v: np.ndarray, dim: int) -> np.ndarray:
         g = self.exponent + dim
         u = np.asarray(u, dtype=float)
@@ -172,8 +166,9 @@ class RadialProfile:
         return out
 
     def log_primitive(self, u: float, width: float, dim: int) -> float:
-        """log of primitive(u, u + width, dim), free of cancellation and finite
-        where the primitive itself under- or overflows (+inf if it diverges).
+        """log of the integral of P(r) r**(dim-1) over [u, u + width], free of
+        cancellation and finite where the integral itself under- or overflows
+        (+inf if it diverges).
 
         Power parts are closed forms (``_log_power_integral``); a log part
         below the knee is ``_log_quad`` in t = log r.
@@ -601,98 +596,98 @@ def gauss_jacobi(n: int, alpha: float, beta: float):
 # ---------------------------------------------------------------------------
 
 
-def integrate_cells_1d(fn, edges, singularities=()):
-    """Product-integration midpoint rule over the cells given by ``edges``.
+def split_edges(edges: np.ndarray, points) -> np.ndarray:
+    """``edges`` with every point strictly inside their span added as an
+    edge, sorted and without repeats (as np.unique gives them, which imports
+    numpy.ma)."""
+    inside = [p for p in points if edges[0] < p < edges[-1]]
+    if not inside:
+        return edges
+    out = np.sort(np.concatenate([edges, np.asarray(inside, dtype=float)]))
+    return out[np.concatenate([[True], out[1:] != out[:-1]])]
 
-    ``fn`` maps a 1-d array of N points to N integrand values, or to an
-    (A, N) array of A integrands that share the points; the sums run along
-    the last axis, so the result is a float, or an (A,) array whose entry a
-    is bit for bit the float that integrand a alone gives.  Singular points
-    within _PATCH_CELLS widest-cell widths of the edges are active; each
-    cell is assigned to its nearest active point, whose radial profile is
-    integrated exactly over the cell against the remaining (bounded) factor
-    frozen at the cell midpoint, so accuracy is O(h^2) up to the singularity
-    itself.  A singularity that is not integrable gives math.inf.
+
+def cell_weights(edges, singularities=()):
+    """Midpoints and weights of the product-integration midpoint rule over
+    the cells given by ``edges``: the rule of an integrand F is the sum of
+    F(mids) * weights.
+
+    Singular points within _PATCH_CELLS widest-cell widths of the edges are
+    active (coincident ones merged), and each one inside the span becomes an
+    edge, so that no cell contains one.  Each cell is owned by its nearest
+    active point c, with profile P, and weighs the integral of P(|y - c|)
+    over the cell divided by P(|mid - c|): the rule integrates P exactly
+    against the remaining (bounded) factor frozen at the midpoint, so its
+    accuracy is O(h^2) up to the singularity itself.  A cell whose midpoint
+    rounds onto c (a sub-ulp sliver) takes its outer edge as its midpoint.
+    A cell next to a point that is not integrable weighs +inf.  With no
+    active point each cell weighs its width.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = float(edges[0]), float(edges[-1])
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-
-    reach = _PATCH_CELLS * float(np.max(widths))
+    reach = _PATCH_CELLS * float(np.max(np.diff(edges)))
     active = []
     for s in singularities:
-        c = float(s.center_array()[0])
-        if lo - reach < c < hi + reach:
-            active.append((np.array([c]), s.profile, 0.0))
-    if not active:
-        return _total(np.sum(fn(mids) * widths, axis=-1))
+        c = s.center_array()[:1]
+        if lo - reach < c[0] < hi + reach:
+            active.append((c, s.profile, 0.0))
     active = merge_coincident(active)
-    centers = np.array([float(t[0][0]) for t in active])
-
+    centers = np.array([float(c[0]) for c, _, _ in active])
+    edges = split_edges(edges, centers)
+    left, right = edges[:-1], edges[1:]
+    mids = 0.5 * (left + right)
+    if not active:
+        return mids, right - left
     owner = np.argmin(np.abs(mids[:, None] - centers[None, :]), axis=1)
-    total = 0.0
-    for k, (c_arr, prof, _) in enumerate(active):
-        c = float(c_arr[0])
+    weights = np.empty(mids.size)
+    for k, (c, (_, prof, _)) in enumerate(zip(centers, active)):
         sel = owner == k
-        if not np.any(sel):
-            continue
-        u = edges[:-1][sel]
-        v = edges[1:][sel]
-        contains = (u < c) & (c < v)
-        plain = ~contains
-        if np.any(plain):
-            up, vp = u[plain], v[plain]
-            rl = np.where(up >= c, up - c, c - vp)
-            rh = np.where(up >= c, vp - c, c - up)
-            rl = np.maximum(rl, 0.0)
-            wgt = prof.primitive_vec(rl, rh, 1)
-            if np.any(~np.isfinite(wgt)):
-                return math.inf
-            pts = 0.5 * (up + vp)
-            g = fn(pts) / prof.value(np.abs(pts - c))
-            total += _total(np.sum(g * wgt, axis=-1))
-        for uc, vc in zip(u[contains], v[contains]):
-            if not prof.integrable(1):
-                return math.inf
-            for a, b, sign in ((uc, c, -1.0), (c, vc, +1.0)):
-                if b - a <= 0:
-                    continue
-                wgt = prof.primitive(0.0, b - a, 1)
-                # sample the bounded factor at the sub-cell midpoint, which
-                # stays inside the support even for a sliver next to an
-                # endpoint; a sub-ulp sliver whose midpoint rounds onto the
-                # center takes its outer edge instead
-                pt = c + sign * 0.5 * (b - a)
-                if pt == c:
-                    pt = b if sign > 0 else a
-                g = _total(fn(np.array([pt]))[..., 0]) / float(prof.value(abs(pt - c)))
-                total += wgt * g
-    return total
+        u, v = left[sel], right[sel]
+        ahead = u >= c
+        # a sub-ulp sliver whose midpoint rounds onto c takes its outer edge
+        mid = np.where(mids[sel] == c, np.where(ahead, v, u), mids[sel])
+        mids[sel] = mid
+        weights[sel] = (prof.primitive_vec(np.maximum(np.where(ahead, u - c, c - v), 0.0),
+                                           np.where(ahead, v - c, c - u), 1)
+                        / prof.value(np.abs(mid - c)))
+    return mids, weights
 
 
-def _total(value):
-    """A 0-d integrand sum as a Python float; an (A,) array of sums as is."""
-    return float(value) if np.ndim(value) == 0 else value
+def integrate_cells_1d(fn, edges, singularities=()):
+    """The product-integration midpoint rule (``cell_weights``) over the
+    cells given by ``edges`` of ``fn``, which maps a 1-d array of points to
+    values: the sum of fn(mids) * weights, or math.inf when a singular point
+    is not integrable."""
+    mids, weights = cell_weights(edges, singularities)
+    if np.any(np.isinf(weights)):
+        return math.inf
+    return float(np.sum(fn(mids) * weights))
 
 
-def graded_edges(near, far, h0, block=64, growth=2.0, max_cells=200000):
+def graded_cells(dist: float, h0: float, block: int) -> int:
+    """The number of cells that ``graded_edges`` lays over a span of length
+    ``dist``, in closed form: the first j blocks cover h0 block (2^j - 1)."""
+    j = max(0, math.ceil(math.log2(dist / (h0 * block) + 1.0)) - 1)
+    return j * block + math.ceil((dist - h0 * block * (2.0**j - 1.0)) / (h0 * 2.0**j))
+
+
+def graded_edges(near, far, h0, block=64, max_cells=MAX_GRADED_CELLS):
     """Cell edges from ``near`` to ``far`` whose width starts at ``h0`` at the
-    near end and grows by ``growth`` every ``block`` cells.  Returns an
-    increasing array regardless of the orientation of (near, far)."""
+    near end and doubles every ``block`` cells.  Returns an increasing array
+    regardless of the orientation of (near, far); raises ValueError when the
+    span needs more than ``max_cells`` cells."""
     near = float(near)
     far = float(far)
     dist = abs(far - near)
-    if dist <= 0:
-        return np.array([min(near, far), max(near, far)])
     offs = [0.0]
     h = float(h0)
-    count = 0
-    while offs[-1] < dist and len(offs) < max_cells:
+    while offs[-1] < dist:
+        if len(offs) > max_cells:
+            raise ValueError(f"a graded span of length {dist:.6g} needs more than "
+                             f"{max_cells} cells")
         offs.append(min(offs[-1] + h, dist))
-        count += 1
-        if count % block == 0:
-            h *= growth
+        if (len(offs) - 1) % block == 0:
+            h *= 2.0
     offs = np.asarray(offs)
     if far >= near:
         return near + offs
@@ -808,14 +803,11 @@ def integrate_disk(fn, center, radius, resolution, singularities=()):
         if np.any(inside):
             vals[inside] = fn(ppts[inside])
         vals = vals.reshape(_PATCH_SHELLS, _PATCH_SECTORS)
-        pv = prof.value(rmid)
-        gsum = vals.sum(axis=1) / pv
-        dtheta = 2.0 * math.pi / _PATCH_SECTORS
-        for k in range(_PATCH_SHELLS):
-            wgt = prof.primitive(float(shells[k]), float(shells[k + 1]), 2)
-            if not math.isfinite(wgt):
-                return math.inf
-            total += wgt * dtheta * float(gsum[k])
+        wgt = prof.primitive_vec(shells[:-1], shells[1:], 2)
+        if not np.all(np.isfinite(wgt)):
+            return math.inf
+        gsum = vals.sum(axis=1) / prof.value(rmid)
+        total += float(np.sum(wgt * (2.0 * math.pi / _PATCH_SECTORS) * gsum))
     return total
 
 

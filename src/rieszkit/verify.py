@@ -44,8 +44,8 @@ from .geometry import (MAX_EXTENT, Ball, BallFamily, MatrixFamily, as_point, cla
                        default_ball_family, expanded_balls)
 from .operators import (ExponentProfile, apply_T_ball_1d, apply_T_batch,
                         indicator_maximal_1d)
-from .quadrature import (PowerProfile, graded_edges, integrate_cells_1d, lebesgue_ball,
-                         radial_profile)
+from .quadrature import (MAX_GRADED_CELLS, PowerProfile, cell_weights, graded_cells,
+                         graded_edges, lebesgue_ball, radial_profile, split_edges)
 from .records import asdict, field, record
 from .weights import (PowerWeight, _exp, check_matrix_compatibility, critical_indices,
                       estimate_A1_constant, estimate_Ap_constant, estimate_Apq_constant,
@@ -417,20 +417,6 @@ def _merge_intervals(intervals):
     return out
 
 
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``values`` sorted without repeats, as np.unique gives them (which
-    imports numpy.ma)."""
-    out = np.sort(values)
-    return out[np.concatenate([[True], out[1:] != out[:-1]])]
-
-
-def _split_edges_at(edges: np.ndarray, points) -> np.ndarray:
-    inside = [p for p in points if edges[0] < p < edges[-1]]
-    if not inside:
-        return edges
-    return _sorted_unique(np.concatenate([edges, np.asarray(inside, dtype=float)]))
-
-
 def _expanded_intervals(ball: Ball, family: MatrixFamily) -> list:
     """The expanded balls of ``ball`` on the line, merged into sorted intervals."""
     return _merge_intervals([[float(b.center[0] - b.radius), float(b.center[0] + b.radius)]
@@ -445,6 +431,19 @@ def _truncation_extent(intervals, outer_octaves: int) -> float:
     return scale * 2.0**outer_octaves
 
 
+def _outer_spans(ball: Ball, family: MatrixFamily, spec: CampaignSpec, intervals,
+                 extent: float):
+    """h0, the width of a first outer cell (outer_resolution cells per
+    expanded radius), and the (near, far) of each graded stretch outside the
+    expanded balls: out to -extent and extent, and from each side of a gap
+    to its middle."""
+    spans = [(intervals[0][0], -extent), (intervals[-1][1], extent)]
+    for (_, a_hi), (b_lo, _) in zip(intervals, intervals[1:]):
+        midpt = 0.5 * (a_hi + b_lo)
+        spans += [(a_hi, midpt), (midpt, b_lo)]
+    return 2.0 * family.norm_bound * ball.radius / spec.outer_resolution, spans
+
+
 def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
                      norm_weight, weight_exponent: float, norm_exponent: float,
                      spec: CampaignSpec):
@@ -457,7 +456,11 @@ def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
     over- or underflows it; the tail is estimated from the closed decay form
     and reported, not added.  The cells, the weight values and T itself
     (``operators.apply_T_ball_1d``) are evaluated once for the ball, and
-    each atom's entries are bit for bit those of a one-atom call.
+    each atom's entries are bit for bit those of a one-atom call.  Each cell
+    set (an expanded ball, a graded stretch) is one ``cell_weights`` rule,
+    and each atom sums exp(log-integrand - shift) * weights, shift its
+    largest finite log-integrand over all sets, so no exp over- or
+    underflows however large e; a set with an infinite weight reads +inf.
     """
     ball = atoms[0].ball
     n = ball.dimension
@@ -479,45 +482,27 @@ def _ball_norm_split(atoms, profile: ExponentProfile, family: MatrixFamily,
     intervals = _expanded_intervals(ball, family)
     star_diameter = 4.0 * family.norm_bound * ball.radius
     # inner_resolution cells per expanded-ball diameter
-    inner_cells = [_split_edges_at(np.linspace(lo, hi, max(64, int(
+    inner_cells = [split_edges(np.linspace(lo, hi, max(64, int(
         spec.inner_resolution * (hi - lo) / star_diameter)) + 1), breakpoints)
         for lo, hi in intervals]
 
     extent = _truncation_extent(intervals, spec.outer_octaves)
-    h0 = 2.0 * family.norm_bound * ball.radius / spec.outer_resolution
-    spans = [(intervals[0][0], -extent), (intervals[-1][1], extent)]
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(intervals, intervals[1:]):
-        midpt = 0.5 * (a_hi + b_lo)
-        spans += [(a_hi, midpt), (midpt, b_lo)]
-    outer_cells = [_split_edges_at(edges, breakpoints) for edges in (
+    h0, spans = _outer_spans(ball, family, spec, intervals, extent)
+    outer_cells = [split_edges(edges, breakpoints) for edges in (
         graded_edges(near, far, h0, block=spec.outer_resolution) for near, far in spans)
         if edges[-1] - edges[0] > 0]
 
-    def shifted_integral(edges):
-        """The cell rule over ``edges`` of exp(log-integrand - top), top the
-        largest finite log-integrand at the midpoints (each evaluated once)."""
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        logs = log_integrand(mids)
-        top = np.max(np.where(np.isfinite(logs), logs, -math.inf), axis=1)
-        top = np.where(np.isfinite(top), top, 0.0)
-
-        def integrand(xs):
-            at = np.minimum(np.searchsorted(mids, xs), mids.size - 1)
-            hit = mids[at] == xs
-            vals = np.take(logs, at, axis=1)        # C order: rows sum as a lone atom's
-            if not np.all(hit):
-                vals[:, ~hit] = log_integrand(xs[~hit])
-            return np.exp(vals - top[:, None])
-
-        return integrate_cells_1d(integrand, edges, wsings), top
-
-    # the cell sets are summed relative to the largest top, so that no exp
-    # over- or underflows however large e; a divergent rule's math.inf stays
-    parts = [[shifted_integral(edges) for edges in cells] for cells in (inner_cells, outer_cells)]
-    shift = np.max([top for part in parts for _, top in part], axis=0)
-    with np.errstate(invalid="ignore"):
-        inner, outer = (sum((np.where(np.isinf(v), v, v * np.exp(top - shift)) for v, top in part),
-                            np.zeros(len(atoms))) for part in parts)
+    rules = [cell_weights(edges, wsings) for edges in inner_cells + outer_cells]
+    logs = [log_integrand(mids) for mids, _ in rules]
+    shift = np.max([np.max(np.where(np.isfinite(v), v, -math.inf), axis=1) for v in logs],
+                   axis=0)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    # C order, so that each row sums as a lone atom's
+    sums = [np.full(len(atoms), math.inf) if np.any(np.isinf(weights))
+            else np.sum(np.exp(v - shift[:, None]) * weights, axis=1)
+            for v, (_, weights) in zip(logs, rules)]
+    inner, outer = (sum(part, np.zeros(len(atoms)))
+                    for part in (sums[:len(inner_cells)], sums[len(inner_cells):]))
 
     # decay-form tail estimate beyond the truncation: w^s grows like |x|^wexp,
     # the sum of the factors' power exponents (log factors are 1 out there)
@@ -600,8 +585,10 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     1/q = 1/p - alpha/n (the Riesz-potential corollary is the m = 1 identity
     case of the same pipeline).
     Raises ConfigError at ``campaign`` when an atom's truncated line reaches
-    MAX_EXTENT, before any audit runs, and HypothesisFailed when any audited
-    hypothesis is violated, the moment degree included.
+    MAX_EXTENT, and at ``campaign.outer_resolution`` when one of its outer
+    spans needs more than the line's cell budget, both before any audit
+    runs, and HypothesisFailed when any audited hypothesis is violated, the
+    moment degree included.
     """
     n = w.dimension
     if kind not in ("thm-zero", "thm-positive"):
@@ -611,11 +598,20 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
     sampler = AtomSampler(tuple(np.asarray(c, dtype=float) for c in spec.centers),
                           tuple(spec.radii))
     for i in range(min(spec.count, len(spec.centers) * len(spec.radii))):
-        extent = _truncation_extent(_expanded_intervals(sampler.ball(i), family),
-                                    spec.outer_octaves)
+        ball = sampler.ball(i)
+        intervals = _expanded_intervals(ball, family)
+        extent = _truncation_extent(intervals, spec.outer_octaves)
         if not extent < MAX_EXTENT:
             raise ConfigError("campaign", f"the truncated line reaches {extent:.3g}, where "
                               f"squared distances overflow (limit {MAX_EXTENT:.3g})")
+        # one cell is left for the rounding of the summed widths
+        h0, spans = _outer_spans(ball, family, spec, intervals, extent)
+        cells = max(graded_cells(abs(far - near), h0, spec.outer_resolution)
+                    for near, far in spans)
+        if cells >= MAX_GRADED_CELLS:
+            raise ConfigError("campaign.outer_resolution",
+                              f"an outer span of the truncated line needs {cells} cells "
+                              f"(limit {MAX_GRADED_CELLS - 1})")
 
     if kind == "thm-zero":
         if profile.alpha != 0.0:

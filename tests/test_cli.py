@@ -805,6 +805,27 @@ def test_cli_huge_matrix_campaign(tmp_path, capsys, entry, code):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("resolution, octaves, code", [(65536, 8, 4), (32768, 8, 4),
+                                                       (4096, 64, 4), (16384, 8, 0)])
+def test_cli_campaign_outer_span_past_the_cell_budget(tmp_path, capsys, resolution, octaves,
+                                                      code):
+    """thm1-smoke with one atom on B(0, 1): an outer span that needs more
+    than the line's 200,000-cell budget is refused at
+    ``campaign.outer_resolution`` (exit 4) before any audit.  Before, the
+    span stopped short (at 16.8 of 1024 at resolution 65,536) and the
+    campaign reported the norm of a truncated line with exit 0."""
+    with open(os.path.join(CONFIG_DIR, "thm1-smoke.json")) as fh:
+        raw = json.load(fh)
+    raw["campaign"].update(count=1, centers=[[0.0]], radii=[1.0],
+                           outer_resolution=resolution, outer_octaves=octaves)
+    cfg = _write(tmp_path, "fine.json", raw)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    if code == 4:
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "config" and error["path"] == "campaign.outer_resolution"
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_atoms_validate_bad_manifest_exit_4(tmp_path):
     """A manifest record without ball.radius, a record whose product weight
     has factors at one centre that are not integrable together, and a
@@ -1233,8 +1254,8 @@ def test_classify_weight_grid_script_judges_every_cell():
 
 def test_compare_reports_script(tmp_path):
     """compare_reports ignores report timestamps, names the largest relative
-    float change with its key path and the largest change in ulps, or the
-    key path of the first other
+    float change with its key path and the largest change in ulps with its
+    key path, or the key path of the first other
     difference and what differs there, and exits non-zero on any
     difference."""
     script = os.path.join(os.path.dirname(__file__), "..", "scripts", "compare_reports.py")
@@ -1255,7 +1276,12 @@ def test_compare_reports_script(tmp_path):
     # the change in ulps is the count of doubles between the values
     (b / "s.csv").write_text(f"x0,value\n0.5,{2.0 + 3 * math.ulp(2.0)!r}\n")
     out = _python(script, str(a), str(b))
-    assert "largest relative change 6.661e-16 at [1][1], largest 3 ulp" in out.stdout
+    assert "largest relative change 6.661e-16 at [1][1], largest 3 ulp at [1][1]" in out.stdout
+    # the largest move in ulps is named apart from the largest relative change
+    (b / "s.csv").write_text(f"x0,value\n{0.5 + 2 * math.ulp(0.5)!r},"
+                             f"{2.0 - 3 * math.ulp(1.0)!r}\n")
+    out = _python(script, str(a), str(b))
+    assert "largest relative change 4.441e-16 at [1][0], largest 3 ulp at [1][1]" in out.stdout
 
     (b / "s.csv").write_text("x0,value\n0.5,2.0\n")
     (b / "sub" / "r.json").write_text(json.dumps(

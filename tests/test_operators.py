@@ -353,14 +353,19 @@ def test_shared_ball_rows_match_single_function_calls(kernel):
 
 @pytest.mark.parametrize("kernel", ["thm1", "ta"])
 def test_near_field_points_do_not_depend_on_their_batch(kernel):
-    """Every near-field point is one group of the panel stage: 1,201 points in
-    one call read bit for bit what 1,201 one-point calls read."""
+    """Every near-field point is one group of the panel stage, and every
+    far-field point contracts its series by a row sum, not a BLAS product
+    whose rounding depends on the other rows: 1,201 near and 1,994 far points
+    in one call read bit for bit what one-point calls read."""
     profile, lams = NEAR_FIELD_KERNELS[kernel]
     fam = scalar_family(list(lams), pairwise_invertible=True)
     atom = construct_atom(Ball([0.25], 0.5), AtomParams(1.0, 2.0, 2, PowerWeight(0.5), 1),
                           seed=17).function()
-    xs = np.linspace(-1.6, 1.6, 1201)
-    assert all(min(abs(x / lam - 0.25) for lam in lams) < 1.5 for x in xs)
+    near = np.linspace(-1.6, 1.6, 1201)
+    assert all(min(abs(x / lam - 0.25) for lam in lams) < 1.5 for x in near)
+    far = np.concatenate([np.geomspace(2.0, 500.0, 997), -np.geomspace(2.0, 500.0, 997)])
+    assert all(min(abs(x / lam - 0.25) for lam in lams) >= 1.5 for x in far)
+    xs = np.concatenate([near, far])
     batch = apply_T_batch(atom, xs[:, None], profile, fam)
     alone = np.concatenate([apply_T_batch(atom, np.array([[x]]), profile, fam) for x in xs])
     assert batch.tobytes() == alone.tobytes()

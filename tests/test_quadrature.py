@@ -13,7 +13,7 @@ from rieszkit import (Ball, CallableProfile, QuadratureScheme, SampledFunction, 
 from rieszkit.operators import apply_T_batch
 from rieszkit.quadrature import (LogPowerProfile, PowerProfile, ProductProfile,
                                  RadialSingularity, combine_profiles,
-                                 gauss_jacobi, graded_edges, integrate_ball,
+                                 gauss_jacobi, graded_cells, graded_edges, integrate_ball,
                                  integrate_cells_1d, integrate_disk, lebesgue_ball,
                                  log_ball_integral)
 
@@ -25,20 +25,25 @@ def test_scheme_validation():
         QuadratureScheme(tol=0.0)
 
 
+def _primitive(profile, u, v, dim):
+    """The integral of P(r) r^(dim-1) over the one cell [u, v]."""
+    return float(profile.primitive_vec(np.array([u]), np.array([v]), dim)[0])
+
+
 def test_power_profile_primitive_matches_quadrature():
     p = PowerProfile(-0.5)
-    exact = p.primitive(0.0, 1.0, 1)
+    exact = _primitive(p, 0.0, 1.0, 1)
     assert exact == pytest.approx(2.0)  # integral of r^{-1/2} over [0, 1]
-    assert p.primitive(0.0, 1.0, 2) == pytest.approx(1.0 / 1.5)
-    assert math.isinf(PowerProfile(-1.0).primitive(0.0, 1.0, 1))
+    assert _primitive(p, 0.0, 1.0, 2) == pytest.approx(1.0 / 1.5)
+    assert math.isinf(_primitive(PowerProfile(-1.0), 0.0, 1.0, 1))
 
 
 def test_log_profile_primitive():
     p = LogPowerProfile(1.0)
     # integral of log(1/r) over [0, 1/e] is 2/e
-    assert p.primitive(0.0, math.exp(-1), 1) == pytest.approx(2.0 / math.e, rel=1e-12)
+    assert _primitive(p, 0.0, math.exp(-1), 1) == pytest.approx(2.0 / math.e, rel=1e-12)
     # the flat branch beyond 1/e contributes plain length
-    v = p.primitive(0.0, 1.0, 1)
+    v = _primitive(p, 0.0, 1.0, 1)
     assert v == pytest.approx(2.0 / math.e + (1.0 - math.exp(-1)), rel=1e-12)
 
 
@@ -48,7 +53,7 @@ def test_log_profile_negative_power_uses_quad():
     from scipy.integrate import quad
 
     ref, _ = quad(lambda r: math.log(1.0 / r) ** -2.0, lo, hi)
-    assert p.primitive(lo, hi, 1) == pytest.approx(ref, rel=1e-9)
+    assert _primitive(p, lo, hi, 1) == pytest.approx(ref, rel=1e-9)
 
 
 def _mp_primitive(e, s, n, u, v):
@@ -101,10 +106,11 @@ def test_radial_profile_cells_from_zero_match_mpmath():
         for e in _PROFILE_E:
             for n in (1, 2):
                 if e + n <= 0:
-                    assert math.isinf(ProductProfile(e, s).primitive(0.0, 0.1, n))
+                    assert math.isinf(_primitive(ProductProfile(e, s), 0.0, 0.1, n))
                     continue
-                for b in (1e-12, 1e-8, 1e-3, 0.1, _KNEE, 0.9):
-                    val = ProductProfile(e, s).primitive(0.0, b, n)
+                tops = np.array([1e-12, 1e-8, 1e-3, 0.1, _KNEE, 0.9])
+                got = ProductProfile(e, s).primitive_vec(np.zeros(tops.size), tops, n)
+                for b, val in zip(tops, got):
                     ref = _mp_primitive(e, s, n, 0.0, b)
                     worst = max(worst, float(abs(val - ref) / abs(ref)))
     assert worst <= 1e-13
@@ -224,6 +230,34 @@ def test_graded_edges_shapes():
     assert np.all(np.diff(e) > 0)
     e2 = graded_edges(1.0, -5.0, h0=0.1, block=8)
     assert e2[0] == pytest.approx(-5.0) and e2[-1] == 1.0
+
+
+@pytest.mark.parametrize("near, far, h0, block", [(1.0, 100.0, 0.1, 8), (1.0, -5.0, 0.1, 8),
+                                               (-0.37, 733.1, 0.013, 16), (2.5, -9e4, 0.2, 3)])
+def test_graded_cells_counts_the_graded_edges(near, far, h0, block):
+    """The closed-form count is the number of cells the edges lay."""
+    edges = graded_edges(near, far, h0, block)
+    assert graded_cells(abs(far - near), h0, block) == edges.size - 1
+
+
+def test_graded_cells_at_a_block_end():
+    """A span that ends on a block end in exact arithmetic, as a centred
+    campaign ball's outer span does, is counted to within the one cell that
+    the rounding of the summed widths may add or save."""
+    r, res = 0.3, 64
+    for octaves in (0, 3, 8, 12):
+        dist = 4.0 * r * 2.0**octaves - 2.0 * r
+        edges = graded_edges(2.0 * r, 2.0 * r + dist, 2.0 * r / res, res)
+        assert abs(graded_cells(dist, 2.0 * r / res, res) - (edges.size - 1)) <= 1
+
+
+def test_graded_edges_refuse_a_span_past_their_budget():
+    """A span that needs more cells than the budget raises instead of
+    returning a span that stops short of its far end."""
+    assert graded_cells(1e6, 1.0, 4) > 64
+    with pytest.raises(ValueError, match="more than 64 cells"):
+        graded_edges(0.0, 1e6, 1.0, block=4, max_cells=64)
+    assert graded_edges(0.0, 60.0, 1.0, block=4, max_cells=64)[-1] == 60.0
 
 
 def test_lebesgue_ball():
