@@ -664,34 +664,31 @@ def integrate_cells_1d(fn, edges, singularities=()):
     return float(np.sum(fn(mids) * weights))
 
 
+def _graded_offset(i, h0, block):
+    """Graded edge i's offset: block j = i // block starts at h0 block
+    (2^j - 1) in cells h0 2^j wide."""
+    j = i // block
+    return h0 * block * (2.0**j - 1.0) + i % block * (h0 * 2.0**j)
+
+
 def graded_cells(dist: float, h0: float, block: int) -> int:
-    """The number of cells that ``graded_edges`` lays over a span of length
-    ``dist``, in closed form: the first j blocks cover h0 block (2^j - 1)."""
-    j = max(0, math.ceil(math.log2(dist / (h0 * block) + 1.0)) - 1)
-    return j * block + math.ceil((dist - h0 * block * (2.0**j - 1.0)) / (h0 * 2.0**j))
+    """The cells ``graded_edges`` lays over a span ``dist`` long: the j blocks
+    that the closed form puts below it, and the edges of block j below it."""
+    j = int(math.log2(dist / (h0 * block) + 1.0))
+    return j * block + int(np.searchsorted(
+        _graded_offset(np.arange(j * block, j * block + block + 1), h0, block), dist))
 
 
 def graded_edges(near, far, h0, block=64, max_cells=MAX_GRADED_CELLS):
-    """Cell edges from ``near`` to ``far`` whose width starts at ``h0`` at the
-    near end and doubles every ``block`` cells.  Returns an increasing array
-    regardless of the orientation of (near, far); raises ValueError when the
-    span needs more than ``max_cells`` cells."""
-    near = float(near)
-    far = float(far)
+    """Increasing edges from ``near`` to ``far`` of cells h0 wide at the near
+    end, doubling every ``block`` cells and clipped to the span; ValueError
+    past ``max_cells`` cells."""
     dist = abs(far - near)
-    offs = [0.0]
-    h = float(h0)
-    while offs[-1] < dist:
-        if len(offs) > max_cells:
-            raise ValueError(f"a graded span of length {dist:.6g} needs more than "
-                             f"{max_cells} cells")
-        offs.append(min(offs[-1] + h, dist))
-        if (len(offs) - 1) % block == 0:
-            h *= 2.0
-    offs = np.asarray(offs)
-    if far >= near:
-        return near + offs
-    return np.sort(near - offs)
+    cells = graded_cells(dist, h0, block)
+    if cells > max_cells:
+        raise ValueError(f"a graded span of length {dist:.6g} needs more than {max_cells} cells")
+    offs = np.minimum(_graded_offset(np.arange(cells + 1), h0, block), dist)
+    return near + offs if far >= near else near - offs[::-1]
 
 
 # ---------------------------------------------------------------------------

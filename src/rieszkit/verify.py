@@ -604,14 +604,13 @@ def run_theorem_campaign(kind: str, w, profile: ExponentProfile, family: MatrixF
         if not extent < MAX_EXTENT:
             raise ConfigError("campaign", f"the truncated line reaches {extent:.3g}, where "
                               f"squared distances overflow (limit {MAX_EXTENT:.3g})")
-        # one cell is left for the rounding of the summed widths
         h0, spans = _outer_spans(ball, family, spec, intervals, extent)
         cells = max(graded_cells(abs(far - near), h0, spec.outer_resolution)
                     for near, far in spans)
-        if cells >= MAX_GRADED_CELLS:
+        if cells > MAX_GRADED_CELLS:
             raise ConfigError("campaign.outer_resolution",
                               f"an outer span of the truncated line needs {cells} cells "
-                              f"(limit {MAX_GRADED_CELLS - 1})")
+                              f"(limit {MAX_GRADED_CELLS})")
 
     if kind == "thm-zero":
         if profile.alpha != 0.0:

@@ -233,22 +233,35 @@ def test_graded_edges_shapes():
 
 
 @pytest.mark.parametrize("near, far, h0, block", [(1.0, 100.0, 0.1, 8), (1.0, -5.0, 0.1, 8),
-                                               (-0.37, 733.1, 0.013, 16), (2.5, -9e4, 0.2, 3)])
+                                               (-0.37, 733.1, 0.013, 16), (2.5, -9e4, 0.2, 3),
+                                               # the outer spans of centred campaign
+                                               # balls of radius 0.3, 0.7 and 1e-7
+                                               (0.6, 307.2, 0.009375, 64),
+                                               (-1.4, -716.8, 0.021875, 64),
+                                               (2e-07, 0.0001024, 3.125e-09, 64)])
 def test_graded_cells_counts_the_graded_edges(near, far, h0, block):
-    """The closed-form count is the number of cells the edges lay."""
+    """The closed-form count is the number of cells the edges lay, and no
+    cell is a sliver: each is at least half its nominal width h0 2^(i // block)
+    or is the last.  At r = 0.3, summed widths laid a 577th cell 4e-11 h0 wide."""
     edges = graded_edges(near, far, h0, block)
     assert graded_cells(abs(far - near), h0, block) == edges.size - 1
+    assert edges[0] == min(near, far) and edges[-1] == max(near, far)
+    widths = np.diff(edges) if far >= near else np.diff(edges)[::-1]
+    nominal = h0 * 2.0 ** (np.arange(widths.size) // block)
+    assert np.all(widths[:-1] > 0.5 * nominal[:-1]) and widths[-1] > 0.0
 
 
 def test_graded_cells_at_a_block_end():
     """A span that ends on a block end in exact arithmetic, as a centred
-    campaign ball's outer span does, is counted to within the one cell that
-    the rounding of the summed widths may add or save."""
+    campaign ball's outer span does, is counted exactly, and its last cell
+    is a full one."""
     r, res = 0.3, 64
     for octaves in (0, 3, 8, 12):
         dist = 4.0 * r * 2.0**octaves - 2.0 * r
         edges = graded_edges(2.0 * r, 2.0 * r + dist, 2.0 * r / res, res)
-        assert abs(graded_cells(dist, 2.0 * r / res, res) - (edges.size - 1)) <= 1
+        cells = graded_cells(dist, 2.0 * r / res, res)
+        assert cells == edges.size - 1
+        assert edges[-1] - edges[-2] > 0.5 * (2.0 * r / res) * 2.0 ** ((cells - 1) // res)
 
 
 def test_graded_edges_refuse_a_span_past_their_budget():
